@@ -5,8 +5,8 @@ embedded run manifest, so any result can be reproduced bit-for-bit from
 its own output.  Numbers are serialized with shortest round-trip
 representation (exact for 64-bit floats).
 
-Exit codes: 0 success, 2 usage error, 3 series divergence,
-4 comparison failure.
+Exit codes: 0 success, 1 verification check failed, 2 usage error,
+3 series divergence, 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .model import (DiscountCurve, MarketState, SabrParams, SwapContract,
                     discount_factor, validate_state)
 
 EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGING = 3
 EXIT_COMPARE_FAILED = 4
@@ -343,8 +344,8 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
     if which in ("all", "j0"):
         for i in range(50):
             z = 10.0 ** (-2.0 + (i + 1) * (math.log10(50.0) + 2.0) / 50.0)
-            closed = series_pricer.j0_closed_form(z)
-            hyper = series_pricer.j0_hypergeometric_form(z)
+            closed = verify.j0_closed_form(z)
+            hyper = verify.j0_hypergeometric_form(z)
             rep = verify.ResidualReport(point=f"z={z:.6g}",
                                         residual=closed - hyper,
                                         scale=abs(hyper),
@@ -392,7 +393,7 @@ def cmd_verify(args) -> int:
             "check": which, "n_terms": n_terms, "s_max": s_max}),
     }
     _emit_json(document, started, args.output)
-    return EXIT_OK if all_passed else 1
+    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

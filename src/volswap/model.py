@@ -19,8 +19,6 @@ from .exceptions import DomainError
 BEFORE_ACCRUAL_START = "BEFORE_ACCRUAL_START"
 AFTER_MATURITY = "AFTER_MATURITY"
 NU_ZERO_SERIES_SINGULAR = "NU_ZERO_SERIES_SINGULAR"
-NU_NEGATIVE = "NU_NEGATIVE"
-SIGMA_NOT_POSITIVE = "SIGMA_NOT_POSITIVE"
 
 
 @dataclass(frozen=True)
@@ -166,10 +164,6 @@ def validate_state(state: MarketState, params: SabrParams,
         codes.append(BEFORE_ACCRUAL_START)
     if state.t > contract.maturity:
         codes.append(AFTER_MATURITY)
-    if state.sigma <= 0:
-        codes.append(SIGMA_NOT_POSITIVE)
-    if state.nu < 0:
-        codes.append(NU_NEGATIVE)
-    elif state.nu == 0:
+    if state.nu == 0:
         codes.append(NU_ZERO_SERIES_SINGULAR)
     return codes

@@ -220,7 +220,7 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
     q_interp = PchipInterpolator(y, q, extrapolate=False)
 
     y_of_x = math.sqrt(2.0) * state.sigma / params.alpha
-    x_cut = y[-1] / y_of_x
+    x_cut = float(y[-1]) / y_of_x
     tail_bound = solution.boundary_max / x_cut
     if tail_bound > quad_tol:
         raise AccuracyError(

@@ -7,9 +7,14 @@ with tau = t0 + T - t, zeta = sigma^2 / (2 alpha^2 nu_t),
 E_n = alpha^2 n (2n - 1) and rational coefficients b_n built from exact
 half-integer gamma values (b_0 = b_1 = 1, b_2 = -1/30, ...).
 
+:func:`series_term` is the one definition of the n-th term; the pricer
+here and the checks in :mod:`volswap.verify` (the fixed-truncation kappa
+behind the finite-difference check, and the J0/J_inf integral components)
+all sum it.
+
 For tau > 0 the exp(E_n tau) factors grow super-factorially in n, so the
-series is treated as an asymptotic expansion: adaptive evaluation sums to
-the smallest-magnitude term, reports that term as the error estimate, and
+series is treated as an asymptotic expansion: evaluation sums to the
+smallest-magnitude term, reports that term as the error estimate, and
 classifies the outcome as convergent-like, asymptotically truncated, or
 diverging.  Ground truth outside the trustworthy region comes from the
 Monte Carlo and PDE oracles in the sibling modules.
@@ -17,6 +22,7 @@ Monte Carlo and PDE oracles in the sibling modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,9 +35,6 @@ REGIME_CONVERGENT = "convergent_like"
 REGIME_ASYMPTOTIC = "asymptotic_truncated"
 REGIME_DIVERGING = "diverging"
 
-MODE_ADAPTIVE = "adaptive_asymptotic"
-MODE_FIXED = "fixed_n"
-
 #: a truncation whose smallest term still exceeds this fraction of the sum
 #: carries no usable accuracy and is flagged as diverging.
 DIVERGENCE_FRACTION = 0.1
@@ -43,24 +46,21 @@ class SeriesConfig:
 
     max_terms: int = 64
     rel_tol: float = 1e-10
-    mode: str = MODE_ADAPTIVE
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
         if not (self.rel_tol > 0):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.mode not in (MODE_ADAPTIVE, MODE_FIXED):
-            raise DomainError(f"unknown series mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class SeriesDiagnostics:
     """How the truncated series behaved.
 
-    ``min_term_abs`` is the magnitude of the smallest term seen; in the
-    adaptive regime it is the first omitted term and hence the error
-    estimate of the returned value.
+    ``min_term_abs`` is the magnitude of the smallest term seen; unless the
+    sum stopped on the tolerance it is the first omitted term and hence the
+    error estimate of the returned value.
     """
 
     terms_used: int
@@ -79,8 +79,9 @@ class SeriesVariables:
     z: float
 
 
+@functools.cache
 def coeff_b_exact(n: int) -> Fraction:
-    """b_n as an exact rational.
+    """b_n as an exact rational, memoised: the table is constant.
 
     b_n = (-1)^(n+1) Gamma(n-1/2)^2 / (2 sqrt(pi) n! Gamma(2n-1/2)); the
     sqrt(pi) factors of the half-integer gammas cancel identically, so the
@@ -121,8 +122,13 @@ def series_variables(state: MarketState, params: SabrParams,
     return SeriesVariables(tau=tau, zeta=zeta, z=4.0 * zeta)
 
 
-def _series_term(n: int, zeta: float, tau: float, alpha: float,
-                 rel_tol: float) -> float:
+def series_term(n: int, zeta: float, tau: float, alpha: float,
+                rel_tol: float) -> float:
+    """n-th kappa-series term b_n e^(E_n tau) zeta^n 1F1(n-1/2; 2n+1/2; zeta).
+
+    The only definition of the term; 1F1 is evaluated to the relative
+    tolerance min(rel_tol, 1e-13).
+    """
     f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta, rel_tol=min(rel_tol, 1e-13))
     return coeff_b(n) * math.exp(energy_e(n, alpha) * tau) * zeta ** n * f.value
 
@@ -131,12 +137,14 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
                  config: SeriesConfig = SeriesConfig()) -> tuple:
     """Expected annualized volatility from the hypergeometric series.
 
-    Adaptive mode stops on the usual two-small-terms criterion while terms
-    decay; if terms start growing instead (the asymptotic regime), the sum
-    is truncated just before the smallest term, whose magnitude becomes the
-    error estimate.  A negative value, a non-finite term, or an estimate
-    above ``DIVERGENCE_FRACTION`` of the sum yields the diverging verdict;
-    the best truncation is still returned, flagged not converged.
+    Summation stops on the usual two-small-terms criterion while terms
+    decay; if terms start growing instead (the asymptotic regime), or
+    ``max_terms`` or a non-finite term is reached, the sum is truncated
+    just before the smallest term, whose magnitude becomes the error
+    estimate.  A negative value, a non-finite term, a smallest term at
+    n = 0, or an estimate above ``DIVERGENCE_FRACTION`` of the sum yields
+    the diverging verdict; the best truncation is still returned, flagged
+    not converged.
 
     Returns
     -------
@@ -147,21 +155,19 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
         raise DomainError(f"valuation time {state.t} is past maturity")
     prefactor = math.sqrt(state.nu) / contract.tenor
 
-    terms = []
-    partial = 0.0
+    mags = []
     partials = []
+    partial = 0.0
     small_streak = 0
     stop_reason = "exhausted"
     for n in range(config.max_terms):
-        t_n = _series_term(n, sv.zeta, sv.tau, params.alpha, config.rel_tol)
+        t_n = series_term(n, sv.zeta, sv.tau, params.alpha, config.rel_tol)
         if not math.isfinite(t_n):
             stop_reason = "overflow"
             break
-        terms.append(t_n)
         partial += t_n
+        mags.append(abs(t_n))
         partials.append(partial)
-        if config.mode == MODE_FIXED:
-            continue
         if abs(t_n) <= config.rel_tol * abs(partial):
             small_streak += 1
             if small_streak >= 2:
@@ -169,56 +175,35 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
                 break
         else:
             small_streak = 0
-        if (n >= 2 and abs(terms[n]) > abs(terms[n - 1])
-                and abs(terms[n - 1]) > abs(terms[n - 2])):
+        if n >= 2 and mags[n] > mags[n - 1] > mags[n - 2]:
             stop_reason = "growth"
             break
 
-    if not terms:
+    if not mags:
         raise DomainError("series produced no finite terms")
 
-    mags = [abs(t) for t in terms]
     if stop_reason == "tolerance":
-        m = len(terms) - 1
-        value = partials[-1]
-        diag = SeriesDiagnostics(
-            terms_used=len(terms), min_term_index=m, min_term_abs=mags[m],
-            converged=True, regime=REGIME_CONVERGENT)
-        kappa = prefactor * value
-        if kappa < 0:
-            diag = SeriesDiagnostics(diag.terms_used, diag.min_term_index,
-                                     diag.min_term_abs, False, REGIME_DIVERGING)
-        return kappa, diag
+        kappa = prefactor * partial
+        converged = kappa >= 0
+        regime = REGIME_CONVERGENT if converged else REGIME_DIVERGING
+        return kappa, SeriesDiagnostics(len(mags), len(mags) - 1, mags[-1],
+                                        converged, regime)
 
-    if config.mode == MODE_FIXED:
-        m = mags.index(min(mags))
-        value = partials[-1]
-        converged = mags[-1] <= config.rel_tol * abs(value)
-        regime = REGIME_CONVERGENT if converged else REGIME_ASYMPTOTIC
-        kappa = prefactor * value
-        if kappa < 0 or stop_reason == "overflow":
-            converged, regime = False, REGIME_DIVERGING
-        return kappa, SeriesDiagnostics(len(terms), m, mags[m], converged, regime)
-
-    # adaptive optimal truncation: the smallest term is the first omitted one
+    # optimal truncation: the smallest term is the first omitted one
     m = mags.index(min(mags))
     if m == 0:
-        value = partials[0]
-        estimate = max(mags[0], mags[1] if len(mags) > 1 else mags[0])
-        kappa = prefactor * value
-        return kappa, SeriesDiagnostics(len(terms), 0, mags[0], False,
-                                        REGIME_DIVERGING)
+        return prefactor * partials[0], SeriesDiagnostics(
+            len(mags), 0, mags[0], False, REGIME_DIVERGING)
     value = partials[m - 1]
     estimate = mags[m]
     kappa = prefactor * value
-    converged = estimate <= config.rel_tol * abs(value)
     if (stop_reason == "overflow" or kappa < 0
             or estimate > DIVERGENCE_FRACTION * abs(value)):
-        regime = REGIME_DIVERGING
-        converged = False
-    else:
-        regime = REGIME_ASYMPTOTIC
-    return kappa, SeriesDiagnostics(len(terms), m, estimate, converged, regime)
+        return kappa, SeriesDiagnostics(len(mags), m, estimate, False,
+                                        REGIME_DIVERGING)
+    converged = estimate <= config.rel_tol * abs(value)
+    return kappa, SeriesDiagnostics(len(mags), m, estimate, converged,
+                                    REGIME_ASYMPTOTIC)
 
 
 def fair_value(kappa: float, contract: SwapContract, df: float,
@@ -234,53 +219,6 @@ def fair_value(kappa: float, contract: SwapContract, df: float,
                          notional=contract.notional, discount_factor=df,
                          fair_value=value, diagnostics=diagnostics,
                          warnings=tuple(warnings))
-
-
-def j0_closed_form(z: float) -> float:
-    """n = 0 integral component in erfi form.
-
-    J0 = -(pi/2) * erfi(sqrt(z)/2) - sqrt(pi) * (1 - e^(z/4)) / sqrt(z).
-    """
-    if z <= 0:
-        raise DomainError(f"j0 requires z > 0, got {z}")
-    root = math.sqrt(z)
-    return (-(math.pi / 2.0) * specfun.erfi(root / 2.0)
-            - specfun.SQRT_PI * (1.0 - math.exp(z / 4.0)) / root)
-
-
-def j0_hypergeometric_form(z: float) -> float:
-    """Same J0 via 1F1: (sqrt(pi)/2) (z/4)^(-1/2) (1F1(-1/2;1/2;z/4) - 1)."""
-    if z <= 0:
-        raise DomainError(f"j0 requires z > 0, got {z}")
-    f = specfun.kummer_1f1(-0.5, 0.5, z / 4.0)
-    return specfun.SQRT_PI / 2.0 * (f.value - 1.0) / math.sqrt(z / 4.0)
-
-
-def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
-    """Partial sum (n = 1 .. n_max) of the higher-mode integral components.
-
-    J_inf = sum_n (-1)^(n+1) Gamma(n-1/2)^2/(4 n! Gamma(2n-1/2))
-            * e^(E_n tau) * (z/4)^(n-1/2) * 1F1(n-1/2; 2n+1/2; z/4).
-
-    Only used for component-level cross checks: reassembling
-    (sqrt(nu)/T) * (1 + sqrt(z/pi) * (J0 + J_inf)) must reproduce the b_n
-    series at matched truncation.
-    """
-    if z <= 0:
-        raise DomainError(f"j_infinity requires z > 0, got {z}")
-    if tau < 0 or alpha <= 0:
-        raise DomainError("j_infinity requires tau >= 0 and alpha > 0")
-    zeta = z / 4.0
-    total = 0.0
-    for n in range(1, n_max + 1):
-        # coefficient equals b_n * sqrt(pi)/2
-        c = coeff_b(n) * specfun.SQRT_PI / 2.0
-        f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta)
-        term = c * math.exp(energy_e(n, alpha) * tau) * zeta ** (n - 0.5) * f.value
-        if not math.isfinite(term):
-            raise OverflowError(f"j_infinity term n={n} overflowed")
-        total += term
-    return total
 
 
 def price_volatility_swap(state: MarketState, params: SabrParams,

@@ -34,22 +34,18 @@ class HalfIntegerGamma:
     """Exact value of Gamma(k/2) for odd k, stored as (p/q) * sqrt(pi).
 
     ``numerator``/``denominator`` is always in lowest terms with a positive
-    denominator; for odd k the sqrt(pi) power is always 1.
+    denominator.
     """
 
     numerator: int
     denominator: int
-    sqrt_pi_power: int
 
     @property
     def rational(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
     def to_float(self) -> float:
-        value = self.numerator / self.denominator
-        if self.sqrt_pi_power:
-            value *= SQRT_PI
-        return value
+        return self.numerator / self.denominator * SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,7 @@ def gamma_half_integer(k: int) -> HalfIntegerGamma:
     while x < Fraction(1, 2):
         coeff /= x
         x += 1
-    return HalfIntegerGamma(coeff.numerator, coeff.denominator, 1)
-
-
-def log_gamma(x: float) -> float:
-    """log|Gamma(x)|; thin wrapper kept so callers stay within this module."""
-    return math.lgamma(x)
+    return HalfIntegerGamma(coeff.numerator, coeff.denominator)
 
 
 def _gamma_sign(x: float) -> float:
@@ -177,7 +168,7 @@ def _kummer_direct(a: float, b: float, z: float, rel_tol: float,
 def _kummer_asymptotic(a: float, b: float, z: float,
                        rel_tol: float) -> SeriesEvalReport:
     sign = _gamma_sign(a)
-    prefactor = sign * math.exp(log_gamma(b) - log_gamma(a) + z
+    prefactor = sign * math.exp(math.lgamma(b) - math.lgamma(a) + z
                                 + (a - b) * math.log(z))
     total = 1.0
     term = 1.0
@@ -261,7 +252,7 @@ def bessel_i(order: float, y: float, rel_tol: float = 1e-14,
         return SeriesEvalReport(math.inf, 1, 0.0, True)
 
     half = 0.5 * y
-    log_first = order * math.log(half) - log_gamma(order + 1.0)
+    log_first = order * math.log(half) - math.lgamma(order + 1.0)
     term = _gamma_sign(order + 1.0) * math.exp(log_first)
     total = term
     small_streak = 0

@@ -1,6 +1,6 @@
 """Mechanized verification of the identities behind the series solution.
 
-Four families of checks:
+Five families of checks:
 
 * the Bessel-mode expansion of y^(-1/2) (pointwise convergent),
 * the PDE residual of the truncated Bessel-mode solution for psi,
@@ -8,7 +8,12 @@ Four families of checks:
   D_t kappa + (alpha^2 sigma^2 / 2) (vertical grad)^2 kappa = 0,
   both term-by-term in closed form and by finite differences,
 * the combinatorial identity behind the terminal value kappa = sqrt(nu)/T,
-  evaluated in exact rational arithmetic so rounding can be ruled out.
+  evaluated in exact rational arithmetic so rounding can be ruled out,
+* the integral components J0 (in erfi and 1F1 form) and J_inf, which must
+  reassemble the b_n series.
+
+The fixed-truncation kappa and J_inf sum the pricer's own
+:func:`volswap.series_pricer.series_term`.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the rational sum itself (zero when the identity holds).
@@ -23,7 +28,7 @@ from fractions import Fraction
 from . import specfun
 from .exceptions import DomainError, InconclusiveError
 from .model import MarketState, SabrParams, SwapContract
-from .series_pricer import coeff_b, energy_e, series_variables
+from .series_pricer import coeff_b, energy_e, series_term, series_variables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,6 +37,9 @@ TOL_PSI_RESIDUAL = 1e-6
 TOL_FUNCTIONAL = 1e-9
 TOL_KUMMER = 1e-9
 TOL_FINITE_DIFF = 1e-5
+
+#: 1F1 tolerance of the series terms summed here: kummer_1f1's default
+TERM_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -251,11 +259,8 @@ def _kappa_truncated(nu: float, sigma: float, tau: float, alpha: float,
                      tenor: float, n_terms: int) -> float:
     """Fixed-truncation kappa used for the finite-difference cross-checks."""
     zeta = sigma * sigma / (2.0 * alpha * alpha * nu)
-    total = 0.0
-    for n in range(n_terms):
-        f, _ = _f_and_derivative(n, zeta)
-        total += (coeff_b(n) * math.exp(energy_e(n, alpha) * tau)
-                  * zeta ** n * f)
+    total = sum(series_term(n, zeta, tau, alpha, TERM_REL_TOL)
+                for n in range(n_terms))
     return math.sqrt(nu) / tenor * total
 
 
@@ -318,3 +323,47 @@ def check_kummer_ode(a: float, b: float, z: float,
     residual = z * fpp - (z - b) * fp - a * f
     return ResidualReport(point=f"a={a}, b={b}, z={z}", residual=residual,
                           scale=max(1.0, abs(f)), tolerance=tolerance)
+
+
+def j0_closed_form(z: float) -> float:
+    """n = 0 integral component in erfi form.
+
+    J0 = -(pi/2) * erfi(sqrt(z)/2) - sqrt(pi) * (1 - e^(z/4)) / sqrt(z).
+    """
+    if z <= 0:
+        raise DomainError(f"j0 requires z > 0, got {z}")
+    root = math.sqrt(z)
+    return (-(math.pi / 2.0) * specfun.erfi(root / 2.0)
+            - specfun.SQRT_PI * (1.0 - math.exp(z / 4.0)) / root)
+
+
+def j0_hypergeometric_form(z: float) -> float:
+    """Same J0 via 1F1: (sqrt(pi)/2) (z/4)^(-1/2) (1F1(-1/2;1/2;z/4) - 1)."""
+    if z <= 0:
+        raise DomainError(f"j0 requires z > 0, got {z}")
+    f = specfun.kummer_1f1(-0.5, 0.5, z / 4.0)
+    return specfun.SQRT_PI / 2.0 * (f.value - 1.0) / math.sqrt(z / 4.0)
+
+
+def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
+    """Partial sum (n = 1 .. n_max) of the higher-mode integral components.
+
+    J_inf = (sqrt(pi)/2) (z/4)^(-1/2) sum_n b_n e^(E_n tau) (z/4)^n
+            * 1F1(n-1/2; 2n+1/2; z/4),
+
+    the kappa-series terms n >= 1 at zeta = z/4.  Reassembling
+    (sqrt(nu)/T) * (1 + sqrt(z/pi) * (J0 + J_inf)) must reproduce the b_n
+    series at matched truncation.
+    """
+    if z <= 0:
+        raise DomainError(f"j_infinity requires z > 0, got {z}")
+    if tau < 0 or alpha <= 0:
+        raise DomainError("j_infinity requires tau >= 0 and alpha > 0")
+    zeta = z / 4.0
+    total = 0.0
+    for n in range(1, n_max + 1):
+        term = series_term(n, zeta, tau, alpha, TERM_REL_TOL)
+        if not math.isfinite(term):
+            raise OverflowError(f"j_infinity term n={n} overflowed")
+        total += term
+    return specfun.SQRT_PI / 2.0 * total / math.sqrt(zeta)

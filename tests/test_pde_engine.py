@@ -90,6 +90,7 @@ class TestKappaQuadrature:
         kappa_p = kappa_quadrature(state, params, CONTRACT)
         kappa_s, diag = kappa_series(state, params, CONTRACT)
         assert diag.converged
+        assert type(kappa_p) is float
         assert kappa_p == pytest.approx(kappa_s, rel=1e-5)
 
     def test_nu_zero_supported(self):
@@ -98,6 +99,7 @@ class TestKappaQuadrature:
         params = SabrParams(alpha=0.4)
         contract = SwapContract(t0=0.0, tenor=0.5)
         kappa_p = kappa_quadrature(state, params, contract)
+        assert type(kappa_p) is float
         est = kappa_mc(state, params, contract, McConfig(60_000, 200, seed=13))
         assert abs(kappa_p - est.mean) <= max(3.0 * est.std_error,
                                               1e-3 * kappa_p)
@@ -130,4 +132,5 @@ class TestGridConvergence:
                                         GridSpec(n_y=400, n_t=400),
                                         refinements=2)
         assert len(report["kappas"]) == 3
+        assert all(type(k) is float for k in report["kappas"])
         assert 3.5 <= report["ratios"][0] <= 4.5

@@ -1,18 +1,22 @@
 """The hypergeometric series pricer and its component cross-checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from volswap import specfun
 from volswap.exceptions import DomainError, SingularityError
 from volswap.model import MarketState, SabrParams, SwapContract
-from volswap.series_pricer import (MODE_FIXED, REGIME_CONVERGENT,
-                                   REGIME_DIVERGING, SeriesConfig, coeff_b,
-                                   coeff_b_exact, energy_e, j0_closed_form,
-                                   j0_hypergeometric_form, j_infinity,
-                                   kappa_series, series_variables)
+from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
+                                   SeriesConfig, coeff_b, coeff_b_exact,
+                                   energy_e, kappa_series,
+                                   price_volatility_swap, series_term,
+                                   series_variables)
+from volswap.verify import j0_closed_form, j0_hypergeometric_form, j_infinity
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 
@@ -97,8 +101,8 @@ class TestTerminalValue:
         nu = 0.04
         sigma = math.sqrt(2.0 * 0.4 ** 2 * nu * 1.0)
         state = MarketState(t=1.0, sigma=sigma, nu=nu)
-        config = SeriesConfig(max_terms=1, mode=MODE_FIXED)
-        kappa, _ = kappa_series(state, SabrParams(alpha=0.4), CONTRACT, config)
+        sv = series_variables(state, SabrParams(alpha=0.4), CONTRACT)
+        kappa = math.sqrt(nu) * series_term(0, sv.zeta, sv.tau, 0.4, 1e-10)
         expected = math.sqrt(nu) * specfun.kummer_1f1(-0.5, 0.5, 1.0).value
         assert kappa == pytest.approx(expected, rel=1e-13)
 
@@ -138,6 +142,82 @@ class TestAdaptiveTruncation:
         state, params, contract = make_point(0.01, 10.0)
         _, diag = kappa_series(state, params, contract, SeriesConfig(max_terms=5))
         assert diag.terms_used <= 5
+
+
+#: price_volatility_swap outputs frozen bit for bit, one case per way the
+#: summation can finish: (name, t, sigma, nu, alpha, tenor, max_terms,
+#: kappa, fair_value, terms_used, min_term_index, min_term_abs, converged,
+#: regime, warnings); strike 0.2, notional 100, df 0.97, t0 = 0.
+GOLDEN = [
+    ("tolerance", 0.5, 0.08944271909999159, 0.04, 0.31622776601683794, 1.0, 64,
+     0.20998807218081061, 0.9688430015386285, 14, 13, 5.048579076362543e-12,
+     True, "convergent_like", ()),
+    ("tolerance_negative", 0.5, 0.08060771335225096, 0.04, 0.044721359549995794, 1.0, 64,
+     -191.31960557680986, -18577.401740950554, 57, 56, 1.268751095559294e-08,
+     False, "diverging", ("SERIES_DIVERGING",)),
+    ("growth_asymptotic", 0.5, 0.18071535561995578, 0.04, 0.14627234900479616, 1.0, 64,
+     0.2374862253394035, 3.6361638579221385, 63, 60, 3.9305942213026205e-06,
+     False, "asymptotic_truncated", ("SERIES_ASYMPTOTIC_TRUNCATED",)),
+    ("growth_estimate_too_large", 0.5, 0.322490309931942, 0.04, 0.044721359549995794, 1.0, 64,
+     4.520630231394503e+277, 4.385011324452668e+279, 27, 24, 4.522286748681441e+278,
+     False, "diverging", ("SERIES_DIVERGING",)),
+    ("growth_m0", 0.5, 0.28284271247461906, 0.04, 1.4142135623730951, 1.0, 64,
+     0.09075272175798009, -10.596985989475932, 3, 0, 0.4537636087899004,
+     False, "diverging", ("SERIES_DIVERGING",)),
+    ("exhausted_asymptotic", 0.5, 0.16, 0.04, 0.1, 1.0, 64,
+     0.23026558536802788, 2.9357617806987033, 64, 63, 2.2567970261409063e-08,
+     False, "asymptotic_truncated", ("SERIES_ASYMPTOTIC_TRUNCATED",)),
+    ("exhausted_m0", 0.5, 0.21908902300206645, 0.04, 0.7745966692414834, 1.0, 5,
+     -0.041404332671063554, -23.416220269093166, 5, 0, 0.20702166335531774,
+     False, "diverging", ("SERIES_DIVERGING",)),
+    ("overflow", 0.5, 55.85696017507577, 0.04, 7.745966692414834, 1.0, 64,
+     -3.016510285764287e+278, -2.9260149771913585e+280, 2, 0, 1.5082551428821434e+279,
+     False, "diverging", ("SERIES_DIVERGING",)),
+    ("negative_seed_point", 0.5, 0.25, 0.03, 0.4, 1.0, 64,
+     -2.201514369528084, -232.94689384422418, 8, 5, 29.39493830191444,
+     False, "diverging", ("SERIES_DIVERGING",)),
+    ("single_term", 1.0, 0.11313708498984762, 0.04, 0.4, 1.0, 1,
+     -0.04140433267106365, -23.416220269093174, 1, 0, 0.20702166335531824,
+     False, "diverging", ("SERIES_DIVERGING",)),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
+    def test_frozen_repr(self, case):
+        _, t, sigma, nu, alpha, tenor, max_terms, *expected = case
+        result = price_volatility_swap(
+            MarketState(t=t, sigma=sigma, nu=nu), SabrParams(alpha=alpha),
+            SwapContract(t0=0.0, tenor=tenor, strike=0.2, notional=100.0),
+            0.97, SeriesConfig(max_terms=max_terms))
+        diag = result.diagnostics
+        got = [result.kappa, result.fair_value, diag.terms_used,
+               diag.min_term_index, diag.min_term_abs, diag.converged,
+               diag.regime, result.warnings]
+        assert repr(got) == repr(expected)
+
+
+class TestKappaIsSumOfTerms:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.05, 2.0), tau=st.floats(0.0, 2.0),
+           sigma=st.floats(0.01, 1.0), nu=st.floats(1e-3, 1.0))
+    def test_value_is_left_to_right_sum_of_kept_terms(self, alpha, tau,
+                                                      sigma, nu):
+        state = MarketState(t=1.0 - tau, sigma=sigma, nu=nu)
+        params = SabrParams(alpha=alpha)
+        sv = series_variables(state, params, CONTRACT)
+        assume(sv.zeta <= 300.0)   # keeps e^zeta inside 1F1 finite
+        config = SeriesConfig()
+        kappa, diag = kappa_series(state, params, CONTRACT, config)
+        terms = [series_term(n, sv.zeta, sv.tau, alpha, config.rel_tol)
+                 for n in range(diag.terms_used)]
+        partials = list(itertools.accumulate(terms))
+        # a stop on the tolerance keeps every term; any other stop drops
+        # the smallest term and all after it, keeping at least term 0
+        on_tolerance = len(terms) >= 2 and all(
+            abs(terms[i]) <= config.rel_tol * abs(partials[i]) for i in (-2, -1))
+        kept = len(terms) if on_tolerance else max(diag.min_term_index, 1)
+        assert kappa == math.sqrt(nu) / CONTRACT.tenor * sum(terms[:kept])
 
 
 class TestJ0Forms:
@@ -180,8 +260,9 @@ class TestJInfinity:
         state, params, contract = make_point(a2t, zeta)
         sv = series_variables(state, params, contract)
         n_max = 12
-        config = SeriesConfig(max_terms=n_max + 1, mode=MODE_FIXED)
-        kappa_direct, _ = kappa_series(state, params, contract, config)
+        kappa_direct = math.sqrt(state.nu) / contract.tenor * sum(
+            series_term(n, sv.zeta, sv.tau, params.alpha, 1e-10)
+            for n in range(n_max + 1))
         j = (j0_closed_form(sv.z)
              + j_infinity(sv.z, sv.tau, params.alpha, n_max))
         kappa_assembled = (math.sqrt(state.nu) / contract.tenor
