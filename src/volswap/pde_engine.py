@@ -4,16 +4,23 @@ The conditional Laplace-transform factor phi(t, sigma, x) of the remaining
 variance reduces, through y = sqrt(2) x sigma / alpha, to a single
 one-dimensional terminal-value problem
 
-    d_tau psi = (alpha^2 / 2) * y^2 * (psi'' - psi),   psi(0, y) = 1,
+    d_tau psi = (alpha^2 / 2) * y^2 * (psi'' - psi),   psi(0, y) = 1.
 
-marched here with Crank-Nicolson plus a Rannacher implicit-Euler startup.
-The boundary y = 0 is degenerate (the equation forces psi = 1 there) and a
-homogeneous Dirichlet condition is applied at a y_max chosen, and verified
-post-solve, to make psi negligible.
+alpha and tau enter only through the reduced variable s = alpha^2 tau, so
+:func:`solve_psi` marches
+
+    d_s psi = (1/2) * y^2 * (psi'' - psi)
+
+from 0 to s with Crank-Nicolson plus a Rannacher implicit-Euler startup;
+``solve_psi(alpha, tau)`` and ``solve_psi(1.0, alpha * alpha * tau)`` give
+bit-identical results.  The boundary y = 0 is degenerate (the equation
+forces psi = 1 there) and a homogeneous Dirichlet condition is applied at
+a y_max chosen, and verified post-solve, to make psi negligible.  Only the
+final row is kept, with the pchip cubic of q below built from it once.
 
 kappa is then recovered by quadrature.  Writing q(y) = (1 - psi(y)) / y^2
-(finite at 0 with q(0) = (e^(alpha^2 tau) - 1)/2) and splitting off the
-known sqrt identity integral,
+(finite at 0 with q(0) = (e^s - 1)/2) and splitting off the known sqrt
+identity integral,
 
     kappa = (1/T) * [sqrt(nu)
             + (1/sqrt(pi)) * int_0^inf e^(-nu x^2) (1 - psi(y(x))) / x^2 dx],
@@ -22,10 +29,21 @@ the integrand is smooth at the origin and the tail beyond the solved
 y-range is integrated in closed form with psi bounded by the verified
 boundary tolerance, giving a rigorous reported tail bound.  This path
 handles nu = 0, unlike the series.
+
+:func:`kappa_quadrature` marches once per (s, grid): it looks psi up in
+:func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
+keyed by the grid and by s rounded to ``S_KEY_BITS`` fraction bits.
+tau = maturity - t carries float noise, so points that share s in exact
+arithmetic differ in its last bits; the rounding moves s by at most
+2^-41 ~ 4.5e-13 relative, far below the discretization error.  A solve
+refused with :class:`AccuracyError` or :class:`InstabilityError` is
+memoised too and re-raised on every lookup as a fresh exception of the
+same type and message.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings as _warnings
 from dataclasses import dataclass
@@ -44,6 +62,10 @@ SCHEME_CRANK_NICOLSON = "crank_nicolson"
 MAX_PRINCIPLE_EPS = 1e-6
 #: implicit-Euler startup steps (each split in two half-steps).
 RANNACHER_STEPS = 2
+#: psi solutions (or refusals) kept by :func:`psi_memo`.
+PSI_MEMO_SIZE = 64
+#: fraction bits of s kept in the memo key (relative change <= 2^-41).
+S_KEY_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -66,27 +88,26 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PsiSolution:
-    """psi on the full grid; time axis runs from the terminal date down to t.
+    """psi at reduced time s on the grid ``y``; only the final row is kept.
 
     Rows close to the terminal date are inaccurate within a few nodes of
     y_max (far-field Dirichlet transient); the validated quantity is the
     final row, whose penultimate-node value is stored as ``boundary_max``.
+    ``q_coeffs`` holds the pchip cubic of q(y) = (1 - psi(y)) / y^2 on each
+    cell, highest power first, in the layout of ``PchipInterpolator.c``.
     """
 
     y: np.ndarray
-    time_axis: np.ndarray
-    values: np.ndarray          # shape (n_t + 1, n_y + 1); row 0 = terminal
+    final: np.ndarray           # psi at the valuation time
     boundary_tol: float
     boundary_max: float
+    s: float
+    q_coeffs: np.ndarray        # shape (4, n_y)
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        """psi at the valuation time (last marched row)."""
-        return self.values[-1]
+    def __post_init__(self):
+        # psi_memo hands one instance to every caller that shares its s
+        for array in (self.y, self.final, self.q_coeffs):
+            array.flags.writeable = False
 
 
 def default_y_max(alpha: float, tau: float) -> float:
@@ -94,88 +115,117 @@ def default_y_max(alpha: float, tau: float) -> float:
 
     Scaled from the Jensen lower bound psi >= exp(-(y^2/2)(e^(a^2 tau)-1)),
     with margin for the true (slower, log-normal-tailed) decay; the solver
-    still verifies the achieved boundary value post-solve.
+    still verifies the achieved boundary value post-solve.  Raises
+    :class:`DomainError` unless s = alpha^2 tau is positive.
     """
-    spread = math.expm1(alpha * alpha * tau)
-    return max(3.0, 2.5 * math.sqrt(52.0 / spread))
+    s = alpha * alpha * tau
+    if not s > 0.0:
+        raise DomainError(f"no psi domain for s = alpha^2 tau = {s}; needs s > 0")
+    return max(3.0, 2.5 * math.sqrt(52.0 / math.expm1(s)))
+
+
+def _pchip_coeffs(y: np.ndarray, psi: np.ndarray, s: float) -> np.ndarray:
+    q = np.empty_like(y)
+    q[0] = 0.5 * math.expm1(s)                    # exact y -> 0 limit
+    q[1:] = (1.0 - psi[1:]) / (y[1:] * y[1:])
+    return PchipInterpolator(y, q).c
 
 
 def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
               boundary_tol: float = 1e-8) -> PsiSolution:
-    """Backward Crank-Nicolson march of the killed-Bessel-type problem.
+    """Crank-Nicolson march of the killed-Bessel-type problem over s = alpha^2 tau.
 
     Rannacher startup (two implicit-Euler steps split into half-steps)
     damps the mild terminal-data/operator incompatibility so the scheme
     keeps clean second-order convergence.  Raises
-    :class:`InstabilityError` if the discrete maximum principle fails and
-    :class:`AccuracyError` if psi has not decayed to ``boundary_tol`` at
-    the far edge.
+    :class:`InstabilityError` if the discrete maximum principle fails at
+    any step and :class:`AccuracyError` if psi has not decayed to
+    ``boundary_tol`` at the far edge.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if tau < 0:
         raise DomainError(f"tau must be non-negative, got {tau}")
+    s = alpha * alpha * tau
     y_max = grid.y_max if grid.y_max is not None else default_y_max(alpha, tau)
     y = np.linspace(0.0, y_max, grid.n_y + 1)
-    times = np.linspace(tau, 0.0, grid.n_t + 1)  # in t units: t0+T down to t
+    psi = np.ones(grid.n_y + 1)           # terminal data psi = 1
+    if s == 0.0:
+        return PsiSolution(y=y, final=psi, boundary_tol=boundary_tol,
+                           boundary_max=1.0, s=s,
+                           q_coeffs=_pchip_coeffs(y, psi, s))
 
-    values = np.empty((grid.n_t + 1, grid.n_y + 1))
-    values[0] = 1.0                       # terminal data psi(t0+T, .) = 1
-    if tau == 0.0:
-        return PsiSolution(y=y, time_axis=times[:1], values=values[:1],
-                           boundary_tol=boundary_tol, boundary_max=1.0)
-
-    psi = np.ones(grid.n_y + 1)
     psi[-1] = 0.0                         # far-field Dirichlet from the first step on
+    seen_lo, seen_hi = np.ones_like(psi), np.ones_like(psi)   # every row so far
     dy = y[1] - y[0]
-    dt = tau / grid.n_t
-    c = 0.5 * alpha * alpha * y * y          # diffusion/killing coefficient
+    ds = s / grid.n_t
+    c = 0.5 * y * y                       # diffusion/killing coefficient
     lam = c / (dy * dy)
     n_in = grid.n_y - 1
     sub = slice(1, grid.n_y)
+    edge = 0.5 * ds * lam[1]              # from the psi(., 0) = 1 boundary
 
-    def implicit_matrix(theta: float) -> np.ndarray:
-        ab = np.zeros((3, n_in))
-        ab[0, 1:] = -theta * lam[1:grid.n_y - 1]
-        ab[1, :] = 1.0 + theta * (2.0 * lam[sub] + c[sub])
-        ab[2, :-1] = -theta * lam[2:grid.n_y]
-        return ab
+    # a Rannacher half-step (implicit Euler over ds/2) and a Crank-Nicolson
+    # step over ds share the matrix I + (ds/2) A
+    ab = np.zeros((3, n_in))
+    ab[0, 1:] = -0.5 * ds * lam[1:grid.n_y - 1]
+    ab[1, :] = 1.0 + 0.5 * ds * (2.0 * lam[sub] + c[sub])
+    ab[2, :-1] = -0.5 * ds * lam[2:grid.n_y]
 
     def apply_operator(v: np.ndarray) -> np.ndarray:
         return (lam[sub] * (v[:-2] - 2.0 * v[1:-1] + v[2:])
                 - c[sub] * v[1:-1])
 
-    row = 0
-    for k in range(min(RANNACHER_STEPS, grid.n_t)):
-        ab_half = implicit_matrix(0.5 * dt)
-        for _ in range(2):
-            rhs = psi[sub].copy()
-            rhs[0] += 0.5 * dt * lam[1] * psi[0]   # psi(.,0) = 1 boundary
-            psi[sub] = solve_banded((1, 1), ab_half, rhs)
-        row += 1
-        values[row] = psi
+    for k in range(grid.n_t):
+        if k < RANNACHER_STEPS:
+            for _ in range(2):
+                rhs = psi[sub].copy()
+                rhs[0] += edge
+                psi[sub] = solve_banded((1, 1), ab, rhs)
+        else:
+            rhs = psi[sub] + 0.5 * ds * apply_operator(psi)
+            rhs[0] += edge
+            psi[sub] = solve_banded((1, 1), ab, rhs)
+        np.minimum(seen_lo, psi, out=seen_lo)
+        np.maximum(seen_hi, psi, out=seen_hi)
 
-    ab_cn = implicit_matrix(0.5 * dt)
-    for k in range(row, grid.n_t):
-        rhs = psi[sub] + 0.5 * dt * apply_operator(psi)
-        rhs[0] += 0.5 * dt * lam[1] * psi[0]
-        psi[sub] = solve_banded((1, 1), ab_cn, rhs)
-        values[k + 1] = psi
-
-    lo, hi = values.min(), values.max()
+    lo, hi = seen_lo.min(), seen_hi.max()
     if lo < -MAX_PRINCIPLE_EPS or hi > 1.0 + MAX_PRINCIPLE_EPS:
         raise InstabilityError(
             f"psi left [0,1] by more than {MAX_PRINCIPLE_EPS} "
             f"(range [{lo:.3e}, {hi:.3e}]); refine the grid")
     # validate the row the quadrature consumes; early rows near the far edge
     # necessarily carry the Dirichlet far-field transient
-    boundary_max = float(values[-1, grid.n_y - 1])
+    boundary_max = float(psi[grid.n_y - 1])
     if boundary_max > boundary_tol:
         raise AccuracyError(
             f"psi at the far edge reaches {boundary_max:.3e} > boundary_tol "
             f"{boundary_tol:.1e}; enlarge y_max (used {y_max:.3g})")
-    return PsiSolution(y=y, time_axis=times, values=values,
-                       boundary_tol=boundary_tol, boundary_max=boundary_max)
+    return PsiSolution(y=y, final=psi, boundary_tol=boundary_tol,
+                       boundary_max=boundary_max, s=s,
+                       q_coeffs=_pchip_coeffs(y, psi, s))
+
+
+@functools.lru_cache(maxsize=PSI_MEMO_SIZE)
+def psi_memo(s: float, grid: GridSpec):
+    """``(solve_psi(1.0, s, grid), None)``, or ``(None, (type, args))`` of its refusal.
+
+    The refusal is kept as type and arguments, not as the exception, whose
+    traceback would pin the march's arrays.
+    """
+    try:
+        return solve_psi(1.0, s, grid), None
+    except (AccuracyError, InstabilityError) as exc:
+        return None, (type(exc), exc.args)
+
+
+def _s_key(s: float) -> float:
+    """s rounded to ``S_KEY_BITS`` fraction bits: a relative change <= 2^-41."""
+    if not math.isfinite(s):
+        raise DomainError(f"s = alpha^2 tau = {s} is not finite")
+    mant, exp = math.frexp(s)
+    return math.ldexp(round(math.ldexp(mant, S_KEY_BITS + 1)),
+                      exp - S_KEY_BITS - 1)
 
 
 def _tail_integral(nu: float, a: float) -> float:
@@ -192,8 +242,10 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
                      quad_tol: float = 1e-6) -> float:
     """kappa from the PDE solution and the square-root integral identity.
 
-    Valid for nu >= 0.  The neglected part of the integral beyond the
-    solved domain is bounded by boundary_max / x_cut, which must stay below
+    Valid for nu >= 0.  psi comes from :func:`psi_memo`, so points sharing
+    s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
+    one march.  The neglected part of the integral beyond the solved
+    domain is bounded by boundary_max / x_cut, which must stay below
     ``quad_tol`` (raises :class:`AccuracyError` otherwise; with the default
     auto grid it sits around 1e-8).
     """
@@ -203,7 +255,10 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     if tau == 0.0:
         return math.sqrt(state.nu) / contract.tenor
 
-    solution = solve_psi(params.alpha, tau, grid)
+    solution, refusal = psi_memo(_s_key(params.alpha * params.alpha * tau), grid)
+    if refusal is not None:
+        kind, args = refusal
+        raise kind(*args)
     return kappa_from_solution(solution, state, params, contract, quad_tol)
 
 
@@ -211,16 +266,9 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
                         params: SabrParams, contract: SwapContract,
                         quad_tol: float = 1e-6) -> float:
     """Quadrature step split out so one psi solve can be reused."""
-    tau = contract.maturity - state.t
-    y = solution.y
-    psi = solution.final
-    q = np.empty_like(y)
-    q[0] = 0.5 * math.expm1(params.alpha ** 2 * tau)   # exact y -> 0 limit
-    q[1:] = (1.0 - psi[1:]) / (y[1:] * y[1:])
-    q_interp = PchipInterpolator(y, q, extrapolate=False)
-
+    y_max = float(solution.y[-1])
     y_of_x = math.sqrt(2.0) * state.sigma / params.alpha
-    x_cut = float(y[-1]) / y_of_x
+    x_cut = y_max / y_of_x
     tail_bound = solution.boundary_max / x_cut
     if tail_bound > quad_tol:
         raise AccuracyError(
@@ -228,9 +276,17 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
 
     nu = state.nu
     scale = 2.0 * state.sigma ** 2 / params.alpha ** 2   # (1 - psi)/x^2 = scale * q(y)
+    knots = solution.y.tolist()
+    c3, c2, c1, c0 = solution.q_coeffs.tolist()
+    last = len(c0) - 1
+    cells_per_y = len(c0) / y_max
 
     def integrand(x: float) -> float:
-        return math.exp(-nu * x * x) * scale * float(q_interp(x * y_of_x))
+        yv = x * y_of_x
+        i = min(int(yv * cells_per_y), last)       # uniform grid: O(1) cell
+        h = yv - knots[i]
+        q = ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
+        return math.exp(-nu * x * x) * scale * q
 
     with _warnings.catch_warnings():
         # pchip evaluation noise can trip QUADPACK's roundoff heuristic at
@@ -249,9 +305,14 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
 
     Second-order convergence shows up as ratios of successive differences
     near 4.  All refinements share one y_max so the comparison isolates the
-    discretization error.
+    discretization error.  Raises :class:`DomainError` at or past maturity,
+    where there is nothing to refine.
     """
     tau = contract.maturity - state.t
+    if tau < 0:
+        raise DomainError(f"valuation time {state.t} is past maturity")
+    if tau == 0.0:
+        raise DomainError("at maturity kappa is exact; there is no grid to refine")
     y_max = grid.y_max if grid.y_max is not None else default_y_max(params.alpha, tau)
     kappas = []
     grids = []

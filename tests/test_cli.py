@@ -71,6 +71,11 @@ class TestOracle:
         assert code == cli.EXIT_OK
         assert ("grid_report" in doc) == bool(extra)
 
+    def test_pde_refine_at_maturity_is_usage_error(self, tmp_path):
+        argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
+                "--nu", "0.03", "--t", "1", "--tenor", "1", "--refine", "1"]
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+
     def test_pde_nu_zero(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0", "--t", "0", "--tenor", "0.5"]
@@ -90,6 +95,15 @@ class TestCompare:
         for name, cell in zip(header, rows[0]):
             if name != "regime":
                 float(cell)
+
+    def test_rows_sharing_s_share_one_march(self, tmp_path, marches):
+        code, text = run(tmp_path, [
+            "compare", "--alphas", "0.4", "--taus", "0.5",
+            "--zetas", "0.5,1,2", "--nu", "0.04", "--seed", "1",
+            "--paths", "512", "--steps", "16"])
+        assert code in (cli.EXIT_OK, cli.EXIT_COMPARE_FAILED)
+        assert len(list(csv.reader(text.splitlines()))) == 5   # header, 3 rows, manifest
+        assert len(marches) == 1
 
 
 class TestVerify:

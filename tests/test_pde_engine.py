@@ -1,10 +1,12 @@
 """Crank-Nicolson psi solver and the kappa quadrature."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from volswap import pde_engine
 from volswap.exceptions import AccuracyError, DomainError, InstabilityError
 from volswap.mc_engine import McConfig, kappa_mc
 from volswap.model import MarketState, SabrParams, SwapContract
@@ -31,16 +33,16 @@ class TestGridSpec:
 class TestSolvePsi:
     def test_terminal_is_identity(self):
         sol = solve_psi(0.5, 0.0, GridSpec(n_y=32, n_t=32, y_max=5.0))
-        assert np.all(sol.values == 1.0)
+        assert np.all(sol.final == 1.0)
 
     def test_degenerate_boundary_stays_one(self):
         sol = solve_psi(0.5, 0.5, GridSpec(n_y=256, n_t=256))
-        assert np.all(sol.values[:, 0] == 1.0)
+        assert sol.final[0] == 1.0
 
     def test_maximum_principle(self):
         sol = solve_psi(0.4, 0.5, GridSpec(n_y=256, n_t=256))
-        assert sol.values.min() >= -1e-6
-        assert sol.values.max() <= 1.0 + 1e-6
+        assert sol.final.min() >= -1e-6
+        assert sol.final.max() <= 1.0 + 1e-6
 
     def test_monotone_in_y(self):
         sol = solve_psi(0.4, 0.5, GridSpec(n_y=256, n_t=256))
@@ -66,6 +68,22 @@ class TestSolvePsi:
     def test_default_y_max_reasonable(self):
         assert default_y_max(0.4, 0.5) == pytest.approx(
             2.5 * math.sqrt(52.0 / math.expm1(0.08)), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.25])
+    def test_no_default_domain_at_or_past_maturity(self, tau):
+        with pytest.raises(DomainError):
+            default_y_max(0.4, tau)
+
+    def test_maturity_without_y_max_is_domain_error(self):
+        with pytest.raises(DomainError):
+            solve_psi(0.4, 0.0)
+
+    def test_depends_on_alpha_tau_only_through_s(self):
+        direct = solve_psi(0.4, 0.5)
+        reduced = solve_psi(1.0, 0.4 * 0.4 * 0.5)
+        assert direct.s == reduced.s
+        assert direct.final.tobytes() == reduced.final.tobytes()
+        assert direct.q_coeffs.tobytes() == reduced.q_coeffs.tobytes()
 
 
 class TestKappaQuadrature:
@@ -112,6 +130,12 @@ class TestKappaQuadrature:
             kappas.append(kappa_quadrature(state, params, CONTRACT))
         assert kappas[0] < kappas[1] < kappas[2]
 
+    @pytest.mark.parametrize("alpha", [1e-200, 1e200])
+    def test_s_out_of_float_range_is_domain_error(self, alpha):
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError):
+            kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
+
     def test_tail_bound_enforced(self):
         # calibrate a quad_tol just under the achievable tail bound
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -125,6 +149,56 @@ class TestKappaQuadrature:
                              quad_tol=0.5 * tail_bound)
 
 
+def _point(alpha, tau, zeta, nu=0.04):
+    """zeta = sigma^2 / (2 alpha^2 nu); at nu = 0, zeta is read as sigma."""
+    sigma = alpha * math.sqrt(2.0 * zeta * nu) if nu > 0 else zeta
+    return (MarketState(t=CONTRACT.maturity - tau, sigma=sigma, nu=nu),
+            SabrParams(alpha=alpha))
+
+
+class TestPsiMemo:
+    def test_prices_are_a_pure_function_of_the_inputs(self, marches):
+        # 20 points on 3 s values; s = 0.08 comes from two (alpha, tau) pairs
+        pairs = [(0.4, 0.5), (0.8, 0.125), (0.5, 0.6), (0.3, 0.9)]
+        points = [_point(alpha, tau, zeta, nu)
+                  for alpha, tau in pairs
+                  for zeta, nu in ((0.5, 0.04), (2.0, 0.04), (8.0, 0.01),
+                                   (1.0, 0.09), (0.3, 0.0))]
+        random.Random(5).shuffle(points)
+        cold = []
+        for state, params in points:
+            pde_engine.psi_memo.cache_clear()
+            cold.append(repr(kappa_quadrature(state, params, CONTRACT)))
+        assert len(marches) == 20
+        pde_engine.psi_memo.cache_clear()
+        warm = [repr(kappa_quadrature(state, params, CONTRACT))
+                for state, params in points]
+        assert warm == cold
+        assert len(marches) == 20 + 3
+
+    def test_taus_one_ulp_apart_share_a_march(self, marches):
+        tau = 0.5
+        later = math.nextafter(tau, 1.0)
+        assert 0.4 * 0.4 * tau != 0.4 * 0.4 * later
+        kappas = [kappa_quadrature(*_point(0.4, t, 1.0), CONTRACT)
+                  for t in (tau, later)]
+        assert len(marches) == 1
+        assert kappas[0] == pytest.approx(kappas[1], rel=1e-12)
+
+    def test_refusal_is_memoised(self, marches):
+        state, params = _point(0.4, 0.5, 1.0)
+        grid = GridSpec(n_y=100, n_t=100)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(InstabilityError) as info:
+                kappa_quadrature(state, params, CONTRACT, grid)
+            raised.append(info.value)
+        assert len(marches) == 1
+        assert raised[0] is not raised[1]
+        assert type(raised[0]) is type(raised[1])
+        assert str(raised[0]) == str(raised[1])
+
+
 class TestGridConvergence:
     def test_second_order_ratio(self):
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -134,3 +208,10 @@ class TestGridConvergence:
         assert len(report["kappas"]) == 3
         assert all(type(k) is float for k in report["kappas"])
         assert 3.5 <= report["ratios"][0] <= 4.5
+
+    @pytest.mark.parametrize("t", [1.0, 1.25])
+    def test_nothing_to_refine_at_or_past_maturity(self, t):
+        state = MarketState(t=t, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError):
+            grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
+                                   refinements=1)
