@@ -56,8 +56,6 @@ from scipy.linalg import solve_banded
 from .exceptions import AccuracyError, DomainError, InstabilityError
 from .model import MarketState, SabrParams, SwapContract
 
-SCHEME_CRANK_NICOLSON = "crank_nicolson"
-
 #: psi values outside [-eps, 1+eps] are treated as scheme instability.
 MAX_PRINCIPLE_EPS = 1e-6
 #: implicit-Euler startup steps (each split in two half-steps).
@@ -75,15 +73,12 @@ class GridSpec:
     y_max: float = None
     n_y: int = 400
     n_t: int = 400
-    scheme: str = SCHEME_CRANK_NICOLSON
 
     def __post_init__(self):
         if self.y_max is not None and not (self.y_max > 0):
             raise DomainError(f"y_max must be positive, got {self.y_max}")
         if self.n_y < 16 or self.n_t < 16:
             raise DomainError("grid needs n_y >= 16 and n_t >= 16")
-        if self.scheme != SCHEME_CRANK_NICOLSON:
-            raise DomainError(f"unsupported scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -318,7 +313,7 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     grids = []
     for level in range(refinements + 1):
         g = GridSpec(y_max=y_max, n_y=grid.n_y * 2 ** level,
-                     n_t=grid.n_t * 2 ** level, scheme=grid.scheme)
+                     n_t=grid.n_t * 2 ** level)
         kappas.append(kappa_quadrature(state, params, contract, g, quad_tol))
         grids.append((g.n_y, g.n_t))
     ratios = []

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from volswap.exceptions import DomainError
-from volswap.mc_engine import (McConfig, kappa_mc, path_normals,
-                               simulate_vol_path, variance_swap_expectation,
+from volswap.mc_engine import (BLOCK_PATHS, CHUNK_PATHS, McConfig, kappa_mc,
+                               path_normals, variance_swap_expectation,
                                variance_swap_mc)
 from volswap.model import MarketState, SabrParams, SwapContract
 
@@ -16,41 +17,42 @@ STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
 PARAMS = SabrParams(alpha=0.4)
 
 
-class TestSimulatePath:
-    def test_tiny_alpha_is_constant(self):
-        xi = path_normals(1, 0, 16)
-        path = simulate_vol_path(SabrParams(alpha=1e-14), 0.3, 1.0, 16, xi)
-        assert np.allclose(path, 0.3, rtol=1e-12)
+def reference_normals(seed, path, n_steps):
+    """Reference: one path's normals from numpy's own Philox bit generator."""
+    raw = np.random.Philox(key=seed, counter=[0, 0, 0, path]).random_raw(n_steps)
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
 
-    def test_martingale_mean(self):
-        # E[sigma_H] = sigma_0 for the driftless lognormal
-        n = 60_000
-        total = 0.0
-        total_sq = 0.0
-        for p in range(n):
-            xi = path_normals(7, p, 1)
-            end = simulate_vol_path(PARAMS, 0.25, 1.0, 1, xi)[-1]
-            total += end
-            total_sq += end * end
-        mean = total / n
-        se = math.sqrt((total_sq / n - mean * mean) / n)
-        assert abs(mean - 0.25) <= 3.0 * se
 
-    def test_second_moment(self):
-        # E[sigma_H^2] = sigma_0^2 e^(alpha^2 H)
-        n = 120_000
-        alpha = 0.4
-        vals = np.empty(n)
-        for p in range(n):
-            xi = path_normals(11, p, 1)
-            vals[p] = simulate_vol_path(SabrParams(alpha=alpha), 0.25, 1.0, 1, xi)[-1] ** 2
-        expected = 0.25 ** 2 * math.exp(alpha ** 2)
-        se = vals.std(ddof=1) / math.sqrt(n)
-        assert abs(vals.mean() - expected) <= 3.0 * se
+class TestPathNormals:
+    PATHS = [0, 1, 8191, 8192, 2 ** 32 + 1, 2 ** 63]
 
-    def test_stream_length_checked(self):
+    @pytest.mark.parametrize("n_steps", [1, 4, 7, 250])
+    @pytest.mark.parametrize("seed", [0, 99, 2 ** 64 + 5, 2 ** 128 - 1])
+    def test_equals_numpy_philox_streams(self, seed, n_steps):
+        got = path_normals(seed, self.PATHS, n_steps)
+        assert got.shape == (len(self.PATHS), n_steps)
+        for row, path in zip(got, self.PATHS):
+            assert np.array_equal(row, reference_normals(seed, path, n_steps))
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(path_normals(np.int64(99), [3], 5),
+                              reference_normals(99, 3, 5)[None, :])
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        paths = np.arange(2 * CHUNK_PATHS + 3)
+        whole = path_normals(5, paths, 9)
+        assert np.array_equal(whole[-3:], path_normals(5, paths[-3:], 9))
+        assert np.array_equal(whole[CHUNK_PATHS], path_normals(5, [CHUNK_PATHS], 9)[0])
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_outside_philox_key_is_domain_error(self, seed):
         with pytest.raises(DomainError):
-            simulate_vol_path(PARAMS, 0.25, 1.0, 8, np.zeros(7))
+            McConfig(1000, 10, seed=seed)
+
+    def test_widest_key_accepted(self):
+        assert McConfig(1000, 10, seed=2 ** 128 - 1).seed == 2 ** 128 - 1
 
 
 class TestKappaMc:
@@ -72,13 +74,6 @@ class TestKappaMc:
         a = kappa_mc(STATE, PARAMS, CONTRACT, cfg)
         b = kappa_mc(STATE, PARAMS, CONTRACT, cfg)
         assert a == b
-
-    def test_worker_count_invariance(self):
-        cfg = McConfig(20_000, 40, seed=99)
-        ref = kappa_mc(STATE, PARAMS, CONTRACT, cfg, workers=1)
-        for workers in (2, 3):
-            est = kappa_mc(STATE, PARAMS, CONTRACT, cfg, workers=workers)
-            assert est == ref
 
     def test_jensen_ordering(self):
         cfg = McConfig(50_000, 100, seed=17)
@@ -103,6 +98,39 @@ class TestKappaMc:
     def test_antithetic_requires_even_paths(self):
         with pytest.raises(DomainError):
             McConfig(1001, 10, seed=1, antithetic=True)
+
+
+class TestGolden:
+    """Estimates frozen by repr from the per-path, process-pool engine."""
+
+    CASES = {
+        "plain": (McConfig(3000, 20, seed=99),
+                  "McEstimate(mean=0.24878021982740672, std_error=0.0003913010273010795, n_paths=3000)",
+                  "McEstimate(mean=0.0623507941427795, std_error=0.0002037624003269033, n_paths=3000)"),
+        "antithetic": (McConfig(3000, 20, seed=21, antithetic=True),
+                       "McEstimate(mean=0.24931800593891323, std_error=0.00012297549980049574, n_paths=3000)",
+                       "McEstimate(mean=0.06264949434582255, std_error=8.04266900043171e-05, n_paths=3000)"),
+        "two_blocks": (McConfig(8200, 5, seed=2 ** 70 + 3),
+                       "McEstimate(mean=0.24925598853972167, std_error=0.00023627880641251237, n_paths=8200)",
+                       "McEstimate(mean=0.0625862789249892, std_error=0.0001229818920352692, n_paths=8200)"),
+        "one_step": (McConfig(1001, 1, seed=7),
+                     "McEstimate(mean=0.24843341352773946, std_error=0.0005577007589659744, n_paths=1001)",
+                     "McEstimate(mean=0.06203019109359602, std_error=0.000287816373549396, n_paths=1001)"),
+    }
+
+    def test_two_blocks_case_spans_a_partial_block(self):
+        n_paths = self.CASES["two_blocks"][0].n_paths
+        assert n_paths > BLOCK_PATHS and n_paths % BLOCK_PATHS
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kappa(self, case):
+        config, kappa, _ = self.CASES[case]
+        assert repr(kappa_mc(STATE, PARAMS, CONTRACT, config)) == kappa
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_variance_swap(self, case):
+        config, _, variance = self.CASES[case]
+        assert repr(variance_swap_mc(STATE, PARAMS, CONTRACT, config)) == variance
 
 
 class TestVarianceSwap:
@@ -130,6 +158,21 @@ class TestVarianceSwap:
         est = variance_swap_mc(state, params, CONTRACT,
                                McConfig(60_000, 200, seed=31))
         expected = variance_swap_expectation(state, params, CONTRACT)
+        assert abs(est.mean - expected) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_mc_matches_trapezoid_of_exact_moments(self, n_steps):
+        # E[sigma_k^2] = sigma^2 e^(alpha^2 k dt) at every node, so the
+        # n-step trapezoid has mean nu + dt sum_k w_k sigma^2 e^(alpha^2 k dt)
+        # (end weights 1/2): pins both the drift and the scale of a step.
+        state = MarketState(t=0.0, sigma=0.25, nu=0.03)
+        dt = 1.0 / n_steps
+        weights = [0.5] + [1.0] * (n_steps - 1) + [0.5]
+        expected = state.nu + dt * sum(
+            w * state.sigma ** 2 * math.exp(PARAMS.alpha ** 2 * k * dt)
+            for k, w in enumerate(weights))
+        est = variance_swap_mc(state, PARAMS, CONTRACT,
+                               McConfig(120_000, n_steps, seed=11))
         assert abs(est.mean - expected) <= 3.0 * est.std_error
 
     def test_mc_terminal(self):

@@ -25,10 +25,6 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(n_t=8)
 
-    def test_scheme_pinned(self):
-        with pytest.raises(DomainError):
-            GridSpec(scheme="explicit_euler")
-
 
 class TestSolvePsi:
     def test_terminal_is_identity(self):
