@@ -10,9 +10,15 @@ Three independent routes to the fair strike kappa:
 
 with :mod:`volswap.verify` holding mechanized checks of the identities the
 construction rests on.
+
+The two oracles need numpy and scipy, the series does not.  Their names
+are exported here but imported on first access (PEP 562), so pricing with
+the series never loads numpy or scipy.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .exceptions import (AccuracyError, DomainError, InconclusiveError,
                          InstabilityError, SingularityError, VolswapError)
@@ -21,8 +27,24 @@ from .model import (DiscountCurve, MarketState, PricingResult, SabrParams,
 from .series_pricer import (SeriesConfig, SeriesDiagnostics, SeriesVariables,
                             fair_value, kappa_series, price_volatility_swap,
                             series_variables)
-from .mc_engine import McConfig, McEstimate, kappa_mc, variance_swap_expectation, variance_swap_mc
-from .pde_engine import GridSpec, PsiSolution, kappa_quadrature, solve_psi
+
+#: engine of each lazily imported name
+_ENGINE_OF = {
+    **dict.fromkeys(("McConfig", "McEstimate", "kappa_mc",
+                     "variance_swap_expectation", "variance_swap_mc"),
+                    "mc_engine"),
+    **dict.fromkeys(("GridSpec", "PsiSolution", "kappa_quadrature",
+                     "solve_psi"), "pde_engine"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ENGINE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

@@ -19,7 +19,7 @@ import math
 import sys
 import time
 
-from . import __version__, mc_engine, pde_engine, series_pricer, specfun, verify
+from . import __version__, series_pricer, specfun, verify
 from .exceptions import VolswapError
 from .model import (DiscountCurve, MarketState, SabrParams, SwapContract,
                     discount_factor, validate_state)
@@ -176,6 +176,7 @@ def cmd_price(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import mc_engine, pde_engine
     started = time.time()
     state, params, contract = _market_inputs(args)
     _require_valid(state, params, contract, allow_singular=(args.oracle == "pde"))
@@ -247,6 +248,7 @@ def _float_list(raw: str, flag: str) -> list:
 
 
 def cmd_compare(args) -> int:
+    from . import mc_engine, pde_engine
     started = time.time()
     alphas = _float_list(_resolve(args, "alphas", str, required=True), "alphas")
     taus = _float_list(_resolve(args, "taus", str, required=True), "taus")

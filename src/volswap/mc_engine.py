@@ -47,8 +47,10 @@ class McConfig:
             raise DomainError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.antithetic and self.n_paths % 2:
-            raise DomainError("antithetic mode requires an even n_paths")
+        if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
+            # a pair is one draw, and a standard error needs two draws
+            raise DomainError("antithetic mode needs an even n_paths >= 4, "
+                              f"got {self.n_paths}")
         if not 0 <= self.seed < 2 ** 128:
             raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
 

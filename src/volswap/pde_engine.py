@@ -18,6 +18,16 @@ forces psi = 1 there) and a homogeneous Dirichlet condition is applied at
 a y_max chosen, and verified post-solve, to make psi negligible.  Only the
 final row is kept, with the pchip cubic of q below built from it once.
 
+Every half-step and step of a march solves with the same tridiagonal
+matrix I + (ds/2) A, so it is LU-factored once per march with LAPACK
+``gttrf``; each step is then one in-place ``gttrs`` back-substitution,
+:func:`solve_banded`, with the explicit half computed into preallocated
+buffers.  ``gtsv``, which ``scipy.linalg.solve_banded`` calls, performs
+the same eliminations in the same order, so psi is bit for bit what a
+full banded solve per step gives.  The per-step solve keeps the name
+``solve_banded`` so that tracing tools that time the linear-algebra layer
+by that module attribute still find it.
+
 kappa is then recovered by quadrature.  Writing q(y) = (1 - psi(y)) / y^2
 (finite at 0 with q(0) = (e^s - 1)/2) and splitting off the known sqrt
 identity integral,
@@ -51,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
 from .model import MarketState, SabrParams, SwapContract
@@ -126,22 +136,36 @@ def _pchip_coeffs(y: np.ndarray, psi: np.ndarray, s: float) -> np.ndarray:
     return PchipInterpolator(y, q).c
 
 
+def solve_banded(factors: list, rhs: np.ndarray) -> None:
+    """Overwrite ``rhs`` with the solution of a tridiagonal system.
+
+    ``factors`` are the first five outputs of LAPACK ``gttrf``.  One
+    ``gttrs`` back-substitution does the eliminations of the ``gtsv`` behind
+    ``scipy.linalg.solve_banded((1, 1), ...)`` in the same order, so the
+    two agree bit for bit.  ``rhs`` must be a contiguous float64 vector,
+    which LAPACK can overwrite without a copy.
+    """
+    solution, _ = dgttrs(*factors, rhs, overwrite_b=1)
+    if solution is not rhs:
+        raise TypeError("rhs must be a contiguous float64 vector")
+
+
 def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
               boundary_tol: float = 1e-8) -> PsiSolution:
     """Crank-Nicolson march of the killed-Bessel-type problem over s = alpha^2 tau.
 
     Rannacher startup (two implicit-Euler steps split into half-steps)
     damps the mild terminal-data/operator incompatibility so the scheme
-    keeps clean second-order convergence.  Raises
-    :class:`InstabilityError` if the discrete maximum principle fails at
-    any step and :class:`AccuracyError` if psi has not decayed to
-    ``boundary_tol`` at the far edge.
+    keeps clean second-order convergence.  Raises :class:`DomainError`
+    unless s is finite, :class:`InstabilityError` if the discrete maximum
+    principle fails at any step and :class:`AccuracyError` if psi has not
+    decayed to ``boundary_tol`` at the far edge.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if tau < 0:
         raise DomainError(f"tau must be non-negative, got {tau}")
-    s = alpha * alpha * tau
+    s = _finite_s(alpha * alpha * tau)
     y_max = grid.y_max if grid.y_max is not None else default_y_max(alpha, tau)
     y = np.linspace(0.0, y_max, grid.n_y + 1)
     psi = np.ones(grid.n_y + 1)           # terminal data psi = 1
@@ -154,33 +178,40 @@ def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
     seen_lo, seen_hi = np.ones_like(psi), np.ones_like(psi)   # every row so far
     dy = y[1] - y[0]
     ds = s / grid.n_t
+    half_ds = 0.5 * ds
     c = 0.5 * y * y                       # diffusion/killing coefficient
     lam = c / (dy * dy)
-    n_in = grid.n_y - 1
     sub = slice(1, grid.n_y)
-    edge = 0.5 * ds * lam[1]              # from the psi(., 0) = 1 boundary
+    lam_in, c_in = lam[sub], c[sub]
+    edge = half_ds * lam[1]               # from the psi(., 0) = 1 boundary
 
     # a Rannacher half-step (implicit Euler over ds/2) and a Crank-Nicolson
-    # step over ds share the matrix I + (ds/2) A
-    ab = np.zeros((3, n_in))
-    ab[0, 1:] = -0.5 * ds * lam[1:grid.n_y - 1]
-    ab[1, :] = 1.0 + 0.5 * ds * (2.0 * lam[sub] + c[sub])
-    ab[2, :-1] = -0.5 * ds * lam[2:grid.n_y]
-
-    def apply_operator(v: np.ndarray) -> np.ndarray:
-        return (lam[sub] * (v[:-2] - 2.0 * v[1:-1] + v[2:])
-                - c[sub] * v[1:-1])
+    # step over ds share the matrix I + (ds/2) A, factored once; it is
+    # strictly diagonally dominant, so gttrf meets no zero pivot
+    *factors, _ = dgttrf(-half_ds * lam[2:grid.n_y],
+                         1.0 + half_ds * (2.0 * lam_in + c_in),
+                         -half_ds * lam[1:grid.n_y - 1])
+    inner, left, mid, right = psi[sub], psi[:-2], psi[1:-1], psi[2:]
+    explicit, killed = np.empty_like(inner), np.empty_like(inner)
 
     for k in range(grid.n_t):
         if k < RANNACHER_STEPS:
             for _ in range(2):
-                rhs = psi[sub].copy()
-                rhs[0] += edge
-                psi[sub] = solve_banded((1, 1), ab, rhs)
+                psi[1] += edge
+                solve_banded(factors, inner)
         else:
-            rhs = psi[sub] + 0.5 * ds * apply_operator(psi)
-            rhs[0] += edge
-            psi[sub] = solve_banded((1, 1), ab, rhs)
+            # psi + (ds/2) A psi, in the operation order of
+            # lam * (left - 2 mid + right) - c * mid
+            np.multiply(mid, 2.0, out=explicit)
+            np.subtract(left, explicit, out=explicit)
+            np.add(explicit, right, out=explicit)
+            np.multiply(lam_in, explicit, out=explicit)
+            np.multiply(c_in, mid, out=killed)
+            np.subtract(explicit, killed, out=explicit)
+            np.multiply(explicit, half_ds, out=explicit)
+            np.add(inner, explicit, out=inner)
+            psi[1] += edge
+            solve_banded(factors, inner)
         np.minimum(seen_lo, psi, out=seen_lo)
         np.maximum(seen_hi, psi, out=seen_hi)
 
@@ -214,11 +245,16 @@ def psi_memo(s: float, grid: GridSpec):
         return None, (type(exc), exc.args)
 
 
-def _s_key(s: float) -> float:
-    """s rounded to ``S_KEY_BITS`` fraction bits: a relative change <= 2^-41."""
+def _finite_s(s: float) -> float:
+    """s itself; raises :class:`DomainError` if s = alpha^2 tau is not finite."""
     if not math.isfinite(s):
         raise DomainError(f"s = alpha^2 tau = {s} is not finite")
-    mant, exp = math.frexp(s)
+    return s
+
+
+def _s_key(s: float) -> float:
+    """s rounded to ``S_KEY_BITS`` fraction bits: a relative change <= 2^-41."""
+    mant, exp = math.frexp(_finite_s(s))
     return math.ldexp(round(math.ldexp(mant, S_KEY_BITS + 1)),
                       exp - S_KEY_BITS - 1)
 

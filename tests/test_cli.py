@@ -63,6 +63,11 @@ class TestOracle:
         assert code == cli.EXIT_OK
         assert doc["n_paths"] == 2000
 
+    def test_mc_single_antithetic_pair_is_usage_error(self, tmp_path):
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2",
+                                                "--antithetic"]
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_mc_seed_outside_philox_key_is_usage_error(self, tmp_path, seed):
         argv = ["oracle", "mc"] + SEED_POINT + ["--seed", seed, "--paths", "100"]

@@ -1,0 +1,35 @@
+"""The package imports numpy and scipy only for the engines that use them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json, sys
+import volswap
+from volswap import series_pricer
+from volswap.model import MarketState, SabrParams, SwapContract
+result = series_pricer.price_volatility_swap(
+    MarketState(t=0.5, sigma=0.0894427191, nu=0.04),
+    SabrParams(alpha=0.316227766), SwapContract(t0=0.0, tenor=1.0), 1.0)
+loaded = {name: name in sys.modules for name in ("numpy", "scipy")}
+missing = [name for name in volswap.__all__ if not hasattr(volswap, name)]
+print(json.dumps({"kappa": result.kappa, "loaded": loaded, "missing": missing,
+                  "after": "numpy" in sys.modules and "scipy" in sys.modules}))
+"""
+
+
+def test_series_pricing_loads_neither_numpy_nor_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["kappa"] > 0
+    assert report["loaded"] == {"numpy": False, "scipy": False}
+    assert report["missing"] == []          # every exported name resolves
+    assert report["after"]                  # ... by importing the engines

@@ -99,6 +99,14 @@ class TestKappaMc:
         with pytest.raises(DomainError):
             McConfig(1001, 10, seed=1, antithetic=True)
 
+    def test_antithetic_needs_two_pairs(self):
+        # one pair is one draw: no standard error exists
+        with pytest.raises(DomainError):
+            McConfig(2, 10, seed=1, antithetic=True)
+        est = kappa_mc(STATE, PARAMS, CONTRACT,
+                       McConfig(4, 10, seed=1, antithetic=True))
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+
 
 class TestGolden:
     """Estimates frozen by repr from the per-path, process-pool engine."""

@@ -1,10 +1,13 @@
 """Crank-Nicolson psi solver and the kappa quadrature."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dgttrf
 
 from volswap import pde_engine
 from volswap.exceptions import AccuracyError, DomainError, InstabilityError
@@ -74,12 +77,44 @@ class TestSolvePsi:
         with pytest.raises(DomainError):
             solve_psi(0.4, 0.0)
 
+    @pytest.mark.parametrize("alpha, tau", [(1e200, 1.0), (math.inf, 1.0),
+                                            (1.0, math.inf), (math.nan, 1.0)])
+    def test_s_not_finite_is_domain_error(self, alpha, tau):
+        with pytest.raises(DomainError, match="not finite"):
+            solve_psi(alpha, tau)
+
     def test_depends_on_alpha_tau_only_through_s(self):
         direct = solve_psi(0.4, 0.5)
         reduced = solve_psi(1.0, 0.4 * 0.4 * 0.5)
         assert direct.s == reduced.s
         assert direct.final.tobytes() == reduced.final.tobytes()
         assert direct.q_coeffs.tobytes() == reduced.q_coeffs.tobytes()
+
+
+class TestSolveBanded:
+    @pytest.mark.parametrize("n", [3, 4, 17, 400, 1600])
+    def test_bitwise_equal_to_scipy_banded_solve(self, n):
+        # the per-step gttrs solve against scipy's gtsv, on random strictly
+        # diagonally dominant systems like the march's I + (ds/2) A
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            upper, lower = -rng.uniform(0.0, 1e3, (2, n - 1))
+            diag = 1.0 + rng.uniform(0.0, 1.0, n)
+            diag[:-1] -= upper
+            diag[1:] -= lower
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+            rhs = rng.uniform(0.0, 1.0, n)
+            expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            *factors, info = dgttrf(lower, diag, upper)
+            assert info == 0
+            pde_engine.solve_banded(factors, rhs)
+            assert rhs.tobytes() == expected.tobytes()
+
+    def test_refuses_a_strided_vector(self):
+        *factors, _ = dgttrf(np.full(3, -0.1), np.ones(4), np.full(3, -0.1))
+        with pytest.raises(TypeError):
+            pde_engine.solve_banded(factors, np.ones(8)[::2])
 
 
 class TestKappaQuadrature:
@@ -211,3 +246,53 @@ class TestGridConvergence:
         with pytest.raises(DomainError):
             grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
                                    refinements=1)
+
+
+class TestGolden:
+    """PDE results frozen by repr before the march factored its matrix once."""
+
+    KAPPAS = {
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404746352"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914145672303425"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503128996174474"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503307795363938"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779480857003427"),
+        "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
+                          GridSpec(y_max=32.0, n_y=256, n_t=320),
+                          "0.24914154093669416"),
+    }
+
+    @staticmethod
+    def _inputs(alpha, tau, sigma, nu):
+        return (MarketState(t=CONTRACT.maturity - tau, sigma=sigma, nu=nu),
+                SabrParams(alpha=alpha))
+
+    @pytest.mark.parametrize("case", KAPPAS)
+    def test_kappa(self, case, marches):
+        point, grid, expected = self.KAPPAS[case]
+        kappa = kappa_quadrature(*self._inputs(*point), CONTRACT, grid)
+        assert repr(kappa) == expected
+
+    def test_default_grid_refusal_at_s_0_8(self, marches):
+        state, params = MarketState(t=0.2, sigma=0.3, nu=0.02), SabrParams(alpha=1.0)
+        with pytest.raises(AccuracyError) as info:
+            kappa_quadrature(state, params, CONTRACT)
+        assert type(info.value) is AccuracyError
+        assert str(info.value) == ("psi at the far edge reaches 2.346e-08 > "
+                                   "boundary_tol 1.0e-08; enlarge y_max (used 16.3)")
+
+    def test_refinement_report(self, marches):
+        report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
+                                        CONTRACT, GridSpec(n_y=200, n_t=200))
+        assert repr(report) == (
+            "{'kappas': [0.24914044648754397, 0.24914145672303326, "
+            "0.2491417147227896], 'grids': [(200, 200), (400, 400), (800, 800)], "
+            "'ratios': [3.9156451294153842], 'y_max': 62.46732294240538}")
+
+    def test_psi_bytes(self):
+        sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))
+        assert hashlib.sha256(sol.final.tobytes()).hexdigest() == (
+            "71fee74454d656a129335828525e52162877c2c0332308ff491087813f6ba871")
+        assert hashlib.sha256(sol.q_coeffs.tobytes()).hexdigest() == (
+            "dcf1ea56d0c2901681344498ec43f4aec4bf25e5ef7539574d869d71d681c010")
+        assert repr(sol.boundary_max) == "8.14498126958288e-12"
