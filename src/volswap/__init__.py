@@ -22,10 +22,10 @@ import importlib
 
 from .exceptions import (AccuracyError, DomainError, InconclusiveError,
                          InstabilityError, SingularityError, VolswapError)
-from .model import (DiscountCurve, MarketState, PricingResult, SabrParams,
-                    SwapContract, discount_factor, validate_state)
+from .model import (MarketState, PricingResult, SabrParams, SwapContract,
+                    discount_factor, time_to_maturity)
 from .series_pricer import (SeriesConfig, SeriesDiagnostics, SeriesVariables,
-                            fair_value, kappa_series, price_volatility_swap,
+                            kappa_series, price_volatility_swap,
                             series_variables)
 
 #: engine of each lazily imported name
@@ -50,9 +50,9 @@ __all__ = [
     "__version__",
     "AccuracyError", "DomainError", "InconclusiveError", "InstabilityError",
     "SingularityError", "VolswapError",
-    "DiscountCurve", "MarketState", "PricingResult", "SabrParams",
-    "SwapContract", "discount_factor", "validate_state",
-    "SeriesConfig", "SeriesDiagnostics", "SeriesVariables", "fair_value",
+    "MarketState", "PricingResult", "SabrParams", "SwapContract",
+    "discount_factor", "time_to_maturity",
+    "SeriesConfig", "SeriesDiagnostics", "SeriesVariables",
     "kappa_series", "price_volatility_swap", "series_variables",
     "McConfig", "McEstimate", "kappa_mc", "variance_swap_expectation",
     "variance_swap_mc",

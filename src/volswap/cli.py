@@ -21,8 +21,7 @@ import time
 
 from . import __version__, series_pricer, specfun, verify
 from .exceptions import VolswapError
-from .model import (DiscountCurve, MarketState, SabrParams, SwapContract,
-                    discount_factor, validate_state)
+from .model import MarketState, SabrParams, SwapContract, discount_factor
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -109,7 +108,7 @@ def _market_inputs(args):
     t = _resolve(args, "t", float, required=True)
     strike = _resolve(args, "strike", float, 0.0)
     notional = _resolve(args, "notional", float, 1.0)
-    params = SabrParams(alpha=alpha, rho=_resolve(args, "rho", float, 0.0))
+    params = SabrParams(alpha=alpha)
     contract = SwapContract(t0=t0, tenor=tenor, strike=strike, notional=notional)
     state = MarketState(t=t, sigma=sigma, nu=nu)
     return state, params, contract
@@ -121,24 +120,13 @@ def _discount(args, state, contract) -> float:
     if rate is not None and factor is not None:
         raise UsageError("give either --rate or --discount-factor, not both")
     if factor is not None:
-        curve = DiscountCurve.explicit(factor)
-    else:
-        curve = DiscountCurve.flat(rate if rate is not None else 0.0)
-    return discount_factor(curve, state.t, contract)
-
-
-def _require_valid(state, params, contract, allow_singular=False):
-    codes = validate_state(state, params, contract)
-    if allow_singular:
-        codes = [c for c in codes if c != "NU_ZERO_SERIES_SINGULAR"]
-    if codes:
-        raise UsageError("invalid market state: " + ", ".join(codes))
+        return factor          # price_volatility_swap range-checks it
+    return discount_factor(rate if rate is not None else 0.0, state, contract)
 
 
 def cmd_price(args) -> int:
     started = time.time()
     state, params, contract = _market_inputs(args)
-    _require_valid(state, params, contract)
     df = _discount(args, state, contract)
     config = series_pricer.SeriesConfig(
         max_terms=_resolve(args, "max_terms", int, 64),
@@ -179,7 +167,6 @@ def cmd_oracle(args) -> int:
     from . import mc_engine, pde_engine
     started = time.time()
     state, params, contract = _market_inputs(args)
-    _require_valid(state, params, contract, allow_singular=(args.oracle == "pde"))
     if args.oracle == "mc":
         seed = _resolve(args, "seed", int, required=True)
         config = mc_engine.McConfig(
@@ -274,7 +261,8 @@ def cmd_compare(args) -> int:
             for zeta in zetas:
                 params = SabrParams(alpha=alpha)
                 sigma = math.sqrt(2.0 * alpha * alpha * nu * zeta)
-                state = MarketState(t=t0 + tenor - tau, sigma=sigma, nu=nu)
+                # t0 + (tenor - tau) cannot round below t0 or past maturity
+                state = MarketState(t=t0 + (tenor - tau), sigma=sigma, nu=nu)
                 kappa_s, diag = series_pricer.kappa_series(state, params, contract)
                 mc = mc_engine.kappa_mc(state, params, contract,
                                         mc_engine.McConfig(**config_template))
@@ -417,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t0", type=float, help="accrual start (default 0)")
         p.add_argument("--tenor", type=float, help="accrual length T")
         p.add_argument("--t", type=float, help="valuation time")
-        p.add_argument("--rho", type=float, help="correlation metadata (inert)")
 
     p_price = sub.add_parser("price", help="series fair value")
     market(p_price)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import DomainError
-from .model import MarketState, SabrParams, SwapContract
+from .model import MarketState, SabrParams, SwapContract, time_to_maturity
 
 #: paths per reduction block; fixed so the pairwise block sums (and hence
 #: the final estimate) never depend on how the paths are batched.
@@ -159,9 +159,7 @@ def _block_payoffs(config: McConfig, lo: int, hi: int, state: MarketState,
 
 def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
               config: McConfig, square_root: bool) -> McEstimate:
-    tau = contract.maturity - state.t
-    if tau < 0:
-        raise DomainError(f"valuation time {state.t} is past maturity")
+    tau = time_to_maturity(state, contract)
     if tau == 0.0:
         value = math.sqrt(state.nu) / contract.tenor if square_root else state.nu
         return McEstimate(mean=value, std_error=0.0, n_paths=config.n_paths)
@@ -205,14 +203,17 @@ def variance_swap_expectation(state: MarketState, params: SabrParams,
     """Closed-form E[int_{t0}^{t0+T} sigma^2 ds | sigma_t] = nu + sigma^2 (e^(a^2 tau) - 1)/a^2.
 
     The a -> 0 limit nu + sigma^2 tau is taken through a short series once
-    a^2 tau drops below 1e-8.
+    a^2 tau drops below 1e-8.  Raises :class:`DomainError` outside the
+    accrual window and when e^(a^2 tau) overflows.
     """
-    tau = contract.maturity - state.t
-    if tau < 0:
-        raise DomainError(f"valuation time {state.t} is past maturity")
+    tau = time_to_maturity(state, contract)
     x = params.alpha ** 2 * tau
     if x < 1e-8:
         growth = tau * (1.0 + x / 2.0 + x * x / 6.0)
     else:
-        growth = math.expm1(x) / params.alpha ** 2
+        try:
+            growth = math.expm1(x) / params.alpha ** 2
+        except OverflowError:
+            raise DomainError(
+                f"alpha^2 tau = {x}: e^(alpha^2 tau) overflows") from None
     return state.nu + state.sigma ** 2 * growth

@@ -1,11 +1,11 @@
-"""Value types for the volatility-swap pricer: model parameters, contract,
-market state, discounting and the pricing-result container.
+"""Value types for the volatility-swap pricer, the accrual-window check and
+discounting.
 
 The model is the lognormal-volatility SABR special case
-dsigma_t = alpha * sigma_t dZ_t with beta fixed at 1.  beta and rho are
-carried for forward compatibility but are provably inert here: the
-volatility-swap value depends on the volatility process alone, and that
-process involves neither of them.
+dsigma_t = alpha * sigma_t dZ_t.  The swap's value depends on the volatility
+process alone, so alpha is its only parameter: the forward's beta and rho
+play no part.  A swap is priced at a valuation time t in its accrual window
+t0 <= t <= t0 + T, which :func:`time_to_maturity` alone checks.
 """
 
 from __future__ import annotations
@@ -15,34 +15,16 @@ from dataclasses import dataclass, field
 
 from .exceptions import DomainError
 
-# validation codes returned by validate_state
-BEFORE_ACCRUAL_START = "BEFORE_ACCRUAL_START"
-AFTER_MATURITY = "AFTER_MATURITY"
-NU_ZERO_SERIES_SINGULAR = "NU_ZERO_SERIES_SINGULAR"
-
 
 @dataclass(frozen=True)
 class SabrParams:
-    """SABR parameters with lognormal backbone.
-
-    Attributes
-    ----------
-    alpha : float   Vol-of-vol, per sqrt(year), > 0.
-    beta : float    CEV exponent; fixed at 1 in this pricer.
-    rho : float     Forward/vol correlation in [-1, 1]; inert (kept as metadata).
-    """
+    """The volatility process's parameter: vol-of-vol alpha, per sqrt(year), > 0."""
 
     alpha: float
-    beta: float = 1.0
-    rho: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.beta != 1.0:
-            raise DomainError("this pricer is restricted to beta = 1")
-        if not (math.isfinite(self.rho) and -1.0 <= self.rho <= 1.0):
-            raise DomainError(f"rho must lie in [-1, 1], got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -95,31 +77,6 @@ class MarketState:
 
 
 @dataclass(frozen=True)
-class DiscountCurve:
-    """Flat continuously-compounded rate or a single explicit discount factor."""
-
-    mode: str
-    rate: float = 0.0
-    factor: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in ("flat_rate", "explicit_factor"):
-            raise DomainError(f"unknown discount mode {self.mode!r}")
-        if self.mode == "flat_rate" and not math.isfinite(self.rate):
-            raise DomainError(f"flat rate must be finite, got {self.rate}")
-        if self.mode == "explicit_factor" and not (0.0 < self.factor <= 1.0):
-            raise DomainError(f"explicit factor must lie in (0, 1], got {self.factor}")
-
-    @classmethod
-    def flat(cls, rate: float) -> "DiscountCurve":
-        return cls(mode="flat_rate", rate=rate)
-
-    @classmethod
-    def explicit(cls, factor: float) -> "DiscountCurve":
-        return cls(mode="explicit_factor", factor=factor)
-
-
-@dataclass(frozen=True)
 class PricingResult:
     """kappa plus the discounted fair value and evaluation diagnostics.
 
@@ -136,34 +93,18 @@ class PricingResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def discount_factor(curve: DiscountCurve, t: float, contract: SwapContract) -> float:
-    """Discount factor from valuation time t to the payoff date t0 + tenor.
-
-    The swap settles at accrual end, so flat-rate mode returns
-    exp(-rate * (t0 + tenor - t)).
-    """
-    if t > contract.maturity:
+def time_to_maturity(state: MarketState, contract: SwapContract) -> float:
+    """tau = t0 + T - t; raises :class:`DomainError` unless the valuation time
+    lies in the accrual window t0 <= t <= t0 + T."""
+    if not contract.t0 <= state.t <= contract.maturity:
         raise DomainError(
-            f"valuation time {t} is beyond swap maturity {contract.maturity}")
-    if curve.mode == "explicit_factor":
-        return curve.factor
-    return math.exp(-curve.rate * (contract.maturity - t))
+            f"valuation time {state.t} lies outside the accrual window "
+            f"[{contract.t0}, {contract.maturity}]")
+    return contract.maturity - state.t
 
 
-def validate_state(state: MarketState, params: SabrParams,
-                   contract: SwapContract) -> list:
-    """Range checks on the (state, params, contract) triple.
-
-    Returns every violated invariant as a code; an empty list means valid.
-    The path-consistency bound nu <= (sup sigma)^2 * (t - t0) is deliberately
-    not enforced: the path history is unknown and only sign/range checks
-    are decidable.
-    """
-    codes = []
-    if state.t < contract.t0:
-        codes.append(BEFORE_ACCRUAL_START)
-    if state.t > contract.maturity:
-        codes.append(AFTER_MATURITY)
-    if state.nu == 0:
-        codes.append(NU_ZERO_SERIES_SINGULAR)
-    return codes
+def discount_factor(rate: float, state: MarketState,
+                    contract: SwapContract) -> float:
+    """exp(-rate * tau) at a flat continuously compounded rate, from the
+    valuation time to the payoff date t0 + T, where the swap settles."""
+    return math.exp(-rate * time_to_maturity(state, contract))

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
-from .model import MarketState, SabrParams, SwapContract
+from .model import MarketState, SabrParams, SwapContract, time_to_maturity
 
 #: psi values outside [-eps, 1+eps] are treated as scheme instability.
 MAX_PRINCIPLE_EPS = 1e-6
@@ -74,6 +75,8 @@ RANNACHER_STEPS = 2
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
 S_KEY_BITS = 40
+#: largest s = alpha^2 tau with e^s - 1 (q(0), the default y_max) finite.
+S_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,9 @@ def default_y_max(alpha: float, tau: float) -> float:
     Scaled from the Jensen lower bound psi >= exp(-(y^2/2)(e^(a^2 tau)-1)),
     with margin for the true (slower, log-normal-tailed) decay; the solver
     still verifies the achieved boundary value post-solve.  Raises
-    :class:`DomainError` unless s = alpha^2 tau is positive.
+    :class:`DomainError` unless 0 < s = alpha^2 tau <= ``S_MAX``.
     """
-    s = alpha * alpha * tau
+    s = _finite_s(alpha * alpha * tau)
     if not s > 0.0:
         raise DomainError(f"no psi domain for s = alpha^2 tau = {s}; needs s > 0")
     return max(3.0, 2.5 * math.sqrt(52.0 / math.expm1(s)))
@@ -157,7 +160,7 @@ def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
     Rannacher startup (two implicit-Euler steps split into half-steps)
     damps the mild terminal-data/operator incompatibility so the scheme
     keeps clean second-order convergence.  Raises :class:`DomainError`
-    unless s is finite, :class:`InstabilityError` if the discrete maximum
+    unless s <= ``S_MAX``, :class:`InstabilityError` if the discrete maximum
     principle fails at any step and :class:`AccuracyError` if psi has not
     decayed to ``boundary_tol`` at the far edge.
     """
@@ -246,9 +249,9 @@ def psi_memo(s: float, grid: GridSpec):
 
 
 def _finite_s(s: float) -> float:
-    """s itself; raises :class:`DomainError` if s = alpha^2 tau is not finite."""
-    if not math.isfinite(s):
-        raise DomainError(f"s = alpha^2 tau = {s} is not finite")
+    """s itself; raises :class:`DomainError` unless s = alpha^2 tau <= ``S_MAX``."""
+    if not s <= S_MAX:
+        raise DomainError(f"s = alpha^2 tau = {s}: e^s - 1 is not finite")
     return s
 
 
@@ -280,9 +283,7 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     ``quad_tol`` (raises :class:`AccuracyError` otherwise; with the default
     auto grid it sits around 1e-8).
     """
-    tau = contract.maturity - state.t
-    if tau < 0:
-        raise DomainError(f"valuation time {state.t} is past maturity")
+    tau = time_to_maturity(state, contract)
     if tau == 0.0:
         return math.sqrt(state.nu) / contract.tenor
 
@@ -336,12 +337,10 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
 
     Second-order convergence shows up as ratios of successive differences
     near 4.  All refinements share one y_max so the comparison isolates the
-    discretization error.  Raises :class:`DomainError` at or past maturity,
-    where there is nothing to refine.
+    discretization error.  Raises :class:`DomainError` outside the accrual
+    window and at maturity, where there is nothing to refine.
     """
-    tau = contract.maturity - state.t
-    if tau < 0:
-        raise DomainError(f"valuation time {state.t} is past maturity")
+    tau = time_to_maturity(state, contract)
     if tau == 0.0:
         raise DomainError("at maturity kappa is exact; there is no grid to refine")
     y_max = grid.y_max if grid.y_max is not None else default_y_max(params.alpha, tau)

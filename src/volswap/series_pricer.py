@@ -29,7 +29,8 @@ from fractions import Fraction
 
 from . import specfun
 from .exceptions import DomainError, SingularityError
-from .model import MarketState, PricingResult, SabrParams, SwapContract
+from .model import (MarketState, PricingResult, SabrParams, SwapContract,
+                    time_to_maturity)
 
 REGIME_CONVERGENT = "convergent_like"
 REGIME_ASYMPTOTIC = "asymptotic_truncated"
@@ -76,7 +77,6 @@ class SeriesVariables:
 
     tau: float
     zeta: float
-    z: float
 
 
 @functools.cache
@@ -112,14 +112,14 @@ def energy_e(n: int, alpha: float) -> float:
 
 def series_variables(state: MarketState, params: SabrParams,
                      contract: SwapContract) -> SeriesVariables:
-    """tau = t0 + T - t, zeta = sigma^2/(2 alpha^2 nu), z = 4 zeta."""
+    """tau = t0 + T - t (:func:`time_to_maturity`), zeta = sigma^2/(2 alpha^2 nu)."""
     if state.nu == 0:
         raise SingularityError(
             "nu = 0: zeta is undefined and the series regime is excluded; "
             "use the Monte Carlo or PDE oracle")
-    tau = contract.maturity - state.t
+    tau = time_to_maturity(state, contract)
     zeta = state.sigma ** 2 / (2.0 * params.alpha ** 2 * state.nu)
-    return SeriesVariables(tau=tau, zeta=zeta, z=4.0 * zeta)
+    return SeriesVariables(tau=tau, zeta=zeta)
 
 
 def series_term(n: int, zeta: float, tau: float, alpha: float,
@@ -127,10 +127,15 @@ def series_term(n: int, zeta: float, tau: float, alpha: float,
     """n-th kappa-series term b_n e^(E_n tau) zeta^n 1F1(n-1/2; 2n+1/2; zeta).
 
     The only definition of the term; 1F1 is evaluated to the relative
-    tolerance min(rel_tol, 1e-13).
+    tolerance min(rel_tol, 1e-13).  A growth factor e^(E_n tau) beyond
+    the float range makes the term a signed infinity.
     """
     f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta, rel_tol=min(rel_tol, 1e-13))
-    return coeff_b(n) * math.exp(energy_e(n, alpha) * tau) * zeta ** n * f.value
+    try:
+        growth = math.exp(energy_e(n, alpha) * tau)
+    except OverflowError:
+        growth = math.inf
+    return coeff_b(n) * growth * zeta ** n * f.value
 
 
 def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
@@ -151,8 +156,6 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
     (kappa, SeriesDiagnostics)
     """
     sv = series_variables(state, params, contract)
-    if sv.tau < 0:
-        raise DomainError(f"valuation time {state.t} is past maturity")
     prefactor = math.sqrt(state.nu) / contract.tenor
 
     mags = []
@@ -206,28 +209,13 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
                                     REGIME_ASYMPTOTIC)
 
 
-def fair_value(kappa: float, contract: SwapContract, df: float,
-               diagnostics: SeriesDiagnostics = None,
-               warnings: tuple = ()) -> PricingResult:
-    """Discounted fair value notional * df * (kappa - strike)."""
-    if not (0.0 < df <= 1.0):
-        raise DomainError(f"discount factor must lie in (0, 1], got {df}")
-    if kappa < 0:
-        raise DomainError(f"kappa must be non-negative, got {kappa}")
-    value = contract.notional * df * (kappa - contract.strike)
-    return PricingResult(kappa=kappa, strike=contract.strike,
-                         notional=contract.notional, discount_factor=df,
-                         fair_value=value, diagnostics=diagnostics,
-                         warnings=tuple(warnings))
-
-
 def price_volatility_swap(state: MarketState, params: SabrParams,
                           contract: SwapContract, df: float,
                           config: SeriesConfig = SeriesConfig()) -> PricingResult:
     """Series kappa plus discounting, bundled into one PricingResult.
 
-    Unlike :func:`fair_value` this does not reject a negative (diverged)
-    kappa: the raw value is composed and flagged so callers can surface it.
+    A negative (diverged) kappa is composed and flagged, not rejected, so
+    callers can surface it.  Raises :class:`DomainError` unless 0 < df <= 1.
     """
     if not (0.0 < df <= 1.0):
         raise DomainError(f"discount factor must lie in (0, 1], got {df}")

@@ -48,6 +48,29 @@ class TestPrice:
         assert code == cli.EXIT_DIVERGING
         assert doc["warnings"] == ["SERIES_DIVERGING"]
 
+    def test_growth_overflow_is_diverging(self, tmp_path):
+        # s = alpha^2 tau = 200: the n = 2 growth factor e^(6 s) overflows
+        argv = ["price"] + SEED_POINT
+        argv[argv.index("--alpha") + 1] = "20"
+        code, doc = run(tmp_path, argv, "price.schema.json")
+        assert code == cli.EXIT_DIVERGING
+        assert doc["regime"] == "diverging"
+        assert doc["terms_used"] == 2
+
+    def test_explicit_discount_factor(self, tmp_path):
+        code, doc = run(tmp_path, ["price"] + CONVERGENT_POINT
+                        + ["--discount-factor", "0.97"], "price.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["discount_factor"] == 0.97
+        argv = ["price"] + CONVERGENT_POINT + ["--discount-factor", "1.5"]
+        assert cli.main(argv + ["--output", str(tmp_path / "bad")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("t", ["-0.5", "1.5"])
+    def test_outside_accrual_window_is_usage_error(self, tmp_path, t):
+        argv = ["price"] + SEED_POINT
+        argv[argv.index("--t") + 1] = t
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+
     def test_market_annualization(self, tmp_path):
         code, doc = run(tmp_path, ["price"] + CONVERGENT_POINT
                         + ["--annualization", "market"], "price.schema.json")
@@ -62,6 +85,14 @@ class TestOracle:
                         "oracle_mc.schema.json")
         assert code == cli.EXIT_OK
         assert doc["n_paths"] == 2000
+
+    def test_mc_nu_zero(self, tmp_path):
+        argv = ["oracle", "mc", "--alpha", "0.4", "--sigma", "0.25",
+                "--nu", "0", "--t", "0", "--tenor", "0.5",
+                "--paths", "1000", "--steps", "10", "--seed", "1"]
+        code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["kappa"] > 0 and doc["std_error"] > 0
 
     def test_mc_single_antithetic_pair_is_usage_error(self, tmp_path):
         argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2",
@@ -86,6 +117,15 @@ class TestOracle:
                 "--nu", "0.03", "--t", "1", "--tenor", "1", "--refine", "1"]
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
+                             ids=["single", "refine"])
+    def test_pde_growth_overflow_is_usage_error(self, tmp_path, extra, capsys):
+        # s = alpha^2 tau = 800: e^s - 1 is beyond the float range
+        argv = ["oracle", "pde"] + SEED_POINT + extra
+        argv[argv.index("--alpha") + 1] = "40"
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert "e^s - 1 is not finite" in capsys.readouterr().err
+
     def test_pde_nu_zero(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0", "--t", "0", "--tenor", "0.5"]
@@ -106,6 +146,15 @@ class TestCompare:
             if name != "regime":
                 float(cell)
 
+    def test_tau_equal_to_tenor_stays_in_the_accrual_window(self, tmp_path):
+        # (0.3 + 0.6) - 0.6 rounds below t0 = 0.3
+        code, text = run(tmp_path, [
+            "compare", "--alphas", "0.3", "--taus", "0.6", "--zetas", "1",
+            "--nu", "0.04", "--t0", "0.3", "--tenor", "0.6", "--seed", "1",
+            "--paths", "512", "--steps", "8"])
+        assert code in (cli.EXIT_OK, cli.EXIT_COMPARE_FAILED)
+        assert len(list(csv.reader(text.splitlines()))) == 3
+
     def test_rows_sharing_s_share_one_march(self, tmp_path, marches):
         code, text = run(tmp_path, [
             "compare", "--alphas", "0.4", "--taus", "0.5",
@@ -122,6 +171,14 @@ class TestVerify:
                                    "--s-max", "5"], "verify.schema.json")
         assert code == cli.EXIT_OK
         assert doc["all_passed"]
+
+    def test_every_check_passes(self, tmp_path):
+        code, doc = run(tmp_path, ["verify"], "verify.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["all_passed"]
+        assert {r["check"] for r in doc["reports"]} == {
+            "terminal", "bessel", "j0", "kummer", "psi-pde", "functional",
+            "functional-fd"}
 
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "check_terminal_identity",

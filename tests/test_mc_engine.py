@@ -99,6 +99,11 @@ class TestKappaMc:
         with pytest.raises(DomainError):
             McConfig(1001, 10, seed=1, antithetic=True)
 
+    def test_before_accrual_start_is_domain_error(self):
+        state = MarketState(t=-0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError, match="outside the accrual window"):
+            kappa_mc(state, PARAMS, CONTRACT, McConfig(1000, 10, seed=1))
+
     def test_antithetic_needs_two_pairs(self):
         # one pair is one draw: no standard error exists
         with pytest.raises(DomainError):
@@ -151,6 +156,14 @@ class TestVarianceSwap:
     def test_expectation_at_maturity(self):
         state = MarketState(t=1.0, sigma=0.2, nu=0.07)
         assert variance_swap_expectation(state, PARAMS, CONTRACT) == 0.07
+
+    @pytest.mark.parametrize("t, alpha", [(-0.5, 0.4), (0.5, 40.0)],
+                             ids=["before_accrual_start", "growth_overflow"])
+    def test_expectation_domain(self, t, alpha):
+        # alpha 40: e^(alpha^2 tau) = e^800 is beyond the float range
+        state = MarketState(t=t, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError):
+            variance_swap_expectation(state, SabrParams(alpha=alpha), CONTRACT)
 
     def test_expectation_example(self):
         # sigma=0.2, alpha=0.5, tau=1, nu=0: 0.04 (e^0.25 - 1)/0.25

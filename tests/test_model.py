@@ -1,14 +1,18 @@
-"""Value types, validation codes, and discounting."""
+"""Value types, the accrual-window check, discounting and the priced result."""
 
 import math
 
 import pytest
 
-from volswap import model
-from volswap.exceptions import DomainError
-from volswap.model import (DiscountCurve, MarketState, SabrParams, SwapContract,
-                           discount_factor, validate_state)
-from volswap.series_pricer import fair_value
+from volswap.exceptions import DomainError, SingularityError
+from volswap.model import (MarketState, SabrParams, SwapContract,
+                           discount_factor, time_to_maturity)
+from volswap.series_pricer import kappa_series, price_volatility_swap
+
+#: a point where the series converges: alpha^2 tau = 0.05, zeta = 1, PDE
+#: reference kappa 0.2099881
+CONVERGENT = (MarketState(t=0.5, sigma=0.08944271909999159, nu=0.04),
+              SabrParams(alpha=0.31622776601683794))
 
 
 class TestConstruction:
@@ -17,16 +21,6 @@ class TestConstruction:
             SabrParams(alpha=0.0)
         with pytest.raises(DomainError):
             SabrParams(alpha=-0.2)
-
-    def test_beta_pinned_to_one(self):
-        with pytest.raises(DomainError):
-            SabrParams(alpha=0.3, beta=0.5)
-
-    def test_rho_range(self):
-        SabrParams(alpha=0.3, rho=-1.0)
-        SabrParams(alpha=0.3, rho=1.0)
-        with pytest.raises(DomainError):
-            SabrParams(alpha=0.3, rho=1.2)
 
     def test_tenor_positive(self):
         with pytest.raises(DomainError):
@@ -44,77 +38,77 @@ class TestConstruction:
 class TestDiscounting:
     contract = SwapContract(t0=0.0, tenor=1.0)
 
+    @staticmethod
+    def at(t):
+        return MarketState(t=t, sigma=0.2, nu=0.01)
+
     def test_zero_rate(self):
-        assert discount_factor(DiscountCurve.flat(0.0), 0.3, self.contract) == 1.0
+        assert discount_factor(0.0, self.at(0.3), self.contract) == 1.0
 
     def test_flat_rate(self):
-        df = discount_factor(DiscountCurve.flat(0.05), 0.0, self.contract)
+        df = discount_factor(0.05, self.at(0.0), self.contract)
         assert df == pytest.approx(math.exp(-0.05), rel=1e-15)
-
-    def test_explicit_passthrough(self):
-        df = discount_factor(DiscountCurve.explicit(0.97), 0.5, self.contract)
-        assert df == 0.97
 
     def test_beyond_maturity_rejected(self):
         with pytest.raises(DomainError):
-            discount_factor(DiscountCurve.flat(0.0), 1.5, self.contract)
-
-    def test_factor_range(self):
-        with pytest.raises(DomainError):
-            DiscountCurve.explicit(1.5)
-        with pytest.raises(DomainError):
-            DiscountCurve.explicit(0.0)
+            discount_factor(0.0, self.at(1.5), self.contract)
 
 
 class TestValidateState:
+    """time_to_maturity validates the valuation time against the accrual window."""
+
     params = SabrParams(alpha=0.4)
     contract = SwapContract(t0=0.0, tenor=1.0)
 
     def test_nu_zero_is_singular_for_series(self):
+        # nu = 0 is inside the window; only the series refuses it
         state = MarketState(t=0.0, sigma=0.2, nu=0.0)
-        assert validate_state(state, self.params, self.contract) == [
-            model.NU_ZERO_SERIES_SINGULAR]
+        assert time_to_maturity(state, self.contract) == 1.0
+        with pytest.raises(SingularityError):
+            kappa_series(state, self.params, self.contract)
 
     def test_before_accrual_start(self):
-        state = MarketState(t=-0.5, sigma=0.2, nu=0.01)
-        assert model.BEFORE_ACCRUAL_START in validate_state(
-            state, self.params, self.contract)
+        for t0 in (0.0, 0.25):
+            contract = SwapContract(t0=t0, tenor=1.0)
+            state = MarketState(t=math.nextafter(t0, -1.0), sigma=0.2, nu=0.01)
+            with pytest.raises(DomainError, match="outside the accrual window"):
+                time_to_maturity(state, contract)
 
     def test_after_maturity(self):
-        state = MarketState(t=1.5, sigma=0.2, nu=0.01)
-        assert model.AFTER_MATURITY in validate_state(
-            state, self.params, self.contract)
+        state = MarketState(t=math.nextafter(1.0, 2.0), sigma=0.2, nu=0.01)
+        with pytest.raises(DomainError, match="outside the accrual window"):
+            time_to_maturity(state, self.contract)
 
     def test_valid_inputs(self):
-        state = MarketState(t=0.5, sigma=0.2, nu=0.01)
-        assert validate_state(state, self.params, self.contract) == []
+        contract = SwapContract(t0=0.25, tenor=1.0)
+        for t, tau in ((0.25, 1.0), (0.75, 0.5), (1.25, 0.0)):
+            state = MarketState(t=t, sigma=0.2, nu=0.01)
+            assert time_to_maturity(state, contract) == tau
 
 
 class TestPricingResult:
+    """price_volatility_swap composes fair_value = notional * df * (kappa - strike)."""
+
     def test_composition_identity_bitwise(self):
         contract = SwapContract(t0=0.0, tenor=1.0, strike=0.18, notional=10_000.0)
-        df = math.exp(-0.05)
-        result = fair_value(0.2, contract, df)
+        result = price_volatility_swap(*CONVERGENT, contract, math.exp(-0.05))
         assert result.fair_value == result.notional * result.discount_factor * (
             result.kappa - result.strike)
 
     def test_at_the_money_is_zero(self):
-        contract = SwapContract(t0=0.0, tenor=1.0, strike=0.2)
-        assert fair_value(0.2, contract, 1.0).fair_value == 0.0
+        kappa, _ = kappa_series(*CONVERGENT, SwapContract(t0=0.0, tenor=1.0))
+        contract = SwapContract(t0=0.0, tenor=1.0, strike=kappa)
+        assert price_volatility_swap(*CONVERGENT, contract, 1.0).fair_value == 0.0
 
     def test_example_values(self):
-        contract = SwapContract(t0=0.0, tenor=1.0, strike=0.18)
-        assert fair_value(0.2, contract, 1.0).fair_value == pytest.approx(
-            0.02, abs=1e-15)
-        contract_big = SwapContract(t0=0.0, tenor=1.0, strike=0.18,
-                                    notional=10_000.0)
-        expected = 10_000.0 * math.exp(-0.05) * (0.2 - 0.18)
-        assert fair_value(0.2, contract_big, math.exp(-0.05)).fair_value == (
-            pytest.approx(expected, rel=1e-15))
+        contract = SwapContract(t0=0.0, tenor=1.0, strike=0.18,
+                                notional=10_000.0)
+        expected = 10_000.0 * math.exp(-0.05) * (0.2099881 - 0.18)
+        result = price_volatility_swap(*CONVERGENT, contract, math.exp(-0.05))
+        assert result.fair_value == pytest.approx(expected, rel=1e-5)
 
     def test_df_range_enforced(self):
         contract = SwapContract(t0=0.0, tenor=1.0)
-        with pytest.raises(DomainError):
-            fair_value(0.2, contract, 0.0)
-        with pytest.raises(DomainError):
-            fair_value(-0.1, contract, 1.0)
+        for df in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(DomainError, match="discount factor"):
+                price_volatility_swap(*CONVERGENT, contract, df)

@@ -78,8 +78,10 @@ class TestSolvePsi:
             solve_psi(0.4, 0.0)
 
     @pytest.mark.parametrize("alpha, tau", [(1e200, 1.0), (math.inf, 1.0),
-                                            (1.0, math.inf), (math.nan, 1.0)])
+                                            (1.0, math.inf), (math.nan, 1.0),
+                                            (1.0, 1000.0)])
     def test_s_not_finite_is_domain_error(self, alpha, tau):
+        # at s = 1000, e^s - 1 (q(0) and the default y_max) overflows
         with pytest.raises(DomainError, match="not finite"):
             solve_psi(alpha, tau)
 
@@ -161,11 +163,17 @@ class TestKappaQuadrature:
             kappas.append(kappa_quadrature(state, params, CONTRACT))
         assert kappas[0] < kappas[1] < kappas[2]
 
-    @pytest.mark.parametrize("alpha", [1e-200, 1e200])
+    @pytest.mark.parametrize("alpha", [1e-200, 40.0, 1e200])
     def test_s_out_of_float_range_is_domain_error(self, alpha):
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError):
             kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
+
+    @pytest.mark.parametrize("engine", [kappa_quadrature, grid_refinement_report])
+    def test_before_accrual_start_is_domain_error(self, engine):
+        state = MarketState(t=-0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError, match="outside the accrual window"):
+            engine(state, SabrParams(alpha=0.4), CONTRACT)
 
     def test_tail_bound_enforced(self):
         # calibrate a quad_tol just under the achievable tail bound
@@ -245,6 +253,13 @@ class TestGridConvergence:
         state = MarketState(t=t, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError):
             grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
+                                   refinements=1)
+
+    def test_s_beyond_float_range_is_domain_error(self):
+        # s = 800: the default y_max needs e^s - 1
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError, match="not finite"):
+            grid_refinement_report(state, SabrParams(alpha=40.0), CONTRACT,
                                    refinements=1)
 
 

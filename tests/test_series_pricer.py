@@ -69,7 +69,6 @@ class TestSeriesVariables:
         sv = series_variables(MarketState(t=1.0, sigma=0.2, nu=0.04),
                               SabrParams(alpha=0.5), CONTRACT)
         assert sv.zeta == pytest.approx(2.0, rel=1e-15)
-        assert sv.z == pytest.approx(8.0, rel=1e-15)
         assert sv.tau == 0.0
 
     def test_second_example(self):
@@ -82,6 +81,13 @@ class TestSeriesVariables:
         with pytest.raises(SingularityError):
             series_variables(MarketState(t=0.5, sigma=0.3, nu=0.0),
                              SabrParams(alpha=0.3), CONTRACT)
+
+    @pytest.mark.parametrize("t, t0", [(-0.5, 0.0), (0.5, 0.75), (1.5, 0.0)])
+    def test_outside_accrual_window_is_domain_error(self, t, t0):
+        state = MarketState(t=t, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError, match="outside the accrual window"):
+            kappa_series(state, SabrParams(alpha=0.4),
+                         SwapContract(t0=t0, tenor=1.0))
 
 
 class TestTerminalValue:
@@ -144,6 +150,26 @@ class TestAdaptiveTruncation:
         assert diag.terms_used <= 5
 
 
+class TestGrowthOverflow:
+    """e^(E_n tau) leaves the float range at E_n tau > ~709.8 (n = 2: s > ~118.3)."""
+
+    def test_overflowing_term_is_a_signed_infinity(self):
+        # alpha = 20, tau = 0.5: E_1 tau = 200 stays finite, E_2 tau = 1200 does not
+        f = specfun.kummer_1f1(0.5, 2.5, 1.0, rel_tol=1e-13).value
+        assert series_term(1, 1.0, 0.5, 20.0, 1e-10) == (
+            coeff_b(1) * math.exp(energy_e(1, 20.0) * 0.5) * 1.0 * f)
+        assert series_term(2, 1.0, 0.5, 20.0, 1e-10) == -math.inf   # b_2 < 0
+        assert series_term(3, 1.0, 0.5, 20.0, 1e-10) == math.inf
+
+    def test_overflow_stops_the_sum_as_diverging(self):
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        kappa, diag = kappa_series(state, SabrParams(alpha=20.0), CONTRACT)
+        assert math.isfinite(kappa)
+        assert diag.terms_used == 2
+        assert diag.regime == REGIME_DIVERGING
+        assert not diag.converged
+
+
 #: price_volatility_swap outputs frozen bit for bit, one case per way the
 #: summation can finish: (name, t, sigma, nu, alpha, tenor, max_terms,
 #: kappa, fair_value, terms_used, min_term_index, min_term_abs, converged,
@@ -203,12 +229,13 @@ class TestKappaIsSumOfTerms:
            sigma=st.floats(0.01, 1.0), nu=st.floats(1e-3, 1.0))
     def test_value_is_left_to_right_sum_of_kept_terms(self, alpha, tau,
                                                       sigma, nu):
-        state = MarketState(t=1.0 - tau, sigma=sigma, nu=nu)
+        contract = SwapContract(t0=0.0, tenor=2.0)
+        state = MarketState(t=2.0 - tau, sigma=sigma, nu=nu)
         params = SabrParams(alpha=alpha)
-        sv = series_variables(state, params, CONTRACT)
+        sv = series_variables(state, params, contract)
         assume(sv.zeta <= 300.0)   # keeps e^zeta inside 1F1 finite
         config = SeriesConfig()
-        kappa, diag = kappa_series(state, params, CONTRACT, config)
+        kappa, diag = kappa_series(state, params, contract, config)
         terms = [series_term(n, sv.zeta, sv.tau, alpha, config.rel_tol)
                  for n in range(diag.terms_used)]
         partials = list(itertools.accumulate(terms))
@@ -217,7 +244,7 @@ class TestKappaIsSumOfTerms:
         on_tolerance = len(terms) >= 2 and all(
             abs(terms[i]) <= config.rel_tol * abs(partials[i]) for i in (-2, -1))
         kept = len(terms) if on_tolerance else max(diag.min_term_index, 1)
-        assert kappa == math.sqrt(nu) / CONTRACT.tenor * sum(terms[:kept])
+        assert kappa == math.sqrt(nu) / contract.tenor * sum(terms[:kept])
 
 
 class TestJ0Forms:
@@ -263,8 +290,8 @@ class TestJInfinity:
         kappa_direct = math.sqrt(state.nu) / contract.tenor * sum(
             series_term(n, sv.zeta, sv.tau, params.alpha, 1e-10)
             for n in range(n_max + 1))
-        j = (j0_closed_form(sv.z)
-             + j_infinity(sv.z, sv.tau, params.alpha, n_max))
+        z = 4.0 * sv.zeta
+        j = j0_closed_form(z) + j_infinity(z, sv.tau, params.alpha, n_max)
         kappa_assembled = (math.sqrt(state.nu) / contract.tenor
-                           * (1.0 + math.sqrt(sv.z / math.pi) * j))
+                           * (1.0 + math.sqrt(z / math.pi) * j))
         assert kappa_assembled == pytest.approx(kappa_direct, rel=1e-9)
