@@ -29,7 +29,6 @@ EXIT_USAGE = 2
 EXIT_DIVERGING = 3
 EXIT_COMPARE_FAILED = 4
 
-_J0_EQUALITY_TOL = 1e-10
 _COMPARE_SIGMAS = 3.0
 
 
@@ -100,6 +99,7 @@ def _resolve(args, name, cast, default=None, required=False):
 
 
 def _market_inputs(args):
+    """(state, params, contract, manifest fields of the six market inputs)."""
     alpha = _resolve(args, "alpha", float, required=True)
     sigma = _resolve(args, "sigma", float, required=True)
     nu = _resolve(args, "nu", float, required=True)
@@ -111,7 +111,9 @@ def _market_inputs(args):
     params = SabrParams(alpha=alpha)
     contract = SwapContract(t0=t0, tenor=tenor, strike=strike, notional=notional)
     state = MarketState(t=t, sigma=sigma, nu=nu)
-    return state, params, contract
+    fields = {"alpha": alpha, "sigma": sigma, "nu": nu, "t0": t0,
+              "tenor": tenor, "t": t}
+    return state, params, contract, fields
 
 
 def _discount(args, state, contract) -> float:
@@ -126,7 +128,7 @@ def _discount(args, state, contract) -> float:
 
 def cmd_price(args) -> int:
     started = time.time()
-    state, params, contract = _market_inputs(args)
+    state, params, contract, fields = _market_inputs(args)
     df = _discount(args, state, contract)
     config = series_pricer.SeriesConfig(
         max_terms=_resolve(args, "max_terms", int, 64),
@@ -148,9 +150,7 @@ def cmd_price(args) -> int:
         "regime": diag.regime,
         "warnings": list(result.warnings),
         "manifest": _manifest("price", {
-            "alpha": params.alpha, "sigma": state.sigma, "nu": state.nu,
-            "t0": contract.t0, "tenor": contract.tenor, "t": state.t,
-            "strike": contract.strike, "notional": contract.notional,
+            **fields, "strike": contract.strike, "notional": contract.notional,
             "discount_factor": df, "max_terms": config.max_terms,
             "rel_tol": config.rel_tol, "annualization": annualization,
         }),
@@ -166,7 +166,7 @@ def cmd_price(args) -> int:
 def cmd_oracle(args) -> int:
     from . import mc_engine, pde_engine
     started = time.time()
-    state, params, contract = _market_inputs(args)
+    state, params, contract, fields = _market_inputs(args)
     if args.oracle == "mc":
         seed = _resolve(args, "seed", int, required=True)
         config = mc_engine.McConfig(
@@ -180,9 +180,7 @@ def cmd_oracle(args) -> int:
             "std_error": estimate.std_error,
             "n_paths": estimate.n_paths,
             "manifest": _manifest("oracle mc", {
-                "alpha": params.alpha, "sigma": state.sigma, "nu": state.nu,
-                "t0": contract.t0, "tenor": contract.tenor, "t": state.t,
-                "paths": config.n_paths, "steps": config.n_steps,
+                **fields, "paths": config.n_paths, "steps": config.n_steps,
                 "antithetic": config.antithetic,
             }, seed=seed),
         }
@@ -196,9 +194,7 @@ def cmd_oracle(args) -> int:
     quad_tol = _resolve(args, "quad_tol", float, 1e-6)
     refine = _resolve(args, "refine", int, 0)
     parameters = {
-        "alpha": params.alpha, "sigma": state.sigma, "nu": state.nu,
-        "t0": contract.t0, "tenor": contract.tenor, "t": state.t,
-        "n_y": grid.n_y, "n_t": grid.n_t, "y_max": grid.y_max,
+        **fields, "n_y": grid.n_y, "n_t": grid.n_t, "y_max": grid.y_max,
         "quad_tol": quad_tol, "refine": refine,
     }
     if refine > 0:
@@ -312,35 +308,25 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
             "passed": rep.passed,
         })
 
+    def add_terminal(point, value, expected):
+        reports.append({"check": "terminal", "kind": "exact", "point": point,
+                        "value": str(value), "passed": value == expected})
+
     if which in ("all", "terminal"):
         # s = 0: the sum is -1 and the Gamma(-1/2)/(2 sqrt(pi)) prefactor
         # (exactly -1) must turn it into the leading coefficient 1
-        normalization = (verify.check_terminal_identity(0)
-                         * specfun.gamma_half_integer(-1).rational / 2)
-        reports.append({
-            "check": "terminal", "kind": "exact",
-            "point": "s=0 leading coefficient",
-            "value": str(normalization), "passed": normalization == 1,
-        })
+        add_terminal("s=0 leading coefficient",
+                     verify.check_terminal_identity(0)
+                     * specfun.gamma_half_integer(-1) / 2, 1)
         for s in range(1, s_max + 1):
-            value = verify.check_terminal_identity(s)
-            reports.append({
-                "check": "terminal", "kind": "exact", "point": f"s={s}",
-                "value": str(value), "passed": value == 0,
-            })
+            add_terminal(f"s={s}", verify.check_terminal_identity(s), 0)
     if which in ("all", "bessel"):
         for y in (0.1, 0.5, 1.0, 2.0, 5.0):
             add("bessel", verify.check_bessel_sqrt_expansion(y, 60))
     if which in ("all", "j0"):
         for i in range(50):
             z = 10.0 ** (-2.0 + (i + 1) * (math.log10(50.0) + 2.0) / 50.0)
-            closed = verify.j0_closed_form(z)
-            hyper = verify.j0_hypergeometric_form(z)
-            rep = verify.ResidualReport(point=f"z={z:.6g}",
-                                        residual=closed - hyper,
-                                        scale=abs(hyper),
-                                        tolerance=_J0_EQUALITY_TOL)
-            add("j0", rep)
+            add("j0", verify.check_j0(z))
     if which in ("all", "kummer"):
         for a, b, z in ((-0.5, 0.5, 1.0), (1.5, 4.5, 4.0), (3.5, 8.5, 0.25),
                         (-0.5, 0.5, 20.0), (9.5, 20.5, 2.0)):

@@ -106,5 +106,11 @@ def time_to_maturity(state: MarketState, contract: SwapContract) -> float:
 def discount_factor(rate: float, state: MarketState,
                     contract: SwapContract) -> float:
     """exp(-rate * tau) at a flat continuously compounded rate, from the
-    valuation time to the payoff date t0 + T, where the swap settles."""
-    return math.exp(-rate * time_to_maturity(state, contract))
+    valuation time to the payoff date t0 + T, where the swap settles.
+    Raises :class:`DomainError` if the factor leaves the float range."""
+    tau = time_to_maturity(state, contract)
+    try:
+        return math.exp(-rate * tau)
+    except OverflowError:
+        raise DomainError(f"discount factor exp({-rate} * {tau}) overflows "
+                          f"at rate {rate}") from None

@@ -69,6 +69,8 @@ from .model import MarketState, SabrParams, SwapContract, time_to_maturity
 
 #: psi values outside [-eps, 1+eps] are treated as scheme instability.
 MAX_PRINCIPLE_EPS = 1e-6
+#: psi at the penultimate node of the final row may reach at most this.
+BOUNDARY_TOL = 1e-8
 #: implicit-Euler startup steps (each split in two half-steps).
 RANNACHER_STEPS = 2
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
@@ -107,7 +109,6 @@ class PsiSolution:
 
     y: np.ndarray
     final: np.ndarray           # psi at the valuation time
-    boundary_tol: float
     boundary_max: float
     s: float
     q_coeffs: np.ndarray        # shape (4, n_y)
@@ -153,8 +154,8 @@ def solve_banded(factors: list, rhs: np.ndarray) -> None:
         raise TypeError("rhs must be a contiguous float64 vector")
 
 
-def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
-              boundary_tol: float = 1e-8) -> PsiSolution:
+def solve_psi(alpha: float, tau: float,
+              grid: GridSpec = GridSpec()) -> PsiSolution:
     """Crank-Nicolson march of the killed-Bessel-type problem over s = alpha^2 tau.
 
     Rannacher startup (two implicit-Euler steps split into half-steps)
@@ -162,7 +163,7 @@ def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
     keeps clean second-order convergence.  Raises :class:`DomainError`
     unless s <= ``S_MAX``, :class:`InstabilityError` if the discrete maximum
     principle fails at any step and :class:`AccuracyError` if psi has not
-    decayed to ``boundary_tol`` at the far edge.
+    decayed to ``BOUNDARY_TOL`` at the far edge.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -173,8 +174,7 @@ def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
     y = np.linspace(0.0, y_max, grid.n_y + 1)
     psi = np.ones(grid.n_y + 1)           # terminal data psi = 1
     if s == 0.0:
-        return PsiSolution(y=y, final=psi, boundary_tol=boundary_tol,
-                           boundary_max=1.0, s=s,
+        return PsiSolution(y=y, final=psi, boundary_max=1.0, s=s,
                            q_coeffs=_pchip_coeffs(y, psi, s))
 
     psi[-1] = 0.0                         # far-field Dirichlet from the first step on
@@ -226,12 +226,11 @@ def solve_psi(alpha: float, tau: float, grid: GridSpec = GridSpec(),
     # validate the row the quadrature consumes; early rows near the far edge
     # necessarily carry the Dirichlet far-field transient
     boundary_max = float(psi[grid.n_y - 1])
-    if boundary_max > boundary_tol:
+    if boundary_max > BOUNDARY_TOL:
         raise AccuracyError(
             f"psi at the far edge reaches {boundary_max:.3e} > boundary_tol "
-            f"{boundary_tol:.1e}; enlarge y_max (used {y_max:.3g})")
-    return PsiSolution(y=y, final=psi, boundary_tol=boundary_tol,
-                       boundary_max=boundary_max, s=s,
+            f"{BOUNDARY_TOL:.1e}; enlarge y_max (used {y_max:.3g})")
+    return PsiSolution(y=y, final=psi, boundary_max=boundary_max, s=s,
                        q_coeffs=_pchip_coeffs(y, psi, s))
 
 

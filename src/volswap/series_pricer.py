@@ -7,10 +7,11 @@ with tau = t0 + T - t, zeta = sigma^2 / (2 alpha^2 nu_t),
 E_n = alpha^2 n (2n - 1) and rational coefficients b_n built from exact
 half-integer gamma values (b_0 = b_1 = 1, b_2 = -1/30, ...).
 
-:func:`series_term` is the one definition of the n-th term; the pricer
-here and the checks in :mod:`volswap.verify` (the fixed-truncation kappa
-behind the finite-difference check, and the J0/J_inf integral components)
-all sum it.
+:func:`series_term` is the one definition of the n-th term and
+:func:`growth_factor` of its factor e^(E_n tau); the pricer here and the
+checks in :mod:`volswap.verify` (the fixed-truncation kappa behind the
+finite-difference check, the J0/J_inf integral components, and the modes
+the checks build themselves) all use them.
 
 For tau > 0 the exp(E_n tau) factors grow super-factorially in n, so the
 series is treated as an asymptotic expansion: evaluation sums to the
@@ -90,8 +91,8 @@ def coeff_b_exact(n: int) -> Fraction:
     """
     if n < 0:
         raise DomainError(f"coeff_b index must be >= 0, got {n}")
-    g_num = specfun.gamma_half_integer(2 * n - 1).rational   # Gamma(n-1/2)/sqrt(pi)
-    g_den = specfun.gamma_half_integer(4 * n - 1).rational   # Gamma(2n-1/2)/sqrt(pi)
+    g_num = specfun.gamma_half_integer(2 * n - 1)   # Gamma(n-1/2)/sqrt(pi)
+    g_den = specfun.gamma_half_integer(4 * n - 1)   # Gamma(2n-1/2)/sqrt(pi)
     sign = 1 if n % 2 == 1 else -1
     return sign * g_num * g_num / (2 * math.factorial(n) * g_den)
 
@@ -108,6 +109,14 @@ def energy_e(n: int, alpha: float) -> float:
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     return alpha * alpha * n * (2 * n - 1)
+
+
+def growth_factor(n: int, alpha: float, tau: float) -> float:
+    """Mode growth factor e^(E_n tau); +inf once it leaves the float range."""
+    try:
+        return math.exp(energy_e(n, alpha) * tau)
+    except OverflowError:
+        return math.inf
 
 
 def series_variables(state: MarketState, params: SabrParams,
@@ -131,11 +140,7 @@ def series_term(n: int, zeta: float, tau: float, alpha: float,
     the float range makes the term a signed infinity.
     """
     f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta, rel_tol=min(rel_tol, 1e-13))
-    try:
-        growth = math.exp(energy_e(n, alpha) * tau)
-    except OverflowError:
-        growth = math.inf
-    return coeff_b(n) * growth * zeta ** n * f.value
+    return coeff_b(n) * growth_factor(n, alpha, tau) * zeta ** n * f.value
 
 
 def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,

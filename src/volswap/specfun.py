@@ -2,14 +2,15 @@
 
 Everything here is self-contained on top of ``math``:
 
-* exact half-integer gamma values Gamma(k/2) as rational multiples of sqrt(pi),
+* exact half-integer gamma values Gamma(k/2)/sqrt(pi) as rationals,
 * the confluent hypergeometric (Kummer) function 1F1(a;b;z) for z >= 0,
 * the imaginary error function erfi,
 * the modified Bessel function I_nu of the first kind for fractional order.
 
-All series evaluators stop once two consecutive terms drop below the
-requested relative tolerance, which guards against even/odd term
-oscillation, and report what they did via :class:`SeriesEvalReport`.
+All series evaluators stop once two consecutive terms drop below their
+relative tolerance (the caller's for 1F1, ``BESSEL_REL_TOL`` for I_nu),
+which guards against even/odd term oscillation, and report what they did
+via :class:`SeriesEvalReport`.
 """
 
 from __future__ import annotations
@@ -27,25 +28,10 @@ SQRT_PI = math.sqrt(math.pi)
 #: and loses no precision (z >= 0 keeps every partial sum tame); above it the
 #: asymptotic form is cheaper and covers the nu -> 0 corner where z -> inf.
 KUMMER_ASYMPTOTIC_Z = 40.0
-
-
-@dataclass(frozen=True)
-class HalfIntegerGamma:
-    """Exact value of Gamma(k/2) for odd k, stored as (p/q) * sqrt(pi).
-
-    ``numerator``/``denominator`` is always in lowest terms with a positive
-    denominator.
-    """
-
-    numerator: int
-    denominator: int
-
-    @property
-    def rational(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def to_float(self) -> float:
-        return self.numerator / self.denominator * SQRT_PI
+#: term cap of the direct 1F1 and I_nu series.
+MAX_TERMS = 2000
+#: relative term size at which the I_nu series stops.
+BESSEL_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -58,23 +44,13 @@ class SeriesEvalReport:
     converged: bool
 
 
-def gamma_half_integer(k: int) -> HalfIntegerGamma:
-    """Exact Gamma(k/2) for odd integer k.
+def gamma_half_integer(k: int) -> Fraction:
+    """The rational Gamma(k/2)/sqrt(pi), exactly, for odd integer k.
 
     Starts from Gamma(1/2) = sqrt(pi) and walks the recurrence
     Gamma(x+1) = x*Gamma(x) upward or downward.  Works for negative odd k
     as well (the poles of Gamma sit at non-positive integers, which k/2
     never hits when k is odd).
-
-    Parameters
-    ----------
-    k : int
-        Odd integer; the function value is Gamma(k/2).
-
-    Returns
-    -------
-    HalfIntegerGamma
-        Exact rational-times-sqrt(pi) representation.
     """
     if not isinstance(k, int) or k % 2 == 0:
         raise DomainError(f"gamma_half_integer requires an odd integer, got {k!r}")
@@ -86,7 +62,7 @@ def gamma_half_integer(k: int) -> HalfIntegerGamma:
     while x < Fraction(1, 2):
         coeff /= x
         x += 1
-    return HalfIntegerGamma(coeff.numerator, coeff.denominator)
+    return coeff
 
 
 def _gamma_sign(x: float) -> float:
@@ -100,8 +76,8 @@ def _gamma_sign(x: float) -> float:
     return -1.0 if math.floor(x) % 2 else 1.0
 
 
-def kummer_1f1(a: float, b: float, z: float, rel_tol: float = 1e-14,
-               max_terms: int = 2000) -> SeriesEvalReport:
+def kummer_1f1(a: float, b: float, z: float,
+               rel_tol: float = 1e-14) -> SeriesEvalReport:
     """Confluent hypergeometric function 1F1(a;b;z) for z >= 0.
 
     Direct Taylor summation by term recurrence up to the switch-over point
@@ -142,15 +118,15 @@ def kummer_1f1(a: float, b: float, z: float, rel_tol: float = 1e-14,
     )
     if use_asymptotic:
         return _kummer_asymptotic(a, b, z, rel_tol)
-    return _kummer_direct(a, b, z, rel_tol, max_terms)
+    return _kummer_direct(a, b, z, rel_tol)
 
 
-def _kummer_direct(a: float, b: float, z: float, rel_tol: float,
-                   max_terms: int) -> SeriesEvalReport:
+def _kummer_direct(a: float, b: float, z: float,
+                   rel_tol: float) -> SeriesEvalReport:
     total = 1.0
     term = 1.0
     small_streak = 0
-    for m in range(max_terms):
+    for m in range(MAX_TERMS):
         term *= (a + m) / (b + m) * z / (m + 1)
         total += term
         if abs(term) <= rel_tol * abs(total):
@@ -162,7 +138,7 @@ def _kummer_direct(a: float, b: float, z: float, rel_tol: float,
         if a + m == 0.0:
             # polynomial case: the series terminates exactly
             return SeriesEvalReport(total, m + 2, 0.0, True)
-    return SeriesEvalReport(total, max_terms + 1, abs(term), False)
+    return SeriesEvalReport(total, MAX_TERMS + 1, abs(term), False)
 
 
 def _kummer_asymptotic(a: float, b: float, z: float,
@@ -229,21 +205,19 @@ def erfi(x: float) -> float:
     return math.exp(x * x) / (x * SQRT_PI) * total
 
 
-def bessel_i(order: float, y: float, rel_tol: float = 1e-14,
-             max_terms: int = 2000) -> SeriesEvalReport:
+def bessel_i(order: float, y: float) -> SeriesEvalReport:
     """Modified Bessel function I_order(y) by direct series for y >= 0.
 
     I_k(y) = sum_m (y/2)^(2m+k) / (m! * Gamma(k+m+1)); for k >= -1/2 (the
     orders 2n - 1/2 the pricer needs) all terms are positive, so the term
     recurrence loses no precision.  Negative non-integer orders carry the
-    Gamma sign through the recurrence.
+    Gamma sign through the recurrence.  Summation stops at relative term
+    size ``BESSEL_REL_TOL``.
     """
     if y < 0:
         raise DomainError(f"bessel_i requires y >= 0, got {y}")
     if not (order > -1 or order != math.floor(order)):
         raise DomainError(f"bessel_i order {order} outside supported range")
-    if rel_tol <= 0:
-        raise DomainError("rel_tol must be positive")
     if y == 0.0:
         if order == 0.0:
             return SeriesEvalReport(1.0, 1, 0.0, True)
@@ -257,11 +231,11 @@ def bessel_i(order: float, y: float, rel_tol: float = 1e-14,
     total = term
     small_streak = 0
     terms_used = 1
-    for m in range(max_terms):
+    for m in range(MAX_TERMS):
         term *= half * half / ((m + 1) * (order + m + 1))
         total += term
         terms_used += 1
-        if abs(term) <= rel_tol * abs(total):
+        if abs(term) <= BESSEL_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return SeriesEvalReport(total, terms_used, abs(term), True)

@@ -12,8 +12,16 @@ Five families of checks:
 * the integral components J0 (in erfi and 1F1 form) and J_inf, which must
   reassemble the b_n series.
 
-The fixed-truncation kappa and J_inf sum the pricer's own
-:func:`volswap.series_pricer.series_term`.
+Shared pieces, each defined once: the growth factor e^(E_n tau) is the
+pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on overflow,
+which the checks report as :class:`InconclusiveError`); the fixed-truncation
+kappa and J_inf sum the pricer's :func:`~volswap.series_pricer.series_term`;
+a_n/sqrt(pi) is the memoised rational :func:`coeff_a_exact`, behind the
+expansion and the terminal identity; :func:`_harmonicity_sums` serves the
+closed-form and the finite-difference harmonicity checks; and
+:func:`_kummer_derivatives` gives the 1F1 derivatives of the Kummer ODE and
+the harmonicity terms.  Tolerances, the finite-difference step and the psi
+mode cap are module constants.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the rational sum itself (zero when the identity holds).
@@ -21,6 +29,7 @@ check returns the rational sum itself (zero when the identity holds).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +37,8 @@ from fractions import Fraction
 from . import specfun
 from .exceptions import DomainError, InconclusiveError
 from .model import MarketState, SabrParams, SwapContract
-from .series_pricer import coeff_b, energy_e, series_term, series_variables
+from .series_pricer import (coeff_b, energy_e, growth_factor, series_term,
+                            series_variables)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,6 +47,12 @@ TOL_PSI_RESIDUAL = 1e-6
 TOL_FUNCTIONAL = 1e-9
 TOL_KUMMER = 1e-9
 TOL_FINITE_DIFF = 1e-5
+TOL_J0 = 1e-10
+
+#: step of the finite-difference harmonicity check
+FD_STEP = 1e-4
+#: modes :func:`psi_series_optimal` sums at most
+PSI_MAX_TERMS = 64
 
 #: 1F1 tolerance of the series terms summed here: kummer_1f1's default
 TERM_REL_TOL = 1e-14
@@ -51,25 +67,32 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        return abs(self.residual) / self.scale <= self.tolerance
+        return self.relative <= self.tolerance
 
     @property
     def relative(self) -> float:
         return abs(self.residual) / self.scale
 
 
+@functools.cache
+def coeff_a_exact(n: int) -> Fraction:
+    """a_n / sqrt(pi) = (-1)^n (2n - 1/2) (Gamma(n - 1/2)/sqrt(pi)) / n!,
+    an exact rational, memoised."""
+    sign = 1 if n % 2 == 0 else -1
+    return (sign * Fraction(4 * n - 1, 2) * specfun.gamma_half_integer(2 * n - 1)
+            / math.factorial(n))
+
+
 def _coeff_a(n: int) -> float:
     """a_n = (-1)^n (2n - 1/2) Gamma(n - 1/2) / n!  (exact before rounding)."""
-    g = specfun.gamma_half_integer(2 * n - 1).rational
-    sign = 1 if n % 2 == 0 else -1
-    return float(sign * Fraction(4 * n - 1, 2) * g
-                 / math.factorial(n)) * specfun.SQRT_PI
+    return float(coeff_a_exact(n)) * specfun.SQRT_PI
 
 
 def check_terminal_identity(s: int) -> Fraction:
     """Exact rational sum behind the zeta^s coefficient at tau = 0.
 
     sum_{0<=n<=s} (-1)^(n+1) (2n - 1/2) Gamma(n-1/2) / (n! (s-n)! Gamma(s+n+1/2))
+      = -sum_{0<=n<=s} (a_n/sqrt(pi)) / ((s-n)! Gamma(s+n+1/2)/sqrt(pi))
 
     The sqrt(pi) factors of the gamma pair cancel, leaving a rational that
     must vanish for every s >= 1 (for s = 0 the sum is -1, which the
@@ -79,16 +102,12 @@ def check_terminal_identity(s: int) -> Fraction:
         raise DomainError(f"s must be >= 0, got {s}")
     total = Fraction(0)
     for n in range(s + 1):
-        ratio = (specfun.gamma_half_integer(2 * n - 1).rational
-                 / specfun.gamma_half_integer(2 * (s + n) + 1).rational)
-        sign = -1 if n % 2 == 0 else 1
-        total += (sign * Fraction(4 * n - 1, 2) * ratio
-                  / (math.factorial(n) * math.factorial(s - n)))
+        total -= coeff_a_exact(n) / (math.factorial(s - n)
+                                     * specfun.gamma_half_integer(2 * (s + n) + 1))
     return total
 
 
-def check_bessel_sqrt_expansion(y: float, n_terms: int,
-                                tolerance: float = TOL_BESSEL_EXPANSION) -> ResidualReport:
+def check_bessel_sqrt_expansion(y: float, n_terms: int) -> ResidualReport:
     """Partial sum of 1/sqrt(y) = (1/sqrt(2)) sum_n a_n I_(2n-1/2)(y)."""
     if y <= 0:
         raise DomainError(f"y must be positive, got {y}")
@@ -99,21 +118,20 @@ def check_bessel_sqrt_expansion(y: float, n_terms: int,
     target = 1.0 / math.sqrt(y)
     return ResidualReport(point=f"y={y}, n_terms={n_terms}",
                           residual=total - target, scale=target,
-                          tolerance=tolerance)
+                          tolerance=TOL_BESSEL_EXPANSION)
 
 
 def psi_series_term(n: int, tau: float, y: float, alpha: float) -> float:
     """One Bessel mode of psi: a_n (y/2)^(1/2) I_(2n-1/2)(y) e^(E_n tau).
 
-    Overflow of the growth factor returns a signed infinity, which the
-    blow-up guards treat as a mode past the usable range.
+    Overflow of the growth factor gives a signed infinity, also where the
+    Bessel factor underflows to 0, so the blow-up guards see a mode past
+    the usable range rather than a NaN.
     """
     f_n = math.sqrt(0.5 * y) * specfun.bessel_i(2 * n - 0.5, y).value
-    a_n = _coeff_a(n)
-    try:
-        return a_n * f_n * math.exp(energy_e(n, alpha) * tau)
-    except OverflowError:
-        return math.copysign(math.inf, a_n * f_n)
+    mode = _coeff_a(n) * f_n
+    growth = growth_factor(n, alpha, tau)
+    return mode * growth if growth < math.inf else math.copysign(math.inf, mode)
 
 
 def psi_series(tau: float, y: float, alpha: float, n_terms: int) -> float:
@@ -121,21 +139,19 @@ def psi_series(tau: float, y: float, alpha: float, n_terms: int) -> float:
     return sum(psi_series_term(n, tau, y, alpha) for n in range(n_terms))
 
 
-def psi_series_optimal(tau: float, y: float, alpha: float,
-                       max_terms: int = 64) -> tuple:
-    """Sum the psi modes to the smallest one; returns (value, error_estimate)."""
-    total = 0.0
-    best = None
+def psi_series_optimal(tau: float, y: float, alpha: float) -> tuple:
+    """Sum at most ``PSI_MAX_TERMS`` psi modes, stopping before the smallest
+    one; returns (value, error_estimate)."""
+    partials = [0.0]           # partials[m]: sum of the first m modes
     mags = []
-    for n in range(max_terms):
+    for n in range(PSI_MAX_TERMS):
         term = psi_series_term(n, tau, y, alpha)
         mags.append(abs(term))
         if n >= 2 and mags[n] > mags[n - 1] > mags[n - 2]:
             m = mags.index(min(mags))
-            partial = sum(psi_series_term(j, tau, y, alpha) for j in range(m))
-            return partial, mags[m]
-        total += term
-    return total, mags[-1]
+            return partials[m], mags[m]
+        partials.append(partials[-1] + term)
+    return partials[-1], mags[-1]
 
 
 def _mode_blowup_guard(tau: float, y: float, alpha: float, n_terms: int):
@@ -148,8 +164,8 @@ def _mode_blowup_guard(tau: float, y: float, alpha: float, n_terms: int):
             "series no longer approximates psi there")
 
 
-def check_psi_pde_residual(tau: float, y: float, alpha: float, n_terms: int,
-                           tolerance: float = TOL_PSI_RESIDUAL) -> ResidualReport:
+def check_psi_pde_residual(tau: float, y: float, alpha: float,
+                           n_terms: int) -> ResidualReport:
     """Residual of -(2/alpha^2) d_t psi = y^2 psi'' - y^2 psi, term-wise.
 
     The y-derivatives of each mode come from the Bessel derivative
@@ -165,23 +181,21 @@ def check_psi_pde_residual(tau: float, y: float, alpha: float, n_terms: int,
     _mode_blowup_guard(tau, y, alpha, n_terms)
 
     sqrt_y2 = math.sqrt(0.5 * y)
+    root_y = math.sqrt(y)
     lhs = 0.0          # (2/alpha^2) d_tau psi == -(2/alpha^2) d_t psi
     psi = 0.0
     psi_dd = 0.0
+    # I at the orders k - 2 .. k + 2 of every mode k = 2n - 1/2: one ladder
+    ladder = [specfun.bessel_i(m - 2.5, y).value for m in range(2 * n_terms + 3)]
     for n in range(n_terms):
         k = 2 * n - 0.5
-        i_km2 = specfun.bessel_i(k - 2, y).value
-        i_km1 = specfun.bessel_i(k - 1, y).value
-        i_k = specfun.bessel_i(k, y).value
-        i_kp1 = specfun.bessel_i(k + 1, y).value
-        i_kp2 = specfun.bessel_i(k + 2, y).value
+        i_km2, i_km1, i_k, i_kp1, i_kp2 = ladder[2 * n:2 * n + 5]
         i_p = 0.5 * (i_km1 + i_kp1)
         i_pp = 0.25 * (i_km2 + 2.0 * i_k + i_kp2)
 
-        a_e = _coeff_a(n) * math.exp(energy_e(n, alpha) * tau)
+        a_e = _coeff_a(n) * growth_factor(n, alpha, tau)
         f = sqrt_y2 * i_k
-        f_dd = (-0.25 * i_k / (y * math.sqrt(y)) + i_p / math.sqrt(y)
-                + math.sqrt(y) * i_pp) / SQRT2
+        f_dd = (-0.25 * i_k / (y * root_y) + i_p / root_y + root_y * i_pp) / SQRT2
         psi += a_e * f
         psi_dd += a_e * f_dd
         lhs += a_e * (k * k - 0.25) * f     # (2/alpha^2) E_n = k^2 - 1/4
@@ -189,16 +203,20 @@ def check_psi_pde_residual(tau: float, y: float, alpha: float, n_terms: int,
     rhs = y * y * psi_dd - y * y * psi
     scale = abs(y * y * psi_dd) + abs(y * y * psi) + 1e-300
     return ResidualReport(point=f"tau={tau}, y={y}, alpha={alpha}, n_terms={n_terms}",
-                          residual=lhs - rhs, scale=scale, tolerance=tolerance)
+                          residual=lhs - rhs, scale=scale,
+                          tolerance=TOL_PSI_RESIDUAL)
 
 
-def _f_and_derivative(n: int, zeta: float) -> tuple:
-    """f_n(zeta) = 1F1(n-1/2; 2n+1/2; zeta) and its contiguous-relation derivative."""
-    a = n - 0.5
-    b = 2 * n + 0.5
-    f = specfun.kummer_1f1(a, b, zeta).value
-    f_prime = a / b * specfun.kummer_1f1(a + 1.0, b + 1.0, zeta).value
-    return f, f_prime
+def _kummer_derivatives(a: float, b: float, z: float, order: int) -> list:
+    """[F, F', ..., F^(order)] of F = 1F1(a; b; z) by the contiguous relation
+    d^k F / dz^k = ((a)_k / (b)_k) 1F1(a + k; b + k; z)."""
+    derivatives = []
+    num = den = 1.0            # Pochhammer symbols (a)_k and (b)_k
+    for k in range(order + 1):
+        derivatives.append(num / den * specfun.kummer_1f1(a + k, b + k, z).value)
+        num *= a + k
+        den *= b + k
+    return derivatives
 
 
 def functional_term_pieces(n: int, zeta: float, tau: float, alpha: float) -> tuple:
@@ -208,10 +226,16 @@ def functional_term_pieces(n: int, zeta: float, tau: float, alpha: float) -> tup
     side is (alpha^2 sigma^2 / 2)(vertical grad)^2 assembled from the raw
     second-derivative expression with zeta^2 f'' eliminated through the
     Kummer ODE zeta^2 f'' = zeta (zeta - 2n - 1/2) f' + zeta (n - 1/2) f.
-    Their sum must vanish identically.
+    Their sum must vanish identically.  Raises :class:`InconclusiveError`
+    once the growth factor e^(E_n tau) leaves the float range.
     """
-    f, fp = _f_and_derivative(n, zeta)
-    b_e = coeff_b(n) * math.exp(energy_e(n, alpha) * tau)
+    growth = growth_factor(n, alpha, tau)
+    if math.isinf(growth):
+        raise InconclusiveError(
+            f"the growth factor of mode n={n} overflows at "
+            f"alpha^2*tau={alpha * alpha * tau:.3g}: no finite residual to check")
+    f, fp = _kummer_derivatives(n - 0.5, 2 * n + 0.5, zeta, 1)
+    b_e = coeff_b(n) * growth
     a2 = alpha * alpha
     zn = zeta ** n
 
@@ -226,20 +250,20 @@ def functional_term_pieces(n: int, zeta: float, tau: float, alpha: float) -> tup
     return d_side, v_side
 
 
-def functional_term_residual(n: int, zeta: float, tau: float, alpha: float,
-                             tolerance: float = TOL_FUNCTIONAL) -> ResidualReport:
+def functional_term_residual(n: int, zeta: float, tau: float,
+                             alpha: float) -> ResidualReport:
     """Per-mode harmonicity residual; exact cancellation up to rounding."""
     d_side, v_side = functional_term_pieces(n, zeta, tau, alpha)
     scale = max(abs(d_side), abs(v_side), 1e-300)
     return ResidualReport(point=f"n={n}, zeta={zeta}, tau={tau}, alpha={alpha}",
                           residual=d_side + v_side, scale=scale,
-                          tolerance=tolerance)
+                          tolerance=TOL_FUNCTIONAL)
 
 
-def check_functional_residual(state: MarketState, params: SabrParams,
-                              contract: SwapContract, n_terms: int,
-                              tolerance: float = TOL_FUNCTIONAL) -> ResidualReport:
-    """Summed harmonicity residual of the truncated kappa series."""
+def _harmonicity_sums(state: MarketState, params: SabrParams,
+                      contract: SwapContract, n_terms: int) -> tuple:
+    """(series variables, D-side sum, vertical-side sum) of the truncated
+    kappa series, in kappa units."""
     sv = series_variables(state, params, contract)
     prefactor = math.sqrt(state.nu) / contract.tenor
     d_sum = 0.0
@@ -248,11 +272,19 @@ def check_functional_residual(state: MarketState, params: SabrParams,
         d_side, v_side = functional_term_pieces(n, sv.zeta, sv.tau, params.alpha)
         d_sum += prefactor * d_side
         v_sum += prefactor * v_side
+    return sv, d_sum, v_sum
+
+
+def check_functional_residual(state: MarketState, params: SabrParams,
+                              contract: SwapContract,
+                              n_terms: int) -> ResidualReport:
+    """Summed harmonicity residual of the truncated kappa series."""
+    sv, d_sum, v_sum = _harmonicity_sums(state, params, contract, n_terms)
     scale = max(abs(d_sum), abs(v_sum), 1e-300)
     return ResidualReport(
         point=f"zeta={sv.zeta:.6g}, tau={sv.tau}, alpha={params.alpha}, "
               f"n_terms={n_terms}",
-        residual=d_sum + v_sum, scale=scale, tolerance=tolerance)
+        residual=d_sum + v_sum, scale=scale, tolerance=TOL_FUNCTIONAL)
 
 
 def _kappa_truncated(nu: float, sigma: float, tau: float, alpha: float,
@@ -265,28 +297,19 @@ def _kappa_truncated(nu: float, sigma: float, tau: float, alpha: float,
 
 
 def check_functional_fd(state: MarketState, params: SabrParams,
-                        contract: SwapContract, n_terms: int,
-                        step: float = 1e-4,
-                        tolerance: float = TOL_FINITE_DIFF) -> list:
+                        contract: SwapContract, n_terms: int) -> list:
     """Finite-difference cross-validation of D_t and the vertical Laplacian.
 
     The horizontal part of D_t advances the realized variance at rate
     sigma^2 while tau shrinks, so the time bump moves (tau, nu) jointly;
-    the vertical derivative bumps sigma at frozen (tau, nu).  Returns one
-    report for each derivative.
+    the vertical derivative bumps sigma at frozen (tau, nu); both use the
+    step ``FD_STEP``.  Returns one report for each derivative.
     """
-    sv = series_variables(state, params, contract)
+    sv, d_analytic, v_analytic = _harmonicity_sums(state, params, contract,
+                                                   n_terms)
     nu, sigma, tau = state.nu, state.sigma, sv.tau
     alpha, tenor = params.alpha, contract.tenor
-    h = step
-
-    d_analytic = 0.0
-    v_analytic = 0.0
-    prefactor = math.sqrt(nu) / tenor
-    for n in range(n_terms):
-        d_side, v_side = functional_term_pieces(n, sv.zeta, tau, alpha)
-        d_analytic += prefactor * d_side
-        v_analytic += prefactor * v_side
+    h = FD_STEP
 
     kappa_fwd = _kappa_truncated(nu + sigma * sigma * h, sigma, tau - h,
                                  alpha, tenor, n_terms)
@@ -300,29 +323,22 @@ def check_functional_fd(state: MarketState, params: SabrParams,
     v_fd = (0.5 * alpha * alpha * sigma * sigma
             * (kappa_up - 2.0 * kappa_mid + kappa_dn) / (h * h))
 
-    scale_d = max(abs(d_analytic), abs(d_fd), 1e-300)
-    scale_v = max(abs(v_analytic), abs(v_fd), 1e-300)
     label = f"zeta={sv.zeta:.6g}, tau={tau}, alpha={alpha}, step={h}"
-    return [
-        ResidualReport(point=f"D_t: {label}", residual=d_fd - d_analytic,
-                       scale=scale_d, tolerance=tolerance),
-        ResidualReport(point=f"vertical: {label}", residual=v_fd - v_analytic,
-                       scale=scale_v, tolerance=tolerance),
-    ]
+    return [ResidualReport(point=f"{name}: {label}", residual=fd - analytic,
+                           scale=max(abs(analytic), abs(fd), 1e-300),
+                           tolerance=TOL_FINITE_DIFF)
+            for name, fd, analytic in (("D_t", d_fd, d_analytic),
+                                       ("vertical", v_fd, v_analytic))]
 
 
-def check_kummer_ode(a: float, b: float, z: float,
-                     tolerance: float = TOL_KUMMER) -> ResidualReport:
+def check_kummer_ode(a: float, b: float, z: float) -> ResidualReport:
     """Residual of z F'' - (z - b) F' - a F = 0 via contiguous relations."""
     if z <= 0:
         raise DomainError(f"z must be positive, got {z}")
-    f = specfun.kummer_1f1(a, b, z).value
-    fp = a / b * specfun.kummer_1f1(a + 1.0, b + 1.0, z).value
-    fpp = (a * (a + 1.0) / (b * (b + 1.0))
-           * specfun.kummer_1f1(a + 2.0, b + 2.0, z).value)
+    f, fp, fpp = _kummer_derivatives(a, b, z, 2)
     residual = z * fpp - (z - b) * fp - a * f
     return ResidualReport(point=f"a={a}, b={b}, z={z}", residual=residual,
-                          scale=max(1.0, abs(f)), tolerance=tolerance)
+                          scale=max(1.0, abs(f)), tolerance=TOL_KUMMER)
 
 
 def j0_closed_form(z: float) -> float:
@@ -345,6 +361,13 @@ def j0_hypergeometric_form(z: float) -> float:
     return specfun.SQRT_PI / 2.0 * (f.value - 1.0) / math.sqrt(z / 4.0)
 
 
+def check_j0(z: float) -> ResidualReport:
+    """J0 in erfi form against J0 in 1F1 form."""
+    hyper = j0_hypergeometric_form(z)
+    return ResidualReport(point=f"z={z:.6g}", residual=j0_closed_form(z) - hyper,
+                          scale=abs(hyper), tolerance=TOL_J0)
+
+
 def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
     """Partial sum (n = 1 .. n_max) of the higher-mode integral components.
 
@@ -353,7 +376,8 @@ def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
 
     the kappa-series terms n >= 1 at zeta = z/4.  Reassembling
     (sqrt(nu)/T) * (1 + sqrt(z/pi) * (J0 + J_inf)) must reproduce the b_n
-    series at matched truncation.
+    series at matched truncation.  Raises :class:`InconclusiveError` once a
+    term's growth factor leaves the float range.
     """
     if z <= 0:
         raise DomainError(f"j_infinity requires z > 0, got {z}")
@@ -364,6 +388,6 @@ def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
     for n in range(1, n_max + 1):
         term = series_term(n, zeta, tau, alpha, TERM_REL_TOL)
         if not math.isfinite(term):
-            raise OverflowError(f"j_infinity term n={n} overflowed")
+            raise InconclusiveError(f"j_infinity term n={n} overflowed")
         total += term
     return specfun.SQRT_PI / 2.0 * total / math.sqrt(zeta)

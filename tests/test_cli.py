@@ -1,6 +1,7 @@
 """The command-line interface: exit codes and output documents against docs/schemas."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +65,11 @@ class TestPrice:
         assert doc["discount_factor"] == 0.97
         argv = ["price"] + CONVERGENT_POINT + ["--discount-factor", "1.5"]
         assert cli.main(argv + ["--output", str(tmp_path / "bad")]) == cli.EXIT_USAGE
+
+    def test_discount_overflow_is_usage_error(self, tmp_path, capsys):
+        argv = ["price"] + CONVERGENT_POINT + ["--rate", "-2000"]
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert "overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t", ["-0.5", "1.5"])
     def test_outside_accrual_window_is_usage_error(self, tmp_path, t):
@@ -179,6 +185,20 @@ class TestVerify:
         assert {r["check"] for r in doc["reports"]} == {
             "terminal", "bessel", "j0", "kummer", "psi-pde", "functional",
             "functional-fd"}
+
+    @pytest.mark.parametrize("extra,code,count,digest", [
+        ([], cli.EXIT_OK, 240,
+         "9468274d62cd5761dfac1d249ae8c862b3047a4e0b5fec1a838d6e39b5c3be6a"),
+        # one finite-difference check lands at 1.06e-5 > 1e-5 at 12 terms
+        (["--n-terms", "12", "--s-max", "60"], cli.EXIT_VERIFY_FAILED, 284,
+         "61615e8833e7944a5cc1dd26b791e93134393ce2bd0d54063fa1bb65b71c0205"),
+    ])
+    def test_golden_reports(self, tmp_path, extra, code, count, digest):
+        got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")
+        assert got == code
+        assert len(doc["reports"]) == count
+        canonical = json.dumps(doc["reports"], sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "check_terminal_identity",

@@ -23,13 +23,31 @@ print(json.dumps({"kappa": result.kappa, "loaded": loaded, "missing": missing,
 """
 
 
-def test_series_pricing_loads_neither_numpy_nor_scipy():
+VERIFY_SCRIPT = """
+import json, os, sys
+from volswap import cli
+code = cli.main(["verify", "--output", os.devnull])
+loaded = {name: name in sys.modules for name in ("numpy", "scipy")}
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def _run(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_series_pricing_loads_neither_numpy_nor_scipy():
+    report = _run(SCRIPT)
     assert report["kappa"] > 0
     assert report["loaded"] == {"numpy": False, "scipy": False}
     assert report["missing"] == []          # every exported name resolves
     assert report["after"]                  # ... by importing the engines
+
+
+def test_verify_loads_neither_numpy_nor_scipy():
+    assert _run(VERIFY_SCRIPT) == {"code": 0,
+                                   "loaded": {"numpy": False, "scipy": False}}

@@ -49,6 +49,10 @@ class TestDiscounting:
         df = discount_factor(0.05, self.at(0.0), self.contract)
         assert df == pytest.approx(math.exp(-0.05), rel=1e-15)
 
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            discount_factor(-2000.0, self.at(0.5), self.contract)
+
     def test_beyond_maturity_rejected(self):
         with pytest.raises(DomainError):
             discount_factor(0.0, self.at(1.5), self.contract)

@@ -24,7 +24,7 @@ class TestTerminalIdentity:
         # the leading coefficient 1
         total = verify.check_terminal_identity(0)
         assert total == Fraction(-1)
-        prefactor = specfun.gamma_half_integer(-1).rational / 2
+        prefactor = specfun.gamma_half_integer(-1) / 2
         assert total * prefactor == Fraction(1)
 
     def test_returns_exact_rational_type(self):
@@ -87,16 +87,53 @@ class TestFunctionalCalculus:
         assert report.passed
 
     def test_finite_difference_cross_check(self):
-        reports = verify.check_functional_fd(STATE, PARAMS, CONTRACT, 10,
-                                             step=1e-4)
+        reports = verify.check_functional_fd(STATE, PARAMS, CONTRACT, 10)
         assert len(reports) == 2
         for report in reports:
             assert report.relative <= 1e-5, report.point
+            assert report.point.endswith("step=0.0001")
+
+    def test_coefficients_match_the_terminal_identity_sum(self):
+        # the n = 0 term of the s = 0 sum is -a_0 / (0! Gamma(1/2)/sqrt(pi))
+        assert verify.coeff_a_exact(0) == Fraction(-2) * Fraction(-1, 2)
+        assert verify.check_terminal_identity(0) == -verify.coeff_a_exact(0)
 
     def test_deterministic(self):
         a = verify.check_functional_residual(STATE, PARAMS, CONTRACT, 8)
         b = verify.check_functional_residual(STATE, PARAMS, CONTRACT, 8)
         assert a == b
+
+
+class TestGrowthOverflow:
+    """At alpha = 20, tau = 0.5 the n = 2 growth factor e^(6 s) overflows."""
+
+    def test_term_residual(self):
+        with pytest.raises(InconclusiveError):
+            verify.functional_term_residual(3, 1.0, 0.5, 20.0)
+
+    def test_summed_residual(self):
+        with pytest.raises(InconclusiveError):
+            verify.check_functional_residual(STATE, SabrParams(alpha=20.0),
+                                             CONTRACT, 10)
+
+    def test_finite_difference(self):
+        with pytest.raises(InconclusiveError):
+            verify.check_functional_fd(STATE, SabrParams(alpha=20.0),
+                                       CONTRACT, 10)
+
+    def test_j_infinity(self):
+        with pytest.raises(InconclusiveError):
+            verify.j_infinity(4.0, 0.5, 20.0, 5)
+
+    def test_psi_mode_is_signed_infinity(self):
+        assert verify.psi_series_term(2, 0.5, 1.0, 20.0) == math.inf
+        assert verify.psi_series_term(3, 0.5, 1.0, 20.0) == -math.inf
+        # I_(2n-1/2)(0.01) underflows to 0 at n = 45: still an infinite mode
+        assert verify.psi_series_term(45, 0.5, 0.01, 20.0) == -math.inf
+
+    def test_psi_residual(self):
+        with pytest.raises(InconclusiveError):
+            verify.check_psi_pde_residual(0.5, 0.01, 20.0, 60)
 
 
 class TestKummerOde:
@@ -117,6 +154,12 @@ class TestPsiSeriesHelpers:
         value, estimate = verify.psi_series_optimal(0.25, 1.0, 0.3)
         direct = verify.psi_series(0.25, 1.0, 0.3, 25)
         assert value == pytest.approx(direct, abs=max(10 * estimate, 1e-12))
+
+    def test_optimal_truncation_stops_before_the_smallest_mode(self):
+        # at s = 0.5 the mode magnitudes fall to n = 3, then grow from n = 4
+        value, estimate = verify.psi_series_optimal(0.5, 1.0, 1.0)
+        assert value == verify.psi_series(0.5, 1.0, 1.0, 3)
+        assert estimate == abs(verify.psi_series_term(3, 0.5, 1.0, 1.0))
 
     def test_psi_in_unit_interval(self):
         value, estimate = verify.psi_series_optimal(0.25, 1.0, 0.3)
