@@ -5,6 +5,15 @@ embedded run manifest, so any result can be reproduced bit-for-bit from
 its own output.  Numbers are serialized with shortest round-trip
 representation (exact for 64-bit floats).
 
+:func:`build_parser` alone states each flag's type, default, choices,
+required-ness and exclusions.  ``--config FILE`` holds ``key = value``
+lines: ``#`` starts a comment, keys are flag names with ``-`` or ``_``,
+on/off flags take yes/no, true/false, on/off or 1/0, and keys the command
+does not take are ignored, so one file serves several commands.  The lines
+become flags placed right after the command words, so the parser checks
+them as it checks typed flags (even a value a flag overrides), and an
+explicit flag beats the file, which beats the default.
+
 Exit codes: 0 success, 1 verification check failed, 2 usage error,
 3 series divergence, 4 comparison failure.
 """
@@ -20,7 +29,7 @@ import sys
 import time
 
 from . import __version__, series_pricer, specfun, verify
-from .exceptions import VolswapError
+from .exceptions import DomainError, VolswapError
 from .model import MarketState, SabrParams, SwapContract, discount_factor
 
 EXIT_OK = 0
@@ -30,10 +39,6 @@ EXIT_DIVERGING = 3
 EXIT_COMPARE_FAILED = 4
 
 _COMPARE_SIGMAS = 3.0
-
-
-class UsageError(Exception):
-    """Bad flag combination detected after argparse."""
 
 
 def _manifest(command: str, parameters: dict, seed=None) -> dict:
@@ -47,96 +52,85 @@ def _manifest(command: str, parameters: dict, seed=None) -> dict:
     }
 
 
-def _emit_json(document: dict, started: float, output: str) -> None:
-    document["manifest"]["duration_s"] = time.time() - started
-    text = json.dumps(document, indent=2, sort_keys=True)
+def _write(text: str, output) -> None:
+    """The document to the --output file, or to stdout without one."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
-def _read_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment; keys use flag spelling."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {line!r} is not key=value")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+def _emit_json(document: dict, started: float, output) -> None:
+    document["manifest"]["duration_s"] = time.time() - started
+    _write(json.dumps(document, indent=2, sort_keys=True) + "\n", output)
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _resolve(args, name, cast, default=None, required=False):
-    """Explicit flag > config file > default."""
-    value = getattr(args, name, None)
-    if value is None and args.config_values and name in args.config_values:
-        raw = args.config_values[name]
-        if cast is bool:
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                value = True
-            elif low in _BOOL_FALSE:
-                value = False
-            else:
-                raise UsageError(f"config value {name}={raw!r} is not boolean")
-        else:
-            value = cast(raw)
-    if value is None:
-        if required:
-            raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
-        value = default
-    return value
+def _config_flags(parser, flags: dict, path: str):
+    """Yield the lines of a config file as flags of the command whose
+    actions ``flags`` holds by dest, skipping keys that name none of them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        parser.error(f"cannot read config: {exc}")
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            parser.error(f"config line {line!r} is not key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        if action.nargs != 0:
+            yield f"{action.option_strings[0]}={value}"
+        elif value.lower() not in _BOOLEANS:
+            parser.error(f"config value {key}={value!r} is not boolean")
+        elif _BOOLEANS[value.lower()]:
+            yield action.option_strings[0]
 
 
-def _market_inputs(args):
+def _with_config(argv: list, commands: dict) -> list:
+    """``argv`` with its --config file spliced in as flags right after the
+    command words, where the explicit flags that follow override them."""
+    for words, (parser, flags) in commands.items():
+        n = len(words)
+        if tuple(argv[:n]) != words:
+            continue
+        scan = argparse.ArgumentParser(add_help=False)
+        scan.error = parser.error       # report a bare --config as the command
+        scan.add_argument(*flags["config"].option_strings, dest="path")
+        path = scan.parse_known_args(argv[n:])[0].path
+        if path is not None:
+            return argv[:n] + list(_config_flags(parser, flags, path)) + argv[n:]
+    return argv
+
+
+def _market_inputs(args, **terms):
     """(state, params, contract, manifest fields of the six market inputs)."""
-    alpha = _resolve(args, "alpha", float, required=True)
-    sigma = _resolve(args, "sigma", float, required=True)
-    nu = _resolve(args, "nu", float, required=True)
-    t0 = _resolve(args, "t0", float, 0.0)
-    tenor = _resolve(args, "tenor", float, required=True)
-    t = _resolve(args, "t", float, required=True)
-    strike = _resolve(args, "strike", float, 0.0)
-    notional = _resolve(args, "notional", float, 1.0)
-    params = SabrParams(alpha=alpha)
-    contract = SwapContract(t0=t0, tenor=tenor, strike=strike, notional=notional)
-    state = MarketState(t=t, sigma=sigma, nu=nu)
-    fields = {"alpha": alpha, "sigma": sigma, "nu": nu, "t0": t0,
-              "tenor": tenor, "t": t}
+    params = SabrParams(alpha=args.alpha)
+    contract = SwapContract(t0=args.t0, tenor=args.tenor, **terms)
+    state = MarketState(t=args.t, sigma=args.sigma, nu=args.nu)
+    fields = {name: getattr(args, name)
+              for name in ("alpha", "sigma", "nu", "t0", "tenor", "t")}
     return state, params, contract, fields
-
-
-def _discount(args, state, contract) -> float:
-    rate = _resolve(args, "rate", float)
-    factor = _resolve(args, "discount_factor", float)
-    if rate is not None and factor is not None:
-        raise UsageError("give either --rate or --discount-factor, not both")
-    if factor is not None:
-        return factor          # price_volatility_swap range-checks it
-    return discount_factor(rate if rate is not None else 0.0, state, contract)
 
 
 def cmd_price(args) -> int:
     started = time.time()
-    state, params, contract, fields = _market_inputs(args)
-    df = _discount(args, state, contract)
-    config = series_pricer.SeriesConfig(
-        max_terms=_resolve(args, "max_terms", int, 64),
-        rel_tol=_resolve(args, "rel_tol", float, 1e-10))
-    annualization = _resolve(args, "annualization", str, "paper")
-    if annualization not in ("paper", "market"):
-        raise UsageError(f"unknown annualization {annualization!r}")
-
+    state, params, contract, fields = _market_inputs(
+        args, strike=args.strike, notional=args.notional)
+    df = args.discount_factor   # price_volatility_swap range-checks it
+    if df is None:
+        df = discount_factor(args.rate, state, contract)
+    config = series_pricer.SeriesConfig(max_terms=args.max_terms,
+                                        rel_tol=args.rel_tol)
     result = series_pricer.price_volatility_swap(state, params, contract, df, config)
     diag = result.diagnostics
     document = {
@@ -152,10 +146,10 @@ def cmd_price(args) -> int:
         "manifest": _manifest("price", {
             **fields, "strike": contract.strike, "notional": contract.notional,
             "discount_factor": df, "max_terms": config.max_terms,
-            "rel_tol": config.rel_tol, "annualization": annualization,
+            "rel_tol": config.rel_tol, "annualization": args.annualization,
         }),
     }
-    if annualization == "market":
+    if args.annualization == "market":
         # display convention sqrt((1/T) int sigma^2) = sqrt(T) * kappa
         document["kappa_market"] = result.kappa * math.sqrt(contract.tenor)
     _emit_json(document, started, args.output)
@@ -168,12 +162,8 @@ def cmd_oracle(args) -> int:
     started = time.time()
     state, params, contract, fields = _market_inputs(args)
     if args.oracle == "mc":
-        seed = _resolve(args, "seed", int, required=True)
-        config = mc_engine.McConfig(
-            n_paths=_resolve(args, "paths", int, 100_000),
-            n_steps=_resolve(args, "steps", int, 250),
-            seed=seed,
-            antithetic=bool(_resolve(args, "antithetic", bool, False)))
+        config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
+                                    seed=args.seed, antithetic=args.antithetic)
         estimate = mc_engine.kappa_mc(state, params, contract, config)
         document = {
             "kappa": estimate.mean,
@@ -182,86 +172,66 @@ def cmd_oracle(args) -> int:
             "manifest": _manifest("oracle mc", {
                 **fields, "paths": config.n_paths, "steps": config.n_steps,
                 "antithetic": config.antithetic,
-            }, seed=seed),
+            }, seed=config.seed),
         }
         _emit_json(document, started, args.output)
         return EXIT_OK
 
-    grid = pde_engine.GridSpec(
-        y_max=_resolve(args, "y_max", float),
-        n_y=_resolve(args, "n_y", int, 400),
-        n_t=_resolve(args, "n_t", int, 400))
-    quad_tol = _resolve(args, "quad_tol", float, 1e-6)
-    refine = _resolve(args, "refine", int, 0)
-    parameters = {
+    grid = pde_engine.GridSpec(y_max=args.y_max, n_y=args.n_y, n_t=args.n_t)
+    document = {"manifest": _manifest("oracle pde", {
         **fields, "n_y": grid.n_y, "n_t": grid.n_t, "y_max": grid.y_max,
-        "quad_tol": quad_tol, "refine": refine,
-    }
-    if refine > 0:
+        "quad_tol": args.quad_tol, "refine": args.refine,
+    })}
+    if args.refine > 0:
         report = pde_engine.grid_refinement_report(
-            state, params, contract, grid, refinements=refine, quad_tol=quad_tol)
-        document = {
-            "kappa": report["kappas"][-1],
-            "grid_report": {
-                "kappas": report["kappas"],
-                "grids": [list(g) for g in report["grids"]],
-                "ratios": report["ratios"],
-                "y_max": report["y_max"],
-            },
-            "manifest": _manifest("oracle pde", parameters),
+            state, params, contract, grid, refinements=args.refine,
+            quad_tol=args.quad_tol)
+        document["kappa"] = report["kappas"][-1]
+        document["grid_report"] = {
+            "kappas": report["kappas"],
+            "grids": [list(g) for g in report["grids"]],
+            "ratios": report["ratios"],
+            "y_max": report["y_max"],
         }
     else:
-        kappa = pde_engine.kappa_quadrature(state, params, contract, grid, quad_tol)
-        document = {
-            "kappa": kappa,
-            "manifest": _manifest("oracle pde", parameters),
-        }
+        document["kappa"] = pde_engine.kappa_quadrature(
+            state, params, contract, grid, args.quad_tol)
     _emit_json(document, started, args.output)
     return EXIT_OK
 
 
-def _float_list(raw: str, flag: str) -> list:
-    try:
-        values = [float(v) for v in raw.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"--{flag} expects comma-separated floats: {exc}")
+def float_list(raw: str) -> list:
+    """argparse type: one or more comma-separated floats."""
+    values = [float(v) for v in raw.split(",") if v.strip() != ""]
     if not values:
-        raise UsageError(f"--{flag} is empty")
+        raise ValueError(f"no value in {raw!r}")
     return values
 
 
 def cmd_compare(args) -> int:
     from . import mc_engine, pde_engine
     started = time.time()
-    alphas = _float_list(_resolve(args, "alphas", str, required=True), "alphas")
-    taus = _float_list(_resolve(args, "taus", str, required=True), "taus")
-    zetas = _float_list(_resolve(args, "zetas", str, required=True), "zetas")
-    nu = _resolve(args, "nu", float, required=True)
-    tenor = _resolve(args, "tenor", float, 1.0)
-    t0 = _resolve(args, "t0", float, 0.0)
-    seed = _resolve(args, "seed", int, required=True)
-    n_paths = _resolve(args, "paths", int, 100_000)
-    n_steps = _resolve(args, "steps", int, 250)
+    nu, tenor, t0 = args.nu, args.tenor, args.t0
     contract = SwapContract(t0=t0, tenor=tenor)
     if nu <= 0:
-        raise UsageError("compare requires nu > 0 (series regime)")
-    for tau in taus:
+        raise DomainError("compare requires nu > 0 (series regime)")
+    for tau in args.taus:
         if not (0.0 <= tau <= tenor):
-            raise UsageError(f"tau {tau} outside [0, tenor]")
+            raise DomainError(f"tau {tau} outside [0, tenor]")
 
     rows = []
     failures = 0
-    config_template = dict(n_paths=n_paths, n_steps=n_steps, seed=seed)
-    for alpha in alphas:
-        for tau in taus:
-            for zeta in zetas:
+    config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
+                                seed=args.seed)
+    for alpha in args.alphas:
+        for tau in args.taus:
+            for zeta in args.zetas:
                 params = SabrParams(alpha=alpha)
                 sigma = math.sqrt(2.0 * alpha * alpha * nu * zeta)
                 # t0 + (tenor - tau) cannot round below t0 or past maturity
                 state = MarketState(t=t0 + (tenor - tau), sigma=sigma, nu=nu)
                 kappa_s, diag = series_pricer.kappa_series(state, params, contract)
-                mc = mc_engine.kappa_mc(state, params, contract,
-                                        mc_engine.McConfig(**config_template))
+                mc = mc_engine.kappa_mc(state, params, contract, config)
                 kappa_p = pde_engine.kappa_quadrature(state, params, contract)
                 diff = abs(kappa_s - mc.mean)
                 if mc.std_error > 0.0:
@@ -274,9 +244,10 @@ def cmd_compare(args) -> int:
                              mc.mean, mc.std_error, kappa_p, sigmas])
 
     manifest = _manifest("compare", {
-        "alphas": alphas, "taus": taus, "zetas": zetas, "nu": nu,
-        "tenor": tenor, "t0": t0, "paths": n_paths, "steps": n_steps,
-    }, seed=seed)
+        "alphas": args.alphas, "taus": args.taus, "zetas": args.zetas,
+        "nu": nu, "tenor": tenor, "t0": t0, "paths": config.n_paths,
+        "steps": config.n_steps,
+    }, seed=config.seed)
     manifest["duration_s"] = time.time() - started
 
     buffer = io.StringIO()
@@ -288,12 +259,7 @@ def cmd_compare(args) -> int:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     writer.writerow(["#manifest", json.dumps(manifest, sort_keys=True)]
                     + [""] * (len(header) - 2))
-    text = buffer.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buffer.getvalue(), args.output)
     return EXIT_COMPARE_FAILED if failures else EXIT_OK
 
 
@@ -354,116 +320,114 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
 
 def cmd_verify(args) -> int:
     started = time.time()
-    which = _resolve(args, "check", str, "all")
-    known = ("all", "terminal", "bessel", "j0", "kummer", "psi-pde", "functional")
-    if which not in known:
-        raise UsageError(f"--check must be one of {', '.join(known)}")
-    n_terms = _resolve(args, "n_terms", int, 10)
-    s_max = _resolve(args, "s_max", int, 40)
-    reports = _verify_reports(which, n_terms, s_max)
+    reports = _verify_reports(args.check, args.n_terms, args.s_max)
     all_passed = all(r["passed"] for r in reports)
     document = {
         "reports": reports,
         "all_passed": all_passed,
         "manifest": _manifest("verify", {
-            "check": which, "n_terms": n_terms, "s_max": s_max}),
+            "check": args.check, "n_terms": args.n_terms, "s_max": args.s_max}),
     }
     _emit_json(document, started, args.output)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """(parser, commands): the volswap parser, and each command's words
+    mapped to its parser and to its flags' actions by dest.
+
+    The only place a flag's type, default, choices, required-ness and
+    exclusions are stated; a --config file is parsed through it as well.
+    """
     parser = argparse.ArgumentParser(
         prog="volswap",
         description="Volatility-swap pricing under lognormal-vol SABR: "
                     "series pricer, Monte Carlo / PDE oracles, verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value defaults file")
-        p.add_argument("--output", help="write the document here instead of stdout")
+    def command(subparsers, words, func, **kwargs):
+        """A command's parser, and the function that adds a flag to it."""
+        p = subparsers.add_parser(words[-1], **kwargs)
+        p.set_defaults(func=func)
+        flags = {}
+        commands[words] = (p, flags)
 
-    def market(p):
-        p.add_argument("--alpha", type=float, help="vol-of-vol")
-        p.add_argument("--sigma", type=float, help="instantaneous volatility")
-        p.add_argument("--nu", type=float, help="accrued realized variance")
-        p.add_argument("--t0", type=float, help="accrual start (default 0)")
-        p.add_argument("--tenor", type=float, help="accrual length T")
-        p.add_argument("--t", type=float, help="valuation time")
+        def flag(*names, group=p, **options):
+            action = group.add_argument(*names, **options)
+            flags[action.dest] = action
 
-    p_price = sub.add_parser("price", help="series fair value")
-    market(p_price)
-    p_price.add_argument("--strike", type=float)
-    p_price.add_argument("--notional", type=float)
-    p_price.add_argument("--rate", type=float, help="flat short rate")
-    p_price.add_argument("--discount-factor", dest="discount_factor", type=float)
-    p_price.add_argument("--max-terms", dest="max_terms", type=int)
-    p_price.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p_price.add_argument("--annualization", choices=("paper", "market"))
-    common(p_price)
-    p_price.set_defaults(func=cmd_price)
+        flag("--config", metavar="FILE",
+             help="key = value lines read as flags, checked alike; keys the "
+                  "command does not take are ignored; explicit flags win")
+        flag("--output", help="write the document here instead of stdout")
+        return p, flag
 
-    p_oracle = sub.add_parser("oracle", help="Monte Carlo or PDE reference value")
-    o_sub = p_oracle.add_subparsers(dest="oracle", required=True)
-    p_mc = o_sub.add_parser("mc")
-    market(p_mc)
-    p_mc.add_argument("--seed", type=int)
-    p_mc.add_argument("--paths", type=int)
-    p_mc.add_argument("--steps", type=int)
-    p_mc.add_argument("--antithetic", action="store_const", const=True)
-    common(p_mc)
-    p_mc.set_defaults(func=cmd_oracle)
-    p_pde = o_sub.add_parser("pde")
-    market(p_pde)
-    p_pde.add_argument("--n-y", dest="n_y", type=int)
-    p_pde.add_argument("--n-t", dest="n_t", type=int)
-    p_pde.add_argument("--y-max", dest="y_max", type=float)
-    p_pde.add_argument("--quad-tol", dest="quad_tol", type=float)
-    p_pde.add_argument("--refine", type=int)
-    common(p_pde)
-    p_pde.set_defaults(func=cmd_oracle)
+    def market(flag):
+        flag("--alpha", type=float, required=True, help="vol-of-vol")
+        flag("--sigma", type=float, required=True, help="instantaneous volatility")
+        flag("--nu", type=float, required=True, help="accrued realized variance")
+        flag("--t0", type=float, default=0.0, help="accrual start (default 0)")
+        flag("--tenor", type=float, required=True, help="accrual length T")
+        flag("--t", type=float, required=True, help="valuation time")
 
-    p_cmp = sub.add_parser("compare", help="series vs MC vs PDE sweep (CSV)")
-    p_cmp.add_argument("--alphas", help="comma-separated vol-of-vol values")
-    p_cmp.add_argument("--taus", help="comma-separated times to maturity")
-    p_cmp.add_argument("--zetas", help="comma-separated zeta values")
-    p_cmp.add_argument("--nu", type=float)
-    p_cmp.add_argument("--tenor", type=float)
-    p_cmp.add_argument("--t0", type=float)
-    p_cmp.add_argument("--seed", type=int)
-    p_cmp.add_argument("--paths", type=int)
-    p_cmp.add_argument("--steps", type=int)
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    def simulation(flag):
+        flag("--seed", type=int, required=True)
+        flag("--paths", type=int, default=100_000)
+        flag("--steps", type=int, default=250)
 
-    p_ver = sub.add_parser("verify", help="run the identity verification suite")
-    p_ver.add_argument("--check")
-    p_ver.add_argument("--n-terms", dest="n_terms", type=int)
-    p_ver.add_argument("--s-max", dest="s_max", type=int)
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-    return parser
+    p_price, flag = command(sub, ("price",), cmd_price, help="series fair value")
+    market(flag)
+    flag("--strike", type=float, default=0.0)
+    flag("--notional", type=float, default=1.0)
+    discount = p_price.add_mutually_exclusive_group()
+    flag("--rate", group=discount, type=float, default=0.0, help="flat short rate")
+    flag("--discount-factor", group=discount, type=float)
+    flag("--max-terms", type=int, default=64)
+    flag("--rel-tol", type=float, default=1e-10)
+    flag("--annualization", choices=("paper", "market"), default="paper")
+
+    o_sub = sub.add_parser("oracle", help="Monte Carlo or PDE reference value"
+                           ).add_subparsers(dest="oracle", required=True)
+    _, flag = command(o_sub, ("oracle", "mc"), cmd_oracle)
+    market(flag)
+    simulation(flag)
+    flag("--antithetic", action="store_true")
+    _, flag = command(o_sub, ("oracle", "pde"), cmd_oracle)
+    market(flag)
+    flag("--n-y", type=int, default=400)
+    flag("--n-t", type=int, default=400)
+    flag("--y-max", type=float)
+    flag("--quad-tol", type=float, default=1e-6)
+    flag("--refine", type=int, default=0)
+
+    _, flag = command(sub, ("compare",), cmd_compare,
+                      help="series vs MC vs PDE sweep (CSV)")
+    flag("--alphas", type=float_list, required=True, help="comma-separated vol-of-vols")
+    flag("--taus", type=float_list, required=True, help="comma-separated times to maturity")
+    flag("--zetas", type=float_list, required=True, help="comma-separated zetas")
+    flag("--nu", type=float, required=True)
+    flag("--tenor", type=float, default=1.0)
+    flag("--t0", type=float, default=0.0)
+    simulation(flag)
+
+    _, flag = command(sub, ("verify",), cmd_verify,
+                      help="run the identity verification suite")
+    flag("--check", default="all", choices=("all", "terminal", "bessel", "j0",
+                                            "kummer", "psi-pde", "functional"))
+    flag("--n-terms", type=int, default=10)
+    flag("--s-max", type=int, default=40)
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.config_values = {}
-    if getattr(args, "config", None):
-        try:
-            args.config_values = _read_config(args.config)
-        except OSError as exc:
-            print(f"volswap: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except UsageError as exc:
-            print(f"volswap: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if not hasattr(args, "output") or args.output is None:
-        args.output = args.config_values.get("output") if args.config_values else None
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_with_config(argv, commands))
     try:
         return args.func(args)
-    except (UsageError, VolswapError) as exc:
+    except VolswapError as exc:
         print(f"volswap: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

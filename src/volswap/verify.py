@@ -263,7 +263,9 @@ def functional_term_residual(n: int, zeta: float, tau: float,
 def _harmonicity_sums(state: MarketState, params: SabrParams,
                       contract: SwapContract, n_terms: int) -> tuple:
     """(series variables, D-side sum, vertical-side sum) of the truncated
-    kappa series, in kappa units."""
+    kappa series, in kappa units; with no term, 0 = 0 would pass every check."""
+    if n_terms < 1:
+        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     sv = series_variables(state, params, contract)
     prefactor = math.sqrt(state.nu) / contract.tenor
     d_sum = 0.0
@@ -302,33 +304,37 @@ def check_functional_fd(state: MarketState, params: SabrParams,
 
     The horizontal part of D_t advances the realized variance at rate
     sigma^2 while tau shrinks, so the time bump moves (tau, nu) jointly;
-    the vertical derivative bumps sigma at frozen (tau, nu); both use the
-    step ``FD_STEP``.  Returns one report for each derivative.
+    the vertical derivative bumps sigma at frozen (tau, nu).  Each central
+    difference is Richardson-extrapolated over the steps ``FD_STEP`` and
+    ``FD_STEP/2``, (4 f(h/2) - f(h)) / 3, which cancels its O(h^2) error:
+    that error grows with ``n_terms``.  Returns one report per derivative.
     """
     sv, d_analytic, v_analytic = _harmonicity_sums(state, params, contract,
                                                    n_terms)
     nu, sigma, tau = state.nu, state.sigma, sv.tau
     alpha, tenor = params.alpha, contract.tenor
-    h = FD_STEP
 
-    kappa_fwd = _kappa_truncated(nu + sigma * sigma * h, sigma, tau - h,
-                                 alpha, tenor, n_terms)
-    kappa_bwd = _kappa_truncated(nu - sigma * sigma * h, sigma, tau + h,
-                                 alpha, tenor, n_terms)
-    d_fd = (kappa_fwd - kappa_bwd) / (2.0 * h)
+    def kappa(*point):
+        return _kappa_truncated(*point, alpha, tenor, n_terms)
 
-    kappa_up = _kappa_truncated(nu, sigma + h, tau, alpha, tenor, n_terms)
-    kappa_mid = _kappa_truncated(nu, sigma, tau, alpha, tenor, n_terms)
-    kappa_dn = _kappa_truncated(nu, sigma - h, tau, alpha, tenor, n_terms)
-    v_fd = (0.5 * alpha * alpha * sigma * sigma
-            * (kappa_up - 2.0 * kappa_mid + kappa_dn) / (h * h))
+    def d_t(h):
+        return (kappa(nu + sigma * sigma * h, sigma, tau - h)
+                - kappa(nu - sigma * sigma * h, sigma, tau + h)) / (2.0 * h)
 
-    label = f"zeta={sv.zeta:.6g}, tau={tau}, alpha={alpha}, step={h}"
+    def vertical(h):
+        return (0.5 * alpha * alpha * sigma * sigma
+                * (kappa(nu, sigma + h, tau) - 2.0 * kappa(nu, sigma, tau)
+                   + kappa(nu, sigma - h, tau)) / (h * h))
+
+    def richardson(diff):
+        return (4.0 * diff(0.5 * FD_STEP) - diff(FD_STEP)) / 3.0
+
+    label = f"zeta={sv.zeta:.6g}, tau={tau}, alpha={alpha}, step={FD_STEP}"
     return [ResidualReport(point=f"{name}: {label}", residual=fd - analytic,
                            scale=max(abs(analytic), abs(fd), 1e-300),
                            tolerance=TOL_FINITE_DIFF)
-            for name, fd, analytic in (("D_t", d_fd, d_analytic),
-                                       ("vertical", v_fd, v_analytic))]
+            for name, fd, analytic in (("D_t", richardson(d_t), d_analytic),
+                                       ("vertical", richardson(vertical), v_analytic))]
 
 
 def check_kummer_ode(a: float, b: float, z: float) -> ResidualReport:

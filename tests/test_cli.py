@@ -24,6 +24,15 @@ CONVERGENT_POINT = ["--alpha", "0.316227766", "--sigma", "0.0894427191",
                     "--nu", "0.04", "--t", "0.5", "--tenor", "1"]
 
 
+def exit_code(argv, capsys):
+    """(exit code of cli.main on argv, whether returned or raised, stderr)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 def run(tmp_path, argv, schema=None):
     """cli.main on argv with --output; returns (exit code, parsed document)."""
     out = tmp_path / "out"
@@ -188,17 +197,25 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra,code,count,digest", [
         ([], cli.EXIT_OK, 240,
-         "9468274d62cd5761dfac1d249ae8c862b3047a4e0b5fec1a838d6e39b5c3be6a"),
-        # one finite-difference check lands at 1.06e-5 > 1e-5 at 12 terms
-        (["--n-terms", "12", "--s-max", "60"], cli.EXIT_VERIFY_FAILED, 284,
-         "61615e8833e7944a5cc1dd26b791e93134393ce2bd0d54063fa1bb65b71c0205"),
-    ])
+         "cda6454aa0d33eec651b0c93c31301c63c4b4e09c5db137d30ebcad702903100"),
+        (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 284,
+         "8ae5c9d3d40354a32b12bf6dc2b5e6eab6dc4a9fc7a981b961376d7675b56cb2"),
+    ], ids=["default", "n-terms-12"])
     def test_golden_reports(self, tmp_path, extra, code, count, digest):
         got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")
         assert got == code
         assert len(doc["reports"]) == count
         canonical = json.dumps(doc["reports"], sort_keys=True)
         assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_terms", ["0", "-3"])
+    def test_functional_checks_need_a_term(self, tmp_path, capsys, n_terms):
+        # no term: every harmonicity sum is 0, which would pass vacuously
+        argv = ["verify", "--check", "functional", "--n-terms", n_terms,
+                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "n_terms must be >= 1" in err
 
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "check_terminal_identity",
@@ -207,3 +224,120 @@ class TestVerify:
                                    "--s-max", "2"], "verify.schema.json")
         assert code == cli.EXIT_VERIFY_FAILED == 1
         assert not doc["all_passed"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["price"] + SEED_POINT[2:], "--alpha"),
+    (["price"] + SEED_POINT + ["--rate", "0.05", "--discount-factor", "0.9"],
+     "--discount-factor"),
+    (["price"] + SEED_POINT + ["--annualization", "annual"], "--annualization"),
+    (["verify", "--check", "bogus"], "--check"),
+    (["compare", "--alphas", "0.3,x", "--taus", "0.5", "--zetas", "1",
+      "--nu", "0.04", "--seed", "1"], "--alphas"),
+    (["compare", "--alphas", ",", "--taus", "0.5", "--zetas", "1",
+      "--nu", "0.04", "--seed", "1"], "--alphas"),
+], ids=["missing", "exclusive", "annualization", "check", "float-list",
+        "empty-list"])
+def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
+    code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_USAGE
+    assert flag in err
+    assert not (tmp_path / "out").exists()
+
+
+SEED_CONFIG = """\
+# the seed point
+alpha = 0.4
+sigma=0.25
+nu = 0.03   # accrued variance
+t = 0.5
+tenor = 1
+"""
+
+
+def config(tmp_path, text):
+    path = tmp_path / "volswap.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestConfig:
+    def test_file_supplies_every_required_market_flag(self, tmp_path):
+        path = config(tmp_path, SEED_CONFIG)
+        code, doc = run(tmp_path, ["price", "--config", path], "price.schema.json")
+        _, direct = run(tmp_path, ["price"] + SEED_POINT, "price.schema.json")
+        assert code == cli.EXIT_DIVERGING
+        assert doc["kappa"] == direct["kappa"]
+        assert doc["manifest"]["parameters"] == direct["manifest"]["parameters"]
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_explicit_flag_overrides_the_file(self, tmp_path, before):
+        path = config(tmp_path, SEED_CONFIG + "seed = 7\npaths = 4000\nsteps=10\n")
+        flags = ["--paths", "1000"]
+        argv = (["oracle", "mc"] + flags + ["--config", path] if before
+                else ["oracle", "mc", "--config", path] + flags)
+        code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["n_paths"] == 1000
+        assert doc["manifest"]["seed"] == 7
+        assert doc["manifest"]["parameters"]["steps"] == 10
+
+    def test_keys_the_command_does_not_take_are_ignored(self, tmp_path):
+        # rho is no flag at all; seed and paths belong to other commands
+        path = config(tmp_path, SEED_CONFIG + "rho=0.3\nseed = 7\npaths = 1e3\n")
+        code, doc = run(tmp_path, ["price", "--config", path], "price.schema.json")
+        assert code == cli.EXIT_DIVERGING
+        assert not {"rho", "seed", "paths"} & set(doc["manifest"]["parameters"])
+
+    @pytest.mark.parametrize("value,expected", [
+        ("yes", True), ("On", True), ("1", True), ("no", False), ("false", False)])
+    def test_antithetic_takes_a_boolean(self, tmp_path, value, expected):
+        path = config(tmp_path, SEED_CONFIG
+                      + f"seed=7\npaths=1000\nsteps=10\nantithetic = {value}\n")
+        code, doc = run(tmp_path, ["oracle", "mc", "--config", path],
+                        "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["manifest"]["parameters"]["antithetic"] is expected
+
+    def test_output_from_the_file(self, tmp_path):
+        out = tmp_path / "doc.json"
+        path = config(tmp_path, SEED_CONFIG + f"output = {out}\n")
+        assert cli.main(["price", "--config", path]) == cli.EXIT_DIVERGING
+        assert json.loads(out.read_text(encoding="utf-8"))["regime"] == "diverging"
+
+    def test_comments_and_blank_lines(self, tmp_path):
+        path = config(tmp_path, "\n# alpha = abc\n" + SEED_CONFIG
+                      + "   # strike = abc\n\n")
+        code, doc = run(tmp_path, ["price", "--config", path], "price.schema.json")
+        assert code == cli.EXIT_DIVERGING
+        assert doc["manifest"]["parameters"]["nu"] == 0.03
+
+    @pytest.mark.parametrize("command,line,message", [
+        (["price"], "alpha 0.4", "not key=value"),
+        (["oracle", "mc"], "antithetic = maybe", "not boolean"),
+        (["price"], "alpha = abc", "--alpha"),
+        (["oracle", "mc"], "paths = 1e3", "--paths"),
+    ], ids=["no-equals", "boolean", "float", "int"])
+    def test_bad_line_is_a_usage_error(self, tmp_path, capsys, command, line,
+                                       message):
+        path = config(tmp_path, SEED_CONFIG + "seed = 7\n" + line + "\n")
+        argv = command + ["--config", path, "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert message in err
+
+    def test_bad_value_is_refused_even_when_a_flag_overrides_it(self, tmp_path,
+                                                                 capsys):
+        path = config(tmp_path, SEED_CONFIG + "alpha = abc\n")
+        argv = ["price", "--config", path, "--alpha", "0.4",
+                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "--alpha" in err
+
+    def test_unreadable_path_is_a_usage_error(self, tmp_path, capsys):
+        argv = (["price", "--config", str(tmp_path / "missing.cfg")] + SEED_POINT
+                + ["--output", str(tmp_path / "out")])
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "cannot read config" in err

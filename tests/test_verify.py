@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from volswap import specfun, verify
-from volswap.exceptions import InconclusiveError
+from volswap.exceptions import DomainError, InconclusiveError
 from volswap.model import MarketState, SabrParams, SwapContract
 
 STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -86,12 +86,22 @@ class TestFunctionalCalculus:
         report = verify.check_functional_residual(STATE, PARAMS, CONTRACT, 10)
         assert report.passed
 
-    def test_finite_difference_cross_check(self):
-        reports = verify.check_functional_fd(STATE, PARAMS, CONTRACT, 10)
+    @pytest.mark.parametrize("n_terms", [10, 12, 20])
+    def test_finite_difference_cross_check(self, n_terms):
+        # plain central differences at step 1e-4 miss 1e-5 from 12 terms on
+        reports = verify.check_functional_fd(STATE, PARAMS, CONTRACT, n_terms)
         assert len(reports) == 2
         for report in reports:
             assert report.relative <= 1e-5, report.point
             assert report.point.endswith("step=0.0001")
+
+    @pytest.mark.parametrize("n_terms", [0, -3])
+    @pytest.mark.parametrize("check", [verify.check_functional_residual,
+                                       verify.check_functional_fd])
+    def test_no_term_is_a_domain_error(self, check, n_terms):
+        # with no term both sides sum to 0 and every check would pass
+        with pytest.raises(DomainError):
+            check(STATE, PARAMS, CONTRACT, n_terms)
 
     def test_coefficients_match_the_terminal_identity_sum(self):
         # the n = 0 term of the s = 0 sum is -a_0 / (0! Gamma(1/2)/sqrt(pi))
