@@ -18,27 +18,29 @@ forces psi = 1 there) and a homogeneous Dirichlet condition is applied at
 a y_max chosen, and verified post-solve, to make psi negligible.  Only the
 final row is kept, with the pchip cubic of q below built from it once.
 
-Every half-step and step of a march solves with the same tridiagonal
-matrix I + (ds/2) A, so it is LU-factored once per march with LAPACK
-``gttrf``; each step is then one in-place ``gttrs`` back-substitution,
-:func:`solve_banded`, with the explicit half computed into preallocated
-buffers.  ``gtsv``, which ``scipy.linalg.solve_banded`` calls, performs
-the same eliminations in the same order, so psi is bit for bit what a
-full banded solve per step gives.  The per-step solve keeps the name
-``solve_banded`` so that tracing tools that time the linear-algebra layer
-by that module attribute still find it.
+Every half-step and step of a march solves with the same tridiagonal matrix
+I + (ds/2) A, so it is LU-factored once per march with LAPACK ``gttrf``; each
+step is then one in-place ``gttrs`` back-substitution, :func:`solve_banded`,
+with the explicit half computed into preallocated buffers.  ``gtsv``, which
+``scipy.linalg.solve_banded`` calls, performs the same eliminations in the
+same order, so psi is bit for bit what a full banded solve per step gives.
 
-kappa is then recovered by quadrature.  Writing q(y) = (1 - psi(y)) / y^2
-(finite at 0 with q(0) = (e^s - 1)/2) and splitting off the known sqrt
-identity integral,
+kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
+c = sqrt(2) sigma / alpha and zeta = sigma^2 / (2 alpha^2 nu) (inf at nu = 0),
 
-    kappa = (1/T) * [sqrt(nu)
-            + (1/sqrt(pi)) * int_0^inf e^(-nu x^2) (1 - psi(y(x))) / x^2 dx],
+    kappa = (1/T) * [sqrt(nu) + (c * int_0^y_max e^(-y^2 / (4 zeta)) q(y) dy
+                                 + int_x_cut^inf e^(-nu x^2) / x^2 dx) / sqrt(pi)],
 
-the integrand is smooth at the origin and the tail beyond the solved
-y-range is integrated in closed form with psi bounded by the verified
-boundary tolerance, giving a rigorous reported tail bound.  This path
-handles nu = 0, unlike the series.
+the last term, x_cut = y_max / c, in closed form with psi = 0 past y_max.
+q is the stored pchip cubic on cells of width h, so :func:`kappa_from_solution`
+puts six Gauss-Legendre nodes on sub-cells of width at most min(h,
+sqrt(zeta)/2) up to y_cut = min(y_max, 2 sqrt(46 zeta)), exact for the cubic
+at nu = 0.  Past y_cut the weight is below e^-46 and pchip is monotone per
+cell, so the dropped part is at most c max|q(knots)| sqrt(pi zeta)
+erfc(y_cut / (2 sqrt(zeta))); with boundary_max / x_cut it must stay below
+``quad_tol``.  A price is one ``exp`` over the nodes and one dot product,
+:func:`quad`, named like :func:`solve_banded` after the scipy routine it
+replaced, which tracing tools look up by module attribute.
 
 :func:`kappa_quadrature` marches once per (s, grid): it looks psi up in
 :func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
@@ -56,11 +58,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -79,6 +79,10 @@ PSI_MEMO_SIZE = 64
 S_KEY_BITS = 40
 #: largest s = alpha^2 tau with e^s - 1 (q(0), the default y_max) finite.
 S_MAX = math.log(sys.float_info.max)
+#: y^2 / (4 zeta) past which the weight, below e^-46, is dropped with a bound.
+WEIGHT_CUT = 46.0
+#: six-point Gauss-Legendre rule on [-1, 1], exact for degree <= 11.
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 @dataclass(frozen=True)
@@ -263,11 +267,8 @@ def _s_key(s: float) -> float:
 
 def _tail_integral(nu: float, a: float) -> float:
     """int_a^inf e^(-nu x^2) / x^2 dx in closed form (psi taken as 0 there)."""
-    if nu == 0.0:
-        return 1.0 / a
-    root = math.sqrt(nu)
     return (math.exp(-nu * a * a) / a
-            - math.sqrt(math.pi * nu) * math.erfc(root * a))
+            - math.sqrt(math.pi * nu) * math.erfc(math.sqrt(nu) * a))
 
 
 def kappa_quadrature(state: MarketState, params: SabrParams,
@@ -277,10 +278,8 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
 
     Valid for nu >= 0.  psi comes from :func:`psi_memo`, so points sharing
     s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
-    one march.  The neglected part of the integral beyond the solved
-    domain is bounded by boundary_max / x_cut, which must stay below
-    ``quad_tol`` (raises :class:`AccuracyError` otherwise; with the default
-    auto grid it sits around 1e-8).
+    one march.  Raises :class:`AccuracyError` if the bound on the neglected
+    parts of the integral exceeds ``quad_tol`` (about 1e-8 on the default grid).
     """
     tau = time_to_maturity(state, contract)
     if tau == 0.0:
@@ -288,44 +287,49 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
 
     solution, refusal = psi_memo(_s_key(params.alpha * params.alpha * tau), grid)
     if refusal is not None:
-        kind, args = refusal
-        raise kind(*args)
+        raise refusal[0](*refusal[1])
     return kappa_from_solution(solution, state, params, contract, quad_tol)
+
+
+def quad(integrand, nodes: np.ndarray, weights: np.ndarray) -> float:
+    """Fixed-node rule: ``weights`` dotted with one call ``integrand(nodes)``."""
+    return float(np.vdot(weights, integrand(nodes)))
 
 
 def kappa_from_solution(solution: PsiSolution, state: MarketState,
                         params: SabrParams, contract: SwapContract,
                         quad_tol: float = 1e-6) -> float:
-    """Quadrature step split out so one psi solve can be reused."""
-    y_max = float(solution.y[-1])
+    """kappa from one march by the module notes' fixed-node rule in y; raises
+    :class:`AccuracyError` if its neglected parts may exceed ``quad_tol``."""
+    y, coeffs = solution.y, solution.q_coeffs
+    nu, y_max, h, n_y = state.nu, float(y[-1]), float(y[1]), len(y) - 1
     y_of_x = math.sqrt(2.0) * state.sigma / params.alpha
     x_cut = y_max / y_of_x
+    zeta = (max(y_of_x * y_of_x / (4.0 * nu), sys.float_info.min) if nu > 0.0
+            else math.inf)    # never 0; inf (weight 1) at nu = 0 or on overflow
+    y_cut = min(y_max, 2.0 * math.sqrt(WEIGHT_CUT * zeta))
     tail_bound = solution.boundary_max / x_cut
+    if y_cut < y_max:   # each pchip cell is monotone: |q| peaks at a knot
+        q_max = max(np.abs(coeffs[3]).max(), abs(np.polyval(coeffs[:, -1], h)))
+        tail_bound += (y_of_x * q_max * math.sqrt(math.pi * zeta)
+                       * math.erfc(y_cut / (2.0 * math.sqrt(zeta))))
     if tail_bound > quad_tol:
         raise AccuracyError(
             f"tail bound {tail_bound:.3e} exceeds quad_tol {quad_tol:.1e}")
 
-    nu = state.nu
-    scale = 2.0 * state.sigma ** 2 / params.alpha ** 2   # (1 - psi)/x^2 = scale * q(y)
-    knots = solution.y.tolist()
-    c3, c2, c1, c0 = solution.q_coeffs.tolist()
-    last = len(c0) - 1
-    cells_per_y = len(c0) / y_max
+    parts = max(1.0, np.ceil(2.0 * h / math.sqrt(zeta)))   # sub-cells per cell
+    width = h / parts
+    sub = np.arange(math.ceil(min(y_cut / width, n_y * parts)))[:, None]
+    cell = ((sub + 0.5) // parts).astype(np.intp)
+    (c3, c2, c1, c0), left = coeffs[:, cell], y[cell]
+    nodes = (sub + 0.5 * (GL_NODES + 1.0)) * width
+    weights = np.broadcast_to(0.5 * width * GL_WEIGHTS, nodes.shape)
 
-    def integrand(x: float) -> float:
-        yv = x * y_of_x
-        i = min(int(yv * cells_per_y), last)       # uniform grid: O(1) cell
-        h = yv - knots[i]
-        q = ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
-        return math.exp(-nu * x * x) * scale * q
+    def integrand(v: np.ndarray) -> np.ndarray:   # row i of v lies in cell[i]
+        d = v - left
+        return (((c3 * d + c2) * d + c1) * d + c0) * np.exp(v * v / (-4.0 * zeta))
 
-    with _warnings.catch_warnings():
-        # pchip evaluation noise can trip QUADPACK's roundoff heuristic at
-        # tolerances this tight; the tail bound is tracked separately.
-        _warnings.simplefilter("ignore", IntegrationWarning)
-        body, _ = quad(integrand, 0.0, x_cut, limit=500,
-                       epsabs=min(1e-12, 0.05 * quad_tol), epsrel=1e-11)
-    j_x = float(body) + _tail_integral(nu, x_cut)
+    j_x = y_of_x * quad(integrand, nodes, weights) + _tail_integral(nu, x_cut)
     return (math.sqrt(nu) + j_x / math.sqrt(math.pi)) / contract.tenor
 
 
@@ -343,16 +347,12 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     if tau == 0.0:
         raise DomainError("at maturity kappa is exact; there is no grid to refine")
     y_max = grid.y_max if grid.y_max is not None else default_y_max(params.alpha, tau)
-    kappas = []
-    grids = []
+    kappas, grids = [], []
     for level in range(refinements + 1):
         g = GridSpec(y_max=y_max, n_y=grid.n_y * 2 ** level,
                      n_t=grid.n_t * 2 ** level)
         kappas.append(kappa_quadrature(state, params, contract, g, quad_tol))
         grids.append((g.n_y, g.n_t))
-    ratios = []
-    for i in range(len(kappas) - 2):
-        denom = kappas[i + 1] - kappas[i + 2]
-        ratios.append(math.inf if denom == 0.0 else
-                      (kappas[i] - kappas[i + 1]) / denom)
+    ratios = [math.inf if k1 == k2 else (k0 - k1) / (k1 - k2)
+              for k0, k1, k2 in zip(kappas, kappas[1:], kappas[2:])]
     return {"kappas": kappas, "grids": grids, "ratios": ratios, "y_max": y_max}

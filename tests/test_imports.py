@@ -1,4 +1,5 @@
-"""The package imports numpy and scipy only for the engines that use them."""
+"""The package imports numpy and scipy only for the engines that use them,
+and of scipy only the parts they use."""
 
 import json
 import os
@@ -32,6 +33,17 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
+PDE_SCRIPT = """
+import json, sys
+from volswap import pde_engine
+from volswap.model import MarketState, SabrParams, SwapContract
+kappa = pde_engine.kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.03),
+                                    SabrParams(alpha=0.4),
+                                    SwapContract(t0=0.0, tenor=1.0))
+print(json.dumps({"kappa": kappa, "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
 def _run(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", script], env=env,
@@ -51,3 +63,9 @@ def test_series_pricing_loads_neither_numpy_nor_scipy():
 def test_verify_loads_neither_numpy_nor_scipy():
     assert _run(VERIFY_SCRIPT) == {"code": 0,
                                    "loaded": {"numpy": False, "scipy": False}}
+
+
+def test_pde_pricing_leaves_scipy_integrate_unloaded():
+    report = _run(PDE_SCRIPT)
+    assert report["kappa"] > 0
+    assert report["integrate"] is False

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -264,17 +265,17 @@ class TestGridConvergence:
 
 
 class TestGolden:
-    """PDE results frozen by repr before the march factored its matrix once."""
+    """PDE results frozen by repr: kappas, a refinement report, psi bytes."""
 
     KAPPAS = {
-        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404746352"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914145672303425"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503128996174474"),
-        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503307795363938"),
-        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779480857003427"),
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404745348"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.2491414567199332"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503128996100235"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.550330780229921"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794808690345418"),
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
                           GridSpec(y_max=32.0, n_y=256, n_t=320),
-                          "0.24914154093669416"),
+                          "0.24914154093892343"),
     }
 
     @staticmethod
@@ -300,9 +301,9 @@ class TestGolden:
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
                                         CONTRACT, GridSpec(n_y=200, n_t=200))
         assert repr(report) == (
-            "{'kappas': [0.24914044648754397, 0.24914145672303326, "
-            "0.2491417147227896], 'grids': [(200, 200), (400, 400), (800, 800)], "
-            "'ratios': [3.9156451294153842], 'y_max': 62.46732294240538}")
+            "{'kappas': [0.24914044648763362, 0.24914145671993224, "
+            "0.24914171477371413], 'grids': [(200, 200), (400, 400), (800, 800)], "
+            "'ratios': [3.914812994360805], 'y_max': 62.46732294240538}")
 
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))
@@ -311,3 +312,84 @@ class TestGolden:
         assert hashlib.sha256(sol.q_coeffs.tobytes()).hexdigest() == (
             "dcf1ea56d0c2901681344498ec43f4aec4bf25e5ef7539574d869d71d681c010")
         assert repr(sol.boundary_max) == "8.14498126958288e-12"
+
+
+def _mpmath_kappa(solution, state, params, contract):
+    """kappa with both integrals done by ``mpmath.quad`` at 20 digits: the
+    stored pchip cubic times e^(-y^2 / (4 zeta)) cell by cell, skipping
+    cells past y^2 / (4 zeta) = 110, and the tail beyond y_max."""
+    with mpmath.workdps(20):
+        nu = mpmath.mpf(state.nu)
+        c = mpmath.sqrt(2) * state.sigma / params.alpha
+        rate = nu / (c * c)                          # 1 / (4 zeta)
+        knots = [mpmath.mpf(v) for v in solution.y.tolist()]
+        body = mpmath.mpf(0)
+        for i, cubic in enumerate(solution.q_coeffs.T.tolist()):
+            left = knots[i]
+            if rate * left * left > 110:
+                break
+            body += mpmath.quad(lambda v, cubic=cubic, left=left:
+                                mpmath.polyval(cubic, v - left)
+                                * mpmath.exp(-rate * v * v), knots[i:i + 2])
+        tail = mpmath.quad(lambda x: mpmath.exp(-nu * x * x) / (x * x),
+                           [knots[-1] / c, mpmath.inf])
+        kappa = mpmath.sqrt(nu) + (c * body + tail) / mpmath.sqrt(mpmath.pi)
+        return float(kappa / contract.tenor)
+
+
+class TestFixedNodeRule:
+    @pytest.mark.parametrize("case", ["small_s", "mid_s", "large_s",
+                                      "high_zeta", "nu_zero"])
+    def test_matches_mpmath_integral_of_the_interpolant(self, case):
+        (alpha, tau, sigma, nu), grid, _ = TestGolden.KAPPAS[case]
+        state, params = TestGolden._inputs(alpha, tau, sigma, nu)
+        solution = solve_psi(alpha, tau, grid)
+        kappa = pde_engine.kappa_from_solution(solution, state, params, CONTRACT)
+        reference = _mpmath_kappa(solution, state, params, CONTRACT)
+        assert abs(kappa - reference) <= 1e-13 * reference
+
+    def test_one_quad_call_with_one_vectorized_integrand_call(self, monkeypatch):
+        # wrap the module attribute by name, as tracing tools do
+        quads, evals = [], []
+        original = pde_engine.quad
+
+        def counting_quad(func, *args, **kwargs):
+            def counted(x, *extra):
+                evals.append(type(x))
+                return func(x, *extra)
+            quads.append(args)
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(pde_engine, "quad", counting_quad)
+        kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.03),
+                                 SabrParams(alpha=0.4), CONTRACT)
+        assert kappa > 0
+        assert len(quads) == 1
+        assert evals == [np.ndarray]
+
+    @pytest.mark.parametrize("nu, overflows", [(1e-300, False), (5e-324, True)])
+    def test_vanishing_nu_prices_as_nu_zero(self, nu, overflows):
+        params = SabrParams(alpha=0.4)
+        y_of_x = math.sqrt(2.0) * 0.25 / 0.4
+        assert (y_of_x * y_of_x / (4.0 * nu) == math.inf) is overflows   # zeta
+        at_zero = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.0),
+                                   params, CONTRACT)
+        kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
+                                 params, CONTRACT)
+        assert math.isfinite(kappa)
+        assert kappa == pytest.approx(at_zero, rel=1e-12, abs=0.0)
+
+    def test_nu_zero_kappa_is_linear_in_sigma(self):
+        # at nu = 0, kappa = sigma * G(s) / T; at sigma = 1e-200 the whole
+        # mass of the integrand sits at x of order 1e200
+        params = SabrParams(alpha=0.4)
+        kappas = [kappa_quadrature(MarketState(t=0.5, sigma=sigma, nu=0.0),
+                                   params, CONTRACT) for sigma in (0.25, 1e-200)]
+        assert kappas[1] == pytest.approx(4e-200 * kappas[0], rel=1e-12,
+                                          abs=0.0)
+
+    def test_zeta_below_float_range_leaves_the_accrued_part(self):
+        # sigma^2 underflows, so zeta is 0 in floats: nothing is left to accrue
+        kappa = kappa_quadrature(MarketState(t=0.5, sigma=1e-200, nu=0.03),
+                                 SabrParams(alpha=0.4), CONTRACT)
+        assert kappa == pytest.approx(math.sqrt(0.03), rel=1e-12, abs=0.0)
