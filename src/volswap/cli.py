@@ -158,10 +158,10 @@ def cmd_price(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import mc_engine, pde_engine
-    started = time.time()
+    started = time.time()             # the engine import is part of the run
     state, params, contract, fields = _market_inputs(args)
     if args.oracle == "mc":
+        from . import mc_engine
         config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
                                     seed=args.seed, antithetic=args.antithetic)
         estimate = mc_engine.kappa_mc(state, params, contract, config)
@@ -177,6 +177,7 @@ def cmd_oracle(args) -> int:
         _emit_json(document, started, args.output)
         return EXIT_OK
 
+    from . import pde_engine
     grid = pde_engine.GridSpec(y_max=args.y_max, n_y=args.n_y, n_t=args.n_t)
     document = {"manifest": _manifest("oracle pde", {
         **fields, "n_y": grid.n_y, "n_t": grid.n_t, "y_max": grid.y_max,
@@ -209,8 +210,8 @@ def float_list(raw: str) -> list:
 
 
 def cmd_compare(args) -> int:
-    from . import mc_engine, pde_engine
     started = time.time()
+    from . import mc_engine, pde_engine
     nu, tenor, t0 = args.nu, args.tenor, args.t0
     contract = SwapContract(t0=t0, tenor=tenor)
     if nu <= 0:

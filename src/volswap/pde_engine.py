@@ -16,7 +16,10 @@ from 0 to s with Crank-Nicolson plus a Rannacher implicit-Euler startup;
 bit-identical results.  The boundary y = 0 is degenerate (the equation
 forces psi = 1 there) and a homogeneous Dirichlet condition is applied at
 a y_max chosen, and verified post-solve, to make psi negligible.  Only the
-final row is kept, with the pchip cubic of q below built from it once.
+final row is kept, with the pchip cubic of q below built from it once by
+:func:`_pchip`: the monotone cubic Hermite interpolant of Fritsch and Carlson
+(SIAM J. Numer. Anal. 17, 1980) in numpy, in the operation order of scipy's
+``PchipInterpolator``, whose coefficients it matches bit for bit.
 
 Every half-step and step of a march solves with the same tridiagonal matrix
 I + (ds/2) A, so it is LU-factored once per march with LAPACK ``gttrf``; each
@@ -61,7 +64,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
@@ -108,7 +110,7 @@ class PsiSolution:
     y_max (far-field Dirichlet transient); the validated quantity is the
     final row, whose penultimate-node value is stored as ``boundary_max``.
     ``q_coeffs`` holds the pchip cubic of q(y) = (1 - psi(y)) / y^2 on each
-    cell, highest power first, in the layout of ``PchipInterpolator.c``.
+    cell: column i holds (c3, c2, c1, c0) of the cubic in y - y[i].
     """
 
     y: np.ndarray
@@ -137,11 +139,34 @@ def default_y_max(alpha: float, tau: float) -> float:
     return max(3.0, 2.5 * math.sqrt(52.0 / math.expm1(s)))
 
 
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-cell cubic coefficients, highest power first, of pchip through (x, y)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    d = np.zeros_like(y)                # 0 where slopes change sign or vanish
+    d[1:-1][smooth] = 1.0 / whmean[smooth]
+    for a, b in ((0, 1), (-1, -2)):     # one-sided three-point end slopes
+        end = ((2 * h[a] + h[b]) * m[a] - h[a] * m[b]) / (h[a] + h[b])
+        if np.sign(end) != np.sign(m[a]):
+            end = 0.0
+        elif np.sign(m[a]) != np.sign(m[b]) and abs(end) > 3.0 * abs(m[a]):
+            end = 3.0 * m[a]
+        d[a] = end
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 def _pchip_coeffs(y: np.ndarray, psi: np.ndarray, s: float) -> np.ndarray:
     q = np.empty_like(y)
     q[0] = 0.5 * math.expm1(s)                    # exact y -> 0 limit
     q[1:] = (1.0 - psi[1:]) / (y[1:] * y[1:])
-    return PchipInterpolator(y, q).c
+    if not np.isfinite(q).all():
+        raise DomainError(f"q = (1 - psi) / y^2 is not finite up to y_max {y[-1]:.3g}")
+    return _pchip(y, q)
 
 
 def solve_banded(factors: list, rhs: np.ndarray) -> None:
@@ -266,9 +291,11 @@ def _s_key(s: float) -> float:
 
 
 def _tail_integral(nu: float, a: float) -> float:
-    """int_a^inf e^(-nu x^2) / x^2 dx in closed form (psi taken as 0 there)."""
+    """int_a^inf e^(-nu x^2) / x^2 dx in closed form (psi taken as 0 there);
+    sqrt(pi nu) as 2 sqrt(pi nu / 4) cannot overflow, and is bit for bit the
+    same unless pi nu / 4 is subnormal."""
     return (math.exp(-nu * a * a) / a
-            - math.sqrt(math.pi * nu) * math.erfc(math.sqrt(nu) * a))
+            - 2.0 * math.sqrt(0.25 * math.pi * nu) * math.erfc(math.sqrt(nu) * a))
 
 
 def kappa_quadrature(state: MarketState, params: SabrParams,
@@ -304,6 +331,8 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
     y, coeffs = solution.y, solution.q_coeffs
     nu, y_max, h, n_y = state.nu, float(y[-1]), float(y[1]), len(y) - 1
     y_of_x = math.sqrt(2.0) * state.sigma / params.alpha
+    if y_of_x == math.inf:
+        raise DomainError(f"sqrt(2) sigma / alpha overflows at alpha {params.alpha}")
     x_cut = y_max / y_of_x
     zeta = (max(y_of_x * y_of_x / (4.0 * nu), sys.float_info.min) if nu > 0.0
             else math.inf)    # never 0; inf (weight 1) at nu = 0 or on overflow

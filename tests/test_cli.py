@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from referencing import Registry, Resource
 
 from volswap import cli, verify
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 SCHEMAS = {path.name: json.loads(path.read_text(encoding="utf-8"))
            for path in SCHEMA_DIR.glob("*.schema.json")}
@@ -126,6 +130,21 @@ class TestOracle:
                         "oracle_pde.schema.json")
         assert code == cli.EXIT_OK
         assert ("grid_report" in doc) == bool(extra)
+
+    def test_pde_duration_counts_the_engine_import(self, tmp_path):
+        # a fresh interpreter pays the engine import inside oracle pde, and
+        # -X importtime reports that import's cumulative time in microseconds
+        out = tmp_path / "out"
+        argv = ["-X", "importtime", "-m", "volswap", "oracle", "pde"] + SEED_POINT
+        proc = subprocess.run([sys.executable] + argv + ["--output", str(out)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        import_us = [int(line.split("|")[1]) for line in proc.stderr.splitlines()
+                     if line.split("|")[-1].strip() == "volswap.pde_engine"]
+        assert len(import_us) == 1
+        duration_s = json.loads(out.read_text(encoding="utf-8"))["manifest"]["duration_s"]
+        assert duration_s >= import_us[0] / 1e6
 
     def test_pde_refine_at_maturity_is_usage_error(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",

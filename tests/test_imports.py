@@ -1,6 +1,7 @@
 """The package imports numpy and scipy only for the engines that use them,
 and of scipy only the parts they use."""
 
+import functools
 import json
 import os
 import subprocess
@@ -40,7 +41,21 @@ from volswap.model import MarketState, SabrParams, SwapContract
 kappa = pde_engine.kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.03),
                                     SabrParams(alpha=0.4),
                                     SwapContract(t0=0.0, tenor=1.0))
-print(json.dumps({"kappa": kappa, "integrate": "scipy.integrate" in sys.modules}))
+loaded = [name for name in ("scipy.integrate", "scipy.interpolate", "scipy.special")
+          if name in sys.modules]
+print(json.dumps({"kappa": kappa, "loaded": loaded}))
+"""
+
+
+ORACLE_PDE_SCRIPT = """
+import json, os, sys
+from volswap import cli
+code = cli.main(["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
+                 "--nu", "0.03", "--t", "0.5", "--tenor", "1",
+                 "--output", os.devnull])
+loaded = [name for name in ("scipy.interpolate", "scipy.special")
+          if name in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
@@ -65,7 +80,19 @@ def test_verify_loads_neither_numpy_nor_scipy():
                                    "loaded": {"numpy": False, "scipy": False}}
 
 
+@functools.lru_cache(maxsize=None)
+def _pde_report() -> dict:
+    return _run(PDE_SCRIPT)
+
+
 def test_pde_pricing_leaves_scipy_integrate_unloaded():
-    report = _run(PDE_SCRIPT)
-    assert report["kappa"] > 0
-    assert report["integrate"] is False
+    assert _pde_report()["kappa"] > 0
+    assert "scipy.integrate" not in _pde_report()["loaded"]
+
+
+def test_pde_pricing_leaves_scipy_interpolate_and_special_unloaded():
+    assert _pde_report()["loaded"] == []
+
+
+def test_oracle_pde_leaves_scipy_interpolate_and_special_unloaded():
+    assert _run(ORACLE_PDE_SCRIPT) == {"code": 0, "loaded": []}

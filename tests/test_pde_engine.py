@@ -3,11 +3,15 @@
 import hashlib
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgttrf
 
 from volswap import pde_engine
@@ -120,6 +124,34 @@ class TestSolveBanded:
             pde_engine.solve_banded(factors, np.ones(8)[::2])
 
 
+@st.composite
+def pchip_data(draw):
+    """(x, y) with 3 to 40 non-uniformly spaced knots; y mixes repeated
+    small integers, zeros and sign changes with arbitrary floats."""
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=39))
+    x = draw(st.floats(-10.0, 10.0)) + np.cumsum([0.0] + steps)
+    values = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                       st.floats(-1e3, 1e3))
+    y = draw(st.lists(values, min_size=len(x), max_size=len(x)))
+    return x, np.array(y)
+
+
+class TestPchip:
+    # slopes near the float range overflow in both implementations alike
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=pchip_data())
+    @example(data=(np.array([0.0, 1.0, 3.0]), np.array([1.0, -2.0, 0.5])))
+    @example(data=(np.array([0.0, 0.5, 3.0]), np.array([0.0, 0.0, 0.0])))
+    @example(data=(np.array([0.0, 1.0, 1.5, 4.0]), np.array([2.0, 2.0, 0.0, 2.0])))
+    def test_bitwise_equal_to_scipy(self, data):
+        x, y = data
+        coeffs = pde_engine._pchip(x, y)
+        expected = PchipInterpolator(x, y).c
+        assert coeffs.shape == expected.shape
+        assert coeffs.tobytes() == expected.tobytes()
+
+
 class TestKappaQuadrature:
     def test_terminal(self):
         state = MarketState(t=1.0, sigma=0.2, nu=0.09)
@@ -175,6 +207,29 @@ class TestKappaQuadrature:
         state = MarketState(t=-0.5, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError, match="outside the accrual window"):
             engine(state, SabrParams(alpha=0.4), CONTRACT)
+
+    def test_overflowing_y_of_x_is_domain_error(self):
+        # sqrt(2) sigma / alpha = inf made x_cut 0 and the tail bound divide by it
+        state = MarketState(t=0.5, sigma=1e300, nu=0.03)
+        with pytest.raises(DomainError, match="overflows"):
+            kappa_quadrature(state, SabrParams(alpha=1e-10), CONTRACT)
+
+    @pytest.mark.parametrize("nu", [1e308, sys.float_info.max])
+    def test_tail_integral_finite_at_largest_nu(self, nu):
+        # sqrt(pi nu) overflowed and inf * erfc(...) = inf * 0 gave nan;
+        # V is negligible next to nu, so kappa = sqrt(nu) / T
+        kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
+                                 SabrParams(alpha=0.4), CONTRACT)
+        assert kappa == pytest.approx(math.sqrt(nu), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("y_max", [1e-300, 1e200])
+    def test_grid_with_non_finite_q_is_domain_error(self, y_max):
+        # y^2 underflows to 0 or overflows, so q = (1 - psi) / y^2 has no value
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError, match="not finite"):
+            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
+                             GridSpec(y_max=y_max))
 
     def test_tail_bound_enforced(self):
         # calibrate a quad_tol just under the achievable tail bound
