@@ -24,9 +24,8 @@ from .exceptions import (AccuracyError, DomainError, InconclusiveError,
                          InstabilityError, SingularityError, VolswapError)
 from .model import (MarketState, PricingResult, SabrParams, SwapContract,
                     discount_factor, time_to_maturity)
-from .series_pricer import (SeriesConfig, SeriesDiagnostics, SeriesVariables,
-                            kappa_series, price_volatility_swap,
-                            series_variables)
+from .series_pricer import (SeriesDiagnostics, SeriesVariables, kappa_series,
+                            price_volatility_swap, series_variables)
 
 #: engine of each lazily imported name
 _ENGINE_OF = {
@@ -52,7 +51,7 @@ __all__ = [
     "SingularityError", "VolswapError",
     "MarketState", "PricingResult", "SabrParams", "SwapContract",
     "discount_factor", "time_to_maturity",
-    "SeriesConfig", "SeriesDiagnostics", "SeriesVariables",
+    "SeriesDiagnostics", "SeriesVariables",
     "kappa_series", "price_volatility_swap", "series_variables",
     "McConfig", "McEstimate", "kappa_mc", "variance_swap_expectation",
     "variance_swap_mc",

@@ -15,10 +15,11 @@ from 0 to s with Crank-Nicolson plus a Rannacher implicit-Euler startup;
 ``solve_psi(alpha, tau)`` and ``solve_psi(1.0, alpha * alpha * tau)`` give
 bit-identical results.  The boundary y = 0 is degenerate (the equation
 forces psi = 1 there) and a homogeneous Dirichlet condition is applied at
-a y_max chosen, and verified post-solve, to make psi negligible.  Only the
-final row is kept, with the pchip cubic of q below built from it once by
-:func:`_pchip`: the monotone cubic Hermite interpolant of Fritsch and Carlson
-(SIAM J. Numer. Anal. 17, 1980) in numpy, in the operation order of scipy's
+a y_max chosen, and verified post-solve, to make psi negligible without
+skipping its decay (``PSI_FIRST_NODE_MIN``).  Only the final row is kept,
+with the pchip cubic of q below built from it once by :func:`_pchip`: the
+monotone cubic Hermite interpolant of Fritsch and Carlson (SIAM J. Numer.
+Anal. 17, 1980) in numpy, in the operation order of scipy's
 ``PchipInterpolator``, whose coefficients it matches bit for bit.
 
 Every half-step and step of a march solves with the same tridiagonal matrix
@@ -41,7 +42,7 @@ sqrt(zeta)/2) up to y_cut = min(y_max, 2 sqrt(46 zeta)), exact for the cubic
 at nu = 0.  Past y_cut the weight is below e^-46 and pchip is monotone per
 cell, so the dropped part is at most c max|q(knots)| sqrt(pi zeta)
 erfc(y_cut / (2 sqrt(zeta))); with boundary_max / x_cut it must stay below
-``quad_tol``.  A price is one ``exp`` over the nodes and one dot product,
+``QUAD_TOL``.  A price is one ``exp`` over the nodes and one dot product,
 :func:`quad`, named like :func:`solve_banded` after the scipy routine it
 replaced, which tracing tools look up by module attribute.
 
@@ -73,6 +74,11 @@ from .model import MarketState, SabrParams, SwapContract, time_to_maturity
 MAX_PRINCIPLE_EPS = 1e-6
 #: psi at the penultimate node of the final row may reach at most this.
 BOUNDARY_TOL = 1e-8
+#: least psi at the first node y = h.  The second difference at h errs by a
+#: relative O(x), x = q(0) h^2, and psi(h) >= e^-x (the Jensen bound of
+#: :func:`default_y_max`): psi(h) < 1/2 means x > ln 2, an O(1) error.  The
+#: default grid and its refinements have x <= 2.5^2 * 52 / (2 * 400^2) = 1e-3.
+PSI_FIRST_NODE_MIN = 0.5
 #: implicit-Euler startup steps (each split in two half-steps).
 RANNACHER_STEPS = 2
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
@@ -83,6 +89,8 @@ S_KEY_BITS = 40
 S_MAX = math.log(sys.float_info.max)
 #: y^2 / (4 zeta) past which the weight, below e^-46, is dropped with a bound.
 WEIGHT_CUT = 46.0
+#: largest bound on the neglected parts of the kappa integral.
+QUAD_TOL = 1e-6
 #: six-point Gauss-Legendre rule on [-1, 1], exact for degree <= 11.
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
@@ -192,7 +200,7 @@ def solve_psi(alpha: float, tau: float,
     keeps clean second-order convergence.  Raises :class:`DomainError`
     unless s <= ``S_MAX``, :class:`InstabilityError` if the discrete maximum
     principle fails at any step and :class:`AccuracyError` if psi has not
-    decayed to ``BOUNDARY_TOL`` at the far edge.
+    decayed to ``BOUNDARY_TOL`` at y_max, or is below ``PSI_FIRST_NODE_MIN`` at h.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -259,6 +267,10 @@ def solve_psi(alpha: float, tau: float,
         raise AccuracyError(
             f"psi at the far edge reaches {boundary_max:.3e} > boundary_tol "
             f"{BOUNDARY_TOL:.1e}; enlarge y_max (used {y_max:.3g})")
+    if psi[1] < PSI_FIRST_NODE_MIN:
+        raise AccuracyError(
+            f"psi falls to {psi[1]:.3e} at the first node y = {dy:.3g}: the "
+            f"grid does not resolve its decay; shrink y_max (used {y_max:.3g})")
     return PsiSolution(y=y, final=psi, boundary_max=boundary_max, s=s,
                        q_coeffs=_pchip_coeffs(y, psi, s))
 
@@ -299,14 +311,13 @@ def _tail_integral(nu: float, a: float) -> float:
 
 
 def kappa_quadrature(state: MarketState, params: SabrParams,
-                     contract: SwapContract, grid: GridSpec = GridSpec(),
-                     quad_tol: float = 1e-6) -> float:
+                     contract: SwapContract, grid: GridSpec = GridSpec()) -> float:
     """kappa from the PDE solution and the square-root integral identity.
 
     Valid for nu >= 0.  psi comes from :func:`psi_memo`, so points sharing
     s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
     one march.  Raises :class:`AccuracyError` if the bound on the neglected
-    parts of the integral exceeds ``quad_tol`` (about 1e-8 on the default grid).
+    parts of the integral exceeds ``QUAD_TOL`` (about 1e-8 on the default grid).
     """
     tau = time_to_maturity(state, contract)
     if tau == 0.0:
@@ -315,7 +326,7 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     solution, refusal = psi_memo(_s_key(params.alpha * params.alpha * tau), grid)
     if refusal is not None:
         raise refusal[0](*refusal[1])
-    return kappa_from_solution(solution, state, params, contract, quad_tol)
+    return kappa_from_solution(solution, state, params, contract)
 
 
 def quad(integrand, nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -324,10 +335,9 @@ def quad(integrand, nodes: np.ndarray, weights: np.ndarray) -> float:
 
 
 def kappa_from_solution(solution: PsiSolution, state: MarketState,
-                        params: SabrParams, contract: SwapContract,
-                        quad_tol: float = 1e-6) -> float:
+                        params: SabrParams, contract: SwapContract) -> float:
     """kappa from one march by the module notes' fixed-node rule in y; raises
-    :class:`AccuracyError` if its neglected parts may exceed ``quad_tol``."""
+    :class:`AccuracyError` if its neglected parts may exceed ``QUAD_TOL``."""
     y, coeffs = solution.y, solution.q_coeffs
     nu, y_max, h, n_y = state.nu, float(y[-1]), float(y[1]), len(y) - 1
     y_of_x = math.sqrt(2.0) * state.sigma / params.alpha
@@ -342,9 +352,9 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
         q_max = max(np.abs(coeffs[3]).max(), abs(np.polyval(coeffs[:, -1], h)))
         tail_bound += (y_of_x * q_max * math.sqrt(math.pi * zeta)
                        * math.erfc(y_cut / (2.0 * math.sqrt(zeta))))
-    if tail_bound > quad_tol:
+    if tail_bound > QUAD_TOL:
         raise AccuracyError(
-            f"tail bound {tail_bound:.3e} exceeds quad_tol {quad_tol:.1e}")
+            f"tail bound {tail_bound:.3e} exceeds quad_tol {QUAD_TOL:.1e}")
 
     parts = max(1.0, np.ceil(2.0 * h / math.sqrt(zeta)))   # sub-cells per cell
     width = h / parts
@@ -364,7 +374,7 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
 
 def grid_refinement_report(state: MarketState, params: SabrParams,
                            contract: SwapContract, grid: GridSpec = GridSpec(),
-                           refinements: int = 2, quad_tol: float = 1e-6) -> dict:
+                           refinements: int = 2) -> dict:
     """kappa on successively halved steps plus the observed convergence ratios.
 
     Second-order convergence shows up as ratios of successive differences
@@ -380,7 +390,7 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     for level in range(refinements + 1):
         g = GridSpec(y_max=y_max, n_y=grid.n_y * 2 ** level,
                      n_t=grid.n_t * 2 ** level)
-        kappas.append(kappa_quadrature(state, params, contract, g, quad_tol))
+        kappas.append(kappa_quadrature(state, params, contract, g))
         grids.append((g.n_y, g.n_t))
     ratios = [math.inf if k1 == k2 else (k0 - k1) / (k1 - k2)
               for k0, k1, k2 in zip(kappas, kappas[1:], kappas[2:])]

@@ -19,6 +19,9 @@ smallest-magnitude term, reports that term as the error estimate, and
 classifies the outcome as convergent-like, asymptotically truncated, or
 diverging.  Ground truth outside the trustworthy region comes from the
 Monte Carlo and PDE oracles in the sibling modules.
+
+The evaluation policy is the module constants ``MAX_TERMS``, ``REL_TOL``
+and ``KUMMER_REL_TOL``, read at call time.
 """
 
 from __future__ import annotations
@@ -40,20 +43,12 @@ REGIME_DIVERGING = "diverging"
 #: a truncation whose smallest term still exceeds this fraction of the sum
 #: carries no usable accuracy and is flagged as diverging.
 DIVERGENCE_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Evaluation policy for the kappa series."""
-
-    max_terms: int = 64
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not (self.rel_tol > 0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+#: terms :func:`kappa_series` sums at most.
+MAX_TERMS = 64
+#: a term within this fraction of the partial sum is small; two end the sum.
+REL_TOL = 1e-10
+#: relative tolerance of the 1F1 in :func:`series_term`.
+KUMMER_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -131,25 +126,24 @@ def series_variables(state: MarketState, params: SabrParams,
     return SeriesVariables(tau=tau, zeta=zeta)
 
 
-def series_term(n: int, zeta: float, tau: float, alpha: float,
-                rel_tol: float) -> float:
+def series_term(n: int, zeta: float, tau: float, alpha: float) -> float:
     """n-th kappa-series term b_n e^(E_n tau) zeta^n 1F1(n-1/2; 2n+1/2; zeta).
 
     The only definition of the term; 1F1 is evaluated to the relative
-    tolerance min(rel_tol, 1e-13).  A growth factor e^(E_n tau) beyond
+    tolerance ``KUMMER_REL_TOL``.  A growth factor e^(E_n tau) beyond
     the float range makes the term a signed infinity.
     """
-    f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta, rel_tol=min(rel_tol, 1e-13))
+    f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta, rel_tol=KUMMER_REL_TOL)
     return coeff_b(n) * growth_factor(n, alpha, tau) * zeta ** n * f.value
 
 
-def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
-                 config: SeriesConfig = SeriesConfig()) -> tuple:
+def kappa_series(state: MarketState, params: SabrParams,
+                 contract: SwapContract) -> tuple:
     """Expected annualized volatility from the hypergeometric series.
 
     Summation stops on the usual two-small-terms criterion while terms
     decay; if terms start growing instead (the asymptotic regime), or
-    ``max_terms`` or a non-finite term is reached, the sum is truncated
+    ``MAX_TERMS`` or a non-finite term is reached, the sum is truncated
     just before the smallest term, whose magnitude becomes the error
     estimate.  A negative value, a non-finite term, a smallest term at
     n = 0, or an estimate above ``DIVERGENCE_FRACTION`` of the sum yields
@@ -168,15 +162,15 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
     partial = 0.0
     small_streak = 0
     stop_reason = "exhausted"
-    for n in range(config.max_terms):
-        t_n = series_term(n, sv.zeta, sv.tau, params.alpha, config.rel_tol)
+    for n in range(MAX_TERMS):
+        t_n = series_term(n, sv.zeta, sv.tau, params.alpha)
         if not math.isfinite(t_n):
             stop_reason = "overflow"
             break
         partial += t_n
         mags.append(abs(t_n))
         partials.append(partial)
-        if abs(t_n) <= config.rel_tol * abs(partial):
+        if abs(t_n) <= REL_TOL * abs(partial):
             small_streak += 1
             if small_streak >= 2:
                 stop_reason = "tolerance"
@@ -209,14 +203,13 @@ def kappa_series(state: MarketState, params: SabrParams, contract: SwapContract,
             or estimate > DIVERGENCE_FRACTION * abs(value)):
         return kappa, SeriesDiagnostics(len(mags), m, estimate, False,
                                         REGIME_DIVERGING)
-    converged = estimate <= config.rel_tol * abs(value)
+    converged = estimate <= REL_TOL * abs(value)
     return kappa, SeriesDiagnostics(len(mags), m, estimate, converged,
                                     REGIME_ASYMPTOTIC)
 
 
 def price_volatility_swap(state: MarketState, params: SabrParams,
-                          contract: SwapContract, df: float,
-                          config: SeriesConfig = SeriesConfig()) -> PricingResult:
+                          contract: SwapContract, df: float) -> PricingResult:
     """Series kappa plus discounting, bundled into one PricingResult.
 
     A negative (diverged) kappa is composed and flagged, not rejected, so
@@ -224,7 +217,7 @@ def price_volatility_swap(state: MarketState, params: SabrParams,
     """
     if not (0.0 < df <= 1.0):
         raise DomainError(f"discount factor must lie in (0, 1], got {df}")
-    kappa, diag = kappa_series(state, params, contract, config)
+    kappa, diag = kappa_series(state, params, contract)
     warnings = ()
     if diag.regime == REGIME_DIVERGING:
         warnings = ("SERIES_DIVERGING",)

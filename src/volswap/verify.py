@@ -54,9 +54,6 @@ FD_STEP = 1e-4
 #: modes :func:`psi_series_optimal` sums at most
 PSI_MAX_TERMS = 64
 
-#: 1F1 tolerance of the series terms summed here: kummer_1f1's default
-TERM_REL_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -293,8 +290,7 @@ def _kappa_truncated(nu: float, sigma: float, tau: float, alpha: float,
                      tenor: float, n_terms: int) -> float:
     """Fixed-truncation kappa used for the finite-difference cross-checks."""
     zeta = sigma * sigma / (2.0 * alpha * alpha * nu)
-    total = sum(series_term(n, zeta, tau, alpha, TERM_REL_TOL)
-                for n in range(n_terms))
+    total = sum(series_term(n, zeta, tau, alpha) for n in range(n_terms))
     return math.sqrt(nu) / tenor * total
 
 
@@ -392,7 +388,7 @@ def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
     zeta = z / 4.0
     total = 0.0
     for n in range(1, n_max + 1):
-        term = series_term(n, zeta, tau, alpha, TERM_REL_TOL)
+        term = series_term(n, zeta, tau, alpha)
         if not math.isfinite(term):
             raise InconclusiveError(f"j_infinity term n={n} overflowed")
         total += term

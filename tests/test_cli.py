@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from volswap import cli, verify
+from volswap import cli, mc_engine, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -160,6 +162,12 @@ class TestOracle:
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert "e^s - 1 is not finite" in capsys.readouterr().err
 
+    def test_pde_grid_that_skips_the_decay_is_usage_error(self, tmp_path, capsys):
+        argv = ["oracle", "pde"] + SEED_POINT + ["--y-max", "1e6"]
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "does not resolve its decay" in err
+
     def test_pde_nu_zero(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0", "--t", "0", "--tenor", "0.5"]
@@ -198,6 +206,31 @@ class TestCompare:
         assert len(list(csv.reader(text.splitlines()))) == 5   # header, 3 rows, manifest
         assert len(marches) == 1
 
+    def test_pde_refusal_empties_one_cell(self, tmp_path, capsys):
+        # the default grid refuses s = alpha^2 tau = 0.8 only
+        code, text = run(tmp_path, [
+            "compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
+            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"])
+        assert code == cli.EXIT_OK
+        header, *rows, _ = list(csv.reader(text.splitlines()))
+        column = header.index("kappa_pde")
+        assert [row[column] == "" for row in rows] == [False, False, False, True]
+        assert "no kappa_pde at alpha 1.0, tau 0.8, zeta 1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas,zetas", [("0.4,-1", "1"), ("0.4", "1,-1"),
+                                              ("0.4", "1,inf")],
+                             ids=["alpha", "zeta", "sigma"])
+    def test_bad_point_is_refused_before_any_pricing(self, tmp_path, capsys,
+                                                     monkeypatch, alphas, zetas):
+        calls = []
+        monkeypatch.setattr(mc_engine, "kappa_mc",
+                            lambda *args: calls.append(args))
+        argv = ["compare", "--alphas", alphas, "--taus", "0.5", "--zetas", zetas,
+                "--nu", "0.03", "--seed", "1", "--output", str(tmp_path / "out")]
+        code, _ = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert calls == []
+
 
 class TestVerify:
     def test_terminal_passes(self, tmp_path):
@@ -216,9 +249,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra,code,count,digest", [
         ([], cli.EXIT_OK, 240,
-         "cda6454aa0d33eec651b0c93c31301c63c4b4e09c5db137d30ebcad702903100"),
+         "465245c115d4c1415c6275a804b1196574f1ef1cfa0fd205e3359e6e8cee5330"),
         (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 284,
-         "8ae5c9d3d40354a32b12bf6dc2b5e6eab6dc4a9fc7a981b961376d7675b56cb2"),
+         "9f3a2998fe4f20d0b32850b231c8d392b7ee028e3ba06fe5c887cb263ddf8490"),
     ], ids=["default", "n-terms-12"])
     def test_golden_reports(self, tmp_path, extra, code, count, digest):
         got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")
@@ -245,6 +278,26 @@ class TestVerify:
         assert not doc["all_passed"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["price"] + CONVERGENT_POINT,
+    ["oracle", "mc"] + SEED_POINT + ["--seed", "1", "--paths", "100", "--steps", "5"],
+    ["oracle", "pde"] + SEED_POINT,
+    ["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1", "--nu", "0.03",
+     "--seed", "1", "--paths", "100", "--steps", "5"],
+    ["verify", "--check", "terminal", "--s-max", "2"],
+], ids=["price", "oracle-mc", "oracle-pde", "compare", "verify"])
+def test_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, argv):
+    # the wall clock steps back an hour at every reading
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    _, text = run(tmp_path, argv)
+    if argv[0] == "compare":
+        manifest = json.loads(list(csv.reader(text.splitlines()))[-1][1])
+    else:
+        manifest = json.loads(text)["manifest"]
+    assert 0.0 <= manifest["duration_s"] < 60.0
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["price"] + SEED_POINT[2:], "--alpha"),
     (["price"] + SEED_POINT + ["--rate", "0.05", "--discount-factor", "0.9"],
@@ -255,8 +308,11 @@ class TestVerify:
       "--nu", "0.04", "--seed", "1"], "--alphas"),
     (["compare", "--alphas", ",", "--taus", "0.5", "--zetas", "1",
       "--nu", "0.04", "--seed", "1"], "--alphas"),
+    (["price"] + SEED_POINT + ["--max-terms", "5"], "--max-terms"),
+    (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
+    (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
-        "empty-list"])
+        "empty-list", "max-terms", "rel-tol", "quad-tol"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE

@@ -69,6 +69,21 @@ class TestSolvePsi:
         with pytest.raises(AccuracyError):
             solve_psi(0.2, 0.5, GridSpec(n_y=128, n_t=128, y_max=3.0))
 
+    @pytest.mark.parametrize("y_max", [1e6, 1e10])
+    def test_grid_that_skips_the_decay_raises_accuracy(self, y_max):
+        # psi(h) ~ 1e-7 or less: these grids priced the seed point at
+        # 0.26696 and 0.26712 against 0.24914, with no other check failing
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(AccuracyError, match="does not resolve its decay"):
+            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
+                             GridSpec(y_max=y_max))
+
+    @pytest.mark.parametrize("s", [5e-4, 0.08, 0.66])
+    def test_default_grid_resolves_the_decay(self, s):
+        # psi(h) ~ e^(-q(0) h^2) = e^(-1.0e-3), far above PSI_FIRST_NODE_MIN
+        sol = solve_psi(1.0, s)
+        assert -math.log(sol.final[1]) == pytest.approx(1.0e-3, rel=0.02)
+
     def test_default_y_max_reasonable(self):
         assert default_y_max(0.4, 0.5) == pytest.approx(
             2.5 * math.sqrt(52.0 / math.expm1(0.08)), rel=1e-12)
@@ -231,17 +246,17 @@ class TestKappaQuadrature:
             kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
                              GridSpec(y_max=y_max))
 
-    def test_tail_bound_enforced(self):
-        # calibrate a quad_tol just under the achievable tail bound
+    def test_tail_bound_enforced(self, monkeypatch):
+        # calibrate QUAD_TOL just under the achievable tail bound
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         grid = GridSpec(y_max=27.0, n_y=400, n_t=400)
         sol = solve_psi(0.4, 0.5, grid)
         x_cut = sol.y[-1] / (math.sqrt(2.0) * 0.25 / 0.4)
         tail_bound = sol.boundary_max / x_cut
         assert tail_bound > 0.0
-        with pytest.raises(AccuracyError):
-            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT, grid,
-                             quad_tol=0.5 * tail_bound)
+        monkeypatch.setattr(pde_engine, "QUAD_TOL", 0.5 * tail_bound)
+        with pytest.raises(AccuracyError, match="tail bound"):
+            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT, grid)
 
 
 def _point(alpha, tau, zeta, nu=0.04):

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from volswap import specfun
+from volswap import series_pricer, specfun
 from volswap.exceptions import DomainError, SingularityError
 from volswap.model import MarketState, SabrParams, SwapContract
 from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
-                                   SeriesConfig, coeff_b, coeff_b_exact,
-                                   energy_e, kappa_series,
-                                   price_volatility_swap, series_term,
-                                   series_variables)
+                                   REL_TOL, coeff_b, coeff_b_exact, energy_e,
+                                   kappa_series, price_volatility_swap,
+                                   series_term, series_variables)
 from volswap.verify import j0_closed_form, j0_hypergeometric_form, j_infinity
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
@@ -108,7 +107,7 @@ class TestTerminalValue:
         sigma = math.sqrt(2.0 * 0.4 ** 2 * nu * 1.0)
         state = MarketState(t=1.0, sigma=sigma, nu=nu)
         sv = series_variables(state, SabrParams(alpha=0.4), CONTRACT)
-        kappa = math.sqrt(nu) * series_term(0, sv.zeta, sv.tau, 0.4, 1e-10)
+        kappa = math.sqrt(nu) * series_term(0, sv.zeta, sv.tau, 0.4)
         expected = math.sqrt(nu) * specfun.kummer_1f1(-0.5, 0.5, 1.0).value
         assert kappa == pytest.approx(expected, rel=1e-13)
 
@@ -136,17 +135,18 @@ class TestAdaptiveTruncation:
         assert kappa < 0
         assert diag.regime == REGIME_DIVERGING
 
-    def test_diagnostics_monotone(self):
+    def test_diagnostics_monotone(self, monkeypatch):
+        monkeypatch.setattr(series_pricer, "MAX_TERMS", 48)
         for a2t, zeta in ((0.01, 5.0), (0.1, 0.5), (0.5, 1.0), (2.0, 3.0)):
             state, params, contract = make_point(a2t, zeta)
-            config = SeriesConfig(max_terms=48)
-            _, diag = kappa_series(state, params, contract, config)
-            assert diag.terms_used <= config.max_terms
+            _, diag = kappa_series(state, params, contract)
+            assert diag.terms_used <= 48
             assert diag.min_term_index <= diag.terms_used
 
-    def test_max_terms_respected(self):
+    def test_max_terms_respected(self, monkeypatch):
+        monkeypatch.setattr(series_pricer, "MAX_TERMS", 5)
         state, params, contract = make_point(0.01, 10.0)
-        _, diag = kappa_series(state, params, contract, SeriesConfig(max_terms=5))
+        _, diag = kappa_series(state, params, contract)
         assert diag.terms_used <= 5
 
 
@@ -156,10 +156,10 @@ class TestGrowthOverflow:
     def test_overflowing_term_is_a_signed_infinity(self):
         # alpha = 20, tau = 0.5: E_1 tau = 200 stays finite, E_2 tau = 1200 does not
         f = specfun.kummer_1f1(0.5, 2.5, 1.0, rel_tol=1e-13).value
-        assert series_term(1, 1.0, 0.5, 20.0, 1e-10) == (
+        assert series_term(1, 1.0, 0.5, 20.0) == (
             coeff_b(1) * math.exp(energy_e(1, 20.0) * 0.5) * 1.0 * f)
-        assert series_term(2, 1.0, 0.5, 20.0, 1e-10) == -math.inf   # b_2 < 0
-        assert series_term(3, 1.0, 0.5, 20.0, 1e-10) == math.inf
+        assert series_term(2, 1.0, 0.5, 20.0) == -math.inf   # b_2 < 0
+        assert series_term(3, 1.0, 0.5, 20.0) == math.inf
 
     def test_overflow_stops_the_sum_as_diverging(self):
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -210,12 +210,13 @@ GOLDEN = [
 
 class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
-    def test_frozen_repr(self, case):
+    def test_frozen_repr(self, case, monkeypatch):
         _, t, sigma, nu, alpha, tenor, max_terms, *expected = case
+        monkeypatch.setattr(series_pricer, "MAX_TERMS", max_terms)
         result = price_volatility_swap(
             MarketState(t=t, sigma=sigma, nu=nu), SabrParams(alpha=alpha),
             SwapContract(t0=0.0, tenor=tenor, strike=0.2, notional=100.0),
-            0.97, SeriesConfig(max_terms=max_terms))
+            0.97)
         diag = result.diagnostics
         got = [result.kappa, result.fair_value, diag.terms_used,
                diag.min_term_index, diag.min_term_abs, diag.converged,
@@ -234,15 +235,14 @@ class TestKappaIsSumOfTerms:
         params = SabrParams(alpha=alpha)
         sv = series_variables(state, params, contract)
         assume(sv.zeta <= 300.0)   # keeps e^zeta inside 1F1 finite
-        config = SeriesConfig()
-        kappa, diag = kappa_series(state, params, contract, config)
-        terms = [series_term(n, sv.zeta, sv.tau, alpha, config.rel_tol)
+        kappa, diag = kappa_series(state, params, contract)
+        terms = [series_term(n, sv.zeta, sv.tau, alpha)
                  for n in range(diag.terms_used)]
         partials = list(itertools.accumulate(terms))
         # a stop on the tolerance keeps every term; any other stop drops
         # the smallest term and all after it, keeping at least term 0
         on_tolerance = len(terms) >= 2 and all(
-            abs(terms[i]) <= config.rel_tol * abs(partials[i]) for i in (-2, -1))
+            abs(terms[i]) <= REL_TOL * abs(partials[i]) for i in (-2, -1))
         kept = len(terms) if on_tolerance else max(diag.min_term_index, 1)
         assert kappa == math.sqrt(nu) / contract.tenor * sum(terms[:kept])
 
@@ -288,7 +288,7 @@ class TestJInfinity:
         sv = series_variables(state, params, contract)
         n_max = 12
         kappa_direct = math.sqrt(state.nu) / contract.tenor * sum(
-            series_term(n, sv.zeta, sv.tau, params.alpha, 1e-10)
+            series_term(n, sv.zeta, sv.tau, params.alpha)
             for n in range(n_max + 1))
         z = 4.0 * sv.zeta
         j = j0_closed_form(z) + j_infinity(z, sv.tau, params.alpha, n_max)
