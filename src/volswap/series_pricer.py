@@ -14,14 +14,16 @@ finite-difference check, the J0/J_inf integral components, and the modes
 the checks build themselves) all use them.
 
 For tau > 0 the exp(E_n tau) factors grow super-factorially in n, so the
-series is treated as an asymptotic expansion: evaluation sums to the
-smallest-magnitude term, reports that term as the error estimate, and
+series is treated as an asymptotic expansion: :func:`truncated_sum`, the
+one truncation rule of the paper's series (this one and the Bessel-mode
+series of psi in :mod:`volswap.verify`), sums to the smallest-magnitude
+term and reports that term as the error estimate; :func:`kappa_series`
 classifies the outcome as convergent-like, asymptotically truncated, or
 diverging.  Ground truth outside the trustworthy region comes from the
 Monte Carlo and PDE oracles in the sibling modules.
 
-The evaluation policy is the module constants ``MAX_TERMS``, ``REL_TOL``
-and ``KUMMER_REL_TOL``, read at call time.
+The evaluation policy is the module constants ``MAX_TERMS`` and
+``REL_TOL`` here and ``specfun.KUMMER_REL_TOL`` for 1F1, read at call time.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ DIVERGENCE_FRACTION = 0.1
 MAX_TERMS = 64
 #: a term within this fraction of the partial sum is small; two end the sum.
 REL_TOL = 1e-10
-#: relative tolerance of the 1F1 in :func:`series_term`.
-KUMMER_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,11 @@ def coeff_b(n: int) -> float:
     return float(coeff_b_exact(n))
 
 
-def energy_e(n: int, alpha: float) -> float:
-    """Mode growth rate E_n = alpha^2 * n * (2n - 1) = (alpha^2/2)((2n-1/2)^2 - 1/4)."""
-    if n < 0:
-        raise DomainError(f"energy index must be >= 0, got {n}")
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    return alpha * alpha * n * (2 * n - 1)
-
-
 def growth_factor(n: int, alpha: float, tau: float) -> float:
-    """Mode growth factor e^(E_n tau); +inf once it leaves the float range."""
+    """Mode growth factor e^(E_n tau), E_n = alpha^2 n (2n - 1); +inf once
+    it leaves the float range."""
     try:
-        return math.exp(energy_e(n, alpha) * tau)
+        return math.exp(alpha * alpha * n * (2 * n - 1) * tau)
     except OverflowError:
         return math.inf
 
@@ -129,83 +121,80 @@ def series_variables(state: MarketState, params: SabrParams,
 def series_term(n: int, zeta: float, tau: float, alpha: float) -> float:
     """n-th kappa-series term b_n e^(E_n tau) zeta^n 1F1(n-1/2; 2n+1/2; zeta).
 
-    The only definition of the term; 1F1 is evaluated to the relative
-    tolerance ``KUMMER_REL_TOL``.  A growth factor e^(E_n tau) beyond
-    the float range makes the term a signed infinity.
+    The only definition of the term.  A growth factor e^(E_n tau) or a
+    1F1 beyond the float range makes the term a signed infinity.
     """
-    f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta, rel_tol=KUMMER_REL_TOL)
+    f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta)
     return coeff_b(n) * growth_factor(n, alpha, tau) * zeta ** n * f.value
+
+
+def truncated_sum(terms) -> tuple:
+    """Sum ``terms`` in order by the one truncation rule of the paper's series.
+
+    The sum stops on two consecutive terms within ``REL_TOL`` of the partial
+    sum ("tolerance"), on three growing magnitudes in a row ("growth"), on a
+    non-finite term, which is not summed ("overflow"), or at the end of
+    ``terms`` ("exhausted").  On the tolerance stop every term is kept and
+    the last one is the smallest.  Otherwise the sum is truncated just
+    before the smallest term m, whose magnitude is the error estimate
+    (optimal truncation of an asymptotic series); at m = 0 the first term
+    is kept.  Raises :class:`DomainError` when no term is finite.
+
+    Returns
+    -------
+    (value, m, estimate = |term m|, stop reason, number of finite terms)
+    """
+    mags = []
+    partials = []
+    partial = 0.0
+    small_streak = 0
+    stop = "exhausted"
+    for term in terms:
+        if not math.isfinite(term):
+            stop = "overflow"
+            break
+        partial += term
+        partials.append(partial)
+        mags.append(abs(term))
+        small_streak = small_streak + 1 if mags[-1] <= REL_TOL * abs(partial) else 0
+        if small_streak == 2:
+            return partial, len(mags) - 1, mags[-1], "tolerance", len(mags)
+        if len(mags) >= 3 and mags[-1] > mags[-2] > mags[-3]:
+            stop = "growth"
+            break
+    if not mags:
+        raise DomainError("series produced no finite terms")
+    m = mags.index(min(mags))
+    return partials[max(m - 1, 0)], m, mags[m], stop, len(mags)
 
 
 def kappa_series(state: MarketState, params: SabrParams,
                  contract: SwapContract) -> tuple:
     """Expected annualized volatility from the hypergeometric series.
 
-    Summation stops on the usual two-small-terms criterion while terms
-    decay; if terms start growing instead (the asymptotic regime), or
-    ``MAX_TERMS`` or a non-finite term is reached, the sum is truncated
-    just before the smallest term, whose magnitude becomes the error
-    estimate.  A negative value, a non-finite term, a smallest term at
-    n = 0, or an estimate above ``DIVERGENCE_FRACTION`` of the sum yields
-    the diverging verdict; the best truncation is still returned, flagged
-    not converged.
+    Sums at most ``MAX_TERMS`` terms by :func:`truncated_sum`.  A negative
+    value, a non-finite term, a smallest term at n = 0, or an estimate
+    above ``DIVERGENCE_FRACTION`` of the sum yields the diverging verdict;
+    the best truncation is still returned, flagged not converged.
 
     Returns
     -------
     (kappa, SeriesDiagnostics)
     """
     sv = series_variables(state, params, contract)
-    prefactor = math.sqrt(state.nu) / contract.tenor
-
-    mags = []
-    partials = []
-    partial = 0.0
-    small_streak = 0
-    stop_reason = "exhausted"
-    for n in range(MAX_TERMS):
-        t_n = series_term(n, sv.zeta, sv.tau, params.alpha)
-        if not math.isfinite(t_n):
-            stop_reason = "overflow"
-            break
-        partial += t_n
-        mags.append(abs(t_n))
-        partials.append(partial)
-        if abs(t_n) <= REL_TOL * abs(partial):
-            small_streak += 1
-            if small_streak >= 2:
-                stop_reason = "tolerance"
-                break
-        else:
-            small_streak = 0
-        if n >= 2 and mags[n] > mags[n - 1] > mags[n - 2]:
-            stop_reason = "growth"
-            break
-
-    if not mags:
-        raise DomainError("series produced no finite terms")
-
-    if stop_reason == "tolerance":
-        kappa = prefactor * partial
+    value, m, estimate, stop, terms_used = truncated_sum(
+        series_term(n, sv.zeta, sv.tau, params.alpha) for n in range(MAX_TERMS))
+    kappa = math.sqrt(state.nu) / contract.tenor * value
+    if stop == "tolerance":
         converged = kappa >= 0
         regime = REGIME_CONVERGENT if converged else REGIME_DIVERGING
-        return kappa, SeriesDiagnostics(len(mags), len(mags) - 1, mags[-1],
-                                        converged, regime)
-
-    # optimal truncation: the smallest term is the first omitted one
-    m = mags.index(min(mags))
-    if m == 0:
-        return prefactor * partials[0], SeriesDiagnostics(
-            len(mags), 0, mags[0], False, REGIME_DIVERGING)
-    value = partials[m - 1]
-    estimate = mags[m]
-    kappa = prefactor * value
-    if (stop_reason == "overflow" or kappa < 0
-            or estimate > DIVERGENCE_FRACTION * abs(value)):
-        return kappa, SeriesDiagnostics(len(mags), m, estimate, False,
-                                        REGIME_DIVERGING)
-    converged = estimate <= REL_TOL * abs(value)
-    return kappa, SeriesDiagnostics(len(mags), m, estimate, converged,
-                                    REGIME_ASYMPTOTIC)
+    elif (m == 0 or stop == "overflow" or kappa < 0
+          or estimate > DIVERGENCE_FRACTION * abs(value)):
+        converged, regime = False, REGIME_DIVERGING
+    else:
+        converged = estimate <= REL_TOL * abs(value)
+        regime = REGIME_ASYMPTOTIC
+    return kappa, SeriesDiagnostics(terms_used, m, estimate, converged, regime)
 
 
 def price_volatility_swap(state: MarketState, params: SabrParams,

@@ -8,9 +8,10 @@ Everything here is self-contained on top of ``math``:
 * the modified Bessel function I_nu of the first kind for fractional order.
 
 All series evaluators stop once two consecutive terms drop below their
-relative tolerance (the caller's for 1F1, ``BESSEL_REL_TOL`` for I_nu),
-which guards against even/odd term oscillation, and report what they did
-via :class:`SeriesEvalReport`.
+relative tolerance (``KUMMER_REL_TOL`` for 1F1, the one value every caller
+uses, ``BESSEL_REL_TOL`` for I_nu), which guards against even/odd term
+oscillation, and report what they did via :class:`SeriesEvalReport`.  A
+result beyond the float range is a signed infinity, not an exception.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ SQRT_PI = math.sqrt(math.pi)
 KUMMER_ASYMPTOTIC_Z = 40.0
 #: term cap of the direct 1F1 and I_nu series.
 MAX_TERMS = 2000
+#: relative term size at which the 1F1 series stop.
+KUMMER_REL_TOL = 1e-13
 #: relative term size at which the I_nu series stops.
 BESSEL_REL_TOL = 1e-14
 
@@ -76,16 +79,19 @@ def _gamma_sign(x: float) -> float:
     return -1.0 if math.floor(x) % 2 else 1.0
 
 
-def kummer_1f1(a: float, b: float, z: float,
-               rel_tol: float = 1e-14) -> SeriesEvalReport:
+def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
     """Confluent hypergeometric function 1F1(a;b;z) for z >= 0.
 
     Direct Taylor summation by term recurrence up to the switch-over point
     ``KUMMER_ASYMPTOTIC_Z``; beyond it the large-z form
     Gamma(b)/Gamma(a) * e^z * z^(a-b) * (1 + O(1/z)) is used and the first
-    omitted term is reported as the truncation-error estimate.  The
-    asymptotic branch is only taken when its leading term ratio already
-    decays, otherwise the (always convergent) direct series is kept.
+    omitted term is reported as the truncation-error estimate; once its
+    prefactor leaves the float range (z above ~717) the value is a signed
+    infinity.  The asymptotic branch is only taken when its leading term
+    ratio already decays, otherwise the (always convergent) direct series is
+    kept.  Both stop at relative term size ``KUMMER_REL_TOL``.  For a
+    non-positive integer a every term past the polynomial's degree is
+    exactly 0, so the two-small-terms stop ends the sum.
 
     Parameters
     ----------
@@ -93,8 +99,6 @@ def kummer_1f1(a: float, b: float, z: float,
         Kummer parameters; b must not be a non-positive integer.
     z : float
         Argument, z >= 0.
-    rel_tol : float
-        Relative term-size target for stopping.
 
     Returns
     -------
@@ -106,8 +110,6 @@ def kummer_1f1(a: float, b: float, z: float,
         raise DomainError(f"kummer_1f1 pole: b={b} is a non-positive integer")
     if z < 0:
         raise DomainError(f"kummer_1f1 requires z >= 0, got {z}")
-    if rel_tol <= 0:
-        raise DomainError("rel_tol must be positive")
     if z == 0.0:
         return SeriesEvalReport(1.0, 1, 0.0, True)
 
@@ -117,35 +119,33 @@ def kummer_1f1(a: float, b: float, z: float,
         and abs((b - a) * (1 - a)) < 0.5 * z
     )
     if use_asymptotic:
-        return _kummer_asymptotic(a, b, z, rel_tol)
-    return _kummer_direct(a, b, z, rel_tol)
+        return _kummer_asymptotic(a, b, z)
+    return _kummer_direct(a, b, z)
 
 
-def _kummer_direct(a: float, b: float, z: float,
-                   rel_tol: float) -> SeriesEvalReport:
+def _kummer_direct(a: float, b: float, z: float) -> SeriesEvalReport:
     total = 1.0
     term = 1.0
     small_streak = 0
     for m in range(MAX_TERMS):
         term *= (a + m) / (b + m) * z / (m + 1)
         total += term
-        if abs(term) <= rel_tol * abs(total):
+        if abs(term) <= KUMMER_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return SeriesEvalReport(total, m + 2, abs(term), True)
         else:
             small_streak = 0
-        if a + m == 0.0:
-            # polynomial case: the series terminates exactly
-            return SeriesEvalReport(total, m + 2, 0.0, True)
     return SeriesEvalReport(total, MAX_TERMS + 1, abs(term), False)
 
 
-def _kummer_asymptotic(a: float, b: float, z: float,
-                       rel_tol: float) -> SeriesEvalReport:
+def _kummer_asymptotic(a: float, b: float, z: float) -> SeriesEvalReport:
     sign = _gamma_sign(a)
-    prefactor = sign * math.exp(math.lgamma(b) - math.lgamma(a) + z
-                                + (a - b) * math.log(z))
+    try:
+        prefactor = sign * math.exp(math.lgamma(b) - math.lgamma(a) + z
+                                    + (a - b) * math.log(z))
+    except OverflowError:
+        prefactor = sign * math.inf
     total = 1.0
     term = 1.0
     last = 1.0
@@ -158,11 +158,11 @@ def _kummer_asymptotic(a: float, b: float, z: float,
         total += term
         last = abs(term)
         terms_used += 1
-        if abs(term) <= rel_tol * abs(total):
+        if abs(term) <= KUMMER_REL_TOL * abs(total):
             converged = True
             break
     return SeriesEvalReport(prefactor * total, terms_used, abs(term * prefactor),
-                            converged or last <= rel_tol * abs(total))
+                            converged or last <= KUMMER_REL_TOL * abs(total))
 
 
 def erfi(x: float) -> float:
@@ -171,7 +171,8 @@ def erfi(x: float) -> float:
     Odd in x.  Maclaurin series for |x| <= 12 (all terms positive: no
     cancellation), asymptotic expansion e^(x^2)/(x sqrt(pi)) beyond.
     Relative accuracy is ~1e-15 for |x| <= 10 and degrades gracefully up to
-    the e^(x^2) overflow near |x| ~ 26.6.
+    the e^(x^2) overflow near |x| ~ 26.64, from where the value is a signed
+    infinity (erfi itself leaves the float range at |x| ~ 26.71).
     """
     if not math.isfinite(x):
         raise DomainError(f"erfi requires a finite argument, got {x}")
@@ -202,7 +203,10 @@ def erfi(x: float) -> float:
         last = term
         if term <= 1e-17 * total:
             break
-    return math.exp(x * x) / (x * SQRT_PI) * total
+    try:
+        return math.exp(x * x) / (x * SQRT_PI) * total
+    except OverflowError:
+        return math.inf
 
 
 def bessel_i(order: float, y: float) -> SeriesEvalReport:

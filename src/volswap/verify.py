@@ -16,12 +16,15 @@ Shared pieces, each defined once: the growth factor e^(E_n tau) is the
 pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on overflow,
 which the checks report as :class:`InconclusiveError`); the fixed-truncation
 kappa and J_inf sum the pricer's :func:`~volswap.series_pricer.series_term`;
-a_n/sqrt(pi) is the memoised rational :func:`coeff_a_exact`, behind the
-expansion and the terminal identity; :func:`_harmonicity_sums` serves the
-closed-form and the finite-difference harmonicity checks; and
-:func:`_kummer_derivatives` gives the 1F1 derivatives of the Kummer ODE and
-the harmonicity terms.  Tolerances, the finite-difference step and the psi
-mode cap are module constants.
+the optimally truncated psi sums its modes by the pricer's truncation rule
+:func:`~volswap.series_pricer.truncated_sum`; a_n/sqrt(pi) is the memoised
+rational :func:`coeff_a_exact`, behind the expansion and the terminal
+identity; :func:`_harmonicity_sums` serves the closed-form and the
+finite-difference harmonicity checks; and :func:`_kummer_derivatives` gives
+the 1F1 derivatives of the Kummer ODE and the harmonicity terms.  Every 1F1
+here, as in the pricer, is evaluated to ``specfun.KUMMER_REL_TOL``.
+Tolerances, the finite-difference step and the psi mode cap are module
+constants.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the rational sum itself (zero when the identity holds).
@@ -37,8 +40,8 @@ from fractions import Fraction
 from . import specfun
 from .exceptions import DomainError, InconclusiveError
 from .model import MarketState, SabrParams, SwapContract
-from .series_pricer import (coeff_b, energy_e, growth_factor, series_term,
-                            series_variables)
+from .series_pricer import (coeff_b, growth_factor, series_term,
+                            series_variables, truncated_sum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -137,18 +140,12 @@ def psi_series(tau: float, y: float, alpha: float, n_terms: int) -> float:
 
 
 def psi_series_optimal(tau: float, y: float, alpha: float) -> tuple:
-    """Sum at most ``PSI_MAX_TERMS`` psi modes, stopping before the smallest
-    one; returns (value, error_estimate)."""
-    partials = [0.0]           # partials[m]: sum of the first m modes
-    mags = []
-    for n in range(PSI_MAX_TERMS):
-        term = psi_series_term(n, tau, y, alpha)
-        mags.append(abs(term))
-        if n >= 2 and mags[n] > mags[n - 1] > mags[n - 2]:
-            m = mags.index(min(mags))
-            return partials[m], mags[m]
-        partials.append(partials[-1] + term)
-    return partials[-1], mags[-1]
+    """At most ``PSI_MAX_TERMS`` psi modes summed by the pricer's
+    :func:`~volswap.series_pricer.truncated_sum`; returns (value,
+    error_estimate)."""
+    value, _, estimate, _, _ = truncated_sum(
+        psi_series_term(n, tau, y, alpha) for n in range(PSI_MAX_TERMS))
+    return value, estimate
 
 
 def _mode_blowup_guard(tau: float, y: float, alpha: float, n_terms: int):
@@ -237,7 +234,7 @@ def functional_term_pieces(n: int, zeta: float, tau: float, alpha: float) -> tup
     zn = zeta ** n
 
     d_side = 2.0 * a2 * b_e * zn * (
-        f * (0.5 * zeta - energy_e(n, alpha) / (2.0 * a2) - zeta * n)
+        f * (0.5 * zeta - n * (2 * n - 1) / 2.0 - zeta * n)
         - zeta * zeta * fp)
 
     zeta2_fpp = zeta * (zeta - 2 * n - 0.5) * fp + zeta * (n - 0.5) * f

@@ -92,6 +92,16 @@ class TestPrice:
         argv[argv.index("--t") + 1] = t
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("t, nu", [("0.001", "6.25e-5"), ("0.5", "2.7e-4")],
+                             ids=["near-accrual-start", "small-nu"])
+    def test_overflowing_1f1_is_usage_error(self, tmp_path, capsys, t, nu):
+        # zeta = 3125 and 723: 1F1's e^zeta overflows in every term
+        argv = ["price"] + SEED_POINT
+        argv[argv.index("--t") + 1] = t
+        argv[argv.index("--nu") + 1] = nu
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert "volswap: series produced no finite terms" in capsys.readouterr().err
+
     def test_market_annualization(self, tmp_path):
         code, doc = run(tmp_path, ["price"] + CONVERGENT_POINT
                         + ["--annualization", "market"], "price.schema.json")
@@ -249,9 +259,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra,code,count,digest", [
         ([], cli.EXIT_OK, 240,
-         "465245c115d4c1415c6275a804b1196574f1ef1cfa0fd205e3359e6e8cee5330"),
+         "4a290beb865b9257c2c16ffe845259166ab7d3ed506b9ecf9b0f3bcc1aeefc47"),
         (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 284,
-         "9f3a2998fe4f20d0b32850b231c8d392b7ee028e3ba06fe5c887cb263ddf8490"),
+         "4047e565916e6329c4d3e3592a4dcc670b86b8b7542666a99cc4fc4e0de1c68f"),
     ], ids=["default", "n-terms-12"])
     def test_golden_reports(self, tmp_path, extra, code, count, digest):
         got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")

@@ -12,9 +12,10 @@ from volswap import series_pricer, specfun
 from volswap.exceptions import DomainError, SingularityError
 from volswap.model import MarketState, SabrParams, SwapContract
 from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
-                                   REL_TOL, coeff_b, coeff_b_exact, energy_e,
-                                   kappa_series, price_volatility_swap,
-                                   series_term, series_variables)
+                                   REL_TOL, coeff_b, coeff_b_exact,
+                                   growth_factor, kappa_series,
+                                   price_volatility_swap, series_term,
+                                   series_variables, truncated_sum)
 from volswap.verify import j0_closed_form, j0_hypergeometric_form, j_infinity
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
@@ -51,16 +52,19 @@ class TestCoefficients:
             assert coeff_b(n) == pytest.approx(float(coeff_b_exact(n)), rel=1e-15)
 
     def test_energy_examples(self):
-        assert energy_e(0, 0.7) == 0.0
-        assert energy_e(1, 0.5) == pytest.approx(0.25, rel=1e-15)
-        assert energy_e(3, 1.0) == pytest.approx(15.0, rel=1e-15)
+        # growth factor e^(E_n tau) with E_n = alpha^2 n (2n - 1)
+        assert growth_factor(0, 0.7, 0.5) == 1.0
+        assert growth_factor(1, 0.5, 1.0) == pytest.approx(math.exp(0.25), rel=1e-15)
+        assert growth_factor(3, 1.0, 1.0) == pytest.approx(math.exp(15.0), rel=1e-15)
 
     def test_energy_two_closed_forms_agree(self):
+        # E_n = (alpha^2/2)((2n - 1/2)^2 - 1/4)
         for n in range(0, 12):
             for alpha in (0.2, 0.7, 1.3):
                 k = 2 * n - 0.5
                 other = 0.5 * alpha * alpha * (k * k - 0.25)
-                assert energy_e(n, alpha) == pytest.approx(other, rel=1e-14)
+                assert growth_factor(n, alpha, 0.5) == pytest.approx(
+                    math.exp(other * 0.5), rel=1e-13)
 
 
 class TestSeriesVariables:
@@ -150,16 +154,65 @@ class TestAdaptiveTruncation:
         assert diag.terms_used <= 5
 
 
+class TestTruncatedSum:
+    """The one truncation rule, one case per way the sum can stop."""
+
+    def test_tolerance_keeps_every_term_and_stops_reading(self):
+        terms = iter([1.0, 0.5, 1e-11, 1e-12, 5.0])
+        assert truncated_sum(terms) == (1.5 + 1e-11 + 1e-12, 3, 1e-12,
+                                        "tolerance", 4)
+        assert list(terms) == [5.0]
+
+    def test_growth_stops_before_the_smallest_term(self):
+        # magnitudes 1, 0.5, 0.1, 0.2, 0.3: three growing in a row
+        terms = iter([1.0, -0.5, 0.1, 0.2, 0.3, 0.4])
+        assert truncated_sum(terms) == (0.5, 2, 0.1, "growth", 5)
+        assert list(terms) == [0.4]
+
+    def test_non_finite_term_is_not_summed(self):
+        assert truncated_sum([1.0, 0.5, math.inf, 0.1]) == (
+            1.0, 1, 0.5, "overflow", 2)
+        assert truncated_sum([1.0, 0.5, math.nan]) == (1.0, 1, 0.5, "overflow", 2)
+
+    def test_exhausted(self):
+        assert truncated_sum([1.0, 0.5, 0.25]) == (1.5, 2, 0.25, "exhausted", 3)
+
+    def test_smallest_first_term_is_kept(self):
+        assert truncated_sum([0.1, -0.5, 0.7]) == (0.1, 0, 0.1, "growth", 3)
+
+    def test_reads_rel_tol_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(series_pricer, "REL_TOL", 0.5)
+        assert truncated_sum([1.0, 0.5, 0.25, 9.0]) == (1.75, 2, 0.25,
+                                                        "tolerance", 3)
+
+    @pytest.mark.parametrize("terms", [[], [math.inf, 1.0], [-math.inf], [math.nan]])
+    def test_no_finite_term_is_domain_error(self, terms):
+        with pytest.raises(DomainError, match="no finite terms"):
+            truncated_sum(terms)
+
+
 class TestGrowthOverflow:
     """e^(E_n tau) leaves the float range at E_n tau > ~709.8 (n = 2: s > ~118.3)."""
 
     def test_overflowing_term_is_a_signed_infinity(self):
         # alpha = 20, tau = 0.5: E_1 tau = 200 stays finite, E_2 tau = 1200 does not
-        f = specfun.kummer_1f1(0.5, 2.5, 1.0, rel_tol=1e-13).value
+        f = specfun.kummer_1f1(0.5, 2.5, 1.0).value
+        assert growth_factor(1, 20.0, 0.5) == math.exp(200.0)
+        assert growth_factor(2, 20.0, 0.5) == math.inf
         assert series_term(1, 1.0, 0.5, 20.0) == (
-            coeff_b(1) * math.exp(energy_e(1, 20.0) * 0.5) * 1.0 * f)
+            coeff_b(1) * growth_factor(1, 20.0, 0.5) * 1.0 * f)
         assert series_term(2, 1.0, 0.5, 20.0) == -math.inf   # b_2 < 0
         assert series_term(3, 1.0, 0.5, 20.0) == math.inf
+
+    @pytest.mark.parametrize("t, nu", [(0.001, 6.25e-5), (0.5, 2.7e-4)])
+    def test_overflowing_1f1_is_domain_error(self, t, nu):
+        # zeta = 3125 and 723: e^zeta in 1F1(-1/2; 1/2; zeta) overflows, so
+        # already the n = 0 term is -inf
+        state = MarketState(t=t, sigma=0.25, nu=nu)
+        sv = series_variables(state, SabrParams(alpha=0.4), CONTRACT)
+        assert series_term(0, sv.zeta, sv.tau, 0.4) == -math.inf
+        with pytest.raises(DomainError, match="no finite terms"):
+            kappa_series(state, SabrParams(alpha=0.4), CONTRACT)
 
     def test_overflow_stops_the_sum_as_diverging(self):
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)

@@ -67,9 +67,10 @@ class TestKummer1F1:
         rep = specfun.kummer_1f1(-0.5, 0.5, 0.0)
         assert rep.value == 1.0 and rep.converged
 
-    def test_erfi_identity_point(self):
+    def test_erfi_identity_point(self, monkeypatch):
         # 1F1(-1/2;1/2;1) = e - sqrt(pi) erfi(1); frozen from a 40-digit run
-        rep = specfun.kummer_1f1(-0.5, 0.5, 1.0, rel_tol=1e-14)
+        monkeypatch.setattr(specfun, "KUMMER_REL_TOL", 1e-14)
+        rep = specfun.kummer_1f1(-0.5, 0.5, 1.0)
         assert rep.value == pytest.approx(-0.20702166335531798, rel=1e-12)
 
     def test_against_bruteforce(self):
@@ -91,6 +92,22 @@ class TestKummer1F1:
         rep = specfun.kummer_1f1(19.5, 40.5, 50.0)
         assert rep.value == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("a,b,z,expected", [
+        (-0.5, 0.5, 723.0, -math.inf),     # Gamma(-1/2) < 0
+        (-0.5, 0.5, 3125.0, -math.inf),
+        (0.5, 2.5, 800.0, math.inf)])
+    def test_overflow_is_a_signed_infinity(self, a, b, z, expected):
+        # the prefactor e^z z^(a-b) Gamma(b)/Gamma(a) leaves the float range
+        assert specfun.kummer_1f1(a, b, z).value == expected
+
+    @pytest.mark.parametrize("a,b,degree", [(-1.0, 0.5, 1), (-3.0, 1.5, 3)])
+    def test_polynomial_case(self, a, b, degree):
+        # a non-positive integer a: every term past the degree is exactly 0
+        z = 2.0
+        rep = specfun.kummer_1f1(a, b, z)
+        assert rep.converged and rep.last_term_abs == 0.0
+        assert rep.value == hyp1f1_bruteforce(a, b, z, terms=degree + 1)
+
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             specfun.kummer_1f1(1.0, -2.0, 0.5)
@@ -103,8 +120,9 @@ class TestKummer1F1:
         with pytest.raises(DomainError):
             specfun.kummer_1f1(math.nan, 2.0, 0.5)
 
-    def test_report_invariant(self):
-        rep = specfun.kummer_1f1(-0.5, 0.5, 3.0, rel_tol=1e-12)
+    def test_report_invariant(self, monkeypatch):
+        monkeypatch.setattr(specfun, "KUMMER_REL_TOL", 1e-12)
+        rep = specfun.kummer_1f1(-0.5, 0.5, 3.0)
         assert rep.converged
         assert rep.last_term_abs <= 1e-12 * max(1.0, abs(rep.value))
 
@@ -145,6 +163,12 @@ class TestErfi:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             specfun.erfi(math.inf)
+
+    @pytest.mark.parametrize("x", [26.7, 27.0, 1e3])
+    def test_overflow_is_a_signed_infinity(self, x):
+        # e^(x^2) leaves the float range from x ~ 26.64
+        assert specfun.erfi(x) == math.inf
+        assert specfun.erfi(-x) == -math.inf
 
     def test_hypergeometric_link(self):
         # 1F1(-1/2;1/2;zeta) = e^zeta - sqrt(pi zeta) erfi(sqrt(zeta))

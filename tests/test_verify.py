@@ -8,6 +8,7 @@ import pytest
 from volswap import specfun, verify
 from volswap.exceptions import DomainError, InconclusiveError
 from volswap.model import MarketState, SabrParams, SwapContract
+from volswap.series_pricer import coeff_b, series_term
 
 STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
 PARAMS = SabrParams(alpha=0.4)
@@ -146,6 +147,21 @@ class TestGrowthOverflow:
             verify.check_psi_pde_residual(0.5, 0.01, 20.0, 60)
 
 
+class TestOneKummerTolerance:
+    def test_verify_and_series_term_read_one_constant(self, monkeypatch):
+        # 1F1(3/2; 9/2; 3) is the n = 2 series term's; a loose tolerance
+        # must reach the pricer's term and verify's 1F1s alike
+        tight = specfun.kummer_1f1(1.5, 4.5, 3.0).value
+        monkeypatch.setattr(specfun, "KUMMER_REL_TOL", 1e-4)
+        loose = specfun.kummer_1f1(1.5, 4.5, 3.0).value
+        assert loose != tight
+        assert verify._kummer_derivatives(1.5, 4.5, 3.0, 0) == [loose]
+        assert series_term(2, 3.0, 0.0, 0.4) == coeff_b(2) * 3.0 ** 2 * loose
+        j0_loose = specfun.kummer_1f1(-0.5, 0.5, 1.0).value
+        assert verify.j0_hypergeometric_form(4.0) == (
+            specfun.SQRT_PI / 2.0 * (j0_loose - 1.0) / 1.0)
+
+
 class TestKummerOde:
     @pytest.mark.parametrize("a,b,z", [(-0.5, 0.5, 1.0), (1.5, 4.5, 4.0)])
     def test_reference_points(self, a, b, z):
@@ -170,6 +186,13 @@ class TestPsiSeriesHelpers:
         value, estimate = verify.psi_series_optimal(0.5, 1.0, 1.0)
         assert value == verify.psi_series(0.5, 1.0, 1.0, 3)
         assert estimate == abs(verify.psi_series_term(3, 0.5, 1.0, 1.0))
+
+    @pytest.mark.parametrize("tau, alpha", [(2.0, 1.5), (0.5, 20.0)])
+    def test_smallest_first_mode_is_kept(self, tau, alpha):
+        # modes grow from n = 0 (s = 4.5), or overflow from n = 2 (s = 200):
+        # the first mode is the value and its own estimate, as in kappa_series
+        first = verify.psi_series_term(0, tau, 1.0, alpha)
+        assert verify.psi_series_optimal(tau, 1.0, alpha) == (first, abs(first))
 
     def test_psi_in_unit_interval(self):
         value, estimate = verify.psi_series_optimal(0.25, 1.0, 0.3)
