@@ -5,11 +5,15 @@ are simulated exactly: sigma_{k+1} = sigma_k * exp(alpha sqrt(dt) xi
 - alpha^2 dt / 2).  Realized variance accumulates the accrued nu plus a
 trapezoidal quadrature of sigma^2 over the remaining window.
 
-Reproducibility contract: every path draws from its own counter-based
-Philox4x64-10 stream keyed by (seed, path index), which one vectorized
-kernel computes for many paths at once; normals come from the inverse CDF
-of 64-bit uniforms, and payoffs are reduced in fixed blocks in a fixed
-order.  An estimate thus depends on its config alone.
+Reproducibility contract: draws are reduced in fixed blocks of
+BLOCK_PATHS, and each block has one counter-based Philox4x64-10 stream
+(Salmon et al., SC 2011) keyed by the seed with the block index in its
+counter.  numpy's Philox draws that stream in row chunks of CHUNK_PATHS
+draws, one row of n_steps words per draw; normals come from the inverse
+CDF of 64-bit uniforms, and each block's payoffs are reduced in a fixed
+order.  An estimate thus depends on its config alone.  Block means and
+centred sums of squares merge by the Chan-Golub-LeVeque update, so the
+standard error keeps a spread far below the mean.
 """
 
 from __future__ import annotations
@@ -26,13 +30,10 @@ from .model import MarketState, SabrParams, SwapContract, time_to_maturity
 #: paths per reduction block; fixed so the pairwise block sums (and hence
 #: the final estimate) never depend on how the paths are batched.
 BLOCK_PATHS = 8192
-#: paths per Philox kernel pass; keeps its ten uint64 work arrays in cache.
-CHUNK_PATHS = 512
+#: draws per chunk of a block's stream; keeps a chunk's normals and payoff
+#: temporaries in cache and bounds the memory of a block.
+CHUNK_PATHS = 256
 U64_TO_UNIT = 2.0 ** -53
-
-#: Philox4x64 round multipliers and key increments (Salmon et al., SC 2011).
-PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 @dataclass(frozen=True)
@@ -69,92 +70,66 @@ def resolve_workers() -> int:
     return 1
 
 
-def _mulhilo(m: int, x, lo, hi, t, u) -> None:
-    """lo, hi <- 64-bit words of m * x from 32-bit halves; x, t, u are scratch."""
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    np.multiply(x, m, out=lo)                 # wraps modulo 2^64
-    np.bitwise_and(x, 0xFFFFFFFF, out=t)      # t = x_lo
-    x >>= 32                                  # x = x_hi
-    np.multiply(x, m_hi, out=hi)
-    np.multiply(x, m_lo, out=u)
-    np.multiply(t, m_hi, out=x)
-    t *= m_lo
-    t >>= 32
-    t += x                                    # t = m_hi x_lo + (m_lo x_lo >> 32)
-    np.bitwise_and(t, 0xFFFFFFFF, out=x)
-    u += x                                    # u = m_lo x_hi + (t mod 2^32)
-    t >>= 32
-    u >>= 32
-    hi += t
-    hi += u
+def block_stream(seed: int, block: int) -> np.random.Philox:
+    """The Philox4x64-10 stream of reduction block ``block``: key ``seed``,
+    counter (0, 0, block, 0), so blocks never share a word."""
+    return np.random.Philox(key=int(seed), counter=[0, 0, block, 0])
 
 
-def _philox4x64(work: np.ndarray, seed: int) -> list:
-    """Philox4x64-10 words of the counters work[:4]; all ten arrays are scratch."""
-    c0, c1, c2, c3, lo0, hi0, lo1, hi1, t, u = work
-    key1, key0 = divmod(int(seed), 2 ** 64)
-    for r in range(10):                       # round r uses key + r * PHILOX_W
-        k0 = (key0 + r * PHILOX_W[0]) % 2 ** 64
-        k1 = (key1 + r * PHILOX_W[1]) % 2 ** 64
-        _mulhilo(PHILOX_M[0], c0, lo0, hi0, t, u)
-        _mulhilo(PHILOX_M[1], c2, lo1, hi1, t, u)
-        np.bitwise_xor(hi1, c1, out=c0)
-        c0 ^= k0
-        np.bitwise_xor(hi0, c3, out=c2)
-        c2 ^= k1
-        c1, lo1, c3, lo0 = lo1, c1, lo0, c3
-    return [c0, c1, c2, c3]
+def path_normals(stream: np.random.Philox, out: np.ndarray) -> np.ndarray:
+    """Standard normals of the next draws of a block's stream, into ``out``.
 
-
-def path_normals(seed: int, paths, n_steps: int) -> np.ndarray:
-    """Standard normals of the given paths' streams, one row per path.
-
-    Row i maps the first n_steps words of ``np.random.Philox(key=seed,
-    counter=[0, 0, 0, paths[i]])``, whose k-th 4-word block is Philox of
-    counter (k, 0, 0, path), through the uniform ((w >> 11) + 1/2) 2^-53.
+    Row i of ``out`` takes the stream's next n_steps = out.shape[1] words,
+    in order, through the uniform ((w >> 11) + 1/2) 2^-53 and the inverse
+    normal CDF; a block's draws are thus the same however its stream is cut
+    into chunks.
     """
-    paths = np.asarray(paths, dtype=np.uint64)
-    n_blocks = -(-n_steps // 4)
-    work = np.empty((10, min(CHUNK_PATHS, paths.size), n_blocks), dtype=np.uint64)
-    out = np.empty((paths.size, n_steps))
-    for lo in range(0, paths.size, CHUNK_PATHS):
-        chunk = paths[lo:lo + CHUNK_PATHS]
-        w = work[:, :chunk.size]
-        w[0] = np.arange(1, n_blocks + 1, dtype=np.uint64)
-        w[1:3] = 0
-        w[3] = chunk[:, None]
-        words = np.stack(_philox4x64(w, seed), axis=-1)
-        raw = words.reshape(chunk.size, 4 * n_blocks)[:, :n_steps]
-        out[lo:lo + chunk.size] = ndtri(
-            ((raw >> 11).astype(np.float64) + 0.5) * U64_TO_UNIT)
-    return out
+    raw = stream.random_raw(out.size)
+    raw >>= 11
+    np.copyto(out, raw.reshape(out.shape), casting="unsafe")   # exact: < 2^53
+    out += 0.5
+    out *= U64_TO_UNIT
+    return ndtri(out, out=out)
 
 
-def _block_payoffs(config: McConfig, lo: int, hi: int, state: MarketState,
-                   alpha: float, tau: float, tenor: float, square_root: bool) -> tuple:
-    """(sum, sum of squares) of the payoffs of draws lo..hi-1; antithetic
-    draw k averages path 2k and its mirror image."""
+def _block_payoffs(config: McConfig, block: int, n_rows: int, state: MarketState,
+                   alpha: float, tau: float, tenor: float,
+                   square_root: bool) -> np.ndarray:
+    """Payoffs of the block's n_rows draws; antithetic draw k averages row
+    k of the block's stream and its mirror image."""
     n_steps, sigma, nu = config.n_steps, state.sigma, state.nu
     dt = tau / n_steps
     drift = -0.5 * alpha * alpha * dt
     scale = alpha * math.sqrt(dt)
 
-    def payoffs_from(xi: np.ndarray) -> np.ndarray:
-        increments = scale * xi + drift
-        log_sigma = np.cumsum(increments, axis=1)
-        sig2 = np.empty((xi.shape[0], n_steps + 1))
-        sig2[:, 0] = sigma * sigma
-        sig2[:, 1:] = sigma * sigma * np.exp(2.0 * log_sigma)
+    # one set of chunk buffers per block: fresh chunk-sized temporaries
+    # cost the process ~35 000 page faults per 16 384 x 250 estimate
+    chunk = min(CHUNK_PATHS, n_rows)
+    xi_buf, work_buf = np.empty((2, chunk, n_steps))
+    sig2_buf = np.empty((chunk, n_steps + 1))
+    sig2_buf[:, 0] = sigma * sigma
+
+    def payoffs_from(xi: np.ndarray, step_scale: float) -> np.ndarray:
+        work, sig2 = work_buf[:len(xi)], sig2_buf[:len(xi)]
+        np.multiply(xi, step_scale, out=work)
+        work += drift
+        np.cumsum(work, axis=1, out=work)             # log(sigma_k / sigma)
+        work *= 2.0
+        np.exp(work, out=work)
+        np.multiply(work, sigma * sigma, out=sig2[:, 1:])
         realized = nu + np.trapezoid(sig2, dx=dt, axis=1)
         return np.sqrt(realized) / tenor if square_root else realized
 
-    idx = np.arange(lo, hi)
-    xi = path_normals(config.seed, 2 * idx if config.antithetic else idx, n_steps)
-    if config.antithetic:
-        vals = 0.5 * (payoffs_from(xi) + payoffs_from(-xi))
-    else:
-        vals = payoffs_from(xi)
-    return float(np.sum(vals)), float(np.sum(vals * vals))
+    stream = block_stream(config.seed, block)
+    vals = np.empty(n_rows)
+    for lo in range(0, n_rows, chunk):
+        xi = path_normals(stream, xi_buf[:min(chunk, n_rows - lo)])
+        if config.antithetic:   # scale * (-xi) is (-scale) * xi, bit for bit
+            vals[lo:lo + len(xi)] = 0.5 * (payoffs_from(xi, scale)
+                                           + payoffs_from(xi, -scale))
+        else:
+            vals[lo:lo + len(xi)] = payoffs_from(xi, scale)
+    return vals
 
 
 def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
@@ -165,16 +140,19 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
         return McEstimate(mean=value, std_error=0.0, n_paths=config.n_paths)
 
     n_draws = config.n_paths // 2 if config.antithetic else config.n_paths
-    total = 0.0
-    total_sq = 0.0
-    for lo in range(0, n_draws, BLOCK_PATHS):   # fixed block order
-        s, ss = _block_payoffs(config, lo, min(lo + BLOCK_PATHS, n_draws), state,
-                               params.alpha, tau, contract.tenor, square_root)
-        total += s
-        total_sq += ss
-    mean = total / n_draws
-    var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_draws),
+    total = m2 = 0.0
+    for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS)):   # fixed order
+        vals = _block_payoffs(config, block, min(BLOCK_PATHS, n_draws - lo), state,
+                              params.alpha, tau, contract.tenor, square_root)
+        block_sum = float(np.sum(vals))
+        block_mean = block_sum / vals.size
+        if lo:   # Chan-Golub-LeVeque merge with the lo draws before
+            delta = block_mean - total / lo
+            m2 += delta * delta * lo * vals.size / (lo + vals.size)
+        m2 += float(np.sum(np.square(vals - block_mean)))
+        total += block_sum
+    return McEstimate(mean=total / n_draws,
+                      std_error=math.sqrt(m2 / (n_draws - 1) / n_draws),
                       n_paths=config.n_paths)
 
 

@@ -1,14 +1,16 @@
 """Monte Carlo engine: exactness, reproducibility, variance-swap pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from volswap import mc_engine
 from volswap.exceptions import DomainError
-from volswap.mc_engine import (BLOCK_PATHS, CHUNK_PATHS, McConfig, kappa_mc,
-                               path_normals, variance_swap_expectation,
+from volswap.mc_engine import (BLOCK_PATHS, CHUNK_PATHS, McConfig, block_stream,
+                               kappa_mc, path_normals, variance_swap_expectation,
                                variance_swap_mc)
 from volswap.model import MarketState, SabrParams, SwapContract
 
@@ -17,32 +19,64 @@ STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
 PARAMS = SabrParams(alpha=0.4)
 
 
-def reference_normals(seed, path, n_steps):
-    """Reference: one path's normals from numpy's own Philox bit generator."""
-    raw = np.random.Philox(key=seed, counter=[0, 0, 0, path]).random_raw(n_steps)
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+def reference_normals(seed, block, n_rows, n_steps):
+    """Reference: a block's first rows from numpy's own Philox bit generator."""
+    raw = np.random.Philox(key=seed, counter=[0, 0, block, 0]).random_raw(
+        n_rows * n_steps)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return ndtri(u).reshape(n_rows, n_steps)
 
 
 class TestPathNormals:
-    PATHS = [0, 1, 8191, 8192, 2 ** 32 + 1, 2 ** 63]
+    BLOCKS = [0, 1, 7, 2 ** 32 + 1, 2 ** 63]
 
     @pytest.mark.parametrize("n_steps", [1, 4, 7, 250])
     @pytest.mark.parametrize("seed", [0, 99, 2 ** 64 + 5, 2 ** 128 - 1])
     def test_equals_numpy_philox_streams(self, seed, n_steps):
-        got = path_normals(seed, self.PATHS, n_steps)
-        assert got.shape == (len(self.PATHS), n_steps)
-        for row, path in zip(got, self.PATHS):
-            assert np.array_equal(row, reference_normals(seed, path, n_steps))
+        for block in self.BLOCKS:
+            got = path_normals(block_stream(seed, block), np.empty((3, n_steps)))
+            assert np.array_equal(got, reference_normals(seed, block, 3, n_steps))
 
     def test_numpy_integer_seed(self):
-        assert np.array_equal(path_normals(np.int64(99), [3], 5),
-                              reference_normals(99, 3, 5)[None, :])
+        got = path_normals(block_stream(np.int64(99), np.int64(3)), np.empty((2, 5)))
+        assert np.array_equal(got, reference_normals(99, 3, 2, 5))
 
     def test_rows_do_not_depend_on_the_batch(self):
-        paths = np.arange(2 * CHUNK_PATHS + 3)
-        whole = path_normals(5, paths, 9)
-        assert np.array_equal(whole[-3:], path_normals(5, paths[-3:], 9))
-        assert np.array_equal(whole[CHUNK_PATHS], path_normals(5, [CHUNK_PATHS], 9)[0])
+        # a block's first m draws are the same however many draws follow
+        # and however its stream is cut into chunks
+        def draws(n_steps, *sizes):
+            stream = block_stream(5, 2)
+            return np.vstack([path_normals(stream, np.empty((m, n_steps)))
+                              for m in sizes])
+
+        for n_steps in (1, 3, 9):
+            whole = draws(n_steps, 2 * CHUNK_PATHS + 3)
+            assert np.array_equal(draws(n_steps, 1, 2, CHUNK_PATHS, 5),
+                                  whole[:CHUNK_PATHS + 8])
+            assert np.array_equal(draws(n_steps, 1), whole[:1])
+
+
+class TestChunking:
+    CONFIG = McConfig(16_400, 5, seed=2, antithetic=True)   # 8 200 draws
+
+    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    def test_estimate_does_not_depend_on_chunk_size(self, estimator, monkeypatch):
+        assert self.CONFIG.n_paths // 2 > BLOCK_PATHS
+        default = repr(estimator(STATE, PARAMS, CONTRACT, self.CONFIG))
+        monkeypatch.setattr(mc_engine, "CHUNK_PATHS", 7)
+        assert repr(estimator(STATE, PARAMS, CONTRACT, self.CONFIG)) == default
+
+    def test_block_peak_memory_is_bounded(self):
+        # one 8 192-draw block of 1 000 steps holds 65 MB of normals at once
+        # unless its stream is drawn and priced in chunks
+        config = McConfig(BLOCK_PATHS, 1000, seed=4)
+        tracemalloc.start()
+        try:
+            kappa_mc(STATE, PARAMS, CONTRACT, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestSeed:
@@ -68,6 +102,15 @@ class TestKappaMc:
         expected = math.sqrt(0.03 + 0.25 ** 2 * 0.5)
         assert est.mean == pytest.approx(expected, rel=1e-10)
         assert est.std_error < 1e-12
+
+    def test_std_error_scales_with_alpha(self):
+        # the per-draw spread is ~5e-2 alpha against a mean of ~0.25: sums
+        # of squares about zero cancel it away at small alpha, centred
+        # sums keep it
+        config = McConfig(10_000, 50, seed=1)
+        ratios = [kappa_mc(STATE, SabrParams(alpha=10.0 ** -k), CONTRACT,
+                           config).std_error * 10.0 ** k for k in range(3, 13)]
+        assert max(ratios) <= 1.05 * min(ratios)
 
     def test_reproducible(self):
         cfg = McConfig(20_000, 40, seed=99)
@@ -114,21 +157,22 @@ class TestKappaMc:
 
 
 class TestGolden:
-    """Estimates frozen by repr from the per-path, process-pool engine."""
+    """Estimates frozen by repr from the engine with one Philox stream per
+    fixed block, drawn in row chunks."""
 
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "McEstimate(mean=0.24878021982740672, std_error=0.0003913010273010795, n_paths=3000)",
-                  "McEstimate(mean=0.0623507941427795, std_error=0.0002037624003269033, n_paths=3000)"),
+                  "McEstimate(mean=0.24889183086609348, std_error=0.0003956341360268775, n_paths=3000)",
+                  "McEstimate(mean=0.062416566054275716, std_error=0.00020695822919130087, n_paths=3000)"),
         "antithetic": (McConfig(3000, 20, seed=21, antithetic=True),
-                       "McEstimate(mean=0.24931800593891323, std_error=0.00012297549980049574, n_paths=3000)",
-                       "McEstimate(mean=0.06264949434582255, std_error=8.04266900043171e-05, n_paths=3000)"),
+                       "McEstimate(mean=0.24919552441572826, std_error=0.00012097917907181087, n_paths=3000)",
+                       "McEstimate(mean=0.06256659892215394, std_error=7.906234478771e-05, n_paths=3000)"),
         "two_blocks": (McConfig(8200, 5, seed=2 ** 70 + 3),
-                       "McEstimate(mean=0.24925598853972167, std_error=0.00023627880641251237, n_paths=8200)",
-                       "McEstimate(mean=0.0625862789249892, std_error=0.0001229818920352692, n_paths=8200)"),
+                       "McEstimate(mean=0.2494586392548361, std_error=0.00024096272317657483, n_paths=8200)",
+                       "McEstimate(mean=0.062705671514318, std_error=0.0001256073238538175, n_paths=8200)"),
         "one_step": (McConfig(1001, 1, seed=7),
-                     "McEstimate(mean=0.24843341352773946, std_error=0.0005577007589659744, n_paths=1001)",
-                     "McEstimate(mean=0.06203019109359602, std_error=0.000287816373549396, n_paths=1001)"),
+                     "McEstimate(mean=0.24864837815804663, std_error=0.0006135503431669559, n_paths=1001)",
+                     "McEstimate(mean=0.06220245998422727, std_error=0.00032387040274480796, n_paths=1001)"),
     }
 
     def test_two_blocks_case_spans_a_partial_block(self):
