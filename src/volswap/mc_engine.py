@@ -73,7 +73,7 @@ def resolve_workers() -> int:
 def block_stream(seed: int, block: int) -> np.random.Philox:
     """The Philox4x64-10 stream of reduction block ``block``: key ``seed``,
     counter (0, 0, block, 0), so blocks never share a word."""
-    return np.random.Philox(key=int(seed), counter=[0, 0, block, 0])
+    return np.random.Philox(key=seed, counter=[0, 0, block, 0])
 
 
 def path_normals(stream: np.random.Philox, out: np.ndarray) -> np.ndarray:
