@@ -208,6 +208,14 @@ def float_list(raw: str) -> list:
     return values
 
 
+def count(raw: str) -> int:
+    """argparse type: a non-negative integer."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"{raw!r} is negative")
+    return value
+
+
 def cmd_compare(args) -> int:
     started = time.perf_counter()
     from . import mc_engine, pde_engine
@@ -402,7 +410,7 @@ def build_parser():
     flag("--n-y", type=int, default=400)
     flag("--n-t", type=int, default=400)
     flag("--y-max", type=float)
-    flag("--refine", type=int, default=0)
+    flag("--refine", type=count, default=0)
 
     _, flag = command(sub, ("compare",), cmd_compare,
                       help="series vs MC vs PDE sweep (CSV)")
@@ -419,7 +427,7 @@ def build_parser():
     flag("--check", default="all", choices=("all", "terminal", "bessel", "j0",
                                             "kummer", "psi-pde", "functional"))
     flag("--n-terms", type=int, default=10)
-    flag("--s-max", type=int, default=40)
+    flag("--s-max", type=count, default=40)
     return parser, commands
 
 

@@ -22,8 +22,9 @@ classifies the outcome as convergent-like, asymptotically truncated, or
 diverging.  Ground truth outside the trustworthy region comes from the
 Monte Carlo and PDE oracles in the sibling modules.
 
-The evaluation policy is the module constants ``MAX_TERMS`` and
-``REL_TOL`` here and ``specfun.KUMMER_REL_TOL`` for 1F1, read at call time.
+The evaluation policy is the module constants ``MAX_TERMS``, ``REL_TOL``
+and ``ZETA_MAX`` here and ``specfun.KUMMER_REL_TOL`` for 1F1, read at call
+time.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ DIVERGENCE_FRACTION = 0.1
 MAX_TERMS = 64
 #: a term within this fraction of the partial sum is small; two end the sum.
 REL_TOL = 1e-10
+#: zeta above which every price is diverging: the terms cancel to F ~ 1, and
+#: the n = 0 term -3.1e15 at zeta = 40 alone has an ulp of 0.5.
+ZETA_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -172,10 +176,11 @@ def kappa_series(state: MarketState, params: SabrParams,
                  contract: SwapContract) -> tuple:
     """Expected annualized volatility from the hypergeometric series.
 
-    Sums at most ``MAX_TERMS`` terms by :func:`truncated_sum`.  A negative
-    value, a non-finite term, a smallest term at n = 0, or an estimate
-    above ``DIVERGENCE_FRACTION`` of the sum yields the diverging verdict;
-    the best truncation is still returned, flagged not converged.
+    Sums at most ``MAX_TERMS`` terms by :func:`truncated_sum`.  A zeta
+    above ``ZETA_MAX``, a negative value, a non-finite term, a smallest term
+    at n = 0, or an estimate above ``DIVERGENCE_FRACTION`` of the sum yields
+    the diverging verdict; the best truncation is still returned, flagged
+    not converged.
 
     Returns
     -------
@@ -185,10 +190,10 @@ def kappa_series(state: MarketState, params: SabrParams,
     value, m, estimate, stop, terms_used = truncated_sum(
         series_term(n, sv.zeta, sv.tau, params.alpha) for n in range(MAX_TERMS))
     kappa = math.sqrt(state.nu) / contract.tenor * value
-    if stop == "tolerance":
+    if stop == "tolerance" and sv.zeta <= ZETA_MAX:
         converged = kappa >= 0
         regime = REGIME_CONVERGENT if converged else REGIME_DIVERGING
-    elif (m == 0 or stop == "overflow" or kappa < 0
+    elif (sv.zeta > ZETA_MAX or m == 0 or stop == "overflow" or kappa < 0
           or estimate > DIVERGENCE_FRACTION * abs(value)):
         converged, regime = False, REGIME_DIVERGING
     else:

@@ -7,11 +7,14 @@ Everything here is self-contained on top of ``math``:
 * the imaginary error function erfi,
 * the modified Bessel function I_nu of the first kind for fractional order.
 
-All series evaluators stop once two consecutive terms drop below their
-relative tolerance (``KUMMER_REL_TOL`` for 1F1, the one value every caller
-uses, ``BESSEL_REL_TOL`` for I_nu), which guards against even/odd term
-oscillation, and report what they did via :class:`SeriesEvalReport`.  A
-result beyond the float range is a signed infinity, not an exception.
+Each function is one convergent series summed by term recurrence, capped
+at ``MAX_TERMS`` terms.  1F1 and I_nu stop once two consecutive terms drop
+below their relative tolerance (``KUMMER_REL_TOL`` for 1F1, the one value
+every caller uses, ``BESSEL_REL_TOL`` for I_nu), which guards against
+even/odd term oscillation, and report what they did via
+:class:`SeriesEvalReport`; erfi stops on the first term below 1e-17 of the
+sum.  A result beyond the float range is a signed infinity, not an
+exception.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ from .exceptions import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
-#: switch-over point between the direct Taylor series and the large-argument
-#: asymptotic expansion of 1F1.  Below it the direct series needs O(z) terms
-#: and loses no precision (z >= 0 keeps every partial sum tame); above it the
-#: asymptotic form is cheaper and covers the nu -> 0 corner where z -> inf.
-KUMMER_ASYMPTOTIC_Z = 40.0
-#: term cap of the direct 1F1 and I_nu series.
+#: term cap of the 1F1, erfi and I_nu series.
 MAX_TERMS = 2000
 #: relative term size at which the 1F1 series stop.
 KUMMER_REL_TOL = 1e-13
@@ -82,16 +80,14 @@ def _gamma_sign(x: float) -> float:
 def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
     """Confluent hypergeometric function 1F1(a;b;z) for z >= 0.
 
-    Direct Taylor summation by term recurrence up to the switch-over point
-    ``KUMMER_ASYMPTOTIC_Z``; beyond it the large-z form
-    Gamma(b)/Gamma(a) * e^z * z^(a-b) * (1 + O(1/z)) is used and the first
-    omitted term is reported as the truncation-error estimate; once its
-    prefactor leaves the float range (z above ~717) the value is a signed
-    infinity.  The asymptotic branch is only taken when its leading term
-    ratio already decays, otherwise the (always convergent) direct series is
-    kept.  Both stop at relative term size ``KUMMER_REL_TOL``.  For a
-    non-positive integer a every term past the polynomial's degree is
-    exactly 0, so the two-small-terms stop ends the sum.
+    Taylor summation by term recurrence, stopped on two consecutive terms
+    within ``KUMMER_REL_TOL`` of the partial sum; for a non-positive integer
+    a every term past the polynomial's degree is exactly 0.  At the pricer's
+    (n - 1/2, 2n + 1/2), n in {0, 1, 2, 10}, and z from 41 to 716 it is
+    within 2.7e-13 relative of a 40-digit evaluation, converged: the terms
+    past the first share one sign.  A value beyond the float range is a
+    signed infinity (from z ~ 717.1 at n = 0, 723.2 at n = 1, 753.6 at
+    n = 10).
 
     Parameters
     ----------
@@ -113,17 +109,6 @@ def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
     if z == 0.0:
         return SeriesEvalReport(1.0, 1, 0.0, True)
 
-    use_asymptotic = (
-        z > KUMMER_ASYMPTOTIC_Z
-        and a != 0.0
-        and abs((b - a) * (1 - a)) < 0.5 * z
-    )
-    if use_asymptotic:
-        return _kummer_asymptotic(a, b, z)
-    return _kummer_direct(a, b, z)
-
-
-def _kummer_direct(a: float, b: float, z: float) -> SeriesEvalReport:
     total = 1.0
     term = 1.0
     small_streak = 0
@@ -139,40 +124,15 @@ def _kummer_direct(a: float, b: float, z: float) -> SeriesEvalReport:
     return SeriesEvalReport(total, MAX_TERMS + 1, abs(term), False)
 
 
-def _kummer_asymptotic(a: float, b: float, z: float) -> SeriesEvalReport:
-    sign = _gamma_sign(a)
-    try:
-        prefactor = sign * math.exp(math.lgamma(b) - math.lgamma(a) + z
-                                    + (a - b) * math.log(z))
-    except OverflowError:
-        prefactor = sign * math.inf
-    total = 1.0
-    term = 1.0
-    last = 1.0
-    terms_used = 1
-    converged = False
-    for k in range(200):
-        term *= (b - a + k) * (1 - a + k) / ((k + 1) * z)
-        if abs(term) > last:
-            break  # smallest term reached: optimal truncation
-        total += term
-        last = abs(term)
-        terms_used += 1
-        if abs(term) <= KUMMER_REL_TOL * abs(total):
-            converged = True
-            break
-    return SeriesEvalReport(prefactor * total, terms_used, abs(term * prefactor),
-                            converged or last <= KUMMER_REL_TOL * abs(total))
-
-
 def erfi(x: float) -> float:
     """Imaginary error function erfi(x) = (2/sqrt(pi)) * int_0^x e^(s^2) ds.
 
-    Odd in x.  Maclaurin series for |x| <= 12 (all terms positive: no
-    cancellation), asymptotic expansion e^(x^2)/(x sqrt(pi)) beyond.
-    Relative accuracy is ~1e-15 for |x| <= 10 and degrades gracefully up to
-    the e^(x^2) overflow near |x| ~ 26.64, from where the value is a signed
-    infinity (erfi itself leaves the float range at |x| ~ 26.71).
+    Odd in x.  Maclaurin series (2/sqrt(pi)) sum_k x^(2k+1) / (k! (2k+1)),
+    all terms positive, stopped on the first term below 1e-17 of the sum.
+    Its relative error, about x^2 times the rounding of x*x, is at most
+    1.6e-14 for |x| <= 12 and 6.2e-14 below 26.66 against a 40-digit
+    evaluation; from |x| ~ 26.66 the terms overflow and the value is a
+    signed infinity.
     """
     if not math.isfinite(x):
         raise DomainError(f"erfi requires a finite argument, got {x}")
@@ -180,33 +140,16 @@ def erfi(x: float) -> float:
         return 0.0
     if x < 0.0:
         return -erfi(-x)
-    if x <= 12.0:
-        x2 = x * x
-        power = x          # x^(2k+1) / k!
-        total = x
-        for k in range(1, 400):
-            power *= x2 / k
-            contrib = power / (2 * k + 1)
-            total += contrib
-            if contrib <= 1e-17 * total:
-                break
-        return (2.0 / SQRT_PI) * total
-    # asymptotic: e^(x^2)/(x sqrt(pi)) * sum_k (2k-1)!!/(2x^2)^k
-    total = 1.0
-    term = 1.0
-    last = 1.0
-    for k in range(60):
-        term *= (2 * k + 1) / (2.0 * x * x)
-        if term > last:
+    x2 = x * x
+    power = x          # x^(2k+1) / k!
+    total = x
+    for k in range(1, MAX_TERMS):
+        power *= x2 / k
+        contrib = power / (2 * k + 1)
+        total += contrib
+        if contrib <= 1e-17 * total:
             break
-        total += term
-        last = term
-        if term <= 1e-17 * total:
-            break
-    try:
-        return math.exp(x * x) / (x * SQRT_PI) * total
-    except OverflowError:
-        return math.inf
+    return (2.0 / SQRT_PI) * total
 
 
 def bessel_i(order: float, y: float) -> SeriesEvalReport:

@@ -321,8 +321,11 @@ def test_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, argv):
     (["price"] + SEED_POINT + ["--max-terms", "5"], "--max-terms"),
     (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
+    (["oracle", "pde"] + SEED_POINT + ["--refine", "-2"], "--refine"),
+    (["verify", "--check", "terminal", "--s-max", "-3"], "--s-max"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
-        "empty-list", "max-terms", "rel-tol", "quad-tol"])
+        "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
+        "negative-s-max"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
@@ -402,7 +405,10 @@ class TestConfig:
         (["oracle", "mc"], "antithetic = maybe", "not boolean"),
         (["price"], "alpha = abc", "--alpha"),
         (["oracle", "mc"], "paths = 1e3", "--paths"),
-    ], ids=["no-equals", "boolean", "float", "int"])
+        (["oracle", "pde"], "refine = -2", "--refine"),
+        (["verify"], "s-max = -3", "--s-max"),
+    ], ids=["no-equals", "boolean", "float", "int", "negative-refine",
+            "negative-s-max"])
     def test_bad_line_is_a_usage_error(self, tmp_path, capsys, command, line,
                                        message):
         path = config(tmp_path, SEED_CONFIG + "seed = 7\n" + line + "\n")

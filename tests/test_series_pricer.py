@@ -12,7 +12,7 @@ from volswap import series_pricer, specfun
 from volswap.exceptions import DomainError, SingularityError
 from volswap.model import MarketState, SabrParams, SwapContract
 from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
-                                   REL_TOL, coeff_b, coeff_b_exact,
+                                   REL_TOL, ZETA_MAX, coeff_b, coeff_b_exact,
                                    growth_factor, kappa_series,
                                    price_volatility_swap, series_term,
                                    series_variables, truncated_sum)
@@ -139,6 +139,14 @@ class TestAdaptiveTruncation:
         assert kappa < 0
         assert diag.regime == REGIME_DIVERGING
 
+    def test_negative_sum_on_the_tolerance_stop_is_diverging(self):
+        # zeta 38.5 at s = 1e-8: cancellation leaves a negative sum whose
+        # last terms are tiny
+        kappa, diag = kappa_series(*make_point(1e-8, 38.5))
+        assert diag.min_term_index == diag.terms_used - 1
+        assert kappa < 0
+        assert diag.regime == REGIME_DIVERGING
+
     def test_diagnostics_monotone(self, monkeypatch):
         monkeypatch.setattr(series_pricer, "MAX_TERMS", 48)
         for a2t, zeta in ((0.01, 5.0), (0.1, 0.5), (0.5, 1.0), (2.0, 3.0)):
@@ -223,6 +231,34 @@ class TestGrowthOverflow:
         assert not diag.converged
 
 
+class TestLargeZeta:
+    """Above ``ZETA_MAX`` the terms reach ~e^zeta and cancel down to F ~ 1."""
+
+    @pytest.mark.parametrize("zeta", [40.5, 45.0, 60.0, 100.0, 200.0, 400.0,
+                                      700.0, 800.0])
+    def test_every_price_is_refused(self, zeta):
+        for a2t in (1e-8, 1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 1e-2, 0.1):
+            state, params, contract = make_point(a2t, zeta)
+            try:
+                _, diag = kappa_series(state, params, contract)
+            except DomainError:     # the n = 0 term is already infinite
+                assert zeta > 717.0
+                continue
+            assert diag.regime == REGIME_DIVERGING, a2t
+            assert not diag.converged
+
+    def test_no_price_is_trusted_past_zeta_max(self):
+        # rounding noise alone made sums such as kappa ~ 8e23 at zeta = 96
+        # look asymptotically truncated
+        alpha, nu = 0.01, 0.04
+        for i in range(1, 281):
+            zeta = ZETA_MAX + 0.25 * i
+            sigma = math.sqrt(2 * alpha * alpha * nu * zeta)
+            state = MarketState(t=0.5, sigma=sigma, nu=nu)
+            _, diag = kappa_series(state, SabrParams(alpha=alpha), CONTRACT)
+            assert diag.regime == REGIME_DIVERGING, zeta
+
+
 #: price_volatility_swap outputs frozen bit for bit, one case per way the
 #: summation can finish: (name, t, sigma, nu, alpha, tenor, max_terms,
 #: kappa, fair_value, terms_used, min_term_index, min_term_abs, converged,
@@ -232,13 +268,13 @@ GOLDEN = [
      0.20998807218081061, 0.9688430015386285, 14, 13, 5.048579076362543e-12,
      True, "convergent_like", ()),
     ("tolerance_negative", 0.5, 0.08060771335225096, 0.04, 0.044721359549995794, 1.0, 64,
-     -191.31960557680986, -18577.401740950554, 57, 56, 1.268751095559294e-08,
+     -0.719605576363356, -89.20174090724552, 61, 60, 2.4543805075051877e-11,
      False, "diverging", ("SERIES_DIVERGING",)),
     ("growth_asymptotic", 0.5, 0.18071535561995578, 0.04, 0.14627234900479616, 1.0, 64,
      0.2374862253394035, 3.6361638579221385, 63, 60, 3.9305942213026205e-06,
      False, "asymptotic_truncated", ("SERIES_ASYMPTOTIC_TRUNCATED",)),
     ("growth_estimate_too_large", 0.5, 0.322490309931942, 0.04, 0.044721359549995794, 1.0, 64,
-     4.520630231394503e+277, 4.385011324452668e+279, 27, 24, 4.522286748681441e+278,
+     4.520630231395874e+277, 4.3850113244539975e+279, 27, 24, 4.522286748681441e+278,
      False, "diverging", ("SERIES_DIVERGING",)),
     ("growth_m0", 0.5, 0.28284271247461906, 0.04, 1.4142135623730951, 1.0, 64,
      0.09075272175798009, -10.596985989475932, 3, 0, 0.4537636087899004,
@@ -250,7 +286,7 @@ GOLDEN = [
      -0.041404332671063554, -23.416220269093166, 5, 0, 0.20702166335531774,
      False, "diverging", ("SERIES_DIVERGING",)),
     ("overflow", 0.5, 55.85696017507577, 0.04, 7.745966692414834, 1.0, 64,
-     -3.016510285764287e+278, -2.9260149771913585e+280, 2, 0, 1.5082551428821434e+279,
+     -3.016510285763367e+278, -2.9260149771904657e+280, 2, 0, 1.5082551428816834e+279,
      False, "diverging", ("SERIES_DIVERGING",)),
     ("negative_seed_point", 0.5, 0.25, 0.03, 0.4, 1.0, 64,
      -2.201514369528084, -232.94689384422418, 8, 5, 29.39493830191444,

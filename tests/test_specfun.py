@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from volswap import specfun
@@ -78,19 +79,18 @@ class TestKummer1F1:
         assert rep.value == pytest.approx(hyp1f1_bruteforce(1.5, 4.5, 0.25),
                                           rel=1e-13)
 
-    @pytest.mark.parametrize("a,b,z", [(-0.5, 0.5, 45.0), (-0.5, 0.5, 80.0),
-                                       (0.5, 2.5, 60.0), (5.5, 12.5, 43.0)])
-    def test_asymptotic_branch(self, a, b, z):
-        # the oracle sums the (convergent) Taylor series far past the switch
-        oracle = hyp1f1_bruteforce(a, b, z, terms=400)
+    @pytest.mark.parametrize("a,b,z", [
+        *((n - 0.5, 2 * n + 0.5, z) for n in (0, 1, 2, 10)
+          for z in (41.0, 100.0, 300.0, 700.0, 716.0)),
+        (-0.5, 0.5, 45.0), (-0.5, 0.5, 80.0), (0.5, 2.5, 60.0),
+        (5.5, 12.5, 43.0), (19.5, 40.5, 50.0)])
+    def test_large_z_against_mpmath(self, a, b, z):
+        # the pricer's parameters (n - 1/2, 2n + 1/2) up to the overflow
         rep = specfun.kummer_1f1(a, b, z)
-        assert rep.value == pytest.approx(oracle, rel=1e-12)
-
-    def test_large_parameters_stay_on_direct_series(self):
-        # asymptotic form in z is invalid when a, b ~ z; must not be used
-        oracle = hyp1f1_bruteforce(19.5, 40.5, 50.0, terms=400)
-        rep = specfun.kummer_1f1(19.5, 40.5, 50.0)
-        assert rep.value == pytest.approx(oracle, rel=1e-12)
+        with mpmath.workdps(40):
+            oracle = mpmath.hyp1f1(a, b, z)
+            assert rep.converged
+            assert abs((rep.value - oracle) / oracle) <= 5e-13
 
     @pytest.mark.parametrize("a,b,z,expected", [
         (-0.5, 0.5, 723.0, -math.inf),     # Gamma(-1/2) < 0
@@ -154,11 +154,13 @@ class TestErfi:
         assert specfun.erfi(x) == pytest.approx(erfi_maclaurin(x, terms=300),
                                                 rel=1e-12)
 
-    def test_large_x_branch(self):
-        # frozen 40-digit values
-        assert specfun.erfi(15.0) == pytest.approx(1.9613845638673806e96, rel=1e-12)
-        assert specfun.erfi(13.0) == pytest.approx(erfi_maclaurin(13.0, terms=400),
-                                                   rel=1e-12)
+    def test_large_x_against_mpmath(self):
+        # half-integers, where x*x is exact, up to the overflow near 26.66
+        with mpmath.workdps(40):
+            for i in range(15):
+                x = 12.5 + i
+                oracle = mpmath.erfi(x)
+                assert abs((specfun.erfi(x) - oracle) / oracle) <= 2e-14, x
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
