@@ -1,19 +1,20 @@
 """Monte Carlo oracle for the volatility swap.
 
-The volatility process dsigma = alpha sigma dZ is lognormal, so increments
-are simulated exactly: sigma_{k+1} = sigma_k * exp(alpha sqrt(dt) xi
-- alpha^2 dt / 2).  Realized variance accumulates the accrued nu plus a
-trapezoidal quadrature of sigma^2 over the remaining window.
+With v = alpha^2 u, dsigma = alpha sigma dZ gives sigma_u^2 = sigma^2
+e^(2 B_v - v) for a standard Brownian motion B, so the realized variance is
+nu + sigma^2 tau M_s, with M_s the time average of e^(2 B_v - v) over [0, s]
+and s = alpha^2 tau.  A path needs s and n_steps alone: B is exact on the
+n-step grid of [0, s] and M is the trapezoid mean over its nodes.
 
 Reproducibility contract: draws are reduced in fixed blocks of
-BLOCK_PATHS, and each block has one counter-based Philox4x64-10 stream
-(Salmon et al., SC 2011) keyed by the seed with the block index in its
-counter.  numpy's Philox draws that stream in row chunks of CHUNK_PATHS
-draws, one row of n_steps words per draw; normals come from the inverse
-CDF of 64-bit uniforms, and each block's payoffs are reduced in a fixed
-order.  An estimate thus depends on its config alone.  Block means and
-centred sums of squares merge by the Chan-Golub-LeVeque update, so the
-standard error keeps a spread far below the mean.
+BLOCK_PATHS, each with one counter-based Philox4x64-10 stream (Salmon et
+al., SC 2011) keyed by the seed with the block index in its counter.
+numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) draws its
+normals, no inverse CDF, in row chunks of CHUNK_PATHS draws, one row of
+n_steps per draw, and each block's payoffs are reduced in a fixed order,
+so an estimate depends on its config alone.  Block means and centred sums
+of squares merge by the Chan-Golub-LeVeque update, so the standard error
+keeps a spread far below the mean.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import DomainError
 from .model import MarketState, SabrParams, SwapContract, time_to_maturity
@@ -33,7 +33,6 @@ BLOCK_PATHS = 8192
 #: draws per chunk of a block's stream; keeps a chunk's normals and payoff
 #: temporaries in cache and bounds the memory of a block.
 CHUNK_PATHS = 256
-U64_TO_UNIT = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -70,66 +69,54 @@ def resolve_workers() -> int:
     return 1
 
 
-def block_stream(seed: int, block: int) -> np.random.Philox:
+def block_stream(seed: int, block: int) -> np.random.Generator:
     """The Philox4x64-10 stream of reduction block ``block``: key ``seed``,
     counter (0, 0, block, 0), so blocks never share a word."""
-    return np.random.Philox(key=seed, counter=[0, 0, block, 0])
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
 
 
-def path_normals(stream: np.random.Philox, out: np.ndarray) -> np.ndarray:
+def path_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Standard normals of the next draws of a block's stream, into ``out``.
 
-    Row i of ``out`` takes the stream's next n_steps = out.shape[1] words,
-    in order, through the uniform ((w >> 11) + 1/2) 2^-53 and the inverse
-    normal CDF; a block's draws are thus the same however its stream is cut
+    Row i of ``out`` takes the stream's next n_steps = out.shape[1] normals,
+    in order; a block's draws are thus the same however its stream is cut
     into chunks.
     """
-    raw = stream.random_raw(out.size)
-    raw >>= 11
-    np.copyto(out, raw.reshape(out.shape), casting="unsafe")   # exact: < 2^53
-    out += 0.5
-    out *= U64_TO_UNIT
-    return ndtri(out, out=out)
+    return stream.standard_normal(out=out)
 
 
-def _block_payoffs(config: McConfig, block: int, n_rows: int, state: MarketState,
-                   alpha: float, tau: float, tenor: float,
-                   square_root: bool) -> np.ndarray:
-    """Payoffs of the block's n_rows draws; antithetic draw k averages row
-    k of the block's stream and its mirror image."""
-    n_steps, sigma, nu = config.n_steps, state.sigma, state.nu
-    dt = tau / n_steps
-    drift = -0.5 * alpha * alpha * dt
-    scale = alpha * math.sqrt(dt)
+def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndarray:
+    """M_s of the block's n_rows draws: the trapezoid mean over n_steps of
+    e^(2 B_v - v) on [0, s], whose node v = 0 is 1.  Antithetic mode returns
+    two rows, M of each draw and of its mirror image."""
+    n_steps = config.n_steps
+    drift = -0.5 * (s / n_steps)
+    scale = math.sqrt(s / n_steps)
 
     # one set of chunk buffers per block: fresh chunk-sized temporaries
     # cost the process ~35 000 page faults per 16 384 x 250 estimate
     chunk = min(CHUNK_PATHS, n_rows)
-    xi_buf, work_buf = np.empty((2, chunk, n_steps))
-    sig2_buf = np.empty((chunk, n_steps + 1))
-    sig2_buf[:, 0] = sigma * sigma
+    xi_buf = np.empty((chunk, n_steps))
+    path_buf = np.ones((chunk, n_steps + 1))        # node v = 0 stays 1
 
-    def payoffs_from(xi: np.ndarray, step_scale: float) -> np.ndarray:
-        work, sig2 = work_buf[:len(xi)], sig2_buf[:len(xi)]
+    def means_from(xi: np.ndarray, step_scale: float) -> np.ndarray:
+        path = path_buf[:len(xi)]
+        work = path[:, 1:]
         np.multiply(xi, step_scale, out=work)
         work += drift
-        np.cumsum(work, axis=1, out=work)             # log(sigma_k / sigma)
+        np.cumsum(work, axis=1, out=work)             # B_v - v/2 at the nodes
         work *= 2.0
         np.exp(work, out=work)
-        np.multiply(work, sigma * sigma, out=sig2[:, 1:])
-        realized = nu + np.trapezoid(sig2, dx=dt, axis=1)
-        return np.sqrt(realized) / tenor if square_root else realized
+        return np.trapezoid(path, dx=1.0 / n_steps, axis=1)
 
     stream = block_stream(config.seed, block)
-    vals = np.empty(n_rows)
+    signs = (1.0, -1.0) if config.antithetic else (1.0,)
+    means = np.empty((len(signs), n_rows))
     for lo in range(0, n_rows, chunk):
         xi = path_normals(stream, xi_buf[:min(chunk, n_rows - lo)])
-        if config.antithetic:   # scale * (-xi) is (-scale) * xi, bit for bit
-            vals[lo:lo + len(xi)] = 0.5 * (payoffs_from(xi, scale)
-                                           + payoffs_from(xi, -scale))
-        else:
-            vals[lo:lo + len(xi)] = payoffs_from(xi, scale)
-    return vals
+        for row, sign in zip(means, signs):   # scale * (-xi) is (-scale) * xi
+            row[lo:lo + len(xi)] = means_from(xi, sign * scale)
+    return means
 
 
 def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
@@ -139,11 +126,17 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
         value = math.sqrt(state.nu) / contract.tenor if square_root else state.nu
         return McEstimate(mean=value, std_error=0.0, n_paths=config.n_paths)
 
+    s = params.alpha * params.alpha * tau
+    if s == math.inf:
+        raise DomainError(f"alpha^2 tau overflows at alpha {params.alpha}, tau {tau}")
+    variance = state.sigma * state.sigma * tau     # sigma^2 tau, times M_s
     n_draws = config.n_paths // 2 if config.antithetic else config.n_paths
     total = m2 = 0.0
     for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS)):   # fixed order
-        vals = _block_payoffs(config, block, min(BLOCK_PATHS, n_draws - lo), state,
-                              params.alpha, tau, contract.tenor, square_root)
+        realized = state.nu + variance * _block_means(
+            config, block, min(BLOCK_PATHS, n_draws - lo), s)
+        payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
+        vals = payoffs.mean(axis=0) if config.antithetic else payoffs[0]
         block_sum = float(np.sum(vals))
         block_mean = block_sum / vals.size
         if lo:   # Chan-Golub-LeVeque merge with the lo draws before
@@ -158,7 +151,7 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
 
 def kappa_mc(state: MarketState, params: SabrParams, contract: SwapContract,
              config: McConfig) -> McEstimate:
-    """Sample estimate of kappa = E[(1/T) sqrt(nu + int sigma^2)].
+    """Sample estimate of kappa = E[(1/T) sqrt(nu + sigma^2 tau M_s)].
 
     At tau = 0 no simulation is needed and the exact sqrt(nu)/T is returned
     with zero standard error.
@@ -168,7 +161,7 @@ def kappa_mc(state: MarketState, params: SabrParams, contract: SwapContract,
 
 def variance_swap_mc(state: MarketState, params: SabrParams,
                      contract: SwapContract, config: McConfig) -> McEstimate:
-    """Same pipeline without the square root: E[nu + int sigma^2].
+    """Same pipeline without the square root: E[nu + sigma^2 tau M_s].
 
     Exists to validate the simulator against the closed form
     :func:`variance_swap_expectation`.
@@ -178,20 +171,17 @@ def variance_swap_mc(state: MarketState, params: SabrParams,
 
 def variance_swap_expectation(state: MarketState, params: SabrParams,
                               contract: SwapContract) -> float:
-    """Closed-form E[int_{t0}^{t0+T} sigma^2 ds | sigma_t] = nu + sigma^2 (e^(a^2 tau) - 1)/a^2.
+    """Closed-form E[nu + sigma^2 tau M_s] = nu + sigma^2 tau (e^s - 1)/s.
 
-    The a -> 0 limit nu + sigma^2 tau is taken through a short series once
-    a^2 tau drops below 1e-8.  Raises :class:`DomainError` outside the
-    accrual window and when e^(a^2 tau) overflows.
+    E[M_s] = expm1(s)/s is taken as 1 at s = 0.  Raises :class:`DomainError`
+    outside the accrual window and when e^s overflows.
     """
     tau = time_to_maturity(state, contract)
-    x = params.alpha ** 2 * tau
-    if x < 1e-8:
-        growth = tau * (1.0 + x / 2.0 + x * x / 6.0)
-    else:
-        try:
-            growth = math.expm1(x) / params.alpha ** 2
-        except OverflowError:
-            raise DomainError(
-                f"alpha^2 tau = {x}: e^(alpha^2 tau) overflows") from None
-    return state.nu + state.sigma ** 2 * growth
+    s = params.alpha * params.alpha * tau
+    if s == math.inf:   # expm1(s) / s would be nan, not an OverflowError
+        raise DomainError(f"alpha^2 tau overflows at alpha {params.alpha}, tau {tau}")
+    try:
+        mean_m = math.expm1(s) / s if s else 1.0
+    except OverflowError:
+        raise DomainError(f"alpha^2 tau = {s}: e^(alpha^2 tau) overflows") from None
+    return state.nu + state.sigma * state.sigma * tau * mean_m

@@ -134,11 +134,6 @@ def psi_series_term(n: int, tau: float, y: float, alpha: float) -> float:
     return mode * growth if growth < math.inf else math.copysign(math.inf, mode)
 
 
-def psi_series(tau: float, y: float, alpha: float, n_terms: int) -> float:
-    """Truncated Bessel-mode representation of psi(t, y)."""
-    return sum(psi_series_term(n, tau, y, alpha) for n in range(n_terms))
-
-
 def psi_series_optimal(tau: float, y: float, alpha: float) -> tuple:
     """At most ``PSI_MAX_TERMS`` psi modes summed by the pricer's
     :func:`~volswap.series_pricer.truncated_sum`; returns (value,

@@ -59,6 +59,17 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
+ORACLE_MC_SCRIPT = """
+import json, os, sys
+from volswap import cli
+code = cli.main(["oracle", "mc", "--alpha", "0.4", "--sigma", "0.25",
+                 "--nu", "0.03", "--t", "0.5", "--tenor", "1", "--paths", "1000",
+                 "--steps", "10", "--seed", "1", "--output", os.devnull])
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
 def _run(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", script], env=env,
@@ -96,3 +107,7 @@ def test_pde_pricing_leaves_scipy_interpolate_and_special_unloaded():
 
 def test_oracle_pde_leaves_scipy_interpolate_and_special_unloaded():
     assert _run(ORACLE_PDE_SCRIPT) == {"code": 0, "loaded": []}
+
+
+def test_oracle_mc_loads_no_scipy_module():
+    assert _run(ORACLE_MC_SCRIPT) == {"code": 0, "loaded": []}

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from volswap import mc_engine
 from volswap.exceptions import DomainError
@@ -20,11 +19,10 @@ PARAMS = SabrParams(alpha=0.4)
 
 
 def reference_normals(seed, block, n_rows, n_steps):
-    """Reference: a block's first rows from numpy's own Philox bit generator."""
-    raw = np.random.Philox(key=seed, counter=[0, 0, block, 0]).random_raw(
-        n_rows * n_steps)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u).reshape(n_rows, n_steps)
+    """Reference: a block's first rows of numpy's own standard normals on
+    its Philox stream."""
+    stream = np.random.Philox(key=seed, counter=[0, 0, block, 0])
+    return np.random.Generator(stream).standard_normal((n_rows, n_steps))
 
 
 class TestPathNormals:
@@ -147,6 +145,12 @@ class TestKappaMc:
         with pytest.raises(DomainError, match="outside the accrual window"):
             kappa_mc(state, PARAMS, CONTRACT, McConfig(1000, 10, seed=1))
 
+    def test_s_overflow_is_domain_error(self):
+        # alpha^2 tau rounds to inf: every path would be nan
+        with pytest.raises(DomainError, match="overflows"):
+            kappa_mc(STATE, SabrParams(alpha=1e200), CONTRACT,
+                     McConfig(100, 5, seed=1))
+
     def test_antithetic_needs_two_pairs(self):
         # one pair is one draw: no standard error exists
         with pytest.raises(DomainError):
@@ -156,23 +160,45 @@ class TestKappaMc:
         assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
 
+class TestReducedVariable:
+    # alpha^2 tau and sigma^2 tau are bit-equal at the two points, while
+    # alpha, sigma and tau differ and alpha's ratio is no power of two
+    POINTS = [(SabrParams(alpha=0.4), MarketState(t=0.5, sigma=0.25, nu=0.03)),
+              (SabrParams(alpha=1.1),
+               MarketState(t=0.9338842975206612, sigma=0.6875, nu=0.03))]
+
+    def test_points_share_s_and_sigma2_tau(self):
+        reduced = {(p.alpha * p.alpha * tau, st.sigma * st.sigma * tau)
+                   for p, st in self.POINTS for tau in [1.0 - st.t]}
+        assert len(reduced) == 1
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    def test_estimate_depends_on_s_alone(self, estimator, antithetic):
+        config = McConfig(4000, 20, seed=3, antithetic=antithetic)
+        first, second = (repr(estimator(state, params, CONTRACT, config))
+                         for params, state in self.POINTS)
+        assert first == second
+
+
 class TestGolden:
-    """Estimates frozen by repr from the engine with one Philox stream per
-    fixed block, drawn in row chunks."""
+    """Estimates frozen by repr from the reduced kernel of (s, n_steps) on
+    numpy's ziggurat normals, one Philox stream per fixed block, drawn in
+    row chunks."""
 
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "McEstimate(mean=0.24889183086609348, std_error=0.0003956341360268775, n_paths=3000)",
-                  "McEstimate(mean=0.062416566054275716, std_error=0.00020695822919130087, n_paths=3000)"),
+                  "McEstimate(mean=0.24919946842721774, std_error=0.0003970613863801656, n_paths=3000)",
+                  "McEstimate(mean=0.06257319064032575, std_error=0.00020681485422313612, n_paths=3000)"),
         "antithetic": (McConfig(3000, 20, seed=21, antithetic=True),
-                       "McEstimate(mean=0.24919552441572826, std_error=0.00012097917907181087, n_paths=3000)",
-                       "McEstimate(mean=0.06256659892215394, std_error=7.906234478771e-05, n_paths=3000)"),
+                       "McEstimate(mean=0.24908771660113332, std_error=0.00012079280578082026, n_paths=3000)",
+                       "McEstimate(mean=0.06249612991472467, std_error=7.853623393734143e-05, n_paths=3000)"),
         "two_blocks": (McConfig(8200, 5, seed=2 ** 70 + 3),
-                       "McEstimate(mean=0.2494586392548361, std_error=0.00024096272317657483, n_paths=8200)",
-                       "McEstimate(mean=0.062705671514318, std_error=0.0001256073238538175, n_paths=8200)"),
+                       "McEstimate(mean=0.24923617559768851, std_error=0.0002387367614434617, n_paths=8200)",
+                       "McEstimate(mean=0.06258597520968957, std_error=0.00012423409673845576, n_paths=8200)"),
         "one_step": (McConfig(1001, 1, seed=7),
-                     "McEstimate(mean=0.24864837815804663, std_error=0.0006135503431669559, n_paths=1001)",
-                     "McEstimate(mean=0.06220245998422727, std_error=0.00032387040274480796, n_paths=1001)"),
+                     "McEstimate(mean=0.24873617054410413, std_error=0.0006066020601116802, n_paths=1001)",
+                     "McEstimate(mean=0.062237648596277395, std_error=0.00031861030708706415, n_paths=1001)"),
     }
 
     def test_two_blocks_case_spans_a_partial_block(self):
@@ -201,10 +227,12 @@ class TestVarianceSwap:
         state = MarketState(t=1.0, sigma=0.2, nu=0.07)
         assert variance_swap_expectation(state, PARAMS, CONTRACT) == 0.07
 
-    @pytest.mark.parametrize("t, alpha", [(-0.5, 0.4), (0.5, 40.0)],
-                             ids=["before_accrual_start", "growth_overflow"])
+    @pytest.mark.parametrize("t, alpha", [(-0.5, 0.4), (0.5, 40.0), (0.5, 1e200)],
+                             ids=["before_accrual_start", "growth_overflow",
+                                  "s_overflow"])
     def test_expectation_domain(self, t, alpha):
-        # alpha 40: e^(alpha^2 tau) = e^800 is beyond the float range
+        # alpha 40: e^(alpha^2 tau) = e^800 is beyond the float range;
+        # alpha 1e200: alpha^2 tau itself rounds to inf
         state = MarketState(t=t, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError):
             variance_swap_expectation(state, SabrParams(alpha=alpha), CONTRACT)
