@@ -19,7 +19,7 @@ No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 where the PDE refuses, saying why on stderr.
 
 Exit codes: 0 success, 1 verification check failed, 2 usage error,
-3 series divergence, 4 comparison failure.
+3 series divergence or no finite series term, 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 import time
 
 from . import __version__, series_pricer, specfun, verify
-from .exceptions import DomainError, VolswapError
+from .exceptions import AccuracyError, DomainError, VolswapError
 from .model import MarketState, SabrParams, SwapContract, discount_factor
 
 EXIT_OK = 0
@@ -134,7 +134,11 @@ def cmd_price(args) -> int:
     df = args.discount_factor   # price_volatility_swap range-checks it
     if df is None:
         df = discount_factor(args.rate, state, contract)
-    result = series_pricer.price_volatility_swap(state, params, contract, df)
+    try:
+        result = series_pricer.price_volatility_swap(state, params, contract, df)
+    except AccuracyError as exc:    # a valid contract the series cannot sum
+        print(f"volswap: {exc}", file=sys.stderr)
+        return EXIT_DIVERGING
     diag = result.diagnostics
     document = {
         "kappa": result.kappa,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import specfun
-from .exceptions import DomainError, SingularityError
+from .exceptions import AccuracyError, DomainError, SingularityError
 from .model import (MarketState, PricingResult, SabrParams, SwapContract,
                     time_to_maturity)
 
@@ -96,8 +96,9 @@ def coeff_b_exact(n: int) -> Fraction:
     return sign * g_num * g_num / (2 * math.factorial(n) * g_den)
 
 
+@functools.cache
 def coeff_b(n: int) -> float:
-    """Series coefficient b_n as a float (exact rational under the hood)."""
+    """Series coefficient b_n as a float, memoised (exact rational under the hood)."""
     return float(coeff_b_exact(n))
 
 
@@ -142,7 +143,7 @@ def truncated_sum(terms) -> tuple:
     the last one is the smallest.  Otherwise the sum is truncated just
     before the smallest term m, whose magnitude is the error estimate
     (optimal truncation of an asymptotic series); at m = 0 the first term
-    is kept.  Raises :class:`DomainError` when no term is finite.
+    is kept.  Raises :class:`AccuracyError` when no term is finite.
 
     Returns
     -------
@@ -167,7 +168,7 @@ def truncated_sum(terms) -> tuple:
             stop = "growth"
             break
     if not mags:
-        raise DomainError("series produced no finite terms")
+        raise AccuracyError("series produced no finite terms")
     m = mags.index(min(mags))
     return partials[max(m - 1, 0)], m, mags[m], stop, len(mags)
 

@@ -94,12 +94,13 @@ class TestPrice:
 
     @pytest.mark.parametrize("t, nu", [("0.001", "6.25e-5"), ("0.5", "2.7e-4")],
                              ids=["near-accrual-start", "small-nu"])
-    def test_overflowing_1f1_is_usage_error(self, tmp_path, capsys, t, nu):
-        # zeta = 3125 and 723: 1F1's e^zeta overflows in every term
+    def test_overflowing_1f1_is_diverging(self, tmp_path, capsys, t, nu):
+        # zeta = 3125 and 723: 1F1's e^zeta overflows in every term; the
+        # contract is valid, so this is the series' exit, not a usage error
         argv = ["price"] + SEED_POINT
         argv[argv.index("--t") + 1] = t
         argv[argv.index("--nu") + 1] = nu
-        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_DIVERGING
         assert "volswap: series produced no finite terms" in capsys.readouterr().err
 
     def test_market_annualization(self, tmp_path):

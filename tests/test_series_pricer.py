@@ -1,5 +1,6 @@
 """The hypergeometric series pricer and its component cross-checks."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volswap import series_pricer, specfun
-from volswap.exceptions import DomainError, SingularityError
+from volswap.exceptions import (AccuracyError, DomainError, SingularityError,
+                                VolswapError)
 from volswap.model import MarketState, SabrParams, SwapContract
 from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
                                    REL_TOL, ZETA_MAX, coeff_b, coeff_b_exact,
@@ -195,7 +197,8 @@ class TestTruncatedSum:
 
     @pytest.mark.parametrize("terms", [[], [math.inf, 1.0], [-math.inf], [math.nan]])
     def test_no_finite_term_is_domain_error(self, terms):
-        with pytest.raises(DomainError, match="no finite terms"):
+        # a valid input whose evaluation failed: AccuracyError, not DomainError
+        with pytest.raises(AccuracyError, match="no finite terms"):
             truncated_sum(terms)
 
 
@@ -219,7 +222,7 @@ class TestGrowthOverflow:
         state = MarketState(t=t, sigma=0.25, nu=nu)
         sv = series_variables(state, SabrParams(alpha=0.4), CONTRACT)
         assert series_term(0, sv.zeta, sv.tau, 0.4) == -math.inf
-        with pytest.raises(DomainError, match="no finite terms"):
+        with pytest.raises(AccuracyError, match="no finite terms"):
             kappa_series(state, SabrParams(alpha=0.4), CONTRACT)
 
     def test_overflow_stops_the_sum_as_diverging(self):
@@ -241,7 +244,7 @@ class TestLargeZeta:
             state, params, contract = make_point(a2t, zeta)
             try:
                 _, diag = kappa_series(state, params, contract)
-            except DomainError:     # the n = 0 term is already infinite
+            except AccuracyError:   # the n = 0 term is already infinite
                 assert zeta > 717.0
                 continue
             assert diag.regime == REGIME_DIVERGING, a2t
@@ -297,6 +300,31 @@ GOLDEN = [
 ]
 
 
+#: :func:`sweep_digest`, frozen bit for bit.
+SWEEP_DIGEST = "6764a3b3010f1e142f37dad49d2f467df770498a0dc5ec89896f1b7d224bebf8"
+
+
+def sweep_digest() -> str:
+    """sha256 over kappa_series on a 60 x 60 log grid, s from 1e-8 to 10 and
+    zeta from 1e-3 to 1e3 at alpha 1 and tenor 10 (so tau = s inside the
+    accrual window): repr((kappa, diagnostics)) per point, or the message of
+    a refusal."""
+    contract = SwapContract(t0=0.0, tenor=10.0)
+    digest = hashlib.sha256()
+    for i in range(60):
+        s = 10.0 ** (-8 + 9 * i / 59)
+        for j in range(60):
+            zeta = 10.0 ** (-3 + 6 * j / 59)
+            state = MarketState(t=10.0 - s, sigma=math.sqrt(2 * zeta * 0.04),
+                                nu=0.04)
+            try:
+                got = repr(kappa_series(state, SabrParams(alpha=1.0), contract))
+            except VolswapError as exc:
+                got = str(exc)
+            digest.update(got.encode() + b"\n")
+    return digest.hexdigest()
+
+
 class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
     def test_frozen_repr(self, case, monkeypatch):
@@ -311,6 +339,13 @@ class TestGolden:
                diag.min_term_index, diag.min_term_abs, diag.converged,
                diag.regime, result.warnings]
         assert repr(got) == repr(expected)
+
+    def test_sweep_is_bit_identical(self):
+        # frozen from the int-counted 1F1 loop with abs; the sweep meets the
+        # tolerance, growth and exhausted stops, zeta > ZETA_MAX and the
+        # no-finite-term refusal above zeta ~ 717 (the overflow stop is
+        # GOLDEN's "overflow" case)
+        assert sweep_digest() == SWEEP_DIGEST
 
 
 class TestKappaIsSumOfTerms:

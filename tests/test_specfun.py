@@ -1,5 +1,6 @@
 """Special-function kit: exact gammas, 1F1, erfi, Bessel I."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +21,24 @@ def hyp1f1_bruteforce(a, b, z, terms=200):
         total += term
         term *= (a + m) / (b + m) * z / (m + 1)
     return total
+
+
+def kummer_int_loop(a, b, z):
+    """The 1F1 Taylor loop with an int counter and abs in the stop test, for
+    z > 0: the reference :func:`specfun.kummer_1f1` must equal bit for bit."""
+    total = 1.0
+    term = 1.0
+    small_streak = 0
+    for m in range(specfun.MAX_TERMS):
+        term *= (a + m) / (b + m) * z / (m + 1)
+        total += term
+        if abs(term) <= specfun.KUMMER_REL_TOL * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                return total, m + 2, abs(term), True
+        else:
+            small_streak = 0
+    return total, specfun.MAX_TERMS + 1, abs(term), False
 
 
 def erfi_maclaurin(x, terms=50):
@@ -125,6 +144,22 @@ class TestKummer1F1:
         rep = specfun.kummer_1f1(-0.5, 0.5, 3.0)
         assert rep.converged
         assert rep.last_term_abs <= 1e-12 * max(1.0, abs(rep.value))
+
+    @pytest.mark.parametrize("max_terms", [None, 3])
+    def test_both_loops_match_the_int_loop(self, monkeypatch, max_terms):
+        # a > 0 < b takes the loop without abs, any other sign the one with
+        # it; at 3 terms both end unconverged
+        if max_terms is not None:
+            monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+        unconverged = set()
+        for a, b, z in itertools.product(
+                (-2.0, -0.5, 0.5, 1.5, 3.7, 29.5), (-1.5, 0.5, 2.5, 60.5),
+                (1e-300, 1e-3, 0.5, 7.0, 40.0, 300.0, 716.0, 760.0)):
+            rep = specfun.kummer_1f1(a, b, z)
+            assert repr(tuple(rep)) == repr(kummer_int_loop(a, b, z)), (a, b, z)
+            if not rep.converged:
+                unconverged.add(a > 0 and b > 0)
+        assert unconverged == ({True, False} if max_terms else set())
 
     def test_kummer_ode_residual(self):
         # z F'' = (z - b) F' + a F with derivatives from contiguous relations
