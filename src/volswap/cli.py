@@ -19,7 +19,8 @@ No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 where the PDE refuses, saying why on stderr.
 
 Exit codes: 0 success, 1 verification check failed, 2 usage error,
-3 series divergence or no finite series term, 4 comparison failure.
+3 an engine refused a valid input (series divergence, AccuracyError or
+InstabilityError), 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ import sys
 import time
 
 from . import __version__, series_pricer, specfun, verify
-from .exceptions import AccuracyError, DomainError, VolswapError
+from .exceptions import (AccuracyError, DomainError, InstabilityError,
+                         VolswapError)
 from .model import MarketState, SabrParams, SwapContract, discount_factor
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_DIVERGING = 3
+EXIT_DIVERGING = 3          # an engine refused: divergence, accuracy, instability
 EXIT_COMPARE_FAILED = 4
 
 _COMPARE_SIGMAS = 3.0
@@ -134,11 +136,7 @@ def cmd_price(args) -> int:
     df = args.discount_factor   # price_volatility_swap range-checks it
     if df is None:
         df = discount_factor(args.rate, state, contract)
-    try:
-        result = series_pricer.price_volatility_swap(state, params, contract, df)
-    except AccuracyError as exc:    # a valid contract the series cannot sum
-        print(f"volswap: {exc}", file=sys.stderr)
-        return EXIT_DIVERGING
+    result = series_pricer.price_volatility_swap(state, params, contract, df)
     diag = result.diagnostics
     document = {
         "kappa": result.kappa,
@@ -443,7 +441,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except VolswapError as exc:
         print(f"volswap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        refused = isinstance(exc, (AccuracyError, InstabilityError))
+        return EXIT_DIVERGING if refused else EXIT_USAGE
 
 
 if __name__ == "__main__":

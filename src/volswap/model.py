@@ -5,15 +5,21 @@ The model is the lognormal-volatility SABR special case
 dsigma_t = alpha * sigma_t dZ_t.  The swap's value depends on the volatility
 process alone, so alpha is its only parameter: the forward's beta and rho
 play no part.  A swap is priced at a valuation time t in its accrual window
-t0 <= t <= t0 + T, which :func:`time_to_maturity` alone checks.
+t0 <= t <= t0 + T, which :func:`time_to_maturity` alone checks.  alpha and
+tau enter only through s = alpha^2 tau, whose domain the engines share:
+:func:`reduced_time` alone checks it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .exceptions import DomainError
+
+#: largest s = alpha^2 tau with e^s - 1 finite.
+S_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,14 @@ def time_to_maturity(state: MarketState, contract: SwapContract) -> float:
             f"valuation time {state.t} lies outside the accrual window "
             f"[{contract.t0}, {contract.maturity}]")
     return contract.maturity - state.t
+
+
+def reduced_time(alpha: float, tau: float) -> float:
+    """s = alpha^2 tau; raises :class:`DomainError` unless s <= ``S_MAX``."""
+    s = alpha * alpha * tau
+    if not s <= S_MAX:
+        raise DomainError(f"s = alpha^2 tau = {s}: e^s - 1 is not finite")
+    return s
 
 
 def discount_factor(rate: float, state: MarketState,

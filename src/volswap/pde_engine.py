@@ -13,14 +13,15 @@ alpha and tau enter only through the reduced variable s = alpha^2 tau, so
 
 from 0 to s with Crank-Nicolson plus a Rannacher implicit-Euler startup;
 ``solve_psi(alpha, tau)`` and ``solve_psi(1.0, alpha * alpha * tau)`` give
-bit-identical results.  The boundary y = 0 is degenerate (the equation
-forces psi = 1 there) and a homogeneous Dirichlet condition is applied at
-a y_max chosen, and verified post-solve, to make psi negligible without
-skipping its decay (``PSI_FIRST_NODE_MIN``).  Only the final row is kept,
-with the pchip cubic of q below built from it once by :func:`_pchip`: the
-monotone cubic Hermite interpolant of Fritsch and Carlson (SIAM J. Numer.
-Anal. 17, 1980) in numpy, in the operation order of scipy's
-``PchipInterpolator``, whose coefficients it matches bit for bit.
+bit-identical results.  s comes from :func:`~volswap.model.reduced_time`,
+whose ``S_MAX`` keeps e^s - 1 finite.  The boundary y = 0 is degenerate
+(the equation forces psi = 1 there) and a homogeneous Dirichlet condition
+is applied at a y_max chosen, and verified post-solve, to make psi
+negligible without skipping its decay (``PSI_FIRST_NODE_MIN``).  Only the
+final row is kept, with the pchip cubic of q below built from it once by
+:func:`_pchip`: the monotone cubic Hermite interpolant of Fritsch and
+Carlson (SIAM J. Numer. Anal. 17, 1980) in numpy, in the operation order of
+scipy's ``PchipInterpolator``, whose coefficients it matches bit for bit.
 
 Every half-step and step of a march solves with the same tridiagonal matrix
 I + (ds/2) A, so it is LU-factored once per march with LAPACK ``gttrf``; each
@@ -54,7 +55,8 @@ arithmetic differ in its last bits; the rounding moves s by at most
 2^-41 ~ 4.5e-13 relative, far below the discretization error.  A solve
 refused with :class:`AccuracyError` or :class:`InstabilityError` is
 memoised too and re-raised on every lookup as a fresh exception of the
-same type and message.
+same type and message.  :func:`grid_refinement_report` prices every level
+through this memo, on the caller's y_max.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
-from .model import MarketState, SabrParams, SwapContract, time_to_maturity
+from .model import (MarketState, SabrParams, SwapContract, reduced_time,
+                    time_to_maturity)
 
 #: psi values outside [-eps, 1+eps] are treated as scheme instability.
 MAX_PRINCIPLE_EPS = 1e-6
@@ -85,8 +88,6 @@ RANNACHER_STEPS = 2
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
 S_KEY_BITS = 40
-#: largest s = alpha^2 tau with e^s - 1 (q(0), the default y_max) finite.
-S_MAX = math.log(sys.float_info.max)
 #: y^2 / (4 zeta) past which the weight, below e^-46, is dropped with a bound.
 WEIGHT_CUT = 46.0
 #: largest bound on the neglected parts of the kappa integral.
@@ -108,6 +109,10 @@ class GridSpec:
             raise DomainError(f"y_max must be positive, got {self.y_max}")
         if self.n_y < 16 or self.n_t < 16:
             raise DomainError("grid needs n_y >= 16 and n_t >= 16")
+
+    def y_max_at(self, s: float) -> float:
+        """``y_max``, or when it is None the :func:`default_y_max` at s."""
+        return self.y_max if self.y_max is not None else default_y_max(1.0, s)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ def default_y_max(alpha: float, tau: float) -> float:
     still verifies the achieved boundary value post-solve.  Raises
     :class:`DomainError` unless 0 < s = alpha^2 tau <= ``S_MAX``.
     """
-    s = _finite_s(alpha * alpha * tau)
+    s = reduced_time(alpha, tau)
     if not s > 0.0:
         raise DomainError(f"no psi domain for s = alpha^2 tau = {s}; needs s > 0")
     return max(3.0, 2.5 * math.sqrt(52.0 / math.expm1(s)))
@@ -206,8 +211,8 @@ def solve_psi(alpha: float, tau: float,
         raise DomainError(f"alpha must be positive, got {alpha}")
     if tau < 0:
         raise DomainError(f"tau must be non-negative, got {tau}")
-    s = _finite_s(alpha * alpha * tau)
-    y_max = grid.y_max if grid.y_max is not None else default_y_max(alpha, tau)
+    s = reduced_time(alpha, tau)
+    y_max = grid.y_max_at(s)
     y = np.linspace(0.0, y_max, grid.n_y + 1)
     psi = np.ones(grid.n_y + 1)           # terminal data psi = 1
     if s == 0.0:
@@ -288,16 +293,9 @@ def psi_memo(s: float, grid: GridSpec):
         return None, (type(exc), exc.args)
 
 
-def _finite_s(s: float) -> float:
-    """s itself; raises :class:`DomainError` unless s = alpha^2 tau <= ``S_MAX``."""
-    if not s <= S_MAX:
-        raise DomainError(f"s = alpha^2 tau = {s}: e^s - 1 is not finite")
-    return s
-
-
 def _s_key(s: float) -> float:
     """s rounded to ``S_KEY_BITS`` fraction bits: a relative change <= 2^-41."""
-    mant, exp = math.frexp(_finite_s(s))
+    mant, exp = math.frexp(s)
     return math.ldexp(round(math.ldexp(mant, S_KEY_BITS + 1)),
                       exp - S_KEY_BITS - 1)
 
@@ -323,7 +321,7 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     if tau == 0.0:
         return math.sqrt(state.nu) / contract.tenor
 
-    solution, refusal = psi_memo(_s_key(params.alpha * params.alpha * tau), grid)
+    solution, refusal = psi_memo(_s_key(reduced_time(params.alpha, tau)), grid)
     if refusal is not None:
         raise refusal[0](*refusal[1])
     return kappa_from_solution(solution, state, params, contract)
@@ -385,11 +383,10 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     tau = time_to_maturity(state, contract)
     if tau == 0.0:
         raise DomainError("at maturity kappa is exact; there is no grid to refine")
-    y_max = grid.y_max if grid.y_max is not None else default_y_max(params.alpha, tau)
+    y_max = grid.y_max_at(_s_key(reduced_time(params.alpha, tau)))
     kappas, grids = [], []
     for level in range(refinements + 1):
-        g = GridSpec(y_max=y_max, n_y=grid.n_y * 2 ** level,
-                     n_t=grid.n_t * 2 ** level)
+        g = replace(grid, n_y=grid.n_y * 2 ** level, n_t=grid.n_t * 2 ** level)
         kappas.append(kappa_quadrature(state, params, contract, g))
         grids.append((g.n_y, g.n_t))
     ratios = [math.inf if k1 == k2 else (k0 - k1) / (k1 - k2)

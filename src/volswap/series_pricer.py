@@ -10,8 +10,8 @@ half-integer gamma values (b_0 = b_1 = 1, b_2 = -1/30, ...).
 :func:`series_term` is the one definition of the n-th term and
 :func:`growth_factor` of its factor e^(E_n tau); the pricer here and the
 checks in :mod:`volswap.verify` (the fixed-truncation kappa behind the
-finite-difference check, the J0/J_inf integral components, and the modes
-the checks build themselves) all use them.
+finite-difference check and the modes the checks build themselves) all
+use them.
 
 For tau > 0 the exp(E_n tau) factors grow super-factorially in n, so the
 series is treated as an asymptotic expansion: :func:`truncated_sum`, the

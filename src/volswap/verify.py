@@ -9,13 +9,12 @@ Five families of checks:
   both term-by-term in closed form and by finite differences,
 * the combinatorial identity behind the terminal value kappa = sqrt(nu)/T,
   evaluated in exact rational arithmetic so rounding can be ruled out,
-* the integral components J0 (in erfi and 1F1 form) and J_inf, which must
-  reassemble the b_n series.
+* the n = 0 integral component J0 in erfi and in 1F1 form.
 
 Shared pieces, each defined once: the growth factor e^(E_n tau) is the
 pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on overflow,
 which the checks report as :class:`InconclusiveError`); the fixed-truncation
-kappa and J_inf sum the pricer's :func:`~volswap.series_pricer.series_term`;
+kappa sums the pricer's :func:`~volswap.series_pricer.series_term`;
 the optimally truncated psi sums its modes by the pricer's truncation rule
 :func:`~volswap.series_pricer.truncated_sum`; a_n/sqrt(pi) is the memoised
 rational :func:`coeff_a_exact`, behind the expansion and the terminal
@@ -360,28 +359,3 @@ def check_j0(z: float) -> ResidualReport:
     hyper = j0_hypergeometric_form(z)
     return ResidualReport(point=f"z={z:.6g}", residual=j0_closed_form(z) - hyper,
                           scale=abs(hyper), tolerance=TOL_J0)
-
-
-def j_infinity(z: float, tau: float, alpha: float, n_max: int) -> float:
-    """Partial sum (n = 1 .. n_max) of the higher-mode integral components.
-
-    J_inf = (sqrt(pi)/2) (z/4)^(-1/2) sum_n b_n e^(E_n tau) (z/4)^n
-            * 1F1(n-1/2; 2n+1/2; z/4),
-
-    the kappa-series terms n >= 1 at zeta = z/4.  Reassembling
-    (sqrt(nu)/T) * (1 + sqrt(z/pi) * (J0 + J_inf)) must reproduce the b_n
-    series at matched truncation.  Raises :class:`InconclusiveError` once a
-    term's growth factor leaves the float range.
-    """
-    if z <= 0:
-        raise DomainError(f"j_infinity requires z > 0, got {z}")
-    if tau < 0 or alpha <= 0:
-        raise DomainError("j_infinity requires tau >= 0 and alpha > 0")
-    zeta = z / 4.0
-    total = 0.0
-    for n in range(1, n_max + 1):
-        term = series_term(n, zeta, tau, alpha)
-        if not math.isfinite(term):
-            raise InconclusiveError(f"j_infinity term n={n} overflowed")
-        total += term
-    return specfun.SQRT_PI / 2.0 * total / math.sqrt(zeta)

@@ -173,11 +173,30 @@ class TestOracle:
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert "e^s - 1 is not finite" in capsys.readouterr().err
 
-    def test_pde_grid_that_skips_the_decay_is_usage_error(self, tmp_path, capsys):
+    def test_pde_grid_that_skips_the_decay_is_refused(self, tmp_path, capsys):
         argv = ["oracle", "pde"] + SEED_POINT + ["--y-max", "1e6"]
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
-        assert code == cli.EXIT_USAGE
+        assert code == cli.EXIT_DIVERGING
         assert "does not resolve its decay" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
+                             ids=["single", "refine"])
+    def test_pde_default_grid_refusal_at_s_0_8(self, tmp_path, extra, capsys):
+        # a valid contract the default grid cannot price: a refusal, exit 3
+        argv = ["oracle", "pde", "--alpha", "1", "--sigma", "0.3", "--nu", "0.02",
+                "--t", "0.2", "--tenor", "1"] + extra
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_DIVERGING
+        assert "psi at the far edge reaches 2.346e-08" in err
+
+    def test_mc_s_beyond_float_range_is_usage_error(self, tmp_path, capsys):
+        # s = alpha^2 tau = 800: refused by the rule the PDE applies
+        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "1000", "--steps", "10",
+                                                "--seed", "1"]
+        argv[argv.index("--alpha") + 1] = "40"
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "s = alpha^2 tau = 800.0: e^s - 1 is not finite" in err
 
     def test_pde_nu_zero(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",

@@ -147,9 +147,17 @@ class TestKappaMc:
 
     def test_s_overflow_is_domain_error(self):
         # alpha^2 tau rounds to inf: every path would be nan
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="not finite"):
             kappa_mc(STATE, SabrParams(alpha=1e200), CONTRACT,
                      McConfig(100, 5, seed=1))
+
+    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    def test_s_beyond_float_range_is_domain_error(self, estimator):
+        # s = 800 is finite, but e^s - 1 is not: the PDE's rule applies here
+        # too, where every path's sigma collapsed to a confident constant
+        with pytest.raises(DomainError, match=r"800\.0: e\^s - 1 is not finite"):
+            estimator(STATE, SabrParams(alpha=40.0), CONTRACT,
+                      McConfig(1000, 10, seed=1))
 
     def test_antithetic_needs_two_pairs(self):
         # one pair is one draw: no standard error exists

@@ -326,6 +326,35 @@ class TestGridConvergence:
             grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
                                    refinements=1)
 
+    def test_first_level_is_the_default_price(self, monkeypatch):
+        # each level marches on the default grid of the memo key's s, and
+        # the report's y_max is the one every march used
+        used = []
+        solve = pde_engine.kappa_from_solution
+
+        def spy(solution, *args):
+            used.append(float(solution.y[-1]))
+            return solve(solution, *args)
+
+        monkeypatch.setattr(pde_engine, "kappa_from_solution", spy)
+        rng = random.Random(3)
+        for _ in range(40):
+            alpha, tau = rng.uniform(0.2, 1.0), rng.uniform(0.05, 0.7)
+            state = MarketState(t=CONTRACT.maturity - tau, sigma=0.3,
+                                nu=rng.uniform(1e-3, 0.1))
+            params = SabrParams(alpha=alpha)
+            used.clear()
+            report = grid_refinement_report(state, params, CONTRACT, refinements=0)
+            assert repr(report["kappas"][0]) == repr(
+                kappa_quadrature(state, params, CONTRACT))
+            assert used == [report["y_max"]] * 2
+
+    def test_default_price_then_refinement_marches_twice(self, marches):
+        state, params = MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4)
+        kappa_quadrature(state, params, CONTRACT)
+        grid_refinement_report(state, params, CONTRACT, refinements=1)
+        assert len(marches) == 2
+
     def test_s_beyond_float_range_is_domain_error(self):
         # s = 800: the default y_max needs e^s - 1
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -368,12 +397,13 @@ class TestGolden:
                                    "boundary_tol 1.0e-08; enlarge y_max (used 16.3)")
 
     def test_refinement_report(self, marches):
+        # the 400 x 400 level is the mid_s default-grid golden
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
                                         CONTRACT, GridSpec(n_y=200, n_t=200))
         assert repr(report) == (
-            "{'kappas': [0.24914044648763362, 0.24914145671993224, "
-            "0.24914171477371413], 'grids': [(200, 200), (400, 400), (800, 800)], "
-            "'ratios': [3.914812994360805], 'y_max': 62.46732294240538}")
+            "{'kappas': [0.2491404464876294, 0.2491414567199332, "
+            "0.24914171477371372], 'grids': [(200, 200), (400, 400), (800, 800)], "
+            "'ratios': [3.914813035527368], 'y_max': 62.467322942411855}")
 
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))

@@ -18,7 +18,7 @@ from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
                                    growth_factor, kappa_series,
                                    price_volatility_swap, series_term,
                                    series_variables, truncated_sum)
-from volswap.verify import j0_closed_form, j0_hypergeometric_form, j_infinity
+from volswap.verify import j0_closed_form, j0_hypergeometric_form
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 
@@ -396,15 +396,6 @@ class TestJ0Forms:
 
 
 class TestJInfinity:
-    def test_empty_sum(self):
-        assert j_infinity(4.0, 0.0, 0.4, 0) == 0.0
-
-    def test_first_term(self):
-        # n = 1 term at z = 4, tau = 0: Gamma(1/2)^2/(4 Gamma(3/2)) 1F1(1/2;5/2;1)
-        expected = (math.pi / (4.0 * math.exp(math.lgamma(1.5)))
-                    * specfun.kummer_1f1(0.5, 2.5, 1.0).value)
-        assert j_infinity(4.0, 0.0, 0.4, 1) == pytest.approx(expected, rel=1e-13)
-
     @pytest.mark.parametrize("a2t,zeta", [(0.02, 0.5), (0.05, 1.0), (0.1, 2.0)])
     def test_reassembly_identity(self, a2t, zeta):
         # (sqrt(nu)/T) {1 + sqrt(z/pi) (J0 + Jinf)} == b_n series, same truncation
@@ -415,7 +406,11 @@ class TestJInfinity:
             series_term(n, sv.zeta, sv.tau, params.alpha)
             for n in range(n_max + 1))
         z = 4.0 * sv.zeta
-        j = j0_closed_form(z) + j_infinity(z, sv.tau, params.alpha, n_max)
+        # J_inf = (sqrt(pi)/2) zeta^(-1/2) sum_{n>=1} series_term(n, ...)
+        j_inf = specfun.SQRT_PI / 2.0 * sum(
+            series_term(n, sv.zeta, sv.tau, params.alpha)
+            for n in range(1, n_max + 1)) / math.sqrt(sv.zeta)
+        j = j0_closed_form(z) + j_inf
         kappa_assembled = (math.sqrt(state.nu) / contract.tenor
                            * (1.0 + math.sqrt(z / math.pi) * j))
         assert kappa_assembled == pytest.approx(kappa_direct, rel=1e-9)

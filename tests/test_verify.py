@@ -132,10 +132,6 @@ class TestGrowthOverflow:
             verify.check_functional_fd(STATE, SabrParams(alpha=20.0),
                                        CONTRACT, 10)
 
-    def test_j_infinity(self):
-        with pytest.raises(InconclusiveError):
-            verify.j_infinity(4.0, 0.5, 20.0, 5)
-
     def test_psi_mode_is_signed_infinity(self):
         assert verify.psi_series_term(2, 0.5, 1.0, 20.0) == math.inf
         assert verify.psi_series_term(3, 0.5, 1.0, 20.0) == -math.inf
