@@ -23,12 +23,21 @@ final row is kept, with the pchip cubic of q below built from it once by
 Carlson (SIAM J. Numer. Anal. 17, 1980) in numpy, in the operation order of
 scipy's ``PchipInterpolator``, whose coefficients it matches bit for bit.
 
-Every half-step and step of a march solves with the same tridiagonal matrix
-I + (ds/2) A, so it is LU-factored once per march with LAPACK ``gttrf``; each
-step is then one in-place ``gttrs`` back-substitution, :func:`solve_banded`,
-with the explicit half computed into preallocated buffers.  ``gtsv``, which
-``scipy.linalg.solve_banded`` calls, performs the same eliminations in the
-same order, so psi is bit for bit what a full banded solve per step gives.
+On the uniform grid y_i = i h the term (1/2) y^2 psi'' at node i is
+(i^2 / 2)(psi_{i-1} - 2 psi_i + psi_{i+1}), h cancelling, so in u_i = psi_i / i
+the march matrix I + (ds/2) A is symmetric: diagonal 1 + (ds/2)(i^2 +
+y_i^2 / 2), off-diagonal -(ds/4) i (i + 1).  Each row is diagonally
+dominant by 1 + (ds/2) y_i^2 / 2, so the matrix is positive definite and
+is factored once per march with LAPACK ``pttrf``.  A Rannacher half-step
+(implicit Euler over ds/2) is one ``pttrs`` solve, :func:`solve_banded`, of
+(I + (ds/2) A) w = u + (ds/4) e_1, the last term from psi(., 0) = 1; a
+Crank-Nicolson step over ds is that half-step extrapolated, u -> 2 w - u,
+so no step forms an explicit half.  The maximum principle is checked on
+the per-node extremes of u, multiplied by i once at the end, which is
+exact because rounding is monotone.  Against the same scheme marched on
+psi itself (explicit half plus an LU solve of the unsymmetric matrix) psi
+moves by rounding only, within 1e-12 on the tested grids of 400 to 1600
+nodes.
 
 kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
 c = sqrt(2) sigma / alpha and zeta = sigma^2 / (2 alpha^2 nu) (inf at nu = 0),
@@ -67,7 +76,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
 from .model import (MarketState, SabrParams, SwapContract, reduced_time,
@@ -177,21 +186,20 @@ def _pchip_coeffs(y: np.ndarray, psi: np.ndarray, s: float) -> np.ndarray:
     q = np.empty_like(y)
     q[0] = 0.5 * math.expm1(s)                    # exact y -> 0 limit
     q[1:] = (1.0 - psi[1:]) / (y[1:] * y[1:])
-    if not np.isfinite(q).all():
-        raise DomainError(f"q = (1 - psi) / y^2 is not finite up to y_max {y[-1]:.3g}")
     return _pchip(y, q)
 
 
 def solve_banded(factors: list, rhs: np.ndarray) -> None:
-    """Overwrite ``rhs`` with the solution of a tridiagonal system.
+    """Overwrite ``rhs`` with the solution of a symmetric positive definite
+    tridiagonal system.
 
-    ``factors`` are the first five outputs of LAPACK ``gttrf``.  One
-    ``gttrs`` back-substitution does the eliminations of the ``gtsv`` behind
-    ``scipy.linalg.solve_banded((1, 1), ...)`` in the same order, so the
-    two agree bit for bit.  ``rhs`` must be a contiguous float64 vector,
-    which LAPACK can overwrite without a copy.
+    ``factors`` are the diagonal and sub-diagonal of its L D L^T factors,
+    the first two outputs of LAPACK ``pttrf``.  One ``pttrs`` solve does the
+    eliminations of ``ptsv`` (``pttrf`` then ``pttrs``) in the same order,
+    so the two agree bit for bit.  ``rhs`` must be a contiguous float64
+    vector, which LAPACK can overwrite without a copy.
     """
-    solution, _ = dgttrs(*factors, rhs, overwrite_b=1)
+    solution, _ = dpttrs(*factors, rhs, overwrite_b=1)
     if solution is not rhs:
         raise TypeError("rhs must be a contiguous float64 vector")
 
@@ -203,9 +211,10 @@ def solve_psi(alpha: float, tau: float,
     Rannacher startup (two implicit-Euler steps split into half-steps)
     damps the mild terminal-data/operator incompatibility so the scheme
     keeps clean second-order convergence.  Raises :class:`DomainError`
-    unless s <= ``S_MAX``, :class:`InstabilityError` if the discrete maximum
-    principle fails at any step and :class:`AccuracyError` if psi has not
-    decayed to ``BOUNDARY_TOL`` at y_max, or is below ``PSI_FIRST_NODE_MIN`` at h.
+    unless s <= ``S_MAX`` and y^2 is positive and finite on the grid,
+    :class:`InstabilityError` if the discrete maximum principle fails at
+    any step and :class:`AccuracyError` if psi has not decayed to
+    ``BOUNDARY_TOL`` at y_max, or is below ``PSI_FIRST_NODE_MIN`` at h.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -213,68 +222,60 @@ def solve_psi(alpha: float, tau: float,
         raise DomainError(f"tau must be non-negative, got {tau}")
     s = reduced_time(alpha, tau)
     y_max = grid.y_max_at(s)
-    y = np.linspace(0.0, y_max, grid.n_y + 1)
-    psi = np.ones(grid.n_y + 1)           # terminal data psi = 1
+    n = grid.n_y
+    y = np.linspace(0.0, y_max, n + 1)
+    if not (y[1] * y[1] > 0.0 and y_max * y_max < math.inf):
+        raise DomainError(f"q = (1 - psi) / y^2 is not finite on the grid up to "
+                          f"y_max {y_max:.3g}: y^2 underflows at h or overflows")
     if s == 0.0:
+        psi = np.ones(n + 1)              # terminal data psi = 1
         return PsiSolution(y=y, final=psi, boundary_max=1.0, s=s,
                            q_coeffs=_pchip_coeffs(y, psi, s))
 
-    psi[-1] = 0.0                         # far-field Dirichlet from the first step on
-    seen_lo, seen_hi = np.ones_like(psi), np.ones_like(psi)   # every row so far
-    dy = y[1] - y[0]
+    # I + (ds/2) A on u_i = psi_i / i at the interior nodes i, as the module
+    # notes derive it: symmetric positive definite, so pttrf meets no zero pivot
     ds = s / grid.n_t
     half_ds = 0.5 * ds
-    c = 0.5 * y * y                       # diffusion/killing coefficient
-    lam = c / (dy * dy)
-    sub = slice(1, grid.n_y)
-    lam_in, c_in = lam[sub], c[sub]
-    edge = half_ds * lam[1]               # from the psi(., 0) = 1 boundary
+    i = np.arange(1.0, n)
+    *factors, _ = dpttrf(1.0 + half_ds * (i * i + 0.5 * y[1:n] * y[1:n]),
+                         -0.5 * half_ds * (i[:-1] * i[1:]))
+    u = 1.0 / i                           # terminal data psi = 1
+    w = np.empty_like(u)
+    seen_lo, seen_hi = u.copy(), u.copy()   # every row so far
 
-    # a Rannacher half-step (implicit Euler over ds/2) and a Crank-Nicolson
-    # step over ds share the matrix I + (ds/2) A, factored once; it is
-    # strictly diagonally dominant, so gttrf meets no zero pivot
-    *factors, _ = dgttrf(-half_ds * lam[2:grid.n_y],
-                         1.0 + half_ds * (2.0 * lam_in + c_in),
-                         -half_ds * lam[1:grid.n_y - 1])
-    inner, left, mid, right = psi[sub], psi[:-2], psi[1:-1], psi[2:]
-    explicit, killed = np.empty_like(inner), np.empty_like(inner)
-
+    # a Rannacher half-step solves (I + (ds/2) A) w = u + (ds/4) e_1; a
+    # Crank-Nicolson step is 2 w - u, with 2 w the solve of 2 u + (ds/2) e_1
     for k in range(grid.n_t):
         if k < RANNACHER_STEPS:
             for _ in range(2):
-                psi[1] += edge
-                solve_banded(factors, inner)
+                u[0] += 0.5 * half_ds
+                solve_banded(factors, u)
         else:
-            # psi + (ds/2) A psi, in the operation order of
-            # lam * (left - 2 mid + right) - c * mid
-            np.multiply(mid, 2.0, out=explicit)
-            np.subtract(left, explicit, out=explicit)
-            np.add(explicit, right, out=explicit)
-            np.multiply(lam_in, explicit, out=explicit)
-            np.multiply(c_in, mid, out=killed)
-            np.subtract(explicit, killed, out=explicit)
-            np.multiply(explicit, half_ds, out=explicit)
-            np.add(inner, explicit, out=inner)
-            psi[1] += edge
-            solve_banded(factors, inner)
-        np.minimum(seen_lo, psi, out=seen_lo)
-        np.maximum(seen_hi, psi, out=seen_hi)
+            np.multiply(u, 2.0, out=w)
+            w[0] += half_ds
+            solve_banded(factors, w)
+            np.subtract(w, u, out=u)
+        np.minimum(seen_lo, u, out=seen_lo)
+        np.maximum(seen_hi, u, out=seen_hi)
 
-    lo, hi = seen_lo.min(), seen_hi.max()
+    # i > 0 and rounding is monotone, so i * seen is the extreme psi per node;
+    # psi(., 0) = 1 and the far-field Dirichlet psi(., y_max) = 0 join the range
+    lo, hi = min(0.0, (i * seen_lo).min()), max(1.0, (i * seen_hi).max())
     if lo < -MAX_PRINCIPLE_EPS or hi > 1.0 + MAX_PRINCIPLE_EPS:
         raise InstabilityError(
             f"psi left [0,1] by more than {MAX_PRINCIPLE_EPS} "
             f"(range [{lo:.3e}, {hi:.3e}]); refine the grid")
+    psi = np.concatenate(([1.0], i * u, [0.0]))
     # validate the row the quadrature consumes; early rows near the far edge
     # necessarily carry the Dirichlet far-field transient
-    boundary_max = float(psi[grid.n_y - 1])
+    boundary_max = float(psi[n - 1])
     if boundary_max > BOUNDARY_TOL:
         raise AccuracyError(
             f"psi at the far edge reaches {boundary_max:.3e} > boundary_tol "
             f"{BOUNDARY_TOL:.1e}; enlarge y_max (used {y_max:.3g})")
     if psi[1] < PSI_FIRST_NODE_MIN:
         raise AccuracyError(
-            f"psi falls to {psi[1]:.3e} at the first node y = {dy:.3g}: the "
+            f"psi falls to {psi[1]:.3e} at the first node y = {y[1]:.3g}: the "
             f"grid does not resolve its decay; shrink y_max (used {y_max:.3g})")
     return PsiSolution(y=y, final=psi, boundary_max=boundary_max, s=s,
                        q_coeffs=_pchip_coeffs(y, psi, s))

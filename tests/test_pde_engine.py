@@ -8,11 +8,10 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import dgttrf
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dptsv
 
 from volswap import pde_engine
 from volswap.exceptions import AccuracyError, DomainError, InstabilityError
@@ -24,6 +23,37 @@ from volswap.series_pricer import kappa_series
 from volswap.verify import psi_series_optimal
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
+
+
+def gttrs_march(s, grid):
+    """psi at s by the Crank-Nicolson march on psi itself: the explicit half
+    (I - (ds/2) A) psi, then a ``gttrs`` solve with the LU factors of the
+    unsymmetric I + (ds/2) A, after the same Rannacher startup and with no
+    checks.  The symmetric march in psi / i of :func:`solve_psi` must agree
+    with it to rounding."""
+    n = grid.n_y
+    y = np.linspace(0.0, grid.y_max_at(s), n + 1)
+    psi = np.ones(n + 1)
+    psi[-1] = 0.0
+    ds = s / grid.n_t
+    half_ds = 0.5 * ds
+    c = 0.5 * y * y
+    lam = c / (y[1] * y[1])
+    lam_in, c_in = lam[1:n], c[1:n]
+    *factors, _ = dgttrf(-half_ds * lam[2:n], 1.0 + half_ds * (2.0 * lam_in + c_in),
+                         -half_ds * lam[1:n - 1])
+    inner = psi[1:n]
+    for k in range(grid.n_t):
+        if k < pde_engine.RANNACHER_STEPS:
+            for _ in range(2):
+                psi[1] += half_ds * lam[1]
+                dgttrs(*factors, inner, overwrite_b=1)
+        else:
+            inner += half_ds * (lam_in * (psi[:-2] - 2.0 * inner + psi[2:])
+                                - c_in * inner)
+            psi[1] += half_ds * lam[1]
+            dgttrs(*factors, inner, overwrite_b=1)
+    return psi
 
 
 class TestGridSpec:
@@ -113,28 +143,67 @@ class TestSolvePsi:
         assert direct.q_coeffs.tobytes() == reduced.q_coeffs.tobytes()
 
 
+class TestSymmetricMarch:
+    @pytest.mark.parametrize("n", [400, 800, 1600])
+    @pytest.mark.parametrize("s, y_max", [(1e-4, None), (0.08, None),
+                                          (0.45, None), (2.0, 20.0)])
+    def test_matches_the_march_on_psi(self, n, s, y_max):
+        # the default y_max at s = 2 leaves psi above BOUNDARY_TOL at the edge
+        grid = GridSpec(y_max=y_max, n_y=n, n_t=n)
+        final = solve_psi(1.0, s, grid).final
+        assert np.abs(final - gttrs_march(s, grid)).max() <= 1e-12
+
+    def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
+        # the last solve of a march is a Crank-Nicolson step from the row
+        # psi_old = i u: it solves 2 u + (ds/2) e_1 for 2 w, and the step
+        # is the extrapolation 2 w - u
+        solves = []
+        solve = pde_engine.solve_banded
+
+        def spy(factors, rhs):
+            solves.append(rhs.copy())
+            solve(factors, rhs)
+
+        monkeypatch.setattr(pde_engine, "solve_banded", spy)
+        s, grid = 0.1, GridSpec(y_max=30.0, n_y=32, n_t=32)
+        final = solve_psi(1.0, s, grid).final
+        n, ds = grid.n_y, s / grid.n_t
+        i = np.arange(1.0, n)
+        rhs = solves[-1]
+        rhs[0] -= 0.5 * ds
+        psi_old = i * (0.5 * rhs)
+
+        y = np.linspace(0.0, 30.0, n + 1)[1:n]
+        a = (np.diag(i * i + 0.5 * y * y) - np.diag(0.5 * i[1:] ** 2, -1)
+             - np.diag(0.5 * i[:-1] ** 2, 1))
+        eye = np.eye(n - 1)
+        explicit = (eye - 0.5 * ds * a) @ psi_old
+        explicit[0] += ds * 0.5              # psi(., 0) = 1, from both halves
+        expected = np.linalg.solve(eye + 0.5 * ds * a, explicit)
+        assert np.abs(final[1:n] - expected).max() <= 1e-14
+
+
 class TestSolveBanded:
     @pytest.mark.parametrize("n", [3, 4, 17, 400, 1600])
     def test_bitwise_equal_to_scipy_banded_solve(self, n):
-        # the per-step gttrs solve against scipy's gtsv, on random strictly
-        # diagonally dominant systems like the march's I + (ds/2) A
+        # the per-step pttrs solve against LAPACK's ptsv, on random strictly
+        # diagonally dominant symmetric systems like the march's I + (ds/2) A
         rng = np.random.default_rng(n)
         for _ in range(5):
-            upper, lower = -rng.uniform(0.0, 1e3, (2, n - 1))
+            off = -rng.uniform(0.0, 1e3, n - 1)
             diag = 1.0 + rng.uniform(0.0, 1.0, n)
-            diag[:-1] -= upper
-            diag[1:] -= lower
-            ab = np.zeros((3, n))
-            ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+            diag[:-1] -= off
+            diag[1:] -= off
             rhs = rng.uniform(0.0, 1.0, n)
-            expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
-            *factors, info = dgttrf(lower, diag, upper)
+            *_, expected, info = dptsv(diag, off, rhs)
+            assert info == 0
+            *factors, info = dpttrf(diag, off)
             assert info == 0
             pde_engine.solve_banded(factors, rhs)
             assert rhs.tobytes() == expected.tobytes()
 
     def test_refuses_a_strided_vector(self):
-        *factors, _ = dgttrf(np.full(3, -0.1), np.ones(4), np.full(3, -0.1))
+        *factors, _ = dpttrf(np.ones(4), np.full(3, -0.1))
         with pytest.raises(TypeError):
             pde_engine.solve_banded(factors, np.ones(8)[::2])
 
@@ -367,14 +436,14 @@ class TestGolden:
     """PDE results frozen by repr: kappas, a refinement report, psi bytes."""
 
     KAPPAS = {
-        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404745348"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.2491414567199332"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503128996100235"),
-        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.550330780229921"),
-        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794808690345418"),
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404750818"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914145671997792"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503128996102761"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503307802297844"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779480869034989"),
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
                           GridSpec(y_max=32.0, n_y=256, n_t=320),
-                          "0.24914154093892343"),
+                          "0.24914154093888097"),
     }
 
     @staticmethod
@@ -401,17 +470,17 @@ class TestGolden:
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
                                         CONTRACT, GridSpec(n_y=200, n_t=200))
         assert repr(report) == (
-            "{'kappas': [0.2491404464876294, 0.2491414567199332, "
-            "0.24914171477371372], 'grids': [(200, 200), (400, 400), (800, 800)], "
-            "'ratios': [3.914813035527368], 'y_max': 62.467322942411855}")
+            "{'kappas': [0.2491404464876124, 0.24914145671997792, "
+            "0.24914171477454183], 'grids': [(200, 200), (400, 400), (800, 800)], "
+            "'ratios': [3.914801390051181], 'y_max': 62.467322942411855}")
 
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))
         assert hashlib.sha256(sol.final.tobytes()).hexdigest() == (
-            "71fee74454d656a129335828525e52162877c2c0332308ff491087813f6ba871")
+            "17a8c9fa885297f1c340e7785ad2530de448329fcc2d9dd881a12106094a16b3")
         assert hashlib.sha256(sol.q_coeffs.tobytes()).hexdigest() == (
-            "dcf1ea56d0c2901681344498ec43f4aec4bf25e5ef7539574d869d71d681c010")
-        assert repr(sol.boundary_max) == "8.14498126958288e-12"
+            "d8e5ec0dde1d7c8a84754189e0f312711e7c9d860c00d9a93953efcad6f113f7")
+        assert repr(sol.boundary_max) == "8.14498127039767e-12"
 
 
 def _mpmath_kappa(solution, state, params, contract):
