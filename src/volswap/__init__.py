@@ -24,8 +24,8 @@ from .exceptions import (AccuracyError, DomainError, InconclusiveError,
                          InstabilityError, SingularityError, VolswapError)
 from .model import (MarketState, PricingResult, SabrParams, SwapContract,
                     discount_factor, time_to_maturity)
-from .series_pricer import (SeriesDiagnostics, SeriesVariables, kappa_series,
-                            price_volatility_swap, series_variables)
+from .series_pricer import (SeriesDiagnostics, kappa_series,
+                            price_volatility_swap)
 
 #: engine of each lazily imported name
 _ENGINE_OF = {
@@ -51,8 +51,7 @@ __all__ = [
     "SingularityError", "VolswapError",
     "MarketState", "PricingResult", "SabrParams", "SwapContract",
     "discount_factor", "time_to_maturity",
-    "SeriesDiagnostics", "SeriesVariables",
-    "kappa_series", "price_volatility_swap", "series_variables",
+    "SeriesDiagnostics", "kappa_series", "price_volatility_swap",
     "McConfig", "McEstimate", "kappa_mc", "variance_swap_expectation",
     "variance_swap_mc",
     "GridSpec", "PsiSolution", "kappa_quadrature", "solve_psi",

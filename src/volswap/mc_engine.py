@@ -4,8 +4,8 @@ With v = alpha^2 u, dsigma = alpha sigma dZ gives sigma_u^2 = sigma^2
 e^(2 B_v - v) for a standard Brownian motion B, so the realized variance is
 nu + sigma^2 tau M_s, with M_s the time average of e^(2 B_v - v) over [0, s]
 and s = alpha^2 tau.  A path needs s and n_steps alone: B is exact on the
-n-step grid of [0, s] and M is the trapezoid mean over its nodes.  s is
-:func:`~volswap.model.reduced_time`'s, whose domain the PDE shares.
+n-step grid of [0, s] and M is the trapezoid mean over its nodes.  tau, s
+and sqrt(nu)/T are :func:`~volswap.model.reduced_variables`'.
 
 Reproducibility contract: draws are reduced in fixed blocks of
 BLOCK_PATHS, each with one counter-based Philox4x64-10 stream (Salmon et
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .model import (MarketState, SabrParams, SwapContract, reduced_time,
-                    time_to_maturity)
+from .model import MarketState, SabrParams, SwapContract, reduced_variables
 
 #: paths per reduction block; fixed so the pairwise block sums (and hence
 #: the final estimate) never depend on how the paths are batched.
@@ -122,12 +121,11 @@ def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndar
 
 def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
               config: McConfig, square_root: bool) -> McEstimate:
-    tau = time_to_maturity(state, contract)
+    tau, s, _, root_nu = reduced_variables(state, params, contract)
     if tau == 0.0:
-        value = math.sqrt(state.nu) / contract.tenor if square_root else state.nu
+        value = root_nu if square_root else state.nu
         return McEstimate(mean=value, std_error=0.0, n_paths=config.n_paths)
 
-    s = reduced_time(params.alpha, tau)
     variance = state.sigma * state.sigma * tau     # sigma^2 tau, times M_s
     n_draws = config.n_paths // 2 if config.antithetic else config.n_paths
     total = m2 = 0.0
@@ -175,7 +173,6 @@ def variance_swap_expectation(state: MarketState, params: SabrParams,
     E[M_s] = expm1(s)/s is taken as 1 at s = 0.  Raises :class:`DomainError`
     outside the accrual window and at s > ``S_MAX``.
     """
-    tau = time_to_maturity(state, contract)
-    s = reduced_time(params.alpha, tau)
+    tau, s, _, _ = reduced_variables(state, params, contract)
     mean_m = math.expm1(s) / s if s else 1.0
     return state.nu + state.sigma * state.sigma * tau * mean_m

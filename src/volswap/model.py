@@ -7,7 +7,8 @@ process alone, so alpha is its only parameter: the forward's beta and rho
 play no part.  A swap is priced at a valuation time t in its accrual window
 t0 <= t <= t0 + T, which :func:`time_to_maturity` alone checks.  alpha and
 tau enter only through s = alpha^2 tau, whose domain the engines share:
-:func:`reduced_time` alone checks it.
+:func:`reduced_time` alone checks it.  Every engine prices a contract in the
+variables of :func:`reduced_variables`, decided here once.
 """
 
 from __future__ import annotations
@@ -115,6 +116,21 @@ def reduced_time(alpha: float, tau: float) -> float:
     if not s <= S_MAX:
         raise DomainError(f"s = alpha^2 tau = {s}: e^s - 1 is not finite")
     return s
+
+
+def reduced_variables(state: MarketState, params: SabrParams,
+                      contract: SwapContract) -> tuple:
+    """(tau, s, zeta = sigma^2 / (2 alpha^2 nu), sqrt(nu)/T); kappa is
+    sqrt(nu)/T at tau = 0.  Raises what :func:`time_to_maturity` and
+    :func:`reduced_time` raise; s is 0 at tau = 0 for every alpha, and zeta
+    is inf at nu = 0 and beyond the float range."""
+    tau = time_to_maturity(state, contract)
+    s = reduced_time(params.alpha, tau) if tau else 0.0
+    try:
+        zeta = state.sigma ** 2 / (2.0 * params.alpha ** 2 * state.nu)
+    except (OverflowError, ZeroDivisionError):   # also nu = 0
+        zeta = math.inf
+    return tau, s, zeta, math.sqrt(state.nu) / contract.tenor
 
 
 def discount_factor(rate: float, state: MarketState,

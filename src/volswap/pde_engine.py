@@ -40,21 +40,22 @@ moves by rounding only, within 1e-12 on the tested grids of 400 to 1600
 nodes.
 
 kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
-c = sqrt(2) sigma / alpha and zeta = sigma^2 / (2 alpha^2 nu) (inf at nu = 0),
+c = sqrt(2) sigma / alpha, zeta (inf at nu = 0) and sqrt(nu)/T from
+:func:`~volswap.model.reduced_variables` and the weight w = e^(-y^2 / (4 zeta)),
 
-    kappa = (1/T) * [sqrt(nu) + (c * int_0^y_max e^(-y^2 / (4 zeta)) q(y) dy
-                                 + int_x_cut^inf e^(-nu x^2) / x^2 dx) / sqrt(pi)],
+    kappa = sqrt(nu)/T + c / (sqrt(pi) T)
+            * [int_0^y_max w(y) q(y) dy + int_y_max^inf w(y) / y^2 dy],
 
-the last term, x_cut = y_max / c, in closed form with psi = 0 past y_max.
+the tail past y_max in closed form with psi = 0 there.
 q is the stored pchip cubic on cells of width h, so :func:`kappa_from_solution`
 puts six Gauss-Legendre nodes on sub-cells of width at most min(h,
 sqrt(zeta)/2) up to y_cut = min(y_max, 2 sqrt(46 zeta)), exact for the cubic
 at nu = 0.  Past y_cut the weight is below e^-46 and pchip is monotone per
-cell, so the dropped part is at most c max|q(knots)| sqrt(pi zeta)
-erfc(y_cut / (2 sqrt(zeta))); with boundary_max / x_cut it must stay below
-``QUAD_TOL``.  A price is one ``exp`` over the nodes and one dot product,
-:func:`quad`, named like :func:`solve_banded` after the scipy routine it
-replaced, which tracing tools look up by module attribute.
+cell, so the dropped part is at most max|q(knots)| sqrt(pi zeta)
+erfc(y_cut / (2 sqrt(zeta))); c times its sum with boundary_max / y_max must
+stay below ``QUAD_TOL``.  A price is one ``exp`` over the nodes and one dot
+product, :func:`quad`, named like :func:`solve_banded` after the scipy
+routine it replaced, which tracing tools look up by module attribute.
 
 :func:`kappa_quadrature` marches once per (s, grid): it looks psi up in
 :func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
@@ -80,7 +81,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
 from .model import (MarketState, SabrParams, SwapContract, reduced_time,
-                    time_to_maturity)
+                    reduced_variables)
 
 #: psi values outside [-eps, 1+eps] are treated as scheme instability.
 MAX_PRINCIPLE_EPS = 1e-6
@@ -301,14 +302,6 @@ def _s_key(s: float) -> float:
                       exp - S_KEY_BITS - 1)
 
 
-def _tail_integral(nu: float, a: float) -> float:
-    """int_a^inf e^(-nu x^2) / x^2 dx in closed form (psi taken as 0 there);
-    sqrt(pi nu) as 2 sqrt(pi nu / 4) cannot overflow, and is bit for bit the
-    same unless pi nu / 4 is subnormal."""
-    return (math.exp(-nu * a * a) / a
-            - 2.0 * math.sqrt(0.25 * math.pi * nu) * math.erfc(math.sqrt(nu) * a))
-
-
 def kappa_quadrature(state: MarketState, params: SabrParams,
                      contract: SwapContract, grid: GridSpec = GridSpec()) -> float:
     """kappa from the PDE solution and the square-root integral identity.
@@ -318,11 +311,11 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     one march.  Raises :class:`AccuracyError` if the bound on the neglected
     parts of the integral exceeds ``QUAD_TOL`` (about 1e-8 on the default grid).
     """
-    tau = time_to_maturity(state, contract)
+    tau, s, _, root_nu = reduced_variables(state, params, contract)
     if tau == 0.0:
-        return math.sqrt(state.nu) / contract.tenor
+        return root_nu
 
-    solution, refusal = psi_memo(_s_key(reduced_time(params.alpha, tau)), grid)
+    solution, refusal = psi_memo(_s_key(s), grid)
     if refusal is not None:
         raise refusal[0](*refusal[1])
     return kappa_from_solution(solution, state, params, contract)
@@ -337,23 +330,22 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
                         params: SabrParams, contract: SwapContract) -> float:
     """kappa from one march by the module notes' fixed-node rule in y; raises
     :class:`AccuracyError` if its neglected parts may exceed ``QUAD_TOL``."""
-    y, coeffs = solution.y, solution.q_coeffs
-    nu, y_max, h, n_y = state.nu, float(y[-1]), float(y[1]), len(y) - 1
-    y_of_x = math.sqrt(2.0) * state.sigma / params.alpha
-    if y_of_x == math.inf:
+    c = math.sqrt(2.0) * state.sigma / params.alpha    # y per x
+    if c == math.inf:
         raise DomainError(f"sqrt(2) sigma / alpha overflows at alpha {params.alpha}")
-    x_cut = y_max / y_of_x
-    zeta = (max(y_of_x * y_of_x / (4.0 * nu), sys.float_info.min) if nu > 0.0
-            else math.inf)    # never 0; inf (weight 1) at nu = 0 or on overflow
+    _, _, zeta, root_nu = reduced_variables(state, params, contract)
+    zeta = max(zeta, sys.float_info.min)    # the weight needs zeta > 0
+    y, coeffs = solution.y, solution.q_coeffs
+    y_max, h, n_y = float(y[-1]), float(y[1]), len(y) - 1
     y_cut = min(y_max, 2.0 * math.sqrt(WEIGHT_CUT * zeta))
-    tail_bound = solution.boundary_max / x_cut
+    tail_bound = solution.boundary_max / y_max    # in y; times c below
     if y_cut < y_max:   # each pchip cell is monotone: |q| peaks at a knot
         q_max = max(np.abs(coeffs[3]).max(), abs(np.polyval(coeffs[:, -1], h)))
-        tail_bound += (y_of_x * q_max * math.sqrt(math.pi * zeta)
+        tail_bound += (q_max * math.sqrt(math.pi * zeta)
                        * math.erfc(y_cut / (2.0 * math.sqrt(zeta))))
-    if tail_bound > QUAD_TOL:
+    if c * tail_bound > QUAD_TOL:
         raise AccuracyError(
-            f"tail bound {tail_bound:.3e} exceeds quad_tol {QUAD_TOL:.1e}")
+            f"tail bound {c * tail_bound:.3e} exceeds quad_tol {QUAD_TOL:.1e}")
 
     parts = max(1.0, np.ceil(2.0 * h / math.sqrt(zeta)))   # sub-cells per cell
     width = h / parts
@@ -367,8 +359,12 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
         d = v - left
         return (((c3 * d + c2) * d + c1) * d + c0) * np.exp(v * v / (-4.0 * zeta))
 
-    j_x = y_of_x * quad(integrand, nodes, weights) + _tail_integral(nu, x_cut)
-    return (math.sqrt(nu) + j_x / math.sqrt(math.pi)) / contract.tenor
+    # int_y_max^inf e^(-y^2 / (4 zeta)) / y^2 dy, psi taken as 0 there
+    tail = (math.exp(y_max * y_max / (-4.0 * zeta)) / y_max
+            - 0.5 * math.sqrt(math.pi / zeta)
+            * math.erfc(y_max / (2.0 * math.sqrt(zeta))))
+    return root_nu + c * (quad(integrand, nodes, weights) + tail) / (
+        math.sqrt(math.pi) * contract.tenor)
 
 
 def grid_refinement_report(state: MarketState, params: SabrParams,
@@ -381,10 +377,10 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     discretization error.  Raises :class:`DomainError` outside the accrual
     window and at maturity, where there is nothing to refine.
     """
-    tau = time_to_maturity(state, contract)
+    tau, s, _, _ = reduced_variables(state, params, contract)
     if tau == 0.0:
         raise DomainError("at maturity kappa is exact; there is no grid to refine")
-    y_max = grid.y_max_at(_s_key(reduced_time(params.alpha, tau)))
+    y_max = grid.y_max_at(_s_key(s))
     kappas, grids = [], []
     for level in range(refinements + 1):
         g = replace(grid, n_y=grid.n_y * 2 ** level, n_t=grid.n_t * 2 ** level)

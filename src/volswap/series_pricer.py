@@ -5,7 +5,9 @@ kappa_t = (sqrt(nu_t)/T) * sum_n b_n * exp(E_n * tau) * zeta^n
 
 with tau = t0 + T - t, zeta = sigma^2 / (2 alpha^2 nu_t),
 E_n = alpha^2 n (2n - 1) and rational coefficients b_n built from exact
-half-integer gamma values (b_0 = b_1 = 1, b_2 = -1/30, ...).
+half-integer gamma values (b_0 = b_1 = 1, b_2 = -1/30, ...).  tau, zeta and
+sqrt(nu_t)/T are :func:`~volswap.model.reduced_variables`'; at tau = 0 kappa
+is sqrt(nu_t)/T exactly, the sum being 1 in exact arithmetic.
 
 :func:`series_term` is the one definition of the n-th term and
 :func:`growth_factor` of its factor e^(E_n tau); the pricer here and the
@@ -37,7 +39,7 @@ from fractions import Fraction
 from . import specfun
 from .exceptions import AccuracyError, DomainError, SingularityError
 from .model import (MarketState, PricingResult, SabrParams, SwapContract,
-                    time_to_maturity)
+                    reduced_variables)
 
 REGIME_CONVERGENT = "convergent_like"
 REGIME_ASYMPTOTIC = "asymptotic_truncated"
@@ -71,14 +73,6 @@ class SeriesDiagnostics:
     regime: str
 
 
-@dataclass(frozen=True)
-class SeriesVariables:
-    """Dimensionless state entering the series."""
-
-    tau: float
-    zeta: float
-
-
 @functools.cache
 def coeff_b_exact(n: int) -> Fraction:
     """b_n as an exact rational, memoised: the table is constant.
@@ -109,18 +103,6 @@ def growth_factor(n: int, alpha: float, tau: float) -> float:
         return math.exp(alpha * alpha * n * (2 * n - 1) * tau)
     except OverflowError:
         return math.inf
-
-
-def series_variables(state: MarketState, params: SabrParams,
-                     contract: SwapContract) -> SeriesVariables:
-    """tau = t0 + T - t (:func:`time_to_maturity`), zeta = sigma^2/(2 alpha^2 nu)."""
-    if state.nu == 0:
-        raise SingularityError(
-            "nu = 0: zeta is undefined and the series regime is excluded; "
-            "use the Monte Carlo or PDE oracle")
-    tau = time_to_maturity(state, contract)
-    zeta = state.sigma ** 2 / (2.0 * params.alpha ** 2 * state.nu)
-    return SeriesVariables(tau=tau, zeta=zeta)
 
 
 def series_term(n: int, zeta: float, tau: float, alpha: float) -> float:
@@ -181,20 +163,28 @@ def kappa_series(state: MarketState, params: SabrParams,
     above ``ZETA_MAX``, a negative value, a non-finite term, a smallest term
     at n = 0, or an estimate above ``DIVERGENCE_FRACTION`` of the sum yields
     the diverging verdict; the best truncation is still returned, flagged
-    not converged.
+    not converged.  tau = 0 gives the exact sqrt(nu)/T as one converged term
+    of estimate 0.  Raises :class:`SingularityError` where zeta is not finite.
 
     Returns
     -------
     (kappa, SeriesDiagnostics)
     """
-    sv = series_variables(state, params, contract)
+    tau, _, zeta, root_nu = reduced_variables(state, params, contract)
+    if zeta == math.inf:
+        raise SingularityError(
+            "zeta = sigma^2 / (2 alpha^2 nu) is not finite (nu = 0 or beyond the "
+            "float range): the series regime is excluded; use the Monte Carlo "
+            "or PDE oracle")
+    if tau == 0.0:
+        return root_nu, SeriesDiagnostics(1, 0, 0.0, True, REGIME_CONVERGENT)
     value, m, estimate, stop, terms_used = truncated_sum(
-        series_term(n, sv.zeta, sv.tau, params.alpha) for n in range(MAX_TERMS))
-    kappa = math.sqrt(state.nu) / contract.tenor * value
-    if stop == "tolerance" and sv.zeta <= ZETA_MAX:
+        series_term(n, zeta, tau, params.alpha) for n in range(MAX_TERMS))
+    kappa = root_nu * value
+    if stop == "tolerance" and zeta <= ZETA_MAX:
         converged = kappa >= 0
         regime = REGIME_CONVERGENT if converged else REGIME_DIVERGING
-    elif (sv.zeta > ZETA_MAX or m == 0 or stop == "overflow" or kappa < 0
+    elif (zeta > ZETA_MAX or m == 0 or stop == "overflow" or kappa < 0
           or estimate > DIVERGENCE_FRACTION * abs(value)):
         converged, regime = False, REGIME_DIVERGING
     else:

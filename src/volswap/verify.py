@@ -11,8 +11,9 @@ Five families of checks:
   evaluated in exact rational arithmetic so rounding can be ruled out,
 * the n = 0 integral component J0 in erfi and in 1F1 form.
 
-Shared pieces, each defined once: the growth factor e^(E_n tau) is the
-pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on overflow,
+Shared pieces, each defined once: a contract's tau, zeta and sqrt(nu)/T are
+:func:`~volswap.model.reduced_variables`'; the growth factor e^(E_n tau) is
+the pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on overflow,
 which the checks report as :class:`InconclusiveError`); the fixed-truncation
 kappa sums the pricer's :func:`~volswap.series_pricer.series_term`;
 the optimally truncated psi sums its modes by the pricer's truncation rule
@@ -38,9 +39,8 @@ from fractions import Fraction
 
 from . import specfun
 from .exceptions import DomainError, InconclusiveError
-from .model import MarketState, SabrParams, SwapContract
-from .series_pricer import (coeff_b, growth_factor, series_term,
-                            series_variables, truncated_sum)
+from .model import MarketState, SabrParams, SwapContract, reduced_variables
+from .series_pricer import coeff_b, growth_factor, series_term, truncated_sum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -250,36 +250,36 @@ def functional_term_residual(n: int, zeta: float, tau: float,
 
 def _harmonicity_sums(state: MarketState, params: SabrParams,
                       contract: SwapContract, n_terms: int) -> tuple:
-    """(series variables, D-side sum, vertical-side sum) of the truncated
-    kappa series, in kappa units; with no term, 0 = 0 would pass every check."""
+    """(zeta, tau, D-side sum, vertical-side sum) of the truncated kappa
+    series, in kappa units; with no term, 0 = 0 would pass every check."""
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    sv = series_variables(state, params, contract)
-    prefactor = math.sqrt(state.nu) / contract.tenor
+    tau, _, zeta, prefactor = reduced_variables(state, params, contract)
     d_sum = 0.0
     v_sum = 0.0
     for n in range(n_terms):
-        d_side, v_side = functional_term_pieces(n, sv.zeta, sv.tau, params.alpha)
+        d_side, v_side = functional_term_pieces(n, zeta, tau, params.alpha)
         d_sum += prefactor * d_side
         v_sum += prefactor * v_side
-    return sv, d_sum, v_sum
+    return zeta, tau, d_sum, v_sum
 
 
 def check_functional_residual(state: MarketState, params: SabrParams,
                               contract: SwapContract,
                               n_terms: int) -> ResidualReport:
     """Summed harmonicity residual of the truncated kappa series."""
-    sv, d_sum, v_sum = _harmonicity_sums(state, params, contract, n_terms)
+    zeta, tau, d_sum, v_sum = _harmonicity_sums(state, params, contract, n_terms)
     scale = max(abs(d_sum), abs(v_sum), 1e-300)
     return ResidualReport(
-        point=f"zeta={sv.zeta:.6g}, tau={sv.tau}, alpha={params.alpha}, "
+        point=f"zeta={zeta:.6g}, tau={tau}, alpha={params.alpha}, "
               f"n_terms={n_terms}",
         residual=d_sum + v_sum, scale=scale, tolerance=TOL_FUNCTIONAL)
 
 
 def _kappa_truncated(nu: float, sigma: float, tau: float, alpha: float,
                      tenor: float, n_terms: int) -> float:
-    """Fixed-truncation kappa used for the finite-difference cross-checks."""
+    """Fixed-truncation kappa for the finite-difference cross-checks; it
+    forms zeta itself, as the checks bump raw inputs no contract expresses."""
     zeta = sigma * sigma / (2.0 * alpha * alpha * nu)
     total = sum(series_term(n, zeta, tau, alpha) for n in range(n_terms))
     return math.sqrt(nu) / tenor * total
@@ -296,9 +296,9 @@ def check_functional_fd(state: MarketState, params: SabrParams,
     ``FD_STEP/2``, (4 f(h/2) - f(h)) / 3, which cancels its O(h^2) error:
     that error grows with ``n_terms``.  Returns one report per derivative.
     """
-    sv, d_analytic, v_analytic = _harmonicity_sums(state, params, contract,
-                                                   n_terms)
-    nu, sigma, tau = state.nu, state.sigma, sv.tau
+    zeta, tau, d_analytic, v_analytic = _harmonicity_sums(state, params,
+                                                          contract, n_terms)
+    nu, sigma = state.nu, state.sigma
     alpha, tenor = params.alpha, contract.tenor
 
     def kappa(*point):
@@ -316,7 +316,7 @@ def check_functional_fd(state: MarketState, params: SabrParams,
     def richardson(diff):
         return (4.0 * diff(0.5 * FD_STEP) - diff(FD_STEP)) / 3.0
 
-    label = f"zeta={sv.zeta:.6g}, tau={tau}, alpha={alpha}, step={FD_STEP}"
+    label = f"zeta={zeta:.6g}, tau={tau}, alpha={alpha}, step={FD_STEP}"
     return [ResidualReport(point=f"{name}: {label}", residual=fd - analytic,
                            scale=max(abs(analytic), abs(fd), 1e-300),
                            tolerance=TOL_FINITE_DIFF)

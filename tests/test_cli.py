@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -102,6 +103,35 @@ class TestPrice:
         argv[argv.index("--nu") + 1] = nu
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_DIVERGING
         assert "volswap: series produced no finite terms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["0.5796550698", "0.6118823416"],
+                             ids=["zeta-35", "zeta-39"])
+    def test_at_maturity_is_sqrt_nu_over_t(self, tmp_path, sigma):
+        # the summed series made 0.16491 and 1.7275 of 0.173205 here
+        argv = ["price", "--alpha", "0.4", "--sigma", sigma, "--nu", "0.03",
+                "--t", "1", "--tenor", "1"]
+        code, doc = run(tmp_path, argv, "price.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["kappa"] == math.sqrt(0.03)
+        assert (doc["terms_used"], doc["min_term_index"], doc["min_term_abs"],
+                doc["converged"], doc["regime"]) == (1, 0, 0.0, True,
+                                                     "convergent_like")
+
+    @pytest.mark.parametrize("alpha, sigma, message", [
+        ("1e-200", "0.25", "zeta = sigma^2 / (2 alpha^2 nu) is not finite"),
+        ("0.4", "1e200", "zeta = sigma^2 / (2 alpha^2 nu) is not finite"),
+        ("1e200", "0.25", "e^s - 1 is not finite"),
+        ("40", "0.25", "s = alpha^2 tau = 800.0: e^s - 1 is not finite"),
+    ], ids=["alpha-underflow", "sigma-overflow", "alpha-overflow", "s-800"])
+    def test_extreme_input_is_usage_error(self, tmp_path, capsys, alpha, sigma,
+                                          message):
+        # these died with a traceback (exit 1), and s = 800 summed as diverging
+        argv = ["price", "--alpha", alpha, "--sigma", sigma, "--nu", "0.03",
+                "--t", "0.5", "--tenor", "1", "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("volswap: ")
+        assert message in err
 
     def test_market_annualization(self, tmp_path):
         code, doc = run(tmp_path, ["price"] + CONVERGENT_POINT
@@ -246,6 +276,19 @@ class TestCompare:
         column = header.index("kappa_pde")
         assert [row[column] == "" for row in rows] == [False, False, False, True]
         assert "no kappa_pde at alpha 1.0, tau 0.8, zeta 1.0" in capsys.readouterr().err
+
+    def test_at_maturity_every_engine_agrees(self, tmp_path):
+        # the series was 1 ulp off sqrt(nu)/T where the MC standard error is 0
+        code, text = run(tmp_path, [
+            "compare", "--alphas", "0.4", "--taus", "0", "--zetas", "1,39",
+            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"])
+        assert code == cli.EXIT_OK
+        header, *rows, _ = list(csv.reader(text.splitlines()))
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert (cells["kappa_series"] == cells["kappa_mc"] == cells["kappa_pde"]
+                    == repr(math.sqrt(0.03)))
+            assert cells["abs_diff_mc_sigmas"] == "0.0"
 
     @pytest.mark.parametrize("alphas,zetas", [("0.4,-1", "1"), ("0.4", "1,-1"),
                                               ("0.4", "1,inf")],

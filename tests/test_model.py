@@ -5,8 +5,10 @@ import math
 import pytest
 
 from volswap.exceptions import DomainError, SingularityError
+from volswap.mc_engine import McConfig, kappa_mc
 from volswap.model import (MarketState, SabrParams, SwapContract,
-                           discount_factor, time_to_maturity)
+                           discount_factor, reduced_variables, time_to_maturity)
+from volswap.pde_engine import kappa_quadrature
 from volswap.series_pricer import kappa_series, price_volatility_swap
 
 #: a point where the series converges: alpha^2 tau = 0.05, zeta = 1, PDE
@@ -88,6 +90,57 @@ class TestValidateState:
         for t, tau in ((0.25, 1.0), (0.75, 0.5), (1.25, 0.0)):
             state = MarketState(t=t, sigma=0.2, nu=0.01)
             assert time_to_maturity(state, contract) == tau
+
+
+class TestReducedVariables:
+    """(tau, s, zeta, sqrt(nu)/T), the one reduction every engine prices."""
+
+    contract = SwapContract(t0=0.0, tenor=1.0)
+
+    def test_zeta_example(self):
+        tau, s, zeta, root_nu = reduced_variables(
+            MarketState(t=1.0, sigma=0.2, nu=0.04), SabrParams(alpha=0.5),
+            self.contract)
+        assert zeta == pytest.approx(2.0, rel=1e-15)
+        assert (tau, s, root_nu) == (0.0, 0.0, 0.2)
+
+    def test_second_example(self):
+        tau, s, zeta, _ = reduced_variables(
+            MarketState(t=0.5, sigma=0.3, nu=0.09), SabrParams(alpha=0.3),
+            self.contract)
+        assert tau == pytest.approx(0.5, abs=1e-15)
+        assert s == 0.3 * 0.3 * tau
+        assert zeta == pytest.approx(1.0 / 0.18, rel=1e-14)
+
+    @pytest.mark.parametrize("sigma, alpha, nu", [
+        (0.25, 0.4, 0.0),         # nu = 0
+        (0.25, 1e-200, 0.03),     # alpha^2 underflows
+        (1e200, 0.4, 0.03),       # sigma^2 overflows
+        (1e150, 1e-5, 1e-10),     # the quotient overflows
+    ], ids=["nu-zero", "underflow", "overflow", "quotient"])
+    def test_zeta_is_infinite_outside_the_float_range(self, sigma, alpha, nu):
+        _, _, zeta, _ = reduced_variables(
+            MarketState(t=0.5, sigma=sigma, nu=nu), SabrParams(alpha=alpha),
+            self.contract)
+        assert zeta == math.inf
+
+    def test_s_is_zero_at_maturity_for_every_alpha(self):
+        # alpha^2 * 0 would be nan once alpha^2 overflows
+        tau, s, _, root_nu = reduced_variables(
+            MarketState(t=1.0, sigma=0.2, nu=0.04), SabrParams(alpha=1e200),
+            self.contract)
+        assert (tau, s, root_nu) == (0.0, 0.0, 0.2)
+
+    @pytest.mark.parametrize("zeta", [1.0, 39.0])
+    def test_every_engine_returns_sqrt_nu_over_t_at_maturity(self, zeta):
+        nu, alpha, tenor = 0.03, 0.4, 3.0
+        state = MarketState(t=tenor, sigma=math.sqrt(2.0 * alpha ** 2 * nu * zeta),
+                            nu=nu)
+        params, contract = SabrParams(alpha=alpha), SwapContract(t0=0.0, tenor=tenor)
+        exact = math.sqrt(nu) / tenor
+        assert kappa_series(state, params, contract)[0] == exact
+        assert kappa_mc(state, params, contract, McConfig(1000, 10, seed=1)).mean == exact
+        assert kappa_quadrature(state, params, contract) == exact
 
 
 class TestPricingResult:

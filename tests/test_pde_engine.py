@@ -16,7 +16,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dptsv
 from volswap import pde_engine
 from volswap.exceptions import AccuracyError, DomainError, InstabilityError
 from volswap.mc_engine import McConfig, kappa_mc
-from volswap.model import MarketState, SabrParams, SwapContract
+from volswap.model import (MarketState, SabrParams, SwapContract,
+                           reduced_variables)
 from volswap.pde_engine import (GridSpec, default_y_max, grid_refinement_report,
                                 kappa_quadrature, solve_psi)
 from volswap.series_pricer import kappa_series
@@ -293,7 +294,7 @@ class TestKappaQuadrature:
             engine(state, SabrParams(alpha=0.4), CONTRACT)
 
     def test_overflowing_y_of_x_is_domain_error(self):
-        # sqrt(2) sigma / alpha = inf made x_cut 0 and the tail bound divide by it
+        # sqrt(2) sigma / alpha = inf would make the tail bound inf * 0 = nan
         state = MarketState(t=0.5, sigma=1e300, nu=0.03)
         with pytest.raises(DomainError, match="overflows"):
             kappa_quadrature(state, SabrParams(alpha=1e-10), CONTRACT)
@@ -320,8 +321,7 @@ class TestKappaQuadrature:
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         grid = GridSpec(y_max=27.0, n_y=400, n_t=400)
         sol = solve_psi(0.4, 0.5, grid)
-        x_cut = sol.y[-1] / (math.sqrt(2.0) * 0.25 / 0.4)
-        tail_bound = sol.boundary_max / x_cut
+        tail_bound = math.sqrt(2.0) * 0.25 / 0.4 * sol.boundary_max / sol.y[-1]
         assert tail_bound > 0.0
         monkeypatch.setattr(pde_engine, "QUAD_TOL", 0.5 * tail_bound)
         with pytest.raises(AccuracyError, match="tail bound"):
@@ -437,8 +437,8 @@ class TestGolden:
 
     KAPPAS = {
         "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404750818"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914145671997792"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503128996102761"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.2491414567199779"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.35031289961027606"),
         "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503307802297844"),
         "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779480869034989"),
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
@@ -470,9 +470,9 @@ class TestGolden:
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
                                         CONTRACT, GridSpec(n_y=200, n_t=200))
         assert repr(report) == (
-            "{'kappas': [0.2491404464876124, 0.24914145671997792, "
+            "{'kappas': [0.2491404464876124, 0.2491414567199779, "
             "0.24914171477454183], 'grids': [(200, 200), (400, 400), (800, 800)], "
-            "'ratios': [3.914801390051181], 'y_max': 62.467322942411855}")
+            "'ratios': [3.9148013895225597], 'y_max': 62.467322942411855}")
 
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))
@@ -539,12 +539,11 @@ class TestFixedNodeRule:
     @pytest.mark.parametrize("nu, overflows", [(1e-300, False), (5e-324, True)])
     def test_vanishing_nu_prices_as_nu_zero(self, nu, overflows):
         params = SabrParams(alpha=0.4)
-        y_of_x = math.sqrt(2.0) * 0.25 / 0.4
-        assert (y_of_x * y_of_x / (4.0 * nu) == math.inf) is overflows   # zeta
+        state = MarketState(t=0.5, sigma=0.25, nu=nu)
+        assert (reduced_variables(state, params, CONTRACT)[2] == math.inf) is overflows
         at_zero = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.0),
                                    params, CONTRACT)
-        kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
-                                 params, CONTRACT)
+        kappa = kappa_quadrature(state, params, CONTRACT)
         assert math.isfinite(kappa)
         assert kappa == pytest.approx(at_zero, rel=1e-12, abs=0.0)
 

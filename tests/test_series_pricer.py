@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from volswap import series_pricer, specfun
 from volswap.exceptions import (AccuracyError, DomainError, SingularityError,
                                 VolswapError)
-from volswap.model import MarketState, SabrParams, SwapContract
+from volswap.model import (MarketState, SabrParams, SwapContract,
+                           reduced_variables)
 from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
                                    REL_TOL, ZETA_MAX, coeff_b, coeff_b_exact,
                                    growth_factor, kappa_series,
                                    price_volatility_swap, series_term,
-                                   series_variables, truncated_sum)
+                                   truncated_sum)
 from volswap.verify import j0_closed_form, j0_hypergeometric_form
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
@@ -70,22 +71,10 @@ class TestCoefficients:
 
 
 class TestSeriesVariables:
-    def test_zeta_example(self):
-        sv = series_variables(MarketState(t=1.0, sigma=0.2, nu=0.04),
-                              SabrParams(alpha=0.5), CONTRACT)
-        assert sv.zeta == pytest.approx(2.0, rel=1e-15)
-        assert sv.tau == 0.0
-
-    def test_second_example(self):
-        sv = series_variables(MarketState(t=0.5, sigma=0.3, nu=0.09),
-                              SabrParams(alpha=0.3), CONTRACT)
-        assert sv.tau == pytest.approx(0.5, abs=1e-15)
-        assert sv.zeta == pytest.approx(1.0 / 0.18, rel=1e-14)
-
     def test_nu_zero_singular(self):
-        with pytest.raises(SingularityError):
-            series_variables(MarketState(t=0.5, sigma=0.3, nu=0.0),
-                             SabrParams(alpha=0.3), CONTRACT)
+        with pytest.raises(SingularityError, match="zeta"):
+            kappa_series(MarketState(t=0.5, sigma=0.3, nu=0.0),
+                         SabrParams(alpha=0.3), CONTRACT)
 
     @pytest.mark.parametrize("t, t0", [(-0.5, 0.0), (0.5, 0.75), (1.5, 0.0)])
     def test_outside_accrual_window_is_domain_error(self, t, t0):
@@ -98,22 +87,26 @@ class TestSeriesVariables:
 class TestTerminalValue:
     @pytest.mark.parametrize("nu", [0.01, 0.04, 0.25])
     def test_terminal_equals_sqrt_nu_over_t(self, nu):
-        # tau = 0: every zeta must collapse the series to sqrt(nu)/T
-        for i in range(20):
-            zeta = 10.0 ** (-2.0 + 3.0 * i / 19.0)   # [0.01, 10]
+        # tau = 0: every zeta up to ZETA_MAX gives sqrt(nu)/T exactly; the
+        # summed series made 1.7275 of 0.173205 at zeta 39
+        tenor = 2.0
+        contract = SwapContract(t0=0.0, tenor=tenor)
+        for i in range(30):
+            zeta = 10.0 ** (-2.0 + (2.0 + math.log10(ZETA_MAX)) * i / 29.0)
             sigma = math.sqrt(2.0 * 0.4 ** 2 * nu * zeta)
-            state = MarketState(t=1.0, sigma=sigma, nu=nu)
-            kappa, diag = kappa_series(state, SabrParams(alpha=0.4), CONTRACT)
-            assert kappa == pytest.approx(math.sqrt(nu), rel=1e-8)
-            assert diag.regime == REGIME_CONVERGENT
+            state = MarketState(t=tenor, sigma=sigma, nu=nu)
+            kappa, diag = kappa_series(state, SabrParams(alpha=0.4), contract)
+            assert kappa == math.sqrt(nu) / tenor
+            assert diag == series_pricer.SeriesDiagnostics(
+                1, 0, 0.0, True, REGIME_CONVERGENT)
 
     def test_single_term_truncation(self):
         # n = 0 alone at tau = 0, zeta = 1 is (sqrt(nu)/T) 1F1(-1/2;1/2;1)
         nu = 0.04
         sigma = math.sqrt(2.0 * 0.4 ** 2 * nu * 1.0)
         state = MarketState(t=1.0, sigma=sigma, nu=nu)
-        sv = series_variables(state, SabrParams(alpha=0.4), CONTRACT)
-        kappa = math.sqrt(nu) * series_term(0, sv.zeta, sv.tau, 0.4)
+        tau, _, zeta, _ = reduced_variables(state, SabrParams(alpha=0.4), CONTRACT)
+        kappa = math.sqrt(nu) * series_term(0, zeta, tau, 0.4)
         expected = math.sqrt(nu) * specfun.kummer_1f1(-0.5, 0.5, 1.0).value
         assert kappa == pytest.approx(expected, rel=1e-13)
 
@@ -220,8 +213,8 @@ class TestGrowthOverflow:
         # zeta = 3125 and 723: e^zeta in 1F1(-1/2; 1/2; zeta) overflows, so
         # already the n = 0 term is -inf
         state = MarketState(t=t, sigma=0.25, nu=nu)
-        sv = series_variables(state, SabrParams(alpha=0.4), CONTRACT)
-        assert series_term(0, sv.zeta, sv.tau, 0.4) == -math.inf
+        tau, _, zeta, _ = reduced_variables(state, SabrParams(alpha=0.4), CONTRACT)
+        assert series_term(0, zeta, tau, 0.4) == -math.inf
         with pytest.raises(AccuracyError, match="no finite terms"):
             kappa_series(state, SabrParams(alpha=0.4), CONTRACT)
 
@@ -294,7 +287,7 @@ GOLDEN = [
     ("negative_seed_point", 0.5, 0.25, 0.03, 0.4, 1.0, 64,
      -2.201514369528084, -232.94689384422418, 8, 5, 29.39493830191444,
      False, "diverging", ("SERIES_DIVERGING",)),
-    ("single_term", 1.0, 0.11313708498984762, 0.04, 0.4, 1.0, 1,
+    ("single_term", 0.5, 0.11313708498984762, 0.04, 0.4, 1.0, 1,
      -0.04140433267106365, -23.416220269093174, 1, 0, 0.20702166335531824,
      False, "diverging", ("SERIES_DIVERGING",)),
 ]
@@ -354,13 +347,14 @@ class TestKappaIsSumOfTerms:
            sigma=st.floats(0.01, 1.0), nu=st.floats(1e-3, 1.0))
     def test_value_is_left_to_right_sum_of_kept_terms(self, alpha, tau,
                                                       sigma, nu):
+        # tau = 0 is exact, not summed: TestTerminalValue
         contract = SwapContract(t0=0.0, tenor=2.0)
         state = MarketState(t=2.0 - tau, sigma=sigma, nu=nu)
         params = SabrParams(alpha=alpha)
-        sv = series_variables(state, params, contract)
-        assume(sv.zeta <= 300.0)   # keeps e^zeta inside 1F1 finite
+        tau, _, zeta, _ = reduced_variables(state, params, contract)
+        assume(tau > 0.0 and zeta <= 300.0)   # keeps e^zeta inside 1F1 finite
         kappa, diag = kappa_series(state, params, contract)
-        terms = [series_term(n, sv.zeta, sv.tau, alpha)
+        terms = [series_term(n, zeta, tau, alpha)
                  for n in range(diag.terms_used)]
         partials = list(itertools.accumulate(terms))
         # a stop on the tolerance keeps every term; any other stop drops
@@ -400,16 +394,16 @@ class TestJInfinity:
     def test_reassembly_identity(self, a2t, zeta):
         # (sqrt(nu)/T) {1 + sqrt(z/pi) (J0 + Jinf)} == b_n series, same truncation
         state, params, contract = make_point(a2t, zeta)
-        sv = series_variables(state, params, contract)
+        tau, _, zeta, _ = reduced_variables(state, params, contract)
         n_max = 12
         kappa_direct = math.sqrt(state.nu) / contract.tenor * sum(
-            series_term(n, sv.zeta, sv.tau, params.alpha)
+            series_term(n, zeta, tau, params.alpha)
             for n in range(n_max + 1))
-        z = 4.0 * sv.zeta
+        z = 4.0 * zeta
         # J_inf = (sqrt(pi)/2) zeta^(-1/2) sum_{n>=1} series_term(n, ...)
         j_inf = specfun.SQRT_PI / 2.0 * sum(
-            series_term(n, sv.zeta, sv.tau, params.alpha)
-            for n in range(1, n_max + 1)) / math.sqrt(sv.zeta)
+            series_term(n, zeta, tau, params.alpha)
+            for n in range(1, n_max + 1)) / math.sqrt(zeta)
         j = j0_closed_form(z) + j_inf
         kappa_assembled = (math.sqrt(state.nu) / contract.tenor
                            * (1.0 + math.sqrt(z / math.pi) * j))
