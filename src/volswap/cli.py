@@ -1,9 +1,16 @@
 """Command-line surface: pricing, oracles, sweeps and verification.
 
-Commands emit a single JSON object (or RFC-4180 CSV for sweeps) with an
-embedded run manifest, so any result can be reproduced bit-for-bit from
-its own output.  Numbers are serialized with shortest round-trip
-representation (exact for 64-bit floats).
+Each command maps its parsed flags to a document and an exit code, and
+:func:`main` alone records the run and writes it: one JSON object, or
+RFC-4180 CSV rows for ``compare``, with the run manifest embedded (the
+CSV's last row), so any result can be reproduced bit-for-bit from its own
+output.  The manifest's ``parameters`` are the command's parsed flags by
+dest, all but ``config``, ``output`` and ``seed``, which has a field of its
+own.  ``duration_s`` runs from the start of :func:`main`: it counts parsing,
+the --config read and the engine import, not interpreter start-up.
+Numbers are serialized with shortest round-trip representation (exact for
+64-bit floats) and are never NaN or Infinity: an engine refuses what it
+cannot value, and a refinement ratio it cannot define is null.
 
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  ``--config FILE`` holds ``key = value``
@@ -48,30 +55,8 @@ EXIT_COMPARE_FAILED = 4
 _COMPARE_SIGMAS = 3.0
 
 
-def _manifest(command: str, parameters: dict, seed=None) -> dict:
-    return {
-        "command": command,
-        "tool": "volswap",
-        "version": __version__,
-        "parameters": parameters,
-        "seed": seed,
-        "duration_s": None,   # filled just before emission
-    }
-
-
-def _write(text: str, output) -> None:
-    """The document to the --output file, or to stdout without one."""
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(document: dict, started: float, output) -> None:
-    document["manifest"]["duration_s"] = time.perf_counter() - started
-    _write(json.dumps(document, indent=2, sort_keys=True) + "\n", output)
-
+#: dests a manifest's ``parameters`` leave out; ``seed`` has its own field
+_UNRECORDED = ("config", "output", "seed")
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -120,22 +105,18 @@ def _with_config(argv: list, commands: dict) -> list:
 
 
 def _market_inputs(args, **terms):
-    """(state, params, contract, manifest fields of the six market inputs)."""
+    """(state, params, contract) of the six market flags."""
     params = SabrParams(alpha=args.alpha)
     contract = SwapContract(t0=args.t0, tenor=args.tenor, **terms)
-    state = MarketState(t=args.t, sigma=args.sigma, nu=args.nu)
-    fields = {name: getattr(args, name)
-              for name in ("alpha", "sigma", "nu", "t0", "tenor", "t")}
-    return state, params, contract, fields
+    return MarketState(t=args.t, sigma=args.sigma, nu=args.nu), params, contract
 
 
-def cmd_price(args) -> int:
-    started = time.perf_counter()
-    state, params, contract, fields = _market_inputs(
+def cmd_price(args) -> tuple:
+    state, params, contract = _market_inputs(
         args, strike=args.strike, notional=args.notional)
     df = args.discount_factor   # price_volatility_swap range-checks it
     if df is None:
-        df = discount_factor(args.rate, state, contract)
+        df = discount_factor(args.rate or 0.0, state, contract)
     result = series_pricer.price_volatility_swap(state, params, contract, df)
     diag = result.diagnostics
     document = {
@@ -148,58 +129,40 @@ def cmd_price(args) -> int:
         "converged": diag.converged,
         "regime": diag.regime,
         "warnings": list(result.warnings),
-        "manifest": _manifest("price", {
-            **fields, "strike": contract.strike, "notional": contract.notional,
-            "discount_factor": df, "annualization": args.annualization,
-        }),
     }
     if args.annualization == "market":
         # display convention sqrt((1/T) int sigma^2) = sqrt(T) * kappa
         document["kappa_market"] = result.kappa * math.sqrt(contract.tenor)
-    _emit_json(document, started, args.output)
-    return (EXIT_DIVERGING if diag.regime == series_pricer.REGIME_DIVERGING
-            else EXIT_OK)
+    return document, (EXIT_DIVERGING if diag.regime == series_pricer.REGIME_DIVERGING
+                      else EXIT_OK)
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()     # the engine import is part of the run
-    state, params, contract, fields = _market_inputs(args)
-    if args.oracle == "mc":
-        from . import mc_engine
-        config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
-                                    seed=args.seed, antithetic=args.antithetic)
-        estimate = mc_engine.kappa_mc(state, params, contract, config)
-        document = {
-            "kappa": estimate.mean,
-            "std_error": estimate.std_error,
-            "n_paths": estimate.n_paths,
-            "manifest": _manifest("oracle mc", {
-                **fields, "paths": config.n_paths, "steps": config.n_steps,
-                "antithetic": config.antithetic,
-            }, seed=config.seed),
-        }
-        _emit_json(document, started, args.output)
-        return EXIT_OK
+def cmd_oracle_mc(args) -> tuple:
+    state, params, contract = _market_inputs(args)
+    from . import mc_engine     # the engine import is part of the run
+    estimate = mc_engine.kappa_mc(state, params, contract, mc_engine.McConfig(
+        n_paths=args.paths, n_steps=args.steps, seed=args.seed,
+        antithetic=args.antithetic))
+    return {"kappa": estimate.mean, "std_error": estimate.std_error,
+            "n_paths": estimate.n_paths}, EXIT_OK
 
+
+def cmd_oracle_pde(args) -> tuple:
+    state, params, contract = _market_inputs(args)
     from . import pde_engine
     grid = pde_engine.GridSpec(y_max=args.y_max, n_y=args.n_y, n_t=args.n_t)
-    document = {"manifest": _manifest("oracle pde", {
-        **fields, "n_y": grid.n_y, "n_t": grid.n_t, "y_max": grid.y_max,
-        "refine": args.refine})}
-    if args.refine > 0:
-        report = pde_engine.grid_refinement_report(
-            state, params, contract, grid, refinements=args.refine)
-        document["kappa"] = report["kappas"][-1]
-        document["grid_report"] = {
-            "kappas": report["kappas"],
-            "grids": [list(g) for g in report["grids"]],
-            "ratios": report["ratios"],
-            "y_max": report["y_max"],
-        }
-    else:
-        document["kappa"] = pde_engine.kappa_quadrature(state, params, contract, grid)
-    _emit_json(document, started, args.output)
-    return EXIT_OK
+    if not args.refine:
+        kappa = pde_engine.kappa_quadrature(state, params, contract, grid)
+        return {"kappa": kappa}, EXIT_OK
+    report = pde_engine.grid_refinement_report(
+        state, params, contract, grid, refinements=args.refine)
+    return {"kappa": report["kappas"][-1], "grid_report": {
+        "kappas": report["kappas"],
+        "grids": [list(g) for g in report["grids"]],
+        # inf where the two finer levels agree bit for bit: no ratio
+        "ratios": [r if math.isfinite(r) else None for r in report["ratios"]],
+        "y_max": report["y_max"],
+    }}, EXIT_OK
 
 
 def float_list(raw: str) -> list:
@@ -218,8 +181,8 @@ def count(raw: str) -> int:
     return value
 
 
-def cmd_compare(args) -> int:
-    started = time.perf_counter()
+def cmd_compare(args) -> tuple:
+    """The CSV rows, header first, and the exit code."""
     from . import mc_engine, pde_engine
     nu, tenor, t0 = args.nu, args.tenor, args.t0
     contract = SwapContract(t0=t0, tenor=tenor)
@@ -235,7 +198,8 @@ def cmd_compare(args) -> int:
         points.append((alpha, tau, zeta, SabrParams(alpha=alpha),
                        MarketState(t=t0 + (tenor - tau), sigma=sigma, nu=nu)))
 
-    rows = []
+    rows = [["alpha", "tau", "zeta", "kappa_series", "regime", "kappa_mc",
+             "mc_se", "kappa_pde", "abs_diff_mc_sigmas"]]
     failures = 0
     config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
                                 seed=args.seed)
@@ -257,25 +221,7 @@ def cmd_compare(args) -> int:
             failures += 1
         rows.append([alpha, tau, zeta, kappa_s, diag.regime,
                      mc.mean, mc.std_error, kappa_p, sigmas])
-
-    manifest = _manifest("compare", {
-        "alphas": args.alphas, "taus": args.taus, "zetas": args.zetas,
-        "nu": nu, "tenor": tenor, "t0": t0, "paths": config.n_paths,
-        "steps": config.n_steps,
-    }, seed=config.seed)
-    manifest["duration_s"] = time.perf_counter() - started
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    header = ["alpha", "tau", "zeta", "kappa_series", "regime", "kappa_mc",
-              "mc_se", "kappa_pde", "abs_diff_mc_sigmas"]
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    writer.writerow(["#manifest", json.dumps(manifest, sort_keys=True)]
-                    + [""] * (len(header) - 2))
-    _write(buffer.getvalue(), args.output)
-    return EXIT_COMPARE_FAILED if failures else EXIT_OK
+    return rows, EXIT_COMPARE_FAILED if failures else EXIT_OK
 
 
 def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
@@ -333,18 +279,11 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
     return reports
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args) -> tuple:
     reports = _verify_reports(args.check, args.n_terms, args.s_max)
     all_passed = all(r["passed"] for r in reports)
-    document = {
-        "reports": reports,
-        "all_passed": all_passed,
-        "manifest": _manifest("verify", {
-            "check": args.check, "n_terms": args.n_terms, "s_max": args.s_max}),
-    }
-    _emit_json(document, started, args.output)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return ({"reports": reports, "all_passed": all_passed},
+            EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
 
 
 def build_parser():
@@ -365,7 +304,7 @@ def build_parser():
     def command(subparsers, words, func, **kwargs):
         """A command's parser, and the function that adds a flag to it."""
         p = subparsers.add_parser(words[-1], **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, words=words)
         flags = {}
         commands[words] = (p, flags)
 
@@ -397,17 +336,17 @@ def build_parser():
     flag("--strike", type=float, default=0.0)
     flag("--notional", type=float, default=1.0)
     discount = p_price.add_mutually_exclusive_group()
-    flag("--rate", group=discount, type=float, default=0.0, help="flat short rate")
+    flag("--rate", group=discount, type=float, help="flat short rate (default 0)")
     flag("--discount-factor", group=discount, type=float)
     flag("--annualization", choices=("paper", "market"), default="paper")
 
     o_sub = sub.add_parser("oracle", help="Monte Carlo or PDE reference value"
                            ).add_subparsers(dest="oracle", required=True)
-    _, flag = command(o_sub, ("oracle", "mc"), cmd_oracle)
+    _, flag = command(o_sub, ("oracle", "mc"), cmd_oracle_mc)
     market(flag)
     simulation(flag)
     flag("--antithetic", action="store_true")
-    _, flag = command(o_sub, ("oracle", "pde"), cmd_oracle)
+    _, flag = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
     market(flag)
     flag("--n-y", type=int, default=400)
     flag("--n-t", type=int, default=400)
@@ -434,15 +373,45 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command; the only writer of a document and its manifest."""
+    started = time.perf_counter()
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_with_config(argv, commands))
     try:
-        return args.func(args)
+        document, code = args.func(args)
     except VolswapError as exc:
         print(f"volswap: {exc}", file=sys.stderr)
         refused = isinstance(exc, (AccuracyError, InstabilityError))
         return EXIT_DIVERGING if refused else EXIT_USAGE
+
+    manifest = {
+        "command": " ".join(args.words),
+        "tool": "volswap",
+        "version": __version__,
+        "parameters": {dest: getattr(args, dest) for dest in commands[args.words][1]
+                       if dest not in _UNRECORDED},
+        "seed": getattr(args, "seed", None),
+        "duration_s": time.perf_counter() - started,
+    }
+    if isinstance(document, dict):
+        document["manifest"] = manifest
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    else:   # compare's CSV rows, the manifest row last
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                         for row in document)
+        writer.writerow(["#manifest", json.dumps(manifest, sort_keys=True,
+                                                 allow_nan=False)]
+                        + [""] * (len(document[0]) - 2))
+        text = buffer.getvalue()
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

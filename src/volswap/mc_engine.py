@@ -119,6 +119,12 @@ def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndar
     return means
 
 
+def _finite(variance: float, *values: float) -> None:
+    """Refuse an estimate of sigma^2 tau = ``variance`` beyond the float range."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"sigma^2 tau = {variance}: the estimate is not finite")
+
+
 def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
               config: McConfig, square_root: bool) -> McEstimate:
     tau, s, _, root_nu = reduced_variables(state, params, contract)
@@ -141,9 +147,9 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
             m2 += delta * delta * lo * vals.size / (lo + vals.size)
         m2 += float(np.sum(np.square(vals - block_mean)))
         total += block_sum
-    return McEstimate(mean=total / n_draws,
-                      std_error=math.sqrt(m2 / (n_draws - 1) / n_draws),
-                      n_paths=config.n_paths)
+    mean, std_error = total / n_draws, math.sqrt(m2 / (n_draws - 1) / n_draws)
+    _finite(variance, mean, std_error)
+    return McEstimate(mean=mean, std_error=std_error, n_paths=config.n_paths)
 
 
 def kappa_mc(state: MarketState, params: SabrParams, contract: SwapContract,
@@ -151,7 +157,8 @@ def kappa_mc(state: MarketState, params: SabrParams, contract: SwapContract,
     """Sample estimate of kappa = E[(1/T) sqrt(nu + sigma^2 tau M_s)].
 
     At tau = 0 no simulation is needed and the exact sqrt(nu)/T is returned
-    with zero standard error.
+    with zero standard error.  Raises :class:`DomainError` where sigma^2 tau
+    takes the mean or its standard error beyond the float range.
     """
     return _estimate(state, params, contract, config, True)
 
@@ -171,8 +178,12 @@ def variance_swap_expectation(state: MarketState, params: SabrParams,
     """Closed-form E[nu + sigma^2 tau M_s] = nu + sigma^2 tau (e^s - 1)/s.
 
     E[M_s] = expm1(s)/s is taken as 1 at s = 0.  Raises :class:`DomainError`
-    outside the accrual window and at s > ``S_MAX``.
+    outside the accrual window, at s > ``S_MAX`` and where the value leaves
+    the float range.
     """
     tau, s, _, _ = reduced_variables(state, params, contract)
     mean_m = math.expm1(s) / s if s else 1.0
-    return state.nu + state.sigma * state.sigma * tau * mean_m
+    variance = state.sigma * state.sigma * tau
+    value = state.nu + variance * mean_m
+    _finite(variance, value)
+    return value

@@ -1,6 +1,7 @@
 """The command-line interface: exit codes and output documents against docs/schemas."""
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,11 +13,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from volswap import cli, mc_engine, verify
+from volswap import cli, mc_engine, series_pricer, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -228,6 +230,28 @@ class TestOracle:
         assert code == cli.EXIT_USAGE
         assert "s = alpha^2 tau = 800.0: e^s - 1 is not finite" in err
 
+    @pytest.mark.parametrize("sigma", ["1e200", "1e154"], ids=["mean", "std_error"])
+    def test_mc_estimate_beyond_float_range_is_usage_error(self, capsys, sigma):
+        # these wrote "kappa": Infinity or "std_error": Infinity, exit 0
+        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "200", "--steps", "5",
+                                                "--seed", "3"]
+        argv[argv.index("--sigma") + 1] = sigma
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith("volswap: sigma^2 tau = ")
+
+    def test_pde_ratio_of_equal_levels_is_null(self, tmp_path):
+        # the three levels agree bit for bit: this wrote "ratios": [Infinity]
+        argv = ["oracle", "pde"] + SEED_POINT + ["--refine", "2"]
+        argv[argv.index("--sigma") + 1] = "0.0001"
+        argv[argv.index("--nu") + 1] = "100"
+        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        assert code == cli.EXIT_OK
+        assert len(set(doc["grid_report"]["kappas"])) == 1
+        assert doc["grid_report"]["ratios"] == [None]
+
     def test_pde_nu_zero(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0", "--t", "0", "--tenor", "0.5"]
@@ -289,6 +313,34 @@ class TestCompare:
             assert (cells["kappa_series"] == cells["kappa_mc"] == cells["kappa_pde"]
                     == repr(math.sqrt(0.03)))
             assert cells["abs_diff_mc_sigmas"] == "0.0"
+
+    def test_nu_zero_is_usage_error(self, tmp_path, capsys):
+        argv = ["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1",
+                "--nu", "0", "--seed", "1", "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "compare requires nu > 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_convergent_series_far_from_mc_fails(self, tmp_path, monkeypatch):
+        # a convergent series value 1.0 off the MC mean, on one row of two
+        real = series_pricer.kappa_series
+
+        def far_on_first_row(state, params, contract):
+            kappa, diag = real(state, params, contract)
+            if params.alpha != 0.4:
+                return kappa, diag
+            return kappa + 1.0, dataclasses.replace(
+                diag, regime=series_pricer.REGIME_CONVERGENT)
+
+        monkeypatch.setattr(series_pricer, "kappa_series", far_on_first_row)
+        code, text = run(tmp_path, [
+            "compare", "--alphas", "0.4,0.3", "--taus", "0.5", "--zetas", "1",
+            "--nu", "0.04", "--seed", "1", "--paths", "512", "--steps", "8"])
+        assert code == cli.EXIT_COMPARE_FAILED == 4
+        header, *rows, _ = list(csv.reader(text.splitlines()))
+        sigmas = [float(row[header.index("abs_diff_mc_sigmas")]) for row in rows]
+        assert sigmas[0] > 1e3 and sigmas[1] < cli._COMPARE_SIGMAS
 
     @pytest.mark.parametrize("alphas,zetas", [("0.4,-1", "1"), ("0.4", "1,-1"),
                                               ("0.4", "1,inf")],
@@ -369,6 +421,64 @@ def test_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, argv):
     else:
         manifest = json.loads(text)["manifest"]
     assert 0.0 <= manifest["duration_s"] < 60.0
+
+
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def recorded(text):
+    """(document, manifest) of a command's output, both parsed strictly; a
+    CSV document is its rows before the manifest row."""
+    if text.startswith("{"):
+        document = strict_json(text)
+        return document, document.pop("manifest")
+    *rows, manifest_row = csv.reader(text.splitlines())
+    assert manifest_row[0] == "#manifest"
+    return rows, strict_json(manifest_row[1])
+
+
+def replay_argv(manifest):
+    """The argv a manifest records: its command words, each parameter as a
+    flag (null skipped, true bare, a list comma-joined, a float by repr),
+    then the seed."""
+    argv = manifest["command"].split()
+    for dest, value in manifest["parameters"].items():
+        name = "--" + dest.replace("_", "-")
+        if value is True:
+            argv.append(name)
+        elif isinstance(value, list):
+            argv += [name, ",".join(map(repr, value))]
+        elif value is not None and value is not False:
+            argv += [name, repr(value) if isinstance(value, float) else str(value)]
+    if manifest["seed"] is not None:
+        argv += ["--seed", str(manifest["seed"])]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["price"] + CONVERGENT_POINT + ["--rate", "0.05", "--annualization", "market"],
+    ["price"] + CONVERGENT_POINT + ["--discount-factor", "0.97"],
+    ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10",
+                                     "--antithetic"],
+    ["oracle", "pde"] + SEED_POINT + ["--refine", "1"],
+    ["compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
+     "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
+    ["verify", "--check", "terminal"],
+], ids=["price", "price-discount-factor", "oracle-mc-antithetic",
+        "oracle-pde-refine", "compare", "verify"])
+def test_manifest_replays_the_run(tmp_path, argv):
+    code, text = run(tmp_path, argv)
+    document, manifest = recorded(text)
+    again_code, again_text = run(tmp_path, replay_argv(manifest))
+    again_document, again_manifest = recorded(again_text)
+    assert again_code == code
+    assert again_document == document
+    assert ({**again_manifest, "duration_s": None}
+            == {**manifest, "duration_s": None})
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -1,6 +1,7 @@
 """Monte Carlo engine: exactness, reproducibility, variance-swap pipeline."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,19 @@ class TestKappaMc:
                        McConfig(4, 10, seed=1, antithetic=True))
         assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
+    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    @pytest.mark.parametrize("sigma, variance", [(1e200, "inf"), (1e154, "5e+307")],
+                             ids=["mean", "std_error"])
+    def test_estimate_beyond_float_range_is_domain_error(self, estimator, sigma,
+                                                         variance):
+        # a valid contract: sigma^2 tau = inf gave kappa inf with a nan
+        # standard error, and 5e307 a finite kappa with an inf one
+        state = MarketState(t=0.5, sigma=sigma, nu=0.03)
+        message = re.escape(f"sigma^2 tau = {variance}: ")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=message):
+                estimator(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
+
 
 class TestReducedVariable:
     # alpha^2 tau and sigma^2 tau are bit-equal at the two points, while
@@ -244,6 +258,12 @@ class TestVarianceSwap:
         state = MarketState(t=t, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError):
             variance_swap_expectation(state, SabrParams(alpha=alpha), CONTRACT)
+
+    def test_expectation_beyond_float_range_is_domain_error(self):
+        # sigma^2 tau = inf: this returned inf
+        state = MarketState(t=0.5, sigma=1e200, nu=0.03)
+        with pytest.raises(DomainError, match=r"sigma\^2 tau = inf: "):
+            variance_swap_expectation(state, PARAMS, CONTRACT)
 
     def test_expectation_example(self):
         # sigma=0.2, alpha=0.5, tau=1, nu=0: 0.04 (e^0.25 - 1)/0.25
