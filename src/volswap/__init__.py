@@ -11,9 +11,10 @@ Three independent routes to the fair strike kappa:
 with :mod:`volswap.verify` holding mechanized checks of the identities the
 construction rests on.
 
-The two oracles need numpy, the PDE also scipy; the series needs neither.
-Their names are exported here but imported on first access (PEP 562), so
-pricing with the series never loads numpy or scipy.
+The two oracles need numpy; of scipy, the PDE loads only its compiled
+LAPACK extension; the series needs neither.  Their names are exported here
+but imported on first access (PEP 562), so pricing with the series never
+loads numpy or scipy.
 """
 
 __version__ = "0.1.0"

@@ -120,8 +120,9 @@ def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndar
 
 
 def _finite(variance: float, *values: float) -> None:
-    """Refuse an estimate of sigma^2 tau = ``variance`` beyond the float range."""
-    if not all(map(math.isfinite, values)):
+    """Refuse sigma^2 tau = ``variance``, or an estimate from it, beyond the
+    float range."""
+    if not all(map(math.isfinite, (variance, *values))):
         raise DomainError(f"sigma^2 tau = {variance}: the estimate is not finite")
 
 
@@ -133,20 +134,24 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
         return McEstimate(mean=value, std_error=0.0, n_paths=config.n_paths)
 
     variance = state.sigma * state.sigma * tau     # sigma^2 tau, times M_s
+    _finite(variance)
     n_draws = config.n_paths // 2 if config.antithetic else config.n_paths
     total = m2 = 0.0
-    for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS)):   # fixed order
-        realized = state.nu + variance * _block_means(
-            config, block, min(BLOCK_PATHS, n_draws - lo), s)
-        payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
-        vals = payoffs.mean(axis=0) if config.antithetic else payoffs[0]
-        block_sum = float(np.sum(vals))
-        block_mean = block_sum / vals.size
-        if lo:   # Chan-Golub-LeVeque merge with the lo draws before
-            delta = block_mean - total / lo
-            m2 += delta * delta * lo * vals.size / (lo + vals.size)
-        m2 += float(np.sum(np.square(vals - block_mean)))
-        total += block_sum
+    # a finite sigma^2 tau may still overflow the payoffs or their moments;
+    # _finite refuses that after the loop, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS)):   # fixed order
+            realized = state.nu + variance * _block_means(
+                config, block, min(BLOCK_PATHS, n_draws - lo), s)
+            payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
+            vals = payoffs.mean(axis=0) if config.antithetic else payoffs[0]
+            block_sum = float(np.sum(vals))
+            block_mean = block_sum / vals.size
+            if lo:   # Chan-Golub-LeVeque merge with the lo draws before
+                delta = block_mean - total / lo
+                m2 += delta * delta * lo * vals.size / (lo + vals.size)
+            m2 += float(np.sum(np.square(vals - block_mean)))
+            total += block_sum
     mean, std_error = total / n_draws, math.sqrt(m2 / (n_draws - 1) / n_draws)
     _finite(variance, mean, std_error)
     return McEstimate(mean=mean, std_error=std_error, n_paths=config.n_paths)

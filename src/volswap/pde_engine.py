@@ -39,6 +39,19 @@ psi itself (explicit half plus an LU solve of the unsymmetric matrix) psi
 moves by rounding only, within 1e-12 on the tested grids of 400 to 1600
 nodes.
 
+``dpttrf`` and ``dpttrs`` are scipy's f2py wrappers, the same objects
+``scipy.linalg.lapack`` exports, taken from the compiled extension
+``scipy/linalg/_flapack`` that :func:`_load_flapack` loads from its file
+after a plain ``import scipy``.  Importing them from ``scipy.linalg.lapack``
+runs the ``scipy.linalg`` package, whose array-API support loads numpy's
+lazily imported submodules (``numpy.f2py``, ``numpy.testing``,
+``numpy.ma``, ...): 0.20-0.26 s under ``python -X importtime`` on a 2-core
+x86 machine, against ~10 ms for ``import scipy`` and ~5 ms for the
+extension.  ``_flapack`` is a private module name, but it has held these
+wrappers in every scipy from 1.10, the oldest ``pyproject.toml`` allows;
+``tests/test_imports.py`` checks that ``scipy.linalg.lapack`` hands out the
+very objects loaded here.
+
 kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
 c = sqrt(2) sigma / alpha, zeta (inf at nu = 0) and sqrt(nu)/T from
 :func:`~volswap.model.reduced_variables` and the weight w = e^(-y^2 / (4 zeta)),
@@ -73,15 +86,35 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .exceptions import AccuracyError, DomainError, InstabilityError
 from .model import (MarketState, SabrParams, SwapContract, reduced_time,
                     reduced_variables)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension, without the scipy.linalg package."""
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled "
+                          "scipy/linalg/_flapack extension")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 #: psi values outside [-eps, 1+eps] are treated as scheme instability.
 MAX_PRINCIPLE_EPS = 1e-6
@@ -103,7 +136,12 @@ WEIGHT_CUT = 46.0
 #: largest bound on the neglected parts of the kappa integral.
 QUAD_TOL = 1e-6
 #: six-point Gauss-Legendre rule on [-1, 1], exact for degree <= 11.
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+#: Written out, equal by repr to ``np.polynomial.legendre.leggauss(6)``:
+#: importing ``numpy.polynomial`` would add 3-9 ms to the PDE start-up.
+GL_NODES = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                     0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+GL_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                       0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 
 
 @dataclass(frozen=True)

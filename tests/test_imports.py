@@ -1,5 +1,6 @@
 """The package imports numpy and scipy only for the engines that use them,
-and of scipy only the parts they use."""
+and of scipy only the parts they use: the PDE loads scipy's compiled LAPACK
+extension, not the scipy.linalg package, and no numpy.polynomial."""
 
 import functools
 import json
@@ -41,7 +42,8 @@ from volswap.model import MarketState, SabrParams, SwapContract
 kappa = pde_engine.kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.03),
                                     SabrParams(alpha=0.4),
                                     SwapContract(t0=0.0, tenor=1.0))
-loaded = [name for name in ("scipy.integrate", "scipy.interpolate", "scipy.special")
+loaded = [name for name in ("scipy.integrate", "scipy.interpolate", "scipy.special",
+                           "scipy.linalg", "numpy.polynomial")
           if name in sys.modules]
 print(json.dumps({"kappa": kappa, "loaded": loaded}))
 """
@@ -53,9 +55,19 @@ from volswap import cli
 code = cli.main(["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
                  "--nu", "0.03", "--t", "0.5", "--tenor", "1",
                  "--output", os.devnull])
-loaded = [name for name in ("scipy.interpolate", "scipy.special")
+loaded = [name for name in ("scipy.interpolate", "scipy.special", "scipy.linalg",
+                           "numpy.polynomial")
           if name in sys.modules]
 print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+LAPACK_SCRIPT = """
+import json
+from volswap import pde_engine
+from scipy.linalg import lapack
+print(json.dumps({name: getattr(pde_engine, name) is getattr(lapack, name)
+                  for name in ("dpttrf", "dpttrs")}))
 """
 
 
@@ -107,6 +119,12 @@ def test_pde_pricing_leaves_scipy_interpolate_and_special_unloaded():
 
 def test_oracle_pde_leaves_scipy_interpolate_and_special_unloaded():
     assert _run(ORACLE_PDE_SCRIPT) == {"code": 0, "loaded": []}
+
+
+def test_pde_lapack_routines_are_scipy_linalg_lapacks():
+    # pde_engine loads scipy/linalg/_flapack by its private path; the
+    # package, imported after it, must hand out the very same wrappers
+    assert _run(LAPACK_SCRIPT) == {"dpttrf": True, "dpttrs": True}
 
 
 def test_oracle_mc_loads_no_scipy_module():

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestKappaMc:
         message = re.escape(f"sigma^2 tau = {variance}: ")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match=message):
+                estimator(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
+
+    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    @pytest.mark.parametrize("sigma", [1e200, 1e154], ids=["mean", "std_error"])
+    def test_estimate_beyond_float_range_warns_nothing(self, estimator, sigma):
+        # numpy warned of the overflow (or of inf - inf) above the refusal
+        state = MarketState(t=0.5, sigma=sigma, nu=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"sigma\^2 tau = "):
                 estimator(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
 
 

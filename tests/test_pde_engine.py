@@ -507,6 +507,12 @@ def _mpmath_kappa(solution, state, params, contract):
 
 
 class TestFixedNodeRule:
+    def test_written_rule_is_numpys_gauss_legendre(self):
+        # the only place that imports numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        assert np.array_equal(pde_engine.GL_NODES, nodes)
+        assert np.array_equal(pde_engine.GL_WEIGHTS, weights)
+
     @pytest.mark.parametrize("case", ["small_s", "mid_s", "large_s",
                                       "high_zeta", "nu_zero"])
     def test_matches_mpmath_integral_of_the_interpolant(self, case):
