@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -41,7 +42,7 @@ import math
 import sys
 import time
 
-from . import __version__, series_pricer, specfun, verify
+from . import __version__, series_pricer, verify
 from .exceptions import (AccuracyError, DomainError, InstabilityError,
                          VolswapError)
 from .model import MarketState, SabrParams, SwapContract, discount_factor
@@ -228,25 +229,16 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
     reports = []
 
     def add(check, rep: verify.ResidualReport):
-        reports.append({
-            "check": check, "kind": "residual", "point": rep.point,
-            "residual": rep.residual, "scale": rep.scale,
-            "relative": rep.relative, "tolerance": rep.tolerance,
-            "passed": rep.passed,
-        })
-
-    def add_terminal(point, value, expected):
-        reports.append({"check": "terminal", "kind": "exact", "point": point,
-                        "value": str(value), "passed": value == expected})
+        reports.append({"check": check, "kind": "residual",
+                        **dataclasses.asdict(rep), "relative": rep.relative,
+                        "passed": rep.passed})
 
     if which in ("all", "terminal"):
-        # s = 0: the sum is -1 and the Gamma(-1/2)/(2 sqrt(pi)) prefactor
-        # (exactly -1) must turn it into the leading coefficient 1
-        add_terminal("s=0 leading coefficient",
-                     verify.check_terminal_identity(0)
-                     * specfun.gamma_half_integer(-1) / 2, 1)
-        for s in range(1, s_max + 1):
-            add_terminal(f"s={s}", verify.check_terminal_identity(s), 0)
+        for s in range(s_max + 1):
+            value = verify.check_terminal_identity(s)
+            reports.append({"check": "terminal", "kind": "exact",
+                            "point": f"s={s}" if s else "s=0 leading coefficient",
+                            "value": str(value), "passed": value == int(s == 0)})
     if which in ("all", "bessel"):
         for y in (0.1, 0.5, 1.0, 2.0, 5.0):
             add("bessel", verify.check_bessel_sqrt_expansion(y, 60))
@@ -272,9 +264,10 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
         params = SabrParams(alpha=0.4)
         contract = SwapContract(t0=0.0, tenor=1.0)
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        add("functional",
-            verify.check_functional_residual(state, params, contract, n_terms))
-        for rep in verify.check_functional_fd(state, params, contract, n_terms):
+        summed, *finite_differences = verify.check_functional(
+            state, params, contract, n_terms)
+        add("functional", summed)
+        for rep in finite_differences:
             add("functional-fd", rep)
     return reports
 

@@ -346,12 +346,18 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
 
     Valid for nu >= 0.  psi comes from :func:`psi_memo`, so points sharing
     s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
-    one march.  Raises :class:`AccuracyError` if the bound on the neglected
-    parts of the integral exceeds ``QUAD_TOL`` (about 1e-8 on the default grid).
+    one march.  At s = 0 (at maturity, or where alpha^2 tau underflows)
+    sigma stays put and kappa is sqrt(nu + sigma^2 tau)/T, a
+    :class:`DomainError` where that is not finite.  Raises
+    :class:`AccuracyError` if the bound on the neglected parts of the
+    integral exceeds ``QUAD_TOL`` (about 1e-8 on the default grid).
     """
-    tau, s, _, root_nu = reduced_variables(state, params, contract)
-    if tau == 0.0:
-        return root_nu
+    tau, s, _, _ = reduced_variables(state, params, contract)
+    if s == 0.0:
+        kappa = math.sqrt(state.nu + state.sigma * (state.sigma * tau)) / contract.tenor
+        if not math.isfinite(kappa):
+            raise DomainError(f"nu + sigma^2 tau is not finite at sigma {state.sigma}")
+        return kappa
 
     solution, refusal = psi_memo(_s_key(s), grid)
     if refusal is not None:
@@ -413,11 +419,11 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     Second-order convergence shows up as ratios of successive differences
     near 4.  All refinements share one y_max so the comparison isolates the
     discretization error.  Raises :class:`DomainError` outside the accrual
-    window and at maturity, where there is nothing to refine.
+    window and at s = alpha^2 tau = 0, where there is nothing to refine.
     """
-    tau, s, _, _ = reduced_variables(state, params, contract)
-    if tau == 0.0:
-        raise DomainError("at maturity kappa is exact; there is no grid to refine")
+    _, s, _, _ = reduced_variables(state, params, contract)
+    if s == 0.0:
+        raise DomainError("at s = 0 kappa is exact; there is no grid to refine")
     y_max = grid.y_max_at(_s_key(s))
     kappas, grids = [], []
     for level in range(refinements + 1):

@@ -98,7 +98,8 @@ def coeff_b(n: int) -> float:
 
 def growth_factor(n: int, alpha: float, tau: float) -> float:
     """Mode growth factor e^(E_n tau), E_n = alpha^2 n (2n - 1); +inf once
-    it leaves the float range."""
+    it leaves the float range.  Not n (2n - 1) s: that rounds apart, moving
+    trusted kappas by up to 2.5e7 times the error estimate the series reports."""
     try:
         return math.exp(alpha * alpha * n * (2 * n - 1) * tau)
     except OverflowError:
@@ -181,12 +182,11 @@ def kappa_series(state: MarketState, params: SabrParams,
     value, m, estimate, stop, terms_used = truncated_sum(
         series_term(n, zeta, tau, params.alpha) for n in range(MAX_TERMS))
     kappa = root_nu * value
-    if stop == "tolerance" and zeta <= ZETA_MAX:
-        converged = kappa >= 0
-        regime = REGIME_CONVERGENT if converged else REGIME_DIVERGING
-    elif (zeta > ZETA_MAX or m == 0 or stop == "overflow" or kappa < 0
-          or estimate > DIVERGENCE_FRACTION * abs(value)):
+    if (zeta > ZETA_MAX or m == 0 or stop == "overflow" or kappa < 0
+            or estimate > DIVERGENCE_FRACTION * abs(value)):
         converged, regime = False, REGIME_DIVERGING
+    elif stop == "tolerance":
+        converged, regime = True, REGIME_CONVERGENT
     else:
         converged = estimate <= REL_TOL * abs(value)
         regime = REGIME_ASYMPTOTIC

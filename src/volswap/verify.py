@@ -19,15 +19,16 @@ kappa sums the pricer's :func:`~volswap.series_pricer.series_term`;
 the optimally truncated psi sums its modes by the pricer's truncation rule
 :func:`~volswap.series_pricer.truncated_sum`; a_n/sqrt(pi) is the memoised
 rational :func:`coeff_a_exact`, behind the expansion and the terminal
-identity; :func:`_harmonicity_sums` serves the closed-form and the
-finite-difference harmonicity checks; and :func:`_kummer_derivatives` gives
-the 1F1 derivatives of the Kummer ODE and the harmonicity terms.  Every 1F1
-here, as in the pricer, is evaluated to ``specfun.KUMMER_REL_TOL``.
-Tolerances, the finite-difference step and the psi mode cap are module
-constants.
+identity; :func:`check_functional` sums the harmonicity pieces in one
+pass that its closed-form and finite-difference reports share; and
+:func:`_kummer_derivatives` gives the 1F1 derivatives of the Kummer ODE and
+the harmonicity terms.  Every 1F1 here, as in the pricer, is evaluated to
+``specfun.KUMMER_REL_TOL``.  Tolerances, the finite-difference step and the
+psi mode cap are module constants.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
-check returns the rational sum itself (zero when the identity holds).
+check returns the normalised rational coefficient itself (1 at s = 0, zero
+from s = 1 on when the identity holds).
 """
 
 from __future__ import annotations
@@ -88,20 +89,21 @@ def _coeff_a(n: int) -> float:
 
 
 def check_terminal_identity(s: int) -> Fraction:
-    """Exact rational sum behind the zeta^s coefficient at tau = 0.
+    """Exact zeta^s coefficient of kappa T / sqrt(nu) at tau = 0, normalised.
 
-    sum_{0<=n<=s} (-1)^(n+1) (2n - 1/2) Gamma(n-1/2) / (n! (s-n)! Gamma(s+n+1/2))
-      = -sum_{0<=n<=s} (a_n/sqrt(pi)) / ((s-n)! Gamma(s+n+1/2)/sqrt(pi))
+    (Gamma(-1/2) / (2 sqrt(pi)))
+      * sum_{0<=n<=s} (-1)^(n+1) (2n - 1/2) Gamma(n-1/2) / (n! (s-n)! Gamma(s+n+1/2))
+      = sum_{0<=n<=s} (a_n/sqrt(pi)) / ((s-n)! Gamma(s+n+1/2)/sqrt(pi))
 
-    The sqrt(pi) factors of the gamma pair cancel, leaving a rational that
-    must vanish for every s >= 1 (for s = 0 the sum is -1, which the
-    Gamma(-1/2)/(2 sqrt(pi)) prefactor turns into the leading coefficient 1).
+    The prefactor is exactly -1 and the sqrt(pi) factors of the gamma pair
+    cancel, leaving a rational: the leading coefficient 1 at s = 0, and 0
+    for every s >= 1, as kappa = sqrt(nu)/T at tau = 0.
     """
     if s < 0:
         raise DomainError(f"s must be >= 0, got {s}")
     total = Fraction(0)
     for n in range(s + 1):
-        total -= coeff_a_exact(n) / (math.factorial(s - n)
+        total += coeff_a_exact(n) / (math.factorial(s - n)
                                      * specfun.gamma_half_integer(2 * (s + n) + 1))
     return total
 
@@ -248,61 +250,38 @@ def functional_term_residual(n: int, zeta: float, tau: float,
                           tolerance=TOL_FUNCTIONAL)
 
 
-def _harmonicity_sums(state: MarketState, params: SabrParams,
-                      contract: SwapContract, n_terms: int) -> tuple:
-    """(zeta, tau, D-side sum, vertical-side sum) of the truncated kappa
-    series, in kappa units; with no term, 0 = 0 would pass every check."""
+def check_functional(state: MarketState, params: SabrParams,
+                     contract: SwapContract, n_terms: int) -> list:
+    """[summed, D_t, vertical] reports of the harmonicity condition on the
+    kappa series truncated to ``n_terms`` modes.
+
+    One pass sums the D and the vertical sides of
+    :func:`functional_term_pieces` in kappa units; their sum must vanish,
+    and finite differences of the truncated kappa cross-check each side.
+    The time bump moves (tau, nu) jointly, as D_t advances the realized
+    variance at rate sigma^2 while tau shrinks; the vertical bump moves
+    sigma at frozen (tau, nu).  Each central difference is
+    Richardson-extrapolated over ``FD_STEP`` and ``FD_STEP/2``, cancelling
+    its O(h^2) error, which grows with ``n_terms``.  Raises
+    :class:`DomainError` unless ``n_terms >= 1`` (with no term, 0 = 0 would
+    pass) and :class:`InconclusiveError` where a growth factor overflows.
+    """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
     tau, _, zeta, prefactor = reduced_variables(state, params, contract)
-    d_sum = 0.0
-    v_sum = 0.0
-    for n in range(n_terms):
-        d_side, v_side = functional_term_pieces(n, zeta, tau, params.alpha)
-        d_sum += prefactor * d_side
-        v_sum += prefactor * v_side
-    return zeta, tau, d_sum, v_sum
-
-
-def check_functional_residual(state: MarketState, params: SabrParams,
-                              contract: SwapContract,
-                              n_terms: int) -> ResidualReport:
-    """Summed harmonicity residual of the truncated kappa series."""
-    zeta, tau, d_sum, v_sum = _harmonicity_sums(state, params, contract, n_terms)
-    scale = max(abs(d_sum), abs(v_sum), 1e-300)
-    return ResidualReport(
-        point=f"zeta={zeta:.6g}, tau={tau}, alpha={params.alpha}, "
-              f"n_terms={n_terms}",
-        residual=d_sum + v_sum, scale=scale, tolerance=TOL_FUNCTIONAL)
-
-
-def _kappa_truncated(nu: float, sigma: float, tau: float, alpha: float,
-                     tenor: float, n_terms: int) -> float:
-    """Fixed-truncation kappa for the finite-difference cross-checks; it
-    forms zeta itself, as the checks bump raw inputs no contract expresses."""
-    zeta = sigma * sigma / (2.0 * alpha * alpha * nu)
-    total = sum(series_term(n, zeta, tau, alpha) for n in range(n_terms))
-    return math.sqrt(nu) / tenor * total
-
-
-def check_functional_fd(state: MarketState, params: SabrParams,
-                        contract: SwapContract, n_terms: int) -> list:
-    """Finite-difference cross-validation of D_t and the vertical Laplacian.
-
-    The horizontal part of D_t advances the realized variance at rate
-    sigma^2 while tau shrinks, so the time bump moves (tau, nu) jointly;
-    the vertical derivative bumps sigma at frozen (tau, nu).  Each central
-    difference is Richardson-extrapolated over the steps ``FD_STEP`` and
-    ``FD_STEP/2``, (4 f(h/2) - f(h)) / 3, which cancels its O(h^2) error:
-    that error grows with ``n_terms``.  Returns one report per derivative.
-    """
-    zeta, tau, d_analytic, v_analytic = _harmonicity_sums(state, params,
-                                                          contract, n_terms)
     nu, sigma = state.nu, state.sigma
     alpha, tenor = params.alpha, contract.tenor
+    d_sum = v_sum = 0.0
+    for n in range(n_terms):
+        d_side, v_side = functional_term_pieces(n, zeta, tau, alpha)
+        d_sum += prefactor * d_side
+        v_sum += prefactor * v_side
 
-    def kappa(*point):
-        return _kappa_truncated(*point, alpha, tenor, n_terms)
+    def kappa(nu_b, sigma_b, tau_b):
+        # zeta is formed here: the bumps move raw inputs no contract expresses
+        zeta_b = sigma_b * sigma_b / (2.0 * alpha * alpha * nu_b)
+        total = sum(series_term(n, zeta_b, tau_b, alpha) for n in range(n_terms))
+        return math.sqrt(nu_b) / tenor * total
 
     def d_t(h):
         return (kappa(nu + sigma * sigma * h, sigma, tau - h)
@@ -316,12 +295,18 @@ def check_functional_fd(state: MarketState, params: SabrParams,
     def richardson(diff):
         return (4.0 * diff(0.5 * FD_STEP) - diff(FD_STEP)) / 3.0
 
-    label = f"zeta={zeta:.6g}, tau={tau}, alpha={alpha}, step={FD_STEP}"
-    return [ResidualReport(point=f"{name}: {label}", residual=fd - analytic,
-                           scale=max(abs(analytic), abs(fd), 1e-300),
-                           tolerance=TOL_FINITE_DIFF)
-            for name, fd, analytic in (("D_t", richardson(d_t), d_analytic),
-                                       ("vertical", richardson(vertical), v_analytic))]
+    label = f"zeta={zeta:.6g}, tau={tau}, alpha={alpha}"
+    summed = ResidualReport(point=f"{label}, n_terms={n_terms}",
+                            residual=d_sum + v_sum,
+                            scale=max(abs(d_sum), abs(v_sum), 1e-300),
+                            tolerance=TOL_FUNCTIONAL)
+    return [summed] + [
+        ResidualReport(point=f"{name}: {label}, step={FD_STEP}",
+                       residual=fd - analytic,
+                       scale=max(abs(analytic), abs(fd), 1e-300),
+                       tolerance=TOL_FINITE_DIFF)
+        for name, fd, analytic in (("D_t", richardson(d_t), d_sum),
+                                   ("vertical", richardson(vertical), v_sum))]
 
 
 def check_kummer_ode(a: float, b: float, z: float) -> ResidualReport:

@@ -394,6 +394,20 @@ class TestVerify:
         assert code == cli.EXIT_USAGE
         assert "n_terms must be >= 1" in err
 
+    def test_harmonicity_pass_runs_once(self, tmp_path, monkeypatch):
+        # 12 per-mode grids of n + 1 modes each, then one n-mode pass that
+        # the summed and the finite-difference reports share
+        calls = []
+        pieces = verify.functional_term_pieces
+        monkeypatch.setattr(verify, "functional_term_pieces",
+                            lambda *point: calls.append(point) or pieces(*point))
+        code, doc = run(tmp_path, ["verify", "--check", "functional"],
+                        "verify.schema.json")
+        assert code == cli.EXIT_OK
+        assert [r["check"] for r in doc["reports"][-3:]] == [
+            "functional", "functional-fd", "functional-fd"]
+        assert len(calls) == 12 * (10 + 1) + 10 == 142
+
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "check_terminal_identity",
                             lambda s: Fraction(1))

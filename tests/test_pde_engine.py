@@ -281,11 +281,27 @@ class TestKappaQuadrature:
             kappas.append(kappa_quadrature(state, params, CONTRACT))
         assert kappas[0] < kappas[1] < kappas[2]
 
-    @pytest.mark.parametrize("alpha", [1e-200, 40.0, 1e200])
+    @pytest.mark.parametrize("alpha", [40.0, 1e200])
     def test_s_out_of_float_range_is_domain_error(self, alpha):
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError):
             kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
+
+    def test_underflowing_s_prices_a_constant_sigma(self):
+        # alpha^2 tau underflows to s = 0 at tau = 0.5: sigma never moves,
+        # so kappa = sqrt(nu + sigma^2 tau)/T, where that is finite
+        params = SabrParams(alpha=1e-200)
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        assert kappa_quadrature(state, params, CONTRACT) == math.sqrt(0.06125)
+        with pytest.raises(DomainError, match="is not finite"):
+            kappa_quadrature(MarketState(t=0.5, sigma=1e200, nu=0.03), params,
+                             CONTRACT)
+
+    def test_at_maturity_no_sigma_enters(self):
+        # sigma^2 tau is 0 at tau = 0 even where sigma^2 overflows
+        state = MarketState(t=1.0, sigma=1e200, nu=0.03)
+        assert kappa_quadrature(state, SabrParams(alpha=1e-200),
+                                CONTRACT) == math.sqrt(0.03)
 
     @pytest.mark.parametrize("engine", [kappa_quadrature, grid_refinement_report])
     def test_before_accrual_start_is_domain_error(self, engine):
@@ -393,6 +409,12 @@ class TestGridConvergence:
         state = MarketState(t=t, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError):
             grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
+                                   refinements=1)
+
+    def test_nothing_to_refine_where_s_underflows(self):
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with pytest.raises(DomainError, match="no grid to refine"):
+            grid_refinement_report(state, SabrParams(alpha=1e-200), CONTRACT,
                                    refinements=1)
 
     def test_first_level_is_the_default_price(self, monkeypatch):

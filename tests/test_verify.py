@@ -15,18 +15,26 @@ PARAMS = SabrParams(alpha=0.4)
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 
 
+def check_functional_residual(state, params, contract, n_terms):
+    """The summed harmonicity residual of one ``check_functional`` pass."""
+    return verify.check_functional(state, params, contract, n_terms)[0]
+
+
+def check_functional_fd(state, params, contract, n_terms):
+    """The D_t and vertical finite-difference reports of the same pass."""
+    return verify.check_functional(state, params, contract, n_terms)[1:]
+
+
 class TestTerminalIdentity:
     def test_exact_zero_up_to_forty(self):
         for s in range(1, 41):
             assert verify.check_terminal_identity(s) == Fraction(0), f"s={s}"
 
     def test_s_zero_normalization(self):
-        # the s=0 sum is -1; times Gamma(-1/2)/(2 sqrt(pi)) = -1 it yields
-        # the leading coefficient 1
-        total = verify.check_terminal_identity(0)
-        assert total == Fraction(-1)
-        prefactor = specfun.gamma_half_integer(-1) / 2
-        assert total * prefactor == Fraction(1)
+        # the prefactor Gamma(-1/2)/(2 sqrt(pi)) is -1, which turns the s=0
+        # sum -1 into the leading coefficient 1
+        assert specfun.gamma_half_integer(-1) / 2 == Fraction(-1)
+        assert verify.check_terminal_identity(0) == Fraction(1)
 
     def test_returns_exact_rational_type(self):
         assert isinstance(verify.check_terminal_identity(7), Fraction)
@@ -84,34 +92,35 @@ class TestFunctionalCalculus:
                         assert report.relative <= 1e-9, report.point
 
     def test_summed_residual(self):
-        report = verify.check_functional_residual(STATE, PARAMS, CONTRACT, 10)
-        assert report.passed
+        summed = check_functional_residual(STATE, PARAMS, CONTRACT, 10)
+        assert summed.passed
+        assert summed.point.endswith("n_terms=10")
 
     @pytest.mark.parametrize("n_terms", [10, 12, 20])
     def test_finite_difference_cross_check(self, n_terms):
         # plain central differences at step 1e-4 miss 1e-5 from 12 terms on
-        reports = verify.check_functional_fd(STATE, PARAMS, CONTRACT, n_terms)
+        reports = check_functional_fd(STATE, PARAMS, CONTRACT, n_terms)
         assert len(reports) == 2
         for report in reports:
             assert report.relative <= 1e-5, report.point
             assert report.point.endswith("step=0.0001")
 
     @pytest.mark.parametrize("n_terms", [0, -3])
-    @pytest.mark.parametrize("check", [verify.check_functional_residual,
-                                       verify.check_functional_fd])
+    @pytest.mark.parametrize("check", [check_functional_residual,
+                                       check_functional_fd])
     def test_no_term_is_a_domain_error(self, check, n_terms):
         # with no term both sides sum to 0 and every check would pass
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_terms must be >= 1"):
             check(STATE, PARAMS, CONTRACT, n_terms)
 
     def test_coefficients_match_the_terminal_identity_sum(self):
-        # the n = 0 term of the s = 0 sum is -a_0 / (0! Gamma(1/2)/sqrt(pi))
+        # the n = 0 term of the s = 0 sum is a_0 / (0! Gamma(1/2)/sqrt(pi))
         assert verify.coeff_a_exact(0) == Fraction(-2) * Fraction(-1, 2)
-        assert verify.check_terminal_identity(0) == -verify.coeff_a_exact(0)
+        assert verify.check_terminal_identity(0) == verify.coeff_a_exact(0)
 
     def test_deterministic(self):
-        a = verify.check_functional_residual(STATE, PARAMS, CONTRACT, 8)
-        b = verify.check_functional_residual(STATE, PARAMS, CONTRACT, 8)
+        a = verify.check_functional(STATE, PARAMS, CONTRACT, 8)
+        b = verify.check_functional(STATE, PARAMS, CONTRACT, 8)
         assert a == b
 
 
@@ -124,13 +133,16 @@ class TestGrowthOverflow:
 
     def test_summed_residual(self):
         with pytest.raises(InconclusiveError):
-            verify.check_functional_residual(STATE, SabrParams(alpha=20.0),
-                                             CONTRACT, 10)
+            verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT, 10)
 
-    def test_finite_difference(self):
+    def test_finite_difference(self, monkeypatch):
+        # the harmonicity pass refuses before a bumped kappa sums the
+        # infinite terms into a non-finite difference
+        def bumped_term(*point):
+            raise AssertionError(f"finite difference at {point}")
+        monkeypatch.setattr(verify, "series_term", bumped_term)
         with pytest.raises(InconclusiveError):
-            verify.check_functional_fd(STATE, SabrParams(alpha=20.0),
-                                       CONTRACT, 10)
+            verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT, 10)
 
     def test_psi_mode_is_signed_infinity(self):
         assert verify.psi_series_term(2, 0.5, 1.0, 20.0) == math.inf
