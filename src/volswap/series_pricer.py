@@ -7,7 +7,11 @@ with tau = t0 + T - t, zeta = sigma^2 / (2 alpha^2 nu_t),
 E_n = alpha^2 n (2n - 1) and rational coefficients b_n built from exact
 half-integer gamma values (b_0 = b_1 = 1, b_2 = -1/30, ...).  tau, zeta and
 sqrt(nu_t)/T are :func:`~volswap.model.reduced_variables`'; at tau = 0 kappa
-is sqrt(nu_t)/T exactly, the sum being 1 in exact arithmetic.
+is sqrt(nu_t)/T exactly, the sum being 1 in exact arithmetic.  The
+E_n / alpha^2 = lambda_n = n (2n - 1) are the exponents of E[A_s^n], the
+moments of the exponential functional (Yor 1992; Dufresne 2001), so the
+series is a resummed moment expansion in s = alpha^2 tau, and each term
+solves the reduced harmonicity equation :mod:`volswap.verify` checks.
 
 :func:`series_term` is the one definition of the n-th term and
 :func:`growth_factor` of its factor e^(E_n tau); the pricer here and the
@@ -113,7 +117,7 @@ def series_term(n: int, zeta: float, tau: float, alpha: float) -> float:
     1F1 beyond the float range makes the term a signed infinity.
     """
     f = specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, zeta)
-    return coeff_b(n) * growth_factor(n, alpha, tau) * zeta ** n * f.value
+    return coeff_b(n) * growth_factor(n, alpha, tau) * zeta ** n * f
 
 
 def truncated_sum(terms) -> tuple:

@@ -11,8 +11,7 @@ Each function is one convergent series summed by term recurrence, capped
 at ``MAX_TERMS`` terms.  1F1 and I_nu stop once two consecutive terms drop
 below their relative tolerance (``KUMMER_REL_TOL`` for 1F1, the one value
 every caller uses, ``BESSEL_REL_TOL`` for I_nu), which guards against
-even/odd term oscillation, and report what they did via
-:class:`SeriesEvalReport`; erfi stops on the first term below 1e-17 of the
+even/odd term oscillation; erfi stops on the first term below 1e-17 of the
 sum.  A result beyond the float range is a signed infinity, not an
 exception.  On the pricer's hot path, 1F1 counts with a float and drops abs
 for a, b > 0, both bit-identically (see :func:`kummer_1f1`).
@@ -20,7 +19,6 @@ for a, b > 0, both bit-identically (see :func:`kummer_1f1`).
 
 from __future__ import annotations
 
-import collections
 import math
 from fractions import Fraction
 
@@ -34,14 +32,6 @@ MAX_TERMS = 2000
 KUMMER_REL_TOL = 1e-13
 #: relative term size at which the I_nu series stops.
 BESSEL_REL_TOL = 1e-14
-
-
-class SeriesEvalReport(collections.namedtuple(
-        "SeriesEvalReport", "value terms_used last_term_abs converged")):
-    """Outcome of a truncated series evaluation, as an immutable tuple: on
-    the 1F1 hot path it costs less to build than a frozen dataclass."""
-
-    __slots__ = ()
 
 
 def gamma_half_integer(k: int) -> Fraction:
@@ -76,7 +66,7 @@ def _gamma_sign(x: float) -> float:
     return -1.0 if math.floor(x) % 2 else 1.0
 
 
-def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
+def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function 1F1(a;b;z) for z >= 0.
 
     Taylor summation by term recurrence, stopped on two consecutive terms
@@ -103,7 +93,7 @@ def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
 
     Returns
     -------
-    SeriesEvalReport
+    float
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
         raise DomainError("kummer_1f1 requires finite arguments")
@@ -112,7 +102,7 @@ def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
     if z < 0:
         raise DomainError(f"kummer_1f1 requires z >= 0, got {z}")
     if z == 0.0:
-        return SeriesEvalReport(1.0, 1, 0.0, True)
+        return 1.0
 
     tol = KUMMER_REL_TOL
     total = term = 1.0
@@ -125,22 +115,22 @@ def kummer_1f1(a: float, b: float, z: float) -> SeriesEvalReport:
             if term <= tol * total:
                 small_streak += 1
                 if small_streak >= 2:
-                    return SeriesEvalReport(total, int(m) + 2, term, True)
+                    return total
             else:
                 small_streak = 0
             m += 1.0
-        return SeriesEvalReport(total, MAX_TERMS + 1, term, False)
+        return total
     for _ in range(MAX_TERMS):
         term *= (a + m) / (b + m) * z / (m + 1.0)
         total += term
         if abs(term) <= tol * abs(total):
             small_streak += 1
             if small_streak >= 2:
-                return SeriesEvalReport(total, int(m) + 2, abs(term), True)
+                return total
         else:
             small_streak = 0
         m += 1.0
-    return SeriesEvalReport(total, MAX_TERMS + 1, abs(term), False)
+    return total
 
 
 def erfi(x: float) -> float:
@@ -171,7 +161,7 @@ def erfi(x: float) -> float:
     return (2.0 / SQRT_PI) * total
 
 
-def bessel_i(order: float, y: float) -> SeriesEvalReport:
+def bessel_i(order: float, y: float) -> float:
     """Modified Bessel function I_order(y) by direct series for y >= 0.
 
     I_k(y) = sum_m (y/2)^(2m+k) / (m! * Gamma(k+m+1)); for k >= -1/2 (the
@@ -186,25 +176,23 @@ def bessel_i(order: float, y: float) -> SeriesEvalReport:
         raise DomainError(f"bessel_i order {order} outside supported range")
     if y == 0.0:
         if order == 0.0:
-            return SeriesEvalReport(1.0, 1, 0.0, True)
+            return 1.0
         if order > 0.0:
-            return SeriesEvalReport(0.0, 1, 0.0, True)
-        return SeriesEvalReport(math.inf, 1, 0.0, True)
+            return 0.0
+        return math.inf
 
     half = 0.5 * y
     log_first = order * math.log(half) - math.lgamma(order + 1.0)
     term = _gamma_sign(order + 1.0) * math.exp(log_first)
     total = term
     small_streak = 0
-    terms_used = 1
     for m in range(MAX_TERMS):
         term *= half * half / ((m + 1) * (order + m + 1))
         total += term
-        terms_used += 1
         if abs(term) <= BESSEL_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
-                return SeriesEvalReport(total, terms_used, abs(term), True)
+                return total
         else:
             small_streak = 0
-    return SeriesEvalReport(total, terms_used, abs(term), False)
+    return total

@@ -1,30 +1,33 @@
 """Mechanized verification of the identities behind the series solution.
 
-Five families of checks:
+Every check is stated in the reduced variables s = alpha^2 tau,
+zeta = sigma^2 / (2 alpha^2 nu) and y.  Five families of checks:
 
 * the Bessel-mode expansion of y^(-1/2) (pointwise convergent),
-* the PDE residual of the truncated Bessel-mode solution for psi,
+* the PDE residual 2 d_s psi = y^2 (psi'' - psi) of the truncated
+  Bessel-mode solution for psi,
 * the functional-calculus harmonicity condition
-  D_t kappa + (alpha^2 sigma^2 / 2) (vertical grad)^2 kappa = 0,
-  both term-by-term in closed form and by finite differences,
+  D_t kappa + (alpha^2 sigma^2 / 2) (vertical grad)^2 kappa = 0 as the
+  chain rule states it for kappa = (sqrt(nu)/T) F(s, zeta),
+  d_s F = 2 zeta^2 F_zetazeta + zeta (1 - 2 zeta) F_zeta + zeta F, mode by
+  mode in closed form and summed against finite differences,
 * the combinatorial identity behind the terminal value kappa = sqrt(nu)/T,
   evaluated in exact rational arithmetic so rounding can be ruled out,
 * the n = 0 integral component J0 in erfi and in 1F1 form.
 
-Shared pieces, each defined once: a contract's tau, zeta and sqrt(nu)/T are
-:func:`~volswap.model.reduced_variables`'; the growth factor e^(E_n tau) is
-the pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on overflow,
-which the checks report as :class:`InconclusiveError`); the fixed-truncation
-kappa sums the pricer's :func:`~volswap.series_pricer.series_term`;
-the optimally truncated psi sums its modes by the pricer's truncation rule
+Shared pieces, each defined once: a contract's s and zeta are
+:func:`~volswap.model.reduced_variables`'; the growth factor e^(lambda_n s)
+is the pricer's :func:`~volswap.series_pricer.growth_factor` (+inf on
+overflow, which the checks report as :class:`InconclusiveError`); the
+truncated F sums the pricer's :func:`~volswap.series_pricer.series_term`,
+and the optimally truncated psi its modes by the pricer's rule
 :func:`~volswap.series_pricer.truncated_sum`; a_n/sqrt(pi) is the memoised
-rational :func:`coeff_a_exact`, behind the expansion and the terminal
-identity; :func:`check_functional` sums the harmonicity pieces in one
-pass that its closed-form and finite-difference reports share; and
-:func:`_kummer_derivatives` gives the 1F1 derivatives of the Kummer ODE and
-the harmonicity terms.  Every 1F1 here, as in the pricer, is evaluated to
-``specfun.KUMMER_REL_TOL``.  Tolerances, the finite-difference step and the
-psi mode cap are module constants.
+rational :func:`coeff_a_exact`; a mode's two sides of the reduced
+harmonicity equation are :func:`functional_term_pieces`, summed by
+:func:`check_functional` in one pass; and :func:`_kummer_derivatives`
+gives the 1F1 derivatives of both.  Every 1F1 here, as in the pricer, is
+evaluated to ``specfun.KUMMER_REL_TOL``.  Tolerances, the
+finite-difference step and the psi mode cap are module constants.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the normalised rational coefficient itself (1 at s = 0, zero
@@ -52,7 +55,7 @@ TOL_KUMMER = 1e-9
 TOL_FINITE_DIFF = 1e-5
 TOL_J0 = 1e-10
 
-#: step of the finite-difference harmonicity check
+#: step of the finite-difference harmonicity check, in s and in zeta
 FD_STEP = 1e-4
 #: modes :func:`psi_series_optimal` sums at most
 PSI_MAX_TERMS = 64
@@ -114,7 +117,7 @@ def check_bessel_sqrt_expansion(y: float, n_terms: int) -> ResidualReport:
         raise DomainError(f"y must be positive, got {y}")
     total = 0.0
     for n in range(n_terms):
-        total += _coeff_a(n) * specfun.bessel_i(2 * n - 0.5, y).value
+        total += _coeff_a(n) * specfun.bessel_i(2 * n - 0.5, y)
     total /= SQRT2
     target = 1.0 / math.sqrt(y)
     return ResidualReport(point=f"y={y}, n_terms={n_terms}",
@@ -122,41 +125,40 @@ def check_bessel_sqrt_expansion(y: float, n_terms: int) -> ResidualReport:
                           tolerance=TOL_BESSEL_EXPANSION)
 
 
-def psi_series_term(n: int, tau: float, y: float, alpha: float) -> float:
-    """One Bessel mode of psi: a_n (y/2)^(1/2) I_(2n-1/2)(y) e^(E_n tau).
+def psi_series_term(n: int, s: float, y: float) -> float:
+    """One Bessel mode of psi: a_n (y/2)^(1/2) I_(2n-1/2)(y) e^(lambda_n s).
 
     Overflow of the growth factor gives a signed infinity, also where the
     Bessel factor underflows to 0, so the blow-up guards see a mode past
     the usable range rather than a NaN.
     """
-    f_n = math.sqrt(0.5 * y) * specfun.bessel_i(2 * n - 0.5, y).value
+    f_n = math.sqrt(0.5 * y) * specfun.bessel_i(2 * n - 0.5, y)
     mode = _coeff_a(n) * f_n
-    growth = growth_factor(n, alpha, tau)
+    growth = growth_factor(n, 1.0, s)
     return mode * growth if growth < math.inf else math.copysign(math.inf, mode)
 
 
-def psi_series_optimal(tau: float, y: float, alpha: float) -> tuple:
+def psi_series_optimal(s: float, y: float) -> tuple:
     """At most ``PSI_MAX_TERMS`` psi modes summed by the pricer's
     :func:`~volswap.series_pricer.truncated_sum`; returns (value,
     error_estimate)."""
     value, _, estimate, _, _ = truncated_sum(
-        psi_series_term(n, tau, y, alpha) for n in range(PSI_MAX_TERMS))
+        psi_series_term(n, s, y) for n in range(PSI_MAX_TERMS))
     return value, estimate
 
 
-def _mode_blowup_guard(tau: float, y: float, alpha: float, n_terms: int):
-    mags = [abs(psi_series_term(n, tau, y, alpha)) for n in range(n_terms)]
+def _mode_blowup_guard(s: float, y: float, n_terms: int):
+    mags = [abs(psi_series_term(n, s, y)) for n in range(n_terms)]
     m = mags.index(min(mags))
     if m < n_terms - 1 and mags[-1] > 10.0 * mags[m]:
         raise InconclusiveError(
             f"n_terms={n_terms} extends past the blow-up index {m} at "
-            f"alpha^2*tau={alpha * alpha * tau:.3g}, y={y}: the truncated "
-            "series no longer approximates psi there")
+            f"s={s:.3g}, y={y}: the truncated series no longer approximates "
+            "psi there")
 
 
-def check_psi_pde_residual(tau: float, y: float, alpha: float,
-                           n_terms: int) -> ResidualReport:
-    """Residual of -(2/alpha^2) d_t psi = y^2 psi'' - y^2 psi, term-wise.
+def check_psi_pde_residual(s: float, y: float, n_terms: int) -> ResidualReport:
+    """Residual of 2 d_s psi = y^2 psi'' - y^2 psi, term-wise.
 
     The y-derivatives of each mode come from the Bessel derivative
     recurrences I_k' = (I_(k-1) + I_(k+1))/2 and
@@ -166,33 +168,33 @@ def check_psi_pde_residual(tau: float, y: float, alpha: float,
     """
     if y <= 0:
         raise DomainError(f"y must be positive, got {y}")
-    if tau < 0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
-    _mode_blowup_guard(tau, y, alpha, n_terms)
+    if s < 0:
+        raise DomainError(f"s must be non-negative, got {s}")
+    _mode_blowup_guard(s, y, n_terms)
 
     sqrt_y2 = math.sqrt(0.5 * y)
     root_y = math.sqrt(y)
-    lhs = 0.0          # (2/alpha^2) d_tau psi == -(2/alpha^2) d_t psi
+    lhs = 0.0          # 2 d_s psi
     psi = 0.0
     psi_dd = 0.0
     # I at the orders k - 2 .. k + 2 of every mode k = 2n - 1/2: one ladder
-    ladder = [specfun.bessel_i(m - 2.5, y).value for m in range(2 * n_terms + 3)]
+    ladder = [specfun.bessel_i(m - 2.5, y) for m in range(2 * n_terms + 3)]
     for n in range(n_terms):
         k = 2 * n - 0.5
         i_km2, i_km1, i_k, i_kp1, i_kp2 = ladder[2 * n:2 * n + 5]
         i_p = 0.5 * (i_km1 + i_kp1)
         i_pp = 0.25 * (i_km2 + 2.0 * i_k + i_kp2)
 
-        a_e = _coeff_a(n) * growth_factor(n, alpha, tau)
+        a_e = _coeff_a(n) * growth_factor(n, 1.0, s)
         f = sqrt_y2 * i_k
         f_dd = (-0.25 * i_k / (y * root_y) + i_p / root_y + root_y * i_pp) / SQRT2
         psi += a_e * f
         psi_dd += a_e * f_dd
-        lhs += a_e * (k * k - 0.25) * f     # (2/alpha^2) E_n = k^2 - 1/4
+        lhs += a_e * (k * k - 0.25) * f     # 2 lambda_n = k^2 - 1/4
 
     rhs = y * y * psi_dd - y * y * psi
     scale = abs(y * y * psi_dd) + abs(y * y * psi) + 1e-300
-    return ResidualReport(point=f"tau={tau}, y={y}, alpha={alpha}, n_terms={n_terms}",
+    return ResidualReport(point=f"s={s}, y={y}, n_terms={n_terms}",
                           residual=lhs - rhs, scale=scale,
                           tolerance=TOL_PSI_RESIDUAL)
 
@@ -203,99 +205,90 @@ def _kummer_derivatives(a: float, b: float, z: float, order: int) -> list:
     derivatives = []
     num = den = 1.0            # Pochhammer symbols (a)_k and (b)_k
     for k in range(order + 1):
-        derivatives.append(num / den * specfun.kummer_1f1(a + k, b + k, z).value)
+        derivatives.append(num / den * specfun.kummer_1f1(a + k, b + k, z))
         num *= a + k
         den *= b + k
     return derivatives
 
 
-def functional_term_pieces(n: int, zeta: float, tau: float, alpha: float) -> tuple:
-    """(D-side, vertical-side) contributions of mode n, common factors dropped.
+def functional_term_pieces(n: int, zeta: float) -> tuple:
+    """(D, V): mode n's two sides of the reduced harmonicity equation,
+    divided by b_n zeta^n e^(lambda_n s), lambda_n = n (2n - 1).
 
-    The D side carries the time and horizontal derivatives; the vertical
-    side is (alpha^2 sigma^2 / 2)(vertical grad)^2 assembled from the raw
-    second-derivative expression with zeta^2 f'' eliminated through the
-    Kummer ODE zeta^2 f'' = zeta (zeta - 2n - 1/2) f' + zeta (n - 1/2) f.
-    Their sum must vanish identically.  Raises :class:`InconclusiveError`
-    once the growth factor e^(E_n tau) leaves the float range.
+    With f = 1F1(n - 1/2; 2n + 1/2; zeta), the D side (time and horizontal
+    derivatives) is D = (zeta - lambda_n) f - 2 zeta (n f + zeta f') and
+    the vertical side is V = 2 (n (n - 1) f + 2n zeta f' + zeta^2 f'')
+    + (n f + zeta f').  D + V is 2 zeta times the Kummer ODE of f, so it
+    vanishes up to rounding; f'' comes from the contiguous relation, not
+    from that ODE, which :func:`check_kummer_ode` tests.
     """
-    growth = growth_factor(n, alpha, tau)
-    if math.isinf(growth):
-        raise InconclusiveError(
-            f"the growth factor of mode n={n} overflows at "
-            f"alpha^2*tau={alpha * alpha * tau:.3g}: no finite residual to check")
-    f, fp = _kummer_derivatives(n - 0.5, 2 * n + 0.5, zeta, 1)
-    b_e = coeff_b(n) * growth
-    a2 = alpha * alpha
-    zn = zeta ** n
-
-    d_side = 2.0 * a2 * b_e * zn * (
-        f * (0.5 * zeta - n * (2 * n - 1) / 2.0 - zeta * n)
-        - zeta * zeta * fp)
-
-    zeta2_fpp = zeta * (zeta - 2 * n - 0.5) * fp + zeta * (n - 0.5) * f
-    v_side = a2 * b_e * zn * (
-        (zeta * fp + n * f)
-        + 2.0 * (2.0 * n * zeta * fp + n * (n - 1) * f + zeta2_fpp))
+    f, fp, fpp = _kummer_derivatives(n - 0.5, 2 * n + 0.5, zeta, 2)
+    zeta_d = n * f + zeta * fp        # zeta d/dzeta (zeta^n f), over zeta^n
+    d_side = (zeta - n * (2 * n - 1)) * f - 2.0 * zeta * zeta_d
+    v_side = 2.0 * (n * (n - 1) * f + 2 * n * zeta * fp + zeta * zeta * fpp) + zeta_d
     return d_side, v_side
 
 
-def functional_term_residual(n: int, zeta: float, tau: float,
-                             alpha: float) -> ResidualReport:
-    """Per-mode harmonicity residual; exact cancellation up to rounding."""
-    d_side, v_side = functional_term_pieces(n, zeta, tau, alpha)
-    scale = max(abs(d_side), abs(v_side), 1e-300)
-    return ResidualReport(point=f"n={n}, zeta={zeta}, tau={tau}, alpha={alpha}",
-                          residual=d_side + v_side, scale=scale,
+def functional_term_residual(n: int, zeta: float) -> ResidualReport:
+    """Per-mode harmonicity residual D + V; exact cancellation up to rounding."""
+    d_side, v_side = functional_term_pieces(n, zeta)
+    return ResidualReport(point=f"n={n}, zeta={zeta}", residual=d_side + v_side,
+                          scale=max(abs(d_side), abs(v_side), 1e-300),
                           tolerance=TOL_FUNCTIONAL)
 
 
 def check_functional(state: MarketState, params: SabrParams,
                      contract: SwapContract, n_terms: int) -> list:
     """[summed, D_t, vertical] reports of the harmonicity condition on the
-    kappa series truncated to ``n_terms`` modes.
+    kappa series truncated to ``n_terms`` modes, in F units over alpha^2.
 
-    One pass sums the D and the vertical sides of
-    :func:`functional_term_pieces` in kappa units; their sum must vanish,
-    and finite differences of the truncated kappa cross-check each side.
-    The time bump moves (tau, nu) jointly, as D_t advances the realized
-    variance at rate sigma^2 while tau shrinks; the vertical bump moves
-    sigma at frozen (tau, nu).  Each central difference is
-    Richardson-extrapolated over ``FD_STEP`` and ``FD_STEP/2``, cancelling
-    its O(h^2) error, which grows with ``n_terms``.  Raises
-    :class:`DomainError` unless ``n_terms >= 1`` (with no term, 0 = 0 would
-    pass) and :class:`InconclusiveError` where a growth factor overflows.
+    By the chain rule, for kappa = (sqrt(nu)/T) F(s, zeta) the raw D_t kappa
+    and (alpha^2 sigma^2 / 2)(vertical grad)^2 kappa are alpha^2 sqrt(nu)/T
+    times D = zeta F - 2 zeta^2 F_zeta - F_s and
+    V = 2 zeta^2 F_zetazeta + zeta F_zeta.  One pass sums the modes'
+    :func:`functional_term_pieces`, weighted by b_n e^(lambda_n s) zeta^n;
+    D + V must vanish, and central differences of the truncated F, in s
+    (as tau +- h / alpha^2) and in zeta, Richardson-extrapolated over
+    ``FD_STEP`` and ``FD_STEP/2``, cross-check each side.  Raises
+    :class:`DomainError` unless ``n_terms >= 1`` (with no term, 0 = 0
+    would pass) and :class:`InconclusiveError` where a growth factor
+    overflows.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    tau, _, zeta, prefactor = reduced_variables(state, params, contract)
-    nu, sigma = state.nu, state.sigma
-    alpha, tenor = params.alpha, contract.tenor
+    tau, s, zeta, _ = reduced_variables(state, params, contract)
+    alpha = params.alpha
     d_sum = v_sum = 0.0
     for n in range(n_terms):
-        d_side, v_side = functional_term_pieces(n, zeta, tau, alpha)
-        d_sum += prefactor * d_side
-        v_sum += prefactor * v_side
+        growth = growth_factor(n, alpha, tau)
+        if math.isinf(growth):
+            raise InconclusiveError(
+                f"the growth factor of mode n={n} overflows at s={s:.3g}: "
+                "no finite residual to check")
+        weight = coeff_b(n) * growth * zeta ** n
+        d_side, v_side = functional_term_pieces(n, zeta)
+        d_sum += weight * d_side
+        v_sum += weight * v_side
 
-    def kappa(nu_b, sigma_b, tau_b):
-        # zeta is formed here: the bumps move raw inputs no contract expresses
-        zeta_b = sigma_b * sigma_b / (2.0 * alpha * alpha * nu_b)
-        total = sum(series_term(n, zeta_b, tau_b, alpha) for n in range(n_terms))
-        return math.sqrt(nu_b) / tenor * total
+    def f(ds, dzeta):
+        tau_b = tau + ds / (alpha * alpha)
+        return sum(series_term(n, zeta + dzeta, tau_b, alpha) for n in range(n_terms))
+
+    f0 = f(0.0, 0.0)
 
     def d_t(h):
-        return (kappa(nu + sigma * sigma * h, sigma, tau - h)
-                - kappa(nu - sigma * sigma * h, sigma, tau + h)) / (2.0 * h)
+        return (zeta * f0 - zeta * zeta * (f(0.0, h) - f(0.0, -h)) / h
+                - (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h))
 
     def vertical(h):
-        return (0.5 * alpha * alpha * sigma * sigma
-                * (kappa(nu, sigma + h, tau) - 2.0 * kappa(nu, sigma, tau)
-                   + kappa(nu, sigma - h, tau)) / (h * h))
+        up, down = f(0.0, h), f(0.0, -h)
+        return (2.0 * zeta * zeta * (up - 2.0 * f0 + down) / (h * h)
+                + zeta * (up - down) / (2.0 * h))
 
     def richardson(diff):
         return (4.0 * diff(0.5 * FD_STEP) - diff(FD_STEP)) / 3.0
 
-    label = f"zeta={zeta:.6g}, tau={tau}, alpha={alpha}"
+    label = f"s={s:.6g}, zeta={zeta:.6g}"
     summed = ResidualReport(point=f"{label}, n_terms={n_terms}",
                             residual=d_sum + v_sum,
                             scale=max(abs(d_sum), abs(v_sum), 1e-300),
@@ -336,7 +329,7 @@ def j0_hypergeometric_form(z: float) -> float:
     if z <= 0:
         raise DomainError(f"j0 requires z > 0, got {z}")
     f = specfun.kummer_1f1(-0.5, 0.5, z / 4.0)
-    return specfun.SQRT_PI / 2.0 * (f.value - 1.0) / math.sqrt(z / 4.0)
+    return specfun.SQRT_PI / 2.0 * (f - 1.0) / math.sqrt(z / 4.0)
 
 
 def check_j0(z: float) -> ResidualReport:

@@ -373,10 +373,10 @@ class TestVerify:
             "functional-fd"}
 
     @pytest.mark.parametrize("extra,code,count,digest", [
-        ([], cli.EXIT_OK, 240,
-         "4a290beb865b9257c2c16ffe845259166ab7d3ed506b9ecf9b0f3bcc1aeefc47"),
-        (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 284,
-         "4047e565916e6329c4d3e3592a4dcc670b86b8b7542666a99cc4fc4e0de1c68f"),
+        ([], cli.EXIT_OK, 141,
+         "ab38ab3b6997cafa07e9143d503f505c6f5d698ff7eec200f28c346918c7c49b"),
+        (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 167,
+         "7fdb572ccd08c6159721751cdabf33fbf66bd484eafc5873da8d0808fa7fa6e3"),
     ], ids=["default", "n-terms-12"])
     def test_golden_reports(self, tmp_path, extra, code, count, digest):
         got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")
@@ -395,8 +395,8 @@ class TestVerify:
         assert "n_terms must be >= 1" in err
 
     def test_harmonicity_pass_runs_once(self, tmp_path, monkeypatch):
-        # 12 per-mode grids of n + 1 modes each, then one n-mode pass that
-        # the summed and the finite-difference reports share
+        # 3 per-mode grids of n + 1 modes each, one per zeta, then one
+        # n-mode pass that the summed and the finite-difference reports share
         calls = []
         pieces = verify.functional_term_pieces
         monkeypatch.setattr(verify, "functional_term_pieces",
@@ -406,7 +406,7 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert [r["check"] for r in doc["reports"][-3:]] == [
             "functional", "functional-fd", "functional-fd"]
-        assert len(calls) == 12 * (10 + 1) + 10 == 142
+        assert len(calls) == 3 * (10 + 1) + 10 == 43
 
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "check_terminal_identity",

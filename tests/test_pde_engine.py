@@ -89,7 +89,7 @@ class TestSolvePsi:
         alpha, tau, y_point = 0.5, 0.5, 1.0
         sol = solve_psi(alpha, tau, GridSpec(n_y=800, n_t=800))
         value = float(np.interp(y_point, sol.y, sol.final))
-        series_value, estimate = psi_series_optimal(tau, y_point, alpha)
+        series_value, estimate = psi_series_optimal(alpha * alpha * tau, y_point)
         assert abs(value - series_value) <= max(1e-4, estimate)
 
     def test_coarse_grid_raises_instability(self):

@@ -35,10 +35,10 @@ def kummer_int_loop(a, b, z):
         if abs(term) <= specfun.KUMMER_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
-                return total, m + 2, abs(term), True
+                return total
         else:
             small_streak = 0
-    return total, specfun.MAX_TERMS + 1, abs(term), False
+    return total
 
 
 def erfi_maclaurin(x, terms=50):
@@ -84,19 +84,17 @@ class TestGammaHalfInteger:
 
 class TestKummer1F1:
     def test_at_zero(self):
-        rep = specfun.kummer_1f1(-0.5, 0.5, 0.0)
-        assert rep.value == 1.0 and rep.converged
+        assert specfun.kummer_1f1(-0.5, 0.5, 0.0) == 1.0
 
     def test_erfi_identity_point(self, monkeypatch):
         # 1F1(-1/2;1/2;1) = e - sqrt(pi) erfi(1); frozen from a 40-digit run
         monkeypatch.setattr(specfun, "KUMMER_REL_TOL", 1e-14)
-        rep = specfun.kummer_1f1(-0.5, 0.5, 1.0)
-        assert rep.value == pytest.approx(-0.20702166335531798, rel=1e-12)
+        assert specfun.kummer_1f1(-0.5, 0.5, 1.0) == pytest.approx(
+            -0.20702166335531798, rel=1e-12)
 
     def test_against_bruteforce(self):
-        rep = specfun.kummer_1f1(1.5, 4.5, 0.25)
-        assert rep.value == pytest.approx(hyp1f1_bruteforce(1.5, 4.5, 0.25),
-                                          rel=1e-13)
+        assert specfun.kummer_1f1(1.5, 4.5, 0.25) == pytest.approx(
+            hyp1f1_bruteforce(1.5, 4.5, 0.25), rel=1e-13)
 
     @pytest.mark.parametrize("a,b,z", [
         *((n - 0.5, 2 * n + 0.5, z) for n in (0, 1, 2, 10)
@@ -105,11 +103,10 @@ class TestKummer1F1:
         (5.5, 12.5, 43.0), (19.5, 40.5, 50.0)])
     def test_large_z_against_mpmath(self, a, b, z):
         # the pricer's parameters (n - 1/2, 2n + 1/2) up to the overflow
-        rep = specfun.kummer_1f1(a, b, z)
+        value = specfun.kummer_1f1(a, b, z)
         with mpmath.workdps(40):
             oracle = mpmath.hyp1f1(a, b, z)
-            assert rep.converged
-            assert abs((rep.value - oracle) / oracle) <= 5e-13
+            assert abs((value - oracle) / oracle) <= 5e-13
 
     @pytest.mark.parametrize("a,b,z,expected", [
         (-0.5, 0.5, 723.0, -math.inf),     # Gamma(-1/2) < 0
@@ -117,15 +114,14 @@ class TestKummer1F1:
         (0.5, 2.5, 800.0, math.inf)])
     def test_overflow_is_a_signed_infinity(self, a, b, z, expected):
         # the prefactor e^z z^(a-b) Gamma(b)/Gamma(a) leaves the float range
-        assert specfun.kummer_1f1(a, b, z).value == expected
+        assert specfun.kummer_1f1(a, b, z) == expected
 
     @pytest.mark.parametrize("a,b,degree", [(-1.0, 0.5, 1), (-3.0, 1.5, 3)])
     def test_polynomial_case(self, a, b, degree):
         # a non-positive integer a: every term past the degree is exactly 0
         z = 2.0
-        rep = specfun.kummer_1f1(a, b, z)
-        assert rep.converged and rep.last_term_abs == 0.0
-        assert rep.value == hyp1f1_bruteforce(a, b, z, terms=degree + 1)
+        assert specfun.kummer_1f1(a, b, z) == hyp1f1_bruteforce(
+            a, b, z, terms=degree + 1)
 
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -139,36 +135,26 @@ class TestKummer1F1:
         with pytest.raises(DomainError):
             specfun.kummer_1f1(math.nan, 2.0, 0.5)
 
-    def test_report_invariant(self, monkeypatch):
-        monkeypatch.setattr(specfun, "KUMMER_REL_TOL", 1e-12)
-        rep = specfun.kummer_1f1(-0.5, 0.5, 3.0)
-        assert rep.converged
-        assert rep.last_term_abs <= 1e-12 * max(1.0, abs(rep.value))
-
     @pytest.mark.parametrize("max_terms", [None, 3])
     def test_both_loops_match_the_int_loop(self, monkeypatch, max_terms):
         # a > 0 < b takes the loop without abs, any other sign the one with
-        # it; at 3 terms both end unconverged
+        # it; at 3 terms both return the partial sum at the cap
         if max_terms is not None:
             monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
-        unconverged = set()
         for a, b, z in itertools.product(
                 (-2.0, -0.5, 0.5, 1.5, 3.7, 29.5), (-1.5, 0.5, 2.5, 60.5),
                 (1e-300, 1e-3, 0.5, 7.0, 40.0, 300.0, 716.0, 760.0)):
-            rep = specfun.kummer_1f1(a, b, z)
-            assert repr(tuple(rep)) == repr(kummer_int_loop(a, b, z)), (a, b, z)
-            if not rep.converged:
-                unconverged.add(a > 0 and b > 0)
-        assert unconverged == ({True, False} if max_terms else set())
+            value = specfun.kummer_1f1(a, b, z)
+            assert repr(value) == repr(kummer_int_loop(a, b, z)), (a, b, z)
 
     def test_kummer_ode_residual(self):
         # z F'' = (z - b) F' + a F with derivatives from contiguous relations
         for a, b in ((-0.5, 0.5), (1.5, 4.5), (2.5, 6.5)):
             for z in (0.3, 1.0, 4.0, 9.0):
-                f = specfun.kummer_1f1(a, b, z).value
-                fp = a / b * specfun.kummer_1f1(a + 1, b + 1, z).value
+                f = specfun.kummer_1f1(a, b, z)
+                fp = a / b * specfun.kummer_1f1(a + 1, b + 1, z)
                 fpp = (a * (a + 1) / (b * (b + 1))
-                       * specfun.kummer_1f1(a + 2, b + 2, z).value)
+                       * specfun.kummer_1f1(a + 2, b + 2, z))
                 residual = z * fpp - (z - b) * fp - a * f
                 assert abs(residual) <= 1e-8 * max(1.0, abs(f))
 
@@ -210,7 +196,7 @@ class TestErfi:
     def test_hypergeometric_link(self):
         # 1F1(-1/2;1/2;zeta) = e^zeta - sqrt(pi zeta) erfi(sqrt(zeta))
         for zeta in (0.01, 0.1, 1.0, 5.0, 20.0):
-            lhs = specfun.kummer_1f1(-0.5, 0.5, zeta).value
+            lhs = specfun.kummer_1f1(-0.5, 0.5, zeta)
             rhs = (math.exp(zeta)
                    - math.sqrt(math.pi * zeta) * specfun.erfi(math.sqrt(zeta)))
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -218,48 +204,41 @@ class TestErfi:
 
 class TestBesselI:
     def test_half_order_closed_form(self):
-        rep = specfun.bessel_i(0.5, 1.0)
-        assert rep.value == pytest.approx(math.sqrt(2 / math.pi) * math.sinh(1.0),
-                                          rel=1e-13)
+        assert specfun.bessel_i(0.5, 1.0) == pytest.approx(
+            math.sqrt(2 / math.pi) * math.sinh(1.0), rel=1e-13)
 
     def test_minus_half_order_closed_form(self):
-        rep = specfun.bessel_i(-0.5, 2.0)
-        assert rep.value == pytest.approx(
+        assert specfun.bessel_i(-0.5, 2.0) == pytest.approx(
             math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0), rel=1e-13)
 
     def test_positive_order_at_zero(self):
-        assert specfun.bessel_i(1.5, 0.0).value == 0.0
+        assert specfun.bessel_i(1.5, 0.0) == 0.0
 
     def test_order_zero_at_zero(self):
-        assert specfun.bessel_i(0.0, 0.0).value == 1.0
+        assert specfun.bessel_i(0.0, 0.0) == 1.0
 
     def test_reference_point(self):
         # frozen from a 40-digit evaluation of I_{3/2}(0.7)
-        assert specfun.bessel_i(1.5, 0.7).value == pytest.approx(
+        assert specfun.bessel_i(1.5, 0.7) == pytest.approx(
             0.16353076132992355, rel=1e-13)
 
     def test_negative_halfinteger_orders(self):
         # closed forms: I_{-3/2}(y) = sqrt(2/(pi y)) (cosh y / y ... ) checked
         # against the derivative recurrence instead: I'_{1/2} = (I_{-1/2}+I_{3/2})/2
         y = 1.3
-        lhs = 0.5 * (specfun.bessel_i(-0.5, y).value
-                     + specfun.bessel_i(1.5, y).value)
+        lhs = 0.5 * (specfun.bessel_i(-0.5, y)
+                     + specfun.bessel_i(1.5, y))
         h = 1e-6
-        fd = (specfun.bessel_i(0.5, y + h).value
-              - specfun.bessel_i(0.5, y - h).value) / (2 * h)
+        fd = (specfun.bessel_i(0.5, y + h)
+              - specfun.bessel_i(0.5, y - h)) / (2 * h)
         assert lhs == pytest.approx(fd, rel=1e-8)
 
     def test_nonnegative_for_supported_orders(self):
         for n in range(0, 8):
             order = 2 * n - 0.5
             for y in (0.0, 0.3, 1.0, 4.0, 9.0):
-                assert specfun.bessel_i(order, y).value >= 0.0
+                assert specfun.bessel_i(order, y) >= 0.0
 
     def test_negative_y_rejected(self):
         with pytest.raises(DomainError):
             specfun.bessel_i(0.5, -1.0)
-
-    def test_report_invariant(self):
-        rep = specfun.bessel_i(1.5, 2.0)
-        assert rep.converged
-        assert rep.last_term_abs <= specfun.BESSEL_REL_TOL * max(1.0, abs(rep.value))

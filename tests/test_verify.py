@@ -7,8 +7,8 @@ import pytest
 
 from volswap import specfun, verify
 from volswap.exceptions import DomainError, InconclusiveError
-from volswap.model import MarketState, SabrParams, SwapContract
-from volswap.series_pricer import coeff_b, series_term
+from volswap.model import MarketState, SabrParams, SwapContract, reduced_variables
+from volswap.series_pricer import coeff_b, growth_factor, series_term
 
 STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
 PARAMS = SabrParams(alpha=0.4)
@@ -23,6 +23,18 @@ def check_functional_residual(state, params, contract, n_terms):
 def check_functional_fd(state, params, contract, n_terms):
     """The D_t and vertical finite-difference reports of the same pass."""
     return verify.check_functional(state, params, contract, n_terms)[1:]
+
+
+def reduced_sums(state, params, contract, n_terms):
+    """The D and V sums of the reduced harmonicity equation, in F units."""
+    tau, _, zeta, _ = reduced_variables(state, params, contract)
+    d_sum = v_sum = 0.0
+    for n in range(n_terms):
+        weight = coeff_b(n) * growth_factor(n, params.alpha, tau) * zeta ** n
+        d_side, v_side = verify.functional_term_pieces(n, zeta)
+        d_sum += weight * d_side
+        v_sum += weight * v_side
+    return d_sum, v_sum
 
 
 class TestTerminalIdentity:
@@ -67,29 +79,39 @@ class TestBesselExpansion:
 
 class TestPsiPdeResidual:
     def test_reference_points(self):
-        for tau, y in ((0.25, 1.0), (0.25, 3.0)):
-            report = verify.check_psi_pde_residual(tau, y, 0.3, 20)
+        for s, y in ((0.0225, 1.0), (0.0225, 3.0)):
+            report = verify.check_psi_pde_residual(s, y, 20)
             assert report.passed
             assert report.relative <= 1e-6
 
     def test_terminal_truncation_only(self):
-        report = verify.check_psi_pde_residual(0.0, 1.0, 0.3, 20)
+        report = verify.check_psi_pde_residual(0.0, 1.0, 20)
         assert report.passed
 
     def test_blowup_guard(self):
         with pytest.raises(InconclusiveError):
-            verify.check_psi_pde_residual(0.5, 1.0, 1.0, 30)
+            verify.check_psi_pde_residual(0.5, 1.0, 30)
 
 
 class TestFunctionalCalculus:
     def test_per_term_grid(self):
         for zeta in (0.5, 2.0, 8.0):
-            for tau in (0.1, 0.5):
-                for alpha in (0.2, 0.5):
-                    for n in range(11):
-                        report = verify.functional_term_residual(
-                            n, zeta, tau, alpha)
-                        assert report.relative <= 1e-9, report.point
+            for n in range(21):
+                report = verify.functional_term_residual(n, zeta)
+                assert report.relative <= 1e-9, report.point
+
+    def test_per_term_check_sees_a_wrong_second_derivative(self, monkeypatch):
+        # f'' comes from the contiguous relation, so the check tests the
+        # Kummer ODE rather than assume it; its sensitivity falls as 1/n^2
+        exact = verify._kummer_derivatives
+
+        def skewed(a, b, z, order):
+            *lower, fpp = exact(a, b, z, order)
+            return [*lower, fpp * (1.0 + 1e-6)]
+        monkeypatch.setattr(verify, "_kummer_derivatives", skewed)
+        for zeta in (0.5, 2.0, 8.0):
+            for n in range(8):
+                assert not verify.functional_term_residual(n, zeta).passed, (n, zeta)
 
     def test_summed_residual(self):
         summed = check_functional_residual(STATE, PARAMS, CONTRACT, 10)
@@ -104,6 +126,37 @@ class TestFunctionalCalculus:
         for report in reports:
             assert report.relative <= 1e-5, report.point
             assert report.point.endswith("step=0.0001")
+
+    @pytest.mark.parametrize("n_terms", [10, 12])
+    def test_chain_rule_back_to_the_raw_identity(self, n_terms):
+        # the paper's identity in (nu, sigma, tau): D_t advances nu at rate
+        # sigma^2 while tau shrinks, the vertical bump moves sigma alone;
+        # both are alpha^2 sqrt(nu)/T times the reduced D and V
+        alpha, nu, sigma = PARAMS.alpha, STATE.nu, STATE.sigma
+        _, _, _, prefactor = reduced_variables(STATE, PARAMS, CONTRACT)
+        d_sum, v_sum = reduced_sums(STATE, PARAMS, CONTRACT, n_terms)
+
+        def kappa(nu_b, sigma_b, tau_bump):
+            state = MarketState(t=STATE.t - tau_bump, sigma=sigma_b, nu=nu_b)
+            tau, _, zeta, root_nu = reduced_variables(state, PARAMS, CONTRACT)
+            return root_nu * sum(series_term(n, zeta, tau, alpha)
+                                 for n in range(n_terms))
+
+        def d_t(h):
+            return (kappa(nu + sigma * sigma * h, sigma, -h)
+                    - kappa(nu - sigma * sigma * h, sigma, h)) / (2.0 * h)
+
+        def vertical(h):
+            return (0.5 * alpha * alpha * sigma * sigma
+                    * (kappa(nu, sigma + h, 0.0) - 2.0 * kappa(nu, sigma, 0.0)
+                       + kappa(nu, sigma - h, 0.0)) / (h * h))
+
+        def richardson(diff):
+            return (4.0 * diff(0.5 * verify.FD_STEP) - diff(verify.FD_STEP)) / 3.0
+
+        scale = alpha * alpha * prefactor
+        assert richardson(d_t) == pytest.approx(scale * d_sum, rel=1e-5)
+        assert richardson(vertical) == pytest.approx(scale * v_sum, rel=1e-5)
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     @pytest.mark.parametrize("check", [check_functional_residual,
@@ -125,11 +178,8 @@ class TestFunctionalCalculus:
 
 
 class TestGrowthOverflow:
-    """At alpha = 20, tau = 0.5 the n = 2 growth factor e^(6 s) overflows."""
-
-    def test_term_residual(self):
-        with pytest.raises(InconclusiveError):
-            verify.functional_term_residual(3, 1.0, 0.5, 20.0)
+    """At s = 200 (alpha = 20, tau = 0.5) the n = 2 growth factor e^(6 s)
+    overflows."""
 
     def test_summed_residual(self):
         with pytest.raises(InconclusiveError):
@@ -145,27 +195,27 @@ class TestGrowthOverflow:
             verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT, 10)
 
     def test_psi_mode_is_signed_infinity(self):
-        assert verify.psi_series_term(2, 0.5, 1.0, 20.0) == math.inf
-        assert verify.psi_series_term(3, 0.5, 1.0, 20.0) == -math.inf
+        assert verify.psi_series_term(2, 200.0, 1.0) == math.inf
+        assert verify.psi_series_term(3, 200.0, 1.0) == -math.inf
         # I_(2n-1/2)(0.01) underflows to 0 at n = 45: still an infinite mode
-        assert verify.psi_series_term(45, 0.5, 0.01, 20.0) == -math.inf
+        assert verify.psi_series_term(45, 200.0, 0.01) == -math.inf
 
     def test_psi_residual(self):
         with pytest.raises(InconclusiveError):
-            verify.check_psi_pde_residual(0.5, 0.01, 20.0, 60)
+            verify.check_psi_pde_residual(200.0, 0.01, 60)
 
 
 class TestOneKummerTolerance:
     def test_verify_and_series_term_read_one_constant(self, monkeypatch):
         # 1F1(3/2; 9/2; 3) is the n = 2 series term's; a loose tolerance
         # must reach the pricer's term and verify's 1F1s alike
-        tight = specfun.kummer_1f1(1.5, 4.5, 3.0).value
+        tight = specfun.kummer_1f1(1.5, 4.5, 3.0)
         monkeypatch.setattr(specfun, "KUMMER_REL_TOL", 1e-4)
-        loose = specfun.kummer_1f1(1.5, 4.5, 3.0).value
+        loose = specfun.kummer_1f1(1.5, 4.5, 3.0)
         assert loose != tight
         assert verify._kummer_derivatives(1.5, 4.5, 3.0, 0) == [loose]
         assert series_term(2, 3.0, 0.0, 0.4) == coeff_b(2) * 3.0 ** 2 * loose
-        j0_loose = specfun.kummer_1f1(-0.5, 0.5, 1.0).value
+        j0_loose = specfun.kummer_1f1(-0.5, 0.5, 1.0)
         assert verify.j0_hypergeometric_form(4.0) == (
             specfun.SQRT_PI / 2.0 * (j0_loose - 1.0) / 1.0)
 
@@ -185,24 +235,26 @@ class TestKummerOde:
 
 class TestPsiSeriesHelpers:
     def test_optimal_truncation_converges_small_growth(self):
-        value, estimate = verify.psi_series_optimal(0.25, 1.0, 0.3)
-        direct = sum(verify.psi_series_term(n, 0.25, 1.0, 0.3) for n in range(25))
+        value, estimate = verify.psi_series_optimal(0.0225, 1.0)
+        direct = sum(verify.psi_series_term(n, 0.0225, 1.0) for n in range(25))
         assert value == pytest.approx(direct, abs=max(10 * estimate, 1e-12))
 
     def test_optimal_truncation_stops_before_the_smallest_mode(self):
         # at s = 0.5 the mode magnitudes fall to n = 3, then grow from n = 4
-        value, estimate = verify.psi_series_optimal(0.5, 1.0, 1.0)
-        assert value == sum(verify.psi_series_term(n, 0.5, 1.0, 1.0) for n in range(3))
-        assert estimate == abs(verify.psi_series_term(3, 0.5, 1.0, 1.0))
+        value, estimate = verify.psi_series_optimal(0.5, 1.0)
+        assert value == sum(verify.psi_series_term(n, 0.5, 1.0) for n in range(3))
+        assert estimate == abs(verify.psi_series_term(3, 0.5, 1.0))
 
     @pytest.mark.parametrize("tau, alpha", [(2.0, 1.5), (0.5, 20.0)])
     def test_smallest_first_mode_is_kept(self, tau, alpha):
-        # modes grow from n = 0 (s = 4.5), or overflow from n = 2 (s = 200):
-        # the first mode is the value and its own estimate, as in kappa_series
-        first = verify.psi_series_term(0, tau, 1.0, alpha)
-        assert verify.psi_series_optimal(tau, 1.0, alpha) == (first, abs(first))
+        # modes grow from n = 0 (s = alpha^2 tau = 4.5), or overflow from
+        # n = 2 (s = 200): the first mode is the value and its own estimate,
+        # as in kappa_series
+        s = alpha * alpha * tau
+        first = verify.psi_series_term(0, s, 1.0)
+        assert verify.psi_series_optimal(s, 1.0) == (first, abs(first))
 
     def test_psi_in_unit_interval(self):
-        value, estimate = verify.psi_series_optimal(0.25, 1.0, 0.3)
+        value, estimate = verify.psi_series_optimal(0.0225, 1.0)
         assert estimate < 1e-6
         assert 0.0 <= value <= 1.0
