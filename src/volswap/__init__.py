@@ -3,8 +3,9 @@
 Three independent routes to the fair strike kappa:
 
 * :mod:`volswap.series_pricer` — the analytic hypergeometric series,
-* :mod:`volswap.mc_engine` — exact-increment Monte Carlo (bit-reproducible:
-  one counter-based stream per fixed block of paths, drawn in row chunks),
+* :mod:`volswap.mc_engine` — exact-increment Monte Carlo on antithetic
+  pairs (bit-reproducible: one counter-based stream per fixed block of
+  pairs, drawn in row chunks),
 * :mod:`volswap.pde_engine` — Crank-Nicolson solve of the reduced
   Feynman-Kac problem plus quadrature,
 

@@ -15,11 +15,10 @@ cannot value, and a refinement ratio it cannot define is null.
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  ``--config FILE`` holds ``key = value``
 lines: ``#`` starts a comment, keys are flag names with ``-`` or ``_``,
-on/off flags take yes/no, true/false, on/off or 1/0, and keys the command
-does not take are ignored, so one file serves several commands.  The lines
-become flags placed right after the command words, so the parser checks
-them as it checks typed flags (even a value a flag overrides), and an
-explicit flag beats the file, which beats the default.
+and keys the command does not take are ignored, so one file serves several
+commands.  The lines become flags placed right after the command words, so
+the parser checks them as it checks typed flags (even a value a flag
+overrides), and an explicit flag beats the file, which beats the default.
 
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 ``KUMMER_REL_TOL``, ``QUAD_TOL``).  ``compare`` leaves ``kappa_pde`` empty
@@ -59,9 +58,6 @@ _COMPARE_SIGMAS = 3.0
 #: dests a manifest's ``parameters`` leave out; ``seed`` has its own field
 _UNRECORDED = ("config", "output", "seed")
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
 
 def _config_flags(parser, flags: dict, path: str):
     """Yield the lines of a config file as flags of the command whose
@@ -79,14 +75,8 @@ def _config_flags(parser, flags: dict, path: str):
             parser.error(f"config line {line!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         action = flags.get(key.replace("-", "_"))
-        if action is None:
-            continue
-        if action.nargs != 0:
+        if action is not None:
             yield f"{action.option_strings[0]}={value}"
-        elif value.lower() not in _BOOLEANS:
-            parser.error(f"config value {key}={value!r} is not boolean")
-        elif _BOOLEANS[value.lower()]:
-            yield action.option_strings[0]
 
 
 def _with_config(argv: list, commands: dict) -> list:
@@ -142,8 +132,7 @@ def cmd_oracle_mc(args) -> tuple:
     state, params, contract = _market_inputs(args)
     from . import mc_engine     # the engine import is part of the run
     estimate = mc_engine.kappa_mc(state, params, contract, mc_engine.McConfig(
-        n_paths=args.paths, n_steps=args.steps, seed=args.seed,
-        antithetic=args.antithetic))
+        n_paths=args.paths, n_steps=args.steps, seed=args.seed))
     return {"kappa": estimate.mean, "std_error": estimate.std_error,
             "n_paths": estimate.n_paths}, EXIT_OK
 
@@ -316,7 +305,7 @@ def build_parser():
 
     def simulation(flag):
         flag("--seed", type=int, required=True)
-        flag("--paths", type=int, default=100_000)
+        flag("--paths", type=int, default=100_000, help="even: two per antithetic pair")
         flag("--steps", type=int, default=250)
 
     p_price, flag = command(sub, ("price",), cmd_price, help="series fair value")
@@ -333,7 +322,6 @@ def build_parser():
     _, flag = command(o_sub, ("oracle", "mc"), cmd_oracle_mc)
     market(flag)
     simulation(flag)
-    flag("--antithetic", action="store_true")
     _, flag = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
     market(flag)
     flag("--n-y", type=int, default=400)

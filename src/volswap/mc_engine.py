@@ -7,6 +7,12 @@ and s = alpha^2 tau.  A path needs s and n_steps alone: B is exact on the
 n-step grid of [0, s] and M is the trapezoid mean over its nodes.  tau, s
 and sqrt(nu)/T are :func:`~volswap.model.reduced_variables`'.
 
+Every draw is an antithetic pair, the paths of increments xi and -xi, valued
+at the mean of their payoffs; n_paths counts paths, twice the draws.  The
+payoff rises with every increment, so a pair never has more variance per
+path than two independent paths (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, sec. 4.2).
+
 Reproducibility contract: draws are reduced in fixed blocks of
 BLOCK_PATHS, each with one counter-based Philox4x64-10 stream (Salmon et
 al., SC 2011) keyed by the seed with the block index in its counter.
@@ -28,8 +34,8 @@ import numpy as np
 from .exceptions import DomainError
 from .model import MarketState, SabrParams, SwapContract, reduced_variables
 
-#: paths per reduction block; fixed so the pairwise block sums (and hence
-#: the final estimate) never depend on how the paths are batched.
+#: draws (antithetic pairs) per reduction block; fixed so the pairwise block
+#: sums (and hence the final estimate) never depend on how draws are batched.
 BLOCK_PATHS = 8192
 #: draws per chunk of a block's stream; keeps a chunk's normals and payoff
 #: temporaries in cache and bounds the memory of a block.
@@ -41,24 +47,21 @@ class McConfig:
     n_paths: int
     n_steps: int
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise DomainError(f"n_paths must be >= 2, got {self.n_paths}")
+        if self.n_paths % 2 or self.n_paths < 4:
+            # a pair is one draw, and a standard error needs two draws
+            raise DomainError(f"n_paths must be even and >= 4, got {self.n_paths}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.antithetic and (self.n_paths % 2 or self.n_paths < 4):
-            # a pair is one draw, and a standard error needs two draws
-            raise DomainError("antithetic mode needs an even n_paths >= 4, "
-                              f"got {self.n_paths}")
         if not 0 <= self.seed < 2 ** 128:
             raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with its standard error (antithetic pairs count as one draw)."""
+    """Sample mean over the antithetic pairs, with its standard error over
+    n_paths // 2 draws; n_paths counts both paths of every pair."""
 
     mean: float
     std_error: float
@@ -88,8 +91,8 @@ def path_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndarray:
     """M_s of the block's n_rows draws: the trapezoid mean over n_steps of
-    e^(2 B_v - v) on [0, s], whose node v = 0 is 1.  Antithetic mode returns
-    two rows, M of each draw and of its mirror image."""
+    e^(2 B_v - v) on [0, s], whose node v = 0 is 1: row 0 holds M of each
+    draw's path, row 1 M of its mirror image."""
     n_steps = config.n_steps
     drift = -(s / n_steps)                          # of 2 B_v - v per step
     scale = 2.0 * math.sqrt(s / n_steps)            # and its sd
@@ -110,11 +113,10 @@ def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndar
         return np.trapezoid(path, dx=1.0 / n_steps, axis=1)
 
     stream = block_stream(config.seed, block)
-    signs = (1.0, -1.0) if config.antithetic else (1.0,)
-    means = np.empty((len(signs), n_rows))
+    means = np.empty((2, n_rows))
     for lo in range(0, n_rows, chunk):
         xi = path_normals(stream, xi_buf[:min(chunk, n_rows - lo)])
-        for row, sign in zip(means, signs):   # scale * (-xi) is (-scale) * xi
+        for row, sign in zip(means, (1.0, -1.0)):   # scale * (-xi) is (-scale) * xi
             row[lo:lo + len(xi)] = means_from(xi, sign * scale)
     return means
 
@@ -135,7 +137,7 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
 
     variance = state.sigma * state.sigma * tau     # sigma^2 tau, times M_s
     _finite(variance)
-    n_draws = config.n_paths // 2 if config.antithetic else config.n_paths
+    n_draws = config.n_paths // 2
     total = m2 = 0.0
     # a finite sigma^2 tau may still overflow the payoffs or their moments;
     # _finite refuses that after the loop, so numpy need not warn of it
@@ -144,7 +146,7 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
             realized = state.nu + variance * _block_means(
                 config, block, min(BLOCK_PATHS, n_draws - lo), s)
             payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
-            vals = payoffs.mean(axis=0) if config.antithetic else payoffs[0]
+            vals = payoffs.mean(axis=0)
             block_sum = float(np.sum(vals))
             block_mean = block_sum / vals.size
             if lo:   # Chan-Golub-LeVeque merge with the lo draws before

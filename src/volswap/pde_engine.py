@@ -250,27 +250,23 @@ def solve_psi(alpha: float, tau: float,
     Rannacher startup (two implicit-Euler steps split into half-steps)
     damps the mild terminal-data/operator incompatibility so the scheme
     keeps clean second-order convergence.  Raises :class:`DomainError`
-    unless s <= ``S_MAX`` and y^2 is positive and finite on the grid,
+    unless 0 < s <= ``S_MAX`` (at s = 0, psi = 1 and kappa is exact) and
+    y^2 is positive and finite on the grid,
     :class:`InstabilityError` if the discrete maximum principle fails at
     any step and :class:`AccuracyError` if psi has not decayed to
     ``BOUNDARY_TOL`` at y_max, or is below ``PSI_FIRST_NODE_MIN`` at h.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if tau < 0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
     s = reduced_time(alpha, tau)
+    if not s > 0.0:     # also tau < 0
+        raise DomainError(f"no march for s = alpha^2 tau = {s}; needs s > 0")
     y_max = grid.y_max_at(s)
     n = grid.n_y
     y = np.linspace(0.0, y_max, n + 1)
     if not (y[1] * y[1] > 0.0 and y_max * y_max < math.inf):
         raise DomainError(f"q = (1 - psi) / y^2 is not finite on the grid up to "
                           f"y_max {y_max:.3g}: y^2 underflows at h or overflows")
-    if s == 0.0:
-        psi = np.ones(n + 1)              # terminal data psi = 1
-        return PsiSolution(y=y, final=psi, boundary_max=1.0, s=s,
-                           q_coeffs=_pchip_coeffs(y, psi, s))
-
     # I + (ds/2) A on u_i = psi_i / i at the interior nodes i, as the module
     # notes derive it: symmetric positive definite, so pttrf meets no zero pivot
     ds = s / grid.n_t

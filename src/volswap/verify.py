@@ -27,7 +27,7 @@ harmonicity equation are :func:`functional_term_pieces`, summed by
 :func:`check_functional` in one pass; and :func:`_kummer_derivatives`
 gives the 1F1 derivatives of both.  Every 1F1 here, as in the pricer, is
 evaluated to ``specfun.KUMMER_REL_TOL``.  Tolerances, the
-finite-difference step and the psi mode cap are module constants.
+finite-difference steps and the psi mode cap are module constants.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the normalised rational coefficient itself (1 at s = 0, zero
@@ -55,8 +55,9 @@ TOL_KUMMER = 1e-9
 TOL_FINITE_DIFF = 1e-5
 TOL_J0 = 1e-10
 
-#: step of the finite-difference harmonicity check, in s and in zeta
-FD_STEP = 1e-4
+#: steps of the finite-difference harmonicity check, in s and in ln zeta
+FD_STEP_S = 2e-5
+FD_STEP_LOG_ZETA = 1e-3
 #: modes :func:`psi_series_optimal` sums at most
 PSI_MAX_TERMS = 64
 
@@ -248,8 +249,10 @@ def check_functional(state: MarketState, params: SabrParams,
     V = 2 zeta^2 F_zetazeta + zeta F_zeta.  One pass sums the modes'
     :func:`functional_term_pieces`, weighted by b_n e^(lambda_n s) zeta^n;
     D + V must vanish, and central differences of the truncated F, in s
-    (as tau +- h / alpha^2) and in zeta, Richardson-extrapolated over
-    ``FD_STEP`` and ``FD_STEP/2``, cross-check each side.  Raises
+    (as tau +- h / alpha^2, h = ``FD_STEP_S``) and in u = ln zeta
+    (h = ``FD_STEP_LOG_ZETA``), Richardson-extrapolated over the steps and
+    their halves, cross-check each side through zeta F_zeta = F_u and
+    zeta^2 F_zetazeta = F_uu - F_u.  Raises
     :class:`DomainError` unless ``n_terms >= 1`` (with no term, 0 = 0
     would pass) and :class:`InconclusiveError` where a growth factor
     overflows.
@@ -270,23 +273,24 @@ def check_functional(state: MarketState, params: SabrParams,
         d_sum += weight * d_side
         v_sum += weight * v_side
 
-    def f(ds, dzeta):
-        tau_b = tau + ds / (alpha * alpha)
-        return sum(series_term(n, zeta + dzeta, tau_b, alpha) for n in range(n_terms))
+    def f(ds, du):
+        tau_b, zeta_b = tau + ds / (alpha * alpha), zeta * math.exp(du)
+        return sum(series_term(n, zeta_b, tau_b, alpha) for n in range(n_terms))
 
     f0 = f(0.0, 0.0)
 
-    def d_t(h):
-        return (zeta * f0 - zeta * zeta * (f(0.0, h) - f(0.0, -h)) / h
-                - (f(h, 0.0) - f(-h, 0.0)) / (2.0 * h))
+    def d_t(k):     # both steps scaled by k
+        hs, hu = k * FD_STEP_S, k * FD_STEP_LOG_ZETA
+        return (zeta * f0 - zeta * (f(0.0, hu) - f(0.0, -hu)) / hu
+                - (f(hs, 0.0) - f(-hs, 0.0)) / (2.0 * hs))
 
-    def vertical(h):
-        up, down = f(0.0, h), f(0.0, -h)
-        return (2.0 * zeta * zeta * (up - 2.0 * f0 + down) / (h * h)
-                + zeta * (up - down) / (2.0 * h))
+    def vertical(k):
+        hu = k * FD_STEP_LOG_ZETA
+        up, down = f(0.0, hu), f(0.0, -hu)
+        return 2.0 * (up - 2.0 * f0 + down) / (hu * hu) - (up - down) / (2.0 * hu)
 
     def richardson(diff):
-        return (4.0 * diff(0.5 * FD_STEP) - diff(FD_STEP)) / 3.0
+        return (4.0 * diff(0.5) - diff(1.0)) / 3.0
 
     label = f"s={s:.6g}, zeta={zeta:.6g}"
     summed = ResidualReport(point=f"{label}, n_terms={n_terms}",
@@ -294,7 +298,8 @@ def check_functional(state: MarketState, params: SabrParams,
                             scale=max(abs(d_sum), abs(v_sum), 1e-300),
                             tolerance=TOL_FUNCTIONAL)
     return [summed] + [
-        ResidualReport(point=f"{name}: {label}, step={FD_STEP}",
+        ResidualReport(point=f"{name}: {label}, steps s={FD_STEP_S}, "
+                             f"ln zeta={FD_STEP_LOG_ZETA}",
                        residual=fd - analytic,
                        scale=max(abs(analytic), abs(fd), 1e-300),
                        tolerance=TOL_FINITE_DIFF)

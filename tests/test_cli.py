@@ -159,9 +159,17 @@ class TestOracle:
         assert doc["kappa"] > 0 and doc["std_error"] > 0
 
     def test_mc_single_antithetic_pair_is_usage_error(self, tmp_path):
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2",
-                                                "--antithetic"]
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2"]
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+
+    def test_mc_odd_paths_is_usage_error(self, tmp_path, capsys):
+        # every draw is an antithetic pair of paths
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2001",
+                                                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "n_paths must be even" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_mc_seed_outside_philox_key_is_usage_error(self, tmp_path, seed):
@@ -230,11 +238,17 @@ class TestOracle:
         assert code == cli.EXIT_USAGE
         assert "s = alpha^2 tau = 800.0: e^s - 1 is not finite" in err
 
-    @pytest.mark.parametrize("sigma", ["1e200", "1e154"], ids=["mean", "std_error"])
-    def test_mc_estimate_beyond_float_range_is_usage_error(self, capsys, sigma):
-        # these wrote "kappa": Infinity or "std_error": Infinity, exit 0
-        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "200", "--steps", "5",
+    @pytest.mark.parametrize("alpha, sigma, paths",
+                             [("0.4", "1e200", "200"), ("0.4", "7e153", "40000"),
+                              ("1", "1e154", "200")],
+                             ids=["mean", "std_error", "finite_sigma2_tau"])
+    def test_mc_estimate_beyond_float_range_is_usage_error(self, capsys, alpha,
+                                                           sigma, paths):
+        # these wrote "kappa": Infinity or "std_error": Infinity, exit 0;
+        # at alpha 1 and sigma^2 tau = 5e307 a pair's payoff overflows
+        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", paths, "--steps", "5",
                                                 "--seed", "3"]
+        argv[argv.index("--alpha") + 1] = alpha
         argv[argv.index("--sigma") + 1] = sigma
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(argv) == cli.EXIT_USAGE
@@ -356,6 +370,19 @@ class TestCompare:
         assert code == cli.EXIT_USAGE
         assert calls == []
 
+    def test_odd_paths_is_refused_before_any_pricing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(series_pricer, "kappa_series",
+                            lambda *args: calls.append(args))
+        argv = ["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1",
+                "--nu", "0.03", "--seed", "1", "--paths", "999",
+                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "n_paths must be even" in err
+        assert calls == []
+
 
 class TestVerify:
     def test_terminal_passes(self, tmp_path):
@@ -374,9 +401,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra,code,count,digest", [
         ([], cli.EXIT_OK, 141,
-         "ab38ab3b6997cafa07e9143d503f505c6f5d698ff7eec200f28c346918c7c49b"),
+         "be1125fe578fcfb6481276a1e46049ba399bb04e729dd9d5dffeac0b4bbe94e9"),
         (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 167,
-         "7fdb572ccd08c6159721751cdabf33fbf66bd484eafc5873da8d0808fa7fa6e3"),
+         "97d728997f48ee21c1ed6fcc391d1b4b8545fc524464bf40842c6d3c6ffe4ecd"),
     ], ids=["default", "n-terms-12"])
     def test_golden_reports(self, tmp_path, extra, code, count, digest):
         got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")
@@ -457,16 +484,14 @@ def recorded(text):
 
 def replay_argv(manifest):
     """The argv a manifest records: its command words, each parameter as a
-    flag (null skipped, true bare, a list comma-joined, a float by repr),
-    then the seed."""
+    flag (null skipped, a list comma-joined, a float by repr), then the
+    seed."""
     argv = manifest["command"].split()
     for dest, value in manifest["parameters"].items():
         name = "--" + dest.replace("_", "-")
-        if value is True:
-            argv.append(name)
-        elif isinstance(value, list):
+        if isinstance(value, list):
             argv += [name, ",".join(map(repr, value))]
-        elif value is not None and value is not False:
+        elif value is not None:
             argv += [name, repr(value) if isinstance(value, float) else str(value)]
     if manifest["seed"] is not None:
         argv += ["--seed", str(manifest["seed"])]
@@ -476,13 +501,12 @@ def replay_argv(manifest):
 @pytest.mark.parametrize("argv", [
     ["price"] + CONVERGENT_POINT + ["--rate", "0.05", "--annualization", "market"],
     ["price"] + CONVERGENT_POINT + ["--discount-factor", "0.97"],
-    ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10",
-                                     "--antithetic"],
+    ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10"],
     ["oracle", "pde"] + SEED_POINT + ["--refine", "1"],
     ["compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
      "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
     ["verify", "--check", "terminal"],
-], ids=["price", "price-discount-factor", "oracle-mc-antithetic",
+], ids=["price", "price-discount-factor", "oracle-mc",
         "oracle-pde-refine", "compare", "verify"])
 def test_manifest_replays_the_run(tmp_path, argv):
     code, text = run(tmp_path, argv)
@@ -564,16 +588,6 @@ class TestConfig:
         assert code == cli.EXIT_DIVERGING
         assert not {"rho", "seed", "paths"} & set(doc["manifest"]["parameters"])
 
-    @pytest.mark.parametrize("value,expected", [
-        ("yes", True), ("On", True), ("1", True), ("no", False), ("false", False)])
-    def test_antithetic_takes_a_boolean(self, tmp_path, value, expected):
-        path = config(tmp_path, SEED_CONFIG
-                      + f"seed=7\npaths=1000\nsteps=10\nantithetic = {value}\n")
-        code, doc = run(tmp_path, ["oracle", "mc", "--config", path],
-                        "oracle_mc.schema.json")
-        assert code == cli.EXIT_OK
-        assert doc["manifest"]["parameters"]["antithetic"] is expected
-
     def test_output_from_the_file(self, tmp_path):
         out = tmp_path / "doc.json"
         path = config(tmp_path, SEED_CONFIG + f"output = {out}\n")
@@ -589,12 +603,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("command,line,message", [
         (["price"], "alpha 0.4", "not key=value"),
-        (["oracle", "mc"], "antithetic = maybe", "not boolean"),
         (["price"], "alpha = abc", "--alpha"),
         (["oracle", "mc"], "paths = 1e3", "--paths"),
+        (["oracle", "mc"], "paths = 1001", "n_paths must be even"),
         (["oracle", "pde"], "refine = -2", "--refine"),
         (["verify"], "s-max = -3", "--s-max"),
-    ], ids=["no-equals", "boolean", "float", "int", "negative-refine",
+    ], ids=["no-equals", "float", "int", "odd-paths", "negative-refine",
             "negative-s-max"])
     def test_bad_line_is_a_usage_error(self, tmp_path, capsys, command, line,
                                        message):

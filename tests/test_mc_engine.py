@@ -13,7 +13,7 @@ from volswap.exceptions import DomainError
 from volswap.mc_engine import (BLOCK_PATHS, CHUNK_PATHS, McConfig, block_stream,
                                kappa_mc, path_normals, variance_swap_expectation,
                                variance_swap_mc)
-from volswap.model import MarketState, SabrParams, SwapContract
+from volswap.model import MarketState, SabrParams, SwapContract, reduced_variables
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -57,7 +57,7 @@ class TestPathNormals:
 
 
 class TestChunking:
-    CONFIG = McConfig(16_400, 5, seed=2, antithetic=True)   # 8 200 draws
+    CONFIG = McConfig(16_400, 5, seed=2)   # 8 200 draws
 
     @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
     def test_estimate_does_not_depend_on_chunk_size(self, estimator, monkeypatch):
@@ -104,13 +104,16 @@ class TestKappaMc:
         assert est.std_error < 1e-12
 
     def test_std_error_scales_with_alpha(self):
-        # the per-draw spread is ~5e-2 alpha against a mean of ~0.25: sums
-        # of squares about zero cancel it away at small alpha, centred
-        # sums keep it
+        # a pair cancels the payoff's first order in the increments, so its
+        # spread is ~4e-2 alpha^2 against a mean of ~0.25: sums of squares
+        # about zero cancel it away at small alpha, centred sums keep it
+        # until alpha^2 nears the rounding of the mean
         config = McConfig(10_000, 50, seed=1)
         ratios = [kappa_mc(STATE, SabrParams(alpha=10.0 ** -k), CONTRACT,
-                           config).std_error * 10.0 ** k for k in range(3, 13)]
+                           config).std_error * 10.0 ** (2 * k) for k in range(2, 7)]
         assert max(ratios) <= 1.05 * min(ratios)
+        assert all(kappa_mc(STATE, SabrParams(alpha=10.0 ** -k), CONTRACT,
+                            config).std_error > 0.0 for k in range(7, 13))
 
     def test_reproducible(self):
         cfg = McConfig(20_000, 40, seed=99)
@@ -131,16 +134,25 @@ class TestKappaMc:
         assert abs(a.mean - b.mean) <= 3.0 * combined
 
     def test_antithetic_agrees_and_tightens(self):
-        plain = kappa_mc(STATE, PARAMS, CONTRACT, McConfig(40_000, 100, seed=21))
-        anti = kappa_mc(STATE, PARAMS, CONTRACT,
-                        McConfig(40_000, 100, seed=21, antithetic=True))
-        combined = math.hypot(plain.std_error, anti.std_error)
-        assert abs(plain.mean - anti.mean) <= 3.0 * combined
-        assert anti.std_error <= 1.05 * plain.std_error
+        # the same paths drawn plainly: row 0 of the block, the first path
+        # of every pair; compared per path, at s = 0.08 and 0.8
+        config = McConfig(8000, 100, seed=21)
+        for alpha in (0.4, math.sqrt(1.6)):
+            params = SabrParams(alpha=alpha)
+            pair = kappa_mc(STATE, params, CONTRACT, config)
+            tau, s, _, _ = reduced_variables(STATE, params, CONTRACT)
+            means = mc_engine._block_means(config, 0, config.n_paths // 2, s)[0]
+            payoffs = np.sqrt(STATE.nu + STATE.sigma ** 2 * tau * means)
+            plain_se = payoffs.std(ddof=1) / math.sqrt(payoffs.size)
+            combined = math.hypot(plain_se, pair.std_error)
+            assert abs(payoffs.mean() - pair.mean) <= 3.0 * combined
+            assert (pair.std_error ** 2 * config.n_paths
+                    < plain_se ** 2 * payoffs.size), alpha
 
     def test_antithetic_requires_even_paths(self):
-        with pytest.raises(DomainError):
-            McConfig(1001, 10, seed=1, antithetic=True)
+        for n_paths in (1001, 3, -2):
+            with pytest.raises(DomainError, match="n_paths must be even and >= 4"):
+                McConfig(n_paths, 10, seed=1)
 
     def test_before_accrual_start_is_domain_error(self):
         state = MarketState(t=-0.5, sigma=0.25, nu=0.03)
@@ -164,33 +176,93 @@ class TestKappaMc:
     def test_antithetic_needs_two_pairs(self):
         # one pair is one draw: no standard error exists
         with pytest.raises(DomainError):
-            McConfig(2, 10, seed=1, antithetic=True)
-        est = kappa_mc(STATE, PARAMS, CONTRACT,
-                       McConfig(4, 10, seed=1, antithetic=True))
+            McConfig(2, 10, seed=1)
+        est = kappa_mc(STATE, PARAMS, CONTRACT, McConfig(4, 10, seed=1))
         assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
+    #: (alpha, sigma, n_paths, sigma^2 tau) of valid contracts beyond the
+    #: float range: sigma^2 tau = inf gave kappa inf with a nan standard
+    #: error; at 2.45e307 and 20 000 pairs kappa is finite, but the sum of
+    #: squares about it overflows, so its standard error is inf; at 5e307
+    #: and alpha 1 a pair's payoff overflows, so the mean is inf
+    BEYOND = [(0.4, 1e200, 200, "inf"), (0.4, 7e153, 40_000, "2.45e+307"),
+              (1.0, 1e154, 200, "5e+307")]
+    BEYOND_IDS = ["mean", "std_error", "finite_sigma2_tau"]
+
     @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    @pytest.mark.parametrize("sigma, variance", [(1e200, "inf"), (1e154, "5e+307")],
-                             ids=["mean", "std_error"])
-    def test_estimate_beyond_float_range_is_domain_error(self, estimator, sigma,
-                                                         variance):
-        # a valid contract: sigma^2 tau = inf gave kappa inf with a nan
-        # standard error, and 5e307 a finite kappa with an inf one
+    @pytest.mark.parametrize("alpha, sigma, n_paths, variance", BEYOND,
+                             ids=BEYOND_IDS)
+    def test_estimate_beyond_float_range_is_domain_error(self, estimator, alpha,
+                                                         sigma, n_paths, variance):
         state = MarketState(t=0.5, sigma=sigma, nu=0.03)
         message = re.escape(f"sigma^2 tau = {variance}: ")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match=message):
-                estimator(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
+                estimator(state, SabrParams(alpha=alpha), CONTRACT,
+                          McConfig(n_paths, 5, seed=3))
 
     @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    @pytest.mark.parametrize("sigma", [1e200, 1e154], ids=["mean", "std_error"])
-    def test_estimate_beyond_float_range_warns_nothing(self, estimator, sigma):
+    @pytest.mark.parametrize("alpha, sigma, n_paths, variance", BEYOND,
+                             ids=BEYOND_IDS)
+    def test_estimate_beyond_float_range_warns_nothing(self, estimator, alpha,
+                                                       sigma, n_paths, variance):
         # numpy warned of the overflow (or of inf - inf) above the refusal
         state = MarketState(t=0.5, sigma=sigma, nu=0.03)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"sigma\^2 tau = "):
-                estimator(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
+                estimator(state, SabrParams(alpha=alpha), CONTRACT,
+                          McConfig(n_paths, 5, seed=3))
+
+    def test_pair_keeps_sigma2_tau_5e307_finite_at_alpha_0_4(self):
+        # a pair's two payoffs stay close, so the sum of squares about the
+        # mean stays finite where single paths' overflowed
+        state = MarketState(t=0.5, sigma=1e154, nu=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = kappa_mc(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
+        assert repr(est) == ("McEstimate(mean=7.11129870159484e+153, "
+                             "std_error=1.9932453378167703e+151, n_paths=200)")
+
+
+class TestPairs:
+    CONFIG = McConfig(2000, 7, seed=13)   # 1 000 pairs, one block
+    S = 0.3
+
+    def test_second_row_mirrors_the_first(self):
+        # row 1 is M_s of the increments -xi: the trapezoid mean of
+        # e^(2 B_v - v) along the mirrored path
+        xi = reference_normals(13, 0, 1000, 7)
+        dv = self.S / 7
+        rows = mc_engine._block_means(self.CONFIG, 0, 1000, self.S)
+        for got, sign in zip(rows, (1.0, -1.0)):
+            nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
+            path = np.hstack([np.ones((1000, 1)), np.exp(nodes)])
+            expected = (path[:, 1:] + path[:, :-1]).sum(axis=1) / 14.0
+            assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_std_error_is_over_pairs(self):
+        # n_paths counts paths; the standard error is over n_paths // 2 draws
+        params = SabrParams(alpha=math.sqrt(2.0 * self.S))
+        est = kappa_mc(STATE, params, CONTRACT, self.CONFIG)
+        tau, s, _, _ = reduced_variables(STATE, params, CONTRACT)
+        means = mc_engine._block_means(self.CONFIG, 0, 1000, s)
+        pairs = np.sqrt(STATE.nu + STATE.sigma ** 2 * tau * means).mean(axis=0)
+        assert est.n_paths == 2000
+        assert est.mean == pytest.approx(pairs.mean(), rel=1e-14)
+        assert est.std_error == pytest.approx(
+            pairs.std(ddof=1) / math.sqrt(1000), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0], ids=["s=0.02", "s=0.5"])
+    def test_pairs_tighten_at_nu_zero(self, alpha):
+        # G = E[sqrt(A_s)]: the payoff still rises with every increment
+        state = MarketState(t=0.5, sigma=0.25, nu=0.0)
+        params = SabrParams(alpha=alpha)
+        pair = kappa_mc(state, params, CONTRACT, self.CONFIG)
+        tau, s, _, _ = reduced_variables(state, params, CONTRACT)
+        plain = np.sqrt(state.sigma ** 2 * tau
+                        * mc_engine._block_means(self.CONFIG, 0, 1000, s)[0])
+        assert pair.std_error ** 2 * 2000 < plain.var(ddof=1)
 
 
 class TestReducedVariable:
@@ -205,10 +277,9 @@ class TestReducedVariable:
                    for p, st in self.POINTS for tau in [1.0 - st.t]}
         assert len(reduced) == 1
 
-    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    def test_estimate_depends_on_s_alone(self, estimator, antithetic):
-        config = McConfig(4000, 20, seed=3, antithetic=antithetic)
+    def test_estimate_depends_on_s_alone(self, estimator):
+        config = McConfig(4000, 20, seed=3)
         first, second = (repr(estimator(state, params, CONTRACT, config))
                          for params, state in self.POINTS)
         assert first == second
@@ -216,27 +287,28 @@ class TestReducedVariable:
 
 class TestGolden:
     """Estimates frozen by repr from the reduced kernel of (s, n_steps) on
-    numpy's ziggurat normals, one Philox stream per fixed block, drawn in
-    row chunks."""
+    numpy's ziggurat normals, one Philox stream per fixed block of
+    antithetic pairs, drawn in row chunks."""
 
+    # every case draws antithetic pairs; "plain" is only the first case's name
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "McEstimate(mean=0.24919946842721774, std_error=0.0003970613863801656, n_paths=3000)",
-                  "McEstimate(mean=0.06257319064032575, std_error=0.00020681485422313612, n_paths=3000)"),
-        "antithetic": (McConfig(3000, 20, seed=21, antithetic=True),
+                  "McEstimate(mean=0.24922986955165094, std_error=0.00012365609788564063, n_paths=3000)",
+                  "McEstimate(mean=0.06258411592977474, std_error=8.110892631282897e-05, n_paths=3000)"),
+        "antithetic": (McConfig(3000, 20, seed=21),
                        "McEstimate(mean=0.24908771660113332, std_error=0.00012079280578082026, n_paths=3000)",
                        "McEstimate(mean=0.06249612991472467, std_error=7.853623393734143e-05, n_paths=3000)"),
-        "two_blocks": (McConfig(8200, 5, seed=2 ** 70 + 3),
-                       "McEstimate(mean=0.24923617559768851, std_error=0.0002387367614434617, n_paths=8200)",
-                       "McEstimate(mean=0.06258597520968957, std_error=0.00012423409673845576, n_paths=8200)"),
-        "one_step": (McConfig(1001, 1, seed=7),
-                     "McEstimate(mean=0.24873617054410413, std_error=0.0006066020601116802, n_paths=1001)",
-                     "McEstimate(mean=0.062237648596277395, std_error=0.00031861030708706415, n_paths=1001)"),
+        "two_blocks": (McConfig(16_400, 5, seed=2 ** 70 + 3),
+                       "McEstimate(mean=0.24920627777123996, std_error=5.401620991775057e-05, n_paths=16400)",
+                       "McEstimate(mean=0.0625738611084094, std_error=3.5253123598193464e-05, n_paths=16400)"),
+        "one_step": (McConfig(1002, 1, seed=7),
+                     "McEstimate(mean=0.24904931669949198, std_error=0.00025520138820313656, n_paths=1002)",
+                     "McEstimate(mean=0.06237361280335949, std_error=0.00015323558578987507, n_paths=1002)"),
     }
 
     def test_two_blocks_case_spans_a_partial_block(self):
-        n_paths = self.CASES["two_blocks"][0].n_paths
-        assert n_paths > BLOCK_PATHS and n_paths % BLOCK_PATHS
+        n_draws = self.CASES["two_blocks"][0].n_paths // 2
+        assert n_draws > BLOCK_PATHS and n_draws % BLOCK_PATHS
 
     @pytest.mark.parametrize("case", CASES)
     def test_kappa(self, case):

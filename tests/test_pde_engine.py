@@ -66,9 +66,12 @@ class TestGridSpec:
 
 
 class TestSolvePsi:
-    def test_terminal_is_identity(self):
-        sol = solve_psi(0.5, 0.0, GridSpec(n_y=32, n_t=32, y_max=5.0))
-        assert np.all(sol.final == 1.0)
+    def test_s_zero_is_a_domain_error(self):
+        # psi = 1 at s = 0, at maturity or where alpha^2 tau underflows;
+        # kappa_quadrature prices it in closed form.  tau < 0 has no psi
+        for alpha, tau in ((0.5, 0.0), (1e-200, 0.5), (0.5, -0.1)):
+            with pytest.raises(DomainError, match="needs s > 0"):
+                solve_psi(alpha, tau, GridSpec(n_y=32, n_t=32, y_max=5.0))
 
     def test_degenerate_boundary_stays_one(self):
         sol = solve_psi(0.5, 0.5, GridSpec(n_y=256, n_t=256))
