@@ -11,7 +11,8 @@ Every draw is an antithetic pair, the paths of increments xi and -xi, valued
 at the mean of their payoffs; n_paths counts paths, twice the draws.  The
 payoff rises with every increment, so a pair never has more variance per
 path than two independent paths (Glasserman, Monte Carlo Methods in
-Financial Engineering, 2003, sec. 4.2).
+Financial Engineering, 2003, sec. 4.2), and its two paths share one
+running sum and one exp.
 
 Reproducibility contract: draws are reduced in fixed blocks of
 BLOCK_PATHS, each with one counter-based Philox4x64-10 stream (Salmon et
@@ -37,8 +38,8 @@ from .model import MarketState, SabrParams, SwapContract, reduced_variables
 #: draws (antithetic pairs) per reduction block; fixed so the pairwise block
 #: sums (and hence the final estimate) never depend on how draws are batched.
 BLOCK_PATHS = 8192
-#: draws per chunk of a block's stream; keeps a chunk's normals and payoff
-#: temporaries in cache and bounds the memory of a block.
+#: draws per chunk of a block's stream; its two chunk buffers, the normals
+#: and their e^(2 B), stay in cache and bound the memory of a block.
 CHUNK_PATHS = 256
 
 
@@ -90,35 +91,33 @@ def path_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 
 def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndarray:
-    """M_s of the block's n_rows draws: the trapezoid mean over n_steps of
-    e^(2 B_v - v) on [0, s], whose node v = 0 is 1: row 0 holds M of each
-    draw's path, row 1 M of its mirror image."""
+    """M_s of the block's n_rows draws, the trapezoid mean over n_steps of
+    e^(2 B_v - v) on [0, s], row 0 for each draw's path and row 1 its mirror's:
+    at node k, 2 B_v - v = scale W_k - k s/n for the increments' running sum W,
+    so with E = e^(scale W) and w_k = e^(-k s/n), w_n halved, M is
+    (1/2 + sum w E)/n for the path and (1/2 + sum w/E)/n for its mirror."""
     n_steps = config.n_steps
-    drift = -(s / n_steps)                          # of 2 B_v - v per step
-    scale = 2.0 * math.sqrt(s / n_steps)            # and its sd
+    scale = 2.0 * math.sqrt(s / n_steps)            # sd of 2 B_v per step
+    weights = np.exp(np.arange(1, n_steps + 1) * -(s / n_steps))
+    weights[-1] *= 0.5
 
     # one set of chunk buffers per block: fresh chunk-sized temporaries
     # cost the process ~35 000 page faults per 16 384 x 250 estimate
     chunk = min(CHUNK_PATHS, n_rows)
-    xi_buf = np.empty((chunk, n_steps))
-    path_buf = np.ones((chunk, n_steps + 1))        # node v = 0 stays 1
-
-    def means_from(xi: np.ndarray, step_scale: float) -> np.ndarray:
-        path = path_buf[:len(xi)]
-        work = path[:, 1:]
-        np.multiply(xi, step_scale, out=work)
-        work += drift
-        np.cumsum(work, axis=1, out=work)             # 2 B_v - v at the nodes
-        np.exp(work, out=work)
-        return np.trapezoid(path, dx=1.0 / n_steps, axis=1)
+    xi_buf, exp_buf = np.empty((2, chunk, n_steps))
 
     stream = block_stream(config.seed, block)
-    means = np.empty((2, n_rows))
+    sums = np.empty((2, n_rows))
     for lo in range(0, n_rows, chunk):
         xi = path_normals(stream, xi_buf[:min(chunk, n_rows - lo)])
-        for row, sign in zip(means, (1.0, -1.0)):   # scale * (-xi) is (-scale) * xi
-            row[lo:lo + len(xi)] = means_from(xi, sign * scale)
-    return means
+        rows = slice(lo, lo + len(xi))
+        grown = np.cumsum(xi, axis=1, out=exp_buf[:len(xi)])
+        grown *= scale
+        np.exp(grown, out=grown)                      # E; xi is spent
+        # numpy's row sums, not BLAS: the same on every host and thread count
+        np.multiply(grown, weights, out=xi).sum(axis=1, out=sums[0, rows])
+        np.divide(weights, grown, out=xi).sum(axis=1, out=sums[1, rows])
+    return (sums + 0.5) / n_steps
 
 
 def _finite(variance: float, *values: float) -> None:

@@ -221,7 +221,7 @@ class TestKappaMc:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = kappa_mc(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
-        assert repr(est) == ("McEstimate(mean=7.11129870159484e+153, "
+        assert repr(est) == ("McEstimate(mean=7.111298701594839e+153, "
                              "std_error=1.9932453378167703e+151, n_paths=200)")
 
 
@@ -240,6 +240,24 @@ class TestPairs:
             path = np.hstack([np.ones((1000, 1)), np.exp(nodes)])
             expected = (path[:, 1:] + path[:, :-1]).sum(axis=1) / 14.0
             assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 250])
+    @pytest.mark.parametrize("s", [5e-4, 0.08, 0.8, 50.0, 709.7])
+    def test_block_means_match_the_direct_formula(self, s, n_steps):
+        # each path priced on its own: its nodes' running sum, their exp and
+        # the trapezoid from node v = 0 at 1; 300 draws span two chunks, and
+        # near S_MAX the last nodes' e^(-v) is subnormal
+        xi = reference_normals(3, 0, 300, n_steps)
+        dv = s / n_steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = mc_engine._block_means(McConfig(600, n_steps, seed=3), 0, 300, s)
+            for got, sign in zip(rows, (1.0, -1.0)):
+                nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
+                path = np.hstack([np.ones((300, 1)), np.exp(nodes)])
+                expected = np.trapezoid(path, dx=1.0 / n_steps, axis=1)
+                rtol = 1e-13 if s <= 1.0 else 1e-12
+                assert np.allclose(got, expected, rtol=rtol, atol=0.0)
 
     def test_std_error_is_over_pairs(self):
         # n_paths counts paths; the standard error is over n_paths // 2 draws
@@ -293,11 +311,11 @@ class TestGolden:
     # every case draws antithetic pairs; "plain" is only the first case's name
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "McEstimate(mean=0.24922986955165094, std_error=0.00012365609788564063, n_paths=3000)",
-                  "McEstimate(mean=0.06258411592977474, std_error=8.110892631282897e-05, n_paths=3000)"),
+                  "McEstimate(mean=0.24922986955165094, std_error=0.0001236560978856406, n_paths=3000)",
+                  "McEstimate(mean=0.06258411592977474, std_error=8.110892631282896e-05, n_paths=3000)"),
         "antithetic": (McConfig(3000, 20, seed=21),
                        "McEstimate(mean=0.24908771660113332, std_error=0.00012079280578082026, n_paths=3000)",
-                       "McEstimate(mean=0.06249612991472467, std_error=7.853623393734143e-05, n_paths=3000)"),
+                       "McEstimate(mean=0.06249612991472467, std_error=7.853623393734142e-05, n_paths=3000)"),
         "two_blocks": (McConfig(16_400, 5, seed=2 ** 70 + 3),
                        "McEstimate(mean=0.24920627777123996, std_error=5.401620991775057e-05, n_paths=16400)",
                        "McEstimate(mean=0.0625738611084094, std_error=3.5253123598193464e-05, n_paths=16400)"),
