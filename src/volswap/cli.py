@@ -21,8 +21,11 @@ the parser checks them as it checks typed flags (even a value a flag
 overrides), and an explicit flag beats the file, which beats the default.
 
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
-``KUMMER_REL_TOL``, ``QUAD_TOL``).  ``compare`` leaves ``kappa_pde`` empty
-where the PDE refuses, saying why on stderr.
+``KUMMER_REL_TOL``, ``QUAD_TOL``) or a verification depth: ``verify`` takes
+no flag of its own and runs every check family at ``verify.N_TERMS`` and
+``verify.TERMINAL_S_MAX``.  ``price`` always reports both ``kappa`` and the
+market-annualized ``kappa_market`` = sqrt(T) kappa.  ``compare`` leaves
+``kappa_pde`` empty where the PDE refuses, saying why on stderr.
 
 Exit codes: 0 success, 1 verification check failed, 2 usage error,
 3 an engine refused a valid input (series divergence, AccuracyError or
@@ -112,18 +115,13 @@ def cmd_price(args) -> tuple:
     diag = result.diagnostics
     document = {
         "kappa": result.kappa,
+        # display convention sqrt((1/T) int sigma^2) = sqrt(T) * kappa
+        "kappa_market": result.kappa * math.sqrt(contract.tenor),
         "fair_value": result.fair_value,
         "discount_factor": result.discount_factor,
-        "terms_used": diag.terms_used,
-        "min_term_index": diag.min_term_index,
-        "min_term_abs": diag.min_term_abs,
-        "converged": diag.converged,
-        "regime": diag.regime,
+        **dataclasses.asdict(diag),
         "warnings": list(result.warnings),
     }
-    if args.annualization == "market":
-        # display convention sqrt((1/T) int sigma^2) = sqrt(T) * kappa
-        document["kappa_market"] = result.kappa * math.sqrt(contract.tenor)
     return document, (EXIT_DIVERGING if diag.regime == series_pricer.REGIME_DIVERGING
                       else EXIT_OK)
 
@@ -214,7 +212,8 @@ def cmd_compare(args) -> tuple:
     return rows, EXIT_COMPARE_FAILED if failures else EXIT_OK
 
 
-def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
+def _verify_reports() -> list:
+    """Every verification report, each family at its fixed depth."""
     reports = []
 
     def add(check, rep: verify.ResidualReport):
@@ -222,42 +221,34 @@ def _verify_reports(which: str, n_terms: int, s_max: int) -> list:
                         **dataclasses.asdict(rep), "relative": rep.relative,
                         "passed": rep.passed})
 
-    if which in ("all", "terminal"):
-        for s in range(s_max + 1):
-            value = verify.check_terminal_identity(s)
-            reports.append({"check": "terminal", "kind": "exact",
-                            "point": f"s={s}" if s else "s=0 leading coefficient",
-                            "value": str(value), "passed": value == int(s == 0)})
-    if which in ("all", "bessel"):
-        for y in (0.1, 0.5, 1.0, 2.0, 5.0):
-            add("bessel", verify.check_bessel_sqrt_expansion(y, 60))
-    if which in ("all", "j0"):
-        for i in range(50):
-            z = 10.0 ** (-2.0 + (i + 1) * (math.log10(50.0) + 2.0) / 50.0)
-            add("j0", verify.check_j0(z))
-    if which in ("all", "kummer"):
-        for a, b, z in ((-0.5, 0.5, 1.0), (1.5, 4.5, 4.0), (3.5, 8.5, 0.25),
-                        (-0.5, 0.5, 20.0), (9.5, 20.5, 2.0)):
-            add("kummer", verify.check_kummer_ode(a, b, z))
-    if which in ("all", "psi-pde"):
-        for s, y in ((0.0225, 1.0), (0.0225, 3.0), (0.0, 1.0), (0.025, 0.5)):
-            add("psi-pde", verify.check_psi_pde_residual(s, y, 20))
-    if which in ("all", "functional"):
-        for zeta, n in itertools.product((0.5, 2.0, 8.0), range(n_terms + 1)):
-            add("functional", verify.functional_term_residual(n, zeta))
-        params = SabrParams(alpha=0.4)
-        contract = SwapContract(t0=0.0, tenor=1.0)
-        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        summed, *finite_differences = verify.check_functional(
-            state, params, contract, n_terms)
-        add("functional", summed)
-        for rep in finite_differences:
-            add("functional-fd", rep)
+    for s in range(verify.TERMINAL_S_MAX + 1):
+        value = verify.check_terminal_identity(s)
+        reports.append({"check": "terminal", "kind": "exact",
+                        "point": f"s={s}" if s else "s=0 leading coefficient",
+                        "value": str(value), "passed": value == int(s == 0)})
+    for y in (0.1, 0.5, 1.0, 2.0, 5.0):
+        add("bessel", verify.check_bessel_sqrt_expansion(y, 60))
+    for i in range(50):
+        z = 10.0 ** (-2.0 + (i + 1) * (math.log10(50.0) + 2.0) / 50.0)
+        add("j0", verify.check_j0(z))
+    for a, b, z in ((-0.5, 0.5, 1.0), (1.5, 4.5, 4.0), (3.5, 8.5, 0.25),
+                    (-0.5, 0.5, 20.0), (9.5, 20.5, 2.0)):
+        add("kummer", verify.check_kummer_ode(a, b, z))
+    for s, y in ((0.0225, 1.0), (0.0225, 3.0), (0.0, 1.0), (0.025, 0.5)):
+        add("psi-pde", verify.check_psi_pde_residual(s, y, verify.N_TERMS))
+    for zeta, n in itertools.product((0.5, 2.0, 8.0), range(verify.N_TERMS + 1)):
+        add("functional", verify.functional_term_residual(n, zeta))
+    summed, *finite_differences = verify.check_functional(
+        MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4),
+        SwapContract(t0=0.0, tenor=1.0), verify.N_TERMS)
+    add("functional", summed)
+    for rep in finite_differences:
+        add("functional-fd", rep)
     return reports
 
 
 def cmd_verify(args) -> tuple:
-    reports = _verify_reports(args.check, args.n_terms, args.s_max)
+    reports = _verify_reports()
     all_passed = all(r["passed"] for r in reports)
     return ({"reports": reports, "all_passed": all_passed},
             EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
@@ -315,7 +306,6 @@ def build_parser():
     discount = p_price.add_mutually_exclusive_group()
     flag("--rate", group=discount, type=float, help="flat short rate (default 0)")
     flag("--discount-factor", group=discount, type=float)
-    flag("--annualization", choices=("paper", "market"), default="paper")
 
     o_sub = sub.add_parser("oracle", help="Monte Carlo or PDE reference value"
                            ).add_subparsers(dest="oracle", required=True)
@@ -339,12 +329,8 @@ def build_parser():
     flag("--t0", type=float, default=0.0)
     simulation(flag)
 
-    _, flag = command(sub, ("verify",), cmd_verify,
-                      help="run the identity verification suite")
-    flag("--check", default="all", choices=("all", "terminal", "bessel", "j0",
-                                            "kummer", "psi-pde", "functional"))
-    flag("--n-terms", type=int, default=10)
-    flag("--s-max", type=count, default=40)
+    command(sub, ("verify",), cmd_verify,
+            help="run the identity verification suite")
     return parser, commands
 
 

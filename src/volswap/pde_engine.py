@@ -127,6 +127,13 @@ BOUNDARY_TOL = 1e-8
 PSI_FIRST_NODE_MIN = 0.5
 #: implicit-Euler startup steps (each split in two half-steps).
 RANNACHER_STEPS = 2
+#: s = alpha^2 tau below which kappa is sqrt(nu + sigma^2 tau)/T, no march.
+#: There expm1(s)/s rounds to 1, so with B = nu + int sigma^2 the closed
+#: form lies between Jensen's sqrt(E[B]) and Hoelder's
+#: E[B]^(3/2) / E[B^2]^(1/2), which differ by at most ~(2/3) s <= 7.4e-17
+#: relative: under one ulp.  A march there builds pchip on y_max ~ s^(-1/2),
+#: whose slopes overflow or underflow.
+S_CLOSED_FORM = 2.0 ** -53
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
@@ -342,14 +349,14 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
 
     Valid for nu >= 0.  psi comes from :func:`psi_memo`, so points sharing
     s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
-    one march.  At s = 0 (at maturity, or where alpha^2 tau underflows)
-    sigma stays put and kappa is sqrt(nu + sigma^2 tau)/T, a
-    :class:`DomainError` where that is not finite.  Raises
-    :class:`AccuracyError` if the bound on the neglected parts of the
+    one march.  Below s = ``S_CLOSED_FORM`` (at maturity, where alpha^2 tau
+    underflows, or where sigma barely moves) kappa is sqrt(nu + sigma^2
+    tau)/T to rounding, a :class:`DomainError` where that is not finite.
+    Raises :class:`AccuracyError` if the bound on the neglected parts of the
     integral exceeds ``QUAD_TOL`` (about 1e-8 on the default grid).
     """
     tau, s, _, _ = reduced_variables(state, params, contract)
-    if s == 0.0:
+    if s < S_CLOSED_FORM:
         kappa = math.sqrt(state.nu + state.sigma * (state.sigma * tau)) / contract.tenor
         if not math.isfinite(kappa):
             raise DomainError(f"nu + sigma^2 tau is not finite at sigma {state.sigma}")
@@ -415,11 +422,13 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     Second-order convergence shows up as ratios of successive differences
     near 4.  All refinements share one y_max so the comparison isolates the
     discretization error.  Raises :class:`DomainError` outside the accrual
-    window and at s = alpha^2 tau = 0, where there is nothing to refine.
+    window and below s = alpha^2 tau = ``S_CLOSED_FORM``, where
+    :func:`kappa_quadrature` marches nothing to refine.
     """
     _, s, _, _ = reduced_variables(state, params, contract)
-    if s == 0.0:
-        raise DomainError("at s = 0 kappa is exact; there is no grid to refine")
+    if s < S_CLOSED_FORM:
+        raise DomainError(f"at s = {s:.3g} < 2^-53 kappa is sqrt(nu + sigma^2 "
+                          "tau)/T to rounding; there is no grid to refine")
     y_max = grid.y_max_at(_s_key(s))
     kappas, grids = [], []
     for level in range(refinements + 1):

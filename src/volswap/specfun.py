@@ -37,22 +37,18 @@ BESSEL_REL_TOL = 1e-14
 def gamma_half_integer(k: int) -> Fraction:
     """The rational Gamma(k/2)/sqrt(pi), exactly, for odd integer k.
 
-    Starts from Gamma(1/2) = sqrt(pi) and walks the recurrence
-    Gamma(x+1) = x*Gamma(x) upward or downward.  Works for negative odd k
-    as well (the poles of Gamma sit at non-positive integers, which k/2
+    In closed form, with k/2 = m + 1/2: Gamma(m + 1/2)/sqrt(pi) =
+    (2m)! / (4^m m!) = (k - 2)!! / 2^((k-1)/2) for m >= 0, and
+    Gamma(1/2 - j)/sqrt(pi) = (-4)^j j! / (2j)! = (-2)^j / (2j - 1)!! for
+    j = -m > 0 (the poles of Gamma sit at non-positive integers, which k/2
     never hits when k is odd).
     """
     if not isinstance(k, int) or k % 2 == 0:
         raise DomainError(f"gamma_half_integer requires an odd integer, got {k!r}")
-    coeff = Fraction(1)
-    x = Fraction(k, 2)
-    while x > Fraction(1, 2):
-        x -= 1
-        coeff *= x
-    while x < Fraction(1, 2):
-        coeff /= x
-        x += 1
-    return coeff
+    m = (k - 1) // 2
+    if m >= 0:
+        return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+    return Fraction((-4) ** -m * math.factorial(-m), math.factorial(-2 * m))
 
 
 def _gamma_sign(x: float) -> float:

@@ -136,10 +136,13 @@ class TestPrice:
         assert message in err
 
     def test_market_annualization(self, tmp_path):
-        code, doc = run(tmp_path, ["price"] + CONVERGENT_POINT
-                        + ["--annualization", "market"], "price.schema.json")
+        # every price reports sqrt((1/T) int sigma^2) = sqrt(T) kappa as well
+        argv = ["price"] + CONVERGENT_POINT     # the same s and zeta at T = 4
+        argv[argv.index("--t") + 1] = "3.5"
+        argv[argv.index("--tenor") + 1] = "4"
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
-        assert doc["kappa_market"] == doc["kappa"]   # tenor 1
+        assert doc["kappa_market"] == 2.0 * doc["kappa"]
 
 
 class TestOracle:
@@ -386,10 +389,12 @@ class TestCompare:
 
 class TestVerify:
     def test_terminal_passes(self, tmp_path):
-        code, doc = run(tmp_path, ["verify", "--check", "terminal",
-                                   "--s-max", "5"], "verify.schema.json")
+        code, doc = run(tmp_path, ["verify"], "verify.schema.json")
         assert code == cli.EXIT_OK
-        assert doc["all_passed"]
+        terminal = [r for r in doc["reports"] if r["check"] == "terminal"]
+        assert len(terminal) == verify.TERMINAL_S_MAX + 1 == 61
+        assert [r["value"] for r in terminal] == ["1"] + ["0"] * 60
+        assert all(r["passed"] for r in terminal)
 
     def test_every_check_passes(self, tmp_path):
         code, doc = run(tmp_path, ["verify"], "verify.schema.json")
@@ -399,27 +404,22 @@ class TestVerify:
             "terminal", "bessel", "j0", "kummer", "psi-pde", "functional",
             "functional-fd"}
 
-    @pytest.mark.parametrize("extra,code,count,digest", [
-        ([], cli.EXIT_OK, 141,
-         "be1125fe578fcfb6481276a1e46049ba399bb04e729dd9d5dffeac0b4bbe94e9"),
-        (["--n-terms", "12", "--s-max", "60"], cli.EXIT_OK, 167,
-         "97d728997f48ee21c1ed6fcc391d1b4b8545fc524464bf40842c6d3c6ffe4ecd"),
-    ], ids=["default", "n-terms-12"])
-    def test_golden_reports(self, tmp_path, extra, code, count, digest):
-        got, doc = run(tmp_path, ["verify"] + extra, "verify.schema.json")
-        assert got == code
-        assert len(doc["reports"]) == count
+    @pytest.mark.parametrize("config_text", [
+        None, "check = terminal\nn-terms = 3\ns-max = -3\n"],
+        ids=["default", "config-with-removed-keys"])
+    def test_golden_reports(self, tmp_path, config_text):
+        # the one configuration: 20 modes and the terminal identity to s = 60,
+        # which the removed --check, --n-terms and --s-max cannot narrow
+        argv = ["verify"]
+        if config_text is not None:
+            argv += ["--config", config(tmp_path, config_text)]
+        code, doc = run(tmp_path, argv, "verify.schema.json")
+        assert code == cli.EXIT_OK
+        assert len(doc["reports"]) == 191
+        assert doc["manifest"]["parameters"] == {}
         canonical = json.dumps(doc["reports"], sort_keys=True)
-        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("n_terms", ["0", "-3"])
-    def test_functional_checks_need_a_term(self, tmp_path, capsys, n_terms):
-        # no term: every harmonicity sum is 0, which would pass vacuously
-        argv = ["verify", "--check", "functional", "--n-terms", n_terms,
-                "--output", str(tmp_path / "out")]
-        code, err = exit_code(argv, capsys)
-        assert code == cli.EXIT_USAGE
-        assert "n_terms must be >= 1" in err
+        assert hashlib.sha256(canonical.encode()).hexdigest() == (
+            "3957070ca58743efe6f218280ea8fdc4fbf3beff5d09573c9c306f48011b69a6")
 
     def test_harmonicity_pass_runs_once(self, tmp_path, monkeypatch):
         # 3 per-mode grids of n + 1 modes each, one per zeta, then one
@@ -428,18 +428,16 @@ class TestVerify:
         pieces = verify.functional_term_pieces
         monkeypatch.setattr(verify, "functional_term_pieces",
                             lambda *point: calls.append(point) or pieces(*point))
-        code, doc = run(tmp_path, ["verify", "--check", "functional"],
-                        "verify.schema.json")
+        code, doc = run(tmp_path, ["verify"], "verify.schema.json")
         assert code == cli.EXIT_OK
         assert [r["check"] for r in doc["reports"][-3:]] == [
             "functional", "functional-fd", "functional-fd"]
-        assert len(calls) == 3 * (10 + 1) + 10 == 43
+        assert len(calls) == 3 * (verify.N_TERMS + 1) + verify.N_TERMS == 83
 
     def test_failed_check_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "check_terminal_identity",
                             lambda s: Fraction(1))
-        code, doc = run(tmp_path, ["verify", "--check", "terminal",
-                                   "--s-max", "2"], "verify.schema.json")
+        code, doc = run(tmp_path, ["verify"], "verify.schema.json")
         assert code == cli.EXIT_VERIFY_FAILED == 1
         assert not doc["all_passed"]
 
@@ -450,7 +448,7 @@ class TestVerify:
     ["oracle", "pde"] + SEED_POINT,
     ["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1", "--nu", "0.03",
      "--seed", "1", "--paths", "100", "--steps", "5"],
-    ["verify", "--check", "terminal", "--s-max", "2"],
+    ["verify"],
 ], ids=["price", "oracle-mc", "oracle-pde", "compare", "verify"])
 def test_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, argv):
     # the wall clock steps back an hour at every reading
@@ -499,13 +497,13 @@ def replay_argv(manifest):
 
 
 @pytest.mark.parametrize("argv", [
-    ["price"] + CONVERGENT_POINT + ["--rate", "0.05", "--annualization", "market"],
+    ["price"] + CONVERGENT_POINT + ["--rate", "0.05"],
     ["price"] + CONVERGENT_POINT + ["--discount-factor", "0.97"],
     ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10"],
     ["oracle", "pde"] + SEED_POINT + ["--refine", "1"],
     ["compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
      "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
-    ["verify", "--check", "terminal"],
+    ["verify"],
 ], ids=["price", "price-discount-factor", "oracle-mc",
         "oracle-pde-refine", "compare", "verify"])
 def test_manifest_replays_the_run(tmp_path, argv):
@@ -523,8 +521,8 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["price"] + SEED_POINT[2:], "--alpha"),
     (["price"] + SEED_POINT + ["--rate", "0.05", "--discount-factor", "0.9"],
      "--discount-factor"),
-    (["price"] + SEED_POINT + ["--annualization", "annual"], "--annualization"),
-    (["verify", "--check", "bogus"], "--check"),
+    (["price"] + SEED_POINT + ["--annualization", "market"], "--annualization"),
+    (["verify", "--check", "terminal"], "--check"),
     (["compare", "--alphas", "0.3,x", "--taus", "0.5", "--zetas", "1",
       "--nu", "0.04", "--seed", "1"], "--alphas"),
     (["compare", "--alphas", ",", "--taus", "0.5", "--zetas", "1",
@@ -533,10 +531,11 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--refine", "-2"], "--refine"),
-    (["verify", "--check", "terminal", "--s-max", "-3"], "--s-max"),
+    (["verify", "--n-terms", "12"], "--n-terms"),
+    (["verify", "--s-max", "60"], "--s-max"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "negative-s-max"])
+        "n-terms", "s-max"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
@@ -607,9 +606,7 @@ class TestConfig:
         (["oracle", "mc"], "paths = 1e3", "--paths"),
         (["oracle", "mc"], "paths = 1001", "n_paths must be even"),
         (["oracle", "pde"], "refine = -2", "--refine"),
-        (["verify"], "s-max = -3", "--s-max"),
-    ], ids=["no-equals", "float", "int", "odd-paths", "negative-refine",
-            "negative-s-max"])
+    ], ids=["no-equals", "float", "int", "odd-paths", "negative-refine"])
     def test_bad_line_is_a_usage_error(self, tmp_path, capsys, command, line,
                                        message):
         path = config(tmp_path, SEED_CONFIG + "seed = 7\n" + line + "\n")

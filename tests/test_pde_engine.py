@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -314,9 +315,25 @@ class TestKappaQuadrature:
 
     def test_overflowing_y_of_x_is_domain_error(self):
         # sqrt(2) sigma / alpha = inf would make the tail bound inf * 0 = nan
+        state = MarketState(t=0.5, sigma=1e306, nu=0.03)    # s = 5e-7 marches
+        with pytest.raises(DomainError, match="sqrt\\(2\\) sigma / alpha overflows"):
+            kappa_quadrature(state, SabrParams(alpha=1e-3), CONTRACT)
+        # at s = 5e-21 the closed form takes over, and sigma^2 tau overflows
         state = MarketState(t=0.5, sigma=1e300, nu=0.03)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="not finite"):
             kappa_quadrature(state, SabrParams(alpha=1e-10), CONTRACT)
+
+    @pytest.mark.parametrize("nu", [0.03, 0.0])
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-80, 1e-150])
+    def test_tiny_s_is_the_closed_form(self, alpha, nu):
+        # s = alpha^2 tau < 2^-53: pchip on y_max ~ s^(-1/2) overflowed, and
+        # the march priced 2.0e-3 off at alpha 1e-80 with a RuntimeWarning
+        state = MarketState(t=0.5, sigma=0.25, nu=nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kappa = kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
+        assert kappa == pytest.approx(math.sqrt(nu + 0.25 ** 2 * 0.5),
+                                      rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("nu", [1e308, sys.float_info.max])
     def test_tail_integral_finite_at_largest_nu(self, nu):
@@ -415,10 +432,12 @@ class TestGridConvergence:
                                    refinements=1)
 
     def test_nothing_to_refine_where_s_underflows(self):
+        # s = 0, and s = 5e-19 below S_CLOSED_FORM: both take the closed form
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        with pytest.raises(DomainError, match="no grid to refine"):
-            grid_refinement_report(state, SabrParams(alpha=1e-200), CONTRACT,
-                                   refinements=1)
+        for alpha in (1e-200, 1e-9):
+            with pytest.raises(DomainError, match="no grid to refine"):
+                grid_refinement_report(state, SabrParams(alpha=alpha), CONTRACT,
+                                       refinements=1)
 
     def test_first_level_is_the_default_price(self, monkeypatch):
         # each level marches on the default grid of the memo key's s, and

@@ -70,8 +70,9 @@ class TestGammaHalfInteger:
             specfun.gamma_half_integer(4)
 
     def test_recurrence_exact(self):
-        # Gamma(k/2 + 1) = (k/2) Gamma(k/2), exact in rational arithmetic
-        for k in range(-21, 22, 2):
+        # Gamma(k/2 + 1) = (k/2) Gamma(k/2), exact in rational arithmetic, over
+        # every k that b_n (to 251) and the terminal identity (to 241) use
+        for k in range(-121, 256, 2):
             lhs = specfun.gamma_half_integer(k + 2)
             rhs = Fraction(k, 2) * specfun.gamma_half_integer(k)
             assert lhs == rhs
@@ -80,6 +81,9 @@ class TestGammaHalfInteger:
         for k in (3, 9, 15, 21):
             assert float(specfun.gamma_half_integer(k)) * SQRT_PI == pytest.approx(
                 math.exp(math.lgamma(k / 2)), rel=1e-14)
+        # the largest k b_n uses, past where exp(lgamma) keeps 14 digits
+        assert math.log(specfun.gamma_half_integer(251)) + math.log(
+            SQRT_PI) == pytest.approx(math.lgamma(251 / 2), rel=1e-15)
 
 
 class TestKummer1F1:
