@@ -4,21 +4,17 @@ Each command maps its parsed flags to a document and an exit code, and
 :func:`main` alone records the run and writes it: one JSON object, or
 RFC-4180 CSV rows for ``compare``, with the run manifest embedded (the
 CSV's last row), so any result can be reproduced bit-for-bit from its own
-output.  The manifest's ``parameters`` are the command's parsed flags by
-dest, all but ``config``, ``output`` and ``seed``, which has a field of its
-own.  ``duration_s`` runs from the start of :func:`main`: it counts parsing,
-the --config read and the engine import, not interpreter start-up.
-Numbers are serialized with shortest round-trip representation (exact for
-64-bit floats) and are never NaN or Infinity: an engine refuses what it
-cannot value, and a refinement ratio it cannot define is null.
+output.  The manifest's ``parameters`` are every flag of the command by
+dest, defaults included, but ``output`` and ``seed``, which has a field of
+its own.  ``duration_s`` runs from the start of :func:`main`: it counts
+parsing and the engine import, not interpreter start-up.  Numbers are
+serialized with shortest round-trip representation (exact for 64-bit
+floats) and are never NaN or Infinity: an engine refuses what it cannot
+value, and a refinement ratio it cannot define is null.
 
 :func:`build_parser` alone states each flag's type, default, choices,
-required-ness and exclusions.  ``--config FILE`` holds ``key = value``
-lines: ``#`` starts a comment, keys are flag names with ``-`` or ``_``,
-and keys the command does not take are ignored, so one file serves several
-commands.  The lines become flags placed right after the command words, so
-the parser checks them as it checks typed flags (even a value a flag
-overrides), and an explicit flag beats the file, which beats the default.
+required-ness and exclusions.  Flags are the only input; flags kept in a
+file reach a command through the shell, ``volswap price $(cat point.args)``.
 
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 ``KUMMER_REL_TOL``, ``QUAD_TOL``) or a verification depth: ``verify`` takes
@@ -27,9 +23,9 @@ no flag of its own and runs every check family at ``verify.N_TERMS`` and
 market-annualized ``kappa_market`` = sqrt(T) kappa.  ``compare`` leaves
 ``kappa_pde`` empty where the PDE refuses, saying why on stderr.
 
-Exit codes: 0 success, 1 verification check failed, 2 usage error,
-3 an engine refused a valid input (series divergence, AccuracyError or
-InstabilityError), 4 comparison failure.
+Exit codes: 0 success, 1 verification check failed, 2 usage error (an
+unwritable ``--output`` too), 3 an engine refused a valid input (series
+divergence, AccuracyError or InstabilityError), 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -58,44 +54,8 @@ EXIT_COMPARE_FAILED = 4
 _COMPARE_SIGMAS = 3.0
 
 
-#: dests a manifest's ``parameters`` leave out; ``seed`` has its own field
-_UNRECORDED = ("config", "output", "seed")
-
-
-def _config_flags(parser, flags: dict, path: str):
-    """Yield the lines of a config file as flags of the command whose
-    actions ``flags`` holds by dest, skipping keys that name none of them."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        parser.error(f"cannot read config: {exc}")
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            parser.error(f"config line {line!r} is not key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        action = flags.get(key.replace("-", "_"))
-        if action is not None:
-            yield f"{action.option_strings[0]}={value}"
-
-
-def _with_config(argv: list, commands: dict) -> list:
-    """``argv`` with its --config file spliced in as flags right after the
-    command words, where the explicit flags that follow override them."""
-    for words, (parser, flags) in commands.items():
-        n = len(words)
-        if tuple(argv[:n]) != words:
-            continue
-        scan = argparse.ArgumentParser(add_help=False)
-        scan.error = parser.error       # report a bare --config as the command
-        scan.add_argument(*flags["config"].option_strings, dest="path")
-        path = scan.parse_known_args(argv[n:])[0].path
-        if path is not None:
-            return argv[:n] + list(_config_flags(parser, flags, path)) + argv[n:]
-    return argv
+#: dests that are no manifest parameter: the parser's own, ``output`` and ``seed``
+_UNRECORDED = ("func", "words", "command", "oracle", "output", "seed")
 
 
 def _market_inputs(args, **terms):
@@ -254,12 +214,12 @@ def cmd_verify(args) -> tuple:
             EXIT_OK if all_passed else EXIT_VERIFY_FAILED)
 
 
-def build_parser():
-    """(parser, commands): the volswap parser, and each command's words
-    mapped to its parser and to its flags' actions by dest.
+def build_parser() -> argparse.ArgumentParser:
+    """The volswap parser: each command's words and function are defaults
+    (``words``, ``func``) of the namespace it parses.
 
     The only place a flag's type, default, choices, required-ness and
-    exclusions are stated; a --config file is parsed through it as well.
+    exclusions are stated.
     """
     parser = argparse.ArgumentParser(
         prog="volswap",
@@ -267,79 +227,65 @@ def build_parser():
                     "series pricer, Monte Carlo / PDE oracles, verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     def command(subparsers, words, func, **kwargs):
-        """A command's parser, and the function that adds a flag to it."""
         p = subparsers.add_parser(words[-1], **kwargs)
         p.set_defaults(func=func, words=words)
-        flags = {}
-        commands[words] = (p, flags)
+        p.add_argument("--output", help="write the document here instead of stdout")
+        return p
 
-        def flag(*names, group=p, **options):
-            action = group.add_argument(*names, **options)
-            flags[action.dest] = action
+    def market(p):
+        p.add_argument("--alpha", type=float, required=True, help="vol-of-vol")
+        p.add_argument("--sigma", type=float, required=True, help="volatility at t")
+        p.add_argument("--nu", type=float, required=True, help="accrued realized variance")
+        p.add_argument("--t0", type=float, default=0.0, help="accrual start (default 0)")
+        p.add_argument("--tenor", type=float, required=True, help="accrual length T")
+        p.add_argument("--t", type=float, required=True, help="valuation time")
 
-        flag("--config", metavar="FILE",
-             help="key = value lines read as flags, checked alike; keys the "
-                  "command does not take are ignored; explicit flags win")
-        flag("--output", help="write the document here instead of stdout")
-        return p, flag
+    def simulation(p):
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--paths", type=int, default=100_000, help="even (antithetic pairs)")
+        p.add_argument("--steps", type=int, default=250)
 
-    def market(flag):
-        flag("--alpha", type=float, required=True, help="vol-of-vol")
-        flag("--sigma", type=float, required=True, help="instantaneous volatility")
-        flag("--nu", type=float, required=True, help="accrued realized variance")
-        flag("--t0", type=float, default=0.0, help="accrual start (default 0)")
-        flag("--tenor", type=float, required=True, help="accrual length T")
-        flag("--t", type=float, required=True, help="valuation time")
-
-    def simulation(flag):
-        flag("--seed", type=int, required=True)
-        flag("--paths", type=int, default=100_000, help="even: two per antithetic pair")
-        flag("--steps", type=int, default=250)
-
-    p_price, flag = command(sub, ("price",), cmd_price, help="series fair value")
-    market(flag)
-    flag("--strike", type=float, default=0.0)
-    flag("--notional", type=float, default=1.0)
-    discount = p_price.add_mutually_exclusive_group()
-    flag("--rate", group=discount, type=float, help="flat short rate (default 0)")
-    flag("--discount-factor", group=discount, type=float)
+    p = command(sub, ("price",), cmd_price, help="series fair value")
+    market(p)
+    p.add_argument("--strike", type=float, default=0.0)
+    p.add_argument("--notional", type=float, default=1.0)
+    discount = p.add_mutually_exclusive_group()
+    discount.add_argument("--rate", type=float, help="flat short rate (default 0)")
+    discount.add_argument("--discount-factor", type=float)
 
     o_sub = sub.add_parser("oracle", help="Monte Carlo or PDE reference value"
                            ).add_subparsers(dest="oracle", required=True)
-    _, flag = command(o_sub, ("oracle", "mc"), cmd_oracle_mc)
-    market(flag)
-    simulation(flag)
-    _, flag = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
-    market(flag)
-    flag("--n-y", type=int, default=400)
-    flag("--n-t", type=int, default=400)
-    flag("--y-max", type=float)
-    flag("--refine", type=count, default=0)
+    p = command(o_sub, ("oracle", "mc"), cmd_oracle_mc)
+    market(p)
+    simulation(p)
+    p = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
+    market(p)
+    p.add_argument("--n-y", type=int, default=400)
+    p.add_argument("--n-t", type=int, default=400)
+    p.add_argument("--y-max", type=float)
+    p.add_argument("--refine", type=count, default=0)
 
-    _, flag = command(sub, ("compare",), cmd_compare,
-                      help="series vs MC vs PDE sweep (CSV)")
-    flag("--alphas", type=float_list, required=True, help="comma-separated vol-of-vols")
-    flag("--taus", type=float_list, required=True, help="comma-separated times to maturity")
-    flag("--zetas", type=float_list, required=True, help="comma-separated zetas")
-    flag("--nu", type=float, required=True)
-    flag("--tenor", type=float, default=1.0)
-    flag("--t0", type=float, default=0.0)
-    simulation(flag)
+    p = command(sub, ("compare",), cmd_compare, help="series vs MC vs PDE sweep (CSV)")
+    p.add_argument("--alphas", type=float_list, required=True,
+                   help="comma-separated vol-of-vols")
+    p.add_argument("--taus", type=float_list, required=True,
+                   help="comma-separated times to maturity")
+    p.add_argument("--zetas", type=float_list, required=True, help="comma-separated zetas")
+    p.add_argument("--nu", type=float, required=True)
+    p.add_argument("--tenor", type=float, default=1.0)
+    p.add_argument("--t0", type=float, default=0.0)
+    simulation(p)
 
-    command(sub, ("verify",), cmd_verify,
-            help="run the identity verification suite")
-    return parser, commands
+    command(sub, ("verify",), cmd_verify, help="run the identity verification suite")
+    return parser
 
 
 def main(argv=None) -> int:
     """Run one command; the only writer of a document and its manifest."""
     started = time.perf_counter()
-    parser, commands = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_with_config(argv, commands))
+    args = build_parser().parse_args(argv)
     try:
         document, code = args.func(args)
     except VolswapError as exc:
@@ -351,7 +297,7 @@ def main(argv=None) -> int:
         "command": " ".join(args.words),
         "tool": "volswap",
         "version": __version__,
-        "parameters": {dest: getattr(args, dest) for dest in commands[args.words][1]
+        "parameters": {dest: value for dest, value in vars(args).items()
                        if dest not in _UNRECORDED},
         "seed": getattr(args, "seed", None),
         "duration_s": time.perf_counter() - started,
@@ -368,11 +314,15 @@ def main(argv=None) -> int:
                                                  allow_nan=False)]
                         + [""] * (len(document[0]) - 2))
         text = buffer.getvalue()
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"volswap: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -128,12 +128,12 @@ PSI_FIRST_NODE_MIN = 0.5
 #: implicit-Euler startup steps (each split in two half-steps).
 RANNACHER_STEPS = 2
 #: s = alpha^2 tau below which kappa is sqrt(nu + sigma^2 tau)/T, no march.
-#: There expm1(s)/s rounds to 1, so with B = nu + int sigma^2 the closed
-#: form lies between Jensen's sqrt(E[B]) and Hoelder's
-#: E[B]^(3/2) / E[B^2]^(1/2), which differ by at most ~(2/3) s <= 7.4e-17
-#: relative: under one ulp.  A march there builds pchip on y_max ~ s^(-1/2),
-#: whose slopes overflow or underflow.
-S_CLOSED_FORM = 2.0 ** -53
+#: There the closed form lies between Hoelder's E[B]^(3/2) / E[B^2]^(1/2)
+#: and Jensen's sqrt(E[B]), B = nu + int sigma^2, which differ by at most
+#: ~(2/3) s < 4e-8 relative; the default grid errs by 1.9e-7 (nu 0.03) to
+#: 5.9e-7 (nu 0) at sigma 0.25, tau 0.5, and below s = 2^-53 its pchip on
+#: y_max ~ s^(-1/2) has slopes that overflow or underflow.
+S_CLOSED_FORM = 2.0 ** -24
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
@@ -351,7 +351,7 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
     one march.  Below s = ``S_CLOSED_FORM`` (at maturity, where alpha^2 tau
     underflows, or where sigma barely moves) kappa is sqrt(nu + sigma^2
-    tau)/T to rounding, a :class:`DomainError` where that is not finite.
+    tau)/T within 4e-8, a :class:`DomainError` where that is not finite.
     Raises :class:`AccuracyError` if the bound on the neglected parts of the
     integral exceeds ``QUAD_TOL`` (about 1e-8 on the default grid).
     """
@@ -427,8 +427,8 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     """
     _, s, _, _ = reduced_variables(state, params, contract)
     if s < S_CLOSED_FORM:
-        raise DomainError(f"at s = {s:.3g} < 2^-53 kappa is sqrt(nu + sigma^2 "
-                          "tau)/T to rounding; there is no grid to refine")
+        raise DomainError(f"at s = {s:.3g} < 2^-24 kappa is sqrt(nu + sigma^2 "
+                          "tau)/T within 4e-8; there is no grid to refine")
     y_max = grid.y_max_at(_s_key(s))
     kappas, grids = [], []
     for level in range(refinements + 1):

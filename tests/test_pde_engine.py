@@ -335,6 +335,27 @@ class TestKappaQuadrature:
         assert kappa == pytest.approx(math.sqrt(nu + 0.25 ** 2 * 0.5),
                                       rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("nu", [0.03, 0.0])
+    @pytest.mark.parametrize("s", [1e-8, 1e-12])
+    def test_small_s_lies_in_the_moment_bracket(self, s, nu):
+        # with B = nu + int sigma^2, kappa T = E[sqrt(B)] lies between
+        # Hoelder's E[B]^(3/2) / E[B^2]^(1/2) and Jensen's sqrt(E[B]); the
+        # default-grid march priced here 1.9e-7 (nu 0.03) and 5.9e-7 (nu 0) low
+        tau, sigma = 0.5, 0.25
+        alpha = math.sqrt(s / tau)
+        kappa = kappa_quadrature(MarketState(t=CONTRACT.maturity - tau, sigma=sigma,
+                                             nu=nu), SabrParams(alpha=alpha), CONTRACT)
+        with mpmath.workdps(50):
+            a, v = mpmath.mpf(alpha) ** 2, mpmath.mpf(sigma) ** 2
+            mean_v = v * mpmath.expm1(a * tau) / a
+            # E[(int sigma^2)^2] = 2 int_0^tau du int_u^tau dv v^2 e^(5 a u + a v)
+            square_v = 2 * v * v / a * (mpmath.exp(a * tau) * mpmath.expm1(5 * a * tau)
+                                        / (5 * a) - mpmath.expm1(6 * a * tau) / (6 * a))
+            mean_b, square_b = nu + mean_v, nu * nu + 2 * nu * mean_v + square_v
+            lower = mean_b ** 1.5 / mpmath.sqrt(square_b) / CONTRACT.tenor
+            upper = mpmath.sqrt(mean_b) / CONTRACT.tenor
+            assert lower <= kappa <= upper
+
     @pytest.mark.parametrize("nu", [1e308, sys.float_info.max])
     def test_tail_integral_finite_at_largest_nu(self, nu):
         # sqrt(pi nu) overflowed and inf * erfc(...) = inf * 0 gave nan;
