@@ -32,12 +32,14 @@ is factored once per march with LAPACK ``pttrf``.  A Rannacher half-step
 (implicit Euler over ds/2) is one ``pttrs`` solve, :func:`solve_banded`, of
 (I + (ds/2) A) w = u + (ds/4) e_1, the last term from psi(., 0) = 1; a
 Crank-Nicolson step over ds is that half-step extrapolated, u -> 2 w - u,
-so no step forms an explicit half.  The maximum principle is checked on
-the per-node extremes of u, multiplied by i once at the end, which is
-exact because rounding is monotone.  Against the same scheme marched on
-psi itself (explicit half plus an LU solve of the unsymmetric matrix) psi
-moves by rounding only, within 1e-12 on the tested grids of 400 to 1600
-nodes.
+so no step forms an explicit half.  Each step writes its row into a
+buffer of ``CHECK_ROWS`` rows, and every full block (and the last, partial
+one) is folded into the per-node extremes of u with one ``min`` and one
+``max`` over its rows.  The maximum principle is checked on those
+extremes, multiplied by i once at the end, which is exact because rounding
+is monotone.  Against the same scheme marched on psi itself (explicit half
+plus an LU solve of the unsymmetric matrix) psi moves by rounding only,
+within 1e-12 on the tested grids of 400 to 1600 nodes.
 
 ``dpttrf`` and ``dpttrs`` are scipy's f2py wrappers, the same objects
 ``scipy.linalg.lapack`` exports, taken from the compiled extension
@@ -66,9 +68,14 @@ sqrt(zeta)/2) up to y_cut = min(y_max, 2 sqrt(46 zeta)), exact for the cubic
 at nu = 0.  Past y_cut the weight is below e^-46 and pchip is monotone per
 cell, so the dropped part is at most max|q(knots)| sqrt(pi zeta)
 erfc(y_cut / (2 sqrt(zeta))); c times its sum with boundary_max / y_max must
-stay below ``QUAD_TOL``.  A price is one ``exp`` over the nodes and one dot
+stay below ``QUAD_TOL``.  Nothing but the weight depends on zeta where a
+cell needs no sub-cells (zeta >= 4 h^2, and nu = 0), so :func:`solve_psi`
+stores max|q(knots)| and the cubic at every whole cell's six nodes once per
+march; such a price is one ``exp`` over the tabulated nodes and one dot
 product, :func:`quad`, named like :func:`solve_banded` after the scipy
 routine it replaced, which tracing tools look up by module attribute.
+Sub-cells evaluate the same cubic, by the same Horner formula, at their
+own nodes.
 
 :func:`kappa_quadrature` marches once per (s, grid): it looks psi up in
 :func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
@@ -134,6 +141,9 @@ RANNACHER_STEPS = 2
 #: 5.9e-7 (nu 0) at sigma 0.25, tau 0.5, and below s = 2^-53 its pchip on
 #: y_max ~ s^(-1/2) has slopes that overflow or underflow.
 S_CLOSED_FORM = 2.0 ** -24
+#: march rows buffered, then folded into the maximum-principle extremes with
+#: one ``min`` and one ``max``: fewer numpy calls per step, the same extremes.
+CHECK_ROWS = 64
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
@@ -160,8 +170,8 @@ class GridSpec:
     n_t: int = 400
 
     def __post_init__(self):
-        if self.y_max is not None and not (self.y_max > 0):
-            raise DomainError(f"y_max must be positive, got {self.y_max}")
+        if self.y_max is not None and not (0 < self.y_max < math.inf):
+            raise DomainError(f"y_max must be positive and finite, got {self.y_max}")
         if self.n_y < 16 or self.n_t < 16:
             raise DomainError("grid needs n_y >= 16 and n_t >= 16")
 
@@ -179,6 +189,8 @@ class PsiSolution:
     final row, whose penultimate-node value is stored as ``boundary_max``.
     ``q_coeffs`` holds the pchip cubic of q(y) = (1 - psi(y)) / y^2 on each
     cell: column i holds (c3, c2, c1, c0) of the cubic in y - y[i].
+    ``q_max`` is max |q| at the knots; row i of ``gl_nodes`` holds the six
+    Gauss-Legendre nodes of cell i and row i of ``gl_q`` the cubic there.
     """
 
     y: np.ndarray
@@ -186,10 +198,13 @@ class PsiSolution:
     boundary_max: float
     s: float
     q_coeffs: np.ndarray        # shape (4, n_y)
+    q_max: float
+    gl_nodes: np.ndarray        # shape (n_y, 6)
+    gl_q: np.ndarray            # shape (n_y, 6)
 
     def __post_init__(self):
         # psi_memo hands one instance to every caller that shares its s
-        for array in (self.y, self.final, self.q_coeffs):
+        for array in (self.y, self.final, self.q_coeffs, self.gl_nodes, self.gl_q):
             array.flags.writeable = False
 
 
@@ -226,6 +241,12 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d[a] = end
     t = (d[:-1] + d[1:] - 2 * m) / h
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _cubic(coeffs: np.ndarray, left: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The cubics ``coeffs`` = (c3, c2, c1, c0), of v - left, at v by Horner."""
+    (c3, c2, c1, c0), d = coeffs, v - left
+    return ((c3 * d + c2) * d + c1) * d + c0
 
 
 def _pchip_coeffs(y: np.ndarray, psi: np.ndarray, s: float) -> np.ndarray:
@@ -271,7 +292,8 @@ def solve_psi(alpha: float, tau: float,
     y_max = grid.y_max_at(s)
     n = grid.n_y
     y = np.linspace(0.0, y_max, n + 1)
-    if not (y[1] * y[1] > 0.0 and y_max * y_max < math.inf):
+    h = float(y[1])
+    if not (h * h > 0.0 and y_max * y_max < math.inf):
         raise DomainError(f"q = (1 - psi) / y^2 is not finite on the grid up to "
                           f"y_max {y_max:.3g}: y^2 underflows at h or overflows")
     # I + (ds/2) A on u_i = psi_i / i at the interior nodes i, as the module
@@ -283,22 +305,28 @@ def solve_psi(alpha: float, tau: float,
                          -0.5 * half_ds * (i[:-1] * i[1:]))
     u = 1.0 / i                           # terminal data psi = 1
     w = np.empty_like(u)
-    seen_lo, seen_hi = u.copy(), u.copy()   # every row so far
+    seen_lo, seen_hi = u, u                 # every row before this block
+    rows = np.empty((CHECK_ROWS, n - 1))    # this block; row k % CHECK_ROWS is u
 
     # a Rannacher half-step solves (I + (ds/2) A) w = u + (ds/4) e_1; a
     # Crank-Nicolson step is 2 w - u, with 2 w the solve of 2 u + (ds/2) e_1
     for k in range(grid.n_t):
+        row = rows[k % CHECK_ROWS]
         if k < RANNACHER_STEPS:
+            row[:] = u
             for _ in range(2):
-                u[0] += 0.5 * half_ds
-                solve_banded(factors, u)
+                row[0] += 0.5 * half_ds
+                solve_banded(factors, row)
         else:
             np.multiply(u, 2.0, out=w)
             w[0] += half_ds
             solve_banded(factors, w)
-            np.subtract(w, u, out=u)
-        np.minimum(seen_lo, u, out=seen_lo)
-        np.maximum(seen_hi, u, out=seen_hi)
+            np.subtract(w, u, out=row)
+        u = row
+        if k % CHECK_ROWS == CHECK_ROWS - 1 or k == grid.n_t - 1:
+            block = rows[:k % CHECK_ROWS + 1]
+            seen_lo = np.minimum(seen_lo, block.min(axis=0))
+            seen_hi = np.maximum(seen_hi, block.max(axis=0))
 
     # i > 0 and rounding is monotone, so i * seen is the extreme psi per node;
     # psi(., 0) = 1 and the far-field Dirichlet psi(., y_max) = 0 join the range
@@ -319,8 +347,13 @@ def solve_psi(alpha: float, tau: float,
         raise AccuracyError(
             f"psi falls to {psi[1]:.3e} at the first node y = {y[1]:.3g}: the "
             f"grid does not resolve its decay; shrink y_max (used {y_max:.3g})")
+    coeffs = _pchip_coeffs(y, psi, s)
+    # each pchip cell is monotone, so |q| peaks at a knot
+    q_max = max(np.abs(coeffs[3]).max(), abs(np.polyval(coeffs[:, -1], h)))
+    nodes = (np.arange(n)[:, None] + 0.5 * (GL_NODES + 1.0)) * h
     return PsiSolution(y=y, final=psi, boundary_max=boundary_max, s=s,
-                       q_coeffs=_pchip_coeffs(y, psi, s))
+                       q_coeffs=coeffs, q_max=float(q_max), gl_nodes=nodes,
+                       gl_q=_cubic(coeffs[:, :, None], y[:-1, None], nodes))
 
 
 @functools.lru_cache(maxsize=PSI_MEMO_SIZE)
@@ -382,13 +415,12 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
         raise DomainError(f"sqrt(2) sigma / alpha overflows at alpha {params.alpha}")
     _, _, zeta, root_nu = reduced_variables(state, params, contract)
     zeta = max(zeta, sys.float_info.min)    # the weight needs zeta > 0
-    y, coeffs = solution.y, solution.q_coeffs
+    y = solution.y
     y_max, h, n_y = float(y[-1]), float(y[1]), len(y) - 1
     y_cut = min(y_max, 2.0 * math.sqrt(WEIGHT_CUT * zeta))
     tail_bound = solution.boundary_max / y_max    # in y; times c below
-    if y_cut < y_max:   # each pchip cell is monotone: |q| peaks at a knot
-        q_max = max(np.abs(coeffs[3]).max(), abs(np.polyval(coeffs[:, -1], h)))
-        tail_bound += (q_max * math.sqrt(math.pi * zeta)
+    if y_cut < y_max:
+        tail_bound += (solution.q_max * math.sqrt(math.pi * zeta)
                        * math.erfc(y_cut / (2.0 * math.sqrt(zeta))))
     if c * tail_bound > QUAD_TOL:
         raise AccuracyError(
@@ -396,15 +428,19 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
 
     parts = max(1.0, np.ceil(2.0 * h / math.sqrt(zeta)))   # sub-cells per cell
     width = h / parts
-    sub = np.arange(math.ceil(min(y_cut / width, n_y * parts)))[:, None]
-    cell = ((sub + 0.5) // parts).astype(np.intp)
-    (c3, c2, c1, c0), left = coeffs[:, cell], y[cell]
-    nodes = (sub + 0.5 * (GL_NODES + 1.0)) * width
-    weights = np.broadcast_to(0.5 * width * GL_WEIGHTS, nodes.shape)
+    m = math.ceil(min(y_cut / width, n_y * parts))          # sub-cells used
+    if parts == 1.0:    # whole cells: the march tabulated q at their nodes
+        nodes, q = solution.gl_nodes[:m], solution.gl_q[:m]
+    else:
+        sub = np.arange(m)[:, None]
+        cell = ((sub + 0.5) // parts).astype(np.intp)      # row i lies in cell[i]
+        nodes = (sub + 0.5 * (GL_NODES + 1.0)) * width
+        q = _cubic(solution.q_coeffs[:, cell], y[cell], nodes)
+    weights = np.empty_like(nodes)
+    weights[:] = 0.5 * width * GL_WEIGHTS
 
-    def integrand(v: np.ndarray) -> np.ndarray:   # row i of v lies in cell[i]
-        d = v - left
-        return (((c3 * d + c2) * d + c1) * d + c0) * np.exp(v * v / (-4.0 * zeta))
+    def integrand(v: np.ndarray) -> np.ndarray:
+        return q * np.exp(v * v / (-4.0 * zeta))
 
     # int_y_max^inf e^(-y^2 / (4 zeta)) / y^2 dy, psi taken as 0 there
     tail = (math.exp(y_max * y_max / (-4.0 * zeta)) / y_max

@@ -65,6 +65,11 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(n_t=8)
 
+    @pytest.mark.parametrize("y_max", [0.0, -1.0, math.inf, math.nan])
+    def test_y_max_must_be_positive_and_finite(self, y_max):
+        with pytest.raises(DomainError, match="positive and finite"):
+            GridSpec(y_max=y_max)
+
 
 class TestSolvePsi:
     def test_s_zero_is_a_domain_error(self):
@@ -97,8 +102,40 @@ class TestSolvePsi:
         assert abs(value - series_value) <= max(1e-4, estimate)
 
     def test_coarse_grid_raises_instability(self):
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError) as info:
             solve_psi(0.4, 0.5, GridSpec(n_y=100, n_t=100))
+        assert str(info.value) == ("psi left [0,1] by more than 1e-06 (range "
+                                   "[-1.238e-04, 1.000e+00]); refine the grid")
+
+    @pytest.mark.parametrize("step", ["first_crank_nicolson", "first_block_end",
+                                      "last_partial_block"])
+    def test_maximum_principle_sees_every_row(self, step, monkeypatch):
+        # one interior node of one row is set to psi = 2 and later rows
+        # smooth it out, so the check must fold in that very row
+        check_rows = pde_engine.CHECK_ROWS
+        grid = GridSpec(y_max=32.0, n_y=128, n_t=check_rows + check_rows // 2 + 3)
+        assert grid.n_t % check_rows != 0
+        solve_psi(0.4, 0.5, grid)           # the grid itself is stable
+        k = {"first_crank_nicolson": pde_engine.RANNACHER_STEPS,
+             "first_block_end": check_rows - 1,
+             "last_partial_block": grid.n_t - 1}[step]
+        # steps before RANNACHER_STEPS take two solves, later ones one
+        target = k + pde_engine.RANNACHER_STEPS
+        solves, solve, j = [], pde_engine.solve_banded, 60
+
+        def spy(factors, rhs):
+            # a Crank-Nicolson step solves 2 u + (ds/2) e_1 for 2 w; u = 2 w - u
+            previous = 0.5 * rhs[j]
+            solve(factors, rhs)
+            if len(solves) == target:
+                rhs[j] = 2.0 / (j + 1) + previous
+            solves.append(None)
+
+        monkeypatch.setattr(pde_engine, "solve_banded", spy)
+        with pytest.raises(InstabilityError) as info:
+            solve_psi(0.4, 0.5, grid)
+        assert len(solves) == grid.n_t + pde_engine.RANNACHER_STEPS
+        assert "2.000e+00]" in str(info.value)
 
     def test_small_domain_raises_accuracy(self):
         with pytest.raises(AccuracyError):
@@ -373,6 +410,17 @@ class TestKappaQuadrature:
             kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
                              GridSpec(y_max=y_max))
 
+    @pytest.mark.parametrize("y_max", [1e200, 1e300, math.inf])
+    def test_huge_y_max_is_refused_without_a_warning(self, y_max):
+        # y^2 overflowed in numpy scalars (or linspace met inf), and a
+        # RuntimeWarning reached stderr ahead of the refusal
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
+                                 GridSpec(y_max=y_max))
+
     def test_tail_bound_enforced(self, monkeypatch):
         # calibrate QUAD_TOL just under the achievable tail bound
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -509,6 +557,8 @@ class TestGolden:
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
                           GridSpec(y_max=32.0, n_y=256, n_t=320),
                           "0.24914154093888097"),
+        # s = 5e-4, zeta = 0.499: six sub-cells per cell of width h = 2.02
+        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828426136027"),
     }
 
     @staticmethod
@@ -521,6 +571,21 @@ class TestGolden:
         point, grid, expected = self.KAPPAS[case]
         kappa = kappa_quadrature(*self._inputs(*point), CONTRACT, grid)
         assert repr(kappa) == expected
+
+    def test_kappa_digest(self, marches):
+        # 12 s from 5e-4 to 0.7 by 6 zeta from 0.02 to 40, plus nu = 0: both
+        # whole cells (zeta >= 4 h^2, and nu = 0) and sub-cells
+        digest = hashlib.sha256()
+        for k in range(12):
+            s = 5e-4 * 1400.0 ** (k / 11)
+            for zeta in (0.02, 0.1, 0.5, 2.0, 10.0, 40.0, None):
+                nu = 0.04 if zeta else 0.0
+                sigma = math.sqrt(2.0 * zeta * nu) if zeta else 0.3
+                state = MarketState(t=CONTRACT.maturity - s, sigma=sigma, nu=nu)
+                kappa = kappa_quadrature(state, SabrParams(alpha=1.0), CONTRACT)
+                digest.update(repr(kappa).encode())
+        assert digest.hexdigest() == (
+            "c986b930b9bbe5c37497d7373f51df8f1b35e4cec805a2ae5a8d12c9aae49641")
 
     def test_default_grid_refusal_at_s_0_8(self, marches):
         state, params = MarketState(t=0.2, sigma=0.3, nu=0.02), SabrParams(alpha=1.0)
@@ -579,7 +644,7 @@ class TestFixedNodeRule:
         assert np.array_equal(pde_engine.GL_WEIGHTS, weights)
 
     @pytest.mark.parametrize("case", ["small_s", "mid_s", "large_s",
-                                      "high_zeta", "nu_zero"])
+                                      "high_zeta", "nu_zero", "sub_cells"])
     def test_matches_mpmath_integral_of_the_interpolant(self, case):
         (alpha, tau, sigma, nu), grid, _ = TestGolden.KAPPAS[case]
         state, params = TestGolden._inputs(alpha, tau, sigma, nu)
