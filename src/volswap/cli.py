@@ -1,16 +1,17 @@
 """Command-line surface: pricing, oracles, sweeps and verification.
 
 Each command maps its parsed flags to a document and an exit code, and
-:func:`main` alone records the run and writes it: one JSON object, or
-RFC-4180 CSV rows for ``compare``, with the run manifest embedded (the
-CSV's last row), so any result can be reproduced bit-for-bit from its own
-output.  The manifest's ``parameters`` are every flag of the command by
-dest, defaults included, but ``output`` and ``seed``, which has a field of
-its own.  ``duration_s`` runs from the start of :func:`main`: it counts
+:func:`main` alone records the run and writes it: one JSON object with the
+run manifest embedded, which the command's schema in ``docs/schemas``
+checks, so any result can be reproduced bit-for-bit from its own output.
+The manifest's ``parameters`` are every flag of the command by dest,
+defaults included, but ``output`` and ``seed``, which has a field of its
+own.  ``duration_s`` runs from the start of :func:`main`: it counts
 parsing and the engine import, not interpreter start-up.  Numbers are
 serialized with shortest round-trip representation (exact for 64-bit
 floats) and are never NaN or Infinity: an engine refuses what it cannot
-value, and a refinement ratio it cannot define is null.
+value, and a refinement ratio or a count of MC standard errors it cannot
+define is null.
 
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  Flags are the only input; flags kept in a
@@ -18,10 +19,11 @@ file reach a command through the shell, ``volswap price $(cat point.args)``.
 
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 ``KUMMER_REL_TOL``, ``QUAD_TOL``) or a verification depth: ``verify`` takes
-no flag of its own and runs every check family at ``verify.N_TERMS`` and
-``verify.TERMINAL_S_MAX``.  ``price`` always reports both ``kappa`` and the
-market-annualized ``kappa_market`` = sqrt(T) kappa.  ``compare`` leaves
-``kappa_pde`` empty where the PDE refuses, saying why on stderr.
+no flag of its own and runs every check family at ``verify.N_TERMS``,
+``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``.  ``price`` always
+reports both ``kappa`` and the market-annualized ``kappa_market`` =
+sqrt(T) kappa.  ``compare`` makes a row's ``kappa_pde`` null where the PDE
+refuses, saying why on stderr.
 
 Exit codes: 0 success, 1 verification check failed, 2 usage error (an
 unwritable ``--output`` too), 3 an engine refused a valid input (series
@@ -31,9 +33,7 @@ divergence, AccuracyError or InstabilityError), 4 comparison failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -130,10 +130,13 @@ def count(raw: str) -> int:
 
 
 def cmd_compare(args) -> tuple:
-    """The CSV rows, header first, and the exit code."""
+    """One row per (alpha, tau, zeta), valued at t = tenor - tau, and exit 4
+    unless every convergent series lies within ``_COMPARE_SIGMAS`` MC
+    standard errors of the MC mean.  ``kappa_pde`` is null where the PDE
+    refuses, and ``abs_diff_mc_sigmas`` where infinite, which fails the row."""
     from . import mc_engine, pde_engine
-    nu, tenor, t0 = args.nu, args.tenor, args.t0
-    contract = SwapContract(t0=t0, tenor=tenor)
+    nu, tenor = args.nu, args.tenor
+    contract = SwapContract(t0=0.0, tenor=tenor)
     if nu <= 0:
         raise DomainError("compare requires nu > 0 (series regime)")
     points = []     # every row's inputs, checked before the first is priced
@@ -142,13 +145,10 @@ def cmd_compare(args) -> tuple:
             raise DomainError(f"a row needs 0 <= tau <= tenor and zeta > 0, "
                               f"got tau {tau}, zeta {zeta}")
         sigma = math.sqrt(2.0 * alpha * alpha * nu * zeta)
-        # t0 + (tenor - tau) cannot round below t0 or past maturity
         points.append((alpha, tau, zeta, SabrParams(alpha=alpha),
-                       MarketState(t=t0 + (tenor - tau), sigma=sigma, nu=nu)))
+                       MarketState(t=tenor - tau, sigma=sigma, nu=nu)))
 
-    rows = [["alpha", "tau", "zeta", "kappa_series", "regime", "kappa_mc",
-             "mc_se", "kappa_pde", "abs_diff_mc_sigmas"]]
-    failures = 0
+    rows, all_passed = [], True
     config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
                                 seed=args.seed)
     for alpha, tau, zeta, params, state in points:
@@ -159,17 +159,20 @@ def cmd_compare(args) -> tuple:
         except VolswapError as exc:     # the row keeps its other engines
             print(f"volswap: no kappa_pde at alpha {alpha}, tau {tau}, "
                   f"zeta {zeta}: {exc}", file=sys.stderr)
-            kappa_p = ""
+            kappa_p = None
         diff = abs(kappa_s - mc.mean)
         if mc.std_error > 0.0:
             sigmas = diff / mc.std_error
         else:
             sigmas = 0.0 if diff == 0.0 else math.inf
         if diag.regime == series_pricer.REGIME_CONVERGENT and sigmas > _COMPARE_SIGMAS:
-            failures += 1
-        rows.append([alpha, tau, zeta, kappa_s, diag.regime,
-                     mc.mean, mc.std_error, kappa_p, sigmas])
-    return rows, EXIT_COMPARE_FAILED if failures else EXIT_OK
+            all_passed = False
+        rows.append({"alpha": alpha, "tau": tau, "zeta": zeta, "kappa_series": kappa_s,
+                     "regime": diag.regime, "kappa_mc": mc.mean, "mc_se": mc.std_error,
+                     "kappa_pde": kappa_p,
+                     "abs_diff_mc_sigmas": sigmas if math.isfinite(sigmas) else None})
+    return ({"rows": rows, "all_passed": all_passed},
+            EXIT_OK if all_passed else EXIT_COMPARE_FAILED)
 
 
 def _verify_reports() -> list:
@@ -187,7 +190,7 @@ def _verify_reports() -> list:
                         "point": f"s={s}" if s else "s=0 leading coefficient",
                         "value": str(value), "passed": value == int(s == 0)})
     for y in (0.1, 0.5, 1.0, 2.0, 5.0):
-        add("bessel", verify.check_bessel_sqrt_expansion(y, 60))
+        add("bessel", verify.check_bessel_sqrt_expansion(y, verify.BESSEL_TERMS))
     for i in range(50):
         z = 10.0 ** (-2.0 + (i + 1) * (math.log10(50.0) + 2.0) / 50.0)
         add("j0", verify.check_j0(z))
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=float)
     p.add_argument("--refine", type=count, default=0)
 
-    p = command(sub, ("compare",), cmd_compare, help="series vs MC vs PDE sweep (CSV)")
+    p = command(sub, ("compare",), cmd_compare, help="series vs MC vs PDE sweep")
     p.add_argument("--alphas", type=float_list, required=True,
                    help="comma-separated vol-of-vols")
     p.add_argument("--taus", type=float_list, required=True,
@@ -275,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zetas", type=float_list, required=True, help="comma-separated zetas")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--tenor", type=float, default=1.0)
-    p.add_argument("--t0", type=float, default=0.0)
     simulation(p)
 
     command(sub, ("verify",), cmd_verify, help="run the identity verification suite")
@@ -302,23 +304,13 @@ def main(argv=None) -> int:
         "seed": getattr(args, "seed", None),
         "duration_s": time.perf_counter() - started,
     }
-    if isinstance(document, dict):
-        document["manifest"] = manifest
-        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    else:   # compare's CSV rows, the manifest row last
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
-                         for row in document)
-        writer.writerow(["#manifest", json.dumps(manifest, sort_keys=True,
-                                                 allow_nan=False)]
-                        + [""] * (len(document[0]) - 2))
-        text = buffer.getvalue()
+    document["manifest"] = manifest
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if not args.output:
         sys.stdout.write(text)
         return code
     try:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"volswap: cannot write {args.output}: {exc.strerror}", file=sys.stderr)

@@ -202,7 +202,8 @@ def price_volatility_swap(state: MarketState, params: SabrParams,
     """Series kappa plus discounting, bundled into one PricingResult.
 
     A negative (diverged) kappa is composed and flagged, not rejected, so
-    callers can surface it.  Raises :class:`DomainError` unless 0 < df <= 1.
+    callers can surface it.  Raises :class:`DomainError` unless 0 < df <= 1
+    and the fair value notional * df * (kappa - strike) is finite.
     """
     if not (0.0 < df <= 1.0):
         raise DomainError(f"discount factor must lie in (0, 1], got {df}")
@@ -213,6 +214,8 @@ def price_volatility_swap(state: MarketState, params: SabrParams,
     elif diag.regime == REGIME_ASYMPTOTIC and not diag.converged:
         warnings = ("SERIES_ASYMPTOTIC_TRUNCATED",)
     value = contract.notional * df * (kappa - contract.strike)
+    if not math.isfinite(value):
+        raise DomainError(f"notional * df * (kappa - strike) = {value} is not finite")
     return PricingResult(kappa=kappa, strike=contract.strike,
                          notional=contract.notional, discount_factor=df,
                          fair_value=value, diagnostics=diag, warnings=warnings)

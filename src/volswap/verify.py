@@ -29,9 +29,10 @@ gives the 1F1 derivatives of both.  Every 1F1 here, as in the pricer, is
 evaluated to ``specfun.KUMMER_REL_TOL``.  Tolerances, the
 finite-difference steps and the psi mode cap are module constants, and so
 is the one depth ``volswap verify`` runs at: ``N_TERMS`` modes of the
-psi-PDE and harmonicity checks and the terminal identity for every
-integer s up to ``TERMINAL_S_MAX``.  The checks themselves take their
-depth as a parameter.
+psi-PDE and harmonicity checks, ``BESSEL_TERMS`` terms of the Bessel-mode
+expansion and the terminal identity for every integer s up to
+``TERMINAL_S_MAX``.  The checks themselves take their depth as a
+parameter.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the normalised rational coefficient itself (1 at s = 0, zero
@@ -66,6 +67,8 @@ FD_STEP_LOG_ZETA = 1e-3
 PSI_MAX_TERMS = 64
 #: modes of the truncated series that ``volswap verify`` checks
 N_TERMS = 20
+#: terms of the Bessel-mode expansion of y^(-1/2) in ``volswap verify``
+BESSEL_TERMS = 60
 #: largest s of the exact terminal identity in ``volswap verify``
 TERMINAL_S_MAX = 60
 

@@ -1,6 +1,5 @@
 """The command-line interface: exit codes and output documents against docs/schemas."""
 
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -44,12 +43,13 @@ def exit_code(argv, capsys):
 
 
 def run(tmp_path, argv, schema=None):
-    """cli.main on argv with --output; returns (exit code, parsed document)."""
+    """cli.main on argv with --output; returns (exit code, document parsed
+    strictly and checked against schema) or, without schema, its text."""
     out = tmp_path / "out"
     code = cli.main(argv + ["--output", str(out)])
     if schema is None:
         return code, out.read_text(encoding="utf-8")
-    document = json.loads(out.read_text(encoding="utf-8"))
+    document = strict_json(out.read_text(encoding="utf-8"))
     validator = Draft7Validator(SCHEMAS[schema], registry=REGISTRY)
     errors = [e.message for e in validator.iter_errors(document)]
     assert errors == []
@@ -135,6 +135,15 @@ class TestPrice:
         assert code == cli.EXIT_USAGE
         assert err.startswith("volswap: ")
         assert message in err
+
+    def test_fair_value_overflow_is_usage_error(self, tmp_path, capsys):
+        # this wrote "fair_value": -Infinity: a ValueError traceback and exit 1
+        argv = ["price"] + CONVERGENT_POINT + ["--notional", "1e308", "--strike", "5",
+                                               "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "volswap: notional * df * (kappa - strike) = -inf is not finite\n"
+        assert not (tmp_path / "out").exists()
 
     def test_market_annualization(self, tmp_path):
         # every price reports sqrt((1/T) int sigma^2) = sqrt(T) kappa as well
@@ -279,58 +288,58 @@ class TestOracle:
 
 class TestCompare:
     def test_numeric_cells_parse_as_floats(self, tmp_path):
-        code, text = run(tmp_path, [
+        code, doc = run(tmp_path, [
             "compare", "--alphas", "0.3", "--taus", "0.5", "--zetas", "1",
-            "--nu", "0.04", "--seed", "3", "--paths", "2000", "--steps", "50"])
+            "--nu", "0.04", "--seed", "3", "--paths", "2000", "--steps", "50"],
+            "compare.schema.json")
         assert code in (cli.EXIT_OK, cli.EXIT_COMPARE_FAILED)
-        header, *rows, manifest = list(csv.reader(text.splitlines()))
-        assert manifest[0] == "#manifest"
-        assert len(rows) == 1
-        for name, cell in zip(header, rows[0]):
-            if name != "regime":
-                float(cell)
+        assert doc["all_passed"] == (code == cli.EXIT_OK)
+        [row] = doc["rows"]
+        for name, value in row.items():
+            assert isinstance(value, str if name == "regime" else float), name
 
     def test_tau_equal_to_tenor_stays_in_the_accrual_window(self, tmp_path):
-        # (0.3 + 0.6) - 0.6 rounds below t0 = 0.3
-        code, text = run(tmp_path, [
+        # tau = tenor values the row at t = tenor - tau = 0, the accrual start
+        code, doc = run(tmp_path, [
             "compare", "--alphas", "0.3", "--taus", "0.6", "--zetas", "1",
-            "--nu", "0.04", "--t0", "0.3", "--tenor", "0.6", "--seed", "1",
-            "--paths", "512", "--steps", "8"])
+            "--nu", "0.04", "--tenor", "0.6", "--seed", "1",
+            "--paths", "512", "--steps", "8"], "compare.schema.json")
         assert code in (cli.EXIT_OK, cli.EXIT_COMPARE_FAILED)
-        assert len(list(csv.reader(text.splitlines()))) == 3
+        assert [row["tau"] for row in doc["rows"]] == [0.6]
 
     def test_rows_sharing_s_share_one_march(self, tmp_path, marches):
-        code, text = run(tmp_path, [
+        code, doc = run(tmp_path, [
             "compare", "--alphas", "0.4", "--taus", "0.5",
             "--zetas", "0.5,1,2", "--nu", "0.04", "--seed", "1",
-            "--paths", "512", "--steps", "16"])
+            "--paths", "512", "--steps", "16"], "compare.schema.json")
         assert code in (cli.EXIT_OK, cli.EXIT_COMPARE_FAILED)
-        assert len(list(csv.reader(text.splitlines()))) == 5   # header, 3 rows, manifest
+        assert [row["zeta"] for row in doc["rows"]] == [0.5, 1.0, 2.0]
         assert len(marches) == 1
 
     def test_pde_refusal_empties_one_cell(self, tmp_path, capsys):
         # the default grid refuses s = alpha^2 tau = 0.8 only
-        code, text = run(tmp_path, [
+        code, doc = run(tmp_path, [
             "compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
-            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"])
+            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
+            "compare.schema.json")
         assert code == cli.EXIT_OK
-        header, *rows, _ = list(csv.reader(text.splitlines()))
-        column = header.index("kappa_pde")
-        assert [row[column] == "" for row in rows] == [False, False, False, True]
+        assert doc["all_passed"]
+        assert ([row["kappa_pde"] is None for row in doc["rows"]]
+                == [False, False, False, True])
         assert "no kappa_pde at alpha 1.0, tau 0.8, zeta 1.0" in capsys.readouterr().err
 
     def test_at_maturity_every_engine_agrees(self, tmp_path):
         # the series was 1 ulp off sqrt(nu)/T where the MC standard error is 0
-        code, text = run(tmp_path, [
+        code, doc = run(tmp_path, [
             "compare", "--alphas", "0.4", "--taus", "0", "--zetas", "1,39",
-            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"])
+            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
+            "compare.schema.json")
         assert code == cli.EXIT_OK
-        header, *rows, _ = list(csv.reader(text.splitlines()))
-        for row in rows:
-            cells = dict(zip(header, row))
-            assert (cells["kappa_series"] == cells["kappa_mc"] == cells["kappa_pde"]
-                    == repr(math.sqrt(0.03)))
-            assert cells["abs_diff_mc_sigmas"] == "0.0"
+        assert len(doc["rows"]) == 2
+        for row in doc["rows"]:
+            assert (row["kappa_series"] == row["kappa_mc"] == row["kappa_pde"]
+                    == math.sqrt(0.03))
+            assert row["abs_diff_mc_sigmas"] == 0.0
 
     def test_nu_zero_is_usage_error(self, tmp_path, capsys):
         argv = ["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1",
@@ -352,13 +361,32 @@ class TestCompare:
                 diag, regime=series_pricer.REGIME_CONVERGENT)
 
         monkeypatch.setattr(series_pricer, "kappa_series", far_on_first_row)
-        code, text = run(tmp_path, [
+        code, doc = run(tmp_path, [
             "compare", "--alphas", "0.4,0.3", "--taus", "0.5", "--zetas", "1",
-            "--nu", "0.04", "--seed", "1", "--paths", "512", "--steps", "8"])
+            "--nu", "0.04", "--seed", "1", "--paths", "512", "--steps", "8"],
+            "compare.schema.json")
         assert code == cli.EXIT_COMPARE_FAILED == 4
-        header, *rows, _ = list(csv.reader(text.splitlines()))
-        sigmas = [float(row[header.index("abs_diff_mc_sigmas")]) for row in rows]
+        assert not doc["all_passed"]
+        sigmas = [row["abs_diff_mc_sigmas"] for row in doc["rows"]]
         assert sigmas[0] > 1e3 and sigmas[1] < cli._COMPARE_SIGMAS
+
+    def test_convergent_series_off_an_exact_mc_mean_fails(self, tmp_path,
+                                                           monkeypatch):
+        # a zero standard error under a nonzero difference is no finite count
+        # of standard errors: this built Infinity into the row
+        monkeypatch.setattr(mc_engine, "kappa_mc", lambda state, params, contract,
+                            config: mc_engine.McEstimate(0.25, 0.0, config.n_paths))
+        code, doc = run(tmp_path, [
+            "compare", "--alphas", "0.3", "--taus", "0.5", "--zetas", "1",
+            "--nu", "0.04", "--seed", "1", "--paths", "512", "--steps", "8"],
+            "compare.schema.json")
+        assert code == cli.EXIT_COMPARE_FAILED
+        [row] = doc["rows"]
+        assert row["regime"] == series_pricer.REGIME_CONVERGENT
+        assert (row["kappa_mc"], row["mc_se"]) == (0.25, 0.0)
+        assert row["kappa_series"] != 0.25
+        assert row["abs_diff_mc_sigmas"] is None
+        assert doc["all_passed"] is False
 
     @pytest.mark.parametrize("alphas,zetas", [("0.4,-1", "1"), ("0.4", "1,-1"),
                                               ("0.4", "1,inf")],
@@ -455,11 +483,13 @@ def test_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, argv):
     clock = itertools.count(1e9, -3600.0)
     monkeypatch.setattr(time, "time", lambda: next(clock))
     _, text = run(tmp_path, argv)
-    if argv[0] == "compare":
-        manifest = json.loads(list(csv.reader(text.splitlines()))[-1][1])
-    else:
-        manifest = json.loads(text)["manifest"]
-    assert 0.0 <= manifest["duration_s"] < 60.0
+    assert 0.0 <= json.loads(text)["manifest"]["duration_s"] < 60.0
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_document_matches_its_schema(tmp_path, name):
+    # every command's document, compare's included, against its own schema
+    run(tmp_path, COMMANDS[name], name.replace("-", "_") + ".schema.json")
 
 
 def strict_json(text):
@@ -470,14 +500,9 @@ def strict_json(text):
 
 
 def recorded(text):
-    """(document, manifest) of a command's output, both parsed strictly; a
-    CSV document is its rows before the manifest row."""
-    if text.startswith("{"):
-        document = strict_json(text)
-        return document, document.pop("manifest")
-    *rows, manifest_row = csv.reader(text.splitlines())
-    assert manifest_row[0] == "#manifest"
-    return rows, strict_json(manifest_row[1])
+    """(document, manifest) of a command's output, both parsed strictly."""
+    document = strict_json(text)
+    return document, document.pop("manifest")
 
 
 def replay_argv(manifest):
@@ -534,9 +559,11 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["verify", "--n-terms", "12"], "--n-terms"),
     (["verify", "--s-max", "60"], "--s-max"),
     (["price"] + SEED_POINT + ["--config", "x.cfg"], "--config"),
+    (["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1",
+      "--nu", "0.04", "--t0", "0.3", "--seed", "1"], "--t0"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "n-terms", "s-max", "config"])
+        "n-terms", "s-max", "config", "compare-t0"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE

@@ -341,6 +341,16 @@ class TestGolden:
         assert sweep_digest() == SWEEP_DIGEST
 
 
+class TestFairValue:
+    @pytest.mark.parametrize("notional", [1e308, -1e308])
+    def test_overflow_is_refused(self, notional):
+        # notional * df * (kappa - strike) overflows: no finite price to report
+        contract = SwapContract(t0=0.0, tenor=1.0, strike=5.0, notional=notional)
+        with pytest.raises(DomainError, match=r"\(kappa - strike\) = [-]?inf is not"):
+            price_volatility_swap(MarketState(t=0.5, sigma=0.0894427191, nu=0.04),
+                                  SabrParams(alpha=0.316227766), contract, 1.0)
+
+
 class TestKappaIsSumOfTerms:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(alpha=st.floats(0.05, 2.0), tau=st.floats(0.0, 2.0),
