@@ -4,8 +4,9 @@ Three independent routes to the fair strike kappa:
 
 * :mod:`volswap.series_pricer` — the analytic hypergeometric series,
 * :mod:`volswap.mc_engine` — exact-increment Monte Carlo on antithetic
-  pairs (bit-reproducible: one counter-based stream per fixed block of
-  pairs, drawn in row chunks),
+  pairs (bit-reproducible at any thread count: one counter-based stream
+  per fixed block of 256 pairs, blocks drawn on worker threads and merged
+  in block order),
 * :mod:`volswap.pde_engine` — Crank-Nicolson solve of the reduced
   Feynman-Kac problem plus quadrature,
 

@@ -17,17 +17,23 @@ running sum and one exp.
 Reproducibility contract: draws are reduced in fixed blocks of
 BLOCK_PATHS, each with one counter-based Philox4x64-10 stream (Salmon et
 al., SC 2011) keyed by the seed with the block index in its counter.
-numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) draws its
-normals, no inverse CDF, in row chunks of CHUNK_PATHS draws, one row of
-n_steps per draw, and each block's payoffs are reduced in a fixed order,
-so an estimate depends on its config alone.  Block means and centred sums
-of squares merge by the Chan-Golub-LeVeque update, so the standard error
-keeps a spread far below the mean.
+numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) draws a
+block's normals, no inverse CDF, one row of n_steps per draw.  The blocks
+are spread over W = :func:`resolve_workers` threads, at most one per block,
+block w + kW on worker w and worker 0 the calling thread: numpy's draws
+and ufuncs release the GIL, so the workers run on as many cores.  Each block
+reduces its payoffs to a sum and a centred sum of squares in a fixed
+order, and the calling thread merges them in block order by the
+Chan-Golub-LeVeque update, which keeps the standard error's spread far
+below the mean; so an estimate depends on its config alone, bit for bit,
+at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +41,11 @@ import numpy as np
 from .exceptions import DomainError
 from .model import MarketState, SabrParams, SwapContract, reduced_variables
 
-#: draws (antithetic pairs) per reduction block; fixed so the pairwise block
-#: sums (and hence the final estimate) never depend on how draws are batched.
-BLOCK_PATHS = 8192
-#: draws per chunk of a block's stream; its two chunk buffers, the normals
-#: and their e^(2 B), stay in cache and bound the memory of a block.
-CHUNK_PATHS = 256
+#: draws (antithetic pairs) per reduction block, the unit of work of a
+#: worker thread; fixed, so an estimate never depends on the worker count,
+#: and small, so a worker's two buffers, the normals and their e^(2 B),
+#: stay in cache.
+BLOCK_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,17 @@ class McEstimate:
 
 
 def resolve_workers() -> int:
-    """Processes an estimate runs on: always one (kept for run manifests)."""
-    return 1
+    """Threads an estimate may draw its blocks on: the CPUs this process may
+    run on, lowered to the positive integer in ``VOLSWAP_THREADS`` if set.
+    An estimate starts no more workers than it has blocks.  Raises
+    :class:`DomainError` on a ``VOLSWAP_THREADS`` that is no positive
+    integer."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    limit = os.environ.get("VOLSWAP_THREADS", str(cpus))
+    if not (limit.isdecimal() and int(limit) >= 1):
+        raise DomainError(f"VOLSWAP_THREADS must be a positive integer, got {limit!r}")
+    return min(cpus, int(limit))
 
 
 def block_stream(seed: int, block: int) -> np.random.Generator:
@@ -84,39 +98,32 @@ def path_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Standard normals of the next draws of a block's stream, into ``out``.
 
     Row i of ``out`` takes the stream's next n_steps = out.shape[1] normals,
-    in order; a block's draws are thus the same however its stream is cut
-    into chunks.
+    in order; a block's first draws are thus the same however many follow.
     """
     return stream.standard_normal(out=out)
 
 
-def _block_means(config: McConfig, block: int, n_rows: int, s: float) -> np.ndarray:
-    """M_s of the block's n_rows draws, the trapezoid mean over n_steps of
-    e^(2 B_v - v) on [0, s], row 0 for each draw's path and row 1 its mirror's:
-    at node k, 2 B_v - v = scale W_k - k s/n for the increments' running sum W,
-    so with E = e^(scale W) and w_k = e^(-k s/n), w_n halved, M is
+def _block_means(config: McConfig, block: int, s: float,
+                 buffers: np.ndarray) -> np.ndarray:
+    """M_s of the block's first n draws, for ``buffers`` of shape
+    (2, n, n_steps): the trapezoid mean over n_steps of e^(2 B_v - v) on
+    [0, s], row 0 for each draw's path and row 1 its mirror's.  At node k,
+    2 B_v - v = scale W_k - k s/n for the increments' running sum W, so with
+    E = e^(scale W) and w_k = e^(-k s/n), w_n halved, M is
     (1/2 + sum w E)/n for the path and (1/2 + sum w/E)/n for its mirror."""
     n_steps = config.n_steps
     scale = 2.0 * math.sqrt(s / n_steps)            # sd of 2 B_v per step
     weights = np.exp(np.arange(1, n_steps + 1) * -(s / n_steps))
     weights[-1] *= 0.5
 
-    # one set of chunk buffers per block: fresh chunk-sized temporaries
-    # cost the process ~35 000 page faults per 16 384 x 250 estimate
-    chunk = min(CHUNK_PATHS, n_rows)
-    xi_buf, exp_buf = np.empty((2, chunk, n_steps))
-
-    stream = block_stream(config.seed, block)
-    sums = np.empty((2, n_rows))
-    for lo in range(0, n_rows, chunk):
-        xi = path_normals(stream, xi_buf[:min(chunk, n_rows - lo)])
-        rows = slice(lo, lo + len(xi))
-        grown = np.cumsum(xi, axis=1, out=exp_buf[:len(xi)])
-        grown *= scale
-        np.exp(grown, out=grown)                      # E; xi is spent
-        # numpy's row sums, not BLAS: the same on every host and thread count
-        np.multiply(grown, weights, out=xi).sum(axis=1, out=sums[0, rows])
-        np.divide(weights, grown, out=xi).sum(axis=1, out=sums[1, rows])
+    xi = path_normals(block_stream(config.seed, block), buffers[0])
+    grown = np.cumsum(xi, axis=1, out=buffers[1])
+    grown *= scale
+    np.exp(grown, out=grown)                          # E; xi is spent
+    # numpy's row sums, not BLAS: the same on every host and thread count
+    sums = np.empty((2, len(xi)))
+    np.multiply(grown, weights, out=xi).sum(axis=1, out=sums[0])
+    np.divide(weights, grown, out=xi).sum(axis=1, out=sums[1])
     return (sums + 0.5) / n_steps
 
 
@@ -137,22 +144,60 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
     variance = state.sigma * state.sigma * tau     # sigma^2 tau, times M_s
     _finite(variance)
     n_draws = config.n_paths // 2
+    n_blocks = -(-n_draws // BLOCK_PATHS)
+    workers = min(resolve_workers(), n_blocks)
+    sums, squares = [0.0] * n_blocks, [0.0] * n_blocks   # per block
+    errors = []
+
+    def work(first: int) -> None:
+        """Blocks first, first + workers, ...: their payoff sums and centred
+        sums of squares; a failure is kept for the caller and stops every
+        worker at its next block."""
+        try:
+            # errstate is per thread.  A finite sigma^2 tau may still
+            # overflow the payoffs or their moments; _finite refuses that
+            # after the merge, so numpy need not warn of it
+            with np.errstate(over="ignore", invalid="ignore"):
+                # one pair of buffers per worker: fresh block-sized temporaries
+                # cost the process ~35 000 page faults per 16 384 x 250 estimate
+                buffers = np.empty((2, min(BLOCK_PATHS, n_draws), config.n_steps))
+                for block in range(first, n_blocks, workers):
+                    if errors:
+                        return
+                    lo = block * BLOCK_PATHS
+                    means = _block_means(config, block, s,
+                                         buffers[:, :min(BLOCK_PATHS, n_draws - lo)])
+                    realized = state.nu + variance * means
+                    payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
+                    vals = payoffs.mean(axis=0)
+                    sums[block] = float(np.sum(vals))
+                    squares[block] = float(np.sum(np.square(vals - sums[block] / vals.size)))
+        except BaseException as exc:     # re-raised by the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=work, args=(first,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    except BaseException as exc:     # a thread that would not start stops the rest
+        errors.append(exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
     total = m2 = 0.0
-    # a finite sigma^2 tau may still overflow the payoffs or their moments;
-    # _finite refuses that after the loop, so numpy need not warn of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS)):   # fixed order
-            realized = state.nu + variance * _block_means(
-                config, block, min(BLOCK_PATHS, n_draws - lo), s)
-            payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
-            vals = payoffs.mean(axis=0)
-            block_sum = float(np.sum(vals))
-            block_mean = block_sum / vals.size
-            if lo:   # Chan-Golub-LeVeque merge with the lo draws before
-                delta = block_mean - total / lo
-                m2 += delta * delta * lo * vals.size / (lo + vals.size)
-            m2 += float(np.sum(np.square(vals - block_mean)))
-            total += block_sum
+    for block, (block_sum, block_m2) in enumerate(zip(sums, squares)):  # fixed order
+        lo = block * BLOCK_PATHS
+        size = min(BLOCK_PATHS, n_draws - lo)
+        if lo:   # Chan-Golub-LeVeque merge with the lo draws before
+            delta = block_sum / size - total / lo
+            m2 += delta * delta * lo * size / (lo + size)
+        m2 += block_m2
+        total += block_sum
     mean, std_error = total / n_draws, math.sqrt(m2 / (n_draws - 1) / n_draws)
     _finite(variance, mean, std_error)
     return McEstimate(mean=mean, std_error=std_error, n_paths=config.n_paths)

@@ -189,6 +189,16 @@ class TestOracle:
         argv = ["oracle", "mc"] + SEED_POINT + ["--seed", seed, "--paths", "100"]
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
 
+    def test_mc_threads_variable_zero_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("VOLSWAP_THREADS", "0")
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1",
+                                                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == "volswap: VOLSWAP_THREADS must be a positive integer, got '0'\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
                              ids=["single", "refine"])
     def test_pde(self, tmp_path, extra):

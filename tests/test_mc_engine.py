@@ -1,7 +1,10 @@
 """Monte Carlo engine: exactness, reproducibility, variance-swap pipeline."""
 
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -10,9 +13,9 @@ import pytest
 
 from volswap import mc_engine
 from volswap.exceptions import DomainError
-from volswap.mc_engine import (BLOCK_PATHS, CHUNK_PATHS, McConfig, block_stream,
-                               kappa_mc, path_normals, variance_swap_expectation,
-                               variance_swap_mc)
+from volswap.mc_engine import (BLOCK_PATHS, McConfig, block_stream, kappa_mc,
+                               path_normals, resolve_workers,
+                               variance_swap_expectation, variance_swap_mc)
 from volswap.model import MarketState, SabrParams, SwapContract, reduced_variables
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
@@ -43,33 +46,97 @@ class TestPathNormals:
 
     def test_rows_do_not_depend_on_the_batch(self):
         # a block's first m draws are the same however many draws follow
-        # and however its stream is cut into chunks
+        # and however its stream is cut into batches
         def draws(n_steps, *sizes):
             stream = block_stream(5, 2)
             return np.vstack([path_normals(stream, np.empty((m, n_steps)))
                               for m in sizes])
 
         for n_steps in (1, 3, 9):
-            whole = draws(n_steps, 2 * CHUNK_PATHS + 3)
-            assert np.array_equal(draws(n_steps, 1, 2, CHUNK_PATHS, 5),
-                                  whole[:CHUNK_PATHS + 8])
+            whole = draws(n_steps, 2 * BLOCK_PATHS + 3)
+            assert np.array_equal(draws(n_steps, 1, 2, BLOCK_PATHS, 5),
+                                  whole[:BLOCK_PATHS + 8])
             assert np.array_equal(draws(n_steps, 1), whole[:1])
 
 
-class TestChunking:
-    CONFIG = McConfig(16_400, 5, seed=2)   # 8 200 draws
+def estimate_means(config, s):
+    """M_s of every draw an estimate at ``config`` prices, block after block:
+    row 0 for each draw's path and row 1 its mirror's."""
+    n_draws = config.n_paths // 2
+    return np.hstack([
+        mc_engine._block_means(config, block, s, np.empty(
+            (2, min(BLOCK_PATHS, n_draws - lo), config.n_steps)))
+        for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS))])
+
+
+class TestWorkers:
+    # 8 200 draws: 32 full blocks and one of 8 pairs; and one block of 20
+    CONFIGS = [McConfig(16_400, 10, seed=2), McConfig(40, 10, seed=2)]
 
     @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    def test_estimate_does_not_depend_on_chunk_size(self, estimator, monkeypatch):
-        assert self.CONFIG.n_paths // 2 > BLOCK_PATHS
-        default = repr(estimator(STATE, PARAMS, CONTRACT, self.CONFIG))
-        monkeypatch.setattr(mc_engine, "CHUNK_PATHS", 7)
-        assert repr(estimator(STATE, PARAMS, CONTRACT, self.CONFIG)) == default
+    def test_estimate_does_not_depend_on_the_worker_count(self, estimator,
+                                                          monkeypatch):
+        threads = []
 
-    def test_block_peak_memory_is_bounded(self):
-        # one 8 192-draw block of 1 000 steps holds 65 MB of normals at once
-        # unless its stream is drawn and priced in chunks
-        config = McConfig(BLOCK_PATHS, 1000, seed=4)
+        def recorded(stream, out):
+            threads.append(threading.current_thread())
+            return path_normals(stream, out)
+
+        monkeypatch.setattr(mc_engine, "path_normals", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch often, so a lost write would show
+        try:
+            for config in self.CONFIGS:
+                n_blocks = -(-config.n_paths // 2 // BLOCK_PATHS)
+                estimates = set()
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
+                    threads.clear()
+                    estimates.add(repr(estimator(STATE, PARAMS, CONTRACT, config)))
+                    assert len(threads) == n_blocks
+                    assert len(set(threads)) == min(workers, n_blocks)
+                assert len(estimates) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch):
+        def failing(stream, out):
+            # a fresh block stream's counter is (0, 0, block, 0)
+            if stream.bit_generator.state["state"]["counter"][2] == 5:
+                raise ZeroDivisionError("block 5")
+            return path_normals(stream, out)
+
+        monkeypatch.setattr(mc_engine, "path_normals", failing)
+        monkeypatch.setattr(mc_engine, "resolve_workers", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="block 5"):
+            kappa_mc(STATE, PARAMS, CONTRACT, self.CONFIGS[0])
+        assert threading.active_count() == before
+
+    def test_resolve_workers_is_the_affinity_count(self, monkeypatch):
+        monkeypatch.delenv("VOLSWAP_THREADS", raising=False)
+        assert resolve_workers() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("limit, workers", [("1", 1), ("100000", None)])
+    def test_threads_variable_only_lowers_the_count(self, monkeypatch, limit,
+                                                    workers):
+        monkeypatch.setenv("VOLSWAP_THREADS", limit)
+        assert resolve_workers() == (workers or len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("limit", ["0", "-2", "two"])
+    def test_threads_variable_not_a_positive_integer_is_domain_error(
+            self, monkeypatch, limit):
+        monkeypatch.setenv("VOLSWAP_THREADS", limit)
+        with pytest.raises(DomainError, match="VOLSWAP_THREADS"):
+            resolve_workers()
+
+
+class TestChunking:
+    def test_block_peak_memory_is_bounded(self, monkeypatch):
+        # 8 192 paths of 1 000 steps hold 65 MB of normals and their exp at
+        # once unless the blocks are drawn and priced a few at a time
+        monkeypatch.setattr(mc_engine, "resolve_workers", lambda: 2)
+        config = McConfig(8192, 1000, seed=4)
         tracemalloc.start()
         try:
             kappa_mc(STATE, PARAMS, CONTRACT, config)
@@ -134,14 +201,14 @@ class TestKappaMc:
         assert abs(a.mean - b.mean) <= 3.0 * combined
 
     def test_antithetic_agrees_and_tightens(self):
-        # the same paths drawn plainly: row 0 of the block, the first path
+        # the same paths drawn plainly: row 0 of the blocks, the first path
         # of every pair; compared per path, at s = 0.08 and 0.8
         config = McConfig(8000, 100, seed=21)
         for alpha in (0.4, math.sqrt(1.6)):
             params = SabrParams(alpha=alpha)
             pair = kappa_mc(STATE, params, CONTRACT, config)
             tau, s, _, _ = reduced_variables(STATE, params, CONTRACT)
-            means = mc_engine._block_means(config, 0, config.n_paths // 2, s)[0]
+            means = estimate_means(config, s)[0]
             payoffs = np.sqrt(STATE.nu + STATE.sigma ** 2 * tau * means)
             plain_se = payoffs.std(ddof=1) / math.sqrt(payoffs.size)
             combined = math.hypot(plain_se, pair.std_error)
@@ -205,14 +272,18 @@ class TestKappaMc:
     @pytest.mark.parametrize("alpha, sigma, n_paths, variance", BEYOND,
                              ids=BEYOND_IDS)
     def test_estimate_beyond_float_range_warns_nothing(self, estimator, alpha,
-                                                       sigma, n_paths, variance):
-        # numpy warned of the overflow (or of inf - inf) above the refusal
+                                                       sigma, n_paths, variance,
+                                                       monkeypatch):
+        # numpy warned of the overflow (or of inf - inf) above the refusal;
+        # errstate is per thread, so each worker must silence its own
         state = MarketState(t=0.5, sigma=sigma, nu=0.03)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"sigma\^2 tau = "):
-                estimator(state, SabrParams(alpha=alpha), CONTRACT,
-                          McConfig(n_paths, 5, seed=3))
+        for workers in (1, 2):
+            monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=r"sigma\^2 tau = "):
+                    estimator(state, SabrParams(alpha=alpha), CONTRACT,
+                              McConfig(n_paths, 5, seed=3))
 
     def test_pair_keeps_sigma2_tau_5e307_finite_at_alpha_0_4(self):
         # a pair's two payoffs stay close, so the sum of squares about the
@@ -226,7 +297,7 @@ class TestKappaMc:
 
 
 class TestPairs:
-    CONFIG = McConfig(2000, 7, seed=13)   # 1 000 pairs, one block
+    CONFIG = McConfig(2000, 7, seed=13)   # 1 000 pairs
     S = 0.3
 
     def test_second_row_mirrors_the_first(self):
@@ -234,7 +305,7 @@ class TestPairs:
         # e^(2 B_v - v) along the mirrored path
         xi = reference_normals(13, 0, 1000, 7)
         dv = self.S / 7
-        rows = mc_engine._block_means(self.CONFIG, 0, 1000, self.S)
+        rows = mc_engine._block_means(self.CONFIG, 0, self.S, np.empty((2, 1000, 7)))
         for got, sign in zip(rows, (1.0, -1.0)):
             nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
             path = np.hstack([np.ones((1000, 1)), np.exp(nodes)])
@@ -245,13 +316,14 @@ class TestPairs:
     @pytest.mark.parametrize("s", [5e-4, 0.08, 0.8, 50.0, 709.7])
     def test_block_means_match_the_direct_formula(self, s, n_steps):
         # each path priced on its own: its nodes' running sum, their exp and
-        # the trapezoid from node v = 0 at 1; 300 draws span two chunks, and
-        # near S_MAX the last nodes' e^(-v) is subnormal
+        # the trapezoid from node v = 0 at 1; near S_MAX the last nodes'
+        # e^(-v) is subnormal
         xi = reference_normals(3, 0, 300, n_steps)
         dv = s / n_steps
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = mc_engine._block_means(McConfig(600, n_steps, seed=3), 0, 300, s)
+            rows = mc_engine._block_means(McConfig(600, n_steps, seed=3), 0, s,
+                                          np.empty((2, 300, n_steps)))
             for got, sign in zip(rows, (1.0, -1.0)):
                 nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
                 path = np.hstack([np.ones((300, 1)), np.exp(nodes)])
@@ -264,7 +336,7 @@ class TestPairs:
         params = SabrParams(alpha=math.sqrt(2.0 * self.S))
         est = kappa_mc(STATE, params, CONTRACT, self.CONFIG)
         tau, s, _, _ = reduced_variables(STATE, params, CONTRACT)
-        means = mc_engine._block_means(self.CONFIG, 0, 1000, s)
+        means = estimate_means(self.CONFIG, s)
         pairs = np.sqrt(STATE.nu + STATE.sigma ** 2 * tau * means).mean(axis=0)
         assert est.n_paths == 2000
         assert est.mean == pytest.approx(pairs.mean(), rel=1e-14)
@@ -279,7 +351,8 @@ class TestPairs:
         pair = kappa_mc(state, params, CONTRACT, self.CONFIG)
         tau, s, _, _ = reduced_variables(state, params, CONTRACT)
         plain = np.sqrt(state.sigma ** 2 * tau
-                        * mc_engine._block_means(self.CONFIG, 0, 1000, s)[0])
+                        * mc_engine._block_means(self.CONFIG, 0, s,
+                                                 np.empty((2, 1000, 7)))[0])
         assert pair.std_error ** 2 * 2000 < plain.var(ddof=1)
 
 
@@ -306,22 +379,23 @@ class TestReducedVariable:
 class TestGolden:
     """Estimates frozen by repr from the reduced kernel of (s, n_steps) on
     numpy's ziggurat normals, one Philox stream per fixed block of
-    antithetic pairs, drawn in row chunks."""
+    antithetic pairs."""
 
-    # every case draws antithetic pairs; "plain" is only the first case's name
+    # every case draws antithetic pairs; "plain" is only the first case's
+    # name, and "two_blocks" spans 33 blocks, the last partial
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "McEstimate(mean=0.24922986955165094, std_error=0.0001236560978856406, n_paths=3000)",
-                  "McEstimate(mean=0.06258411592977474, std_error=8.110892631282896e-05, n_paths=3000)"),
+                  "McEstimate(mean=0.24913711509497966, std_error=0.0001184631745000664, n_paths=3000)",
+                  "McEstimate(mean=0.06253239801448378, std_error=7.7550142425626e-05, n_paths=3000)"),
         "antithetic": (McConfig(3000, 20, seed=21),
-                       "McEstimate(mean=0.24908771660113332, std_error=0.00012079280578082026, n_paths=3000)",
-                       "McEstimate(mean=0.06249612991472467, std_error=7.853623393734142e-05, n_paths=3000)"),
+                       "McEstimate(mean=0.24919763919822965, std_error=0.00012539961954147663, n_paths=3000)",
+                       "McEstimate(mean=0.06256724090403532, std_error=8.266513596459459e-05, n_paths=3000)"),
         "two_blocks": (McConfig(16_400, 5, seed=2 ** 70 + 3),
-                       "McEstimate(mean=0.24920627777123996, std_error=5.401620991775057e-05, n_paths=16400)",
-                       "McEstimate(mean=0.0625738611084094, std_error=3.5253123598193464e-05, n_paths=16400)"),
+                       "McEstimate(mean=0.2491931698853605, std_error=5.2797443733862455e-05, n_paths=16400)",
+                       "McEstimate(mean=0.06256120650386617, std_error=3.439998964378937e-05, n_paths=16400)"),
         "one_step": (McConfig(1002, 1, seed=7),
-                     "McEstimate(mean=0.24904931669949198, std_error=0.00025520138820313656, n_paths=1002)",
-                     "McEstimate(mean=0.06237361280335949, std_error=0.00015323558578987507, n_paths=1002)"),
+                     "McEstimate(mean=0.24931065550312628, std_error=0.00027554346988087325, n_paths=1002)",
+                     "McEstimate(mean=0.06253418493531387, std_error=0.00016701857991705427, n_paths=1002)"),
     }
 
     def test_two_blocks_case_spans_a_partial_block(self):
