@@ -26,8 +26,9 @@ sqrt(T) kappa.  ``compare`` makes a row's ``kappa_pde`` null where the PDE
 refuses, saying why on stderr.
 
 Exit codes: 0 success, 1 verification check failed, 2 usage error (an
-unwritable ``--output`` too), 3 an engine refused a valid input (series
-divergence, AccuracyError or InstabilityError), 4 comparison failure.
+unwritable ``--output`` and a size past memory too), 3 an engine refused a
+valid input (series divergence, AccuracyError or InstabilityError), 4
+comparison failure.
 """
 
 from __future__ import annotations
@@ -294,6 +295,10 @@ def main(argv=None) -> int:
         print(f"volswap: {exc}", file=sys.stderr)
         refused = isinstance(exc, (AccuracyError, InstabilityError))
         return EXIT_DIVERGING if refused else EXIT_USAGE
+    except MemoryError as exc:  # a size past memory: no traceback, no exit 1
+        print("volswap: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return EXIT_USAGE
 
     manifest = {
         "command": " ".join(args.words),

@@ -27,19 +27,24 @@ On the uniform grid y_i = i h the term (1/2) y^2 psi'' at node i is
 (i^2 / 2)(psi_{i-1} - 2 psi_i + psi_{i+1}), h cancelling, so in u_i = psi_i / i
 the march matrix I + (ds/2) A is symmetric: diagonal 1 + (ds/2)(i^2 +
 y_i^2 / 2), off-diagonal -(ds/4) i (i + 1).  Each row is diagonally
-dominant by 1 + (ds/2) y_i^2 / 2, so the matrix is positive definite and
-is factored once per march with LAPACK ``pttrf``.  A Rannacher half-step
-(implicit Euler over ds/2) is one ``pttrs`` solve, :func:`solve_banded`, of
-(I + (ds/2) A) w = u + (ds/4) e_1, the last term from psi(., 0) = 1; a
-Crank-Nicolson step over ds is that half-step extrapolated, u -> 2 w - u,
-so no step forms an explicit half.  Each step writes its row into a
-buffer of ``CHECK_ROWS`` rows, and every full block (and the last, partial
-one) is folded into the per-node extremes of u with one ``min`` and one
-``max`` over its rows.  The maximum principle is checked on those
-extremes, multiplied by i once at the end, which is exact because rounding
-is monotone.  Against the same scheme marched on psi itself (explicit half
-plus an LU solve of the unsymmetric matrix) psi moves by rounding only,
-within 1e-12 on the tested grids of 400 to 1600 nodes.
+dominant by 1 + (ds/2) y_i^2 / 2, so the matrix M is positive definite and
+is factored once per march with LAPACK ``pttrf`` into L D L^T.  A
+Rannacher half-step (implicit Euler over ds/2) is one ``pttrs`` solve,
+:func:`solve_banded`, of M w = u + (ds/4) e_1, the last term from
+psi(., 0) = 1.  A Crank-Nicolson step over ds is that half-step
+extrapolated, u -> 2 w - u, so no step forms an explicit half; 2 w is one
+solve of the same right-hand side against M/2 = L (D/2) L^T, whose
+factors are exact, and equals twice the M solve bit for bit, scaling by 2
+being exact while nothing underflows.  So a step is one ``add`` of the fixed forcing (ds/4) e_1
+into the next row's slot, one solve there and one ``subtract`` of u.  The
+rows fill a buffer of ``CHECK_ROWS`` rows, and every full block (and the
+last, partial one) is folded into the per-node extremes of u with one
+``min`` and one ``max`` over its rows.  The maximum principle is checked
+on those extremes, multiplied by i once at the end, which is exact
+because rounding is monotone.  Against the same scheme marched on psi
+itself (explicit half plus an LU solve of the unsymmetric matrix) psi
+moves by rounding only, within 1e-12 on the tested grids of 400 to 1600
+nodes.
 
 ``dpttrf`` and ``dpttrs`` are scipy's f2py wrappers, the same objects
 ``scipy.linalg.lapack`` exports, taken from the compiled extension
@@ -86,7 +91,9 @@ arithmetic differ in its last bits; the rounding moves s by at most
 refused with :class:`AccuracyError` or :class:`InstabilityError` is
 memoised too and re-raised on every lookup as a fresh exception of the
 same type and message.  :func:`grid_refinement_report` prices every level
-through this memo, on the caller's y_max.
+through this memo, on the caller's y_max.  No grid, refinements included,
+has more than ``MAX_GRID_NODES`` nodes n_y * n_t: a larger one is a
+:class:`DomainError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -141,6 +148,12 @@ RANNACHER_STEPS = 2
 #: 5.9e-7 (nu 0) at sigma 0.25, tau 0.5, and below s = 2^-53 its pchip on
 #: y_max ~ s^(-1/2) has slopes that overflow or underflow.
 S_CLOSED_FORM = 2.0 ** -24
+#: most nodes n_y * n_t of a grid that is marched, refinements included:
+#: the reference table's finest grid, 3200 x 3200, which marches in about
+#: 0.1 s on a 2-core x86 machine.  Each halving of the steps takes four
+#: times as long, so ``--refine 40`` would not end, and n_y = 1e9 would
+#: allocate 8 GB for each array of the march.
+MAX_GRID_NODES = 3200 * 3200
 #: march rows buffered, then folded into the maximum-principle extremes with
 #: one ``min`` and one ``max``: fewer numpy calls per step, the same extremes.
 CHECK_ROWS = 64
@@ -163,7 +176,8 @@ GL_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Space/time grid; y_max = None lets the solver pick a validated default."""
+    """Space/time grid of at most ``MAX_GRID_NODES`` nodes n_y * n_t;
+    y_max = None lets the solver pick a validated default."""
 
     y_max: float = None
     n_y: int = 400
@@ -174,6 +188,17 @@ class GridSpec:
             raise DomainError(f"y_max must be positive and finite, got {self.y_max}")
         if self.n_y < 16 or self.n_t < 16:
             raise DomainError("grid needs n_y >= 16 and n_t >= 16")
+        self.check_size()
+
+    def check_size(self, refinements: int = 0) -> None:
+        """Raise :class:`DomainError` if the grid with its steps halved
+        ``refinements`` times has more than ``MAX_GRID_NODES`` nodes."""
+        # 16 x 16 times 4^20 is past the cap: no need for 4^refinements itself
+        if self.n_y * self.n_t * 4 ** min(refinements, 20) > MAX_GRID_NODES:
+            refined = f" refined {refinements} times" if refinements else ""
+            raise DomainError(
+                f"a {self.n_y} x {self.n_t} grid{refined} has more than "
+                f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes n_y * n_t")
 
     def y_max_at(self, s: float) -> float:
         """``y_max``, or when it is None the :func:`default_y_max` at s."""
@@ -296,37 +321,41 @@ def solve_psi(alpha: float, tau: float,
     if not (h * h > 0.0 and y_max * y_max < math.inf):
         raise DomainError(f"q = (1 - psi) / y^2 is not finite on the grid up to "
                           f"y_max {y_max:.3g}: y^2 underflows at h or overflows")
-    # I + (ds/2) A on u_i = psi_i / i at the interior nodes i, as the module
-    # notes derive it: symmetric positive definite, so pttrf meets no zero pivot
+    # M = I + (ds/2) A on u_i = psi_i / i at the interior nodes i, as the
+    # module notes derive it: symmetric positive definite, so pttrf meets no
+    # zero pivot.  M/2 = L (D/2) L^T: the same L and D halved, exactly
     ds = s / grid.n_t
     half_ds = 0.5 * ds
     i = np.arange(1.0, n)
-    *factors, _ = dpttrf(1.0 + half_ds * (i * i + 0.5 * y[1:n] * y[1:n]),
-                         -0.5 * half_ds * (i[:-1] * i[1:]))
-    u = 1.0 / i                           # terminal data psi = 1
-    w = np.empty_like(u)
+    d, e, _ = dpttrf(1.0 + half_ds * (i * i + 0.5 * y[1:n] * y[1:n]),
+                     -0.5 * half_ds * (i[:-1] * i[1:]))
+    factors, half_factors = (d, e), (0.5 * d, e)
+    quarter_ds = 0.5 * half_ds
+    forcing = np.zeros(n - 1)               # psi(., 0) = 1 enters row 1
+    forcing[0] = quarter_ds
+    u = 1.0 / i                             # terminal data psi = 1
     seen_lo, seen_hi = u, u                 # every row before this block
     rows = np.empty((CHECK_ROWS, n - 1))    # this block; row k % CHECK_ROWS is u
 
-    # a Rannacher half-step solves (I + (ds/2) A) w = u + (ds/4) e_1; a
-    # Crank-Nicolson step is 2 w - u, with 2 w the solve of 2 u + (ds/2) e_1
-    for k in range(grid.n_t):
-        row = rows[k % CHECK_ROWS]
-        if k < RANNACHER_STEPS:
-            row[:] = u
-            for _ in range(2):
-                row[0] += 0.5 * half_ds
-                solve_banded(factors, row)
-        else:
-            np.multiply(u, 2.0, out=w)
-            w[0] += half_ds
-            solve_banded(factors, w)
-            np.subtract(w, u, out=row)
+    # a Rannacher step is two half-steps, each the implicit-Euler solve
+    # M w = u + (ds/4) e_1
+    for row in rows[:RANNACHER_STEPS]:
+        row[:] = u
+        for _ in range(2):
+            row[0] += quarter_ds
+            solve_banded(factors, row)
         u = row
-        if k % CHECK_ROWS == CHECK_ROWS - 1 or k == grid.n_t - 1:
-            block = rows[:k % CHECK_ROWS + 1]
-            seen_lo = np.minimum(seen_lo, block.min(axis=0))
-            seen_hi = np.maximum(seen_hi, block.max(axis=0))
+    # a Crank-Nicolson step is the half-step extrapolated, 2 w - u, and 2 w
+    # solves (M/2)(2 w) = u + (ds/4) e_1, bit for bit 2 w of the M solve
+    for start in range(0, grid.n_t, CHECK_ROWS):
+        block = rows[:min(CHECK_ROWS, grid.n_t - start)]
+        for row in block[max(RANNACHER_STEPS - start, 0):]:
+            np.add(u, forcing, out=row)
+            solve_banded(half_factors, row)
+            np.subtract(row, u, out=row)
+            u = row
+        seen_lo = np.minimum(seen_lo, block.min(axis=0))
+        seen_hi = np.maximum(seen_hi, block.max(axis=0))
 
     # i > 0 and rounding is monotone, so i * seen is the extreme psi per node;
     # psi(., 0) = 1 and the far-field Dirichlet psi(., y_max) = 0 join the range
@@ -457,10 +486,12 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
 
     Second-order convergence shows up as ratios of successive differences
     near 4.  All refinements share one y_max so the comparison isolates the
-    discretization error.  Raises :class:`DomainError` outside the accrual
-    window and below s = alpha^2 tau = ``S_CLOSED_FORM``, where
+    discretization error.  Raises :class:`DomainError`, before any march,
+    if the finest grid has more than ``MAX_GRID_NODES`` nodes, outside the
+    accrual window and below s = alpha^2 tau = ``S_CLOSED_FORM``, where
     :func:`kappa_quadrature` marches nothing to refine.
     """
+    grid.check_size(refinements)
     _, s, _, _ = reduced_variables(state, params, contract)
     if s < S_CLOSED_FORM:
         raise DomainError(f"at s = {s:.3g} < 2^-24 kappa is sqrt(nu + sigma^2 "

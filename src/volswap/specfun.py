@@ -13,13 +13,22 @@ below their relative tolerance (``KUMMER_REL_TOL`` for 1F1, the one value
 every caller uses, ``BESSEL_REL_TOL`` for I_nu), which guards against
 even/odd term oscillation; erfi stops on the first term below 1e-17 of the
 sum.  A result beyond the float range is a signed infinity, not an
-exception.  On the pricer's hot path, 1F1 counts with a float and drops abs
-for a, b > 0, both bit-identically (see :func:`kummer_1f1`).
+exception.
+
+1F1 and I_nu read the factors of their recurrences that do not depend on
+the argument, ((a + m)/(b + m), m + 1.0) and (m + 1)(order + m + 1), from
+a table per (a, b) or order, grown as far as calls have summed; at most
+``FACTOR_TABLES`` of each are kept.  Each term is the product the
+recurrence forms without the table, in the same order, so a value has the
+same bits with a cold table or a warm one.  On the pricer's hot path 1F1
+also drops abs for a, b > 0, bit-identically (see :func:`kummer_1f1`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from fractions import Fraction
 
 from .exceptions import DomainError
@@ -32,6 +41,11 @@ MAX_TERMS = 2000
 KUMMER_REL_TOL = 1e-13
 #: relative term size at which the I_nu series stops.
 BESSEL_REL_TOL = 1e-14
+#: argument-free factor tables kept of each kind, one per 1F1 (a, b) or
+#: I_nu order: the pricer uses 64 (a, b), ``volswap verify`` 63 and 82 orders.
+FACTOR_TABLES = 256
+
+_GROWING = threading.Lock()     # held while a factor table is appended to
 
 
 def gamma_half_integer(k: int) -> Fraction:
@@ -74,11 +88,13 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     signed infinity (from z ~ 717.1 at n = 0, 723.2 at n = 1, 753.6 at
     n = 10).
 
-    The counter m is a float: each m below 2^53 is exact, so a + m, b + m
-    and m + 1.0 are the IEEE operations Python does for an int m.  For
-    a, b > 0 every term and partial sum is positive, +inf or 0, so testing
-    ``term <= tol * total`` decides as the abs form; a <= 0 or b <= 0 (the
-    n = 0 term, the polynomial case) takes the loop with abs.
+    Term m + 1 is term m times r z / c with the z-free pair
+    (r, c) = ((a + m)/(b + m), m + 1.0) of :func:`_kummer_table`, the
+    left-to-right product of the textbook recurrence, so the bits do not
+    depend on how warm the table is.  For a, b > 0 every term and partial
+    sum is positive, +inf or 0, so testing ``term <= tol * total`` decides
+    as the abs form; a <= 0 or b <= 0 (the n = 0 term, the polynomial case)
+    takes the loop with abs.
 
     Parameters
     ----------
@@ -103,30 +119,56 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     tol = KUMMER_REL_TOL
     total = term = 1.0
     small_streak = 0
-    m = 0.0
-    if a > 0 and b > 0:
-        for _ in range(MAX_TERMS):
-            term *= (a + m) / (b + m) * z / (m + 1.0)
-            total += term
-            if term <= tol * total:
-                small_streak += 1
-                if small_streak >= 2:
-                    return total
-            else:
-                small_streak = 0
-            m += 1.0
-        return total
-    for _ in range(MAX_TERMS):
-        term *= (a + m) / (b + m) * z / (m + 1.0)
-        total += term
-        if abs(term) <= tol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
+    cap = MAX_TERMS
+    table = pairs = _kummer_table(a, b)
+    if len(table) > cap:    # MAX_TERMS fell after the table grew
+        pairs = table[:cap]
+    c = 0.0                 # terms summed so far: each pair's c is its m + 1
+    positive = a > 0 and b > 0
+    while True:     # over the table, then once over the pairs it grows by
+        if positive:
+            for r, c in pairs:
+                term *= r * z / c
+                total += term
+                if term <= tol * total:
+                    small_streak += 1
+                    if small_streak >= 2:
+                        return total
+                else:
+                    small_streak = 0
         else:
-            small_streak = 0
-        m += 1.0
-    return total
+            for r, c in pairs:
+                term *= r * z / c
+                total += term
+                if abs(term) <= tol * abs(total):
+                    small_streak += 1
+                    if small_streak >= 2:
+                        return total
+                else:
+                    small_streak = 0
+        if c >= cap:
+            return total
+        pairs = _grow(table, int(c), cap, lambda m: ((a + m) / (b + m), m + 1.0))
+
+
+@functools.lru_cache(maxsize=FACTOR_TABLES)
+def _kummer_table(a: float, b: float) -> list:
+    """The pairs ((a + m)/(b + m), m + 1.0), m = 0, 1, ..., of 1F1(a; b; .),
+    grown by :func:`kummer_1f1` as far as its calls have summed."""
+    return []
+
+
+def _grow(table: list, start: int, cap: int, factor):
+    """Yield ``factor(m)`` for m from ``start`` up to ``cap``, appending each
+    to ``table`` where it is the next entry.  Another thread may have grown
+    the table since the caller read it, so ``start`` is what the caller
+    summed, not the table's length."""
+    for m in range(start, cap):
+        entry = factor(m)
+        with _GROWING:      # entry m must land at index m
+            if len(table) == m:
+                table.append(entry)
+        yield entry
 
 
 def erfi(x: float) -> float:
@@ -178,17 +220,33 @@ def bessel_i(order: float, y: float) -> float:
         return math.inf
 
     half = 0.5 * y
+    quarter_y2 = half * half
     log_first = order * math.log(half) - math.lgamma(order + 1.0)
     term = _gamma_sign(order + 1.0) * math.exp(log_first)
     total = term
     small_streak = 0
-    for m in range(MAX_TERMS):
-        term *= half * half / ((m + 1) * (order + m + 1))
-        total += term
-        if abs(term) <= BESSEL_REL_TOL * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    return total
+    cap = MAX_TERMS
+    table = entries = _bessel_table(order)
+    if len(table) > cap:    # MAX_TERMS fell after the table grew
+        entries = table[:cap]
+    k = 0                   # terms summed so far: each entry's k is its m + 1
+    while True:     # over the table, then once over the entries it grows by
+        for den, k in entries:
+            term *= quarter_y2 / den
+            total += term
+            if abs(term) <= BESSEL_REL_TOL * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    return total
+            else:
+                small_streak = 0
+        if k >= cap:
+            return total
+        entries = _grow(table, k, cap, lambda m: ((m + 1) * (order + m + 1), m + 1))
+
+
+@functools.lru_cache(maxsize=FACTOR_TABLES)
+def _bessel_table(order: float) -> list:
+    """The pairs ((m + 1)(order + m + 1), m + 1), m = 0, 1, ..., of I_order,
+    grown by :func:`bessel_i` as far as its calls have summed."""
+    return []

@@ -18,7 +18,7 @@ import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
-from volswap import cli, mc_engine, series_pricer, verify
+from volswap import cli, mc_engine, pde_engine, series_pricer, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -288,6 +288,39 @@ class TestOracle:
         assert code == cli.EXIT_OK
         assert len(set(doc["grid_report"]["kappas"])) == 1
         assert doc["grid_report"]["ratios"] == [None]
+
+    @pytest.mark.parametrize("extra", [["--refine", "40"], ["--n-y", "1000000000"]],
+                             ids=["refine-40", "n-y-1e9"])
+    def test_pde_grid_past_the_cap_is_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch, extra):
+        # level k of --refine marches a 400 * 2^k grid, and n_y = 1e9 needs
+        # 8 GB an array: refused before any march, which would raise here
+        def march(*args):
+            raise AssertionError("a grid past MAX_GRID_NODES was marched")
+
+        monkeypatch.setattr(pde_engine, "solve_psi", march)
+        pde_engine.psi_memo.cache_clear()
+        argv = ["oracle", "pde"] + SEED_POINT + extra
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert len(err.splitlines()) == 1
+        assert err.startswith("volswap: a ") and "MAX_GRID_NODES" in err
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # numpy's message for --steps 100000000; this was a traceback, exit 1
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 381. GiB for an array with "
+                              "shape (2, 256, 100000000) and data type float64")
+
+        monkeypatch.setattr(mc_engine, "kappa_mc", allocate)
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1",
+                                                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == ("volswap: out of memory: Unable to allocate 381. GiB for "
+                       "an array with shape (2, 256, 100000000) and data type "
+                       "float64\n")
+        assert not (tmp_path / "out").exists()
 
     def test_pde_nu_zero(self, tmp_path):
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",

@@ -65,6 +65,16 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(n_t=8)
 
+    def test_node_cap_admits_the_reference_grid(self):
+        # make_reference.py marches 3200 x 3200, the finest grid in use
+        assert GridSpec(n_y=3200, n_t=3200).check_size() is None
+        GridSpec(n_y=400, n_t=400).check_size(refinements=3)
+        for n_y, n_t in ((3201, 3200), (10 ** 9, 16), (16, 10 ** 9)):
+            with pytest.raises(DomainError, match="MAX_GRID_NODES"):
+                GridSpec(n_y=n_y, n_t=n_t)
+        with pytest.raises(DomainError, match="refined 4 times"):
+            GridSpec().check_size(refinements=4)
+
     @pytest.mark.parametrize("y_max", [0.0, -1.0, math.inf, math.nan])
     def test_y_max_must_be_positive_and_finite(self, y_max):
         with pytest.raises(DomainError, match="positive and finite"):
@@ -124,8 +134,8 @@ class TestSolvePsi:
         solves, solve, j = [], pde_engine.solve_banded, 60
 
         def spy(factors, rhs):
-            # a Crank-Nicolson step solves 2 u + (ds/2) e_1 for 2 w; u = 2 w - u
-            previous = 0.5 * rhs[j]
+            # a Crank-Nicolson step solves u + (ds/4) e_1 for 2 w; u = 2 w - u
+            previous = rhs[j]
             solve(factors, rhs)
             if len(solves) == target:
                 rhs[j] = 2.0 / (j + 1) + previous
@@ -197,8 +207,8 @@ class TestSymmetricMarch:
 
     def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
         # the last solve of a march is a Crank-Nicolson step from the row
-        # psi_old = i u: it solves 2 u + (ds/2) e_1 for 2 w, and the step
-        # is the extrapolation 2 w - u
+        # psi_old = i u: it solves u + (ds/4) e_1 for 2 w, and the step is
+        # the extrapolation 2 w - u
         solves = []
         solve = pde_engine.solve_banded
 
@@ -212,8 +222,8 @@ class TestSymmetricMarch:
         n, ds = grid.n_y, s / grid.n_t
         i = np.arange(1.0, n)
         rhs = solves[-1]
-        rhs[0] -= 0.5 * ds
-        psi_old = i * (0.5 * rhs)
+        rhs[0] -= 0.25 * ds
+        psi_old = i * rhs
 
         y = np.linspace(0.0, 30.0, n + 1)[1:n]
         a = (np.diag(i * i + 0.5 * y * y) - np.diag(0.5 * i[1:] ** 2, -1)
@@ -537,6 +547,19 @@ class TestGridConvergence:
         grid_refinement_report(state, params, CONTRACT, refinements=1)
         assert len(marches) == 2
 
+    def test_refinement_past_the_grid_cap_marches_nothing(self, monkeypatch):
+        # level k marches a 400 * 2^k grid: 40 levels would not end
+        def march(*args):
+            raise AssertionError("a grid past MAX_GRID_NODES was marched")
+
+        monkeypatch.setattr(pde_engine, "solve_psi", march)
+        pde_engine.psi_memo.cache_clear()
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        for refinements in (4, 40, 10 ** 9):
+            with pytest.raises(DomainError, match="MAX_GRID_NODES"):
+                grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
+                                       refinements=refinements)
+
     def test_s_beyond_float_range_is_domain_error(self):
         # s = 800: the default y_max needs e^s - 1
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
@@ -603,6 +626,27 @@ class TestGolden:
             "{'kappas': [0.2491404464876124, 0.2491414567199779, "
             "0.24914171477454183], 'grids': [(200, 200), (400, 400), (800, 800)], "
             "'ratios': [3.9148013895225597], 'y_max': 62.467322942411855}")
+
+    FINAL_ROWS = {
+        (1e-4, None, 400): "8efc515b1a545340df079dea1f590799ebc6d7a076027cba7def7f25d81d6dde",
+        (1e-4, None, 800): "74b81d4c71574842e46c84782863a857eb41d6d2b519d1957fc1a5b9f535025a",
+        (1e-4, None, 1600): "05e90b4911a2f174662724eacff721d6a95888481e32091688012eb4616720bc",
+        (0.45, None, 400): "034ed4abaca07e4219b4c0cda362d391f92f949910a32d75fd51e509b91ab0e5",
+        (0.45, None, 800): "9b4ac043efc7b92869b79b6693b61e868ae15a0db5a84c8f63399267c815a0b3",
+        (0.45, None, 1600): "7945e4d00a38ce59a66fd8e6f04fde4581076b4a843d14d7d71c2ab6174da368",
+        (2.0, 20.0, 400): "6c325c56e5a0987f43a9a395ec81ec4dc4300f57844e6826365ef050b50a6f59",
+        (2.0, 20.0, 800): "0e652bd7e9a6c242e3757b958f06ad9415078188ea1eb25066a85b7efcfb093c",
+        (2.0, 20.0, 1600): "c824ab96fa11acbc9f2fd43d030ddb3639040f085be677d6b1076a25e4ac0ad0",
+    }
+
+    @pytest.mark.parametrize("case", FINAL_ROWS, ids=lambda c: f"s{c[0]}-n{c[2]}")
+    def test_final_row_digest(self, case):
+        # the march's final row by repr, frozen before the Crank-Nicolson step
+        # became one solve against L (D/2) L^T
+        s, y_max, n = case
+        final = solve_psi(1.0, s, GridSpec(y_max=y_max, n_y=n, n_t=n)).final
+        text = " ".join(map(repr, final.tolist()))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FINAL_ROWS[case]
 
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))

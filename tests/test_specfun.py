@@ -1,7 +1,10 @@
 """Special-function kit: exact gammas, 1F1, erfi, Bessel I."""
 
+import hashlib
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -33,6 +36,26 @@ def kummer_int_loop(a, b, z):
         term *= (a + m) / (b + m) * z / (m + 1)
         total += term
         if abs(term) <= specfun.KUMMER_REL_TOL * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+    return total
+
+
+def bessel_int_loop(order, y):
+    """The I_order term loop with (y/2)^2 and the denominator formed per
+    term: the reference :func:`specfun.bessel_i` must equal bit for bit."""
+    half = 0.5 * y
+    term = specfun._gamma_sign(order + 1.0) * math.exp(
+        order * math.log(half) - math.lgamma(order + 1.0))
+    total = term
+    small_streak = 0
+    for m in range(specfun.MAX_TERMS):
+        term *= half * half / ((m + 1) * (order + m + 1))
+        total += term
+        if abs(term) <= specfun.BESSEL_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return total
@@ -151,6 +174,55 @@ class TestKummer1F1:
             value = specfun.kummer_1f1(a, b, z)
             assert repr(value) == repr(kummer_int_loop(a, b, z)), (a, b, z)
 
+    def test_pricer_grid_digest(self):
+        # every 1F1(n - 1/2; 2n + 1/2; z) a series term can ask for at the
+        # benchmark's 40 lattice zeta, and past ZETA_MAX to the overflow,
+        # frozen by repr before the loop read its z-free factors from a table
+        lattice = [float(f"{v:.6g}") for v in
+                   (0.02 * 2000.0 ** (k / 39) for k in range(40))]
+        text = " ".join(repr(specfun.kummer_1f1(n - 0.5, 2 * n + 0.5, z))
+                        for n in range(64) for z in lattice + [100.0, 300.0, 716.0])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b560788ad7d81148ec062eb53502dd7fc76331b57f78cb5dc87169eaf94c4619")
+
+    @pytest.mark.parametrize("a, b", [(9.5, 20.5), (-0.5, 0.5)])
+    @pytest.mark.parametrize("warm_z, cap", [(300.0, 100), (1.0, 150)],
+                             ids=["cap-below-table", "cap-above-table"])
+    def test_cold_and_warm_tables_agree(self, monkeypatch, a, b, warm_z, cap):
+        # z = 300 sums past either cap; a table warmed at warm_z is longer
+        # than the first cap and shorter than the second
+        specfun._kummer_table.cache_clear()
+        specfun.kummer_1f1(a, b, warm_z)
+        assert (len(specfun._kummer_table(a, b)) > cap) == (warm_z == 300.0)
+        monkeypatch.setattr(specfun, "MAX_TERMS", cap)
+        warm = repr(specfun.kummer_1f1(a, b, 300.0))
+        specfun._kummer_table.cache_clear()
+        cold = repr(specfun.kummer_1f1(a, b, 300.0))
+        assert warm == cold == repr(kummer_int_loop(a, b, 300.0))
+
+    def test_tables_grown_from_threads_stay_exact(self):
+        # threads growing one table at once must leave entry m at index m
+        a, b, zs = 9.5, 20.5, (1.0, 50.0, 300.0, 700.0)
+        expected = [repr(kummer_int_loop(a, b, z)) for z in zs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                specfun._kummer_table.cache_clear()
+                results = []
+                threads = [threading.Thread(target=lambda: results.append(
+                    [repr(specfun.kummer_1f1(a, b, z)) for z in zs])) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * len(threads)
+                table = specfun._kummer_table(a, b)
+                assert table == [((a + m) / (b + m), m + 1.0) for m in range(len(table))]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_kummer_ode_residual(self):
         # z F'' = (z - b) F' + a F with derivatives from contiguous relations
         for a, b in ((-0.5, 0.5), (1.5, 4.5), (2.5, 6.5)):
@@ -246,3 +318,13 @@ class TestBesselI:
     def test_negative_y_rejected(self):
         with pytest.raises(DomainError):
             specfun.bessel_i(0.5, -1.0)
+
+    @pytest.mark.parametrize("max_terms", [None, 3])
+    def test_cold_and_warm_tables_match_the_int_loop(self, monkeypatch, max_terms):
+        # each order's table is grown by a short series, then read by longer
+        # ones; at 3 terms every series stops at the cap
+        if max_terms is not None:
+            monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+        specfun._bessel_table.cache_clear()
+        for y, order in itertools.product((0.1, 5.0, 60.0), (-2.5, -0.5, 0.5, 7.5, 39.5)):
+            assert repr(specfun.bessel_i(order, y)) == repr(bessel_int_loop(order, y))
