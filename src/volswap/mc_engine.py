@@ -27,6 +27,12 @@ order, and the calling thread merges them in block order by the
 Chan-Golub-LeVeque update, which keeps the standard error's spread far
 below the mean; so an estimate depends on its config alone, bit for bit,
 at any worker count.
+
+Work is bounded from the inputs: :class:`McConfig` refuses more than
+``MAX_PATH_STEPS`` path steps n_paths * n_steps, and a worker buffer, the
+2 min(BLOCK_PATHS, n_paths/2) n_steps floats of a block's normals and their
+e^(2 B), of more than ``MAX_BUFFER_FLOATS``, with :class:`DomainError`
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -46,6 +52,13 @@ from .model import MarketState, SabrParams, SwapContract, reduced_variables
 #: and small, so a worker's two buffers, the normals and their e^(2 B),
 #: stay in cache.
 BLOCK_PATHS = 256
+#: most path steps n_paths * n_steps of one estimate, 2^30: about 18 s on
+#: one core of a 2-core x86 machine, four times the largest size in use
+#: (2^19 paths on 512 steps; the CLI default is 100 000 paths on 250).
+MAX_PATH_STEPS = 2 ** 30
+#: most floats in a worker's buffer, 2^23 (64 MiB): full blocks of up to
+#: 16 384 steps.
+MAX_BUFFER_FLOATS = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,15 @@ class McConfig:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
         if not 0 <= self.seed < 2 ** 128:
             raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
+        if self.n_paths * self.n_steps > MAX_PATH_STEPS:
+            raise DomainError(
+                f"{self.n_paths} paths on {self.n_steps} steps is more than "
+                f"MAX_PATH_STEPS = {MAX_PATH_STEPS} path steps")
+        rows = 2 * min(BLOCK_PATHS, self.n_paths // 2)
+        if rows * self.n_steps > MAX_BUFFER_FLOATS:
+            raise DomainError(
+                f"a worker buffer of {rows} rows of {self.n_steps} steps is more "
+                f"than MAX_BUFFER_FLOATS = {MAX_BUFFER_FLOATS} floats")
 
 
 @dataclass(frozen=True)

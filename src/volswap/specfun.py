@@ -15,20 +15,18 @@ even/odd term oscillation; erfi stops on the first term below 1e-17 of the
 sum.  A result beyond the float range is a signed infinity, not an
 exception.
 
-1F1 and I_nu read the factors of their recurrences that do not depend on
-the argument, ((a + m)/(b + m), m + 1.0) and (m + 1)(order + m + 1), from
-a table per (a, b) or order, grown as far as calls have summed; at most
-``FACTOR_TABLES`` of each are kept.  Each term is the product the
-recurrence forms without the table, in the same order, so a value has the
-same bits with a cold table or a warm one.  On the pricer's hot path 1F1
-also drops abs for a, b > 0, bit-identically (see :func:`kummer_1f1`).
+1F1 reads the factors of its recurrence that do not depend on the
+argument, ((a + m)/(b + m), m + 1.0), from a tuple per (a, b), replaced by
+a longer one when a call sums past its end; at most ``FACTOR_TABLES`` are
+kept.  Each term is the product the recurrence forms without the tuple, in
+the same order, so a value has the same bits however long the tuple is.
+On the pricer's hot path 1F1 also drops abs for a, b > 0,
+bit-identically (see :func:`kummer_1f1`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from fractions import Fraction
 
 from .exceptions import DomainError
@@ -41,11 +39,14 @@ MAX_TERMS = 2000
 KUMMER_REL_TOL = 1e-13
 #: relative term size at which the I_nu series stops.
 BESSEL_REL_TOL = 1e-14
-#: argument-free factor tables kept of each kind, one per 1F1 (a, b) or
-#: I_nu order: the pricer uses 64 (a, b), ``volswap verify`` 63 and 82 orders.
+#: 1F1 (a, b) whose argument-free factors are kept; the pricer uses 64.
 FACTOR_TABLES = 256
 
-_GROWING = threading.Lock()     # held while a factor table is appended to
+#: (a, b) -> the pairs ((a + m)/(b + m), m + 1.0), m = 0, 1, ..., of
+#: 1F1(a; b; .).  A tuple is never changed once stored, only replaced by
+#: another, so threads that grow it at once store prefixes of one sequence;
+#: racing at the cap, each may clear or store, which changes no value.
+_KUMMER_PAIRS: dict = {}
 
 
 def gamma_half_integer(k: int) -> Fraction:
@@ -89,12 +90,12 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     n = 10).
 
     Term m + 1 is term m times r z / c with the z-free pair
-    (r, c) = ((a + m)/(b + m), m + 1.0) of :func:`_kummer_table`, the
+    (r, c) = ((a + m)/(b + m), m + 1.0) of ``_KUMMER_PAIRS``, the
     left-to-right product of the textbook recurrence, so the bits do not
-    depend on how warm the table is.  For a, b > 0 every term and partial
-    sum is positive, +inf or 0, so testing ``term <= tol * total`` decides
-    as the abs form; a <= 0 or b <= 0 (the n = 0 term, the polynomial case)
-    takes the loop with abs.
+    depend on how long the stored tuple is.  For a, b > 0 every term and
+    partial sum is positive, +inf or 0, so testing ``term <= tol * total``
+    decides as the abs form; a <= 0 or b <= 0 (the n = 0 term, the
+    polynomial case) takes the loop with abs.
 
     Parameters
     ----------
@@ -120,14 +121,12 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     total = term = 1.0
     small_streak = 0
     cap = MAX_TERMS
-    table = pairs = _kummer_table(a, b)
-    if len(table) > cap:    # MAX_TERMS fell after the table grew
-        pairs = table[:cap]
-    c = 0.0                 # terms summed so far: each pair's c is its m + 1
+    pairs = _KUMMER_PAIRS.get((a, b), ())
+    summed = 0
     positive = a > 0 and b > 0
-    while True:     # over the table, then once over the pairs it grows by
+    while True:     # over the stored pairs, then over each longer tuple's rest
         if positive:
-            for r, c in pairs:
+            for r, c in pairs[summed:cap]:
                 term *= r * z / c
                 total += term
                 if term <= tol * total:
@@ -137,7 +136,7 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
                 else:
                     small_streak = 0
         else:
-            for r, c in pairs:
+            for r, c in pairs[summed:cap]:
                 term *= r * z / c
                 total += term
                 if abs(term) <= tol * abs(total):
@@ -146,29 +145,20 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
                         return total
                 else:
                     small_streak = 0
-        if c >= cap:
+        summed = len(pairs)
+        if summed >= cap:
             return total
-        pairs = _grow(table, int(c), cap, lambda m: ((a + m) / (b + m), m + 1.0))
+        pairs = _kummer_pairs(a, b, min(2 * summed + 32, cap))
 
 
-@functools.lru_cache(maxsize=FACTOR_TABLES)
-def _kummer_table(a: float, b: float) -> list:
-    """The pairs ((a + m)/(b + m), m + 1.0), m = 0, 1, ..., of 1F1(a; b; .),
-    grown by :func:`kummer_1f1` as far as its calls have summed."""
-    return []
-
-
-def _grow(table: list, start: int, cap: int, factor):
-    """Yield ``factor(m)`` for m from ``start`` up to ``cap``, appending each
-    to ``table`` where it is the next entry.  Another thread may have grown
-    the table since the caller read it, so ``start`` is what the caller
-    summed, not the table's length."""
-    for m in range(start, cap):
-        entry = factor(m)
-        with _GROWING:      # entry m must land at index m
-            if len(table) == m:
-                table.append(entry)
-        yield entry
+def _kummer_pairs(a: float, b: float, length: int) -> tuple:
+    """The first ``length`` pairs ((a + m)/(b + m), m + 1.0) of 1F1(a; b; .),
+    stored for (a, b) in ``_KUMMER_PAIRS``, which is emptied when full."""
+    pairs = tuple([((a + m) / (b + m), m + 1.0) for m in range(length)])
+    if len(_KUMMER_PAIRS) >= FACTOR_TABLES:
+        _KUMMER_PAIRS.clear()
+    _KUMMER_PAIRS[a, b] = pairs
+    return pairs
 
 
 def erfi(x: float) -> float:
@@ -225,28 +215,13 @@ def bessel_i(order: float, y: float) -> float:
     term = _gamma_sign(order + 1.0) * math.exp(log_first)
     total = term
     small_streak = 0
-    cap = MAX_TERMS
-    table = entries = _bessel_table(order)
-    if len(table) > cap:    # MAX_TERMS fell after the table grew
-        entries = table[:cap]
-    k = 0                   # terms summed so far: each entry's k is its m + 1
-    while True:     # over the table, then once over the entries it grows by
-        for den, k in entries:
-            term *= quarter_y2 / den
-            total += term
-            if abs(term) <= BESSEL_REL_TOL * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
-                    return total
-            else:
-                small_streak = 0
-        if k >= cap:
-            return total
-        entries = _grow(table, k, cap, lambda m: ((m + 1) * (order + m + 1), m + 1))
-
-
-@functools.lru_cache(maxsize=FACTOR_TABLES)
-def _bessel_table(order: float) -> list:
-    """The pairs ((m + 1)(order + m + 1), m + 1), m = 0, 1, ..., of I_order,
-    grown by :func:`bessel_i` as far as its calls have summed."""
-    return []
+    for m in range(MAX_TERMS):
+        term *= quarter_y2 / ((m + 1) * (order + m + 1))
+        total += term
+        if abs(term) <= BESSEL_REL_TOL * abs(total):
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+    return total

@@ -306,6 +306,24 @@ class TestOracle:
         assert len(err.splitlines()) == 1
         assert err.startswith("volswap: a ") and "MAX_GRID_NODES" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--steps", "100000000"], "100000 paths on 100000000 steps"),
+        (["--paths", "100000000000"], "100000000000 paths on 250 steps")],
+        ids=["steps-1e8", "paths-1e11"])
+    def test_mc_past_the_size_cap_is_usage_error(self, tmp_path, capsys,
+                                                 monkeypatch, extra, message):
+        # refused from the inputs, before any draw or buffer
+        def estimate(*args):
+            raise AssertionError("an estimate past MAX_PATH_STEPS was run")
+
+        monkeypatch.setattr(mc_engine, "kappa_mc", estimate)
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1"] + extra
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == (f"volswap: {message} is more than "
+                       f"MAX_PATH_STEPS = 1073741824 path steps\n")
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # numpy's message for --steps 100000000; this was a traceback, exit 1
         def allocate(*args):

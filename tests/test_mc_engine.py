@@ -156,6 +156,28 @@ class TestSeed:
         assert McConfig(1000, 10, seed=2 ** 128 - 1).seed == 2 ** 128 - 1
 
 
+class TestSizeBounds:
+    @pytest.mark.parametrize("n_paths, n_steps", [(1000, 100_000_000),
+                                                  (100_000_000_000, 250),
+                                                  (2 ** 21 + 2, 512)])
+    def test_path_steps_past_the_cap_are_domain_error(self, n_paths, n_steps):
+        # refused from the inputs: --steps 1e8 needed 381 GiB of buffers
+        with pytest.raises(DomainError, match="MAX_PATH_STEPS = 1073741824"):
+            McConfig(n_paths, n_steps, seed=1)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(4, 2 ** 22), (512, 2 ** 14 + 1)])
+    def test_worker_buffer_past_the_cap_is_domain_error(self, n_paths, n_steps):
+        with pytest.raises(DomainError, match="MAX_BUFFER_FLOATS = 8388608"):
+            McConfig(n_paths, n_steps, seed=1)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [
+        (100_000, 250), (2 ** 19, 512), (8192, 1000), (2 ** 21, 512),
+        (512, 2 ** 14), (4, 2 ** 21)])
+    def test_sizes_in_use_and_at_the_caps_are_admitted(self, n_paths, n_steps):
+        # the CLI default, the largest probe, the memory test, then each cap
+        assert McConfig(n_paths, n_steps, seed=1).n_steps == n_steps
+
+
 class TestKappaMc:
     def test_terminal_exact(self):
         state = MarketState(t=1.0, sigma=0.25, nu=0.04)

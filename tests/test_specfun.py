@@ -189,26 +189,28 @@ class TestKummer1F1:
     @pytest.mark.parametrize("warm_z, cap", [(300.0, 100), (1.0, 150)],
                              ids=["cap-below-table", "cap-above-table"])
     def test_cold_and_warm_tables_agree(self, monkeypatch, a, b, warm_z, cap):
-        # z = 300 sums past either cap; a table warmed at warm_z is longer
+        # z = 300 sums past either cap; a tuple stored at warm_z is longer
         # than the first cap and shorter than the second
-        specfun._kummer_table.cache_clear()
+        specfun._KUMMER_PAIRS.clear()
         specfun.kummer_1f1(a, b, warm_z)
-        assert (len(specfun._kummer_table(a, b)) > cap) == (warm_z == 300.0)
+        assert (len(specfun._KUMMER_PAIRS[a, b]) > cap) == (warm_z == 300.0)
         monkeypatch.setattr(specfun, "MAX_TERMS", cap)
         warm = repr(specfun.kummer_1f1(a, b, 300.0))
-        specfun._kummer_table.cache_clear()
+        specfun._KUMMER_PAIRS.clear()
         cold = repr(specfun.kummer_1f1(a, b, 300.0))
         assert warm == cold == repr(kummer_int_loop(a, b, 300.0))
+        pairs = specfun._KUMMER_PAIRS[a, b]
+        assert pairs == tuple(((a + m) / (b + m), m + 1.0) for m in range(len(pairs)))
 
     def test_tables_grown_from_threads_stay_exact(self):
-        # threads growing one table at once must leave entry m at index m
+        # threads growing one (a, b) at once must leave entry m at index m
         a, b, zs = 9.5, 20.5, (1.0, 50.0, 300.0, 700.0)
         expected = [repr(kummer_int_loop(a, b, z)) for z in zs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                specfun._kummer_table.cache_clear()
+                specfun._KUMMER_PAIRS.clear()
                 results = []
                 threads = [threading.Thread(target=lambda: results.append(
                     [repr(specfun.kummer_1f1(a, b, z)) for z in zs])) for _ in range(8)]
@@ -218,10 +220,27 @@ class TestKummer1F1:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert results == [expected] * len(threads)
-                table = specfun._kummer_table(a, b)
-                assert table == [((a + m) / (b + m), m + 1.0) for m in range(len(table))]
+                pairs = specfun._KUMMER_PAIRS[a, b]
+                assert pairs == tuple(((a + m) / (b + m), m + 1.0) for m in range(len(pairs)))
         finally:
             sys.setswitchinterval(interval)
+
+    def test_factor_memo_stays_bounded(self, monkeypatch):
+        # 12 (a, b) through a memo of 4: it is emptied twice, and every value
+        # read before and after an emptying equals the int loop; z = 300
+        # sums past the first stored tuples, so they are replaced by longer
+        monkeypatch.setattr(specfun, "FACTOR_TABLES", 4)
+        specfun._KUMMER_PAIRS.clear()
+        params = [(n - 0.5, 2 * n + 0.5) for n in range(12)]
+        sizes = []
+        for _ in range(2):
+            for a, b in params:
+                for z in (1.0, 40.0, 300.0):
+                    value = specfun.kummer_1f1(a, b, z)
+                    sizes.append(len(specfun._KUMMER_PAIRS))
+                    assert repr(value) == repr(kummer_int_loop(a, b, z)), (a, b, z)
+        assert max(sizes) == 4
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
     def test_kummer_ode_residual(self):
         # z F'' = (z - b) F' + a F with derivatives from contiguous relations
@@ -321,10 +340,9 @@ class TestBesselI:
 
     @pytest.mark.parametrize("max_terms", [None, 3])
     def test_cold_and_warm_tables_match_the_int_loop(self, monkeypatch, max_terms):
-        # each order's table is grown by a short series, then read by longer
-        # ones; at 3 terms every series stops at the cap
+        # short and long series of each order; at 3 terms every series
+        # stops at the cap
         if max_terms is not None:
             monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
-        specfun._bessel_table.cache_clear()
         for y, order in itertools.product((0.1, 5.0, 60.0), (-2.5, -0.5, 0.5, 7.5, 39.5)):
             assert repr(specfun.bessel_i(order, y)) == repr(bessel_int_loop(order, y))
