@@ -6,7 +6,8 @@ Three independent routes to the fair strike kappa:
 * :mod:`volswap.mc_engine` — exact-increment Monte Carlo on antithetic
   pairs (bit-reproducible at any thread count: one counter-based stream
   per fixed block of 256 pairs, blocks drawn on worker threads and merged
-  in block order),
+  in block order), whose every estimate carries the variance swap of its
+  own draws beside kappa,
 * :mod:`volswap.pde_engine` — Crank-Nicolson solve of the reduced
   Feynman-Kac problem plus quadrature,
 
@@ -33,8 +34,7 @@ from .series_pricer import (SeriesDiagnostics, kappa_series,
 #: engine of each lazily imported name
 _ENGINE_OF = {
     **dict.fromkeys(("McConfig", "McEstimate", "kappa_mc",
-                     "variance_swap_expectation", "variance_swap_mc"),
-                    "mc_engine"),
+                     "variance_swap_expectation"), "mc_engine"),
     **dict.fromkeys(("GridSpec", "PsiSolution", "kappa_quadrature",
                      "solve_psi"), "pde_engine"),
 }
@@ -56,6 +56,5 @@ __all__ = [
     "discount_factor", "time_to_maturity",
     "SeriesDiagnostics", "kappa_series", "price_volatility_swap",
     "McConfig", "McEstimate", "kappa_mc", "variance_swap_expectation",
-    "variance_swap_mc",
     "GridSpec", "PsiSolution", "kappa_quadrature", "solve_psi",
 ]

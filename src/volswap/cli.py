@@ -10,8 +10,8 @@ own.  ``duration_s`` runs from the start of :func:`main`: it counts
 parsing and the engine import, not interpreter start-up.  Numbers are
 serialized with shortest round-trip representation (exact for 64-bit
 floats) and are never NaN or Infinity: an engine refuses what it cannot
-value, and a refinement ratio or a count of MC standard errors it cannot
-define is null.
+value, and a refinement ratio, a count of MC standard errors or an MC
+variance swap it cannot define is null.
 
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  Flags are the only input; flags kept in a
@@ -22,8 +22,12 @@ No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 no flag of its own and runs every check family at ``verify.N_TERMS``,
 ``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``.  ``price`` always
 reports both ``kappa`` and the market-annualized ``kappa_market`` =
-sqrt(T) kappa.  ``compare`` makes a row's ``kappa_pde`` null where the PDE
-refuses, saying why on stderr.
+sqrt(T) kappa.  ``oracle mc`` reports, beside ``kappa`` and its
+``std_error``, the ``variance_swap`` nu + sigma^2 tau M_s of the same draws
+and its ``variance_swap_se``, whose exact mean checks the draws.
+``compare`` makes a row's ``kappa_pde`` null where the PDE refuses, and its
+``kappa_series``, ``regime`` and ``abs_diff_mc_sigmas`` null where the
+series refuses, saying why on stderr; the row keeps its other engines.
 
 Exit codes: 0 success, 1 verification check failed, 2 usage error (an
 unwritable ``--output`` and a size past memory too), 3 an engine refused a
@@ -57,6 +61,11 @@ _COMPARE_SIGMAS = 3.0
 
 #: dests that are no manifest parameter: the parser's own, ``output`` and ``seed``
 _UNRECORDED = ("func", "words", "command", "oracle", "output", "seed")
+
+
+def _number(value: float):
+    """``value``, or None where it is not finite: JSON has no NaN or Infinity."""
+    return value if math.isfinite(value) else None
 
 
 def _market_inputs(args, **terms):
@@ -93,7 +102,9 @@ def cmd_oracle_mc(args) -> tuple:
     estimate = mc_engine.kappa_mc(state, params, contract, mc_engine.McConfig(
         n_paths=args.paths, n_steps=args.steps, seed=args.seed))
     return {"kappa": estimate.mean, "std_error": estimate.std_error,
-            "n_paths": estimate.n_paths}, EXIT_OK
+            "n_paths": estimate.n_paths,
+            "variance_swap": _number(estimate.variance_swap),
+            "variance_swap_se": _number(estimate.variance_swap_se)}, EXIT_OK
 
 
 def cmd_oracle_pde(args) -> tuple:
@@ -109,7 +120,7 @@ def cmd_oracle_pde(args) -> tuple:
         "kappas": report["kappas"],
         "grids": [list(g) for g in report["grids"]],
         # inf where the two finer levels agree bit for bit: no ratio
-        "ratios": [r if math.isfinite(r) else None for r in report["ratios"]],
+        "ratios": [_number(r) for r in report["ratios"]],
         "y_max": report["y_max"],
     }}, EXIT_OK
 
@@ -134,7 +145,9 @@ def cmd_compare(args) -> tuple:
     """One row per (alpha, tau, zeta), valued at t = tenor - tau, and exit 4
     unless every convergent series lies within ``_COMPARE_SIGMAS`` MC
     standard errors of the MC mean.  ``kappa_pde`` is null where the PDE
-    refuses, and ``abs_diff_mc_sigmas`` where infinite, which fails the row."""
+    refuses; ``kappa_series``, ``regime`` and ``abs_diff_mc_sigmas`` are null
+    where the series refuses, and ``abs_diff_mc_sigmas`` where infinite,
+    which fails the row."""
     from . import mc_engine, pde_engine
     nu, tenor = args.nu, args.tenor
     contract = SwapContract(t0=0.0, tenor=tenor)
@@ -152,26 +165,37 @@ def cmd_compare(args) -> tuple:
     rows, all_passed = [], True
     config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
                                 seed=args.seed)
-    for alpha, tau, zeta, params, state in points:
-        kappa_s, diag = series_pricer.kappa_series(state, params, contract)
-        mc = mc_engine.kappa_mc(state, params, contract, config)
+
+    def value(column, engine, point):
+        """The engine's value at a point, or None, said on stderr, where it
+        refuses: the row keeps its other engines."""
+        alpha, tau, zeta, params, state = point
         try:
-            kappa_p = pde_engine.kappa_quadrature(state, params, contract)
-        except VolswapError as exc:     # the row keeps its other engines
-            print(f"volswap: no kappa_pde at alpha {alpha}, tau {tau}, "
+            return engine(state, params, contract)
+        except VolswapError as exc:
+            print(f"volswap: no {column} at alpha {alpha}, tau {tau}, "
                   f"zeta {zeta}: {exc}", file=sys.stderr)
-            kappa_p = None
-        diff = abs(kappa_s - mc.mean)
-        if mc.std_error > 0.0:
-            sigmas = diff / mc.std_error
-        else:
-            sigmas = 0.0 if diff == 0.0 else math.inf
-        if diag.regime == series_pricer.REGIME_CONVERGENT and sigmas > _COMPARE_SIGMAS:
-            all_passed = False
+            return None
+
+    for point in points:
+        alpha, tau, zeta, params, state = point
+        mc = mc_engine.kappa_mc(state, params, contract, config)   # a refusal ends the run
+        series = value("kappa_series", series_pricer.kappa_series, point)
+        kappa_p = value("kappa_pde", pde_engine.kappa_quadrature, point)
+        kappa_s = regime = sigmas = None
+        if series is not None:
+            kappa_s, regime = series[0], series[1].regime
+            diff = abs(kappa_s - mc.mean)
+            if mc.std_error > 0.0:
+                sigmas = diff / mc.std_error
+            else:
+                sigmas = 0.0 if diff == 0.0 else math.inf
+            if regime == series_pricer.REGIME_CONVERGENT and sigmas > _COMPARE_SIGMAS:
+                all_passed = False
+            sigmas = _number(sigmas)
         rows.append({"alpha": alpha, "tau": tau, "zeta": zeta, "kappa_series": kappa_s,
-                     "regime": diag.regime, "kappa_mc": mc.mean, "mc_se": mc.std_error,
-                     "kappa_pde": kappa_p,
-                     "abs_diff_mc_sigmas": sigmas if math.isfinite(sigmas) else None})
+                     "regime": regime, "kappa_mc": mc.mean, "mc_se": mc.std_error,
+                     "kappa_pde": kappa_p, "abs_diff_mc_sigmas": sigmas})
     return ({"rows": rows, "all_passed": all_passed},
             EXIT_OK if all_passed else EXIT_COMPARE_FAILED)
 

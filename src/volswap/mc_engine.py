@@ -8,11 +8,11 @@ n-step grid of [0, s] and M is the trapezoid mean over its nodes.  tau, s
 and sqrt(nu)/T are :func:`~volswap.model.reduced_variables`'.
 
 Every draw is an antithetic pair, the paths of increments xi and -xi, valued
-at the mean of their payoffs; n_paths counts paths, twice the draws.  The
+at the mean of their payoffs; n_paths counts paths, twice the draws.  A
 payoff rises with every increment, so a pair never has more variance per
 path than two independent paths (Glasserman, Monte Carlo Methods in
-Financial Engineering, 2003, sec. 4.2), and its two paths share one
-running sum and one exp.
+Financial Engineering, 2003, sec. 4.2); its two paths share one running
+sum and one exp.
 
 Reproducibility contract: draws are reduced in fixed blocks of
 BLOCK_PATHS, each with one counter-based Philox4x64-10 stream (Salmon et
@@ -21,12 +21,13 @@ numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) draws a
 block's normals, no inverse CDF, one row of n_steps per draw.  The blocks
 are spread over W = :func:`resolve_workers` threads, at most one per block,
 block w + kW on worker w and worker 0 the calling thread: numpy's draws
-and ufuncs release the GIL, so the workers run on as many cores.  Each block
-reduces its payoffs to a sum and a centred sum of squares in a fixed
-order, and the calling thread merges them in block order by the
-Chan-Golub-LeVeque update, which keeps the standard error's spread far
-below the mean; so an estimate depends on its config alone, bit for bit,
-at any worker count.
+and ufuncs release the GIL, so the workers run on as many cores.  Each
+block reduces both payoffs of :func:`kappa_mc`, kappa's and the variance
+swap's, whose exact mean checks the draws, to a sum and a centred sum of
+squares in a fixed order; the calling thread merges them in block order
+by the Chan-Golub-LeVeque update, which keeps the standard error's spread
+far below the mean.  So an estimate depends on its config alone, bit for
+bit, at any worker count.
 
 Work is bounded from the inputs: :class:`McConfig` refuses more than
 ``MAX_PATH_STEPS`` path steps n_paths * n_steps, and a worker buffer, the
@@ -88,12 +89,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean over the antithetic pairs, with its standard error over
-    n_paths // 2 draws; n_paths counts both paths of every pair."""
+    """kappa's sample mean over the antithetic pairs and its standard error
+    over n_paths // 2 draws, then the variance swap's on the same draws;
+    n_paths counts both paths of every pair."""
 
     mean: float
     std_error: float
     n_paths: int
+    variance_swap: float
+    variance_swap_se: float
 
 
 def resolve_workers() -> int:
@@ -150,35 +154,41 @@ def _block_means(config: McConfig, block: int, s: float,
 
 
 def _finite(variance: float, *values: float) -> None:
-    """Refuse sigma^2 tau = ``variance``, or an estimate from it, beyond the
-    float range."""
+    """Refuse sigma^2 tau, or an estimate from it, beyond the float range."""
     if not all(map(math.isfinite, (variance, *values))):
         raise DomainError(f"sigma^2 tau = {variance}: the estimate is not finite")
 
 
-def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
-              config: McConfig, square_root: bool) -> McEstimate:
+def kappa_mc(state: MarketState, params: SabrParams, contract: SwapContract,
+             config: McConfig) -> McEstimate:
+    """Sample estimates of kappa = E[(1/T) sqrt(nu + sigma^2 tau M_s)] and of
+    the variance swap E[nu + sigma^2 tau M_s], on the same draws.
+
+    At tau = 0 both are exact, with zero standard errors.  Raises
+    :class:`DomainError` where sigma^2 tau takes kappa or its standard error
+    beyond the float range; the variance swap is returned as computed.
+    """
     tau, s, _, root_nu = reduced_variables(state, params, contract)
     if tau == 0.0:
-        value = root_nu if square_root else state.nu
-        return McEstimate(mean=value, std_error=0.0, n_paths=config.n_paths)
+        return McEstimate(mean=root_nu, std_error=0.0, n_paths=config.n_paths,
+                          variance_swap=state.nu, variance_swap_se=0.0)
 
     variance = state.sigma * state.sigma * tau     # sigma^2 tau, times M_s
     _finite(variance)
     n_draws = config.n_paths // 2
     n_blocks = -(-n_draws // BLOCK_PATHS)
     workers = min(resolve_workers(), n_blocks)
-    sums, squares = [0.0] * n_blocks, [0.0] * n_blocks   # per block
+    # per block, kappa's and the variance swap's sums and centred sums of squares
+    sums, squares, swap_sums, swap_squares = ([0.0] * n_blocks for _ in range(4))
     errors = []
 
     def work(first: int) -> None:
-        """Blocks first, first + workers, ...: their payoff sums and centred
-        sums of squares; a failure is kept for the caller and stops every
-        worker at its next block."""
+        """Blocks first, first + workers, ...; a failure is kept for the
+        caller and stops every worker at its next block."""
         try:
             # errstate is per thread.  A finite sigma^2 tau may still
             # overflow the payoffs or their moments; _finite refuses that
-            # after the merge, so numpy need not warn of it
+            # for kappa after the merge, so numpy need not warn of it
             with np.errstate(over="ignore", invalid="ignore"):
                 # one pair of buffers per worker: fresh block-sized temporaries
                 # cost the process ~35 000 page faults per 16 384 x 250 estimate
@@ -186,14 +196,16 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
                 for block in range(first, n_blocks, workers):
                     if errors:
                         return
-                    lo = block * BLOCK_PATHS
-                    means = _block_means(config, block, s,
-                                         buffers[:, :min(BLOCK_PATHS, n_draws - lo)])
+                    means = _block_means(config, block, s, buffers[
+                        :, :min(BLOCK_PATHS, n_draws - block * BLOCK_PATHS)])
                     realized = state.nu + variance * means
-                    payoffs = np.sqrt(realized) / contract.tenor if square_root else realized
-                    vals = payoffs.mean(axis=0)
-                    sums[block] = float(np.sum(vals))
-                    squares[block] = float(np.sum(np.square(vals - sums[block] / vals.size)))
+                    for payoffs, to_sums, to_squares in (
+                            (np.sqrt(realized) / contract.tenor, sums, squares),
+                            (realized, swap_sums, swap_squares)):
+                        vals = payoffs.mean(axis=0)
+                        to_sums[block] = float(np.sum(vals))
+                        to_squares[block] = float(
+                            np.sum(np.square(vals - to_sums[block] / vals.size)))
         except BaseException as exc:     # re-raised by the caller
             errors.append(exc)
 
@@ -211,39 +223,22 @@ def _estimate(state: MarketState, params: SabrParams, contract: SwapContract,
     if errors:
         raise errors[0]
 
-    total = m2 = 0.0
-    for block, (block_sum, block_m2) in enumerate(zip(sums, squares)):  # fixed order
-        lo = block * BLOCK_PATHS
-        size = min(BLOCK_PATHS, n_draws - lo)
-        if lo:   # Chan-Golub-LeVeque merge with the lo draws before
-            delta = block_sum / size - total / lo
-            m2 += delta * delta * lo * size / (lo + size)
-        m2 += block_m2
-        total += block_sum
-    mean, std_error = total / n_draws, math.sqrt(m2 / (n_draws - 1) / n_draws)
+    merged = []     # mean and standard error of each payoff
+    for payoff_sums, payoff_squares in ((sums, squares), (swap_sums, swap_squares)):
+        total = m2 = 0.0
+        for block, (block_sum, block_m2) in enumerate(zip(payoff_sums, payoff_squares)):
+            lo = block * BLOCK_PATHS
+            size = min(BLOCK_PATHS, n_draws - lo)
+            if lo:   # Chan-Golub-LeVeque merge with the lo draws before
+                delta = block_sum / size - total / lo
+                m2 += delta * delta * lo * size / (lo + size)
+            m2 += block_m2
+            total += block_sum
+        merged += [total / n_draws, math.sqrt(m2 / (n_draws - 1) / n_draws)]
+    mean, std_error, swap, swap_se = merged
     _finite(variance, mean, std_error)
-    return McEstimate(mean=mean, std_error=std_error, n_paths=config.n_paths)
-
-
-def kappa_mc(state: MarketState, params: SabrParams, contract: SwapContract,
-             config: McConfig) -> McEstimate:
-    """Sample estimate of kappa = E[(1/T) sqrt(nu + sigma^2 tau M_s)].
-
-    At tau = 0 no simulation is needed and the exact sqrt(nu)/T is returned
-    with zero standard error.  Raises :class:`DomainError` where sigma^2 tau
-    takes the mean or its standard error beyond the float range.
-    """
-    return _estimate(state, params, contract, config, True)
-
-
-def variance_swap_mc(state: MarketState, params: SabrParams,
-                     contract: SwapContract, config: McConfig) -> McEstimate:
-    """Same pipeline without the square root: E[nu + sigma^2 tau M_s].
-
-    Exists to validate the simulator against the closed form
-    :func:`variance_swap_expectation`.
-    """
-    return _estimate(state, params, contract, config, False)
+    return McEstimate(mean=mean, std_error=std_error, n_paths=config.n_paths,
+                      variance_swap=swap, variance_swap_se=swap_se)
 
 
 def variance_swap_expectation(state: MarketState, params: SabrParams,

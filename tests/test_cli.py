@@ -1,7 +1,9 @@
 """The command-line interface: exit codes and output documents against docs/schemas."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -15,10 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
 from volswap import cli, mc_engine, pde_engine, series_pricer, verify
+from volswap.model import MarketState, SabrParams, SwapContract
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -49,11 +54,16 @@ def run(tmp_path, argv, schema=None):
     code = cli.main(argv + ["--output", str(out)])
     if schema is None:
         return code, out.read_text(encoding="utf-8")
-    document = strict_json(out.read_text(encoding="utf-8"))
+    return code, checked(out.read_text(encoding="utf-8"), schema)
+
+
+def checked(text, schema):
+    """The document in text, parsed strictly and checked against schema."""
+    document = strict_json(text)
     validator = Draft7Validator(SCHEMAS[schema], registry=REGISTRY)
     errors = [e.message for e in validator.iter_errors(document)]
     assert errors == []
-    return code, document
+    return document
 
 
 class TestPrice:
@@ -162,6 +172,36 @@ class TestOracle:
                         "oracle_mc.schema.json")
         assert code == cli.EXIT_OK
         assert doc["n_paths"] == 2000
+
+    def test_mc_variance_swap_of_its_own_draws(self, tmp_path):
+        # the draws that value kappa also value nu + sigma^2 tau M_s, whose
+        # exact mean nu + sigma^2 tau expm1(s)/s checks them
+        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+                        + ["--seed", "1", "--paths", "2000", "--steps", "50"],
+                        "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        estimate = mc_engine.kappa_mc(
+            MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4),
+            SwapContract(t0=0.0, tenor=1.0), mc_engine.McConfig(2000, 50, seed=1))
+        assert (doc["variance_swap"], doc["variance_swap_se"]) == (
+            estimate.variance_swap, estimate.variance_swap_se)
+        exact = 0.03 + 0.25 ** 2 * 0.5 * math.expm1(0.08) / 0.08
+        assert abs(doc["variance_swap"] - exact) <= 4.0 * doc["variance_swap_se"]
+
+    def test_mc_variance_swap_beyond_float_range_is_null(self, tmp_path, capsys):
+        # sigma^2 tau = 5e307 at alpha 0.4: kappa is finite, while the
+        # variance swap's sum overflows; it is written as null, not refused
+        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "200", "--steps", "5",
+                                                "--seed", "3"]
+        argv[argv.index("--sigma") + 1] = "1e154"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        assert (doc["kappa"], doc["std_error"]) == (7.111298701594839e+153,
+                                                    1.9932453378167703e+151)
+        assert doc["variance_swap"] is None and doc["variance_swap_se"] is None
+        assert capsys.readouterr().err == ""
 
     def test_mc_nu_zero(self, tmp_path):
         argv = ["oracle", "mc", "--alpha", "0.4", "--sigma", "0.25",
@@ -389,6 +429,26 @@ class TestCompare:
                 == [False, False, False, True])
         assert "no kappa_pde at alpha 1.0, tau 0.8, zeta 1.0" in capsys.readouterr().err
 
+    def test_series_refusal_empties_its_cells(self, tmp_path, capsys):
+        # zeta = 3125: 1F1's e^zeta overflows every series term.  The series'
+        # refusal dropped the whole sweep with exit 3; now the row keeps MC
+        # and the PDE, which agree
+        code, doc = run(tmp_path, [
+            "compare", "--alphas", "0.4", "--taus", "0.999", "--zetas", "1,3125",
+            "--nu", "6.25e-5", "--paths", "1000", "--steps", "10", "--seed", "1"],
+            "compare.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["all_passed"]
+        first, second = doc["rows"]
+        assert first["kappa_series"] is not None and first["regime"] is not None
+        assert (second["kappa_series"], second["regime"],
+                second["abs_diff_mc_sigmas"]) == (None, None, None)
+        assert second["kappa_pde"] == 0.2532945634550641
+        assert abs(second["kappa_mc"] - second["kappa_pde"]) <= 3.0 * second["mc_se"]
+        assert capsys.readouterr().err == (
+            "volswap: no kappa_series at alpha 0.4, tau 0.999, zeta 3125.0: "
+            "series produced no finite terms\n")
+
     def test_at_maturity_every_engine_agrees(self, tmp_path):
         # the series was 1 ulp off sqrt(nu)/T where the MC standard error is 0
         code, doc = run(tmp_path, [
@@ -436,7 +496,8 @@ class TestCompare:
         # a zero standard error under a nonzero difference is no finite count
         # of standard errors: this built Infinity into the row
         monkeypatch.setattr(mc_engine, "kappa_mc", lambda state, params, contract,
-                            config: mc_engine.McEstimate(0.25, 0.0, config.n_paths))
+                            config: mc_engine.McEstimate(0.25, 0.0, config.n_paths,
+                                                         0.0625, 0.0))
         code, doc = run(tmp_path, [
             "compare", "--alphas", "0.3", "--taus", "0.5", "--zetas", "1",
             "--nu", "0.04", "--seed", "1", "--paths", "512", "--steps", "8"],
@@ -666,3 +727,91 @@ def test_mc_at_s_700(tmp_path, capsys):
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert (code, err) == (cli.EXIT_OK, "")
     assert math.isfinite(strict_json((tmp_path / "out").read_text())["kappa"])
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def float_list(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=2).map(
+        lambda values: ",".join(map(repr, values)))
+
+
+@st.composite
+def accrual(draw, names):
+    """t0, the tenor and a valuation time inside the accrual window."""
+    t0, tenor, at = draw(st.floats(0, 1)), draw(st.floats(1e-3, 2)), draw(st.floats(0, 1))
+    return dict(zip(names, map(repr, (t0, tenor, t0 + at * tenor))))
+
+
+MARKET = [accrual(("--t0", "--tenor", "--t")), st.fixed_dictionaries({
+    "--alpha": floats(1e-3, 2), "--sigma": floats(1e-3, 2), "--nu": floats(0, 0.1)})]
+SIMULATION = st.fixed_dictionaries({
+    "--seed": st.integers(0, 2 ** 128 - 1).map(str),
+    "--paths": st.integers(2, 32).map(lambda pairs: str(2 * pairs)),
+    "--steps": st.integers(1, 40).map(str)})
+#: each command's words and its flags, each drawn inside its domain: small
+#: sizes, and one flag of an exclusive pair
+COMMAND_FLAGS = [
+    (["price"], MARKET + [st.fixed_dictionaries({
+        "--strike": floats(0, 1), "--notional": floats(0, 10)}),
+        st.sampled_from(["--rate", "--discount-factor"]).flatmap(
+            lambda flag: st.fixed_dictionaries({flag: floats(0.5, 1)}))]),
+    (["oracle", "mc"], MARKET + [SIMULATION]),
+    (["oracle", "pde"], MARKET + [st.fixed_dictionaries({
+        "--n-y": st.integers(16, 64).map(str), "--n-t": st.integers(16, 64).map(str),
+        "--y-max": floats(3, 30), "--refine": st.integers(0, 2).map(str)})]),
+    (["compare"], [SIMULATION, st.fixed_dictionaries({
+        "--alphas": float_list(1e-3, 2), "--taus": float_list(0, 1),
+        "--zetas": float_list(1e-3, 50), "--nu": floats(1e-4, 0.1)})]),
+    (["verify"], []),
+]
+#: what a flag's value may turn into: any float, an integer past every size
+#: bound, huge or negative, a junk string, or None, which leaves it out
+WILD = st.one_of(st.floats().map(repr), st.integers(2 ** 31, 2 ** 80).map(str),
+                 st.integers(max_value=-1).map(str),
+                 st.text(alphabet="0123456789.,+-eEx ", max_size=6), st.none())
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A command's words and its flags as --flag=value, so that a value such
+    as -1e-05 is no option; up to two flags take a WILD value."""
+    words, groups = draw(st.sampled_from(COMMAND_FLAGS))
+    values = {}
+    for group in groups:
+        values.update(draw(group))
+    for _ in range(draw(st.integers(0, 2)) if values else 0):
+        values[draw(st.sampled_from(sorted(values)))] = draw(WILD)
+    return words + [f"{flag}={value}" for flag, value in values.items()
+                    if value is not None]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=fuzzed_argv())
+def test_no_argv_ends_in_a_traceback(argv):
+    # every command on drawn flags: exit 0, 2, 3 or 4 with a document that
+    # matches its schema, or a refusal said in one volswap: line; argparse's
+    # own usage errors end in SystemExit(2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == cli.EXIT_USAGE
+                return
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DIVERGING,
+                    cli.EXIT_COMPARE_FAILED)
+    # compare says on stderr which engine gave a row no value
+    lines = [line for line in err.getvalue().splitlines()
+             if not line.startswith("volswap: no kappa_")]
+    if out.getvalue():
+        words = argv[:2] if argv[0] == "oracle" else argv[:1]
+        checked(out.getvalue(), "_".join(words) + ".schema.json")
+        assert lines == []
+    else:
+        assert code in (cli.EXIT_USAGE, cli.EXIT_DIVERGING)
+        assert len(lines) == 1 and lines[0].startswith("volswap: "), lines

@@ -1,5 +1,6 @@
-"""Monte Carlo engine: exactness, reproducibility, variance-swap pipeline."""
+"""Monte Carlo engine: exactness, reproducibility, the variance swap on kappa's draws."""
 
+import functools
 import math
 import os
 import re
@@ -15,12 +16,24 @@ from volswap import mc_engine
 from volswap.exceptions import DomainError
 from volswap.mc_engine import (BLOCK_PATHS, McConfig, block_stream, kappa_mc,
                                path_normals, resolve_workers,
-                               variance_swap_expectation, variance_swap_mc)
+                               variance_swap_expectation)
 from volswap.model import MarketState, SabrParams, SwapContract, reduced_variables
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 STATE = MarketState(t=0.5, sigma=0.25, nu=0.03)
 PARAMS = SabrParams(alpha=0.4)
+
+#: each payoff's (mean, standard error) fields of one kappa_mc estimate, by
+#: the id of the estimator that once valued that payoff alone
+PAYOFFS = [("mean", "std_error"), ("variance_swap", "variance_swap_se")]
+PAYOFF_IDS = ["kappa_mc", "variance_swap_mc"]
+#: kappa_mc for tests that read an estimate and do not count its draws
+cached_mc = functools.cache(kappa_mc)
+
+
+def payoff(estimate, fields):
+    """repr of the tuple of an estimate's named fields."""
+    return repr(tuple(getattr(estimate, field) for field in fields))
 
 
 def reference_normals(seed, block, n_rows, n_steps):
@@ -73,8 +86,8 @@ class TestWorkers:
     # 8 200 draws: 32 full blocks and one of 8 pairs; and one block of 20
     CONFIGS = [McConfig(16_400, 10, seed=2), McConfig(40, 10, seed=2)]
 
-    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    def test_estimate_does_not_depend_on_the_worker_count(self, estimator,
+    @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
+    def test_estimate_does_not_depend_on_the_worker_count(self, fields,
                                                           monkeypatch):
         threads = []
 
@@ -92,7 +105,8 @@ class TestWorkers:
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
                     threads.clear()
-                    estimates.add(repr(estimator(STATE, PARAMS, CONTRACT, config)))
+                    estimate = kappa_mc(STATE, PARAMS, CONTRACT, config)
+                    estimates.add(payoff(estimate, fields + ("n_paths",)))
                     assert len(threads) == n_blocks
                     assert len(set(threads)) == min(workers, n_blocks)
                 assert len(estimates) == 1
@@ -254,13 +268,13 @@ class TestKappaMc:
             kappa_mc(STATE, SabrParams(alpha=1e200), CONTRACT,
                      McConfig(100, 5, seed=1))
 
-    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    def test_s_beyond_float_range_is_domain_error(self, estimator):
+    @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
+    def test_s_beyond_float_range_is_domain_error(self, fields):
         # s = 800 is finite, but e^s - 1 is not: the PDE's rule applies here
         # too, where every path's sigma collapsed to a confident constant
         with pytest.raises(DomainError, match=r"800\.0: e\^s - 1 is not finite"):
-            estimator(STATE, SabrParams(alpha=40.0), CONTRACT,
-                      McConfig(1000, 10, seed=1))
+            payoff(kappa_mc(STATE, SabrParams(alpha=40.0), CONTRACT,
+                            McConfig(1000, 10, seed=1)), fields)
 
     def test_antithetic_needs_two_pairs(self):
         # one pair is one draw: no standard error exists
@@ -278,22 +292,23 @@ class TestKappaMc:
               (1.0, 1e154, 200, "5e+307")]
     BEYOND_IDS = ["mean", "std_error", "finite_sigma2_tau"]
 
-    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
     @pytest.mark.parametrize("alpha, sigma, n_paths, variance", BEYOND,
                              ids=BEYOND_IDS)
-    def test_estimate_beyond_float_range_is_domain_error(self, estimator, alpha,
+    def test_estimate_beyond_float_range_is_domain_error(self, fields, alpha,
                                                          sigma, n_paths, variance):
+        # kappa's refusal holds for the whole estimate, its variance swap too
         state = MarketState(t=0.5, sigma=sigma, nu=0.03)
         message = re.escape(f"sigma^2 tau = {variance}: ")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match=message):
-                estimator(state, SabrParams(alpha=alpha), CONTRACT,
-                          McConfig(n_paths, 5, seed=3))
+                payoff(kappa_mc(state, SabrParams(alpha=alpha), CONTRACT,
+                                McConfig(n_paths, 5, seed=3)), fields)
 
-    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
+    @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
     @pytest.mark.parametrize("alpha, sigma, n_paths, variance", BEYOND,
                              ids=BEYOND_IDS)
-    def test_estimate_beyond_float_range_warns_nothing(self, estimator, alpha,
+    def test_estimate_beyond_float_range_warns_nothing(self, fields, alpha,
                                                        sigma, n_paths, variance,
                                                        monkeypatch):
         # numpy warned of the overflow (or of inf - inf) above the refusal;
@@ -304,18 +319,21 @@ class TestKappaMc:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match=r"sigma\^2 tau = "):
-                    estimator(state, SabrParams(alpha=alpha), CONTRACT,
-                              McConfig(n_paths, 5, seed=3))
+                    payoff(kappa_mc(state, SabrParams(alpha=alpha), CONTRACT,
+                                    McConfig(n_paths, 5, seed=3)), fields)
 
     def test_pair_keeps_sigma2_tau_5e307_finite_at_alpha_0_4(self):
         # a pair's two payoffs stay close, so the sum of squares about the
-        # mean stays finite where single paths' overflowed
+        # mean stays finite where single paths' overflowed; the variance
+        # swap's sum overflows, and kappa is returned all the same
         state = MarketState(t=0.5, sigma=1e154, nu=0.03)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = kappa_mc(state, PARAMS, CONTRACT, McConfig(200, 5, seed=3))
-        assert repr(est) == ("McEstimate(mean=7.111298701594839e+153, "
-                             "std_error=1.9932453378167703e+151, n_paths=200)")
+        assert payoff(est, ("mean", "std_error", "n_paths")) == (
+            "(7.111298701594839e+153, 1.9932453378167703e+151, 200)")
+        assert est.variance_swap == math.inf
+        assert not math.isfinite(est.variance_swap_se)
 
 
 class TestPairs:
@@ -390,10 +408,10 @@ class TestReducedVariable:
                    for p, st in self.POINTS for tau in [1.0 - st.t]}
         assert len(reduced) == 1
 
-    @pytest.mark.parametrize("estimator", [kappa_mc, variance_swap_mc])
-    def test_estimate_depends_on_s_alone(self, estimator):
+    @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
+    def test_estimate_depends_on_s_alone(self, fields):
         config = McConfig(4000, 20, seed=3)
-        first, second = (repr(estimator(state, params, CONTRACT, config))
+        first, second = (payoff(cached_mc(state, params, CONTRACT, config), fields)
                          for params, state in self.POINTS)
         assert first == second
 
@@ -404,20 +422,21 @@ class TestGolden:
     antithetic pairs."""
 
     # every case draws antithetic pairs; "plain" is only the first case's
-    # name, and "two_blocks" spans 33 blocks, the last partial
+    # name, and "two_blocks" spans 33 blocks, the last partial.  Each case
+    # holds repr((mean, std_error)) of kappa, then of the variance swap
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "McEstimate(mean=0.24913711509497966, std_error=0.0001184631745000664, n_paths=3000)",
-                  "McEstimate(mean=0.06253239801448378, std_error=7.7550142425626e-05, n_paths=3000)"),
+                  "(0.24913711509497966, 0.0001184631745000664)",
+                  "(0.06253239801448378, 7.7550142425626e-05)"),
         "antithetic": (McConfig(3000, 20, seed=21),
-                       "McEstimate(mean=0.24919763919822965, std_error=0.00012539961954147663, n_paths=3000)",
-                       "McEstimate(mean=0.06256724090403532, std_error=8.266513596459459e-05, n_paths=3000)"),
+                       "(0.24919763919822965, 0.00012539961954147663)",
+                       "(0.06256724090403532, 8.266513596459459e-05)"),
         "two_blocks": (McConfig(16_400, 5, seed=2 ** 70 + 3),
-                       "McEstimate(mean=0.2491931698853605, std_error=5.2797443733862455e-05, n_paths=16400)",
-                       "McEstimate(mean=0.06256120650386617, std_error=3.439998964378937e-05, n_paths=16400)"),
+                       "(0.2491931698853605, 5.2797443733862455e-05)",
+                       "(0.06256120650386617, 3.439998964378937e-05)"),
         "one_step": (McConfig(1002, 1, seed=7),
-                     "McEstimate(mean=0.24931065550312628, std_error=0.00027554346988087325, n_paths=1002)",
-                     "McEstimate(mean=0.06253418493531387, std_error=0.00016701857991705427, n_paths=1002)"),
+                     "(0.24931065550312628, 0.00027554346988087325)",
+                     "(0.06253418493531387, 0.00016701857991705427)"),
     }
 
     def test_two_blocks_case_spans_a_partial_block(self):
@@ -427,12 +446,14 @@ class TestGolden:
     @pytest.mark.parametrize("case", CASES)
     def test_kappa(self, case):
         config, kappa, _ = self.CASES[case]
-        assert repr(kappa_mc(STATE, PARAMS, CONTRACT, config)) == kappa
+        est = cached_mc(STATE, PARAMS, CONTRACT, config)
+        assert (payoff(est, PAYOFFS[0]), est.n_paths) == (kappa, config.n_paths)
 
     @pytest.mark.parametrize("case", CASES)
     def test_variance_swap(self, case):
         config, _, variance = self.CASES[case]
-        assert repr(variance_swap_mc(STATE, PARAMS, CONTRACT, config)) == variance
+        est = cached_mc(STATE, PARAMS, CONTRACT, config)
+        assert (payoff(est, PAYOFFS[1]), est.n_paths) == (variance, config.n_paths)
 
 
 class TestVarianceSwap:
@@ -473,10 +494,9 @@ class TestVarianceSwap:
     def test_mc_matches_closed_form(self):
         state = MarketState(t=0.0, sigma=0.2, nu=0.0)
         params = SabrParams(alpha=0.5)
-        est = variance_swap_mc(state, params, CONTRACT,
-                               McConfig(60_000, 200, seed=31))
+        est = kappa_mc(state, params, CONTRACT, McConfig(60_000, 200, seed=31))
         expected = variance_swap_expectation(state, params, CONTRACT)
-        assert abs(est.mean - expected) <= 3.0 * est.std_error
+        assert abs(est.variance_swap - expected) <= 3.0 * est.variance_swap_se
 
     @pytest.mark.parametrize("n_steps", [1, 2])
     def test_mc_matches_trapezoid_of_exact_moments(self, n_steps):
@@ -489,17 +509,16 @@ class TestVarianceSwap:
         expected = state.nu + dt * sum(
             w * state.sigma ** 2 * math.exp(PARAMS.alpha ** 2 * k * dt)
             for k, w in enumerate(weights))
-        est = variance_swap_mc(state, PARAMS, CONTRACT,
-                               McConfig(120_000, n_steps, seed=11))
-        assert abs(est.mean - expected) <= 3.0 * est.std_error
+        est = kappa_mc(state, PARAMS, CONTRACT, McConfig(120_000, n_steps, seed=11))
+        assert abs(est.variance_swap - expected) <= 3.0 * est.variance_swap_se
 
     def test_mc_terminal(self):
         state = MarketState(t=1.0, sigma=0.2, nu=0.05)
-        est = variance_swap_mc(state, PARAMS, CONTRACT, McConfig(100, 5, seed=2))
-        assert est.mean == 0.05 and est.std_error == 0.0
+        est = kappa_mc(state, PARAMS, CONTRACT, McConfig(100, 5, seed=2))
+        assert est.variance_swap == 0.05 and est.variance_swap_se == 0.0
 
     def test_mc_deterministic_limit(self):
         params = SabrParams(alpha=1e-12)
-        est = variance_swap_mc(STATE, params, CONTRACT, McConfig(2000, 50, seed=8))
-        assert est.mean == pytest.approx(0.03 + 0.25 ** 2 * 0.5, rel=1e-10)
-        assert est.std_error < 1e-9
+        est = kappa_mc(STATE, params, CONTRACT, McConfig(2000, 50, seed=8))
+        assert est.variance_swap == pytest.approx(0.03 + 0.25 ** 2 * 0.5, rel=1e-10)
+        assert est.variance_swap_se < 1e-9
