@@ -16,6 +16,9 @@ variance swap it cannot define is null.
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  Flags are the only input; flags kept in a
 file reach a command through the shell, ``volswap price $(cat point.args)``.
+A value is the word after its flag or follows ``=``: ``--notional -1e6``
+is ``--notional=-1e6``, a short position, although argparse alone reads a
+negative number in exponent form as an option.
 
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 ``KUMMER_REL_TOL``, ``QUAD_TOL``) or a verification depth: ``verify`` takes
@@ -48,7 +51,8 @@ import time
 from . import __version__, series_pricer, verify
 from .exceptions import (AccuracyError, DomainError, InstabilityError,
                          VolswapError)
-from .model import MarketState, SabrParams, SwapContract, discount_factor
+from .model import (MarketState, SabrParams, SwapContract, discount_factor,
+                    reduced_time)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,6 +65,8 @@ _COMPARE_SIGMAS = 3.0
 
 #: dests that are no manifest parameter: the parser's own, ``output`` and ``seed``
 _UNRECORDED = ("func", "words", "command", "oracle", "output", "seed")
+#: the parser's flags that take no value
+_VALUELESS_FLAGS = ("--help", "--version")
 
 
 def _number(value: float):
@@ -158,8 +164,10 @@ def cmd_compare(args) -> tuple:
         if not (0.0 <= tau <= tenor and zeta > 0):
             raise DomainError(f"a row needs 0 <= tau <= tenor and zeta > 0, "
                               f"got tau {tau}, zeta {zeta}")
+        params = SabrParams(alpha=alpha)
+        reduced_time(alpha, tau)    # s past S_MAX: no engine prices the row
         sigma = math.sqrt(2.0 * alpha * alpha * nu * zeta)
-        points.append((alpha, tau, zeta, SabrParams(alpha=alpha),
+        points.append((alpha, tau, zeta, params,
                        MarketState(t=tenor - tau, sigma=sigma, nu=nu)))
 
     rows, all_passed = [], True
@@ -309,10 +317,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number_list(word: str) -> bool:
+    try:
+        float_list(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list) -> list:
+    """argv with every ``--flag -1e-05`` pair written ``--flag=-1e-05``.
+
+    argparse reads a word that starts with '-' as an option unless it looks
+    like -N or -N.N, so a negative number in exponent form, -inf or a list
+    such as -1,2 would not reach its flag.
+    """
+    joined = []
+    for word in argv:
+        flag = joined[-1] if joined else ""
+        if (word.startswith("-") and flag.startswith("--") and "=" not in flag
+                and flag not in _VALUELESS_FLAGS and _is_number_list(word)):
+            joined[-1] = f"{flag}={word}"
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     """Run one command; the only writer of a document and its manifest."""
     started = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         document, code = args.func(args)
     except VolswapError as exc:

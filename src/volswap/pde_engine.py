@@ -75,12 +75,20 @@ cell, so the dropped part is at most max|q(knots)| sqrt(pi zeta)
 erfc(y_cut / (2 sqrt(zeta))); c times its sum with boundary_max / y_max must
 stay below ``QUAD_TOL``.  Nothing but the weight depends on zeta where a
 cell needs no sub-cells (zeta >= 4 h^2, and nu = 0), so :func:`solve_psi`
-stores max|q(knots)| and the cubic at every whole cell's six nodes once per
-march; such a price is one ``exp`` over the tabulated nodes and one dot
-product, :func:`quad`, named like :func:`solve_banded` after the scipy
-routine it replaced, which tracing tools look up by module attribute.
-Sub-cells evaluate the same cubic, by the same Horner formula, at their
-own nodes.
+stores, once per march, max|q(knots)| and three tables with a row per whole
+cell: its six nodes squared, their weights and the cubic there.  A price
+on whole cells is then one divide, one ``exp`` and one multiply over the
+first rows of those tables, and one dot product, :func:`quad`, named like
+:func:`solve_banded` after the scipy routine it replaced, which tracing
+tools look up by module attribute.  Sub-cells evaluate the same cubic, by
+the same Horner formula, at their own nodes.  At zeta = inf (nu = 0, or
+zeta past the float range) the weight is exp(-0.0) = 1 on every cell, so
+the march stores that quadrature too, bit for bit what :func:`quad`
+would return, and the price does no array work: the tail is 1 / y_max and
+
+    G(s) = kappa T alpha / sigma = sqrt(2 / pi) * (int_0^y_max q dy + 1 / y_max)
+
+is a function of the march alone.
 
 :func:`kappa_quadrature` marches once per (s, grid): it looks psi up in
 :func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
@@ -172,6 +180,9 @@ GL_NODES = np.array([-0.9324695142031519, -0.6612093864662645, -0.23861918608319
                      0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
 GL_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
                        0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
+#: the nodes mapped onto [0, 1], where a cell or sub-cell of width w puts
+#: them at (k + GL_MID) w.
+GL_MID = 0.5 * (GL_NODES + 1.0)
 
 
 @dataclass(frozen=True)
@@ -214,22 +225,32 @@ class PsiSolution:
     final row, whose penultimate-node value is stored as ``boundary_max``.
     ``q_coeffs`` holds the pchip cubic of q(y) = (1 - psi(y)) / y^2 on each
     cell: column i holds (c3, c2, c1, c0) of the cubic in y - y[i].
-    ``q_max`` is max |q| at the knots; row i of ``gl_nodes`` holds the six
-    Gauss-Legendre nodes of cell i and row i of ``gl_q`` the cubic there.
+    ``y_max`` and the cell width ``h`` are ``y[-1]`` and ``y[1]`` as Python
+    floats, and ``q_max`` is max |q| at the knots.  Row i of the three
+    Gauss-Legendre tables is cell i's: ``gl_squares`` its six nodes
+    squared, ``gl_weights`` their weights 0.5 h ``GL_WEIGHTS``, ``gl_q`` the
+    cubic there.  ``g_integral``, their weighted sum of q over every cell,
+    is the quadrature at zeta = inf, where the weight e^(-y^2 / (4 zeta))
+    is 1; sqrt(2 / pi) times its sum with the tail 1 / y_max is G(s).
     """
 
     y: np.ndarray
     final: np.ndarray           # psi at the valuation time
     boundary_max: float
     s: float
+    y_max: float
+    h: float
     q_coeffs: np.ndarray        # shape (4, n_y)
     q_max: float
-    gl_nodes: np.ndarray        # shape (n_y, 6)
+    gl_squares: np.ndarray      # shape (n_y, 6)
+    gl_weights: np.ndarray      # shape (n_y, 6)
     gl_q: np.ndarray            # shape (n_y, 6)
+    g_integral: float
 
     def __post_init__(self):
         # psi_memo hands one instance to every caller that shares its s
-        for array in (self.y, self.final, self.q_coeffs, self.gl_nodes, self.gl_q):
+        for array in (self.y, self.final, self.q_coeffs, self.gl_squares,
+                      self.gl_weights, self.gl_q):
             array.flags.writeable = False
 
 
@@ -379,10 +400,15 @@ def solve_psi(alpha: float, tau: float,
     coeffs = _pchip_coeffs(y, psi, s)
     # each pchip cell is monotone, so |q| peaks at a knot
     q_max = max(np.abs(coeffs[3]).max(), abs(np.polyval(coeffs[:, -1], h)))
-    nodes = (np.arange(n)[:, None] + 0.5 * (GL_NODES + 1.0)) * h
+    nodes = (np.arange(n)[:, None] + GL_MID) * h
+    weights = np.empty_like(nodes)
+    weights[:] = 0.5 * h * GL_WEIGHTS
+    gl_q = _cubic(coeffs[:, :, None], y[:-1, None], nodes)
     return PsiSolution(y=y, final=psi, boundary_max=boundary_max, s=s,
-                       q_coeffs=coeffs, q_max=float(q_max), gl_nodes=nodes,
-                       gl_q=_cubic(coeffs[:, :, None], y[:-1, None], nodes))
+                       y_max=float(y[-1]), h=h, q_coeffs=coeffs,
+                       q_max=float(q_max), gl_squares=nodes * nodes,
+                       gl_weights=weights, gl_q=gl_q,
+                       g_integral=float(np.vdot(weights, gl_q)))
 
 
 @functools.lru_cache(maxsize=PSI_MEMO_SIZE)
@@ -444,8 +470,7 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
         raise DomainError(f"sqrt(2) sigma / alpha overflows at alpha {params.alpha}")
     _, _, zeta, root_nu = reduced_variables(state, params, contract)
     zeta = max(zeta, sys.float_info.min)    # the weight needs zeta > 0
-    y = solution.y
-    y_max, h, n_y = float(y[-1]), float(y[1]), len(y) - 1
+    y_max, h = solution.y_max, solution.h
     y_cut = min(y_max, 2.0 * math.sqrt(WEIGHT_CUT * zeta))
     tail_bound = solution.boundary_max / y_max    # in y; times c below
     if y_cut < y_max:
@@ -455,28 +480,38 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
         raise AccuracyError(
             f"tail bound {c * tail_bound:.3e} exceeds quad_tol {QUAD_TOL:.1e}")
 
-    parts = max(1.0, np.ceil(2.0 * h / math.sqrt(zeta)))   # sub-cells per cell
-    width = h / parts
-    m = math.ceil(min(y_cut / width, n_y * parts))          # sub-cells used
-    if parts == 1.0:    # whole cells: the march tabulated q at their nodes
-        nodes, q = solution.gl_nodes[:m], solution.gl_q[:m]
-    else:
-        sub = np.arange(m)[:, None]
-        cell = ((sub + 0.5) // parts).astype(np.intp)      # row i lies in cell[i]
-        nodes = (sub + 0.5 * (GL_NODES + 1.0)) * width
-        q = _cubic(solution.q_coeffs[:, cell], y[cell], nodes)
-    weights = np.empty_like(nodes)
-    weights[:] = 0.5 * width * GL_WEIGHTS
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        return q * np.exp(v * v / (-4.0 * zeta))
-
     # int_y_max^inf e^(-y^2 / (4 zeta)) / y^2 dy, psi taken as 0 there
     tail = (math.exp(y_max * y_max / (-4.0 * zeta)) / y_max
             - 0.5 * math.sqrt(math.pi / zeta)
             * math.erfc(y_max / (2.0 * math.sqrt(zeta))))
-    return root_nu + c * (quad(integrand, nodes, weights) + tail) / (
-        math.sqrt(math.pi) * contract.tenor)
+    if zeta == math.inf:    # weight 1 on every whole cell: the march's integral
+        integral = solution.g_integral
+    else:
+        # sub-cells per cell, and sub-cells used
+        parts = max(1.0, float(math.ceil(2.0 * h / math.sqrt(zeta))))
+        width = h / parts
+        m = math.ceil(min(y_cut / width, len(solution.gl_q) * parts))
+        if parts == 1.0:    # whole cells: the march tabulated them
+            squares = solution.gl_squares[:m]
+            q, weights = solution.gl_q[:m], solution.gl_weights[:m]
+        else:
+            sub = np.arange(m)[:, None]
+            cell = ((sub + 0.5) // parts).astype(np.intp)  # row i lies in cell[i]
+            nodes = (sub + GL_MID) * width
+            squares = nodes * nodes
+            q = _cubic(solution.q_coeffs[:, cell], solution.y[cell], nodes)
+            weights = np.empty_like(nodes)
+            weights[:] = 0.5 * width * GL_WEIGHTS
+
+        def integrand(v2: np.ndarray) -> np.ndarray:
+            """q times the weight at the nodes whose squares are ``v2``."""
+            out = v2 / (-4.0 * zeta)
+            np.exp(out, out=out)
+            out *= q
+            return out
+
+        integral = quad(integrand, squares, weights)
+    return root_nu + c * (integral + tail) / (math.sqrt(math.pi) * contract.tenor)
 
 
 def grid_refinement_report(state: MarketState, params: SabrParams,

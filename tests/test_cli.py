@@ -95,6 +95,26 @@ class TestPrice:
         argv = ["price"] + CONVERGENT_POINT + ["--discount-factor", "1.5"]
         assert cli.main(argv + ["--output", str(tmp_path / "bad")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, spaced, plain", [
+        ("--notional", "-1e6", "-1000000"), ("--t0", "-1E-1", "-0.1"),
+        ("--rate", "-5e-2", "-0.05")])
+    def test_negative_value_in_exponent_form(self, tmp_path, capsys, flag,
+                                             spaced, plain):
+        # argparse alone reads -1e6 as an option: "expected one argument".
+        # A negative rate reaches the engine, which refuses its discount factor
+        outcomes = []
+        for value in (spaced, plain):
+            out = tmp_path / value
+            code, err = exit_code(["price"] + CONVERGENT_POINT
+                                  + [flag, value, "--output", str(out)], capsys)
+            document = None
+            if out.exists():
+                document, manifest = recorded(out.read_text(encoding="utf-8"))
+                document["parameters"] = manifest["parameters"]
+            outcomes.append((code, err, document))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (cli.EXIT_USAGE if flag == "--rate" else cli.EXIT_OK)
+
     def test_discount_overflow_is_usage_error(self, tmp_path, capsys):
         argv = ["price"] + CONVERGENT_POINT + ["--rate", "-2000"]
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
@@ -524,6 +544,22 @@ class TestCompare:
         assert code == cli.EXIT_USAGE
         assert calls == []
 
+    def test_s_past_float_range_is_refused_before_any_pricing(self, tmp_path,
+                                                              capsys, monkeypatch):
+        # s = 40^2 * 0.5 = 800 > S_MAX: the alpha 0.4 row must not be priced first
+        calls = []
+        original = mc_engine.kappa_mc
+        monkeypatch.setattr(mc_engine, "kappa_mc",
+                            lambda *args: calls.append(args) or original(*args))
+        argv = ["compare", "--alphas", "0.4,40", "--taus", "0.5", "--zetas", "1",
+                "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1",
+                "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert (code, calls) == (cli.EXIT_USAGE, [])
+        assert err.splitlines() == [
+            "volswap: s = alpha^2 tau = 800.0: e^s - 1 is not finite"]
+        assert not (tmp_path / "out").exists()
+
     def test_odd_paths_is_refused_before_any_pricing(self, tmp_path, capsys,
                                                      monkeypatch):
         calls = []
@@ -776,16 +812,19 @@ WILD = st.one_of(st.floats().map(repr), st.integers(2 ** 31, 2 ** 80).map(str),
 
 @st.composite
 def fuzzed_argv(draw):
-    """A command's words and its flags as --flag=value, so that a value such
-    as -1e-05 is no option; up to two flags take a WILD value."""
+    """A command's words and its flags, each written --flag=value or
+    --flag value; up to two flags take a WILD value."""
     words, groups = draw(st.sampled_from(COMMAND_FLAGS))
     values = {}
     for group in groups:
         values.update(draw(group))
     for _ in range(draw(st.integers(0, 2)) if values else 0):
         values[draw(st.sampled_from(sorted(values)))] = draw(WILD)
-    return words + [f"{flag}={value}" for flag, value in values.items()
-                    if value is not None]
+    argv = list(words)
+    for flag, value in values.items():
+        if value is not None:
+            argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+    return argv
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

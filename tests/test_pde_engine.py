@@ -716,6 +716,34 @@ class TestFixedNodeRule:
         assert len(quads) == 1
         assert evals == [np.ndarray]
 
+    @pytest.mark.parametrize("nu", [0.0, 5e-324])
+    def test_infinite_zeta_reads_the_march_integral(self, monkeypatch, nu):
+        # zeta = inf at nu = 0 and where sigma^2 / (2 alpha^2 nu) overflows
+        quads = []
+        monkeypatch.setattr(pde_engine, "quad", lambda *args: quads.append(args))
+        kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
+                                 SabrParams(alpha=0.4), CONTRACT)
+        assert quads == []
+        assert kappa == pytest.approx(0.1779480869034989, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", TestGolden.KAPPAS)
+    def test_g_integral_is_the_quadrature_at_infinite_zeta(self, case):
+        # the weight e^(v^2 / (-4 zeta)) is exp(-0.0) = 1 at zeta = inf
+        (alpha, tau, _, _), grid, _ = TestGolden.KAPPAS[case]
+        sol = solve_psi(alpha, tau, grid)
+        integral = pde_engine.quad(lambda v2: sol.gl_q * np.exp(v2 / -math.inf),
+                                   sol.gl_squares, sol.gl_weights)
+        assert repr(sol.g_integral) == repr(integral)
+        assert type(sol.g_integral) is float
+
+    def test_tables_are_read_only(self):
+        sol = solve_psi(0.4, 0.5, GridSpec(n_y=64, n_t=256))
+        assert sol.gl_squares.shape == sol.gl_weights.shape == (64, 6)
+        assert np.array_equal(sol.gl_weights[-1], 0.5 * sol.h * pde_engine.GL_WEIGHTS)
+        for table in (sol.gl_squares, sol.gl_weights, sol.gl_q):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
     @pytest.mark.parametrize("nu, overflows", [(1e-300, False), (5e-324, True)])
     def test_vanishing_nu_prices_as_nu_zero(self, nu, overflows):
         params = SabrParams(alpha=0.4)
