@@ -7,7 +7,8 @@ Three independent routes to the fair strike kappa:
   pairs (bit-reproducible at any thread count: one counter-based stream
   per fixed block of 256 pairs, blocks drawn on worker threads and merged
   in block order), whose every estimate carries the variance swap of its
-  own draws beside kappa,
+  own draws beside kappa, on a step count below a cap chosen by a
+  same-draw step-halving test and the variance swap's tail test,
 * :mod:`volswap.pde_engine` — Crank-Nicolson solve of the reduced
   Feynman-Kac problem plus quadrature,
 

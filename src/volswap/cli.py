@@ -11,7 +11,8 @@ parsing and the engine import, not interpreter start-up.  Numbers are
 serialized with shortest round-trip representation (exact for 64-bit
 floats) and are never NaN or Infinity: an engine refuses what it cannot
 value, and a refinement ratio, a count of MC standard errors or an MC
-variance swap it cannot define is null.
+variance swap, its z or a step-halving difference it cannot define is
+null.
 
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  Flags are the only input; flags kept in a
@@ -25,9 +26,17 @@ No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 no flag of its own and runs every check family at ``verify.N_TERMS``,
 ``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``.  ``price`` always
 reports both ``kappa`` and the market-annualized ``kappa_market`` =
-sqrt(T) kappa.  ``oracle mc`` reports, beside ``kappa`` and its
-``std_error``, the ``variance_swap`` nu + sigma^2 tau M_s of the same draws
-and its ``variance_swap_se``, whose exact mean checks the draws.
+sqrt(T) kappa.  ``--steps`` caps Monte Carlo's step count, which the
+engine's step ladder sizes by its error; ``oracle mc`` reports the
+``n_steps`` used beside ``kappa``, its ``std_error`` and its
+``discretization``, the step-halving difference on the same paths (null at
+an odd step count).  It reports the ``variance_swap`` nu + sigma^2 tau M_s
+of the same draws with its ``variance_swap_se``, its exact mean on the
+grid ``variance_swap_exact`` and its distance from it
+``variance_swap_z``, and ``warnings``: ``MC_STEP_BIAS`` where the cap's
+level fails the step bias test and ``MC_TAIL`` where a level fails the
+tail test, flags on the document, with nothing on stderr and exit 0.  A
+``compare`` row reports MC's ``mc_n_steps`` and ``mc_discretization``.
 ``compare`` makes a row's ``kappa_pde`` null where the PDE refuses, and its
 ``kappa_series``, ``regime`` and ``abs_diff_mc_sigmas`` null where the
 series refuses, saying why on stderr; the row keeps its other engines.
@@ -69,9 +78,10 @@ _UNRECORDED = ("func", "words", "command", "oracle", "output", "seed")
 _VALUELESS_FLAGS = ("--help", "--version")
 
 
-def _number(value: float):
-    """``value``, or None where it is not finite: JSON has no NaN or Infinity."""
-    return value if math.isfinite(value) else None
+def _number(value):
+    """``value``, or None where it is None or not finite: JSON has no NaN or
+    Infinity."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _market_inputs(args, **terms):
@@ -108,9 +118,13 @@ def cmd_oracle_mc(args) -> tuple:
     estimate = mc_engine.kappa_mc(state, params, contract, mc_engine.McConfig(
         n_paths=args.paths, n_steps=args.steps, seed=args.seed))
     return {"kappa": estimate.mean, "std_error": estimate.std_error,
-            "n_paths": estimate.n_paths,
+            "n_paths": estimate.n_paths, "n_steps": estimate.n_steps,
+            "discretization": _number(estimate.discretization),
             "variance_swap": _number(estimate.variance_swap),
-            "variance_swap_se": _number(estimate.variance_swap_se)}, EXIT_OK
+            "variance_swap_se": _number(estimate.variance_swap_se),
+            "variance_swap_exact": _number(estimate.variance_swap_exact),
+            "variance_swap_z": _number(estimate.variance_swap_z),
+            "warnings": list(estimate.warnings)}, EXIT_OK
 
 
 def cmd_oracle_pde(args) -> tuple:
@@ -203,6 +217,8 @@ def cmd_compare(args) -> tuple:
             sigmas = _number(sigmas)
         rows.append({"alpha": alpha, "tau": tau, "zeta": zeta, "kappa_series": kappa_s,
                      "regime": regime, "kappa_mc": mc.mean, "mc_se": mc.std_error,
+                     "mc_n_steps": mc.n_steps,
+                     "mc_discretization": _number(mc.discretization),
                      "kappa_pde": kappa_p, "abs_diff_mc_sigmas": sigmas})
     return ({"rows": rows, "all_passed": all_passed},
             EXIT_OK if all_passed else EXIT_COMPARE_FAILED)
@@ -281,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     def simulation(p):
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--paths", type=int, default=100_000, help="even (antithetic pairs)")
-        p.add_argument("--steps", type=int, default=250)
+        p.add_argument("--steps", type=int, default=250,
+                       help="most time steps: the cap of the step ladder")
 
     p = command(sub, ("price",), cmd_price, help="series fair value")
     market(p)

@@ -193,6 +193,42 @@ class TestOracle:
         assert code == cli.EXIT_OK
         assert doc["n_paths"] == 2000
 
+    def test_mc_sizes_its_steps_by_its_error(self, tmp_path):
+        # the CI point at 16 384 paths: --steps 250 is a cap the ladder stops
+        # below, with its step bias and tail tests passed
+        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+                        + ["--seed", "1", "--paths", "16384", "--steps", "250"],
+                        "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["n_steps"] < 250 and doc["warnings"] == []
+        assert abs(doc["discretization"]) <= doc["std_error"] / 4
+        assert abs(doc["variance_swap_z"]) <= 4
+        estimate = mc_engine.kappa_mc(
+            MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4),
+            SwapContract(t0=0.0, tenor=1.0), mc_engine.McConfig(16384, 250, seed=1))
+        assert [doc[name] for name in ("kappa", "n_steps", "discretization",
+                                       "variance_swap_exact", "variance_swap_z")] == [
+            estimate.mean, estimate.n_steps, estimate.discretization,
+            estimate.variance_swap_exact, estimate.variance_swap_z]
+
+    def test_mc_missed_tail_is_a_warning(self, tmp_path, capsys):
+        # s = 8, known defect 3: flagged on the document, not refused
+        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1", "--paths", "10000",
+                                                "--steps", "250"]
+        argv[argv.index("--alpha") + 1] = "4"
+        code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+        assert (code, doc["n_steps"], doc["warnings"]) == (cli.EXIT_OK, 250,
+                                                           ["MC_TAIL"])
+        assert capsys.readouterr().err == ""
+
+    def test_mc_odd_steps_have_no_discretization(self, tmp_path):
+        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+                        + ["--seed", "7", "--paths", "2000", "--steps", "5"],
+                        "oracle_mc.schema.json")
+        assert code == cli.EXIT_OK
+        assert (doc["n_steps"], doc["discretization"]) == (5, None)
+        assert doc["warnings"] == ["MC_STEP_BIAS"]
+
     def test_mc_variance_swap_of_its_own_draws(self, tmp_path):
         # the draws that value kappa also value nu + sigma^2 tau M_s, whose
         # exact mean nu + sigma^2 tau expm1(s)/s checks them
@@ -417,7 +453,10 @@ class TestCompare:
         assert doc["all_passed"] == (code == cli.EXIT_OK)
         [row] = doc["rows"]
         for name, value in row.items():
-            assert isinstance(value, str if name == "regime" else float), name
+            kind = {"regime": str, "mc_n_steps": int}.get(name, float)
+            assert isinstance(value, kind), name
+        # the step ladder stops below its cap of 50 at s = 0.15
+        assert row["mc_n_steps"] == 16
 
     def test_tau_equal_to_tenor_stays_in_the_accrual_window(self, tmp_path):
         # tau = tenor values the row at t = tenor - tau = 0, the accrual start
@@ -517,7 +556,8 @@ class TestCompare:
         # of standard errors: this built Infinity into the row
         monkeypatch.setattr(mc_engine, "kappa_mc", lambda state, params, contract,
                             config: mc_engine.McEstimate(0.25, 0.0, config.n_paths,
-                                                         0.0625, 0.0))
+                                                         0.0625, 0.0, 16, 0.0,
+                                                         0.0625, 0.0, ()))
         code, doc = run(tmp_path, [
             "compare", "--alphas", "0.3", "--taus", "0.5", "--zetas", "1",
             "--nu", "0.04", "--seed", "1", "--paths", "512", "--steps", "8"],
@@ -762,7 +802,10 @@ def test_mc_at_s_700(tmp_path, capsys):
         warnings.simplefilter("error")
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert (code, err) == (cli.EXIT_OK, "")
-    assert math.isfinite(strict_json((tmp_path / "out").read_text())["kappa"])
+    document = strict_json((tmp_path / "out").read_text())
+    assert math.isfinite(document["kappa"])
+    # every level misses the tail: the cap's estimate, flagged
+    assert document["n_steps"] == 250 and "MC_TAIL" in document["warnings"]
 
 
 def floats(lo, hi):

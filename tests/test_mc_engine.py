@@ -1,4 +1,5 @@
-"""Monte Carlo engine: exactness, reproducibility, the variance swap on kappa's draws."""
+"""Monte Carlo engine: exactness, reproducibility, the variance swap on kappa's
+draws, and the step ladder that sizes the step count by the error."""
 
 import functools
 import math
@@ -14,8 +15,9 @@ import pytest
 
 from volswap import mc_engine
 from volswap.exceptions import DomainError
-from volswap.mc_engine import (BLOCK_PATHS, McConfig, block_stream, kappa_mc,
-                               path_normals, resolve_workers,
+from volswap.mc_engine import (BATCH_FLOATS, BLOCK_PATHS, MC_STEP_BIAS, MC_TAIL,
+                               McConfig, block_stream, kappa_mc, path_normals,
+                               resolve_workers, step_ladder, trapezoid_growth,
                                variance_swap_expectation)
 from volswap.model import MarketState, SabrParams, SwapContract, reduced_variables
 
@@ -53,6 +55,17 @@ class TestPathNormals:
             got = path_normals(block_stream(seed, block), np.empty((3, n_steps)))
             assert np.array_equal(got, reference_normals(seed, block, 3, n_steps))
 
+    @pytest.mark.parametrize("n_steps", [1, 16, 250])
+    def test_rewound_stream_equals_a_fresh_one(self, n_steps):
+        # a worker's one stream, rewound from block to block, draws what each
+        # block's own Philox stream draws
+        seed = 2 ** 70 + 3
+        stream = block_stream(seed, 0)
+        for block in self.BLOCKS + [3, 0]:
+            mc_engine._rewind(stream, block)
+            got = path_normals(stream, np.empty((3, n_steps)))
+            assert np.array_equal(got, reference_normals(seed, block, 3, n_steps))
+
     def test_numpy_integer_seed(self):
         got = path_normals(block_stream(np.int64(99), np.int64(3)), np.empty((2, 5)))
         assert np.array_equal(got, reference_normals(99, 3, 2, 5))
@@ -72,14 +85,39 @@ class TestPathNormals:
             assert np.array_equal(draws(n_steps, 1), whole[:1])
 
 
-def estimate_means(config, s):
-    """M_s of every draw an estimate at ``config`` prices, block after block:
-    row 0 for each draw's path and row 1 its mirror's."""
+def estimate_normals(config, n_steps):
+    """The increments of every draw an estimate at ``config`` prices on
+    n_steps steps, block after block."""
     n_draws = config.n_paths // 2
-    return np.hstack([
-        mc_engine._block_means(config, block, s, np.empty(
-            (2, min(BLOCK_PATHS, n_draws - lo), config.n_steps)))
-        for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS))])
+    return np.vstack([reference_normals(config.seed, block,
+                                        min(BLOCK_PATHS, n_draws - lo), n_steps)
+                      for block, lo in enumerate(range(0, n_draws, BLOCK_PATHS))])
+
+
+def path_means(xi, s):
+    """The engine's M_s of the paths of increments xi on their n steps, then
+    on their even nodes (None at odd n): row 0 for each draw's path and row
+    1 its mirror's."""
+    buffers = np.stack([xi, np.empty_like(xi)])
+    return mc_engine._path_means(buffers, s,
+                                 mc_engine._trapezoid_weights(s, xi.shape[1]))
+
+
+def estimate_means(config, s, n_steps):
+    """M_s of every draw an estimate at ``config`` prices on n_steps steps."""
+    return path_means(estimate_normals(config, n_steps), s)[0]
+
+
+def direct_means(xi, s, sign=1.0):
+    """Reference: each path priced on its own, the trapezoid by
+    np.trapezoid over its nodes from v = 0 at 1, on every node and on the
+    even nodes, for increments sign * xi."""
+    n_steps = xi.shape[1]
+    dv = s / n_steps
+    nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
+    path = np.hstack([np.ones((len(xi), 1)), np.exp(nodes)])
+    return (np.trapezoid(path, dx=1.0 / n_steps, axis=1),
+            np.trapezoid(path[:, ::2], dx=2.0 / n_steps, axis=1))
 
 
 class TestWorkers:
@@ -100,7 +138,11 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)     # switch often, so a lost write would show
         try:
             for config in self.CONFIGS:
-                n_blocks = -(-config.n_paths // 2 // BLOCK_PATHS)
+                n_draws = config.n_paths // 2
+                n_blocks = -(-n_draws // BLOCK_PATHS)
+                # draws per batch, the unit of a worker
+                batch = BLOCK_PATHS * max(
+                    1, BATCH_FLOATS // (BLOCK_PATHS * config.n_steps))
                 estimates = set()
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
@@ -108,10 +150,33 @@ class TestWorkers:
                     estimate = kappa_mc(STATE, PARAMS, CONTRACT, config)
                     estimates.add(payoff(estimate, fields + ("n_paths",)))
                     assert len(threads) == n_blocks
-                    assert len(set(threads)) == min(workers, n_blocks)
+                    assert len(set(threads)) == min(workers, -(-n_draws // batch))
                 assert len(estimates) == 1
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("alpha, levels", [(0.4, [16]), (4.0, [16, 250])],
+                             ids=["s=0.08", "s=8"])
+    def test_ladder_does_not_depend_on_the_worker_count(self, monkeypatch, alpha,
+                                                        levels):
+        # at cap 250: s = 0.08 stops at 16 steps; at s = 8 the 16-step level
+        # misses the tail and sends the ladder to the cap
+        steps = []
+
+        def recorded(stream, out):
+            steps.append(out.shape[1])
+            return path_normals(stream, out)
+
+        monkeypatch.setattr(mc_engine, "path_normals", recorded)
+        config = McConfig(16_400, 250, seed=2)
+        estimates = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
+            steps.clear()
+            estimates.add(repr(kappa_mc(STATE, SabrParams(alpha=alpha), CONTRACT,
+                                        config)))
+            assert sorted(set(steps)) == levels
+        assert len(estimates) == 1
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         def failing(stream, out):
@@ -198,6 +263,9 @@ class TestKappaMc:
         est = kappa_mc(state, PARAMS, CONTRACT, McConfig(1000, 10, seed=1))
         assert est.mean == math.sqrt(0.04)
         assert est.std_error == 0.0
+        # no path is drawn: no step, no step bias, no warning
+        assert (est.n_steps, est.discretization, est.variance_swap_exact,
+                est.variance_swap_z, est.warnings) == (0, 0.0, 0.04, 0.0, ())
 
     def test_deterministic_limit(self):
         params = SabrParams(alpha=1e-12)
@@ -244,7 +312,7 @@ class TestKappaMc:
             params = SabrParams(alpha=alpha)
             pair = kappa_mc(STATE, params, CONTRACT, config)
             tau, s, _, _ = reduced_variables(STATE, params, CONTRACT)
-            means = estimate_means(config, s)[0]
+            means = estimate_means(config, s, pair.n_steps)[0]
             payoffs = np.sqrt(STATE.nu + STATE.sigma ** 2 * tau * means)
             plain_se = payoffs.std(ddof=1) / math.sqrt(payoffs.size)
             combined = math.hypot(plain_se, pair.std_error)
@@ -345,38 +413,39 @@ class TestPairs:
         # e^(2 B_v - v) along the mirrored path
         xi = reference_normals(13, 0, 1000, 7)
         dv = self.S / 7
-        rows = mc_engine._block_means(self.CONFIG, 0, self.S, np.empty((2, 1000, 7)))
+        rows, halves = path_means(xi, self.S)
+        assert halves is None                 # 7 steps have no half grid
         for got, sign in zip(rows, (1.0, -1.0)):
             nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
             path = np.hstack([np.ones((1000, 1)), np.exp(nodes)])
             expected = (path[:, 1:] + path[:, :-1]).sum(axis=1) / 14.0
             assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("n_steps", [1, 7, 250])
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 16, 250])
     @pytest.mark.parametrize("s", [5e-4, 0.08, 0.8, 50.0, 709.7])
     def test_block_means_match_the_direct_formula(self, s, n_steps):
         # each path priced on its own: its nodes' running sum, their exp and
         # the trapezoid from node v = 0 at 1; near S_MAX the last nodes'
         # e^(-v) is subnormal
         xi = reference_normals(3, 0, 300, n_steps)
-        dv = s / n_steps
+        rtol = 1e-13 if s <= 1.0 else 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = mc_engine._block_means(McConfig(600, n_steps, seed=3), 0, s,
-                                          np.empty((2, 300, n_steps)))
-            for got, sign in zip(rows, (1.0, -1.0)):
-                nodes = np.cumsum(sign * 2.0 * math.sqrt(dv) * xi - dv, axis=1)
-                path = np.hstack([np.ones((300, 1)), np.exp(nodes)])
-                expected = np.trapezoid(path, dx=1.0 / n_steps, axis=1)
-                rtol = 1e-13 if s <= 1.0 else 1e-12
-                assert np.allclose(got, expected, rtol=rtol, atol=0.0)
+            rows, halves = path_means(xi, s)
+            for row, sign in enumerate((1.0, -1.0)):
+                every, even = direct_means(xi, s, sign)
+                assert np.allclose(rows[row], every, rtol=rtol, atol=0.0)
+                if n_steps % 2:
+                    assert halves is None
+                else:       # the n/2-step trapezoid over the same paths
+                    assert np.allclose(halves[row], even, rtol=rtol, atol=0.0)
 
     def test_std_error_is_over_pairs(self):
         # n_paths counts paths; the standard error is over n_paths // 2 draws
         params = SabrParams(alpha=math.sqrt(2.0 * self.S))
         est = kappa_mc(STATE, params, CONTRACT, self.CONFIG)
         tau, s, _, _ = reduced_variables(STATE, params, CONTRACT)
-        means = estimate_means(self.CONFIG, s)
+        means = estimate_means(self.CONFIG, s, 7)
         pairs = np.sqrt(STATE.nu + STATE.sigma ** 2 * tau * means).mean(axis=0)
         assert est.n_paths == 2000
         assert est.mean == pytest.approx(pairs.mean(), rel=1e-14)
@@ -391,8 +460,7 @@ class TestPairs:
         pair = kappa_mc(state, params, CONTRACT, self.CONFIG)
         tau, s, _, _ = reduced_variables(state, params, CONTRACT)
         plain = np.sqrt(state.sigma ** 2 * tau
-                        * mc_engine._block_means(self.CONFIG, 0, s,
-                                                 np.empty((2, 1000, 7)))[0])
+                        * path_means(reference_normals(13, 0, 1000, 7), s)[0][0])
         assert pair.std_error ** 2 * 2000 < plain.var(ddof=1)
 
 
@@ -423,21 +491,43 @@ class TestGolden:
 
     # every case draws antithetic pairs; "plain" is only the first case's
     # name, and "two_blocks" spans 33 blocks, the last partial.  Each case
-    # holds repr((mean, std_error)) of kappa, then of the variance swap
+    # holds repr((mean, std_error)) of kappa, then of the variance swap.
+    # "plain" and "antithetic" stop at the ladder's 16 steps under their cap
+    # of 20; the others are the estimates of a single level, the last the
+    # cap's after every level misses the tail at s = 700, and equal those
+    # frozen before the ladder
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
-                  "(0.24913711509497966, 0.0001184631745000664)",
-                  "(0.06253239801448378, 7.7550142425626e-05)"),
+                  "(0.24903895777816148, 0.00011654733163209575)",
+                  "(0.062465989734438634, 7.721541804282286e-05)"),
         "antithetic": (McConfig(3000, 20, seed=21),
-                       "(0.24919763919822965, 0.00012539961954147663)",
-                       "(0.06256724090403532, 8.266513596459459e-05)"),
+                       "(0.24918785234304838, 0.00011773467325724602)",
+                       "(0.0625638573486222, 7.662905092185953e-05)"),
         "two_blocks": (McConfig(16_400, 5, seed=2 ** 70 + 3),
                        "(0.2491931698853605, 5.2797443733862455e-05)",
                        "(0.06256120650386617, 3.439998964378937e-05)"),
         "one_step": (McConfig(1002, 1, seed=7),
                      "(0.24931065550312628, 0.00027554346988087325)",
                      "(0.06253418493531387, 0.00016701857991705427)"),
+        "sixteen_steps": (McConfig(3000, 16, seed=5),
+                          "(0.24927492334134427, 0.000124423907094249)",
+                          "(0.06261596440073935, 8.11493585296698e-05)"),
+        "s_700_cap": (McConfig(2000, 250, seed=1),
+                      "(0.18786245722490083, 0.00321604117352418)",
+                      "(0.05616693743639556, 0.011207379022328023)"),
     }
+    #: each case's alpha where it is not PARAMS', and the steps it uses
+    PARAMS_OF = {"s_700_cap": SabrParams(alpha=37.416573867739416)}
+    STEPS = {"plain": 16, "antithetic": 16, "two_blocks": 5, "one_step": 1,
+             "sixteen_steps": 16, "s_700_cap": 250}
+
+    def estimate(self, case):
+        return cached_mc(STATE, self.PARAMS_OF.get(case, PARAMS), CONTRACT,
+                         self.CASES[case][0])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_steps(self, case):
+        assert self.estimate(case).n_steps == self.STEPS[case]
 
     def test_two_blocks_case_spans_a_partial_block(self):
         n_draws = self.CASES["two_blocks"][0].n_paths // 2
@@ -446,14 +536,121 @@ class TestGolden:
     @pytest.mark.parametrize("case", CASES)
     def test_kappa(self, case):
         config, kappa, _ = self.CASES[case]
-        est = cached_mc(STATE, PARAMS, CONTRACT, config)
+        est = self.estimate(case)
         assert (payoff(est, PAYOFFS[0]), est.n_paths) == (kappa, config.n_paths)
 
     @pytest.mark.parametrize("case", CASES)
     def test_variance_swap(self, case):
         config, _, variance = self.CASES[case]
-        est = cached_mc(STATE, PARAMS, CONTRACT, config)
+        est = self.estimate(case)
         assert (payoff(est, PAYOFFS[1]), est.n_paths) == (variance, config.n_paths)
+
+
+class TestLadder:
+    """The step count chosen by the same-draw step-halving and tail tests."""
+
+    @pytest.mark.parametrize("cap, levels", [
+        (1, [1]), (5, [5]), (16, [16]), (17, [16, 17]), (20, [16, 20]),
+        (32, [16, 32]), (33, [16, 32, 33]), (250, [16, 32, 64, 128, 250])])
+    def test_levels(self, cap, levels):
+        assert step_ladder(cap) == levels
+
+    @pytest.mark.parametrize("alpha, chosen", [(0.4, 16), (math.sqrt(1.6), 16)],
+                             ids=["s=0.08", "s=0.8"])
+    def test_a_cap_above_the_chosen_level_changes_nothing(self, alpha, chosen):
+        params = SabrParams(alpha=alpha)
+        estimates = {repr(cached_mc(STATE, params, CONTRACT,
+                                    McConfig(4000, cap, seed=9)))
+                     for cap in (chosen, 20, 64, 250, 1000)}
+        [estimate] = estimates
+        assert f"n_steps={chosen}," in estimate and "warnings=()" in estimate
+
+    @pytest.mark.parametrize("n_steps", [2, 10, 16])
+    @pytest.mark.parametrize("nu", [0.03, 0.0])
+    def test_discretization_is_the_even_node_trapezoid(self, n_steps, nu):
+        # D_n = kappa_n - kappa_(n/2), both over the same paths: each path
+        # by np.trapezoid on every node and on the even nodes of its normals
+        state = MarketState(t=0.5, sigma=0.25, nu=nu)
+        params = SabrParams(alpha=math.sqrt(1.6))
+        config = McConfig(2000, n_steps, seed=3)
+        est = kappa_mc(state, params, CONTRACT, config)
+        tau, s, _, _ = reduced_variables(state, params, CONTRACT)
+        xi = estimate_normals(config, n_steps)
+        pairs = []
+        for grid in range(2):
+            means = np.array([direct_means(xi, s, sign)[grid] for sign in (1.0, -1.0)])
+            pairs.append(np.sqrt(nu + state.sigma ** 2 * tau * means).mean(axis=0))
+        expected = float(np.mean(pairs[0] - pairs[1]))
+        assert est.n_steps == n_steps and expected != 0.0
+        assert abs(est.discretization - expected) <= 1e-14 * est.mean
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 7])
+    def test_odd_step_counts_have_no_discretization(self, n_steps):
+        est = kappa_mc(STATE, PARAMS, CONTRACT, McConfig(2000, n_steps, seed=3))
+        assert est.discretization is None
+        assert est.warnings == (MC_STEP_BIAS,)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 16, 250])
+    @pytest.mark.parametrize("s", [1e-300, 5e-4, 0.08, 8.0, 700.0])
+    def test_variance_swap_exact_is_the_trapezoid_of_e_v(self, s, n_steps):
+        # E[e^(2 B_v - v)] = e^v at every node: the hand trapezoid of e^v
+        nodes = [math.exp(k * s / n_steps) for k in range(n_steps + 1)]
+        hand = math.fsum([0.5 * nodes[0], *nodes[1:-1], 0.5 * nodes[-1]]) / n_steps
+        assert trapezoid_growth(s, n_steps) == pytest.approx(hand, rel=1e-13)
+        assert trapezoid_growth(s, 10 ** 9) == pytest.approx(
+            math.expm1(s) / s, rel=1e-8)
+
+    @pytest.mark.parametrize("n_steps", [10, 250])
+    def test_variance_swap_z_is_its_distance_from_the_exact_mean(self, n_steps):
+        est = kappa_mc(STATE, PARAMS, CONTRACT, McConfig(2000, n_steps, seed=4))
+        tau, s, _, _ = reduced_variables(STATE, PARAMS, CONTRACT)
+        exact = STATE.nu + STATE.sigma ** 2 * tau * trapezoid_growth(s, est.n_steps)
+        assert est.variance_swap_exact == exact
+        assert est.variance_swap_z == (est.variance_swap - exact) / (
+            est.variance_swap_se + mc_engine.ROUNDING * exact)
+        assert abs(est.variance_swap_z) <= mc_engine.TAIL_Z
+
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-12, 1e-9])
+    def test_rounding_alone_is_no_warning(self, alpha):
+        # one ulp of the variance swap was 47 of its standard errors at
+        # alpha = 1e-12, and at alpha = 1e-200 s is 0
+        est = kappa_mc(STATE, SabrParams(alpha=alpha), CONTRACT,
+                       McConfig(10_000, 250, seed=1))
+        assert (est.n_steps, est.warnings) == (16, ())
+
+    def test_a_missed_tail_is_flagged_at_the_cap(self):
+        # s = 8 (known defect 3): at 10 000 paths the 128-step level's z is
+        # -2.58 and the cap's +0.74, but the 16-step level's is -7.0: the
+        # ladder skips to the cap, whose estimate is flagged
+        est = kappa_mc(STATE, SabrParams(alpha=4.0), CONTRACT,
+                       McConfig(10_000, 250, seed=1))
+        assert (est.n_steps, est.warnings) == (250, (MC_TAIL,))
+        assert repr((est.mean, est.std_error)) == (
+            "(0.43270266353773634, 0.056693290054211164)")
+        assert abs(est.variance_swap_z) <= mc_engine.TAIL_Z
+
+    def test_s_700_is_flagged_at_the_cap(self):
+        est = cached_mc(STATE, SabrParams(alpha=37.416573867739416), CONTRACT,
+                        McConfig(2000, 250, seed=1))
+        assert est.n_steps == 250 and MC_TAIL in est.warnings
+        assert est.variance_swap_z < -1e12
+
+    PDE_S = [5e-4, 0.0088, 0.08, 0.45, 0.7]
+
+    @pytest.mark.parametrize("zeta", [0.02, 3.17, 40.0, None],
+                             ids=["zeta=0.02", "zeta=3.17", "zeta=40", "nu=0"])
+    @pytest.mark.parametrize("s", PDE_S)
+    def test_chosen_level_agrees_with_the_pde(self, s, zeta):
+        from volswap.pde_engine import kappa_quadrature
+        alpha = math.sqrt(2.0 * s)
+        state = (MarketState(t=0.5, sigma=0.25, nu=0.0) if zeta is None else
+                 MarketState(t=0.5, sigma=alpha * math.sqrt(2.0 * zeta * 0.03),
+                             nu=0.03))
+        params = SabrParams(alpha=alpha)
+        est = kappa_mc(state, params, CONTRACT, McConfig(16_384, 250, seed=1))
+        pde = kappa_quadrature(state, params, CONTRACT)
+        assert est.n_steps < 250 and est.warnings == ()
+        assert abs(est.mean - pde) <= 4.0 * est.std_error + 1e-5 * pde
 
 
 class TestVarianceSwap:
