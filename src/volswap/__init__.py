@@ -9,8 +9,9 @@ Three independent routes to the fair strike kappa:
   in block order), whose every estimate carries the variance swap of its
   own draws beside kappa, on a step count below a cap chosen by a
   same-draw step-halving test and the variance swap's tail test,
-* :mod:`volswap.pde_engine` — Crank-Nicolson solve of the reduced
-  Feynman-Kac problem plus quadrature,
+* :mod:`volswap.pde_engine` — the reduced Feynman-Kac problem on a
+  uniform grid in y, solved exactly in s by twelve complex tridiagonal
+  solves on Talbot's contour, plus quadrature,
 
 with :mod:`volswap.verify` holding mechanized checks of the identities the
 construction rests on.

@@ -130,7 +130,7 @@ def cmd_oracle_mc(args) -> tuple:
 def cmd_oracle_pde(args) -> tuple:
     state, params, contract = _market_inputs(args)
     from . import pde_engine
-    grid = pde_engine.GridSpec(y_max=args.y_max, n_y=args.n_y, n_t=args.n_t)
+    grid = pde_engine.GridSpec(y_max=args.y_max, n_y=args.n_y)
     if not args.refine:
         kappa = pde_engine.kappa_quadrature(state, params, contract, grid)
         return {"kappa": kappa}, EXIT_OK
@@ -138,7 +138,7 @@ def cmd_oracle_pde(args) -> tuple:
         state, params, contract, grid, refinements=args.refine)
     return {"kappa": report["kappas"][-1], "grid_report": {
         "kappas": report["kappas"],
-        "grids": [list(g) for g in report["grids"]],
+        "grids": report["grids"],
         # inf where the two finer levels agree bit for bit: no ratio
         "ratios": [_number(r) for r in report["ratios"]],
         "y_max": report["y_max"],
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
     market(p)
     p.add_argument("--n-y", type=int, default=400)
-    p.add_argument("--n-t", type=int, default=400)
     p.add_argument("--y-max", type=float)
     p.add_argument("--refine", type=count, default=0)
 

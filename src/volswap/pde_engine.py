@@ -7,57 +7,77 @@ one-dimensional terminal-value problem
     d_tau psi = (alpha^2 / 2) * y^2 * (psi'' - psi),   psi(0, y) = 1.
 
 alpha and tau enter only through the reduced variable s = alpha^2 tau, so
-:func:`solve_psi` marches
+:func:`solve_psi` solves
 
     d_s psi = (1/2) * y^2 * (psi'' - psi)
 
-from 0 to s with Crank-Nicolson plus a Rannacher implicit-Euler startup;
-``solve_psi(alpha, tau)`` and ``solve_psi(1.0, alpha * alpha * tau)`` give
-bit-identical results.  s comes from :func:`~volswap.model.reduced_time`,
+at s; ``solve_psi(alpha, tau)`` and ``solve_psi(1.0, alpha * alpha * tau)``
+give bit-identical results.  s comes from :func:`~volswap.model.reduced_time`,
 whose ``S_MAX`` keeps e^s - 1 finite.  The boundary y = 0 is degenerate
 (the equation forces psi = 1 there) and a homogeneous Dirichlet condition
 is applied at a y_max chosen, and verified post-solve, to make psi
 negligible without skipping its decay (``PSI_FIRST_NODE_MIN``).  Only the
-final row is kept, with the pchip cubic of q below built from it once by
+row at s is kept, with the pchip cubic of q below built from it once by
 :func:`_pchip`: the monotone cubic Hermite interpolant of Fritsch and
 Carlson (SIAM J. Numer. Anal. 17, 1980) in numpy, in the operation order of
 scipy's ``PchipInterpolator``, whose coefficients it matches bit for bit.
 
 On the uniform grid y_i = i h the term (1/2) y^2 psi'' at node i is
 (i^2 / 2)(psi_{i-1} - 2 psi_i + psi_{i+1}), h cancelling, so in u_i = psi_i / i
-the march matrix I + (ds/2) A is symmetric: diagonal 1 + (ds/2)(i^2 +
-y_i^2 / 2), off-diagonal -(ds/4) i (i + 1).  Each row is diagonally
-dominant by 1 + (ds/2) y_i^2 / 2, so the matrix M is positive definite and
-is factored once per march with LAPACK ``pttrf`` into L D L^T.  A
-Rannacher half-step (implicit Euler over ds/2) is one ``pttrs`` solve,
-:func:`solve_banded`, of M w = u + (ds/4) e_1, the last term from
-psi(., 0) = 1.  A Crank-Nicolson step over ds is that half-step
-extrapolated, u -> 2 w - u, so no step forms an explicit half; 2 w is one
-solve of the same right-hand side against M/2 = L (D/2) L^T, whose
-factors are exact, and equals twice the M solve bit for bit, scaling by 2
-being exact while nothing underflows.  So a step is one ``add`` of the fixed forcing (ds/4) e_1
-into the next row's slot, one solve there and one ``subtract`` of u.  The
-rows fill a buffer of ``CHECK_ROWS`` rows, and every full block (and the
-last, partial one) is folded into the per-node extremes of u with one
-``min`` and one ``max`` over its rows.  The maximum principle is checked
-on those extremes, multiplied by i once at the end, which is exact
-because rounding is monotone.  Against the same scheme marched on psi
-itself (explicit half plus an LU solve of the unsymmetric matrix) psi
-moves by rounding only, within 1e-12 on the tested grids of 400 to 1600
-nodes.
+at the interior nodes the semi-discrete problem is
 
-``dpttrf`` and ``dpttrs`` are scipy's f2py wrappers, the same objects
-``scipy.linalg.lapack`` exports, taken from the compiled extension
-``scipy/linalg/_flapack`` that :func:`_load_flapack` loads from its file
-after a plain ``import scipy``.  Importing them from ``scipy.linalg.lapack``
-runs the ``scipy.linalg`` package, whose array-API support loads numpy's
-lazily imported submodules (``numpy.f2py``, ``numpy.testing``,
-``numpy.ma``, ...): 0.20-0.26 s under ``python -X importtime`` on a 2-core
-x86 machine, against ~10 ms for ``import scipy`` and ~5 ms for the
-extension.  ``_flapack`` is a private module name, but it has held these
-wrappers in every scipy from 1.10, the oldest ``pyproject.toml`` allows;
-``tests/test_imports.py`` checks that ``scipy.linalg.lapack`` hands out the
-very objects loaded here.
+    du/ds = -A u + g,   u(0) = u_0 = 1 / i,
+
+with A symmetric tridiagonal, diagonal i^2 + y_i^2 / 2 and off-diagonal
+-i (i + 1) / 2, and g = e_1 / 2 from psi(., 0) = 1.  Each row of A is
+diagonally dominant by y_i^2 / 2, so A is positive definite.  A is
+constant in s, so a Laplace transform in s and z = p s give
+
+    u(s) = (1 / 2 pi i) int_Gamma e^z (z I + s A)^-1 (u_0 + s g / z) dz
+
+on a contour Gamma around z = 0 and the spectrum of -sA, which lies on the
+negative real axis.  Gamma is Talbot's contour in Weideman and
+Trefethen's optimized form (Math. Comp. 76, 2007),
+
+    w(theta) = 24 (0.5017 theta cot(0.6407 theta) - 0.6122 + 0.2645 i theta),
+
+for theta in (-pi, pi), and the trapezoid rule on its 24 nodes
+theta = (j + 1/2) pi / 12 errs by about 1e-14 for any spectrum on
+[0, inf) (Trefethen, Weideman and Schmelzer, BIT 46, 2006).  A is real, so
+the nodes pair with their conjugates and
+
+    u(s) = 2 Re sum_{j < 12} c_j (w_j I + s A)^-1 (u_0 + s g / w_j),
+    c_j = e^(w_j) w'(theta_j) / (24 i),
+
+with w_j and c_j tabulated at import (``TALBOT_NODES``, ``TALBOT_WEIGHTS``).
+So psi at any s is twelve complex tridiagonal solves, LAPACK ``zgtsv``
+(Gaussian elimination with partial pivoting) through :func:`solve_banded`,
+and there is no time step: on 60 and 400 nodes psi matches a dense
+eigendecomposition of the same A within 1e-13, and on 1600 within 1.7e-12,
+where that and scipy's ``expm`` differ by 2e-11.  A solve takes 0.46, 0.69
+and 1.4 ms at 400, 800 and 1600 nodes on a 2-core x86 machine (s = 0.2,
+best of 7), where the Crank-Nicolson march in s that it replaced took 2.3,
+7.6 and 27 ms; that march's time error moved kappa by up to 5.9e-7
+relative at 400 nodes.
+
+-A has non-negative off-diagonals, so e^(-sA) is entrywise non-negative
+and u(s) >= 0.  1 - psi solves the same system with a non-negative forcing
+y_i^2 / 2 and non-negative data, so it is >= 0 too: psi lies in [0, 1] at
+every s, exactly.  The check that the row at s stays within
+``MAX_PRINCIPLE_EPS`` of [0, 1] therefore guards the contour's rounding
+alone.
+
+``zgtsv`` is scipy's f2py wrapper, the same object ``scipy.linalg.lapack``
+exports, taken from the compiled extension ``scipy/linalg/_flapack`` that
+:func:`_load_flapack` loads from its file after a plain ``import scipy``.
+Importing it from ``scipy.linalg.lapack`` runs the ``scipy.linalg``
+package, whose array-API support loads numpy's lazily imported submodules
+(``numpy.f2py``, ``numpy.testing``, ``numpy.ma``, ...): 0.20-0.26 s under
+``python -X importtime`` on a 2-core x86 machine, against ~10 ms for
+``import scipy`` and ~5 ms for the extension.  ``_flapack`` is a private
+module name, but it has held these wrappers in every scipy from 1.10, the
+oldest ``pyproject.toml`` allows; ``tests/test_imports.py`` checks that
+``scipy.linalg.lapack`` hands out the very object loaded here.
 
 kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
 c = sqrt(2) sigma / alpha, zeta (inf at nu = 0) and sqrt(nu)/T from
@@ -75,7 +95,7 @@ cell, so the dropped part is at most max|q(knots)| sqrt(pi zeta)
 erfc(y_cut / (2 sqrt(zeta))); c times its sum with boundary_max / y_max must
 stay below ``QUAD_TOL``.  Nothing but the weight depends on zeta where a
 cell needs no sub-cells (zeta >= 4 h^2, and nu = 0), so :func:`solve_psi`
-stores, once per march, max|q(knots)| and three tables with a row per whole
+stores, once per solve, max|q(knots)| and three tables with a row per whole
 cell: its six nodes squared, their weights and the cubic there.  A price
 on whole cells is then one divide, one ``exp`` and one multiply over the
 first rows of those tables, and one dot product, :func:`quad`, named like
@@ -83,14 +103,14 @@ first rows of those tables, and one dot product, :func:`quad`, named like
 tools look up by module attribute.  Sub-cells evaluate the same cubic, by
 the same Horner formula, at their own nodes.  At zeta = inf (nu = 0, or
 zeta past the float range) the weight is exp(-0.0) = 1 on every cell, so
-the march stores that quadrature too, bit for bit what :func:`quad`
+the solve stores that quadrature too, bit for bit what :func:`quad`
 would return, and the price does no array work: the tail is 1 / y_max and
 
     G(s) = kappa T alpha / sigma = sqrt(2 / pi) * (int_0^y_max q dy + 1 / y_max)
 
-is a function of the march alone.
+is a function of the row at s alone.
 
-:func:`kappa_quadrature` marches once per (s, grid): it looks psi up in
+:func:`kappa_quadrature` solves once per (s, grid): it looks psi up in
 :func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
 keyed by the grid and by s rounded to ``S_KEY_BITS`` fraction bits.
 tau = maturity - t carries float noise, so points that share s in exact
@@ -99,9 +119,9 @@ arithmetic differ in its last bits; the rounding moves s by at most
 refused with :class:`AccuracyError` or :class:`InstabilityError` is
 memoised too and re-raised on every lookup as a fresh exception of the
 same type and message.  :func:`grid_refinement_report` prices every level
-through this memo, on the caller's y_max.  No grid, refinements included,
-has more than ``MAX_GRID_NODES`` nodes n_y * n_t: a larger one is a
-:class:`DomainError` before anything is allocated.
+through this memo, on the caller's y_max, halving h at each level.  No
+grid, refinements included, has more than ``MAX_GRID_NODES`` nodes n_y: a
+larger one is a :class:`DomainError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -136,35 +156,40 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+zgtsv = _flapack.zgtsv
 
-#: psi values outside [-eps, 1+eps] are treated as scheme instability.
+#: psi outside [-eps, 1 + eps] at s is the contour sum's rounding gone
+#: wrong: exactly, psi lies in [0, 1] (module notes).
 MAX_PRINCIPLE_EPS = 1e-6
-#: psi at the penultimate node of the final row may reach at most this.
+#: psi at the penultimate node of the row at s may reach at most this.
 BOUNDARY_TOL = 1e-8
 #: least psi at the first node y = h.  The second difference at h errs by a
 #: relative O(x), x = q(0) h^2, and psi(h) >= e^-x (the Jensen bound of
-#: :func:`default_y_max`): psi(h) < 1/2 means x > ln 2, an O(1) error.  The
-#: default grid and its refinements have x <= 2.5^2 * 52 / (2 * 400^2) = 1e-3.
-PSI_FIRST_NODE_MIN = 0.5
-#: implicit-Euler startup steps (each split in two half-steps).
-RANNACHER_STEPS = 2
-#: s = alpha^2 tau below which kappa is sqrt(nu + sigma^2 tau)/T, no march.
+#: :func:`default_y_max`): psi(h) < 0.995 means x > 0.005.  The default grid
+#: and its refinements have x <= 2.5^2 * 52 / (2 * 400^2) = 1e-3; y_max 23.3
+#: at s = 4 on 400 nodes has psi(h) 0.974 and prices 6.7 % high.
+PSI_FIRST_NODE_MIN = 0.995
+#: s = alpha^2 tau below which kappa is sqrt(nu + sigma^2 tau)/T, no solve.
 #: There the closed form lies between Hoelder's E[B]^(3/2) / E[B^2]^(1/2)
 #: and Jensen's sqrt(E[B]), B = nu + int sigma^2, which differ by at most
-#: ~(2/3) s < 4e-8 relative; the default grid errs by 1.9e-7 (nu 0.03) to
-#: 5.9e-7 (nu 0) at sigma 0.25, tau 0.5, and below s = 2^-53 its pchip on
-#: y_max ~ s^(-1/2) has slopes that overflow or underflow.
+#: ~(2/3) s < 4e-8 relative, and below s = 2^-53 the pchip on y_max ~
+#: s^(-1/2) has slopes that overflow or underflow.
 S_CLOSED_FORM = 2.0 ** -24
-#: most nodes n_y * n_t of a grid that is marched, refinements included:
-#: the reference table's finest grid, 3200 x 3200, which marches in about
-#: 0.1 s on a 2-core x86 machine.  Each halving of the steps takes four
-#: times as long, so ``--refine 40`` would not end, and n_y = 1e9 would
-#: allocate 8 GB for each array of the march.
-MAX_GRID_NODES = 3200 * 3200
-#: march rows buffered, then folded into the maximum-principle extremes with
-#: one ``min`` and one ``max``: fewer numpy calls per step, the same extremes.
-CHECK_ROWS = 64
+#: most nodes n_y of a grid that is solved, refinements included: the
+#: reference table's finest grid, 3200 nodes, with its cells halved five
+#: more times, which solves in about 0.1 s on a 2-core x86 machine.
+#: ``--refine 40`` would not end, and n_y = 1e9 would allocate 16 GB for
+#: each complex vector of the solve.
+MAX_GRID_NODES = 3200 * 2 ** 5
+#: Talbot's contour of the module notes at its 12 trapezoid nodes
+#: theta_j = (j + 1/2) pi / 12 in (0, pi): ``TALBOT_NODES`` holds w_j and
+#: ``TALBOT_WEIGHTS`` c_j = e^(w_j) w'(theta_j) / (24 i).
+_THETA = (np.arange(12) + 0.5) * (math.pi / 12)
+TALBOT_NODES = 24.0 * (0.5017 * _THETA / np.tan(0.6407 * _THETA) - 0.6122
+                       + 0.2645j * _THETA)
+TALBOT_WEIGHTS = np.exp(TALBOT_NODES) * (
+    0.5017 / np.tan(0.6407 * _THETA)
+    - 0.5017 * 0.6407 * _THETA / np.sin(0.6407 * _THETA) ** 2 + 0.2645j) / 1j
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
@@ -187,29 +212,28 @@ GL_MID = 0.5 * (GL_NODES + 1.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Space/time grid of at most ``MAX_GRID_NODES`` nodes n_y * n_t;
+    """Grid of n_y cells on [0, y_max], n_y at most ``MAX_GRID_NODES``;
     y_max = None lets the solver pick a validated default."""
 
     y_max: float = None
     n_y: int = 400
-    n_t: int = 400
 
     def __post_init__(self):
         if self.y_max is not None and not (0 < self.y_max < math.inf):
             raise DomainError(f"y_max must be positive and finite, got {self.y_max}")
-        if self.n_y < 16 or self.n_t < 16:
-            raise DomainError("grid needs n_y >= 16 and n_t >= 16")
+        if self.n_y < 16:
+            raise DomainError("grid needs n_y >= 16")
         self.check_size()
 
     def check_size(self, refinements: int = 0) -> None:
-        """Raise :class:`DomainError` if the grid with its steps halved
+        """Raise :class:`DomainError` if the grid with its cells halved
         ``refinements`` times has more than ``MAX_GRID_NODES`` nodes."""
-        # 16 x 16 times 4^20 is past the cap: no need for 4^refinements itself
-        if self.n_y * self.n_t * 4 ** min(refinements, 20) > MAX_GRID_NODES:
+        # 16 times 2^20 is past the cap: no need for 2^refinements itself
+        if self.n_y * 2 ** min(refinements, 20) > MAX_GRID_NODES:
             refined = f" refined {refinements} times" if refinements else ""
             raise DomainError(
-                f"a {self.n_y} x {self.n_t} grid{refined} has more than "
-                f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes n_y * n_t")
+                f"a grid of {self.n_y} nodes{refined} has more than "
+                f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes n_y")
 
     def y_max_at(self, s: float) -> float:
         """``y_max``, or when it is None the :func:`default_y_max` at s."""
@@ -218,11 +242,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PsiSolution:
-    """psi at reduced time s on the grid ``y``; only the final row is kept.
+    """psi at reduced time s on the grid ``y``, the row ``final``.
 
-    Rows close to the terminal date are inaccurate within a few nodes of
-    y_max (far-field Dirichlet transient); the validated quantity is the
-    final row, whose penultimate-node value is stored as ``boundary_max``.
+    Its penultimate-node value is stored as ``boundary_max``.
     ``q_coeffs`` holds the pchip cubic of q(y) = (1 - psi(y)) / y^2 on each
     cell: column i holds (c3, c2, c1, c0) of the cubic in y - y[i].
     ``y_max`` and the cell width ``h`` are ``y[-1]`` and ``y[1]`` as Python
@@ -235,7 +257,7 @@ class PsiSolution:
     """
 
     y: np.ndarray
-    final: np.ndarray           # psi at the valuation time
+    final: np.ndarray           # psi at s
     boundary_max: float
     s: float
     y_max: float
@@ -302,92 +324,67 @@ def _pchip_coeffs(y: np.ndarray, psi: np.ndarray, s: float) -> np.ndarray:
     return _pchip(y, q)
 
 
-def solve_banded(factors: list, rhs: np.ndarray) -> None:
-    """Overwrite ``rhs`` with the solution of a symmetric positive definite
-    tridiagonal system.
+def solve_banded(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite ``rhs`` with the solution of the tridiagonal system whose
+    diagonal is ``diag`` and whose sub- and super-diagonal are both ``off``.
 
-    ``factors`` are the diagonal and sub-diagonal of its L D L^T factors,
-    the first two outputs of LAPACK ``pttrf``.  One ``pttrs`` solve does the
-    eliminations of ``ptsv`` (``pttrf`` then ``pttrs``) in the same order,
-    so the two agree bit for bit.  ``rhs`` must be a contiguous float64
-    vector, which LAPACK can overwrite without a copy.
+    One LAPACK ``zgtsv`` call, Gaussian elimination with partial pivoting,
+    the routine ``scipy.linalg.solve_banded((1, 1), ...)`` calls, so the two
+    agree bit for bit.  ``diag`` and ``off`` are left as they are; ``rhs``
+    must be a contiguous complex128 vector, which LAPACK can overwrite
+    without a copy.
     """
-    solution, _ = dpttrs(*factors, rhs, overwrite_b=1)
+    *_, solution, info = zgtsv(off, diag, off, rhs, overwrite_b=1)
     if solution is not rhs:
-        raise TypeError("rhs must be a contiguous float64 vector")
+        raise TypeError("rhs must be a contiguous complex128 vector")
+    if info:
+        raise InstabilityError(f"zgtsv met a zero pivot in row {info}")
 
 
 def solve_psi(alpha: float, tau: float,
               grid: GridSpec = GridSpec()) -> PsiSolution:
-    """Crank-Nicolson march of the killed-Bessel-type problem over s = alpha^2 tau.
+    """psi at s = alpha^2 tau, exact in s: the module notes' contour sum.
 
-    Rannacher startup (two implicit-Euler steps split into half-steps)
-    damps the mild terminal-data/operator incompatibility so the scheme
-    keeps clean second-order convergence.  Raises :class:`DomainError`
-    unless 0 < s <= ``S_MAX`` (at s = 0, psi = 1 and kappa is exact) and
-    y^2 is positive and finite on the grid,
-    :class:`InstabilityError` if the discrete maximum principle fails at
-    any step and :class:`AccuracyError` if psi has not decayed to
-    ``BOUNDARY_TOL`` at y_max, or is below ``PSI_FIRST_NODE_MIN`` at h.
+    Raises :class:`DomainError` unless 0 < s <= ``S_MAX`` (at s = 0, psi = 1
+    and kappa is exact) and y^2 is positive and finite on the grid,
+    :class:`InstabilityError` if the row at s leaves [0, 1] by more than
+    ``MAX_PRINCIPLE_EPS`` (rounding; exactly, it cannot) and
+    :class:`AccuracyError` if psi has not decayed to ``BOUNDARY_TOL`` at
+    y_max, or is below ``PSI_FIRST_NODE_MIN`` at h.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     s = reduced_time(alpha, tau)
     if not s > 0.0:     # also tau < 0
-        raise DomainError(f"no march for s = alpha^2 tau = {s}; needs s > 0")
+        raise DomainError(f"no psi for s = alpha^2 tau = {s}; needs s > 0")
     y_max = grid.y_max_at(s)
     n = grid.n_y
     y = np.linspace(0.0, y_max, n + 1)
     h = float(y[1])
-    if not (h * h > 0.0 and y_max * y_max < math.inf):
-        raise DomainError(f"q = (1 - psi) / y^2 is not finite on the grid up to "
-                          f"y_max {y_max:.3g}: y^2 underflows at h or overflows")
-    # M = I + (ds/2) A on u_i = psi_i / i at the interior nodes i, as the
-    # module notes derive it: symmetric positive definite, so pttrf meets no
-    # zero pivot.  M/2 = L (D/2) L^T: the same L and D halved, exactly
-    ds = s / grid.n_t
-    half_ds = 0.5 * ds
+    if not (h * h > 0.0 and max(s, 1.0) * (y_max * y_max) < math.inf):
+        raise DomainError(f"q = (1 - psi) / y^2 or s y^2 is not finite on the grid "
+                          f"up to y_max {y_max:.3g}: y^2 underflows at h or "
+                          f"s y^2 overflows")
+    # s A on u_i = psi_i / i at the interior nodes i, as the module notes
+    # derive it, and u(s) = 2 Re sum_j c_j (w_j I + s A)^-1 (u_0 + s g / w_j)
     i = np.arange(1.0, n)
-    d, e, _ = dpttrf(1.0 + half_ds * (i * i + 0.5 * y[1:n] * y[1:n]),
-                     -0.5 * half_ds * (i[:-1] * i[1:]))
-    factors, half_factors = (d, e), (0.5 * d, e)
-    quarter_ds = 0.5 * half_ds
-    forcing = np.zeros(n - 1)               # psi(., 0) = 1 enters row 1
-    forcing[0] = quarter_ds
-    u = 1.0 / i                             # terminal data psi = 1
-    seen_lo, seen_hi = u, u                 # every row before this block
-    rows = np.empty((CHECK_ROWS, n - 1))    # this block; row k % CHECK_ROWS is u
+    diag = s * (i * i + 0.5 * y[1:n] * y[1:n])
+    off = (-0.5 * s) * (i[:-1] * i[1:])
+    u_0 = 1.0 / i                           # psi(., 0) = 1
+    u = np.zeros(n - 1)
+    for w, c in zip(TALBOT_NODES, TALBOT_WEIGHTS):
+        x = u_0.astype(complex)
+        x[0] += 0.5 * s / w                 # g = e_1 / 2
+        solve_banded(off, w + diag, x)
+        # Re(c x) in real ufuncs, not BLAS: the same bits on every host
+        u += c.real * x.real - c.imag * x.imag
+    psi = np.concatenate(([1.0], i * (2.0 * u), [0.0]))
 
-    # a Rannacher step is two half-steps, each the implicit-Euler solve
-    # M w = u + (ds/4) e_1
-    for row in rows[:RANNACHER_STEPS]:
-        row[:] = u
-        for _ in range(2):
-            row[0] += quarter_ds
-            solve_banded(factors, row)
-        u = row
-    # a Crank-Nicolson step is the half-step extrapolated, 2 w - u, and 2 w
-    # solves (M/2)(2 w) = u + (ds/4) e_1, bit for bit 2 w of the M solve
-    for start in range(0, grid.n_t, CHECK_ROWS):
-        block = rows[:min(CHECK_ROWS, grid.n_t - start)]
-        for row in block[max(RANNACHER_STEPS - start, 0):]:
-            np.add(u, forcing, out=row)
-            solve_banded(half_factors, row)
-            np.subtract(row, u, out=row)
-            u = row
-        seen_lo = np.minimum(seen_lo, block.min(axis=0))
-        seen_hi = np.maximum(seen_hi, block.max(axis=0))
-
-    # i > 0 and rounding is monotone, so i * seen is the extreme psi per node;
-    # psi(., 0) = 1 and the far-field Dirichlet psi(., y_max) = 0 join the range
-    lo, hi = min(0.0, (i * seen_lo).min()), max(1.0, (i * seen_hi).max())
-    if lo < -MAX_PRINCIPLE_EPS or hi > 1.0 + MAX_PRINCIPLE_EPS:
+    lo, hi = psi.min(), psi.max()           # nan fails the check too
+    if not (lo >= -MAX_PRINCIPLE_EPS and hi <= 1.0 + MAX_PRINCIPLE_EPS):
         raise InstabilityError(
-            f"psi left [0,1] by more than {MAX_PRINCIPLE_EPS} "
-            f"(range [{lo:.3e}, {hi:.3e}]); refine the grid")
-    psi = np.concatenate(([1.0], i * u, [0.0]))
-    # validate the row the quadrature consumes; early rows near the far edge
-    # necessarily carry the Dirichlet far-field transient
+            f"psi left [0,1] by more than {MAX_PRINCIPLE_EPS} (range "
+            f"[{lo:.3e}, {hi:.3e}]): the contour sum lost its accuracy")
     boundary_max = float(psi[n - 1])
     if boundary_max > BOUNDARY_TOL:
         raise AccuracyError(
@@ -416,7 +413,7 @@ def psi_memo(s: float, grid: GridSpec):
     """``(solve_psi(1.0, s, grid), None)``, or ``(None, (type, args))`` of its refusal.
 
     The refusal is kept as type and arguments, not as the exception, whose
-    traceback would pin the march's arrays.
+    traceback would pin the solve's arrays.
     """
     try:
         return solve_psi(1.0, s, grid), None
@@ -437,7 +434,7 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
 
     Valid for nu >= 0.  psi comes from :func:`psi_memo`, so points sharing
     s = alpha^2 tau (to ``S_KEY_BITS`` fraction bits) and the grid share
-    one march.  Below s = ``S_CLOSED_FORM`` (at maturity, where alpha^2 tau
+    one solve.  Below s = ``S_CLOSED_FORM`` (at maturity, where alpha^2 tau
     underflows, or where sigma barely moves) kappa is sqrt(nu + sigma^2
     tau)/T within 4e-8, a :class:`DomainError` where that is not finite.
     Raises :class:`AccuracyError` if the bound on the neglected parts of the
@@ -463,7 +460,7 @@ def quad(integrand, nodes: np.ndarray, weights: np.ndarray) -> float:
 
 def kappa_from_solution(solution: PsiSolution, state: MarketState,
                         params: SabrParams, contract: SwapContract) -> float:
-    """kappa from one march by the module notes' fixed-node rule in y; raises
+    """kappa from one solve by the module notes' fixed-node rule in y; raises
     :class:`AccuracyError` if its neglected parts may exceed ``QUAD_TOL``."""
     c = math.sqrt(2.0) * state.sigma / params.alpha    # y per x
     if c == math.inf:
@@ -484,14 +481,14 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
     tail = (math.exp(y_max * y_max / (-4.0 * zeta)) / y_max
             - 0.5 * math.sqrt(math.pi / zeta)
             * math.erfc(y_max / (2.0 * math.sqrt(zeta))))
-    if zeta == math.inf:    # weight 1 on every whole cell: the march's integral
+    if zeta == math.inf:    # weight 1 on every whole cell: the solve's integral
         integral = solution.g_integral
     else:
         # sub-cells per cell, and sub-cells used
         parts = max(1.0, float(math.ceil(2.0 * h / math.sqrt(zeta))))
         width = h / parts
         m = math.ceil(min(y_cut / width, len(solution.gl_q) * parts))
-        if parts == 1.0:    # whole cells: the march tabulated them
+        if parts == 1.0:    # whole cells: the solve tabulated them
             squares = solution.gl_squares[:m]
             q, weights = solution.gl_q[:m], solution.gl_weights[:m]
         else:
@@ -517,14 +514,15 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
 def grid_refinement_report(state: MarketState, params: SabrParams,
                            contract: SwapContract, grid: GridSpec = GridSpec(),
                            refinements: int = 2) -> dict:
-    """kappa on successively halved steps plus the observed convergence ratios.
+    """kappa on successively halved cells h plus the observed convergence ratios.
 
-    Second-order convergence shows up as ratios of successive differences
-    near 4.  All refinements share one y_max so the comparison isolates the
-    discretization error.  Raises :class:`DomainError`, before any march,
-    if the finest grid has more than ``MAX_GRID_NODES`` nodes, outside the
-    accrual window and below s = alpha^2 tau = ``S_CLOSED_FORM``, where
-    :func:`kappa_quadrature` marches nothing to refine.
+    psi is exact in s, so h is the only discretization: second-order
+    convergence shows up as ratios of successive differences near 4.  All
+    refinements share one y_max.  Raises :class:`DomainError`, before any
+    solve, if the finest grid has more than ``MAX_GRID_NODES`` nodes,
+    outside the accrual window and below s = alpha^2 tau =
+    ``S_CLOSED_FORM``, where :func:`kappa_quadrature` solves nothing to
+    refine.
     """
     grid.check_size(refinements)
     _, s, _, _ = reduced_variables(state, params, contract)
@@ -532,11 +530,9 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
         raise DomainError(f"at s = {s:.3g} < 2^-24 kappa is sqrt(nu + sigma^2 "
                           "tau)/T within 4e-8; there is no grid to refine")
     y_max = grid.y_max_at(_s_key(s))
-    kappas, grids = [], []
-    for level in range(refinements + 1):
-        g = replace(grid, n_y=grid.n_y * 2 ** level, n_t=grid.n_t * 2 ** level)
-        kappas.append(kappa_quadrature(state, params, contract, g))
-        grids.append((g.n_y, g.n_t))
+    grids = [grid.n_y * 2 ** level for level in range(refinements + 1)]
+    kappas = [kappa_quadrature(state, params, contract, replace(grid, n_y=n))
+              for n in grids]
     ratios = [math.inf if k1 == k2 else (k0 - k1) / (k1 - k2)
               for k0, k1, k2 in zip(kappas, kappas[1:], kappas[2:])]
     return {"kappas": kappas, "grids": grids, "ratios": ratios, "y_max": y_max}

@@ -7,7 +7,7 @@ from volswap import pde_engine
 
 @pytest.fixture
 def marches(monkeypatch):
-    """Empty the psi memo and count the real marches from here on."""
+    """Empty the psi memo and count the real solves from here on."""
     pde_engine.psi_memo.cache_clear()
     calls = []
     solve = pde_engine.solve_psi

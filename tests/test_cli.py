@@ -348,6 +348,18 @@ class TestOracle:
         assert code == cli.EXIT_DIVERGING
         assert "psi at the far edge reaches 2.346e-08" in err
 
+    @pytest.mark.parametrize("n_y, psi_h", [("400", "9.740e-01"), ("800", "9.908e-01")])
+    def test_pde_hand_grid_at_s_4_is_refused(self, tmp_path, capsys, n_y, psi_h):
+        # s = 4, zeta = 1 on y_max 23.3: these grids priced 4.1367 and 3.9722
+        # against 3.8784, and Crank-Nicolson refused them as unstable
+        argv = ["oracle", "pde", "--alpha", "2", "--sigma", "2.8284271247",
+                "--nu", "1", "--t", "0", "--tenor", "1", "--y-max", "23.3",
+                "--n-y", n_y, "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_DIVERGING
+        assert err.startswith(f"volswap: psi falls to {psi_h} at the first node")
+        assert "does not resolve its decay" in err
+
     def test_mc_s_beyond_float_range_is_usage_error(self, tmp_path, capsys):
         # s = alpha^2 tau = 800: refused by the rule the PDE applies
         argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "1000", "--steps", "10",
@@ -502,7 +514,7 @@ class TestCompare:
         assert first["kappa_series"] is not None and first["regime"] is not None
         assert (second["kappa_series"], second["regime"],
                 second["abs_diff_mc_sigmas"]) == (None, None, None)
-        assert second["kappa_pde"] == 0.2532945634550641
+        assert second["kappa_pde"] == 0.2532947039786217
         assert abs(second["kappa_mc"] - second["kappa_pde"]) <= 3.0 * second["mc_se"]
         assert capsys.readouterr().err == (
             "volswap: no kappa_series at alpha 0.4, tau 0.999, zeta 3125.0: "
@@ -754,6 +766,7 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--refine", "-2"], "--refine"),
+    (["oracle", "pde"] + SEED_POINT + ["--n-t", "400"], "--n-t"),
     (["verify", "--n-terms", "12"], "--n-terms"),
     (["verify", "--s-max", "60"], "--s-max"),
     (["price"] + SEED_POINT + ["--config", "x.cfg"], "--config"),
@@ -761,7 +774,7 @@ def test_manifest_replays_the_run(tmp_path, argv):
       "--nu", "0.04", "--t0", "0.3", "--seed", "1"], "--t0"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "n-terms", "s-max", "config", "compare-t0"])
+        "n-t", "n-terms", "s-max", "config", "compare-t0"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
@@ -839,8 +852,8 @@ COMMAND_FLAGS = [
             lambda flag: st.fixed_dictionaries({flag: floats(0.5, 1)}))]),
     (["oracle", "mc"], MARKET + [SIMULATION]),
     (["oracle", "pde"], MARKET + [st.fixed_dictionaries({
-        "--n-y": st.integers(16, 64).map(str), "--n-t": st.integers(16, 64).map(str),
-        "--y-max": floats(3, 30), "--refine": st.integers(0, 2).map(str)})]),
+        "--n-y": st.integers(16, 64).map(str), "--y-max": floats(3, 30),
+        "--refine": st.integers(0, 2).map(str)})]),
     (["compare"], [SIMULATION, st.fixed_dictionaries({
         "--alphas": float_list(1e-3, 2), "--taus": float_list(0, 1),
         "--zetas": float_list(1e-3, 50), "--nu": floats(1e-4, 0.1)})]),

@@ -1,8 +1,9 @@
-"""Crank-Nicolson psi solver and the kappa quadrature."""
+"""The psi solver, exact in s on Talbot's contour, and the kappa quadrature."""
 
 import hashlib
 import math
 import random
+import re
 import sys
 import warnings
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dptsv
+from scipy.linalg import solve_banded as scipy_solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from volswap import pde_engine
 from volswap.exceptions import AccuracyError, DomainError, InstabilityError
@@ -27,17 +29,17 @@ from volswap.verify import psi_series_optimal
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 
 
-def gttrs_march(s, grid):
-    """psi at s by the Crank-Nicolson march on psi itself: the explicit half
-    (I - (ds/2) A) psi, then a ``gttrs`` solve with the LU factors of the
-    unsymmetric I + (ds/2) A, after the same Rannacher startup and with no
-    checks.  The symmetric march in psi / i of :func:`solve_psi` must agree
-    with it to rounding."""
+def gttrs_march(s, grid, n_t):
+    """psi at s by a Crank-Nicolson march of n_t steps on psi itself: the
+    explicit half (I - (ds/2) A) psi, then a ``gttrs`` solve with the LU
+    factors of the unsymmetric I + (ds/2) A, after two Rannacher steps
+    (each two implicit-Euler half-steps) and with no checks.  Its time
+    error is O(ds^2); :func:`solve_psi` has none."""
     n = grid.n_y
     y = np.linspace(0.0, grid.y_max_at(s), n + 1)
     psi = np.ones(n + 1)
     psi[-1] = 0.0
-    ds = s / grid.n_t
+    ds = s / n_t
     half_ds = 0.5 * ds
     c = 0.5 * y * y
     lam = c / (y[1] * y[1])
@@ -45,8 +47,8 @@ def gttrs_march(s, grid):
     *factors, _ = dgttrf(-half_ds * lam[2:n], 1.0 + half_ds * (2.0 * lam_in + c_in),
                          -half_ds * lam[1:n - 1])
     inner = psi[1:n]
-    for k in range(grid.n_t):
-        if k < pde_engine.RANNACHER_STEPS:
+    for k in range(n_t):
+        if k < 2:
             for _ in range(2):
                 psi[1] += half_ds * lam[1]
                 dgttrs(*factors, inner, overwrite_b=1)
@@ -58,22 +60,35 @@ def gttrs_march(s, grid):
     return psi
 
 
+def dense_psi(s, grid):
+    """psi at s from a dense ``eigh`` of the module notes' A: u(s) =
+    e^(-sA) u_0 + A^-1 (I - e^(-sA)) g with u_0 = 1 / i and g = e_1 / 2."""
+    n = grid.n_y
+    y = np.linspace(0.0, grid.y_max_at(s), n + 1)
+    i = np.arange(1.0, n)
+    off = -0.5 * i[:-1] * i[1:]
+    lam, vec = np.linalg.eigh(np.diag(i * i + 0.5 * y[1:n] ** 2)
+                              + np.diag(off, 1) + np.diag(off, -1))
+    u = vec @ (np.exp(-s * lam) * (vec.T @ (1.0 / i))
+               - np.expm1(-s * lam) / lam * (0.5 * vec[0]))
+    return np.concatenate(([1.0], i * u, [0.0]))
+
+
 class TestGridSpec:
     def test_minimum_sizes(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="n_y >= 16"):
             GridSpec(n_y=8)
-        with pytest.raises(DomainError):
-            GridSpec(n_t=8)
 
     def test_node_cap_admits_the_reference_grid(self):
-        # make_reference.py marches 3200 x 3200, the finest grid in use
-        assert GridSpec(n_y=3200, n_t=3200).check_size() is None
-        GridSpec(n_y=400, n_t=400).check_size(refinements=3)
-        for n_y, n_t in ((3201, 3200), (10 ** 9, 16), (16, 10 ** 9)):
+        # make_reference.py solves on 3200 nodes, the finest grid in use;
+        # the cap is that grid with its cells halved five more times
+        assert GridSpec(n_y=3200).check_size(refinements=5) is None
+        GridSpec(n_y=400).check_size(refinements=8)
+        for n_y in (3200 * 32 + 1, 10 ** 9):
             with pytest.raises(DomainError, match="MAX_GRID_NODES"):
-                GridSpec(n_y=n_y, n_t=n_t)
-        with pytest.raises(DomainError, match="refined 4 times"):
-            GridSpec().check_size(refinements=4)
+                GridSpec(n_y=n_y)
+        with pytest.raises(DomainError, match="grid of 400 nodes refined 9 times"):
+            GridSpec().check_size(refinements=9)
 
     @pytest.mark.parametrize("y_max", [0.0, -1.0, math.inf, math.nan])
     def test_y_max_must_be_positive_and_finite(self, y_max):
@@ -87,69 +102,63 @@ class TestSolvePsi:
         # kappa_quadrature prices it in closed form.  tau < 0 has no psi
         for alpha, tau in ((0.5, 0.0), (1e-200, 0.5), (0.5, -0.1)):
             with pytest.raises(DomainError, match="needs s > 0"):
-                solve_psi(alpha, tau, GridSpec(n_y=32, n_t=32, y_max=5.0))
+                solve_psi(alpha, tau, GridSpec(n_y=32, y_max=5.0))
 
     def test_degenerate_boundary_stays_one(self):
-        sol = solve_psi(0.5, 0.5, GridSpec(n_y=256, n_t=256))
+        sol = solve_psi(0.5, 0.5, GridSpec(n_y=256))
         assert sol.final[0] == 1.0
 
     def test_maximum_principle(self):
-        sol = solve_psi(0.4, 0.5, GridSpec(n_y=256, n_t=256))
+        sol = solve_psi(0.4, 0.5, GridSpec(n_y=256))
         assert sol.final.min() >= -1e-6
         assert sol.final.max() <= 1.0 + 1e-6
 
     def test_monotone_in_y(self):
-        sol = solve_psi(0.4, 0.5, GridSpec(n_y=256, n_t=256))
+        sol = solve_psi(0.4, 0.5, GridSpec(n_y=256))
         final = sol.final
         assert np.all(np.diff(final) <= 1e-9)
 
     def test_matches_bessel_mode_series(self):
         # alpha = 0.5, tau = 0.5, y = 1 against the optimally truncated series
         alpha, tau, y_point = 0.5, 0.5, 1.0
-        sol = solve_psi(alpha, tau, GridSpec(n_y=800, n_t=800))
+        sol = solve_psi(alpha, tau, GridSpec(n_y=800))
         value = float(np.interp(y_point, sol.y, sol.final))
         series_value, estimate = psi_series_optimal(alpha * alpha * tau, y_point)
         assert abs(value - series_value) <= max(1e-4, estimate)
 
-    def test_coarse_grid_raises_instability(self):
-        with pytest.raises(InstabilityError) as info:
-            solve_psi(0.4, 0.5, GridSpec(n_y=100, n_t=100))
-        assert str(info.value) == ("psi left [0,1] by more than 1e-06 (range "
-                                   "[-1.238e-04, 1.000e+00]); refine the grid")
+    def test_coarse_grid_is_refused(self):
+        # Crank-Nicolson's instability refused this grid; the exact psi is
+        # stable, and its first node reads the unresolved decay
+        with pytest.raises(AccuracyError) as info:
+            solve_psi(0.4, 0.5, GridSpec(n_y=100))
+        assert str(info.value) == (
+            "psi falls to 9.839e-01 at the first node y = 0.625: the grid does "
+            "not resolve its decay; shrink y_max (used 62.5)")
 
-    @pytest.mark.parametrize("step", ["first_crank_nicolson", "first_block_end",
-                                      "last_partial_block"])
-    def test_maximum_principle_sees_every_row(self, step, monkeypatch):
-        # one interior node of one row is set to psi = 2 and later rows
-        # smooth it out, so the check must fold in that very row
-        check_rows = pde_engine.CHECK_ROWS
-        grid = GridSpec(y_max=32.0, n_y=128, n_t=check_rows + check_rows // 2 + 3)
-        assert grid.n_t % check_rows != 0
-        solve_psi(0.4, 0.5, grid)           # the grid itself is stable
-        k = {"first_crank_nicolson": pde_engine.RANNACHER_STEPS,
-             "first_block_end": check_rows - 1,
-             "last_partial_block": grid.n_t - 1}[step]
-        # steps before RANNACHER_STEPS take two solves, later ones one
-        target = k + pde_engine.RANNACHER_STEPS
-        solves, solve, j = [], pde_engine.solve_banded, 60
+    @pytest.mark.parametrize("j", [0, 5, 11])
+    def test_range_check_sees_every_contour_solve(self, j, monkeypatch):
+        # solve j is moved so that psi at node k gains 2 from it alone
+        grid, k = GridSpec(y_max=32.0, n_y=128), 60
+        solve_psi(0.4, 0.5, grid)           # the grid itself passes
+        solves, solve = [], pde_engine.solve_banded
 
-        def spy(factors, rhs):
-            # a Crank-Nicolson step solves u + (ds/4) e_1 for 2 w; u = 2 w - u
-            previous = rhs[j]
-            solve(factors, rhs)
-            if len(solves) == target:
-                rhs[j] = 2.0 / (j + 1) + previous
+        def spy(off, diag, rhs):
+            solve(off, diag, rhs)
+            if len(solves) == j:
+                rhs[k - 1] += 1.0 / (pde_engine.TALBOT_WEIGHTS[j] * k)
             solves.append(None)
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
         with pytest.raises(InstabilityError) as info:
             solve_psi(0.4, 0.5, grid)
-        assert len(solves) == grid.n_t + pde_engine.RANNACHER_STEPS
-        assert "2.000e+00]" in str(info.value)
+        assert len(solves) == len(pde_engine.TALBOT_NODES) == 12
+        assert re.fullmatch(r"psi left \[0,1\] by more than 1e-06 \(range \[\S+, "
+                            r"2\.\d{3}e\+00\]\): the contour sum lost its accuracy",
+                            str(info.value))
 
     def test_small_domain_raises_accuracy(self):
         with pytest.raises(AccuracyError):
-            solve_psi(0.2, 0.5, GridSpec(n_y=128, n_t=128, y_max=3.0))
+            solve_psi(0.2, 0.5, GridSpec(n_y=128, y_max=3.0))
 
     @pytest.mark.parametrize("y_max", [1e6, 1e10])
     def test_grid_that_skips_the_decay_raises_accuracy(self, y_max):
@@ -196,68 +205,91 @@ class TestSolvePsi:
 
 
 class TestSymmetricMarch:
+    """The symmetric system in u = psi / i, solved exactly in s, against
+    independent solutions of the same spatial problem."""
+
     @pytest.mark.parametrize("n", [400, 800, 1600])
     @pytest.mark.parametrize("s, y_max", [(1e-4, None), (0.08, None),
                                           (0.45, None), (2.0, 20.0)])
-    def test_matches_the_march_on_psi(self, n, s, y_max):
-        # the default y_max at s = 2 leaves psi above BOUNDARY_TOL at the edge
-        grid = GridSpec(y_max=y_max, n_y=n, n_t=n)
+    def test_matches_the_march_on_psi(self, n, s, y_max, monkeypatch):
+        # a Crank-Nicolson march on psi converges to the exact row at second
+        # order in ds: its error quarters as its steps double.  The default
+        # y_max at s = 2 leaves psi above BOUNDARY_TOL at the edge, and on 400
+        # nodes y_max 20 leaves psi(h) at 0.993: only the row is checked here
+        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
+        grid = GridSpec(y_max=y_max, n_y=n)
         final = solve_psi(1.0, s, grid).final
-        assert np.abs(final - gttrs_march(s, grid)).max() <= 1e-12
+        errors = [np.abs(final - gttrs_march(s, grid, n_t)).max() for n_t in (n, 2 * n)]
+        assert errors[0] <= 2e-6 * (400 / n) ** 2
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.01)
 
     def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
-        # the last solve of a march is a Crank-Nicolson step from the row
-        # psi_old = i u: it solves u + (ds/4) e_1 for 2 w, and the step is
-        # the extrapolation 2 w - u
+        # contour solve j is (w_j I + s A) x = b; with A = D^-1 B D, D = diag(i),
+        # it is (w_j I + s B)(i x) = i b in psi's own unsymmetric B, and the
+        # row is 2 Re sum_j c_j x_j times i
+        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
         solves = []
         solve = pde_engine.solve_banded
 
-        def spy(factors, rhs):
-            solves.append(rhs.copy())
-            solve(factors, rhs)
+        def spy(off, diag, rhs):
+            before = rhs.copy()
+            solve(off, diag, rhs)
+            solves.append((before, rhs.copy()))
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
-        s, grid = 0.1, GridSpec(y_max=30.0, n_y=32, n_t=32)
+        s, grid = 0.1, GridSpec(y_max=30.0, n_y=32)
         final = solve_psi(1.0, s, grid).final
-        n, ds = grid.n_y, s / grid.n_t
+        n = grid.n_y
         i = np.arange(1.0, n)
-        rhs = solves[-1]
-        rhs[0] -= 0.25 * ds
-        psi_old = i * rhs
-
         y = np.linspace(0.0, 30.0, n + 1)[1:n]
-        a = (np.diag(i * i + 0.5 * y * y) - np.diag(0.5 * i[1:] ** 2, -1)
+        b = (np.diag(i * i + 0.5 * y * y) - np.diag(0.5 * i[1:] ** 2, -1)
              - np.diag(0.5 * i[:-1] ** 2, 1))
-        eye = np.eye(n - 1)
-        explicit = (eye - 0.5 * ds * a) @ psi_old
-        explicit[0] += ds * 0.5              # psi(., 0) = 1, from both halves
-        expected = np.linalg.solve(eye + 0.5 * ds * a, explicit)
-        assert np.abs(final[1:n] - expected).max() <= 1e-14
+        for w, (before, after) in zip(pde_engine.TALBOT_NODES, solves, strict=True):
+            expected = np.linalg.solve(w * np.eye(n - 1) + s * b, i * before)
+            assert np.abs(i * after - expected).max() <= 1e-13 * np.abs(expected).max()
+        u = np.zeros(n - 1)
+        for c, (_, after) in zip(pde_engine.TALBOT_WEIGHTS, solves):
+            u += c.real * after.real - c.imag * after.imag
+        assert final[1:n].tobytes() == (i * (2.0 * u)).tobytes()
+
+    @pytest.mark.parametrize("s, y_max", [(2.0 ** -24, None), (5e-4, None),
+                                          (0.08, None), (0.8, None), (4.0, 23.3)])
+    def test_matches_a_dense_exponential(self, s, y_max, monkeypatch):
+        # on 60 nodes no y_max passes both grid checks; only the row is checked
+        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
+        monkeypatch.setattr(pde_engine, "BOUNDARY_TOL", math.inf)
+        grid = GridSpec(y_max=y_max, n_y=60)
+        final = solve_psi(1.0, s, grid).final
+        assert np.abs(final - dense_psi(s, grid)).max() <= 1e-13
 
 
 class TestSolveBanded:
     @pytest.mark.parametrize("n", [3, 4, 17, 400, 1600])
     def test_bitwise_equal_to_scipy_banded_solve(self, n):
-        # the per-step pttrs solve against LAPACK's ptsv, on random strictly
-        # diagonally dominant symmetric systems like the march's I + (ds/2) A
+        # one contour solve against scipy's, on random systems shaped like
+        # w_j I + s A: a complex shift of a diagonally dominant symmetric part
         rng = np.random.default_rng(n)
-        for _ in range(5):
+        for w in pde_engine.TALBOT_NODES[::4]:
             off = -rng.uniform(0.0, 1e3, n - 1)
-            diag = 1.0 + rng.uniform(0.0, 1.0, n)
+            diag = w + rng.uniform(0.0, 1.0, n)
             diag[:-1] -= off
             diag[1:] -= off
-            rhs = rng.uniform(0.0, 1.0, n)
-            *_, expected, info = dptsv(diag, off, rhs)
-            assert info == 0
-            *factors, info = dpttrf(diag, off)
-            assert info == 0
-            pde_engine.solve_banded(factors, rhs)
+            rhs = rng.uniform(0.0, 1.0, n) + 0j
+            expected = scipy_solve_banded((1, 1), np.array(
+                [np.r_[0.0, off], diag, np.r_[off, 0.0]]), rhs)
+            pde_engine.solve_banded(off, diag, rhs)
             assert rhs.tobytes() == expected.tobytes()
 
     def test_refuses_a_strided_vector(self):
-        *factors, _ = dpttrf(np.ones(4), np.full(3, -0.1))
-        with pytest.raises(TypeError):
-            pde_engine.solve_banded(factors, np.ones(8)[::2])
+        off, diag = np.full(3, -0.1), np.full(4, 1.0 + 1.0j)
+        for rhs in (np.ones(8, dtype=complex)[::2], np.ones(4)):
+            with pytest.raises(TypeError, match="contiguous complex128"):
+                pde_engine.solve_banded(off, diag, rhs)
+
+    def test_zero_pivot_is_instability(self):
+        with pytest.raises(InstabilityError, match="zero pivot in row 1"):
+            pde_engine.solve_banded(np.zeros(3), np.zeros(4, dtype=complex),
+                                    np.ones(4, dtype=complex))
 
 
 @st.composite
@@ -362,7 +394,7 @@ class TestKappaQuadrature:
 
     def test_overflowing_y_of_x_is_domain_error(self):
         # sqrt(2) sigma / alpha = inf would make the tail bound inf * 0 = nan
-        state = MarketState(t=0.5, sigma=1e306, nu=0.03)    # s = 5e-7 marches
+        state = MarketState(t=0.5, sigma=1e306, nu=0.03)    # s = 5e-7 is solved
         with pytest.raises(DomainError, match="sqrt\\(2\\) sigma / alpha overflows"):
             kappa_quadrature(state, SabrParams(alpha=1e-3), CONTRACT)
         # at s = 5e-21 the closed form takes over, and sigma^2 tau overflows
@@ -403,6 +435,21 @@ class TestKappaQuadrature:
             upper = mpmath.sqrt(mean_b) / CONTRACT.tenor
             assert lower <= kappa <= upper
 
+    @pytest.mark.parametrize("nu", [0.03, 0.0])
+    @pytest.mark.parametrize("s", [2.0 ** -24, 1e-7, 1e-6])
+    def test_small_s_is_the_delta_method(self, s, nu):
+        # E[sqrt(B)] = J (1 - Var B / (8 E[B]^2)) + O(s^2) relative, with
+        # J = sqrt(E[B]) and Var B = sigma^4 tau^2 (4 s / 3) + O(s^2); the
+        # Crank-Nicolson march priced 1.9e-7 to 6.0e-7 under J here
+        tau, sigma = 0.5, 0.25
+        kappa = kappa_quadrature(
+            MarketState(t=CONTRACT.maturity - tau, sigma=sigma, nu=nu),
+            SabrParams(alpha=math.sqrt(s / tau)), CONTRACT)
+        mean_b = nu + sigma ** 2 * tau * math.expm1(s) / s
+        var_b = sigma ** 4 * tau ** 2 * (4.0 * s / 3.0)
+        expected = math.sqrt(mean_b) * (1.0 - var_b / (8.0 * mean_b ** 2))
+        assert kappa == pytest.approx(expected / CONTRACT.tenor, rel=2e-8, abs=0.0)
+
     @pytest.mark.parametrize("nu", [1e308, sys.float_info.max])
     def test_tail_integral_finite_at_largest_nu(self, nu):
         # sqrt(pi nu) overflowed and inf * erfc(...) = inf * 0 gave nan;
@@ -431,10 +478,19 @@ class TestKappaQuadrature:
                 kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
                                  GridSpec(y_max=y_max))
 
+    def test_overflowing_s_y_squared_is_refused_without_a_warning(self):
+        # s = 700 and y_max = 1e153: y^2 is finite but s y^2 is not
+        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="s y\\^2 overflows"):
+                kappa_quadrature(state, SabrParams(alpha=math.sqrt(1400.0)), CONTRACT,
+                                 GridSpec(y_max=1e153))
+
     def test_tail_bound_enforced(self, monkeypatch):
         # calibrate QUAD_TOL just under the achievable tail bound
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        grid = GridSpec(y_max=27.0, n_y=400, n_t=400)
+        grid = GridSpec(y_max=27.0, n_y=400)
         sol = solve_psi(0.4, 0.5, grid)
         tail_bound = math.sqrt(2.0) * 0.25 / 0.4 * sol.boundary_max / sol.y[-1]
         assert tail_bound > 0.0
@@ -481,10 +537,10 @@ class TestPsiMemo:
 
     def test_refusal_is_memoised(self, marches):
         state, params = _point(0.4, 0.5, 1.0)
-        grid = GridSpec(n_y=100, n_t=100)
+        grid = GridSpec(n_y=100)
         raised = []
         for _ in range(2):
-            with pytest.raises(InstabilityError) as info:
+            with pytest.raises(AccuracyError) as info:
                 kappa_quadrature(state, params, CONTRACT, grid)
             raised.append(info.value)
         assert len(marches) == 1
@@ -497,8 +553,7 @@ class TestGridConvergence:
     def test_second_order_ratio(self):
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         report = grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
-                                        GridSpec(n_y=400, n_t=400),
-                                        refinements=2)
+                                        GridSpec(n_y=400), refinements=2)
         assert len(report["kappas"]) == 3
         assert all(type(k) is float for k in report["kappas"])
         assert 3.5 <= report["ratios"][0] <= 4.5
@@ -519,8 +574,8 @@ class TestGridConvergence:
                                        refinements=1)
 
     def test_first_level_is_the_default_price(self, monkeypatch):
-        # each level marches on the default grid of the memo key's s, and
-        # the report's y_max is the one every march used
+        # each level solves on the default grid of the memo key's s, and
+        # the report's y_max is the one every solve used
         used = []
         solve = pde_engine.kappa_from_solution
 
@@ -548,14 +603,14 @@ class TestGridConvergence:
         assert len(marches) == 2
 
     def test_refinement_past_the_grid_cap_marches_nothing(self, monkeypatch):
-        # level k marches a 400 * 2^k grid: 40 levels would not end
+        # level k solves on 400 * 2^k nodes: 40 levels would not end
         def march(*args):
             raise AssertionError("a grid past MAX_GRID_NODES was marched")
 
         monkeypatch.setattr(pde_engine, "solve_psi", march)
         pde_engine.psi_memo.cache_clear()
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        for refinements in (4, 40, 10 ** 9):
+        for refinements in (9, 40, 10 ** 9):
             with pytest.raises(DomainError, match="MAX_GRID_NODES"):
                 grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
                                        refinements=refinements)
@@ -572,16 +627,16 @@ class TestGolden:
     """PDE results frozen by repr: kappas, a refinement report, psi bytes."""
 
     KAPPAS = {
-        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475404750818"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.2491414567199779"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.35031289961027606"),
-        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503307802297844"),
-        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779480869034989"),
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475527418983"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914149873560756"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503130211594787"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503310735523631"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794818835828993"),
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
-                          GridSpec(y_max=32.0, n_y=256, n_t=320),
-                          "0.24914154093888097"),
+                          GridSpec(y_max=32.0, n_y=256),
+                          "0.24914160648767256"),
         # s = 5e-4, zeta = 0.499: six sub-cells per cell of width h = 2.02
-        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828426136027"),
+        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828426136762"),
     }
 
     @staticmethod
@@ -608,7 +663,7 @@ class TestGolden:
                 kappa = kappa_quadrature(state, SabrParams(alpha=1.0), CONTRACT)
                 digest.update(repr(kappa).encode())
         assert digest.hexdigest() == (
-            "c986b930b9bbe5c37497d7373f51df8f1b35e4cec805a2ae5a8d12c9aae49641")
+            "d264caa62a3a2edea93558e1fba8e4ccd9c6886904e5abd142f3ed3c262f6412")
 
     def test_default_grid_refusal_at_s_0_8(self, marches):
         state, params = MarketState(t=0.2, sigma=0.3, nu=0.02), SabrParams(alpha=1.0)
@@ -619,42 +674,43 @@ class TestGolden:
                                    "boundary_tol 1.0e-08; enlarge y_max (used 16.3)")
 
     def test_refinement_report(self, marches):
-        # the 400 x 400 level is the mid_s default-grid golden
+        # the 400-node level is the mid_s default-grid golden
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
-                                        CONTRACT, GridSpec(n_y=200, n_t=200))
+                                        CONTRACT, GridSpec(n_y=200))
         assert repr(report) == (
-            "{'kappas': [0.2491404464876124, 0.2491414567199779, "
-            "0.24914171477454183], 'grids': [(200, 200), (400, 400), (800, 800)], "
-            "'ratios': [3.9148013895225597], 'y_max': 62.467322942411855}")
+            "{'kappas': [0.24914061585048242, 0.24914149873560756, "
+            "0.2491417252365459], 'grids': [200, 400, 800], "
+            "'ratios': [3.897931424143988], 'y_max': 62.467322942411855}")
 
     FINAL_ROWS = {
-        (1e-4, None, 400): "8efc515b1a545340df079dea1f590799ebc6d7a076027cba7def7f25d81d6dde",
-        (1e-4, None, 800): "74b81d4c71574842e46c84782863a857eb41d6d2b519d1957fc1a5b9f535025a",
-        (1e-4, None, 1600): "05e90b4911a2f174662724eacff721d6a95888481e32091688012eb4616720bc",
-        (0.45, None, 400): "034ed4abaca07e4219b4c0cda362d391f92f949910a32d75fd51e509b91ab0e5",
-        (0.45, None, 800): "9b4ac043efc7b92869b79b6693b61e868ae15a0db5a84c8f63399267c815a0b3",
-        (0.45, None, 1600): "7945e4d00a38ce59a66fd8e6f04fde4581076b4a843d14d7d71c2ab6174da368",
-        (2.0, 20.0, 400): "6c325c56e5a0987f43a9a395ec81ec4dc4300f57844e6826365ef050b50a6f59",
-        (2.0, 20.0, 800): "0e652bd7e9a6c242e3757b958f06ad9415078188ea1eb25066a85b7efcfb093c",
-        (2.0, 20.0, 1600): "c824ab96fa11acbc9f2fd43d030ddb3639040f085be677d6b1076a25e4ac0ad0",
+        (1e-4, None, 400): "1b4f46f7350be8523f736ce12f3e3c277c1c50878539086108f7262fb1bed111",
+        (1e-4, None, 800): "8460f39d94774e9f236823324556b66b5d294fb438c20a792f5303c26ab8bb5c",
+        (1e-4, None, 1600): "3546f654aa3b42cd0e319042fe8d059d933a7d537c42f861791386132e7eeeed",
+        (0.45, None, 400): "fb1cff2e7d748e486490aec8bd90666f75dccb42e4aa1a418111f610f8ffa0de",
+        (0.45, None, 800): "e98ecfebde930c0e610da104bb2971d0ec32af8b099418ad6fb91473a5bbcf9d",
+        (0.45, None, 1600): "7208faaefab4bec3115f5fab7e9c6bc136ebaaa5ba6b040cdcb346902ea7d7c5",
+        (2.0, 20.0, 400): "6806f2ad4eed673ff88595e6a0bd4683133c37c6522f21700caab09caad4ef54",
+        (2.0, 20.0, 800): "16f57e1f33f4e7a1ecdafa89ca286bbe2eb701a0d08f66af61320e921f730d81",
+        (2.0, 20.0, 1600): "890b0f71cc5da5342115357d9fbdca0aabf86b4ab4d9f8637451d4175ba4f001",
     }
 
     @pytest.mark.parametrize("case", FINAL_ROWS, ids=lambda c: f"s{c[0]}-n{c[2]}")
-    def test_final_row_digest(self, case):
-        # the march's final row by repr, frozen before the Crank-Nicolson step
-        # became one solve against L (D/2) L^T
+    def test_final_row_digest(self, case, monkeypatch):
+        # the row at s by repr; s = 2 on 400 nodes leaves psi(h) at 0.993,
+        # below PSI_FIRST_NODE_MIN, and only the row is frozen here
+        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
         s, y_max, n = case
-        final = solve_psi(1.0, s, GridSpec(y_max=y_max, n_y=n, n_t=n)).final
+        final = solve_psi(1.0, s, GridSpec(y_max=y_max, n_y=n)).final
         text = " ".join(map(repr, final.tolist()))
         assert hashlib.sha256(text.encode()).hexdigest() == self.FINAL_ROWS[case]
 
     def test_psi_bytes(self):
-        sol = solve_psi(0.5, 0.6, GridSpec(n_y=300, n_t=200))
+        sol = solve_psi(0.5, 0.6, GridSpec(n_y=300))
         assert hashlib.sha256(sol.final.tobytes()).hexdigest() == (
-            "17a8c9fa885297f1c340e7785ad2530de448329fcc2d9dd881a12106094a16b3")
+            "73b0c9a475a8074a90c5b791791a5552ffae8b318e2dc838fb0b4b04cb995651")
         assert hashlib.sha256(sol.q_coeffs.tobytes()).hexdigest() == (
-            "d8e5ec0dde1d7c8a84754189e0f312711e7c9d860c00d9a93953efcad6f113f7")
-        assert repr(sol.boundary_max) == "8.14498127039767e-12"
+            "fcee2bb3c5f3449dab0b294bf15c96293fba87f2523486620ec0c03b1b8c1eec")
+        assert repr(sol.boundary_max) == "2.5431591993908256e-17"
 
 
 def _mpmath_kappa(solution, state, params, contract):
@@ -724,7 +780,7 @@ class TestFixedNodeRule:
         kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
                                  SabrParams(alpha=0.4), CONTRACT)
         assert quads == []
-        assert kappa == pytest.approx(0.1779480869034989, rel=1e-12, abs=0.0)
+        assert kappa == pytest.approx(0.17794818835828993, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", TestGolden.KAPPAS)
     def test_g_integral_is_the_quadrature_at_infinite_zeta(self, case):
@@ -737,8 +793,8 @@ class TestFixedNodeRule:
         assert type(sol.g_integral) is float
 
     def test_tables_are_read_only(self):
-        sol = solve_psi(0.4, 0.5, GridSpec(n_y=64, n_t=256))
-        assert sol.gl_squares.shape == sol.gl_weights.shape == (64, 6)
+        sol = solve_psi(0.4, 0.5, GridSpec(n_y=256))
+        assert sol.gl_squares.shape == sol.gl_weights.shape == (256, 6)
         assert np.array_equal(sol.gl_weights[-1], 0.5 * sol.h * pde_engine.GL_WEIGHTS)
         for table in (sol.gl_squares, sol.gl_weights, sol.gl_q):
             with pytest.raises(ValueError, match="read-only"):
