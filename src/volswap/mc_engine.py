@@ -40,14 +40,18 @@ blocks of up to ``BATCH_FLOATS`` normals are one batch, priced by one
 call of each numpy kernel; the batches are spread over W =
 :func:`resolve_workers` threads, at most one per batch, batch w + kW on
 worker w and worker 0 the calling thread: numpy's draws and ufuncs release
-the GIL, so the workers run on as many cores.  Each block reduces both
-payoffs, kappa's and the variance swap's, to a sum and a centred sum of
-squares in a fixed order, and kappa's step-halving differences to a sum;
-the calling thread merges them in block order by the Chan-Golub-LeVeque
-update, which keeps the standard error's spread far below the mean.  The
-ladder's tests read these merged values alone, so an estimate, its level
-included, depends on its config and s alone, bit for bit, at any worker
-count; the estimate at a level equals that of a cap at that level.
+the GIL, so the workers run on as many cores.  A batch's running sums and
+their exps are formed a row per draw and copied a row per step, so each
+trapezoid sum adds the terms of one step of every draw at a time, in step
+order: one add per step, where a sum per draw took thousands.  Each block
+reduces both payoffs, kappa's and the variance swap's, to a sum and a
+centred sum of squares in a fixed order, and kappa's step-halving
+differences to a sum; the calling thread merges them in block order by the
+Chan-Golub-LeVeque update, which keeps the standard error's spread far
+below the mean.  The ladder's tests read these merged values alone, so an
+estimate, its level included, depends on its config and s alone, bit for
+bit, at any worker count; the estimate at a level equals that of a cap at
+that level.
 
 Work is bounded from the inputs: :class:`McConfig` refuses more than
 ``MAX_PATH_STEPS`` path steps n_paths * n_steps at the cap, and a block
@@ -188,16 +192,13 @@ def block_stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, block, 0]))
 
 
-def _rewind(stream: np.random.Generator, block: int) -> None:
+def _rewind(stream: np.random.Generator, start: dict, block: int) -> None:
     """Put ``stream`` where :func:`block_stream` of its key starts block
-    ``block``.  A fresh Philox also reads entropy from the OS that its key
-    then replaces, and costs ten times as much."""
-    bits = stream.bit_generator
-    state = bits.state
-    state["state"]["counter"] = np.array([0, 0, block, 0], dtype=np.uint64)
-    state.update(buffer=np.zeros(4, dtype=np.uint64), buffer_pos=4,
-                 has_uint32=0, uinteger=0)
-    bits.state = state
+    ``block``, by ``start``, the state of its fresh bit generator, whose
+    counter's block word this sets.  A fresh Philox also reads entropy from
+    the OS that its key then replaces, and costs ten times as much."""
+    start["state"]["counter"][2] = block
+    stream.bit_generator.state = start
 
 
 def path_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -209,11 +210,12 @@ def path_normals(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return stream.standard_normal(out=out)
 
 
-def _draw(stream: np.random.Generator, first: int, out: np.ndarray) -> None:
+def _draw(stream: np.random.Generator, start: dict, first: int,
+          out: np.ndarray) -> None:
     """Each BLOCK_PATHS rows of ``out`` from the stream of the next block,
-    from block ``first`` on, on ``stream`` rewound to each."""
+    from block ``first`` on, on ``stream`` rewound to each by ``start``."""
     for lo in range(0, len(out), BLOCK_PATHS):
-        _rewind(stream, first + lo // BLOCK_PATHS)
+        _rewind(stream, start, first + lo // BLOCK_PATHS)
         path_normals(stream, out[lo:lo + BLOCK_PATHS])
 
 
@@ -234,7 +236,8 @@ def _path_means(buffers: np.ndarray, s: float, weights: np.ndarray) -> tuple:
     running sum W, so with E = e^(scale W) and ``weights`` w_k from
     :func:`_trapezoid_weights`, M is (1/2 + sum w E)/n for the path and
     (1/2 + sum w/E)/n for its mirror; the even nodes' terms are every other
-    term of these sums.  The increments are spent."""
+    term of these sums, each summed step after step (module notes).  The
+    increments are spent."""
     xi, grown = buffers
     n_steps = xi.shape[1]
     halves = not n_steps % 2
@@ -242,16 +245,20 @@ def _path_means(buffers: np.ndarray, s: float, weights: np.ndarray) -> tuple:
     np.cumsum(xi, axis=1, out=grown)
     grown *= scale
     np.exp(grown, out=grown)                          # E; xi is spent
-    # numpy's row sums, not BLAS: the same on every host and thread count
+    steps, terms = xi.reshape(n_steps, -1), grown.reshape(n_steps, -1)
+    steps[...] = grown.T                              # E, a row per step
+    weights = weights[:, None]
+    # numpy's adds of whole rows, not BLAS: the same on every host and
+    # thread count
     sums, half_sums = np.empty((2, 2, len(xi)))
-    np.multiply(grown, weights, out=xi)               # the path's terms w E
-    xi.sum(axis=1, out=sums[0])
+    np.multiply(steps, weights, out=terms)            # the path's terms w E
+    np.add.reduce(terms, axis=0, out=sums[0])
     if halves:
-        xi[:, 1::2].sum(axis=1, out=half_sums[0])
-    np.divide(weights, grown, out=xi)                 # its mirror's, w/E
-    xi.sum(axis=1, out=sums[1])
+        np.add.reduce(terms[1::2], axis=0, out=half_sums[0])
+    np.divide(weights, steps, out=terms)              # its mirror's, w/E
+    np.add.reduce(terms, axis=0, out=sums[1])
     if halves:
-        xi[:, 1::2].sum(axis=1, out=half_sums[1])
+        np.add.reduce(terms[1::2], axis=0, out=half_sums[1])
     return ((sums + 0.5) / n_steps,
             (half_sums + 0.5) / (n_steps // 2) if halves else None)
 
@@ -356,10 +363,11 @@ def _level(state: MarketState, contract: SwapContract, config: McConfig,
         # cost the process ~35 000 page faults per 16 384 x 250 estimate
         buffers = np.empty((2, min(batch, n_draws), n_steps))
         stream = block_stream(config.seed, 0)
+        start = stream.bit_generator.state
         for index in batches:
             lo = index * batch
             paths = buffers[:, :min(batch, n_draws - lo)]
-            _draw(stream, lo // BLOCK_PATHS, paths[0])
+            _draw(stream, start, lo // BLOCK_PATHS, paths[0])
             means, half_means = _path_means(paths, s, weights)
             realized = state.nu + variance * means
             kappa = (np.sqrt(realized) / contract.tenor).mean(axis=0)

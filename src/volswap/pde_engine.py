@@ -77,7 +77,15 @@ package, whose array-API support loads numpy's lazily imported submodules
 ``import scipy`` and ~5 ms for the extension.  ``_flapack`` is a private
 module name, but it has held these wrappers in every scipy from 1.10, the
 oldest ``pyproject.toml`` allows; ``tests/test_imports.py`` checks that
-``scipy.linalg.lapack`` hands out the very object loaded here.
+``scipy.linalg.lapack`` hands out the very object loaded here.  The
+extension loads scipy's OpenBLAS, whose idle pool threads busy-wait 2^28
+cycles by default before they sleep: on a 2-core x86 machine they burnt
+0.13-0.19 s of CPU within 0.3 s of one price, although ``zgtsv`` never uses
+them, and left Monte Carlo's two workers one core.  So the load sets
+``OPENBLAS_THREAD_TIMEOUT`` = 4 (2^4 cycles) unless the user has set it,
+and restores the environment after: idle CPU falls to 0.00-0.03 s.  The
+pool still serves later ``scipy.linalg`` calls on every core, as
+``OPENBLAS_NUM_THREADS`` = 1, which frees the core as well, would not.
 
 kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
 c = sqrt(2) sigma / alpha, zeta (inf at nu = 0) and sqrt(nu)/T from
@@ -143,15 +151,23 @@ from .model import (MarketState, SabrParams, SwapContract, reduced_time,
 
 
 def _load_flapack():
-    """scipy's compiled LAPACK extension, without the scipy.linalg package."""
+    """scipy's compiled LAPACK extension, without the scipy.linalg package,
+    its OpenBLAS pool's idle threads asleep (module notes)."""
     finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")
     if spec is None:
         raise ImportError(f"scipy {scipy.__version__} has no compiled "
                           "scipy/linalg/_flapack extension")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
+    quiet = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+    if quiet:    # read once, as OpenBLAS loads with the extension
+        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if quiet:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
     return module
 
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
@@ -82,8 +84,28 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
-def _run(script: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+SPIN_SCRIPT = """
+import json, os, time
+import numpy
+time.sleep(0.3)             # numpy's own OpenBLAS pool settles
+before = dict(os.environ)
+from volswap import pde_engine
+from volswap.model import MarketState, SabrParams, SwapContract
+pde_engine.kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=0.03),
+                            SabrParams(alpha=0.4), SwapContract(t0=0.0, tenor=1.0))
+kept = dict(os.environ) == before
+start = time.process_time()
+time.sleep(0.3)
+print(json.dumps({"idle_cpu_s": time.process_time() - start, "kept": kept,
+                  "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
+"""
+
+
+def _run(script: str, **environ) -> dict:
+    """The JSON line ``script`` prints, run on the sources with ``environ``
+    added to the environment, its None values removed from it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **environ)
+    env = {name: value for name, value in env.items() if value is not None}
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -129,3 +151,21 @@ def test_pde_lapack_routines_are_scipy_linalg_lapacks():
 
 def test_oracle_mc_loads_no_scipy_module():
     assert _run(ORACLE_MC_SCRIPT) == {"code": 0, "loaded": []}
+
+
+@functools.lru_cache(maxsize=None)
+def _spin_report(timeout) -> dict:
+    return _run(SPIN_SCRIPT, OPENBLAS_THREAD_TIMEOUT=timeout)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="an idle thread spins on a second CPU only")
+def test_pde_pricing_leaves_no_idle_thread_spinning():
+    # scipy's OpenBLAS pool busy-waited 0.13-0.19 s of CPU after one price
+    assert _spin_report(None)["idle_cpu_s"] < 0.05
+
+
+@pytest.mark.parametrize("timeout", [None, "28"], ids=["unset", "user_set"])
+def test_pde_import_leaves_the_environment_as_it_was(timeout):
+    assert _spin_report(timeout)["timeout"] == timeout
+    assert _spin_report(timeout)["kept"]

@@ -61,8 +61,9 @@ class TestPathNormals:
         # block's own Philox stream draws
         seed = 2 ** 70 + 3
         stream = block_stream(seed, 0)
+        start = stream.bit_generator.state
         for block in self.BLOCKS + [3, 0]:
-            mc_engine._rewind(stream, block)
+            mc_engine._rewind(stream, start, block)
             got = path_normals(stream, np.empty((3, n_steps)))
             assert np.array_equal(got, reference_normals(seed, block, 3, n_steps))
 
@@ -440,6 +441,27 @@ class TestPairs:
                 else:       # the n/2-step trapezoid over the same paths
                     assert np.allclose(halves[row], even, rtol=rtol, atol=0.0)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 16])
+    def test_sums_add_one_step_at_a_time(self, n_steps):
+        # the trapezoid sums add the weighted terms of step 1, then 2, ...
+        # in this fixed order, bit for bit, not numpy's pairwise order
+        s = 0.3
+        xi = reference_normals(5, 0, 300, n_steps)
+        grown = np.exp(np.cumsum(xi, axis=1) * (2.0 * math.sqrt(s / n_steps)))
+        weights = mc_engine._trapezoid_weights(s, n_steps)
+        rows, halves = path_means(xi, s)
+        for row, terms in enumerate((weights * grown, weights / grown)):
+            total, half = np.zeros(300), np.zeros(300)
+            for k in range(n_steps):
+                total = np.add(total, terms[:, k])
+                if k % 2:
+                    half = np.add(half, terms[:, k])
+            assert np.array_equal(rows[row], (total + 0.5) / n_steps)
+            if n_steps % 2:
+                assert halves is None
+            else:
+                assert np.array_equal(halves[row], (half + 0.5) / (n_steps // 2))
+
     def test_std_error_is_over_pairs(self):
         # n_paths counts paths; the standard error is over n_paths // 2 draws
         params = SabrParams(alpha=math.sqrt(2.0 * self.S))
@@ -494,14 +516,15 @@ class TestGolden:
     # holds repr((mean, std_error)) of kappa, then of the variance swap.
     # "plain" and "antithetic" stop at the ladder's 16 steps under their cap
     # of 20; the others are the estimates of a single level, the last the
-    # cap's after every level misses the tail at s = 700, and equal those
-    # frozen before the ladder
+    # cap's after every level misses the tail at s = 700.  "antithetic",
+    # "sixteen_steps" and "s_700_cap" moved by <= 2.3e-16 relative when the
+    # trapezoid sums began to add one step at a time
     CASES = {
         "plain": (McConfig(3000, 20, seed=99),
                   "(0.24903895777816148, 0.00011654733163209575)",
                   "(0.062465989734438634, 7.721541804282286e-05)"),
         "antithetic": (McConfig(3000, 20, seed=21),
-                       "(0.24918785234304838, 0.00011773467325724602)",
+                       "(0.2491878523430484, 0.000117734673257246)",
                        "(0.0625638573486222, 7.662905092185953e-05)"),
         "two_blocks": (McConfig(16_400, 5, seed=2 ** 70 + 3),
                        "(0.2491931698853605, 5.2797443733862455e-05)",
@@ -510,11 +533,11 @@ class TestGolden:
                      "(0.24931065550312628, 0.00027554346988087325)",
                      "(0.06253418493531387, 0.00016701857991705427)"),
         "sixteen_steps": (McConfig(3000, 16, seed=5),
-                          "(0.24927492334134427, 0.000124423907094249)",
-                          "(0.06261596440073935, 8.11493585296698e-05)"),
+                          "(0.24927492334134427, 0.00012442390709424902)",
+                          "(0.06261596440073937, 8.114935852966981e-05)"),
         "s_700_cap": (McConfig(2000, 250, seed=1),
                       "(0.18786245722490083, 0.00321604117352418)",
-                      "(0.05616693743639556, 0.011207379022328023)"),
+                      "(0.05616693743639556, 0.011207379022328021)"),
     }
     #: each case's alpha where it is not PARAMS', and the steps it uses
     PARAMS_OF = {"s_700_cap": SabrParams(alpha=37.416573867739416)}
