@@ -10,8 +10,8 @@ Three independent routes to the fair strike kappa:
   own draws beside kappa, on a step count below a cap chosen by a
   same-draw step-halving test and the variance swap's tail test,
 * :mod:`volswap.pde_engine` — the reduced Feynman-Kac problem on a
-  uniform grid in y, solved exactly in s by twelve complex tridiagonal
-  solves on Talbot's contour, plus quadrature,
+  uniform grid in y, solved exactly in s by seven complex tridiagonal
+  solves on the poles of a rational approximation of e^z, plus quadrature,
 
 with :mod:`volswap.verify` holding mechanized checks of the identities the
 construction rests on.

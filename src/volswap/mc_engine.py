@@ -70,10 +70,12 @@ import os
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._openblas import idle_threads_asleep
 from .exceptions import DomainError
 from .model import MarketState, SabrParams, SwapContract, reduced_variables
+
+with idle_threads_asleep():     # numpy's OpenBLAS loads with it
+    import numpy as np
 
 #: draws (antithetic pairs) per reduction block, the unit of the random
 #: streams; fixed, so an estimate never depends on the worker count.

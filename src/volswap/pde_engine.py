@@ -35,30 +35,35 @@ constant in s, so a Laplace transform in s and z = p s give
 
     u(s) = (1 / 2 pi i) int_Gamma e^z (z I + s A)^-1 (u_0 + s g / z) dz
 
-on a contour Gamma around z = 0 and the spectrum of -sA, which lies on the
-negative real axis.  Gamma is Talbot's contour in Weideman and
-Trefethen's optimized form (Math. Comp. 76, 2007),
+on a contour Gamma around z = 0 and the spectrum of -sA, on the negative
+real axis.  With e^z replaced by a rational r(z) = r_inf + sum_k a_k /
+(z - p_k), its poles off (-inf, 0], the integral is minus the residues
+outside Gamma, u(s) = r_inf u_0 + sum_k c_k (p_k I + s A)^-1 (u_0 + s g /
+p_k) with c_k = -a_k: exact, with r for e^z on the spectrum.  Trefethen,
+Weideman and Schmelzer (BIT 46, 2006) show that the trapezoid rule on
+Talbot's contour errs by 3.89^-N on N nodes and the best r of type (N, N)
+by 9.28^-N.  r here is the type (14, 14) Caratheodory-Fejer approximation,
+close to that best one (the CRAM of Pusa, Nucl. Sci. Eng. 169, 2011):
+|r - e^x| <= 1.92e-14 on (-inf, 0].  A is real and r's poles pair with
+their conjugates, so with w_j the seven in the upper half-plane
 
-    w(theta) = 24 (0.5017 theta cot(0.6407 theta) - 0.6122 + 0.2645 i theta),
+    u(s) = r_inf u_0 + 2 Re sum_{j < 7} c_j (w_j I + s A)^-1 (u_0 + s g / w_j).
 
-for theta in (-pi, pi), and the trapezoid rule on its 24 nodes
-theta = (j + 1/2) pi / 12 errs by about 1e-14 for any spectrum on
-[0, inf) (Trefethen, Weideman and Schmelzer, BIT 46, 2006).  A is real, so
-the nodes pair with their conjugates and
-
-    u(s) = 2 Re sum_{j < 12} c_j (w_j I + s A)^-1 (u_0 + s g / w_j),
-    c_j = e^(w_j) w'(theta_j) / (24 i),
-
-with w_j and c_j tabulated at import (``TALBOT_NODES``, ``TALBOT_WEIGHTS``).
-So psi at any s is twelve complex tridiagonal solves, LAPACK ``zgtsv``
+``CF_POLES``, ``CF_WEIGHTS`` and ``CF_R_INF`` hold w_j, c_j and r_inf, from
+that paper's recipe in mpmath at 40 digits, in ~30 s: the Chebyshev
+coefficients c_0 .. c_75 of e^(9 (t - 1) / (t + 1)) from its values on the
+1024 roots of unity; the SVD of the Hankel matrix (c_(i + j + 1)),
+i + j < 75; the roots q outside the unit disk of the 15th singular vector
+as a polynomial, mapped to the poles by z = 9 (q - 1)^2 / (q + 1)^2; r_inf
+and the residues by least squares against e^x at 600 Chebyshev points of
+t.  So psi at any s is seven complex tridiagonal solves, LAPACK ``zgtsv``
 (Gaussian elimination with partial pivoting) through :func:`solve_banded`,
-and there is no time step: on 60 and 400 nodes psi matches a dense
-eigendecomposition of the same A within 1e-13, and on 1600 within 1.7e-12,
-where that and scipy's ``expm`` differ by 2e-11.  A solve takes 0.46, 0.69
-and 1.4 ms at 400, 800 and 1600 nodes on a 2-core x86 machine (s = 0.2,
-best of 7), where the Crank-Nicolson march in s that it replaced took 2.3,
-7.6 and 27 ms; that march's time error moved kappa by up to 5.9e-7
-relative at 400 nodes.
+and there is no time step: psi matches a dense eigendecomposition of the
+same A within 2.5e-14 on 60 nodes, 2.9e-13 on 400 and 3.4e-12 on 1600,
+where that and scipy's ``expm`` differ by 3.5e-12 on 400.  A solve takes
+0.31, 0.58 and 1.07 ms at 400, 800 and 1600 nodes on a 2-core x86 machine
+(s = 0.2, best of 200 calls in 6 processes), where the same sum on
+Talbot's contour, twelve solves, takes 0.45, 0.68 and 1.35 ms.
 
 -A has non-negative off-diagonals, so e^(-sA) is entrywise non-negative
 and u(s) >= 0.  1 - psi solves the same system with a non-negative forcing
@@ -77,15 +82,9 @@ package, whose array-API support loads numpy's lazily imported submodules
 ``import scipy`` and ~5 ms for the extension.  ``_flapack`` is a private
 module name, but it has held these wrappers in every scipy from 1.10, the
 oldest ``pyproject.toml`` allows; ``tests/test_imports.py`` checks that
-``scipy.linalg.lapack`` hands out the very object loaded here.  The
-extension loads scipy's OpenBLAS, whose idle pool threads busy-wait 2^28
-cycles by default before they sleep: on a 2-core x86 machine they burnt
-0.13-0.19 s of CPU within 0.3 s of one price, although ``zgtsv`` never uses
-them, and left Monte Carlo's two workers one core.  So the load sets
-``OPENBLAS_THREAD_TIMEOUT`` = 4 (2^4 cycles) unless the user has set it,
-and restores the environment after: idle CPU falls to 0.00-0.03 s.  The
-pool still serves later ``scipy.linalg`` calls on every core, as
-``OPENBLAS_NUM_THREADS`` = 1, which frees the core as well, would not.
+``scipy.linalg.lapack`` hands out the very object loaded here.  numpy and
+the extension load inside :func:`~volswap._openblas.idle_threads_asleep`,
+so neither OpenBLAS pool keeps idle threads spinning.
 
 kappa is then recovered by quadrature.  With q(y) = (1 - psi(y)) / y^2,
 c = sqrt(2) sigma / alpha, zeta (inf at nu = 0) and sqrt(nu)/T from
@@ -142,12 +141,14 @@ from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 
-import numpy as np
-import scipy
-
+from ._openblas import idle_threads_asleep
 from .exceptions import AccuracyError, DomainError, InstabilityError
 from .model import (MarketState, SabrParams, SwapContract, reduced_time,
                     reduced_variables)
+
+with idle_threads_asleep():     # numpy's OpenBLAS loads with it
+    import numpy as np
+    import scipy
 
 
 def _load_flapack():
@@ -159,15 +160,9 @@ def _load_flapack():
     if spec is None:
         raise ImportError(f"scipy {scipy.__version__} has no compiled "
                           "scipy/linalg/_flapack extension")
-    quiet = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
-    if quiet:    # read once, as OpenBLAS loads with the extension
-        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
-    try:
+    with idle_threads_asleep():     # scipy's OpenBLAS loads with the extension
         module = module_from_spec(spec)
         spec.loader.exec_module(module)
-    finally:
-        if quiet:
-            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
     return module
 
 
@@ -197,15 +192,25 @@ S_CLOSED_FORM = 2.0 ** -24
 #: ``--refine 40`` would not end, and n_y = 1e9 would allocate 16 GB for
 #: each complex vector of the solve.
 MAX_GRID_NODES = 3200 * 2 ** 5
-#: Talbot's contour of the module notes at its 12 trapezoid nodes
-#: theta_j = (j + 1/2) pi / 12 in (0, pi): ``TALBOT_NODES`` holds w_j and
-#: ``TALBOT_WEIGHTS`` c_j = e^(w_j) w'(theta_j) / (24 i).
-_THETA = (np.arange(12) + 0.5) * (math.pi / 12)
-TALBOT_NODES = 24.0 * (0.5017 * _THETA / np.tan(0.6407 * _THETA) - 0.6122
-                       + 0.2645j * _THETA)
-TALBOT_WEIGHTS = np.exp(TALBOT_NODES) * (
-    0.5017 / np.tan(0.6407 * _THETA)
-    - 0.5017 * 0.6407 * _THETA / np.sin(0.6407 * _THETA) ** 2 + 0.2645j) / 1j
+#: the module notes' r(z) = r_inf + sum_k a_k / (z - p_k) ~ e^z: its poles
+#: w_j in the upper half-plane, their c_j = -a_j and r_inf.
+CF_POLES = np.array([
+    -8.897773186468662 + 16.630982619902316j,
+    -3.703275049423281 + 13.656371871483397j,
+    -0.20875863824999713 + 10.991260561901344j,
+    2.269783829231225 + 8.461737973040277j,
+    3.9933697105786674 + 6.004831642235073j,
+    5.089345060580715 + 3.588824029027027j,
+    5.623142572746064 + 1.1940690463439736j])
+CF_WEIGHTS = np.array([
+    7.154288063736824e-05 - 0.00014361043350704286j,
+    -0.009439025310630697 + 0.017184791958496592j,
+    0.3763600387822433 - 0.3351834702940453j,
+    -4.807112098834394 + 1.3209793837423374j,
+    23.498232091086198 + 5.8083591297130965j,
+    -46.93327448883162 - 45.6436497688305j,
+    27.87516194014428 + 102.14733999057796j])
+CF_R_INF = 1.8321989582366484e-14
 #: psi solutions (or refusals) kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
@@ -382,19 +387,25 @@ def solve_psi(alpha: float, tau: float,
                           f"up to y_max {y_max:.3g}: y^2 underflows at h or "
                           f"s y^2 overflows")
     # s A on u_i = psi_i / i at the interior nodes i, as the module notes
-    # derive it, and u(s) = 2 Re sum_j c_j (w_j I + s A)^-1 (u_0 + s g / w_j)
+    # derive it, and u(s) = r_inf u_0 + 2 Re sum_j c_j (w_j I + s A)^-1
+    # (u_0 + s g / w_j)
     i = np.arange(1.0, n)
     diag = s * (i * i + 0.5 * y[1:n] * y[1:n])
     off = (-0.5 * s) * (i[:-1] * i[1:])
     u_0 = 1.0 / i                           # psi(., 0) = 1
-    u = np.zeros(n - 1)
-    for w, c in zip(TALBOT_NODES, TALBOT_WEIGHTS):
-        x = u_0.astype(complex)
-        x[0] += 0.5 * s / w                 # g = e_1 / 2
-        solve_banded(off, w + diag, x)
-        # Re(c x) in real ufuncs, not BLAS: the same bits on every host
-        u += c.real * x.real - c.imag * x.imag
-    psi = np.concatenate(([1.0], i * (2.0 * u), [0.0]))
+    x = np.empty((len(CF_POLES), n - 1), dtype=complex)
+    x[:] = u_0
+    x[:, 0] += 0.5 * s / CF_POLES           # g = e_1 / 2
+    # one shifted diagonal at a time: a 7 x (n - 1) array is slower at 1600
+    shifted = np.empty(n - 1, dtype=complex)
+    for w, row in zip(CF_POLES, x):
+        np.add(diag, w, out=shifted)
+        solve_banded(off, shifted, row)
+    # Re(c x) in real ufuncs, not BLAS, summed in pole order: the same
+    # bits on every host
+    terms = CF_WEIGHTS.real[:, None] * x.real - CF_WEIGHTS.imag[:, None] * x.imag
+    u = 2.0 * np.add.reduce(terms, axis=0) + CF_R_INF * u_0
+    psi = np.concatenate(([1.0], i * u, [0.0]))
 
     lo, hi = psi.min(), psi.max()           # nan fails the check too
     if not (lo >= -MAX_PRINCIPLE_EPS and hi <= 1.0 + MAX_PRINCIPLE_EPS):

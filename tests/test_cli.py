@@ -514,7 +514,7 @@ class TestCompare:
         assert first["kappa_series"] is not None and first["regime"] is not None
         assert (second["kappa_series"], second["regime"],
                 second["abs_diff_mc_sigmas"]) == (None, None, None)
-        assert second["kappa_pde"] == 0.2532947039786217
+        assert second["kappa_pde"] == 0.2532947039786861
         assert abs(second["kappa_mc"] - second["kappa_pde"]) <= 3.0 * second["mc_se"]
         assert capsys.readouterr().err == (
             "volswap: no kappa_series at alpha 0.4, tau 0.999, zeta 3125.0: "

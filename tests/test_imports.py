@@ -1,6 +1,7 @@
 """The package imports numpy and scipy only for the engines that use them,
 and of scipy only the parts they use: the PDE loads scipy's compiled LAPACK
-extension, not the scipy.linalg package, and no numpy.polynomial."""
+extension, not the scipy.linalg package, and no numpy.polynomial.  Their
+OpenBLAS pools load with idle threads that sleep."""
 
 import functools
 import json
@@ -101,6 +102,19 @@ print(json.dumps({"idle_cpu_s": time.process_time() - start, "kept": kept,
 """
 
 
+MC_IMPORT_SCRIPT = """
+import json, os, time
+before = dict(os.environ)
+cpu, wall = time.process_time(), time.perf_counter()
+import volswap.mc_engine
+wall = time.perf_counter() - wall
+time.sleep(0.3)             # numpy's OpenBLAS pool would spin here too
+print(json.dumps({"excess_cpu_s": time.process_time() - cpu - wall,
+                  "kept": dict(os.environ) == before,
+                  "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}))
+"""
+
+
 def _run(script: str, **environ) -> dict:
     """The JSON line ``script`` prints, run on the sources with ``environ``
     added to the environment, its None values removed from it."""
@@ -169,3 +183,22 @@ def test_pde_pricing_leaves_no_idle_thread_spinning():
 def test_pde_import_leaves_the_environment_as_it_was(timeout):
     assert _spin_report(timeout)["timeout"] == timeout
     assert _spin_report(timeout)["kept"]
+
+
+@functools.lru_cache(maxsize=None)
+def _mc_import_report(timeout) -> dict:
+    return _run(MC_IMPORT_SCRIPT, OPENBLAS_THREAD_TIMEOUT=timeout)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="an idle thread spins on a second CPU only")
+def test_mc_import_leaves_no_idle_thread_spinning():
+    # mc_engine imports numpy first here: its OpenBLAS pool busy-waited
+    # 0.05-0.13 s of CPU beyond the import's wall time
+    assert _mc_import_report(None)["excess_cpu_s"] < 0.05
+
+
+@pytest.mark.parametrize("timeout", [None, "28"], ids=["unset", "user_set"])
+def test_mc_import_leaves_the_environment_as_it_was(timeout):
+    assert _mc_import_report(timeout)["timeout"] == timeout
+    assert _mc_import_report(timeout)["kept"]

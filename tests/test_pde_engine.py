@@ -1,4 +1,5 @@
-"""The psi solver, exact in s on Talbot's contour, and the kappa quadrature."""
+"""The psi solver, exact in s on the poles of a rational approximation of
+e^z, and the kappa quadrature."""
 
 import hashlib
 import math
@@ -135,7 +136,7 @@ class TestSolvePsi:
             "psi falls to 9.839e-01 at the first node y = 0.625: the grid does "
             "not resolve its decay; shrink y_max (used 62.5)")
 
-    @pytest.mark.parametrize("j", [0, 5, 11])
+    @pytest.mark.parametrize("j", [0, 3, 6])
     def test_range_check_sees_every_contour_solve(self, j, monkeypatch):
         # solve j is moved so that psi at node k gains 2 from it alone
         grid, k = GridSpec(y_max=32.0, n_y=128), 60
@@ -145,13 +146,13 @@ class TestSolvePsi:
         def spy(off, diag, rhs):
             solve(off, diag, rhs)
             if len(solves) == j:
-                rhs[k - 1] += 1.0 / (pde_engine.TALBOT_WEIGHTS[j] * k)
+                rhs[k - 1] += 1.0 / (pde_engine.CF_WEIGHTS[j] * k)
             solves.append(None)
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
         with pytest.raises(InstabilityError) as info:
             solve_psi(0.4, 0.5, grid)
-        assert len(solves) == len(pde_engine.TALBOT_NODES) == 12
+        assert len(solves) == len(pde_engine.CF_POLES) == 7
         assert re.fullmatch(r"psi left \[0,1\] by more than 1e-06 \(range \[\S+, "
                             r"2\.\d{3}e\+00\]\): the contour sum lost its accuracy",
                             str(info.value))
@@ -224,9 +225,9 @@ class TestSymmetricMarch:
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.01)
 
     def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
-        # contour solve j is (w_j I + s A) x = b; with A = D^-1 B D, D = diag(i),
+        # pole solve j is (w_j I + s A) x = b; with A = D^-1 B D, D = diag(i),
         # it is (w_j I + s B)(i x) = i b in psi's own unsymmetric B, and the
-        # row is 2 Re sum_j c_j x_j times i
+        # row is i times r_inf u_0 + 2 Re sum_j c_j x_j, summed in pole order
         monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
         solves = []
         solve = pde_engine.solve_banded
@@ -244,13 +245,14 @@ class TestSymmetricMarch:
         y = np.linspace(0.0, 30.0, n + 1)[1:n]
         b = (np.diag(i * i + 0.5 * y * y) - np.diag(0.5 * i[1:] ** 2, -1)
              - np.diag(0.5 * i[:-1] ** 2, 1))
-        for w, (before, after) in zip(pde_engine.TALBOT_NODES, solves, strict=True):
+        for w, (before, after) in zip(pde_engine.CF_POLES, solves, strict=True):
             expected = np.linalg.solve(w * np.eye(n - 1) + s * b, i * before)
             assert np.abs(i * after - expected).max() <= 1e-13 * np.abs(expected).max()
         u = np.zeros(n - 1)
-        for c, (_, after) in zip(pde_engine.TALBOT_WEIGHTS, solves):
+        for c, (_, after) in zip(pde_engine.CF_WEIGHTS, solves):
             u += c.real * after.real - c.imag * after.imag
-        assert final[1:n].tobytes() == (i * (2.0 * u)).tobytes()
+        u = 2.0 * u + pde_engine.CF_R_INF * (1.0 / i)
+        assert final[1:n].tobytes() == (i * u).tobytes()
 
     @pytest.mark.parametrize("s, y_max", [(2.0 ** -24, None), (5e-4, None),
                                           (0.08, None), (0.8, None), (4.0, 23.3)])
@@ -266,10 +268,10 @@ class TestSymmetricMarch:
 class TestSolveBanded:
     @pytest.mark.parametrize("n", [3, 4, 17, 400, 1600])
     def test_bitwise_equal_to_scipy_banded_solve(self, n):
-        # one contour solve against scipy's, on random systems shaped like
+        # one pole's solve against scipy's, on random systems shaped like
         # w_j I + s A: a complex shift of a diagonally dominant symmetric part
         rng = np.random.default_rng(n)
-        for w in pde_engine.TALBOT_NODES[::4]:
+        for w in pde_engine.CF_POLES[::3]:
             off = -rng.uniform(0.0, 1e3, n - 1)
             diag = w + rng.uniform(0.0, 1.0, n)
             diag[:-1] -= off
@@ -290,6 +292,36 @@ class TestSolveBanded:
         with pytest.raises(InstabilityError, match="zero pivot in row 1"):
             pde_engine.solve_banded(np.zeros(3), np.zeros(4, dtype=complex),
                                     np.ones(4, dtype=complex))
+
+
+class TestPoleTable:
+    """r(x) = r_inf + 2 Re sum_j c_j / (w_j - x), the approximation of e^x
+    on (-inf, 0] whose poles the solver shifts A by."""
+
+    def test_poles_lie_in_the_upper_half_plane(self):
+        assert len(pde_engine.CF_POLES) == len(pde_engine.CF_WEIGHTS) == 7
+        assert np.all(pde_engine.CF_POLES.imag > 0)
+
+    def test_error_in_float(self):
+        # 1e5 points, linear to -50, then log-spaced to -1e8.  Seven terms
+        # up to ~20 in size round their sum by up to 8e-15, so this scan
+        # allows 3e-14; mpmath holds the table itself to 2.5e-14
+        x = np.concatenate((np.linspace(0.0, -50.0, 50_001),
+                            -np.geomspace(50.0, 1e8, 50_000)[1:]))
+        c, w = pde_engine.CF_WEIGHTS[:, None], pde_engine.CF_POLES[:, None]
+        r = pde_engine.CF_R_INF + 2.0 * (c / (w - x)).real.sum(axis=0)
+        assert np.abs(r - np.exp(x)).max() <= 3e-14
+
+    def test_error_in_mpmath(self):
+        poles = [mpmath.mpc(w) for w in pde_engine.CF_POLES.tolist()]
+        weights = [mpmath.mpc(c) for c in pde_engine.CF_WEIGHTS.tolist()]
+        points = np.concatenate((np.linspace(0.0, -50.0, 100),
+                                 -np.geomspace(50.0, 1e8, 101)[1:]))
+        with mpmath.workdps(30):
+            for x in map(mpmath.mpf, points.tolist()):
+                r = pde_engine.CF_R_INF + 2 * mpmath.re(mpmath.fsum(
+                    c / (w - x) for c, w in zip(weights, poles)))
+                assert abs(r - mpmath.exp(x)) <= 2.5e-14
 
 
 @st.composite
@@ -627,16 +659,16 @@ class TestGolden:
     """PDE results frozen by repr: kappas, a refinement report, psi bytes."""
 
     KAPPAS = {
-        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475527418983"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914149873560756"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503130211594787"),
-        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503310735523631"),
-        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794818835828993"),
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475527420548"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914149873562502"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.35031302115958673"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503310735525245"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794818835830753"),
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
                           GridSpec(y_max=32.0, n_y=256),
-                          "0.24914160648767256"),
+                          "0.24914160648777017"),
         # s = 5e-4, zeta = 0.499: six sub-cells per cell of width h = 2.02
-        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828426136762"),
+        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828426136785"),
     }
 
     @staticmethod
@@ -663,7 +695,7 @@ class TestGolden:
                 kappa = kappa_quadrature(state, SabrParams(alpha=1.0), CONTRACT)
                 digest.update(repr(kappa).encode())
         assert digest.hexdigest() == (
-            "d264caa62a3a2edea93558e1fba8e4ccd9c6886904e5abd142f3ed3c262f6412")
+            "0ec236a047136dd1a20761a8109156cd625693ca7c67b37a7ba1a339457c6860")
 
     def test_default_grid_refusal_at_s_0_8(self, marches):
         state, params = MarketState(t=0.2, sigma=0.3, nu=0.02), SabrParams(alpha=1.0)
@@ -678,20 +710,20 @@ class TestGolden:
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
                                         CONTRACT, GridSpec(n_y=200))
         assert repr(report) == (
-            "{'kappas': [0.24914061585048242, 0.24914149873560756, "
-            "0.2491417252365459], 'grids': [200, 400, 800], "
-            "'ratios': [3.897931424143988], 'y_max': 62.467322942411855}")
+            "{'kappas': [0.24914061585050618, 0.24914149873562502, "
+            "0.24914172523670047], 'grids': [200, 400, 800], "
+            "'ratios': [3.897929036712464], 'y_max': 62.467322942411855}")
 
     FINAL_ROWS = {
-        (1e-4, None, 400): "1b4f46f7350be8523f736ce12f3e3c277c1c50878539086108f7262fb1bed111",
-        (1e-4, None, 800): "8460f39d94774e9f236823324556b66b5d294fb438c20a792f5303c26ab8bb5c",
-        (1e-4, None, 1600): "3546f654aa3b42cd0e319042fe8d059d933a7d537c42f861791386132e7eeeed",
-        (0.45, None, 400): "fb1cff2e7d748e486490aec8bd90666f75dccb42e4aa1a418111f610f8ffa0de",
-        (0.45, None, 800): "e98ecfebde930c0e610da104bb2971d0ec32af8b099418ad6fb91473a5bbcf9d",
-        (0.45, None, 1600): "7208faaefab4bec3115f5fab7e9c6bc136ebaaa5ba6b040cdcb346902ea7d7c5",
-        (2.0, 20.0, 400): "6806f2ad4eed673ff88595e6a0bd4683133c37c6522f21700caab09caad4ef54",
-        (2.0, 20.0, 800): "16f57e1f33f4e7a1ecdafa89ca286bbe2eb701a0d08f66af61320e921f730d81",
-        (2.0, 20.0, 1600): "890b0f71cc5da5342115357d9fbdca0aabf86b4ab4d9f8637451d4175ba4f001",
+        (1e-4, None, 400): "e6e3e19c8c1e6a1fdda1a9d820a0d8d48ffe9073c738d60514a6cc6b3408918a",
+        (1e-4, None, 800): "d3fe9c9b541640924f81a9d100acafc65eb97c85a20dfe53edcd32c766b45c2c",
+        (1e-4, None, 1600): "55758353506622791b8521f6db1716f2eca7a672a783fe56ce756f22cea3b2b5",
+        (0.45, None, 400): "0aadc80c688f4897e78c2cdfcc23beb9f2f11361a631226d00ffa53b9dc40057",
+        (0.45, None, 800): "75853ac1506d2a1ae531d21302bb855367c3b5c895c7cca43bfa7de89400b789",
+        (0.45, None, 1600): "ac0d91c3f65d302fae306bfd255dd97ed6b39d1f6641ae2c8bf0318d2db63296",
+        (2.0, 20.0, 400): "6ec4bbe1b03d9ce47a35c794d9188838cffaed7e4d65e18347974780b952b00d",
+        (2.0, 20.0, 800): "9b6fe0e2d50a9b5813becb88e7a0f5e22108d6f30033eba6357365193780039a",
+        (2.0, 20.0, 1600): "e957d80689064485f86e81bd82ce2d21c29a69435d88c3d4f7320f32c257120e",
     }
 
     @pytest.mark.parametrize("case", FINAL_ROWS, ids=lambda c: f"s{c[0]}-n{c[2]}")
@@ -707,10 +739,10 @@ class TestGolden:
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300))
         assert hashlib.sha256(sol.final.tobytes()).hexdigest() == (
-            "73b0c9a475a8074a90c5b791791a5552ffae8b318e2dc838fb0b4b04cb995651")
+            "a11fdfd326eee623fda100a2015aff2c1890781491d5fd696f10e1228e2dfaa2")
         assert hashlib.sha256(sol.q_coeffs.tobytes()).hexdigest() == (
-            "fcee2bb3c5f3449dab0b294bf15c96293fba87f2523486620ec0c03b1b8c1eec")
-        assert repr(sol.boundary_max) == "2.5431591993908256e-17"
+            "dd886c9f952da9ea19c2e3b526b2000243631e26da30cf7709af718d2b9d5d72")
+        assert repr(sol.boundary_max) == "-1.4446694303573017e-15"
 
 
 def _mpmath_kappa(solution, state, params, contract):
