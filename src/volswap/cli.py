@@ -130,7 +130,7 @@ def cmd_oracle_mc(args) -> tuple:
 def cmd_oracle_pde(args) -> tuple:
     state, params, contract = _market_inputs(args)
     from . import pde_engine
-    grid = pde_engine.GridSpec(y_max=args.y_max, n_y=args.n_y)
+    grid = pde_engine.GridSpec(n_y=args.n_y)
     if not args.refine:
         kappa = pde_engine.kappa_quadrature(state, params, contract, grid)
         return {"kappa": kappa}, EXIT_OK
@@ -315,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulation(p)
     p = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
     market(p)
-    p.add_argument("--n-y", type=int, default=400)
-    p.add_argument("--y-max", type=float)
+    p.add_argument("--n-y", type=int, default=400, help="cells of the x grid")
     p.add_argument("--refine", type=count, default=0)
 
     p = command(sub, ("compare",), cmd_compare, help="series vs MC vs PDE sweep")

@@ -332,33 +332,37 @@ class TestOracle:
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert "e^s - 1 is not finite" in capsys.readouterr().err
 
-    def test_pde_grid_that_skips_the_decay_is_refused(self, tmp_path, capsys):
-        argv = ["oracle", "pde"] + SEED_POINT + ["--y-max", "1e6"]
-        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
-        assert code == cli.EXIT_DIVERGING
-        assert "does not resolve its decay" in err
-
     @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
                              ids=["single", "refine"])
-    def test_pde_default_grid_refusal_at_s_0_8(self, tmp_path, extra, capsys):
-        # a valid contract the default grid cannot price: a refusal, exit 3
-        argv = ["oracle", "pde", "--alpha", "1", "--sigma", "0.3", "--nu", "0.02",
+    def test_pde_default_grid_prices_s_0_8(self, tmp_path, extra):
+        # the y grid refused every s from 0.734 on, exit 3.  This contract
+        # is the reference lattice's (s, zeta) = (0.8, 40): F 8.579934851750563
+        # times sqrt(nu) / T, within PDE_TOL = 2e-5
+        argv = ["oracle", "pde", "--alpha", "1", "--sigma", "1", "--nu", "0.0125",
                 "--t", "0.2", "--tenor", "1"] + extra
+        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        assert code == cli.EXIT_OK
+        assert abs(doc["kappa"] - 0.959265878551692) <= 2e-5 * 0.959265878551692
+
+    @pytest.mark.parametrize("n_y", ["400", "800"])
+    def test_pde_at_s_4_prices_the_spectral_value(self, tmp_path, n_y):
+        # s = 4, zeta = 1: a y grid to 23.3 priced 4.1367 and 3.9722 on these
+        # cells, or refused them; the spectral form read 3.87837
+        argv = ["oracle", "pde", "--alpha", "2", "--sigma", "2.8284271247",
+                "--nu", "1", "--t", "0", "--tenor", "1", "--n-y", n_y]
+        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        assert code == cli.EXIT_OK
+        assert abs(doc["kappa"] - 3.87837) <= 1e-5 * 3.87837
+
+    def test_pde_past_s_pde_max_is_refused(self, tmp_path, capsys):
+        # s = 200: the x grid's rules priced F(200, 1) at -552
+        argv = ["oracle", "pde"] + SEED_POINT
+        argv[argv.index("--alpha") + 1] = "20"
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
         assert code == cli.EXIT_DIVERGING
-        assert "psi at the far edge reaches 2.346e-08" in err
-
-    @pytest.mark.parametrize("n_y, psi_h", [("400", "9.740e-01"), ("800", "9.908e-01")])
-    def test_pde_hand_grid_at_s_4_is_refused(self, tmp_path, capsys, n_y, psi_h):
-        # s = 4, zeta = 1 on y_max 23.3: these grids priced 4.1367 and 3.9722
-        # against 3.8784, and Crank-Nicolson refused them as unstable
-        argv = ["oracle", "pde", "--alpha", "2", "--sigma", "2.8284271247",
-                "--nu", "1", "--t", "0", "--tenor", "1", "--y-max", "23.3",
-                "--n-y", n_y, "--output", str(tmp_path / "out")]
-        code, err = exit_code(argv, capsys)
-        assert code == cli.EXIT_DIVERGING
-        assert err.startswith(f"volswap: psi falls to {psi_h} at the first node")
-        assert "does not resolve its decay" in err
+        assert err == ("volswap: s = alpha^2 tau = 200 is past S_PDE_MAX = 8, "
+                       "where the PDE grid is not validated\n")
+        assert not (tmp_path / "out").exists()
 
     def test_mc_s_beyond_float_range_is_usage_error(self, tmp_path, capsys):
         # s = alpha^2 tau = 800: refused by the rule the PDE applies
@@ -388,9 +392,11 @@ class TestOracle:
         assert err.splitlines()[-1].startswith("volswap: sigma^2 tau = ")
 
     def test_pde_ratio_of_equal_levels_is_null(self, tmp_path):
-        # the three levels agree bit for bit: this wrote "ratios": [Infinity]
+        # the three levels agree bit for bit: this wrote "ratios": [Infinity].
+        # At zeta = 3e-14, kappa - sqrt(nu) is 2.7e-14 and the levels differ
+        # by 1e-4 of it, far below half an ulp of kappa
         argv = ["oracle", "pde"] + SEED_POINT + ["--refine", "2"]
-        argv[argv.index("--sigma") + 1] = "0.0001"
+        argv[argv.index("--sigma") + 1] = "0.000001"
         argv[argv.index("--nu") + 1] = "100"
         code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
         assert code == cli.EXIT_OK
@@ -489,16 +495,16 @@ class TestCompare:
         assert len(marches) == 1
 
     def test_pde_refusal_empties_one_cell(self, tmp_path, capsys):
-        # the default grid refuses s = alpha^2 tau = 0.8 only
+        # the PDE refuses s = alpha^2 tau = 12.8 > S_PDE_MAX only
         code, doc = run(tmp_path, [
-            "compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
+            "compare", "--alphas", "0.4,4", "--taus", "0.5,0.8", "--zetas", "1",
             "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
             "compare.schema.json")
         assert code == cli.EXIT_OK
         assert doc["all_passed"]
         assert ([row["kappa_pde"] is None for row in doc["rows"]]
                 == [False, False, False, True])
-        assert "no kappa_pde at alpha 1.0, tau 0.8, zeta 1.0" in capsys.readouterr().err
+        assert "no kappa_pde at alpha 4.0, tau 0.8, zeta 1.0" in capsys.readouterr().err
 
     def test_series_refusal_empties_its_cells(self, tmp_path, capsys):
         # zeta = 3125: 1F1's e^zeta overflows every series term.  The series'
@@ -514,7 +520,7 @@ class TestCompare:
         assert first["kappa_series"] is not None and first["regime"] is not None
         assert (second["kappa_series"], second["regime"],
                 second["abs_diff_mc_sigmas"]) == (None, None, None)
-        assert second["kappa_pde"] == 0.2532947039786861
+        assert second["kappa_pde"] == 0.2532947317842834
         assert abs(second["kappa_mc"] - second["kappa_pde"]) <= 3.0 * second["mc_se"]
         assert capsys.readouterr().err == (
             "volswap: no kappa_series at alpha 0.4, tau 0.999, zeta 3125.0: "
@@ -767,6 +773,7 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--refine", "-2"], "--refine"),
     (["oracle", "pde"] + SEED_POINT + ["--n-t", "400"], "--n-t"),
+    (["oracle", "pde"] + SEED_POINT + ["--y-max", "20"], "--y-max"),
     (["verify", "--n-terms", "12"], "--n-terms"),
     (["verify", "--s-max", "60"], "--s-max"),
     (["price"] + SEED_POINT + ["--config", "x.cfg"], "--config"),
@@ -774,7 +781,7 @@ def test_manifest_replays_the_run(tmp_path, argv):
       "--nu", "0.04", "--t0", "0.3", "--seed", "1"], "--t0"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "n-t", "n-terms", "s-max", "config", "compare-t0"])
+        "n-t", "y-max", "n-terms", "s-max", "config", "compare-t0"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
@@ -852,7 +859,7 @@ COMMAND_FLAGS = [
             lambda flag: st.fixed_dictionaries({flag: floats(0.5, 1)}))]),
     (["oracle", "mc"], MARKET + [SIMULATION]),
     (["oracle", "pde"], MARKET + [st.fixed_dictionaries({
-        "--n-y": st.integers(16, 64).map(str), "--y-max": floats(3, 30),
+        "--n-y": st.integers(16, 64).map(str),
         "--refine": st.integers(0, 2).map(str)})]),
     (["compare"], [SIMULATION, st.fixed_dictionaries({
         "--alphas": float_list(1e-3, 2), "--taus": float_list(0, 1),

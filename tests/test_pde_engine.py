@@ -2,18 +2,18 @@
 e^z, and the kappa quadrature."""
 
 import hashlib
+import json
 import math
 import random
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded as scipy_solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -22,8 +22,8 @@ from volswap.exceptions import AccuracyError, DomainError, InstabilityError
 from volswap.mc_engine import McConfig, kappa_mc
 from volswap.model import (MarketState, SabrParams, SwapContract,
                            reduced_variables)
-from volswap.pde_engine import (GridSpec, default_y_max, grid_refinement_report,
-                                kappa_quadrature, solve_psi)
+from volswap.pde_engine import (GridSpec, grid_refinement_report, kappa_quadrature,
+                                solve_psi)
 from volswap.series_pricer import kappa_series
 from volswap.verify import psi_series_optimal
 
@@ -31,48 +31,62 @@ CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 
 
 def gttrs_march(s, grid, n_t):
-    """psi at s by a Crank-Nicolson march of n_t steps on psi itself: the
-    explicit half (I - (ds/2) A) psi, then a ``gttrs`` solve with the LU
-    factors of the unsymmetric I + (ds/2) A, after two Rannacher steps
-    (each two implicit-Euler half-steps) and with no checks.  Its time
-    error is O(ds^2); :func:`solve_psi` has none."""
+    """v = 1 - psi at s by a Crank-Nicolson march of n_t steps on v itself:
+    the explicit half (I + (ds/2) B) v, then a ``gttrs`` solve with the LU
+    factors of I - (ds/2) B, after two Rannacher steps (each two
+    implicit-Euler half-steps) and with no checks.  B is the x grid's
+    operator in v, unsymmetric: (e^(h/2) v_(i-1) - 2 v_i + e^(-h/2) v_(i+1))
+    / (2 h^2) - (c_h + y_i^2 / 2) v_i, forced by y_i^2 / 2, with v_0 =
+    e^(-2h) v_1 and v_n = 1.  Its time error is O(ds^2); :func:`solve_psi`
+    has none."""
+    x_min, x_max = pde_engine.x_bounds(s)
     n = grid.n_y
-    y = np.linspace(0.0, grid.y_max_at(s), n + 1)
-    psi = np.ones(n + 1)
-    psi[-1] = 0.0
+    h = (x_max - x_min) / n
+    y2 = np.exp(2.0 * np.linspace(x_min, x_max, n + 1)[1:n])
+    lower, upper = math.exp(0.5 * h) / (2 * h * h), math.exp(-0.5 * h) / (2 * h * h)
+    diag = -1.0 / (h * h) - (math.cosh(0.5 * h) - 1.0) / (h * h) - 0.5 * y2
+    diag[0] += lower * math.exp(-2.0 * h)
+    force = 0.5 * y2
+    force[-1] += upper
     ds = s / n_t
     half_ds = 0.5 * ds
-    c = 0.5 * y * y
-    lam = c / (y[1] * y[1])
-    lam_in, c_in = lam[1:n], c[1:n]
-    *factors, _ = dgttrf(-half_ds * lam[2:n], 1.0 + half_ds * (2.0 * lam_in + c_in),
-                         -half_ds * lam[1:n - 1])
-    inner = psi[1:n]
+    *factors, _ = dgttrf(np.full(n - 2, -half_ds * lower), 1.0 - half_ds * diag,
+                         np.full(n - 2, -half_ds * upper))
+    v = np.zeros(n - 1)
     for k in range(n_t):
         if k < 2:
             for _ in range(2):
-                psi[1] += half_ds * lam[1]
-                dgttrs(*factors, inner, overwrite_b=1)
+                v += half_ds * force
+                dgttrs(*factors, v, overwrite_b=1)
         else:
-            inner += half_ds * (lam_in * (psi[:-2] - 2.0 * inner + psi[2:])
-                                - c_in * inner)
-            psi[1] += half_ds * lam[1]
-            dgttrs(*factors, inner, overwrite_b=1)
-    return psi
+            bv = diag * v
+            bv[1:] += lower * v[:-1]
+            bv[:-1] += upper * v[1:]
+            v += half_ds * bv + ds * force
+            dgttrs(*factors, v, overwrite_b=1)
+    return np.concatenate(([math.exp(-2.0 * h) * v[0]], v, [1.0]))
 
 
-def dense_psi(s, grid):
-    """psi at s from a dense ``eigh`` of the module notes' A: u(s) =
-    e^(-sA) u_0 + A^-1 (I - e^(-sA)) g with u_0 = 1 / i and g = e_1 / 2."""
+def nodes(solution):
+    """The x = ln y nodes of a solve: ``n_y`` cells on :func:`x_bounds` (s)."""
+    return np.linspace(*pde_engine.x_bounds(solution.s), len(solution.v))
+
+
+def dense_v(s, grid):
+    """v = 1 - psi at s from a dense ``eigh`` of the module notes' symmetric
+    A in chi = v e^(-x/2): chi(s) = A^-1 (I - e^(-sA)) g."""
+    x_min, x_max = pde_engine.x_bounds(s)
     n = grid.n_y
-    y = np.linspace(0.0, grid.y_max_at(s), n + 1)
-    i = np.arange(1.0, n)
-    off = -0.5 * i[:-1] * i[1:]
-    lam, vec = np.linalg.eigh(np.diag(i * i + 0.5 * y[1:n] ** 2)
-                              + np.diag(off, 1) + np.diag(off, -1))
-    u = vec @ (np.exp(-s * lam) * (vec.T @ (1.0 / i))
-               - np.expm1(-s * lam) / lam * (0.5 * vec[0]))
-    return np.concatenate(([1.0], i * u, [0.0]))
+    h = (x_max - x_min) / n
+    x = np.linspace(x_min, x_max, n + 1)[1:n]
+    diag = 1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * np.exp(2.0 * x)
+    diag[0] -= math.exp(-1.5 * h) / (2 * h * h)
+    off = np.full(n - 2, -1.0 / (2 * h * h))
+    g = 0.5 * np.exp(1.5 * x)
+    g[-1] += math.exp(-0.5 * x_max) / (2 * h * h)
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    v = np.exp(0.5 * x) * (vec @ (-np.expm1(-s * lam) / lam * (vec.T @ g)))
+    return np.concatenate(([math.exp(-2.0 * h) * v[0]], v, [1.0]))
 
 
 class TestGridSpec:
@@ -91,99 +105,96 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="grid of 400 nodes refined 9 times"):
             GridSpec().check_size(refinements=9)
 
-    @pytest.mark.parametrize("y_max", [0.0, -1.0, math.inf, math.nan])
-    def test_y_max_must_be_positive_and_finite(self, y_max):
-        with pytest.raises(DomainError, match="positive and finite"):
-            GridSpec(y_max=y_max)
-
 
 class TestSolvePsi:
     def test_s_zero_is_a_domain_error(self):
         # psi = 1 at s = 0, at maturity or where alpha^2 tau underflows;
         # kappa_quadrature prices it in closed form.  tau < 0 has no psi
         for alpha, tau in ((0.5, 0.0), (1e-200, 0.5), (0.5, -0.1)):
-            with pytest.raises(DomainError, match="needs s > 0"):
-                solve_psi(alpha, tau, GridSpec(n_y=32, y_max=5.0))
+            with pytest.raises(DomainError, match="needs s >= 2\\^-24"):
+                solve_psi(alpha, tau, GridSpec(n_y=32))
 
     def test_degenerate_boundary_stays_one(self):
+        # psi -> 1 as y -> 0: at x_min the Robin row keeps v = 1 - psi
+        # proportional to y^2, at its limit q(0) = (e^s - 1) / 2
         sol = solve_psi(0.5, 0.5, GridSpec(n_y=256))
-        assert sol.final[0] == 1.0
+        assert sol.v[0] == math.exp(-2.0 * sol.h) * sol.v[1]
+        assert sol.q_min == pytest.approx(0.5 * math.expm1(0.125), rel=1e-3)
 
     def test_maximum_principle(self):
         sol = solve_psi(0.4, 0.5, GridSpec(n_y=256))
-        assert sol.final.min() >= -1e-6
-        assert sol.final.max() <= 1.0 + 1e-6
+        assert sol.v.min() >= -1e-6
+        assert sol.v.max() <= 1.0 + 1e-6
 
     def test_monotone_in_y(self):
         sol = solve_psi(0.4, 0.5, GridSpec(n_y=256))
-        final = sol.final
-        assert np.all(np.diff(final) <= 1e-9)
+        assert np.all(np.diff(sol.v) >= -1e-9)
 
     def test_matches_bessel_mode_series(self):
         # alpha = 0.5, tau = 0.5, y = 1 against the optimally truncated series
         alpha, tau, y_point = 0.5, 0.5, 1.0
         sol = solve_psi(alpha, tau, GridSpec(n_y=800))
-        value = float(np.interp(y_point, sol.y, sol.final))
+        value = 1.0 - float(np.interp(math.log(y_point), nodes(sol), sol.v))
         series_value, estimate = psi_series_optimal(alpha * alpha * tau, y_point)
         assert abs(value - series_value) <= max(1e-4, estimate)
 
-    def test_coarse_grid_is_refused(self):
-        # Crank-Nicolson's instability refused this grid; the exact psi is
-        # stable, and its first node reads the unresolved decay
-        with pytest.raises(AccuracyError) as info:
-            solve_psi(0.4, 0.5, GridSpec(n_y=100))
-        assert str(info.value) == (
-            "psi falls to 9.839e-01 at the first node y = 0.625: the grid does "
-            "not resolve its decay; shrink y_max (used 62.5)")
-
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_range_check_sees_every_contour_solve(self, j, monkeypatch):
-        # solve j is moved so that psi at node k gains 2 from it alone
-        grid, k = GridSpec(y_max=32.0, n_y=128), 60
-        solve_psi(0.4, 0.5, grid)           # the grid itself passes
+        # solve j is moved so that v at node k gains 2 from it alone
+        grid, k = GridSpec(n_y=128), 60
+        sol = solve_psi(0.4, 0.5, grid)     # the grid itself passes
+        root_y = math.exp(0.5 * nodes(sol)[k])
         solves, solve = [], pde_engine.solve_banded
 
         def spy(off, diag, rhs):
             solve(off, diag, rhs)
             if len(solves) == j:
-                rhs[k - 1] += 1.0 / (pde_engine.CF_WEIGHTS[j] * k)
+                rhs[k - 1] += 1.0 / (pde_engine.CF_WEIGHTS[j] * root_y)
             solves.append(None)
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
         with pytest.raises(InstabilityError) as info:
             solve_psi(0.4, 0.5, grid)
         assert len(solves) == len(pde_engine.CF_POLES) == 7
-        assert re.fullmatch(r"psi left \[0,1\] by more than 1e-06 \(range \[\S+, "
-                            r"2\.\d{3}e\+00\]\): the contour sum lost its accuracy",
-                            str(info.value))
+        assert re.fullmatch(r"1 - psi left \[0,1\] by more than 1e-06 \(range "
+                            r"\[\S+, 2\.\d{3}e\+00\]\): the contour sum lost its "
+                            r"accuracy", str(info.value))
 
-    def test_small_domain_raises_accuracy(self):
-        with pytest.raises(AccuracyError):
-            solve_psi(0.2, 0.5, GridSpec(n_y=128, y_max=3.0))
-
-    @pytest.mark.parametrize("y_max", [1e6, 1e10])
-    def test_grid_that_skips_the_decay_raises_accuracy(self, y_max):
-        # psi(h) ~ 1e-7 or less: these grids priced the seed point at
-        # 0.26696 and 0.26712 against 0.24914, with no other check failing
-        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        with pytest.raises(AccuracyError, match="does not resolve its decay"):
-            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
-                             GridSpec(y_max=y_max))
+    def test_small_domain_raises_accuracy(self, monkeypatch):
+        # the far-edge check: an x range that ends at y = e^2, where psi is
+        # still 1e-3, is refused
+        monkeypatch.setattr(pde_engine, "x_bounds", lambda s: (-10.0, 2.0))
+        with pytest.raises(AccuracyError, match="psi at the far edge reaches"):
+            solve_psi(0.2, 0.5, GridSpec(n_y=128))
 
     @pytest.mark.parametrize("s", [5e-4, 0.08, 0.66])
     def test_default_grid_resolves_the_decay(self, s):
-        # psi(h) ~ e^(-q(0) h^2) = e^(-1.0e-3), far above PSI_FIRST_NODE_MIN
+        # the grid spans all of psi's decay: at x_min, v is q(0) y^2 within
+        # the grid's O(h^2) (1.4e-4 at s = 0.66), and at the far edge psi is
+        # below BOUNDARY_TOL
         sol = solve_psi(1.0, s)
-        assert -math.log(sol.final[1]) == pytest.approx(1.0e-3, rel=0.02)
+        assert sol.q_min == pytest.approx(0.5 * math.expm1(s), rel=5e-4)
+        assert 0.0 <= sol.boundary_max <= pde_engine.BOUNDARY_TOL
+
+    def test_coarse_grid_is_refused(self):
+        # 16 cells at s = 2^-24: the penultimate node, x = 9.2, lies where
+        # psi has not decayed, and the far-edge check refuses the grid
+        with pytest.raises(AccuracyError) as info:
+            solve_psi(1.0, 2.0 ** -24, GridSpec(n_y=16))
+        assert str(info.value) == ("psi at the far edge reaches 4.591e-02 > "
+                                   "boundary_tol 1.0e-08 at y_max 3.66e+04")
 
     def test_default_y_max_reasonable(self):
-        assert default_y_max(0.4, 0.5) == pytest.approx(
-            2.5 * math.sqrt(52.0 / math.expm1(0.08)), rel=1e-12)
+        # y_max = e^(x_max) puts s y^2 / 2 at 40 at small s and stays at
+        # e^7 from s = 80 e^-14 on; x_min falls with s
+        assert pde_engine.x_bounds(1e-6) == (-10.0, 0.5 * math.log(8e7))
+        assert pde_engine.x_bounds(1e-3) == (-10.0, 7.0)
+        assert pde_engine.x_bounds(8.0) == (-20.0, 7.0)
 
     @pytest.mark.parametrize("tau", [0.0, -0.25])
     def test_no_default_domain_at_or_past_maturity(self, tau):
-        with pytest.raises(DomainError):
-            default_y_max(0.4, tau)
+        with pytest.raises(DomainError, match="needs s >= 2\\^-24"):
+            solve_psi(0.4, tau)
 
     def test_maturity_without_y_max_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -193,42 +204,79 @@ class TestSolvePsi:
                                             (1.0, math.inf), (math.nan, 1.0),
                                             (1.0, 1000.0)])
     def test_s_not_finite_is_domain_error(self, alpha, tau):
-        # at s = 1000, e^s - 1 (q(0) and the default y_max) overflows
+        # at s = 1000, e^s - 1 overflows
         with pytest.raises(DomainError, match="not finite"):
             solve_psi(alpha, tau)
+
+    def test_past_s_pde_max_is_refused(self):
+        # at s = 200 the default grid priced F(200, 1) at -552
+        with pytest.raises(AccuracyError) as info:
+            solve_psi(20.0, 0.5)
+        assert str(info.value) == ("s = alpha^2 tau = 200 is past S_PDE_MAX = 8, "
+                                   "where the PDE grid is not validated")
+        assert solve_psi(1.0, pde_engine.S_PDE_MAX).s == 8.0
 
     def test_depends_on_alpha_tau_only_through_s(self):
         direct = solve_psi(0.4, 0.5)
         reduced = solve_psi(1.0, 0.4 * 0.4 * 0.5)
         assert direct.s == reduced.s
-        assert direct.final.tobytes() == reduced.final.tobytes()
-        assert direct.q_coeffs.tobytes() == reduced.q_coeffs.tobytes()
+        assert direct.v.tobytes() == reduced.v.tobytes()
+        assert direct.weights.tobytes() == reduced.weights.tobytes()
+
+    @pytest.mark.parametrize("s", [2.0 ** -24, 1e-3, 0.8, 8.0])
+    def test_v_lies_in_zero_one_at_every_s(self, s):
+        # -A is Metzler with the Robin row too, so exactly 0 <= v <= 1; the
+        # pole sum's rounding leaves v above 1 by at most 2e-14 on 3200 cells
+        v = solve_psi(1.0, s).v
+        assert v.min() > 0.0
+        assert v.max() <= 1.0 + 1e-13
+
+    def test_x_min_falls_with_s(self):
+        # F(8, 1) = 6.249244 from x_min = -18 to -32 at h = 0.0085; an x grid
+        # from x_min = -10 reads 6.2347, 2.3e-3 low, and the rule's -20 on
+        # 400 cells is within PDE_TOL = 2e-5
+        alpha = 4.0
+        state = MarketState(t=0.5, sigma=alpha * math.sqrt(2.0), nu=1.0)
+        kappa = kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
+        assert abs(kappa - 6.249244) <= 2e-5 * 6.249244
+
+    def test_g_increases_with_s(self, marches):
+        # kappa T = E[sqrt(int sigma^2)] grows with tau at fixed alpha and
+        # sigma, so G(s) does, through the x_min rule's kink at s = 4/3
+        s_values = np.geomspace(pde_engine.S_CLOSED_FORM, pde_engine.S_PDE_MAX, 60)
+        g = [kappa_quadrature(MarketState(t=CONTRACT.maturity - s / 16.0,
+                                          sigma=1.0, nu=0.0),
+                              SabrParams(alpha=4.0), CONTRACT)
+             for s in s_values]
+        assert np.all(np.diff(g) > 0.0)
 
 
 class TestSymmetricMarch:
-    """The symmetric system in u = psi / i, solved exactly in s, against
+    """The symmetric system in chi = v e^(-x/2), solved exactly in s, against
     independent solutions of the same spatial problem."""
 
     @pytest.mark.parametrize("n", [400, 800, 1600])
     @pytest.mark.parametrize("s, y_max", [(1e-4, None), (0.08, None),
                                           (0.45, None), (2.0, 20.0)])
     def test_matches_the_march_on_psi(self, n, s, y_max, monkeypatch):
-        # a Crank-Nicolson march on psi converges to the exact row at second
-        # order in ds: its error quarters as its steps double.  The default
-        # y_max at s = 2 leaves psi above BOUNDARY_TOL at the edge, and on 400
-        # nodes y_max 20 leaves psi(h) at 0.993: only the row is checked here
-        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
-        grid = GridSpec(y_max=y_max, n_y=n)
-        final = solve_psi(1.0, s, grid).final
-        errors = [np.abs(final - gttrs_march(s, grid, n_t)).max() for n_t in (n, 2 * n)]
+        # a Crank-Nicolson march on v = 1 - psi converges to the exact row
+        # at second order in ds: its error quarters as its steps double.
+        # y_max, if set, moves the far edge to e^(x_max) = y_max
+        if y_max is not None:
+            x_min = pde_engine.x_bounds(s)[0]
+            monkeypatch.setattr(pde_engine, "x_bounds",
+                                lambda s: (x_min, math.log(y_max)))
+        grid = GridSpec(n_y=n)
+        v = solve_psi(1.0, s, grid).v
+        errors = [np.abs(v - gttrs_march(s, grid, n_t)).max() for n_t in (n, 2 * n)]
         assert errors[0] <= 2e-6 * (400 / n) ** 2
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.01)
 
     def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
-        # pole solve j is (w_j I + s A) x = b; with A = D^-1 B D, D = diag(i),
-        # it is (w_j I + s B)(i x) = i b in psi's own unsymmetric B, and the
-        # row is i times r_inf u_0 + 2 Re sum_j c_j x_j, summed in pole order
-        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
+        # pole solve j is (w_j I + s A) x = b; with A = D^-1 B D, D =
+        # diag(e^(x/2)), it is (w_j I + s B)(D x) = D b in v's own
+        # unsymmetric B, and v is D times 2 Re sum_j c_j x_j, summed in pole
+        # order
         solves = []
         solve = pde_engine.solve_banded
 
@@ -238,31 +286,38 @@ class TestSymmetricMarch:
             solves.append((before, rhs.copy()))
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
-        s, grid = 0.1, GridSpec(y_max=30.0, n_y=32)
-        final = solve_psi(1.0, s, grid).final
-        n = grid.n_y
-        i = np.arange(1.0, n)
-        y = np.linspace(0.0, 30.0, n + 1)[1:n]
-        b = (np.diag(i * i + 0.5 * y * y) - np.diag(0.5 * i[1:] ** 2, -1)
-             - np.diag(0.5 * i[:-1] ** 2, 1))
+        s, grid = 0.1, GridSpec(n_y=32)
+        sol = solve_psi(1.0, s, grid)
+        n, h = grid.n_y, sol.h
+        y2 = sol.squares[1:n]
+        d = np.sqrt(np.sqrt(y2))         # sqrt(y^2) is y exactly
+        b = (np.diag(1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * y2)
+             - np.diag(np.full(n - 2, math.exp(0.5 * h) / (2 * h * h)), -1)
+             - np.diag(np.full(n - 2, math.exp(-0.5 * h) / (2 * h * h)), 1))
+        b[0, 0] -= math.exp(-1.5 * h) / (2 * h * h)
         for w, (before, after) in zip(pde_engine.CF_POLES, solves, strict=True):
-            expected = np.linalg.solve(w * np.eye(n - 1) + s * b, i * before)
-            assert np.abs(i * after - expected).max() <= 1e-13 * np.abs(expected).max()
+            expected = np.linalg.solve(w * np.eye(n - 1) + s * b, d * before)
+            assert np.abs(d * after - expected).max() <= 1e-13 * np.abs(expected).max()
         u = np.zeros(n - 1)
         for c, (_, after) in zip(pde_engine.CF_WEIGHTS, solves):
             u += c.real * after.real - c.imag * after.imag
-        u = 2.0 * u + pde_engine.CF_R_INF * (1.0 / i)
-        assert final[1:n].tobytes() == (i * u).tobytes()
+        assert sol.v[1:n].tobytes() == (2.0 * u * d).tobytes()
 
     @pytest.mark.parametrize("s, y_max", [(2.0 ** -24, None), (5e-4, None),
                                           (0.08, None), (0.8, None), (4.0, 23.3)])
     def test_matches_a_dense_exponential(self, s, y_max, monkeypatch):
-        # on 60 nodes no y_max passes both grid checks; only the row is checked
-        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
-        monkeypatch.setattr(pde_engine, "BOUNDARY_TOL", math.inf)
-        grid = GridSpec(y_max=y_max, n_y=60)
-        final = solve_psi(1.0, s, grid).final
-        assert np.abs(final - dense_psi(s, grid)).max() <= 1e-13
+        # y_max, if set, moves the far edge to e^(x_max) = y_max, and only
+        # the row is checked.  At s = 8 numpy's eigh itself errs by 1.5e-12
+        # against mpmath's eigsy at 30 digits, where the pole sum errs by
+        # 4.4e-14
+        if y_max is not None:
+            x_min = pde_engine.x_bounds(s)[0]
+            monkeypatch.setattr(pde_engine, "x_bounds",
+                                lambda s: (x_min, math.log(y_max)))
+            monkeypatch.setattr(pde_engine, "BOUNDARY_TOL", math.inf)
+        grid = GridSpec(n_y=60)
+        v = solve_psi(1.0, s, grid).v
+        assert np.abs(v - dense_v(s, grid)).max() <= 1e-13
 
 
 class TestSolveBanded:
@@ -298,6 +353,9 @@ class TestPoleTable:
     """r(x) = r_inf + 2 Re sum_j c_j / (w_j - x), the approximation of e^x
     on (-inf, 0] whose poles the solver shifts A by."""
 
+    #: r's value at infinity, which the solver does not need, as chi(0) = 0
+    R_INF = 1.8321989582366484e-14
+
     def test_poles_lie_in_the_upper_half_plane(self):
         assert len(pde_engine.CF_POLES) == len(pde_engine.CF_WEIGHTS) == 7
         assert np.all(pde_engine.CF_POLES.imag > 0)
@@ -309,7 +367,7 @@ class TestPoleTable:
         x = np.concatenate((np.linspace(0.0, -50.0, 50_001),
                             -np.geomspace(50.0, 1e8, 50_000)[1:]))
         c, w = pde_engine.CF_WEIGHTS[:, None], pde_engine.CF_POLES[:, None]
-        r = pde_engine.CF_R_INF + 2.0 * (c / (w - x)).real.sum(axis=0)
+        r = self.R_INF + 2.0 * (c / (w - x)).real.sum(axis=0)
         assert np.abs(r - np.exp(x)).max() <= 3e-14
 
     def test_error_in_mpmath(self):
@@ -319,37 +377,9 @@ class TestPoleTable:
                                  -np.geomspace(50.0, 1e8, 101)[1:]))
         with mpmath.workdps(30):
             for x in map(mpmath.mpf, points.tolist()):
-                r = pde_engine.CF_R_INF + 2 * mpmath.re(mpmath.fsum(
+                r = self.R_INF + 2 * mpmath.re(mpmath.fsum(
                     c / (w - x) for c, w in zip(weights, poles)))
                 assert abs(r - mpmath.exp(x)) <= 2.5e-14
-
-
-@st.composite
-def pchip_data(draw):
-    """(x, y) with 3 to 40 non-uniformly spaced knots; y mixes repeated
-    small integers, zeros and sign changes with arbitrary floats."""
-    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=39))
-    x = draw(st.floats(-10.0, 10.0)) + np.cumsum([0.0] + steps)
-    values = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
-                       st.floats(-1e3, 1e3))
-    y = draw(st.lists(values, min_size=len(x), max_size=len(x)))
-    return x, np.array(y)
-
-
-class TestPchip:
-    # slopes near the float range overflow in both implementations alike
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(data=pchip_data())
-    @example(data=(np.array([0.0, 1.0, 3.0]), np.array([1.0, -2.0, 0.5])))
-    @example(data=(np.array([0.0, 0.5, 3.0]), np.array([0.0, 0.0, 0.0])))
-    @example(data=(np.array([0.0, 1.0, 1.5, 4.0]), np.array([2.0, 2.0, 0.0, 2.0])))
-    def test_bitwise_equal_to_scipy(self, data):
-        x, y = data
-        coeffs = pde_engine._pchip(x, y)
-        expected = PchipInterpolator(x, y).c
-        assert coeffs.shape == expected.shape
-        assert coeffs.tobytes() == expected.tobytes()
 
 
 class TestKappaQuadrature:
@@ -437,8 +467,8 @@ class TestKappaQuadrature:
     @pytest.mark.parametrize("nu", [0.03, 0.0])
     @pytest.mark.parametrize("alpha", [1e-9, 1e-80, 1e-150])
     def test_tiny_s_is_the_closed_form(self, alpha, nu):
-        # s = alpha^2 tau < 2^-53: pchip on y_max ~ s^(-1/2) overflowed, and
-        # the march priced 2.0e-3 off at alpha 1e-80 with a RuntimeWarning
+        # s = alpha^2 tau < 2^-53: the pchip of an earlier y grid overflowed,
+        # and the march priced 2.0e-3 off at alpha 1e-80 with a RuntimeWarning
         state = MarketState(t=0.5, sigma=0.25, nu=nu)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,11 +498,13 @@ class TestKappaQuadrature:
             assert lower <= kappa <= upper
 
     @pytest.mark.parametrize("nu", [0.03, 0.0])
-    @pytest.mark.parametrize("s", [2.0 ** -24, 1e-7, 1e-6])
+    @pytest.mark.parametrize("s", [2.0 ** -24, 1e-7, 1e-6, 1e-5])
     def test_small_s_is_the_delta_method(self, s, nu):
         # E[sqrt(B)] = J (1 - Var B / (8 E[B]^2)) + O(s^2) relative, with
         # J = sqrt(E[B]) and Var B = sigma^4 tau^2 (4 s / 3) + O(s^2); the
-        # Crank-Nicolson march priced 1.9e-7 to 6.0e-7 under J here
+        # Crank-Nicolson march priced 1.9e-7 to 6.0e-7 under J here, and an
+        # x grid ending at x_max = 7 puts G 1.5, 0.13 and 5.1e-5 off at
+        # s = 1e-7, 1e-6 and 1e-5, where psi has not decayed by y = e^7
         tau, sigma = 0.5, 0.25
         kappa = kappa_quadrature(
             MarketState(t=CONTRACT.maturity - tau, sigma=sigma, nu=nu),
@@ -482,6 +514,15 @@ class TestKappaQuadrature:
         expected = math.sqrt(mean_b) * (1.0 - var_b / (8.0 * mean_b ** 2))
         assert kappa == pytest.approx(expected / CONTRACT.tenor, rel=2e-8, abs=0.0)
 
+    @pytest.mark.parametrize("nu", [0.03, 0.0])
+    def test_closed_form_meets_the_solve_at_2_24(self, nu):
+        # the closed form below S_CLOSED_FORM and the solve above it agree
+        # within the closed form's 4e-8 (here 5e-9)
+        kappas = [kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
+                                   SabrParams(alpha=math.sqrt(2.0 * s)), CONTRACT)
+                  for s in (2.0 ** -24 * (1 + 1e-9), 2.0 ** -24 * (1 - 1e-9))]
+        assert kappas[0] == pytest.approx(kappas[1], rel=1e-8, abs=0.0)
+
     @pytest.mark.parametrize("nu", [1e308, sys.float_info.max])
     def test_tail_integral_finite_at_largest_nu(self, nu):
         # sqrt(pi nu) overflowed and inf * erfc(...) = inf * 0 gave nan;
@@ -490,45 +531,25 @@ class TestKappaQuadrature:
                                  SabrParams(alpha=0.4), CONTRACT)
         assert kappa == pytest.approx(math.sqrt(nu), rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("y_max", [1e-300, 1e200])
-    def test_grid_with_non_finite_q_is_domain_error(self, y_max):
-        # y^2 underflows to 0 or overflows, so q = (1 - psi) / y^2 has no value
-        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        with pytest.raises(DomainError, match="not finite"):
-            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
-                             GridSpec(y_max=y_max))
-
-    @pytest.mark.parametrize("y_max", [1e200, 1e300, math.inf])
-    def test_huge_y_max_is_refused_without_a_warning(self, y_max):
-        # y^2 overflowed in numpy scalars (or linspace met inf), and a
-        # RuntimeWarning reached stderr ahead of the refusal
-        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="finite"):
-                kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
-                                 GridSpec(y_max=y_max))
-
-    def test_overflowing_s_y_squared_is_refused_without_a_warning(self):
-        # s = 700 and y_max = 1e153: y^2 is finite but s y^2 is not
-        state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="s y\\^2 overflows"):
-                kappa_quadrature(state, SabrParams(alpha=math.sqrt(1400.0)), CONTRACT,
-                                 GridSpec(y_max=1e153))
-
     def test_tail_bound_enforced(self, monkeypatch):
         # calibrate QUAD_TOL just under the achievable tail bound
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        grid = GridSpec(y_max=27.0, n_y=400)
-        sol = solve_psi(0.4, 0.5, grid)
-        tail_bound = math.sqrt(2.0) * 0.25 / 0.4 * sol.boundary_max / sol.y[-1]
+        sol = solve_psi(0.4, 0.5)
+        tail_bound = math.sqrt(2.0) * 0.25 / 0.4 * sol.boundary_max / sol.y_max
         assert tail_bound > 0.0
         monkeypatch.setattr(pde_engine, "QUAD_TOL", 0.5 * tail_bound)
         with pytest.raises(AccuracyError, match="tail bound"):
-            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT, grid)
+            kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT)
+
+    def test_mass_below_x_min_is_weighted(self):
+        # at zeta = 3e-10 most of the integral lies below y_min = e^-10:
+        # q_min sqrt(pi zeta) erf(y_min / (2 sqrt(zeta))) puts F - 1 within
+        # 1e-4 of the y grid's 2.4986013258398998e-11, and q_min y_min, the
+        # same part without its weight, at 3.85e-11
+        zeta, alpha = 3e-10, 0.4
+        state = MarketState(t=0.5, sigma=alpha * math.sqrt(2.0 * zeta), nu=1.0)
+        kappa = kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
+        assert kappa - 1.0 == pytest.approx(2.4986013258398998e-11, rel=1e-3)
 
 
 def _point(alpha, tau, zeta, nu=0.04):
@@ -568,12 +589,11 @@ class TestPsiMemo:
         assert kappas[0] == pytest.approx(kappas[1], rel=1e-12)
 
     def test_refusal_is_memoised(self, marches):
-        state, params = _point(0.4, 0.5, 1.0)
-        grid = GridSpec(n_y=100)
+        state, params = _point(20.0, 0.5, 1.0)     # s = 200 > S_PDE_MAX
         raised = []
         for _ in range(2):
             with pytest.raises(AccuracyError) as info:
-                kappa_quadrature(state, params, CONTRACT, grid)
+                kappa_quadrature(state, params, CONTRACT)
             raised.append(info.value)
         assert len(marches) == 1
         assert raised[0] is not raised[1]
@@ -589,6 +609,16 @@ class TestGridConvergence:
         assert len(report["kappas"]) == 3
         assert all(type(k) is float for k in report["kappas"])
         assert 3.5 <= report["ratios"][0] <= 4.5
+
+    @pytest.mark.parametrize("s", [0.08, 0.8, 4.0, 8.0])
+    @pytest.mark.parametrize("nu", [0.04, 0.0])
+    def test_second_order_at_every_s(self, s, nu):
+        # one uniform x grid: the error falls as h^2 from s = 0.08 to 8
+        alpha, tau = 4.0, s / 16.0
+        state = MarketState(t=CONTRACT.maturity - tau, nu=nu,
+                            sigma=alpha * math.sqrt(2.0 * nu) if nu else 0.3)
+        report = grid_refinement_report(state, SabrParams(alpha=alpha), CONTRACT)
+        assert report["ratios"][0] == pytest.approx(4.0, abs=0.01)
 
     @pytest.mark.parametrize("t", [1.0, 1.25])
     def test_nothing_to_refine_at_or_past_maturity(self, t):
@@ -606,13 +636,13 @@ class TestGridConvergence:
                                        refinements=1)
 
     def test_first_level_is_the_default_price(self, monkeypatch):
-        # each level solves on the default grid of the memo key's s, and
-        # the report's y_max is the one every solve used
+        # each level solves on the x range of the memo key's s, and the
+        # report's y_max is the one every solve used
         used = []
         solve = pde_engine.kappa_from_solution
 
         def spy(solution, *args):
-            used.append(float(solution.y[-1]))
+            used.append(solution.y_max)
             return solve(solution, *args)
 
         monkeypatch.setattr(pde_engine, "kappa_from_solution", spy)
@@ -648,7 +678,7 @@ class TestGridConvergence:
                                        refinements=refinements)
 
     def test_s_beyond_float_range_is_domain_error(self):
-        # s = 800: the default y_max needs e^s - 1
+        # s = 800: e^s - 1 overflows
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         with pytest.raises(DomainError, match="not finite"):
             grid_refinement_report(state, SabrParams(alpha=40.0), CONTRACT,
@@ -656,19 +686,21 @@ class TestGridConvergence:
 
 
 class TestGolden:
-    """PDE results frozen by repr: kappas, a refinement report, psi bytes."""
+    """PDE results frozen by repr: kappas, a refinement report, v bytes."""
 
     KAPPAS = {
-        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475527420548"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914149873562502"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.35031302115958673"),
-        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503310735525245"),
-        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794818835830753"),
-        "explicit_grid": ((0.4, 0.5, 0.25, 0.03),
-                          GridSpec(y_max=32.0, n_y=256),
-                          "0.24914160648777017"),
-        # s = 5e-4, zeta = 0.499: six sub-cells per cell of width h = 2.02
-        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828426136785"),
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475920843198"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914167793325936"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503129667395912"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503311526670496"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779482010780432"),
+        # zeta = 9.8e5: the weight at y_max = e^7 is 0.74, so the end term
+        # at finite zeta counts (4.6e-7 of kappa)
+        "huge_zeta": ((0.4, 0.5, 0.25, 2e-7), GridSpec(), "0.1779487779645609"),
+        "explicit_grid": ((0.4, 0.5, 0.25, 0.03), GridSpec(n_y=256),
+                          "0.24914149785025042"),
+        # s = 5e-4, zeta = 0.499, where the y grid split each cell in six
+        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828496070935"),
     }
 
     @staticmethod
@@ -683,8 +715,7 @@ class TestGolden:
         assert repr(kappa) == expected
 
     def test_kappa_digest(self, marches):
-        # 12 s from 5e-4 to 0.7 by 6 zeta from 0.02 to 40, plus nu = 0: both
-        # whole cells (zeta >= 4 h^2, and nu = 0) and sub-cells
+        # 12 s from 5e-4 to 0.7 by 6 zeta from 0.02 to 40, plus nu = 0
         digest = hashlib.sha256()
         for k in range(12):
             s = 5e-4 * 1400.0 ** (k / 11)
@@ -695,95 +726,160 @@ class TestGolden:
                 kappa = kappa_quadrature(state, SabrParams(alpha=1.0), CONTRACT)
                 digest.update(repr(kappa).encode())
         assert digest.hexdigest() == (
-            "0ec236a047136dd1a20761a8109156cd625693ca7c67b37a7ba1a339457c6860")
+            "415b1764be7152cb306b32b5a4806699733c6fbc198037ccb429a33829d6ade6")
 
-    def test_default_grid_refusal_at_s_0_8(self, marches):
-        state, params = MarketState(t=0.2, sigma=0.3, nu=0.02), SabrParams(alpha=1.0)
-        with pytest.raises(AccuracyError) as info:
-            kappa_quadrature(state, params, CONTRACT)
-        assert type(info.value) is AccuracyError
-        assert str(info.value) == ("psi at the far edge reaches 2.346e-08 > "
-                                   "boundary_tol 1.0e-08; enlarge y_max (used 16.3)")
+    def test_default_grid_prices_s_0_8(self, marches):
+        # the y grid refused every s from 0.734 on, with "psi at the far
+        # edge reaches 2.346e-08" at sigma 0.3, nu 0.02.  The contract
+        # alpha 1, tau 0.8, sigma 1, nu 0.0125 is the lattice's (s, zeta) =
+        # (0.8, 40), priced within PDE_TOL of the table
+        state, params = MarketState(t=0.2, sigma=1.0, nu=0.0125), SabrParams(alpha=1.0)
+        kappa = kappa_quadrature(state, params, CONTRACT)
+        f = REFERENCE["F"][-1][-1]
+        assert abs(kappa / math.sqrt(0.0125) - f) <= 2e-5 * f
 
     def test_refinement_report(self, marches):
         # the 400-node level is the mid_s default-grid golden
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
                                         CONTRACT, GridSpec(n_y=200))
         assert repr(report) == (
-            "{'kappas': [0.24914061585050618, 0.24914149873562502, "
-            "0.24914172523670047], 'grids': [200, 400, 800], "
-            "'ratios': [3.897929036712464], 'y_max': 62.467322942411855}")
+            "{'kappas': [0.2491413032681712, 0.24914167793325936, "
+            "0.2491417716848749], 'grids': [200, 400, 800], "
+            "'ratios': [3.996358740836539], 'y_max': 1096.6331584284585}")
 
     FINAL_ROWS = {
-        (1e-4, None, 400): "e6e3e19c8c1e6a1fdda1a9d820a0d8d48ffe9073c738d60514a6cc6b3408918a",
-        (1e-4, None, 800): "d3fe9c9b541640924f81a9d100acafc65eb97c85a20dfe53edcd32c766b45c2c",
-        (1e-4, None, 1600): "55758353506622791b8521f6db1716f2eca7a672a783fe56ce756f22cea3b2b5",
-        (0.45, None, 400): "0aadc80c688f4897e78c2cdfcc23beb9f2f11361a631226d00ffa53b9dc40057",
-        (0.45, None, 800): "75853ac1506d2a1ae531d21302bb855367c3b5c895c7cca43bfa7de89400b789",
-        (0.45, None, 1600): "ac0d91c3f65d302fae306bfd255dd97ed6b39d1f6641ae2c8bf0318d2db63296",
-        (2.0, 20.0, 400): "6ec4bbe1b03d9ce47a35c794d9188838cffaed7e4d65e18347974780b952b00d",
-        (2.0, 20.0, 800): "9b6fe0e2d50a9b5813becb88e7a0f5e22108d6f30033eba6357365193780039a",
-        (2.0, 20.0, 1600): "e957d80689064485f86e81bd82ce2d21c29a69435d88c3d4f7320f32c257120e",
+        (1e-4, 400): "3172610d6f70ed7f4d512f09a4028a3c30aa69ff16bd892a4bec86b1c8bedc8f",
+        (1e-4, 800): "ba20cbd236bda3b9ecccfc6bfc1fc01a44c7eea51a721d863ddf47b57a232645",
+        (1e-4, 1600): "91c6288e4741c59a5a8617cf22db44c12f8ad46e400bd6029375ce2b0fb8a152",
+        (0.45, 400): "54fcf54c3c50a0b5a677ef0aa35699bebcc3457ca2651b3a03e290d84b5b5b71",
+        (0.45, 800): "582f6466f8c9aa87f020b9e3d917cadf34105f7ca45be8cc5238a113d5690e57",
+        (0.45, 1600): "c60a95bee6cda59fb8ff6b34d0b9078c3c8100a86eb5ac6489b5052e1592ce2f",
+        (2.0, 400): "108a45caecb54484e0fcbd14ee88d9c326950ebdc627d2a4a231af23c7f0f167",
+        (2.0, 800): "24590cfd574948a405104bab61422febfe58033fd4e2b5e152ee6b564f783c77",
+        (2.0, 1600): "64eee8130b8100eaf71e3519aca3b49e91066f1ba8260d1852d16e03acde5069",
     }
 
-    @pytest.mark.parametrize("case", FINAL_ROWS, ids=lambda c: f"s{c[0]}-n{c[2]}")
-    def test_final_row_digest(self, case, monkeypatch):
-        # the row at s by repr; s = 2 on 400 nodes leaves psi(h) at 0.993,
-        # below PSI_FIRST_NODE_MIN, and only the row is frozen here
-        monkeypatch.setattr(pde_engine, "PSI_FIRST_NODE_MIN", 0.0)
-        s, y_max, n = case
-        final = solve_psi(1.0, s, GridSpec(y_max=y_max, n_y=n)).final
-        text = " ".join(map(repr, final.tolist()))
+    @pytest.mark.parametrize("case", FINAL_ROWS, ids=lambda c: f"s{c[0]}-n{c[1]}")
+    def test_final_row_digest(self, case):
+        # the row v at s by repr
+        s, n = case
+        v = solve_psi(1.0, s, GridSpec(n_y=n)).v
+        text = " ".join(map(repr, v.tolist()))
         assert hashlib.sha256(text.encode()).hexdigest() == self.FINAL_ROWS[case]
 
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300))
-        assert hashlib.sha256(sol.final.tobytes()).hexdigest() == (
-            "a11fdfd326eee623fda100a2015aff2c1890781491d5fd696f10e1228e2dfaa2")
-        assert hashlib.sha256(sol.q_coeffs.tobytes()).hexdigest() == (
-            "dd886c9f952da9ea19c2e3b526b2000243631e26da30cf7709af718d2b9d5d72")
-        assert repr(sol.boundary_max) == "-1.4446694303573017e-15"
+        assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
+            "f61d7ba58c0d0121471cb5bd4d256e7910345d2d8b9d76fbcb6dd1c9914e438c")
+        assert hashlib.sha256(sol.weights.tobytes()).hexdigest() == (
+            "4a3a94986419b268084ce9933116ed4966af1e80485109ad9cf35f2151d4e05c")
+        assert repr(sol.boundary_max) == "3.907985046680551e-14"
+
+
+#: perfbench's reference table: F(s, zeta) = kappa T / sqrt(nu) on a 40 x 40
+#: (s, zeta) lattice and G(s) = kappa T alpha / sigma at nu = 0
+with open(Path(__file__).parents[1] / "perfbench" / "reference.json") as fh:
+    REFERENCE = json.load(fh)
+
+
+class TestLattice:
+    def test_default_grid_prices_the_reference_lattice(self, marches):
+        # all 1600 F and 40 G entries, each s solved once, within the 6.9e-6
+        # that the y grid reached where it priced at all; it refused the
+        # s = 0.8 row
+        worst_f = worst_g = 0.0
+        # at alpha 1, tau = s, T 1, kappa is F at nu = 1 and G at sigma 1
+        for i, s in enumerate(REFERENCE["s"]):
+            for j, zeta in enumerate(REFERENCE["zeta"]):
+                f = REFERENCE["F"][i][j]
+                kappa = kappa_quadrature(*_point(1.0, s, zeta, nu=1.0), CONTRACT)
+                worst_f = max(worst_f, abs(kappa - f) / f)
+            g = REFERENCE["G"][i]
+            kappa = kappa_quadrature(*_point(1.0, s, 1.0, nu=0.0), CONTRACT)
+            worst_g = max(worst_g, abs(kappa - g) / g)
+        assert len(marches) == 40
+        assert worst_f <= 6.9e-6
+        assert worst_g <= 6.9e-6
 
 
 def _mpmath_kappa(solution, state, params, contract):
-    """kappa with both integrals done by ``mpmath.quad`` at 20 digits: the
-    stored pchip cubic times e^(-y^2 / (4 zeta)) cell by cell, skipping
-    cells past y^2 / (4 zeta) = 110, and the tail beyond y_max."""
+    """kappa by the module notes' rule, term by term in mpmath at 30 digits:
+    the end-halved trapezoid sum of h w v e^(-x) on the solve's nodes, with
+    the weight w = e^(-e^(2x) / (4 zeta)); ``mpmath.quad`` of q_min w on [0,
+    y_min] and of w / y^2 on [y_max, inf); and the Euler-Maclaurin end term
+    -(h^2 / 12) f'(x_max) of f = w e^(-x), v = 1 there, by ``mpmath.diff``."""
+    c = math.sqrt(2.0) * state.sigma / params.alpha
+    with mpmath.workdps(30):
+        rate = mpmath.mpf(state.nu) / mpmath.mpf(c) ** 2       # 1 / (4 zeta)
+        h, q_min = mpmath.mpf(solution.h), mpmath.mpf(solution.q_min)
+        x = [mpmath.mpf(node) for node in nodes(solution).tolist()]
+        v = [mpmath.mpf(value) for value in solution.v.tolist()]
+
+        def f(node, v_node=1):
+            return v_node * mpmath.exp(-node - rate * mpmath.exp(2 * node))
+
+        body = h * (mpmath.fsum(f(*pair) for pair in zip(x, v))
+                    - (f(x[0], v[0]) + f(x[-1], v[-1])) / 2)
+        y_min, y_max = mpmath.exp(x[0]), mpmath.exp(x[-1])
+        below = mpmath.quad(lambda y: q_min * mpmath.exp(-rate * y * y), [0, y_min])
+        tail = mpmath.quad(lambda y: mpmath.exp(-rate * y * y) / (y * y),
+                           [y_max, mpmath.inf])
+        end = -h * h / 12 * mpmath.diff(f, x[-1])
+        integral = body + below + tail + end
+        kappa = mpmath.sqrt(state.nu) + c * integral / mpmath.sqrt(mpmath.pi)
+        return float(kappa / contract.tenor)
+
+
+def _spline_kappa(solution, state, params, contract):
+    """kappa with the parts below y_min and past y_max by ``mpmath.quad``
+    at 20 digits, and the part between by an 8-point Gauss-Legendre rule per
+    cell on the not-a-knot cubic spline of v in x, times e^(-x) and the
+    weight e^(-e^(2x) / (4 zeta))."""
+    c = math.sqrt(2.0) * state.sigma / params.alpha
+    rate = state.nu / (c * c)                     # 1 / (4 zeta)
+    x_nodes = nodes(solution)
+    spline = CubicSpline(x_nodes, solution.v)
+    gauss, weights = np.polynomial.legendre.leggauss(8)
+    x = x_nodes[:-1, None] + 0.5 * (gauss + 1.0) * solution.h
+    body = float(np.sum(0.5 * solution.h * weights * spline(x) * np.exp(-x)
+                        * np.exp(-rate * np.exp(2.0 * x))))
     with mpmath.workdps(20):
-        nu = mpmath.mpf(state.nu)
-        c = mpmath.sqrt(2) * state.sigma / params.alpha
-        rate = nu / (c * c)                          # 1 / (4 zeta)
-        knots = [mpmath.mpf(v) for v in solution.y.tolist()]
-        body = mpmath.mpf(0)
-        for i, cubic in enumerate(solution.q_coeffs.T.tolist()):
-            left = knots[i]
-            if rate * left * left > 110:
-                break
-            body += mpmath.quad(lambda v, cubic=cubic, left=left:
-                                mpmath.polyval(cubic, v - left)
-                                * mpmath.exp(-rate * v * v), knots[i:i + 2])
-        tail = mpmath.quad(lambda x: mpmath.exp(-nu * x * x) / (x * x),
-                           [knots[-1] / c, mpmath.inf])
-        kappa = mpmath.sqrt(nu) + (c * body + tail) / mpmath.sqrt(mpmath.pi)
+        below = mpmath.quad(lambda y: solution.q_min * mpmath.exp(-rate * y * y),
+                            [0, solution.y_min])
+        tail = mpmath.quad(lambda y: mpmath.exp(-rate * y * y) / (y * y),
+                           [solution.y_max, mpmath.inf])
+        kappa = mpmath.sqrt(state.nu) + c * (body + below + tail) / mpmath.sqrt(mpmath.pi)
         return float(kappa / contract.tenor)
 
 
 class TestFixedNodeRule:
-    def test_written_rule_is_numpys_gauss_legendre(self):
-        # the only place that imports numpy.polynomial
-        nodes, weights = np.polynomial.legendre.leggauss(6)
-        assert np.array_equal(pde_engine.GL_NODES, nodes)
-        assert np.array_equal(pde_engine.GL_WEIGHTS, weights)
-
-    @pytest.mark.parametrize("case", ["small_s", "mid_s", "large_s",
-                                      "high_zeta", "nu_zero", "sub_cells"])
+    @pytest.mark.parametrize("case", ["small_s", "mid_s", "large_s", "high_zeta",
+                                      "huge_zeta", "nu_zero", "sub_cells"])
     def test_matches_mpmath_integral_of_the_interpolant(self, case):
+        # the trapezoid, the closed forms below y_min and past y_max and the
+        # end term, each as its own integral in mpmath, agree to rounding.
+        # huge_zeta is the one finite zeta whose weight at y_max, 0.74,
+        # leaves the end term (1.3e-7 of kappa) anything to correct
         (alpha, tau, sigma, nu), grid, _ = TestGolden.KAPPAS[case]
         state, params = TestGolden._inputs(alpha, tau, sigma, nu)
         solution = solve_psi(alpha, tau, grid)
         kappa = pde_engine.kappa_from_solution(solution, state, params, CONTRACT)
         reference = _mpmath_kappa(solution, state, params, CONTRACT)
         assert abs(kappa - reference) <= 1e-13 * reference
+
+    @pytest.mark.parametrize("case", ["small_s", "mid_s", "large_s", "high_zeta",
+                                      "huge_zeta", "nu_zero", "sub_cells"])
+    def test_matches_the_spline_integral_within_the_grid_error(self, case):
+        # the trapezoid with its end terms against the integral of a
+        # fourth-order interpolant of the same v: they differ by the grid's
+        # O(h^2), at most 1.4e-8.  Without the end term (h^2 / 12) f(x_max)
+        # nu_zero differs by 3.8e-7
+        (alpha, tau, sigma, nu), grid, _ = TestGolden.KAPPAS[case]
+        state, params = TestGolden._inputs(alpha, tau, sigma, nu)
+        solution = solve_psi(alpha, tau, grid)
+        kappa = pde_engine.kappa_from_solution(solution, state, params, CONTRACT)
+        reference = _spline_kappa(solution, state, params, CONTRACT)
+        assert abs(kappa - reference) <= 3e-8 * reference
 
     def test_one_quad_call_with_one_vectorized_integrand_call(self, monkeypatch):
         # wrap the module attribute by name, as tracing tools do
@@ -812,25 +908,28 @@ class TestFixedNodeRule:
         kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
                                  SabrParams(alpha=0.4), CONTRACT)
         assert quads == []
-        assert kappa == pytest.approx(0.17794818835828993, rel=1e-12, abs=0.0)
+        assert kappa == pytest.approx(0.1779482010780432, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", TestGolden.KAPPAS)
     def test_g_integral_is_the_quadrature_at_infinite_zeta(self, case):
-        # the weight e^(v^2 / (-4 zeta)) is exp(-0.0) = 1 at zeta = inf
+        # the weight e^(y^2 / (-4 zeta)) is exp(-0.0) = 1 at zeta = inf, and
+        # the parts below y_min and past y_max are q_min y_min and 1 / y_max
         (alpha, tau, _, _), grid, _ = TestGolden.KAPPAS[case]
         sol = solve_psi(alpha, tau, grid)
-        integral = pde_engine.quad(lambda v2: sol.gl_q * np.exp(v2 / -math.inf),
-                                   sol.gl_squares, sol.gl_weights)
-        assert repr(sol.g_integral) == repr(integral)
+        integral = pde_engine.quad(lambda y2: np.exp(y2 / -math.inf),
+                                   sol.squares, sol.weights)
         assert type(sol.g_integral) is float
+        assert sol.g_integral == pytest.approx(
+            integral + sol.q_min * sol.y_min + 1.0 / sol.y_max + sol.end,
+            rel=1e-15, abs=0.0)
 
     def test_tables_are_read_only(self):
         sol = solve_psi(0.4, 0.5, GridSpec(n_y=256))
-        assert sol.gl_squares.shape == sol.gl_weights.shape == (256, 6)
-        assert np.array_equal(sol.gl_weights[-1], 0.5 * sol.h * pde_engine.GL_WEIGHTS)
-        for table in (sol.gl_squares, sol.gl_weights, sol.gl_q):
+        assert sol.v.shape == sol.squares.shape == sol.weights.shape == (257,)
+        assert sol.weights[-1] == 0.5 * sol.h / sol.y_max
+        for table in (sol.v, sol.squares, sol.weights):
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0.0
+                table[0] = 0.0
 
     @pytest.mark.parametrize("nu, overflows", [(1e-300, False), (5e-324, True)])
     def test_vanishing_nu_prices_as_nu_zero(self, nu, overflows):
