@@ -24,7 +24,11 @@ negative number in exponent form as an option.
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 ``KUMMER_REL_TOL``, ``QUAD_TOL``) or a verification depth: ``verify`` takes
 no flag of its own and runs every check family at ``verify.N_TERMS``,
-``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``.  ``price`` always
+``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``, and ``oracle pde``
+takes none beyond the market's: it always reports the refinement of
+:func:`~volswap.pde_engine.grid_refinement_report` on 400, 800 and 1600
+cells as ``grid_report``, and its ``kappa`` is the 400-cell value, which
+``compare`` reports as ``kappa_pde``.  ``price`` always
 reports both ``kappa`` and the market-annualized ``kappa_market`` =
 sqrt(T) kappa.  ``--steps`` caps Monte Carlo's step count, which the
 engine's step ladder sizes by its error; ``oracle mc`` reports the
@@ -130,18 +134,12 @@ def cmd_oracle_mc(args) -> tuple:
 def cmd_oracle_pde(args) -> tuple:
     state, params, contract = _market_inputs(args)
     from . import pde_engine
-    grid = pde_engine.GridSpec(n_y=args.n_y)
-    if not args.refine:
-        kappa = pde_engine.kappa_quadrature(state, params, contract, grid)
-        return {"kappa": kappa}, EXIT_OK
-    report = pde_engine.grid_refinement_report(
-        state, params, contract, grid, refinements=args.refine)
-    return {"kappa": report["kappas"][-1], "grid_report": {
+    report = pde_engine.grid_refinement_report(state, params, contract)
+    return {"kappa": report["kappas"][0], "grid_report": {
         "kappas": report["kappas"],
         "grids": report["grids"],
         # inf where the two finer levels agree bit for bit: no ratio
         "ratios": [_number(r) for r in report["ratios"]],
-        "y_max": report["y_max"],
     }}, EXIT_OK
 
 
@@ -151,14 +149,6 @@ def float_list(raw: str) -> list:
     if not values:
         raise ValueError(f"no value in {raw!r}")
     return values
-
-
-def count(raw: str) -> int:
-    """argparse type: a non-negative integer."""
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"{raw!r} is negative")
-    return value
 
 
 def cmd_compare(args) -> tuple:
@@ -315,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulation(p)
     p = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
     market(p)
-    p.add_argument("--n-y", type=int, default=400, help="cells of the x grid")
-    p.add_argument("--refine", type=count, default=0)
 
     p = command(sub, ("compare",), cmd_compare, help="series vs MC vs PDE sweep")
     p.add_argument("--alphas", type=float_list, required=True,

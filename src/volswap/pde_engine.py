@@ -144,18 +144,21 @@ is a function of the solve alone.  c times psi at the penultimate node
 over y_max bounds what psi = 0 past y_max drops; it must stay below
 ``QUAD_TOL``.
 
-:func:`kappa_quadrature` solves once per (s, grid): it looks v up in
-:func:`psi_memo`, a least-recently-used memo of ``PSI_MEMO_SIZE`` entries
-keyed by the grid and by s rounded to ``S_KEY_BITS`` fraction bits.
-tau = maturity - t carries float noise, so points that share s in exact
-arithmetic differ in its last bits; the rounding moves s by at most
-2^-41 ~ 4.5e-13 relative, far below the discretization error.  A solve
-refused with :class:`AccuracyError` or :class:`InstabilityError` is
-memoised too and re-raised on every lookup as a fresh exception of the
-same type and message.  :func:`grid_refinement_report` prices every level
-through this memo, on the x range of s, halving h at each level.  No
-grid, refinements included, has more than ``MAX_GRID_NODES`` cells n_y: a
-larger one is a :class:`DomainError` before anything is allocated.
+:func:`kappa_quadrature` solves once per (s, grid): it reads v from
+:func:`psi_memo`, a least-recently-used cache of ``PSI_MEMO_SIZE``
+solutions keyed by the grid and by s rounded to ``S_KEY_BITS`` fraction
+bits.  tau = maturity - t carries float noise, so points that share s in
+exact arithmetic differ in its last bits; the rounding moves s by at most
+2^-41 ~ 4.5e-13 relative, far below the discretization error.  The cache
+holds solutions only: a solve refused with :class:`AccuracyError` or
+:class:`InstabilityError` is not kept and raises again on every lookup.
+
+:func:`grid_refinement_report` prices level k by :func:`kappa_quadrature`
+on the grid with its cells halved k times, so its first level is the
+default price bit for bit, and below ``S_CLOSED_FORM`` every level is the
+closed form.  It builds every level's :class:`GridSpec` before it solves
+anything, so a level of more than ``MAX_GRID_NODES`` cells n_y is a
+:class:`DomainError` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -212,8 +215,7 @@ S_PDE_MAX = 8.0
 #: most cells n_y of a grid that is solved, refinements included: the
 #: reference table's finest grid, 3200 nodes, with its cells halved five
 #: more times, which solves in about 0.1 s on a 2-core x86 machine.
-#: ``--refine 40`` would not end, and n_y = 1e9 would allocate 16 GB for
-#: each complex vector of the solve.
+#: n_y = 1e9 would allocate 16 GB for each complex vector of the solve.
 MAX_GRID_NODES = 3200 * 2 ** 5
 #: the module notes' r(z) = r_inf + sum_k a_k / (z - p_k) ~ e^z: its poles
 #: w_j in the upper half-plane and their c_j = -a_j.
@@ -233,7 +235,7 @@ CF_WEIGHTS = np.array([
     23.498232091086198 + 5.8083591297130965j,
     -46.93327448883162 - 45.6436497688305j,
     27.87516194014428 + 102.14733999057796j])
-#: psi solutions (or refusals) kept by :func:`psi_memo`.
+#: psi solutions kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
 S_KEY_BITS = 40
@@ -251,17 +253,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n_y < 16:
             raise DomainError("grid needs n_y >= 16")
-        self.check_size()
-
-    def check_size(self, refinements: int = 0) -> None:
-        """Raise :class:`DomainError` if the grid with its cells halved
-        ``refinements`` times has more than ``MAX_GRID_NODES`` nodes."""
-        # 16 times 2^20 is past the cap: no need for 2^refinements itself
-        if self.n_y * 2 ** min(refinements, 20) > MAX_GRID_NODES:
-            refined = f" refined {refinements} times" if refinements else ""
-            raise DomainError(
-                f"a grid of {self.n_y} nodes{refined} has more than "
-                f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes n_y")
+        if self.n_y > MAX_GRID_NODES:
+            raise DomainError(f"a grid of {self.n_y} nodes has more than "
+                              f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes n_y")
 
 
 @dataclass(frozen=True)
@@ -391,16 +385,9 @@ def solve_psi(alpha: float, tau: float,
 
 
 @functools.lru_cache(maxsize=PSI_MEMO_SIZE)
-def psi_memo(s: float, grid: GridSpec):
-    """``(solve_psi(1.0, s, grid), None)``, or ``(None, (type, args))`` of its refusal.
-
-    The refusal is kept as type and arguments, not as the exception, whose
-    traceback would pin the solve's arrays.
-    """
-    try:
-        return solve_psi(1.0, s, grid), None
-    except (AccuracyError, InstabilityError) as exc:
-        return None, (type(exc), exc.args)
+def psi_memo(s: float, grid: GridSpec) -> PsiSolution:
+    """``solve_psi(1.0, s, grid)``, kept; a refusal raises and is not kept."""
+    return solve_psi(1.0, s, grid)
 
 
 def _s_key(s: float) -> float:
@@ -429,10 +416,7 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
             raise DomainError(f"nu + sigma^2 tau is not finite at sigma {state.sigma}")
         return kappa
 
-    solution, refusal = psi_memo(_s_key(s), grid)
-    if refusal is not None:
-        raise refusal[0](*refusal[1])
-    return kappa_from_solution(solution, state, params, contract)
+    return kappa_from_solution(psi_memo(_s_key(s), grid), state, params, contract)
 
 
 def quad(integrand, nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -483,22 +467,15 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
     """kappa on successively halved cells h plus the observed convergence ratios.
 
     psi is exact in s, so h is the only discretization: second-order
-    convergence shows up as ratios of successive differences near 4.  All
-    refinements share the x range of s, and ``y_max`` = e^(x_max).  Raises
-    :class:`DomainError`, before any solve, if the finest grid has more
-    than ``MAX_GRID_NODES`` nodes, outside the accrual window and below
-    s = alpha^2 tau = ``S_CLOSED_FORM``, where :func:`kappa_quadrature`
-    solves nothing to refine.
+    convergence shows up as ratios of successive differences near 4, and
+    as inf where two levels agree, as they do below ``S_CLOSED_FORM``.
+    Every level's grid is built first, so a level past ``MAX_GRID_NODES``
+    is a :class:`DomainError` before any solve; :func:`kappa_quadrature`
+    raises what else it raises, outside the accrual window among them.
     """
-    grid.check_size(refinements)
-    _, s, _, _ = reduced_variables(state, params, contract)
-    if s < S_CLOSED_FORM:
-        raise DomainError(f"at s = {s:.3g} < 2^-24 kappa is sqrt(nu + sigma^2 "
-                          "tau)/T within 4e-8; there is no grid to refine")
-    grids = [grid.n_y * 2 ** level for level in range(refinements + 1)]
-    kappas = [kappa_quadrature(state, params, contract, replace(grid, n_y=n))
-              for n in grids]
+    levels = [replace(grid, n_y=grid.n_y * 2 ** k) for k in range(refinements + 1)]
+    kappas = [kappa_quadrature(state, params, contract, level) for level in levels]
     ratios = [math.inf if k1 == k2 else (k0 - k1) / (k1 - k2)
               for k0, k1, k2 in zip(kappas, kappas[1:], kappas[2:])]
-    return {"kappas": kappas, "grids": grids, "ratios": ratios,
-            "y_max": math.exp(x_bounds(_s_key(s))[1])}
+    return {"kappas": kappas, "grids": [level.n_y for level in levels],
+            "ratios": ratios}

@@ -295,13 +295,42 @@ class TestOracle:
         assert err == "volswap: VOLSWAP_THREADS must be a positive integer, got '0'\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
-                             ids=["single", "refine"])
-    def test_pde(self, tmp_path, extra):
-        code, doc = run(tmp_path, ["oracle", "pde"] + SEED_POINT + extra,
+    @pytest.mark.parametrize("key, expected", [
+        ("kappa", 0.24914167793325936),
+        ("grid_report", {"grids": [400, 800, 1600],
+                         "kappas": [0.24914167793325936, 0.2491417716848749,
+                                    0.24914179512811985],
+                         "ratios": [3.9990886799477483]}),
+    ], ids=["single", "refine"])
+    def test_pde(self, tmp_path, key, expected):
+        # one run reports the single 400-cell price as kappa and, always, its
+        # refinement on 400, 800 and 1600 cells, whose first level is kappa
+        code, doc = run(tmp_path, ["oracle", "pde"] + SEED_POINT,
                         "oracle_pde.schema.json")
         assert code == cli.EXIT_OK
-        assert ("grid_report" in doc) == bool(extra)
+        assert doc["kappa"] == doc["grid_report"]["kappas"][0]
+        assert doc[key] == expected
+
+    @pytest.mark.parametrize("point, kappa", [
+        (SEED_POINT, "0.24914167793325936"),
+        (["--alpha", "0.4", "--sigma", "0.25", "--nu", "0", "--t", "0.5",
+          "--tenor", "1"], "0.1779482010780432"),
+        (["--alpha", "0.1", "--sigma", "0.0173", "--nu", "0.03", "--t", "0.95",
+          "--tenor", "1"], "0.17324828496070935"),
+        (["--alpha", "2", "--sigma", "2.8284271247", "--nu", "1", "--t", "0",
+          "--tenor", "1"], "3.878336990301073"),
+        (["--alpha", "1e-200", "--sigma", "0.25", "--nu", "0.03", "--t", "0.5",
+          "--tenor", "1"], "0.24748737341529164"),
+    ], ids=["seed", "nu-zero", "s-5e-4", "s-4", "s-underflows"])
+    def test_pde_kappa_is_the_default_grid_price(self, tmp_path, point, kappa):
+        # the bits of kappa_quadrature on the default grid, which compare
+        # reports as kappa_pde
+        argv = ["oracle", "pde"] + point
+        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        assert code == cli.EXIT_OK
+        assert repr(doc["kappa"]) == kappa
+        inputs = cli._market_inputs(cli.build_parser().parse_args(argv))
+        assert repr(pde_engine.kappa_quadrature(*inputs)) == kappa
 
     def test_pde_duration_counts_the_engine_import(self, tmp_path):
         # a fresh interpreter pays the engine import inside oracle pde, and
@@ -318,41 +347,47 @@ class TestOracle:
         duration_s = json.loads(out.read_text(encoding="utf-8"))["manifest"]["duration_s"]
         assert duration_s >= import_us[0] / 1e6
 
-    def test_pde_refine_at_maturity_is_usage_error(self, tmp_path):
+    def test_pde_at_maturity_refines_to_equal_levels(self, tmp_path):
+        # s = 0: every level is the closed form sqrt(nu) / T, so no ratio
         argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
-                "--nu", "0.03", "--t", "1", "--tenor", "1", "--refine", "1"]
-        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
+                "--nu", "0.03", "--t", "1", "--tenor", "1"]
+        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        assert code == cli.EXIT_OK
+        assert doc["grid_report"]["kappas"] == [math.sqrt(0.03)] * 3
+        assert doc["grid_report"]["ratios"] == [None]
 
-    @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
-                             ids=["single", "refine"])
-    def test_pde_growth_overflow_is_usage_error(self, tmp_path, extra, capsys):
+    def test_pde_growth_overflow_is_usage_error(self, tmp_path, capsys):
         # s = alpha^2 tau = 800: e^s - 1 is beyond the float range
-        argv = ["oracle", "pde"] + SEED_POINT + extra
+        argv = ["oracle", "pde"] + SEED_POINT
         argv[argv.index("--alpha") + 1] = "40"
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert "e^s - 1 is not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--refine", "1"]],
+    @pytest.mark.parametrize("read", [lambda doc: [doc["kappa"]],
+                                      lambda doc: doc["grid_report"]["kappas"]],
                              ids=["single", "refine"])
-    def test_pde_default_grid_prices_s_0_8(self, tmp_path, extra):
+    def test_pde_default_grid_prices_s_0_8(self, tmp_path, read):
         # the y grid refused every s from 0.734 on, exit 3.  This contract
         # is the reference lattice's (s, zeta) = (0.8, 40): F 8.579934851750563
-        # times sqrt(nu) / T, within PDE_TOL = 2e-5
+        # times sqrt(nu) / T; kappa and every level of the refinement lie
+        # within PDE_TOL = 2e-5 of it
         argv = ["oracle", "pde", "--alpha", "1", "--sigma", "1", "--nu", "0.0125",
-                "--t", "0.2", "--tenor", "1"] + extra
+                "--t", "0.2", "--tenor", "1"]
         code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
         assert code == cli.EXIT_OK
-        assert abs(doc["kappa"] - 0.959265878551692) <= 2e-5 * 0.959265878551692
+        for kappa in read(doc):
+            assert abs(kappa - 0.959265878551692) <= 2e-5 * 0.959265878551692
 
-    @pytest.mark.parametrize("n_y", ["400", "800"])
-    def test_pde_at_s_4_prices_the_spectral_value(self, tmp_path, n_y):
-        # s = 4, zeta = 1: a y grid to 23.3 priced 4.1367 and 3.9722 on these
-        # cells, or refused them; the spectral form read 3.87837
+    @pytest.mark.parametrize("level", [0, 1], ids=["400", "800"])
+    def test_pde_at_s_4_prices_the_spectral_value(self, tmp_path, level):
+        # s = 4, zeta = 1: a y grid to 23.3 priced 4.1367 and 3.9722 on
+        # 400 and 800 cells, or refused them; the spectral form read 3.87837
         argv = ["oracle", "pde", "--alpha", "2", "--sigma", "2.8284271247",
-                "--nu", "1", "--t", "0", "--tenor", "1", "--n-y", n_y]
+                "--nu", "1", "--t", "0", "--tenor", "1"]
         code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
         assert code == cli.EXIT_OK
-        assert abs(doc["kappa"] - 3.87837) <= 1e-5 * 3.87837
+        kappa = doc["grid_report"]["kappas"][level]
+        assert abs(kappa - 3.87837) <= 1e-5 * 3.87837
 
     def test_pde_past_s_pde_max_is_refused(self, tmp_path, capsys):
         # s = 200: the x grid's rules priced F(200, 1) at -552
@@ -395,30 +430,13 @@ class TestOracle:
         # the three levels agree bit for bit: this wrote "ratios": [Infinity].
         # At zeta = 3e-14, kappa - sqrt(nu) is 2.7e-14 and the levels differ
         # by 1e-4 of it, far below half an ulp of kappa
-        argv = ["oracle", "pde"] + SEED_POINT + ["--refine", "2"]
+        argv = ["oracle", "pde"] + SEED_POINT
         argv[argv.index("--sigma") + 1] = "0.000001"
         argv[argv.index("--nu") + 1] = "100"
         code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
         assert code == cli.EXIT_OK
         assert len(set(doc["grid_report"]["kappas"])) == 1
         assert doc["grid_report"]["ratios"] == [None]
-
-    @pytest.mark.parametrize("extra", [["--refine", "40"], ["--n-y", "1000000000"]],
-                             ids=["refine-40", "n-y-1e9"])
-    def test_pde_grid_past_the_cap_is_usage_error(self, tmp_path, capsys,
-                                                  monkeypatch, extra):
-        # level k of --refine marches a 400 * 2^k grid, and n_y = 1e9 needs
-        # 8 GB an array: refused before any march, which would raise here
-        def march(*args):
-            raise AssertionError("a grid past MAX_GRID_NODES was marched")
-
-        monkeypatch.setattr(pde_engine, "solve_psi", march)
-        pde_engine.psi_memo.cache_clear()
-        argv = ["oracle", "pde"] + SEED_POINT + extra
-        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
-        assert code == cli.EXIT_USAGE
-        assert len(err.splitlines()) == 1
-        assert err.startswith("volswap: a ") and "MAX_GRID_NODES" in err
 
     @pytest.mark.parametrize("extra, message", [
         (["--steps", "100000000"], "100000 paths on 100000000 steps"),
@@ -741,7 +759,7 @@ def replay_argv(manifest):
     ["price"] + CONVERGENT_POINT + ["--rate", "0.05"],
     ["price"] + CONVERGENT_POINT + ["--discount-factor", "0.97"],
     ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10"],
-    ["oracle", "pde"] + SEED_POINT + ["--refine", "1"],
+    ["oracle", "pde"] + SEED_POINT,
     ["compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
      "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
     ["verify"],
@@ -772,6 +790,7 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
     (["oracle", "pde"] + SEED_POINT + ["--refine", "-2"], "--refine"),
+    (["oracle", "pde"] + SEED_POINT + ["--n-y", "1000000000"], "--n-y"),
     (["oracle", "pde"] + SEED_POINT + ["--n-t", "400"], "--n-t"),
     (["oracle", "pde"] + SEED_POINT + ["--y-max", "20"], "--y-max"),
     (["verify", "--n-terms", "12"], "--n-terms"),
@@ -781,7 +800,7 @@ def test_manifest_replays_the_run(tmp_path, argv):
       "--nu", "0.04", "--t0", "0.3", "--seed", "1"], "--t0"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "n-t", "y-max", "n-terms", "s-max", "config", "compare-t0"])
+        "n-y-1e9", "n-t", "y-max", "n-terms", "s-max", "config", "compare-t0"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
@@ -858,9 +877,7 @@ COMMAND_FLAGS = [
         st.sampled_from(["--rate", "--discount-factor"]).flatmap(
             lambda flag: st.fixed_dictionaries({flag: floats(0.5, 1)}))]),
     (["oracle", "mc"], MARKET + [SIMULATION]),
-    (["oracle", "pde"], MARKET + [st.fixed_dictionaries({
-        "--n-y": st.integers(16, 64).map(str),
-        "--refine": st.integers(0, 2).map(str)})]),
+    (["oracle", "pde"], MARKET),
     (["compare"], [SIMULATION, st.fixed_dictionaries({
         "--alphas": float_list(1e-3, 2), "--taus": float_list(0, 1),
         "--zetas": float_list(1e-3, 50), "--nu": floats(1e-4, 0.1)})]),

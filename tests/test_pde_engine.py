@@ -97,13 +97,11 @@ class TestGridSpec:
     def test_node_cap_admits_the_reference_grid(self):
         # make_reference.py solves on 3200 nodes, the finest grid in use;
         # the cap is that grid with its cells halved five more times
-        assert GridSpec(n_y=3200).check_size(refinements=5) is None
-        GridSpec(n_y=400).check_size(refinements=8)
-        for n_y in (3200 * 32 + 1, 10 ** 9):
-            with pytest.raises(DomainError, match="MAX_GRID_NODES"):
+        assert GridSpec(n_y=3200 * 2 ** 5).n_y == pde_engine.MAX_GRID_NODES
+        for n_y in (3200 * 2 ** 5 + 1, 10 ** 9):
+            with pytest.raises(DomainError, match=f"grid of {n_y} nodes has more "
+                               "than MAX_GRID_NODES"):
                 GridSpec(n_y=n_y)
-        with pytest.raises(DomainError, match="grid of 400 nodes refined 9 times"):
-            GridSpec().check_size(refinements=9)
 
 
 class TestSolvePsi:
@@ -588,14 +586,16 @@ class TestPsiMemo:
         assert len(marches) == 1
         assert kappas[0] == pytest.approx(kappas[1], rel=1e-12)
 
-    def test_refusal_is_memoised(self, marches):
+    def test_refusal_is_not_kept(self, marches):
+        # the memo holds solutions only: each lookup solves and raises afresh
         state, params = _point(20.0, 0.5, 1.0)     # s = 200 > S_PDE_MAX
         raised = []
         for _ in range(2):
             with pytest.raises(AccuracyError) as info:
                 kappa_quadrature(state, params, CONTRACT)
             raised.append(info.value)
-        assert len(marches) == 1
+        assert len(marches) == 2
+        assert pde_engine.psi_memo.cache_info().currsize == 0
         assert raised[0] is not raised[1]
         assert type(raised[0]) is type(raised[1])
         assert str(raised[0]) == str(raised[1])
@@ -621,23 +621,31 @@ class TestGridConvergence:
         assert report["ratios"][0] == pytest.approx(4.0, abs=0.01)
 
     @pytest.mark.parametrize("t", [1.0, 1.25])
-    def test_nothing_to_refine_at_or_past_maturity(self, t):
+    def test_nothing_to_refine_at_or_past_maturity(self, t, marches):
+        # at maturity every level is the closed form sqrt(nu) / T, and past
+        # it the contract has no value
         state = MarketState(t=t, sigma=0.25, nu=0.03)
-        with pytest.raises(DomainError):
-            grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
-                                   refinements=1)
+        if t > CONTRACT.maturity:
+            with pytest.raises(DomainError):
+                grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT)
+            return
+        report = grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT)
+        assert report["kappas"] == [math.sqrt(0.03)] * 3
+        assert report["ratios"] == [math.inf]
+        assert marches == []
 
-    def test_nothing_to_refine_where_s_underflows(self):
+    def test_nothing_to_refine_where_s_underflows(self, marches):
         # s = 0, and s = 5e-19 below S_CLOSED_FORM: both take the closed form
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
+        closed_form = math.sqrt(0.03 + 0.25 * (0.25 * 0.5))
         for alpha in (1e-200, 1e-9):
-            with pytest.raises(DomainError, match="no grid to refine"):
-                grid_refinement_report(state, SabrParams(alpha=alpha), CONTRACT,
-                                       refinements=1)
+            report = grid_refinement_report(state, SabrParams(alpha=alpha), CONTRACT)
+            assert report["kappas"] == [closed_form] * 3
+            assert report["ratios"] == [math.inf]
+        assert marches == []
 
     def test_first_level_is_the_default_price(self, monkeypatch):
-        # each level solves on the x range of the memo key's s, and the
-        # report's y_max is the one every solve used
+        # every level solves on the x range of the memo key's s
         used = []
         solve = pde_engine.kappa_from_solution
 
@@ -653,10 +661,10 @@ class TestGridConvergence:
                                 nu=rng.uniform(1e-3, 0.1))
             params = SabrParams(alpha=alpha)
             used.clear()
-            report = grid_refinement_report(state, params, CONTRACT, refinements=0)
+            report = grid_refinement_report(state, params, CONTRACT)
             assert repr(report["kappas"][0]) == repr(
                 kappa_quadrature(state, params, CONTRACT))
-            assert used == [report["y_max"]] * 2
+            assert len(used) == 4 and len(set(used)) == 1
 
     def test_default_price_then_refinement_marches_twice(self, marches):
         state, params = MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4)
@@ -745,7 +753,7 @@ class TestGolden:
         assert repr(report) == (
             "{'kappas': [0.2491413032681712, 0.24914167793325936, "
             "0.2491417716848749], 'grids': [200, 400, 800], "
-            "'ratios': [3.996358740836539], 'y_max': 1096.6331584284585}")
+            "'ratios': [3.996358740836539]}")
 
     FINAL_ROWS = {
         (1e-4, 400): "3172610d6f70ed7f4d512f09a4028a3c30aa69ff16bd892a4bec86b1c8bedc8f",
