@@ -10,9 +10,9 @@ Three independent routes to the fair strike kappa:
   own draws beside kappa, on a step count below a cap chosen by a
   same-draw step-halving test and the variance swap's tail test,
 * :mod:`volswap.pde_engine` — the reduced Feynman-Kac problem for 1 - psi
-  on a uniform grid in x = ln y, solved exactly in s by seven complex
-  tridiagonal solves on the poles of a rational approximation of e^z, plus
-  the trapezoid rule,
+  on a uniform grid in x = ln y, solved exactly in s on the seven poles of
+  a rational approximation of e^z, as one block-diagonal complex
+  tridiagonal solve, plus the trapezoid rule,
 
 with :mod:`volswap.verify` holding mechanized checks of the identities the
 construction rests on.

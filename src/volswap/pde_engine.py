@@ -91,14 +91,33 @@ coefficients c_0 .. c_75 of e^(9 (t - 1) / (t + 1)) from its values on the
 i + j < 75; the roots q outside the unit disk of the 15th singular vector
 as a polynomial, mapped to the poles by z = 9 (q - 1)^2 / (q + 1)^2; r_inf
 and the residues by least squares against e^x at 600 Chebyshev points of
-t.  So v at any s is seven complex tridiagonal solves, LAPACK ``zgtsv``
-(Gaussian elimination with partial pivoting) through :func:`solve_banded`,
-and there is no time step: v matches a dense eigendecomposition of the
-same A within 6e-14 on 60 cells up to s = 4.  A solve takes 0.22, 0.37 and
-0.80 ms at 400, 800 and 1600 cells on a 2-core x86 machine (s = 0.2, best
-of 200 calls), where the y grid it replaces took 0.28, 0.54 and 0.97 ms;
-e^x at the nodes is libm's, 0.04 ms of the 400-cell solve, as numpy's SIMD
-exp differs by an ulp between hosts.
+t.  So v at any s is seven complex tridiagonal solves, and there is no
+time step: v matches a dense eigendecomposition of the same A within
+6e-14 on 60 cells up to s = 4.
+
+:func:`solve_psi` hands the seven to LAPACK ``zgtsv`` (Gaussian elimination
+with partial pivoting) through :func:`solve_banded` in one call, as one
+block-diagonal system of 7 (n - 1) rows whose off-diagonals are 0 at the
+six joins.  At a join the entry below the pivot is 0, so ``zgtsv``
+neither eliminates nor swaps across it, and every term that crosses it
+in the back substitution is an exact 0: each block gets the bits of its
+own call.  The four arrays of that system are views of one allocation,
+which the solve fills in place; as four fresh arrays they cost up to
+0.25 ms more at 1600 cells, in page faults.
+
+A, g and the nodes depend on the grid, not on s.  :func:`_grid_parts`
+keeps them, read-only, for the last ``GRID_CACHE_SIZE`` grids (n_y, x_min,
+x_max): y = e^x at the nodes, by libm's exp, as numpy's SIMD exp differs by
+an ulp between hosts; y^2; sqrt(y) and y^(3/2) at the interior nodes; A's
+diagonal before it is scaled by s; and the scalars of the boundary rows.
+:func:`x_bounds` is (-10, 7) for 80 e^-14 <= s <= 4/3, so every s of the
+reference lattice shares one entry per grid size.  On a 2-core x86 machine
+(best of 400 calls, s over the lattice) a solve takes 0.15, 0.27 and 0.51
+ms at 400, 800 and 1600 cells, against 0.21, 0.37 and 0.79 ms when it
+built its grid each time and made seven calls.  At 400 cells that is
+1 us for the grid's lookup (40 us to build it), 25 us to assemble the
+system, 96 us in ``zgtsv``, 14 us for the pole sum and 12 us for the
+checks and the :class:`PsiSolution`.
 
 -A has non-negative off-diagonals, the Robin row's included, so e^(-sA)
 is entrywise non-negative and chi(s) >= 0.  e^(-x/2) - chi, which is psi
@@ -134,7 +153,10 @@ trapezoid rule on the solve's own nodes, plus choices 5 and 6 above.
 :func:`solve_psi` stores y^2 = e^(2x), the end-halved weights h v e^(-x)
 and the end terms, so a price is one ``exp`` and one dot product,
 :func:`quad`, named like :func:`solve_banded` after the scipy routine it
-replaced, which tracing tools look up by module attribute.  At zeta = inf
+replaced, which tracing tools look up by module attribute.  Below
+``ZETA_WEIGHTLESS`` the weight is 0 at every node, so the price leaves the
+dot product out, and y^2 / zeta, which overflows near zeta = 1e-300, is
+never formed.  At zeta = inf
 (nu = 0, or zeta past the float range) the weight is 1 everywhere, so the
 solve stores that integral too, and
 
@@ -235,12 +257,19 @@ CF_WEIGHTS = np.array([
     23.498232091086198 + 5.8083591297130965j,
     -46.93327448883162 - 45.6436497688305j,
     27.87516194014428 + 102.14733999057796j])
+#: grids whose s-free parts :func:`_grid_parts` keeps: five float vectors of
+#: about n_y each, 4.1 MB a grid at ``MAX_GRID_NODES`` and 33 MB in all.
+GRID_CACHE_SIZE = 8
 #: psi solutions kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
 #: fraction bits of s kept in the memo key (relative change <= 2^-41).
 S_KEY_BITS = 40
 #: largest bound on the neglected part of the kappa integral past y_max.
 QUAD_TOL = 1e-6
+#: zeta below which the weight e^(-y^2 / (4 zeta)) is 0 at every node: there
+#: y^2 >= e^-40 (x_min >= -20), so y^2 / (4 zeta) > 1e182.  y^2 / zeta can
+#: overflow only below zeta ~ 1.9e-300 (y^2 <= 80 / S_CLOSED_FORM).
+ZETA_WEIGHTLESS = 1e-200
 
 
 @dataclass(frozen=True)
@@ -297,19 +326,69 @@ def x_bounds(s: float) -> tuple:
     return -max(10.0, 8.0 + 1.5 * s), max(7.0, 0.5 * math.log(80.0 / s))
 
 
-def solve_banded(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> None:
+@dataclass(frozen=True)
+class _GridParts:
+    """The parts of a solve on the n cells of [x_min, x_max] that do not
+    depend on s, for :func:`_grid_parts`: the nodes' y = e^x and y^2, sqrt(y)
+    and y^(3/2) at the interior nodes, A's diagonal before it is scaled by
+    s, and the scalars of the boundary rows, v_0 and the kappa integral."""
+
+    y: np.ndarray
+    squares: np.ndarray
+    root_y: np.ndarray
+    y_three_halves: np.ndarray
+    diag: np.ndarray
+    h: float
+    k: float
+    robin: float
+    root_y_max: float
+    v_min_ratio: float
+    y_min: float
+    y_max: float
+    end: float
+
+    def __post_init__(self):
+        # _grid_parts hands one instance to every solve on its grid
+        for array in (self.y, self.squares, self.root_y, self.y_three_halves,
+                      self.diag):
+            array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_parts(n: int, x_min: float, x_max: float) -> _GridParts:
+    """The s-free parts of a solve on n cells of [x_min, x_max], kept."""
+    x = np.linspace(x_min, x_max, n + 1)
+    h = (x_max - x_min) / n
+    # libm's exp, not numpy's, whose SIMD kernels differ by an ulp by host
+    y = np.array([math.exp(node) for node in x.tolist()])
+    squares = y * y
+    root_y = np.sqrt(y[1:n])
+    k = 0.5 / (h * h)
+    y_max = float(y[n])
+    return _GridParts(
+        y=y, squares=squares, root_y=root_y, y_three_halves=y[1:n] * root_y,
+        diag=2.0 * k + 2.0 * (math.sinh(0.25 * h) / h) ** 2 + 0.5 * squares[1:n],
+        h=h, k=k, robin=math.exp(-1.5 * h), root_y_max=math.sqrt(y_max),
+        v_min_ratio=math.exp(-2.0 * h), y_min=float(y[0]), y_max=y_max,
+        end=h * h / (12.0 * y_max))
+
+
+def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 rhs: np.ndarray) -> None:
     """Overwrite ``rhs`` with the solution of the tridiagonal system whose
-    diagonal is ``diag`` and whose sub- and super-diagonal are both ``off``.
+    sub-, main and super-diagonal are ``lower``, ``diag`` and ``upper``.
 
     One LAPACK ``zgtsv`` call, Gaussian elimination with partial pivoting,
     the routine ``scipy.linalg.solve_banded((1, 1), ...)`` calls, so the two
-    agree bit for bit.  ``diag`` and ``off`` are left as they are; ``rhs``
-    must be a contiguous complex128 vector, which LAPACK can overwrite
-    without a copy.
+    agree bit for bit.  LAPACK works in all four arrays in place, without
+    a copy: each must be a contiguous complex128 vector of its own, and only
+    ``rhs`` holds anything useful afterwards.
     """
-    *_, solution, info = zgtsv(off, diag, off, rhs, overwrite_b=1)
-    if solution is not rhs:
-        raise TypeError("rhs must be a contiguous complex128 vector")
+    dl, d, du, solution, info = zgtsv(lower, diag, upper, rhs, overwrite_dl=1,
+                                      overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if not (dl is lower and d is diag and du is upper and solution is rhs):
+        raise TypeError("lower, diag, upper and rhs must be contiguous "
+                        "complex128 vectors")
     if info:
         raise InstabilityError(f"zgtsv met a zero pivot in row {info}")
 
@@ -333,34 +412,32 @@ def solve_psi(alpha: float, tau: float,
     if s > S_PDE_MAX:
         raise AccuracyError(f"s = alpha^2 tau = {s:.6g} is past S_PDE_MAX = "
                             f"{S_PDE_MAX:g}, where the PDE grid is not validated")
-    x_min, x_max = x_bounds(s)
     n = grid.n_y
-    x = np.linspace(x_min, x_max, n + 1)
-    h = (x_max - x_min) / n
-    # libm's exp, not numpy's, whose SIMD kernels differ by an ulp by host
-    y = np.array([math.exp(node) for node in x.tolist()])
-    squares = y * y
+    parts = _grid_parts(n, *x_bounds(s))
     # s A on chi at the interior nodes and s g, as the module notes derive
     # them, and chi(s) = 2 Re sum_j c_j (w_j I + s A)^-1 (s g / w_j)
-    k = 0.5 / (h * h)
-    diag = s * (2.0 * k + 2.0 * (math.sinh(0.25 * h) / h) ** 2
-                + 0.5 * squares[1:n])
-    diag[0] -= s * k * math.exp(-1.5 * h)          # Robin row: v ~ y^2
-    off = np.full(n - 2, -s * k)
-    sg = (0.5 * s) * (y[1:n] * np.sqrt(y[1:n]))
-    sg[-1] += s * k / math.sqrt(y[n])               # Dirichlet v = 1
-    rows = sg / CF_POLES[:, None]
-    # one shifted diagonal at a time: a 7 x (n - 1) array is slower at 1600
-    shifted = np.empty(n - 1, dtype=complex)
-    for w, row in zip(CF_POLES, rows):
-        np.add(diag, w, out=shifted)
-        solve_banded(off, shifted, row)
+    sk = s * parts.k
+    diag = s * parts.diag
+    diag[0] -= sk * parts.robin                     # Robin row: v ~ y^2
+    sg = (0.5 * s) * parts.y_three_halves
+    sg[-1] += sk / parts.root_y_max                 # Dirichlet v = 1
+    # the seven shifted systems as one block-diagonal system, 0 off the
+    # diagonal at the six joins, in one allocation (module notes)
+    poles = CF_POLES[:, None]
+    lower, shifted, upper, rows = np.empty((4, len(CF_POLES), n - 1), dtype=complex)
+    lower.fill(-sk)
+    lower[:, -1] = 0.0
+    upper[...] = lower
+    np.add(diag, poles, out=shifted)
+    np.divide(sg, poles, out=rows)
+    solve_banded(lower.ravel()[:-1], shifted.ravel(), upper.ravel()[:-1], rows.ravel())
     # Re(c x) in real ufuncs, not BLAS, summed in pole order: the same
     # bits on every host
-    terms = CF_WEIGHTS.real[:, None] * rows.real - CF_WEIGHTS.imag[:, None] * rows.imag
+    terms = CF_WEIGHTS.real[:, None] * rows.real
+    terms -= CF_WEIGHTS.imag[:, None] * rows.imag
     v = np.empty(n + 1)
-    v[1:n] = 2.0 * np.add.reduce(terms, axis=0) * np.sqrt(y[1:n])
-    v[0] = math.exp(-2.0 * h) * v[1]
+    v[1:n] = 2.0 * np.add.reduce(terms, axis=0) * parts.root_y
+    v[0] = parts.v_min_ratio * v[1]
     v[n] = 1.0
 
     lo, hi = v.min(), v.max()               # nan fails the check too
@@ -369,15 +446,14 @@ def solve_psi(alpha: float, tau: float,
             f"1 - psi left [0,1] by more than {MAX_PRINCIPLE_EPS} (range "
             f"[{lo:.3e}, {hi:.3e}]): the contour sum lost its accuracy")
     boundary_max = float(1.0 - v[n - 1])
+    y_min, y_max, end = parts.y_min, parts.y_max, parts.end
     if boundary_max > BOUNDARY_TOL:
         raise AccuracyError(
             f"psi at the far edge reaches {boundary_max:.3e} > boundary_tol "
-            f"{BOUNDARY_TOL:.1e} at y_max {y[n]:.3g}")
-    weights = h * v / y
+            f"{BOUNDARY_TOL:.1e} at y_max {y_max:.3g}")
+    weights = parts.h * v / parts.y
     weights[[0, n]] *= 0.5
-    y_min, y_max = float(y[0]), float(y[n])
-    end = h * h / (12.0 * y_max)
-    return PsiSolution(v=v, squares=squares, weights=weights, s=s, h=h,
+    return PsiSolution(v=v, squares=parts.squares, weights=weights, s=s, h=parts.h,
                        y_min=y_min, y_max=y_max, q_min=float(v[0]) / (y_min * y_min),
                        end=end, boundary_max=boundary_max,
                        g_integral=float(weights.sum()) + float(v[0]) / y_min
@@ -452,12 +528,12 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
 
         def integrand(squares: np.ndarray) -> np.ndarray:
             """The weight at the nodes whose y^2 are ``squares``."""
-            with np.errstate(over="ignore"):    # -inf at tiny zeta: weight 0
-                out = squares / (-4.0 * zeta)
+            out = squares / (-4.0 * zeta)
             np.exp(out, out=out)
             return out
 
-        integral += quad(integrand, solution.squares, solution.weights)
+        if zeta >= ZETA_WEIGHTLESS:     # below, every node's weight is 0
+            integral += quad(integrand, solution.squares, solution.weights)
     return root_nu + c * integral / (math.sqrt(math.pi) * contract.tenor)
 
 

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -138,25 +139,55 @@ class TestSolvePsi:
 
     @pytest.mark.parametrize("j", [0, 3, 6])
     def test_range_check_sees_every_contour_solve(self, j, monkeypatch):
-        # solve j is moved so that v at node k gains 2 from it alone
+        # the one stacked solve's block j is moved so that v at node k
+        # gains 2 from it alone
         grid, k = GridSpec(n_y=128), 60
         sol = solve_psi(0.4, 0.5, grid)     # the grid itself passes
         root_y = math.exp(0.5 * nodes(sol)[k])
         solves, solve = [], pde_engine.solve_banded
 
-        def spy(off, diag, rhs):
-            solve(off, diag, rhs)
-            if len(solves) == j:
-                rhs[k - 1] += 1.0 / (pde_engine.CF_WEIGHTS[j] * root_y)
+        def spy(lower, diag, upper, rhs):
+            solve(lower, diag, upper, rhs)
+            rhs.reshape(7, grid.n_y - 1)[j, k - 1] += 1.0 / (
+                pde_engine.CF_WEIGHTS[j] * root_y)
             solves.append(None)
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
         with pytest.raises(InstabilityError) as info:
             solve_psi(0.4, 0.5, grid)
-        assert len(solves) == len(pde_engine.CF_POLES) == 7
+        assert len(solves) == 1
         assert re.fullmatch(r"1 - psi left \[0,1\] by more than 1e-06 \(range "
                             r"\[\S+, 2\.\d{3}e\+00\]\): the contour sum lost its "
                             r"accuracy", str(info.value))
+
+    @pytest.mark.parametrize("s", [1e-5, 0.08, 2.0])
+    def test_one_stacked_solve_with_uncoupled_blocks(self, s, monkeypatch):
+        # the seven shifted systems w_j I + s A go to LAPACK as one
+        # block-diagonal system: -s / (2 h^2) off the diagonal within a
+        # block, 0 at the six joins, and w_j plus s A's diagonal on it
+        calls, solve = [], pde_engine.solve_banded
+
+        def spy(lower, diag, upper, rhs):
+            calls.append((lower.copy(), diag.copy(), upper.copy()))
+            solve(lower, diag, upper, rhs)
+
+        monkeypatch.setattr(pde_engine, "solve_banded", spy)
+        grid = GridSpec(n_y=64)
+        sol = solve_psi(1.0, s, grid)
+        assert len(calls) == 1
+        m = grid.n_y - 1
+        lower, diag, upper = calls[0]
+        assert lower.shape == upper.shape == (7 * m - 1,)
+        assert lower.tobytes() == upper.tobytes()
+        joins = np.arange(m - 1, 7 * m - 1, m)
+        assert len(joins) == 6
+        assert np.all(lower[joins] == 0.0)
+        assert np.all(np.delete(lower, joins) == -s / (2.0 * sol.h * sol.h))
+        h, y2 = sol.h, sol.squares[1:grid.n_y]
+        a_diag = 1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * y2
+        a_diag[0] -= math.exp(-1.5 * h) / (2 * h * h)
+        expected = pde_engine.CF_POLES[:, None] + s * a_diag
+        assert np.allclose(diag.reshape(7, m), expected, rtol=1e-13, atol=0.0)
 
     def test_small_domain_raises_accuracy(self, monkeypatch):
         # the far-edge check: an x range that ends at y = e^2, where psi is
@@ -271,22 +302,23 @@ class TestSymmetricMarch:
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.01)
 
     def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
-        # pole solve j is (w_j I + s A) x = b; with A = D^-1 B D, D =
-        # diag(e^(x/2)), it is (w_j I + s B)(D x) = D b in v's own
-        # unsymmetric B, and v is D times 2 Re sum_j c_j x_j, summed in pole
-        # order
+        # block j of the stacked solve is (w_j I + s A) x = b; with A =
+        # D^-1 B D, D = diag(e^(x/2)), it is (w_j I + s B)(D x) = D b in v's
+        # own unsymmetric B, and v is D times 2 Re sum_j c_j x_j, summed in
+        # pole order
         solves = []
         solve = pde_engine.solve_banded
+        s, grid = 0.1, GridSpec(n_y=32)
+        n = grid.n_y
 
-        def spy(off, diag, rhs):
+        def spy(lower, diag, upper, rhs):
             before = rhs.copy()
-            solve(off, diag, rhs)
-            solves.append((before, rhs.copy()))
+            solve(lower, diag, upper, rhs)
+            solves.extend(zip(before.reshape(7, n - 1), rhs.copy().reshape(7, n - 1)))
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
-        s, grid = 0.1, GridSpec(n_y=32)
         sol = solve_psi(1.0, s, grid)
-        n, h = grid.n_y, sol.h
+        h = sol.h
         y2 = sol.squares[1:n]
         d = np.sqrt(np.sqrt(y2))         # sqrt(y^2) is y exactly
         b = (np.diag(1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * y2)
@@ -332,19 +364,113 @@ class TestSolveBanded:
             rhs = rng.uniform(0.0, 1.0, n) + 0j
             expected = scipy_solve_banded((1, 1), np.array(
                 [np.r_[0.0, off], diag, np.r_[off, 0.0]]), rhs)
-            pde_engine.solve_banded(off, diag, rhs)
+            pde_engine.solve_banded(off + 0j, diag, off + 0j, rhs)
             assert rhs.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [3, 17, 400])
+    def test_stacked_blocks_solve_as_on_their_own(self, n):
+        # seven systems on one call, uncoupled at the joins, each get the
+        # bits of their own call, also where partial pivoting swaps rows:
+        # off reaches 40, and |w_j| is 5.7 to 19
+        rng = np.random.default_rng(n)
+        blocks = []
+        for w in pde_engine.CF_POLES:
+            off = -rng.uniform(0.5, 40.0, n - 1) + 0j
+            diag = w + rng.uniform(-1.0, 1.0, n)
+            rhs = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+            blocks.append((off, diag, rhs))
+        zero = np.zeros(1, dtype=complex)
+        lower = np.concatenate([np.r_[off, zero] for off, _, _ in blocks])[:-1]
+        diag = np.concatenate([diag for _, diag, _ in blocks])
+        rhs = np.concatenate([rhs for _, _, rhs in blocks])
+        pde_engine.solve_banded(lower, diag, lower.copy(), rhs)
+        for (off, diag, block), stacked in zip(blocks, rhs.reshape(7, n)):
+            pde_engine.solve_banded(off.copy(), diag.copy(), off.copy(), block)
+            assert stacked.tobytes() == block.tobytes()
+
     def test_refuses_a_strided_vector(self):
-        off, diag = np.full(3, -0.1), np.full(4, 1.0 + 1.0j)
-        for rhs in (np.ones(8, dtype=complex)[::2], np.ones(4)):
-            with pytest.raises(TypeError, match="contiguous complex128"):
-                pde_engine.solve_banded(off, diag, rhs)
+        # LAPACK works in all four in place: a strided or a real one would
+        # be copied
+        for k in range(4):
+            for strided in (True, False):
+                args = [np.full(3, -0.1 + 0j), np.full(4, 1.0 + 1.0j),
+                        np.full(3, -0.1 + 0j), np.ones(4, dtype=complex)]
+                args[k] = np.repeat(args[k], 2)[::2] if strided else args[k].real.copy()
+                with pytest.raises(TypeError, match="contiguous complex128"):
+                    pde_engine.solve_banded(*args)
 
     def test_zero_pivot_is_instability(self):
         with pytest.raises(InstabilityError, match="zero pivot in row 1"):
-            pde_engine.solve_banded(np.zeros(3), np.zeros(4, dtype=complex),
-                                    np.ones(4, dtype=complex))
+            pde_engine.solve_banded(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex),
+                                    np.zeros(3, dtype=complex), np.ones(4, dtype=complex))
+
+
+class TestGridParts:
+    """The s-free half of a solve, kept per (n_y, x_min, x_max)."""
+
+    def test_lattice_s_share_one_entry_per_grid(self):
+        # x_bounds is (-10, 7) for 80 e^-14 <= s <= 4/3, every
+        # reference.json s among them
+        cache = pde_engine._grid_parts
+        assert {pde_engine.x_bounds(s) for s in REFERENCE["s"]} == {(-10.0, 7.0)}
+        cache.cache_clear()
+        solve_psi(1.0, 0.08)
+        solve_psi(1.0, 0.45)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        solve_psi(1.0, 0.08, GridSpec(n_y=800))
+        assert cache.cache_info().currsize == 2
+
+    def test_s_past_4_3_gets_its_own_entry(self):
+        cache = pde_engine._grid_parts
+        assert pde_engine.x_bounds(2.0) == (-11.0, 7.0)
+        assert pde_engine.x_bounds(4.0) == (-14.0, 7.0)
+        cache.cache_clear()
+        for s in (2.0, 4.0, 2.0):
+            solve_psi(1.0, s)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+    def test_kept_arrays_are_read_only(self):
+        solve_psi(1.0, 0.08, GridSpec(n_y=64))
+        parts = pde_engine._grid_parts(64, *pde_engine.x_bounds(0.08))
+        arrays = [value for value in vars(parts).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 5
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_threads_solve_as_one(self):
+        # three s on two grids, solved at once from three threads on an
+        # empty cache, with frequent thread switches, give the bytes of the
+        # serial solves
+        s_values = (0.08, 0.45, 2.0)
+        serial = [solve_psi(1.0, s, GridSpec(n_y=800)) for s in s_values]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                pde_engine._grid_parts.cache_clear()
+                barrier, found = threading.Barrier(len(s_values), timeout=30), {}
+
+                def solve(s):
+                    barrier.wait()
+                    found[s] = solve_psi(1.0, s, GridSpec(n_y=800))
+
+                threads = [threading.Thread(target=solve, args=(s,)) for s in s_values]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for s, expected in zip(s_values, serial):
+                    for name in ("v", "squares", "weights"):
+                        assert (getattr(found[s], name).tobytes()
+                                == getattr(expected, name).tobytes())
+                    assert found[s].g_integral == expected.g_integral
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPoleTable:
@@ -549,6 +675,29 @@ class TestKappaQuadrature:
         kappa = kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
         assert kappa - 1.0 == pytest.approx(2.4986013258398998e-11, rel=1e-3)
 
+
+    @pytest.mark.parametrize("zeta, expected", [
+        (3e-10, ["1.000000000024989", "1.000000000024987", "1.0000000000249862"]),
+        (1e-300, ["1.0"] * 3), (sys.float_info.min, ["1.0"] * 3)])
+    def test_vanishing_zeta_writes_no_warning(self, zeta, expected):
+        # at float_info.min, y^2 / (4 zeta) overflows at the far nodes; below
+        # ZETA_WEIGHTLESS every weight is 0 and the trapezoid is left out
+        alpha = 0.4
+        state = MarketState(t=0.5, sigma=alpha * math.sqrt(2.0 * zeta), nu=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kappas = [kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT,
+                                       GridSpec(n_y=n)) for n in (400, 800, 1600)]
+        assert list(map(repr, kappas)) == expected
+
+    @pytest.mark.parametrize("s", [2.0 ** -24, 0.08, pde_engine.S_PDE_MAX])
+    def test_no_node_has_weight_below_zeta_weightless(self, s):
+        # from y_min = e^-20 at s = 8 to y_max^2 = 80 / 2^-24: the weight
+        # is 0 at every node, and y^2 / zeta is finite
+        squares = solve_psi(1.0, s).squares
+        with np.errstate(over="raise"):
+            weights = np.exp(squares / (-4.0 * pde_engine.ZETA_WEIGHTLESS))
+        assert not weights.any()
 
 def _point(alpha, tau, zeta, nu=0.04):
     """zeta = sigma^2 / (2 alpha^2 nu); at nu = 0, zeta is read as sigma."""
