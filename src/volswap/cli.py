@@ -1,4 +1,4 @@
-"""Command-line surface: pricing, oracles, sweeps and verification.
+"""Command-line surface: pricing, sweeps and verification.
 
 Each command maps its parsed flags to a document and an exit code, and
 :func:`main` alone records the run and writes it: one JSON object with the
@@ -10,9 +10,8 @@ own.  ``duration_s`` runs from the start of :func:`main`: it counts
 parsing and the engine import, not interpreter start-up.  Numbers are
 serialized with shortest round-trip representation (exact for 64-bit
 floats) and are never NaN or Infinity: an engine refuses what it cannot
-value, and a refinement ratio, a count of MC standard errors or an MC
-variance swap, its z or a step-halving difference it cannot define is
-null.
+value, and a number it cannot define (a ratio of equal refinement levels,
+an MC variance swap past the float range) is null.
 
 :func:`build_parser` alone states each flag's type, default, choices,
 required-ness and exclusions.  Flags are the only input; flags kept in a
@@ -24,31 +23,22 @@ negative number in exponent form as an option.
 No flag sets a numerical policy (the engines' ``MAX_TERMS``, ``REL_TOL``,
 ``KUMMER_REL_TOL``, ``QUAD_TOL``) or a verification depth: ``verify`` takes
 no flag of its own and runs every check family at ``verify.N_TERMS``,
-``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``, and ``oracle pde``
-takes none beyond the market's: it always reports the refinement of
-:func:`~volswap.pde_engine.grid_refinement_report` on 400, 800 and 1600
-cells as ``grid_report``, and its ``kappa`` is the 400-cell value, which
-``compare`` reports as ``kappa_pde``.  ``price`` always
-reports both ``kappa`` and the market-annualized ``kappa_market`` =
-sqrt(T) kappa.  ``--steps`` caps Monte Carlo's step count, which the
-engine's step ladder sizes by its error; ``oracle mc`` reports the
-``n_steps`` used beside ``kappa``, its ``std_error`` and its
-``discretization``, the step-halving difference on the same paths (null at
-an odd step count).  It reports the ``variance_swap`` nu + sigma^2 tau M_s
-of the same draws with its ``variance_swap_se``, its exact mean on the
-grid ``variance_swap_exact`` and its distance from it
-``variance_swap_z``, and ``warnings``: ``MC_STEP_BIAS`` where the cap's
-level fails the step bias test and ``MC_TAIL`` where a level fails the
-tail test, flags on the document, with nothing on stderr and exit 0.  A
-``compare`` row reports MC's ``mc_n_steps`` and ``mc_discretization``.
-``compare`` makes a row's ``kappa_pde`` null where the PDE refuses, and its
-``kappa_series``, ``regime`` and ``abs_diff_mc_sigmas`` null where the
-series refuses, saying why on stderr; the row keeps its other engines.
+``verify.BESSEL_TERMS`` and ``verify.TERMINAL_S_MAX``.
 
-Exit codes: 0 success, 1 verification check failed, 2 usage error (an
-unwritable ``--output`` and a size past memory too), 3 an engine refused a
-valid input (series divergence, AccuracyError or InstabilityError), 4
-comparison failure.
+``price --engine series|pde|mc`` reports ``engine``, ``kappa``,
+``kappa_market`` = sqrt(T) kappa, the ``fair_value`` of
+:func:`~volswap.model.compose_price`, ``discount_factor`` and ``warnings``,
+then the engine's own fields: the series'
+:class:`~volswap.series_pricer.SeriesDiagnostics`; the PDE's
+``grid_report``, :func:`~volswap.pde_engine.grid_refinement_report` on 400,
+800 and 1600 cells, whose first level is ``kappa``; or MC's
+:class:`~volswap.mc_engine.McEstimate` but its mean.  Only MC reads
+``--seed``, which it requires, ``--paths`` and ``--steps``, its step cap.
+
+Exit codes: 0 success (an MC warning too), 1 verification check failed, 2
+usage error (an unwritable ``--output``, a size past memory, an MC flag to
+another engine), 3 an engine refused a valid input (series divergence,
+AccuracyError or InstabilityError), 4 comparison failure.
 """
 
 from __future__ import annotations
@@ -64,8 +54,8 @@ import time
 from . import __version__, series_pricer, verify
 from .exceptions import (AccuracyError, DomainError, InstabilityError,
                          VolswapError)
-from .model import (MarketState, SabrParams, SwapContract, discount_factor,
-                    reduced_time)
+from .model import (MarketState, SabrParams, SwapContract, compose_price,
+                    discount_factor, reduced_time)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -74,10 +64,11 @@ EXIT_DIVERGING = 3          # an engine refused: divergence, accuracy, instabili
 EXIT_COMPARE_FAILED = 4
 
 _COMPARE_SIGMAS = 3.0
+_MC_DEFAULTS = {"paths": 100_000, "steps": 250}
 
 
 #: dests that are no manifest parameter: the parser's own, ``output`` and ``seed``
-_UNRECORDED = ("func", "words", "command", "oracle", "output", "seed")
+_UNRECORDED = ("func", "command", "output", "seed")
 #: the parser's flags that take no value
 _VALUELESS_FLAGS = ("--help", "--version")
 
@@ -88,59 +79,61 @@ def _number(value):
     return value if value is not None and math.isfinite(value) else None
 
 
-def _market_inputs(args, **terms):
-    """(state, params, contract) of the six market flags."""
-    params = SabrParams(alpha=args.alpha)
-    contract = SwapContract(t0=args.t0, tenor=args.tenor, **terms)
-    return MarketState(t=args.t, sigma=args.sigma, nu=args.nu), params, contract
+def _mc_flags(args) -> None:
+    """Refuse an MC flag given to another engine, and fill in MC's defaults,
+    which the manifest then records."""
+    for dest, default in (("seed", None), *_MC_DEFAULTS.items()):
+        if args.engine != "mc" and getattr(args, dest) is not None:
+            raise DomainError(f"--{dest} is read by --engine mc alone")
+        if args.engine == "mc" and getattr(args, dest) is None:
+            if default is None:
+                raise DomainError("--engine mc requires --seed")
+            setattr(args, dest, default)
 
 
 def cmd_price(args) -> tuple:
-    state, params, contract = _market_inputs(
-        args, strike=args.strike, notional=args.notional)
-    df = args.discount_factor   # price_volatility_swap range-checks it
-    if df is None:
-        df = discount_factor(args.rate or 0.0, state, contract)
-    result = series_pricer.price_volatility_swap(state, params, contract, df)
-    diag = result.diagnostics
-    document = {
-        "kappa": result.kappa,
-        # display convention sqrt((1/T) int sigma^2) = sqrt(T) * kappa
-        "kappa_market": result.kappa * math.sqrt(contract.tenor),
-        "fair_value": result.fair_value,
-        "discount_factor": result.discount_factor,
-        **dataclasses.asdict(diag),
-        "warnings": list(result.warnings),
-    }
-    return document, (EXIT_DIVERGING if diag.regime == series_pricer.REGIME_DIVERGING
+    _mc_flags(args)
+    params = SabrParams(alpha=args.alpha)
+    contract = SwapContract(t0=args.t0, tenor=args.tenor, strike=args.strike,
+                            notional=args.notional)
+    state = MarketState(t=args.t, sigma=args.sigma, nu=args.nu)
+    df = args.discount_factor   # compose_price range-checks it
+    df = discount_factor(args.rate or 0.0, state, contract) if df is None else df
+    if args.engine == "series":
+        result = series_pricer.price_volatility_swap(state, params, contract, df)
+        fields = dataclasses.asdict(result.diagnostics)
+    elif args.engine == "pde":
+        from . import pde_engine    # the engine import is part of the run
+
+        def refinement():
+            report = pde_engine.grid_refinement_report(state, params, contract)
+            # inf where the two finer levels agree bit for bit: no ratio
+            report["ratios"] = [_number(r) for r in report["ratios"]]
+            return report["kappas"][0], report, ()
+
+        result = compose_price(contract, df, refinement)
+        fields = {"grid_report": result.diagnostics}
+    else:
+        from . import mc_engine
+        config = mc_engine.McConfig(n_paths=args.paths, n_steps=args.steps,
+                                    seed=args.seed)
+
+        def estimate():
+            mc = mc_engine.kappa_mc(state, params, contract, config)
+            return mc.mean, mc, mc.warnings
+
+        result = compose_price(contract, df, estimate)
+        fields = {name: _number(value) for name, value
+                  in dataclasses.asdict(result.diagnostics).items()
+                  if name not in ("mean", "warnings")}
+    document = {"engine": args.engine, "kappa": result.kappa,
+                # display convention sqrt((1/T) int sigma^2) = sqrt(T) * kappa
+                "kappa_market": result.kappa * math.sqrt(contract.tenor),
+                "fair_value": result.fair_value,
+                "discount_factor": result.discount_factor,
+                **fields, "warnings": list(result.warnings)}
+    return document, (EXIT_DIVERGING if "SERIES_DIVERGING" in result.warnings
                       else EXIT_OK)
-
-
-def cmd_oracle_mc(args) -> tuple:
-    state, params, contract = _market_inputs(args)
-    from . import mc_engine     # the engine import is part of the run
-    estimate = mc_engine.kappa_mc(state, params, contract, mc_engine.McConfig(
-        n_paths=args.paths, n_steps=args.steps, seed=args.seed))
-    return {"kappa": estimate.mean, "std_error": estimate.std_error,
-            "n_paths": estimate.n_paths, "n_steps": estimate.n_steps,
-            "discretization": _number(estimate.discretization),
-            "variance_swap": _number(estimate.variance_swap),
-            "variance_swap_se": _number(estimate.variance_swap_se),
-            "variance_swap_exact": _number(estimate.variance_swap_exact),
-            "variance_swap_z": _number(estimate.variance_swap_z),
-            "warnings": list(estimate.warnings)}, EXIT_OK
-
-
-def cmd_oracle_pde(args) -> tuple:
-    state, params, contract = _market_inputs(args)
-    from . import pde_engine
-    report = pde_engine.grid_refinement_report(state, params, contract)
-    return {"kappa": report["kappas"][0], "grid_report": {
-        "kappas": report["kappas"],
-        "grids": report["grids"],
-        # inf where the two finer levels agree bit for bit: no ratio
-        "ratios": [_number(r) for r in report["ratios"]],
-    }}, EXIT_OK
 
 
 def float_list(raw: str) -> list:
@@ -257,8 +250,8 @@ def cmd_verify(args) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The volswap parser: each command's words and function are defaults
-    (``words``, ``func``) of the namespace it parses.
+    """The volswap parser: each command's function is the default ``func``
+    of the namespace it parses.
 
     The only place a flag's type, default, choices, required-ness and
     exclusions are stated.
@@ -266,47 +259,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volswap",
         description="Volatility-swap pricing under lognormal-vol SABR: "
-                    "series pricer, Monte Carlo / PDE oracles, verification")
+                    "series, PDE or Monte Carlo fair value, comparison "
+                    "sweep, verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, words, func, **kwargs):
-        p = subparsers.add_parser(words[-1], **kwargs)
-        p.set_defaults(func=func, words=words)
+    def command(name, func, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
         p.add_argument("--output", help="write the document here instead of stdout")
         return p
 
-    def market(p):
-        p.add_argument("--alpha", type=float, required=True, help="vol-of-vol")
-        p.add_argument("--sigma", type=float, required=True, help="volatility at t")
-        p.add_argument("--nu", type=float, required=True, help="accrued realized variance")
-        p.add_argument("--t0", type=float, default=0.0, help="accrual start (default 0)")
-        p.add_argument("--tenor", type=float, required=True, help="accrual length T")
-        p.add_argument("--t", type=float, required=True, help="valuation time")
-
-    def simulation(p):
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--paths", type=int, default=100_000, help="even (antithetic pairs)")
-        p.add_argument("--steps", type=int, default=250,
+    def simulation(p, mc_only=False):
+        """--seed, --paths and --steps; with ``mc_only`` None unless given."""
+        default = dict.fromkeys(_MC_DEFAULTS) if mc_only else _MC_DEFAULTS
+        p.add_argument("--seed", type=int, required=not mc_only)
+        p.add_argument("--paths", type=int, default=default["paths"],
+                       help="even (antithetic pairs)")
+        p.add_argument("--steps", type=int, default=default["steps"],
                        help="most time steps: the cap of the step ladder")
 
-    p = command(sub, ("price",), cmd_price, help="series fair value")
-    market(p)
+    p = command("price", cmd_price,
+                help="fair value by the series, the PDE or Monte Carlo")
+    p.add_argument("--engine", choices=("series", "pde", "mc"), default="series",
+                   help="default series; mc alone reads --seed, which it "
+                        "requires, --paths (default %(paths)s) and --steps "
+                        "(default %(steps)s)" % _MC_DEFAULTS)
+    p.add_argument("--alpha", type=float, required=True, help="vol-of-vol")
+    p.add_argument("--sigma", type=float, required=True, help="volatility at t")
+    p.add_argument("--nu", type=float, required=True, help="accrued realized variance")
+    p.add_argument("--t0", type=float, default=0.0, help="accrual start (default 0)")
+    p.add_argument("--tenor", type=float, required=True, help="accrual length T")
+    p.add_argument("--t", type=float, required=True, help="valuation time")
     p.add_argument("--strike", type=float, default=0.0)
     p.add_argument("--notional", type=float, default=1.0)
     discount = p.add_mutually_exclusive_group()
     discount.add_argument("--rate", type=float, help="flat short rate (default 0)")
     discount.add_argument("--discount-factor", type=float)
+    simulation(p, mc_only=True)
 
-    o_sub = sub.add_parser("oracle", help="Monte Carlo or PDE reference value"
-                           ).add_subparsers(dest="oracle", required=True)
-    p = command(o_sub, ("oracle", "mc"), cmd_oracle_mc)
-    market(p)
-    simulation(p)
-    p = command(o_sub, ("oracle", "pde"), cmd_oracle_pde)
-    market(p)
-
-    p = command(sub, ("compare",), cmd_compare, help="series vs MC vs PDE sweep")
+    p = command("compare", cmd_compare, help="series vs MC vs PDE sweep")
     p.add_argument("--alphas", type=float_list, required=True,
                    help="comma-separated vol-of-vols")
     p.add_argument("--taus", type=float_list, required=True,
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenor", type=float, default=1.0)
     simulation(p)
 
-    command(sub, ("verify",), cmd_verify, help="run the identity verification suite")
+    command("verify", cmd_verify, help="run the identity verification suite")
     return parser
 
 
@@ -363,7 +355,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     manifest = {
-        "command": " ".join(args.words),
+        "command": args.command,
         "tool": "volswap",
         "version": __version__,
         "parameters": {dest: value for dest, value in vars(args).items()

@@ -1,5 +1,5 @@
-"""Value types for the volatility-swap pricer, the accrual-window check and
-discounting.
+"""Value types for the volatility-swap pricer, the accrual-window check,
+discounting and the fair value.
 
 The model is the lognormal-volatility SABR special case
 dsigma_t = alpha * sigma_t dZ_t.  The swap's value depends on the volatility
@@ -8,14 +8,15 @@ play no part.  A swap is priced at a valuation time t in its accrual window
 t0 <= t <= t0 + T, which :func:`time_to_maturity` alone checks.  alpha and
 tau enter only through s = alpha^2 tau, whose domain the engines share:
 :func:`reduced_time` alone checks it.  Every engine prices a contract in the
-variables of :func:`reduced_variables`, decided here once.
+variables of :func:`reduced_variables`, decided here once, and every
+engine's kappa becomes a fair value in :func:`compose_price` alone.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import DomainError
 
@@ -85,19 +86,16 @@ class MarketState:
 
 @dataclass(frozen=True)
 class PricingResult:
-    """kappa plus the discounted fair value and evaluation diagnostics.
-
-    The composition identity fair_value == notional * discount_factor *
-    (kappa - strike) holds bit-for-bit by construction.
-    """
+    """kappa, the fair value notional * discount_factor * (kappa - strike)
+    that :func:`compose_price` composes, and the engine's diagnostics."""
 
     kappa: float
     strike: float
     notional: float
     discount_factor: float
     fair_value: float
-    diagnostics: object = None
-    warnings: tuple = field(default_factory=tuple)
+    diagnostics: object
+    warnings: tuple
 
 
 def time_to_maturity(state: MarketState, contract: SwapContract) -> float:
@@ -144,3 +142,18 @@ def discount_factor(rate: float, state: MarketState,
     except OverflowError:
         raise DomainError(f"discount factor exp({-rate} * {tau}) overflows "
                           f"at rate {rate}") from None
+
+
+def compose_price(contract: SwapContract, df: float, engine) -> PricingResult:
+    """notional * df * (kappa - strike) of the (kappa, diagnostics, warnings)
+    that ``engine()`` returns, run once 0 < df <= 1 holds; a negative
+    (diverged) kappa is composed, not refused.  Raises :class:`DomainError`
+    on any other df and where the fair value is not finite."""
+    if not (0.0 < df <= 1.0):
+        raise DomainError(f"discount factor must lie in (0, 1], got {df}")
+    kappa, diagnostics, warnings = engine()
+    value = contract.notional * df * (kappa - contract.strike)
+    if not math.isfinite(value):
+        raise DomainError(f"notional * df * (kappa - strike) = {value} is not finite")
+    return PricingResult(kappa, contract.strike, contract.notional, df, value,
+                         diagnostics, warnings)

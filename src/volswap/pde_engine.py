@@ -489,7 +489,8 @@ def kappa_quadrature(state: MarketState, params: SabrParams,
     if s < S_CLOSED_FORM:
         kappa = math.sqrt(state.nu + state.sigma * (state.sigma * tau)) / contract.tenor
         if not math.isfinite(kappa):
-            raise DomainError(f"nu + sigma^2 tau is not finite at sigma {state.sigma}")
+            raise DomainError(f"sqrt(nu + sigma^2 tau)/T is not finite at "
+                              f"sigma {state.sigma}, T {contract.tenor}")
         return kappa
 
     return kappa_from_solution(psi_memo(_s_key(s), grid), state, params, contract)

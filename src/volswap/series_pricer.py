@@ -43,7 +43,7 @@ from fractions import Fraction
 from . import specfun
 from .exceptions import AccuracyError, DomainError, SingularityError
 from .model import (MarketState, PricingResult, SabrParams, SwapContract,
-                    reduced_variables)
+                    compose_price, reduced_variables)
 
 REGIME_CONVERGENT = "convergent_like"
 REGIME_ASYMPTOTIC = "asymptotic_truncated"
@@ -179,8 +179,8 @@ def kappa_series(state: MarketState, params: SabrParams,
     if zeta == math.inf:
         raise SingularityError(
             "zeta = sigma^2 / (2 alpha^2 nu) is not finite (nu = 0 or beyond the "
-            "float range): the series regime is excluded; use the Monte Carlo "
-            "or PDE oracle")
+            "float range): the series regime is excluded; price it with "
+            "--engine pde or --engine mc")
     if tau == 0.0:
         return root_nu, SeriesDiagnostics(1, 0, 0.0, True, REGIME_CONVERGENT)
     value, m, estimate, stop, terms_used = truncated_sum(
@@ -199,23 +199,16 @@ def kappa_series(state: MarketState, params: SabrParams,
 
 def price_volatility_swap(state: MarketState, params: SabrParams,
                           contract: SwapContract, df: float) -> PricingResult:
-    """Series kappa plus discounting, bundled into one PricingResult.
+    """The series kappa discounted by :func:`~volswap.model.compose_price`,
+    flagged where diverging or truncated short of convergence.  Raises what
+    ``compose_price`` and :func:`kappa_series` raise."""
+    def series():
+        kappa, diag = kappa_series(state, params, contract)
+        warnings = ()
+        if diag.regime == REGIME_DIVERGING:
+            warnings = ("SERIES_DIVERGING",)
+        elif diag.regime == REGIME_ASYMPTOTIC and not diag.converged:
+            warnings = ("SERIES_ASYMPTOTIC_TRUNCATED",)
+        return kappa, diag, warnings
 
-    A negative (diverged) kappa is composed and flagged, not rejected, so
-    callers can surface it.  Raises :class:`DomainError` unless 0 < df <= 1
-    and the fair value notional * df * (kappa - strike) is finite.
-    """
-    if not (0.0 < df <= 1.0):
-        raise DomainError(f"discount factor must lie in (0, 1], got {df}")
-    kappa, diag = kappa_series(state, params, contract)
-    warnings = ()
-    if diag.regime == REGIME_DIVERGING:
-        warnings = ("SERIES_DIVERGING",)
-    elif diag.regime == REGIME_ASYMPTOTIC and not diag.converged:
-        warnings = ("SERIES_ASYMPTOTIC_TRUNCATED",)
-    value = contract.notional * df * (kappa - contract.strike)
-    if not math.isfinite(value):
-        raise DomainError(f"notional * df * (kappa - strike) = {value} is not finite")
-    return PricingResult(kappa=kappa, strike=contract.strike,
-                         notional=contract.notional, discount_factor=df,
-                         fair_value=value, diagnostics=diag, warnings=warnings)
+    return compose_price(contract, df, series)

@@ -36,6 +36,9 @@ SEED_POINT = ["--alpha", "0.4", "--sigma", "0.25", "--nu", "0.03",
               "--t", "0.5", "--tenor", "1"]
 CONVERGENT_POINT = ["--alpha", "0.316227766", "--sigma", "0.0894427191",
                     "--nu", "0.04", "--t", "0.5", "--tenor", "1"]
+#: the two oracles, Monte Carlo and the PDE, as pricing engines
+MC = ["price", "--engine", "mc"]
+PDE = ["price", "--engine", "pde"]
 
 
 def exit_code(argv, capsys):
@@ -175,6 +178,27 @@ class TestPrice:
         assert err == "volswap: notional * df * (kappa - strike) = -inf is not finite\n"
         assert not (tmp_path / "out").exists()
 
+    def test_nu_zero_names_the_engines_that_price_it(self, tmp_path, capsys):
+        # the advice named an "oracle" command that no longer exists
+        argv = ["price", "--alpha", "0.4", "--sigma", "0.25", "--nu", "0",
+                "--t", "0", "--tenor", "1", "--output", str(tmp_path / "out")]
+        code, err = exit_code(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.endswith("the series regime is excluded; price it with "
+                            "--engine pde or --engine mc\n")
+
+    @pytest.mark.parametrize("engine", ["series", "pde", "mc"])
+    def test_every_engine_composes_the_fair_value(self, tmp_path, engine):
+        argv = ["price", "--engine", engine] + CONVERGENT_POINT + [
+            "--strike", "0.1", "--notional=-1e6", "--rate", "0.05"]
+        if engine == "mc":
+            argv += ["--seed", "1", "--paths", "1000", "--steps", "10"]
+        code, doc = run(tmp_path, argv, "price.schema.json")
+        assert (code, doc["engine"]) == (cli.EXIT_OK, engine)
+        assert doc["discount_factor"] == math.exp(-0.05 * 0.5)
+        assert doc["fair_value"] == -1e6 * doc["discount_factor"] * (doc["kappa"] - 0.1)
+        assert doc["kappa_market"] == doc["kappa"]
+
     def test_market_annualization(self, tmp_path):
         # every price reports sqrt((1/T) int sigma^2) = sqrt(T) kappa as well
         argv = ["price"] + CONVERGENT_POINT     # the same s and zeta at T = 4
@@ -186,19 +210,21 @@ class TestPrice:
 
 
 class TestOracle:
+    """The Monte Carlo and PDE oracles, priced by ``price --engine mc|pde``."""
+
     def test_mc(self, tmp_path):
-        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+        code, doc = run(tmp_path, MC + SEED_POINT
                         + ["--seed", "7", "--paths", "2000", "--steps", "50"],
-                        "oracle_mc.schema.json")
+                        "price.schema.json")
         assert code == cli.EXIT_OK
         assert doc["n_paths"] == 2000
 
     def test_mc_sizes_its_steps_by_its_error(self, tmp_path):
         # the CI point at 16 384 paths: --steps 250 is a cap the ladder stops
         # below, with its step bias and tail tests passed
-        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+        code, doc = run(tmp_path, MC + SEED_POINT
                         + ["--seed", "1", "--paths", "16384", "--steps", "250"],
-                        "oracle_mc.schema.json")
+                        "price.schema.json")
         assert code == cli.EXIT_OK
         assert doc["n_steps"] < 250 and doc["warnings"] == []
         assert abs(doc["discretization"]) <= doc["std_error"] / 4
@@ -213,18 +239,18 @@ class TestOracle:
 
     def test_mc_missed_tail_is_a_warning(self, tmp_path, capsys):
         # s = 8, known defect 3: flagged on the document, not refused
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1", "--paths", "10000",
+        argv = MC + SEED_POINT + ["--seed", "1", "--paths", "10000",
                                                 "--steps", "250"]
         argv[argv.index("--alpha") + 1] = "4"
-        code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert (code, doc["n_steps"], doc["warnings"]) == (cli.EXIT_OK, 250,
                                                            ["MC_TAIL"])
         assert capsys.readouterr().err == ""
 
     def test_mc_odd_steps_have_no_discretization(self, tmp_path):
-        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+        code, doc = run(tmp_path, MC + SEED_POINT
                         + ["--seed", "7", "--paths", "2000", "--steps", "5"],
-                        "oracle_mc.schema.json")
+                        "price.schema.json")
         assert code == cli.EXIT_OK
         assert (doc["n_steps"], doc["discretization"]) == (5, None)
         assert doc["warnings"] == ["MC_STEP_BIAS"]
@@ -232,9 +258,9 @@ class TestOracle:
     def test_mc_variance_swap_of_its_own_draws(self, tmp_path):
         # the draws that value kappa also value nu + sigma^2 tau M_s, whose
         # exact mean nu + sigma^2 tau expm1(s)/s checks them
-        code, doc = run(tmp_path, ["oracle", "mc"] + SEED_POINT
+        code, doc = run(tmp_path, MC + SEED_POINT
                         + ["--seed", "1", "--paths", "2000", "--steps", "50"],
-                        "oracle_mc.schema.json")
+                        "price.schema.json")
         assert code == cli.EXIT_OK
         estimate = mc_engine.kappa_mc(
             MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4),
@@ -247,12 +273,12 @@ class TestOracle:
     def test_mc_variance_swap_beyond_float_range_is_null(self, tmp_path, capsys):
         # sigma^2 tau = 5e307 at alpha 0.4: kappa is finite, while the
         # variance swap's sum overflows; it is written as null, not refused
-        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "200", "--steps", "5",
+        argv = MC + SEED_POINT + ["--paths", "200", "--steps", "5",
                                                 "--seed", "3"]
         argv[argv.index("--sigma") + 1] = "1e154"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+            code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         assert (doc["kappa"], doc["std_error"]) == (7.111298701594839e+153,
                                                     1.9932453378167703e+151)
@@ -260,20 +286,20 @@ class TestOracle:
         assert capsys.readouterr().err == ""
 
     def test_mc_nu_zero(self, tmp_path):
-        argv = ["oracle", "mc", "--alpha", "0.4", "--sigma", "0.25",
+        argv = MC + ["--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0", "--t", "0", "--tenor", "0.5",
                 "--paths", "1000", "--steps", "10", "--seed", "1"]
-        code, doc = run(tmp_path, argv, "oracle_mc.schema.json")
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         assert doc["kappa"] > 0 and doc["std_error"] > 0
 
     def test_mc_single_antithetic_pair_is_usage_error(self, tmp_path):
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2"]
+        argv = MC + SEED_POINT + ["--seed", "7", "--paths", "2"]
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
 
     def test_mc_odd_paths_is_usage_error(self, tmp_path, capsys):
         # every draw is an antithetic pair of paths
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2001",
+        argv = MC + SEED_POINT + ["--seed", "7", "--paths", "2001",
                                                 "--output", str(tmp_path / "out")]
         code, err = exit_code(argv, capsys)
         assert code == cli.EXIT_USAGE
@@ -282,13 +308,13 @@ class TestOracle:
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
     def test_mc_seed_outside_philox_key_is_usage_error(self, tmp_path, seed):
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", seed, "--paths", "100"]
+        argv = MC + SEED_POINT + ["--seed", seed, "--paths", "100"]
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
 
     def test_mc_threads_variable_zero_is_usage_error(self, tmp_path, capsys,
                                                      monkeypatch):
         monkeypatch.setenv("VOLSWAP_THREADS", "0")
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1",
+        argv = MC + SEED_POINT + ["--seed", "1",
                                                 "--output", str(tmp_path / "out")]
         code, err = exit_code(argv, capsys)
         assert code == cli.EXIT_USAGE
@@ -305,8 +331,8 @@ class TestOracle:
     def test_pde(self, tmp_path, key, expected):
         # one run reports the single 400-cell price as kappa and, always, its
         # refinement on 400, 800 and 1600 cells, whose first level is kappa
-        code, doc = run(tmp_path, ["oracle", "pde"] + SEED_POINT,
-                        "oracle_pde.schema.json")
+        code, doc = run(tmp_path, PDE + SEED_POINT,
+                        "price.schema.json")
         assert code == cli.EXIT_OK
         assert doc["kappa"] == doc["grid_report"]["kappas"][0]
         assert doc[key] == expected
@@ -325,18 +351,22 @@ class TestOracle:
     def test_pde_kappa_is_the_default_grid_price(self, tmp_path, point, kappa):
         # the bits of kappa_quadrature on the default grid, which compare
         # reports as kappa_pde
-        argv = ["oracle", "pde"] + point
-        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        argv = PDE + point
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         assert repr(doc["kappa"]) == kappa
-        inputs = cli._market_inputs(cli.build_parser().parse_args(argv))
-        assert repr(pde_engine.kappa_quadrature(*inputs)) == kappa
+        args = cli.build_parser().parse_args(argv)
+        assert repr(pde_engine.kappa_quadrature(
+            MarketState(t=args.t, sigma=args.sigma, nu=args.nu),
+            SabrParams(alpha=args.alpha),
+            SwapContract(t0=args.t0, tenor=args.tenor))) == kappa
 
     def test_pde_duration_counts_the_engine_import(self, tmp_path):
-        # a fresh interpreter pays the engine import inside oracle pde, and
-        # -X importtime reports that import's cumulative time in microseconds
+        # a fresh interpreter pays the engine import inside price --engine
+        # pde, and -X importtime reports that import's cumulative time in
+        # microseconds
         out = tmp_path / "out"
-        argv = ["-X", "importtime", "-m", "volswap", "oracle", "pde"] + SEED_POINT
+        argv = ["-X", "importtime", "-m", "volswap"] + PDE + SEED_POINT
         proc = subprocess.run([sys.executable] + argv + ["--output", str(out)],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=120)
@@ -349,16 +379,16 @@ class TestOracle:
 
     def test_pde_at_maturity_refines_to_equal_levels(self, tmp_path):
         # s = 0: every level is the closed form sqrt(nu) / T, so no ratio
-        argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
+        argv = PDE + ["--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0.03", "--t", "1", "--tenor", "1"]
-        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         assert doc["grid_report"]["kappas"] == [math.sqrt(0.03)] * 3
         assert doc["grid_report"]["ratios"] == [None]
 
     def test_pde_growth_overflow_is_usage_error(self, tmp_path, capsys):
         # s = alpha^2 tau = 800: e^s - 1 is beyond the float range
-        argv = ["oracle", "pde"] + SEED_POINT
+        argv = PDE + SEED_POINT
         argv[argv.index("--alpha") + 1] = "40"
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert "e^s - 1 is not finite" in capsys.readouterr().err
@@ -371,9 +401,9 @@ class TestOracle:
         # is the reference lattice's (s, zeta) = (0.8, 40): F 8.579934851750563
         # times sqrt(nu) / T; kappa and every level of the refinement lie
         # within PDE_TOL = 2e-5 of it
-        argv = ["oracle", "pde", "--alpha", "1", "--sigma", "1", "--nu", "0.0125",
+        argv = PDE + ["--alpha", "1", "--sigma", "1", "--nu", "0.0125",
                 "--t", "0.2", "--tenor", "1"]
-        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         for kappa in read(doc):
             assert abs(kappa - 0.959265878551692) <= 2e-5 * 0.959265878551692
@@ -382,16 +412,16 @@ class TestOracle:
     def test_pde_at_s_4_prices_the_spectral_value(self, tmp_path, level):
         # s = 4, zeta = 1: a y grid to 23.3 priced 4.1367 and 3.9722 on
         # 400 and 800 cells, or refused them; the spectral form read 3.87837
-        argv = ["oracle", "pde", "--alpha", "2", "--sigma", "2.8284271247",
+        argv = PDE + ["--alpha", "2", "--sigma", "2.8284271247",
                 "--nu", "1", "--t", "0", "--tenor", "1"]
-        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         kappa = doc["grid_report"]["kappas"][level]
         assert abs(kappa - 3.87837) <= 1e-5 * 3.87837
 
     def test_pde_past_s_pde_max_is_refused(self, tmp_path, capsys):
         # s = 200: the x grid's rules priced F(200, 1) at -552
-        argv = ["oracle", "pde"] + SEED_POINT
+        argv = PDE + SEED_POINT
         argv[argv.index("--alpha") + 1] = "20"
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
         assert code == cli.EXIT_DIVERGING
@@ -401,7 +431,7 @@ class TestOracle:
 
     def test_mc_s_beyond_float_range_is_usage_error(self, tmp_path, capsys):
         # s = alpha^2 tau = 800: refused by the rule the PDE applies
-        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "1000", "--steps", "10",
+        argv = MC + SEED_POINT + ["--paths", "1000", "--steps", "10",
                                                 "--seed", "1"]
         argv[argv.index("--alpha") + 1] = "40"
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
@@ -416,7 +446,7 @@ class TestOracle:
                                                            sigma, paths):
         # these wrote "kappa": Infinity or "std_error": Infinity, exit 0;
         # at alpha 1 and sigma^2 tau = 5e307 a pair's payoff overflows
-        argv = ["oracle", "mc"] + SEED_POINT + ["--paths", paths, "--steps", "5",
+        argv = MC + SEED_POINT + ["--paths", paths, "--steps", "5",
                                                 "--seed", "3"]
         argv[argv.index("--alpha") + 1] = alpha
         argv[argv.index("--sigma") + 1] = sigma
@@ -430,10 +460,10 @@ class TestOracle:
         # the three levels agree bit for bit: this wrote "ratios": [Infinity].
         # At zeta = 3e-14, kappa - sqrt(nu) is 2.7e-14 and the levels differ
         # by 1e-4 of it, far below half an ulp of kappa
-        argv = ["oracle", "pde"] + SEED_POINT
+        argv = PDE + SEED_POINT
         argv[argv.index("--sigma") + 1] = "0.000001"
         argv[argv.index("--nu") + 1] = "100"
-        code, doc = run(tmp_path, argv, "oracle_pde.schema.json")
+        code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         assert len(set(doc["grid_report"]["kappas"])) == 1
         assert doc["grid_report"]["ratios"] == [None]
@@ -449,7 +479,7 @@ class TestOracle:
             raise AssertionError("an estimate past MAX_PATH_STEPS was run")
 
         monkeypatch.setattr(mc_engine, "kappa_mc", estimate)
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1"] + extra
+        argv = MC + SEED_POINT + ["--seed", "1"] + extra
         code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
         assert code == cli.EXIT_USAGE
         assert err == (f"volswap: {message} is more than "
@@ -463,7 +493,7 @@ class TestOracle:
                               "shape (2, 256, 100000000) and data type float64")
 
         monkeypatch.setattr(mc_engine, "kappa_mc", allocate)
-        argv = ["oracle", "mc"] + SEED_POINT + ["--seed", "1",
+        argv = MC + SEED_POINT + ["--seed", "1",
                                                 "--output", str(tmp_path / "out")]
         code, err = exit_code(argv, capsys)
         assert code == cli.EXIT_USAGE
@@ -472,10 +502,42 @@ class TestOracle:
                        "float64\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("nu, t, series_code, kappa", [
+        ("6.25e-5", "0.001", cli.EXIT_DIVERGING, "0.2532947317842834"),
+        ("0", "0", cli.EXIT_USAGE, "0.25329474217255027")],
+        ids=["known-defect-4", "inception"])
+    def test_pde_prices_what_the_series_refuses(self, tmp_path, nu, t,
+                                                series_code, kappa):
+        # the series finds no finite term at zeta = 3125 and has no zeta at
+        # nu = 0; the PDE engine of the same command prices both
+        point = ["--alpha", "0.4", "--sigma", "0.25", "--nu", nu, "--t", t,
+                 "--tenor", "1"]
+        assert cli.main(["price"] + point + ["--output", str(tmp_path / "s")]) == series_code
+        code, doc = run(tmp_path, PDE + point, "price.schema.json")
+        assert code == cli.EXIT_OK
+        assert (repr(doc["kappa"]), doc["fair_value"]) == (kappa, doc["kappa"])
+
+    def test_pde_closed_form_overflow_names_t(self, tmp_path, capsys):
+        # s = 1.6e-311 is below 2^-24: sqrt(nu + sigma^2 tau) = 0.25 is
+        # finite, its division by T = 1e-310 is not
+        argv = PDE + ["--alpha", "0.4", "--sigma", "0.25", "--nu", "0.03",
+                      "--t", "0", "--tenor", "1e-310"]
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == ("volswap: sqrt(nu + sigma^2 tau)/T is not finite at "
+                       "sigma 0.25, T 1e-310\n")
+
+    def test_mc_fills_in_its_defaults(self, tmp_path):
+        code, text = run(tmp_path, MC + SEED_POINT + ["--seed", "1"])
+        document, manifest = recorded(text)
+        assert (code, document["n_paths"]) == (cli.EXIT_OK, 100_000)
+        assert (manifest["parameters"]["paths"], manifest["parameters"]["steps"],
+                manifest["seed"]) == (100_000, 250, 1)
+
     def test_pde_nu_zero(self, tmp_path):
-        argv = ["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
+        argv = PDE + ["--alpha", "0.4", "--sigma", "0.25",
                 "--nu", "0", "--t", "0", "--tenor", "0.5"]
-        code, _ = run(tmp_path, argv, "oracle_pde.schema.json")
+        code, _ = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
 
 
@@ -702,9 +764,8 @@ class TestVerify:
 
 COMMANDS = {
     "price": ["price"] + CONVERGENT_POINT,
-    "oracle-mc": ["oracle", "mc"] + SEED_POINT + ["--seed", "1", "--paths", "100",
-                                                  "--steps", "5"],
-    "oracle-pde": ["oracle", "pde"] + SEED_POINT,
+    "oracle-mc": MC + SEED_POINT + ["--seed", "1", "--paths", "100", "--steps", "5"],
+    "oracle-pde": PDE + SEED_POINT,
     "compare": ["compare", "--alphas", "0.4", "--taus", "0.5", "--zetas", "1",
                 "--nu", "0.03", "--seed", "1", "--paths", "100", "--steps", "5"],
     "verify": ["verify"],
@@ -722,8 +783,9 @@ def test_duration_ignores_wall_clock_steps(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_document_matches_its_schema(tmp_path, name):
-    # every command's document, compare's included, against its own schema
-    run(tmp_path, COMMANDS[name], name.replace("-", "_") + ".schema.json")
+    # every command's document, compare's included, against its own schema;
+    # price's under each engine
+    run(tmp_path, COMMANDS[name], COMMANDS[name][0] + ".schema.json")
 
 
 def strict_json(text):
@@ -758,13 +820,14 @@ def replay_argv(manifest):
 @pytest.mark.parametrize("argv", [
     ["price"] + CONVERGENT_POINT + ["--rate", "0.05"],
     ["price"] + CONVERGENT_POINT + ["--discount-factor", "0.97"],
-    ["oracle", "mc"] + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10"],
-    ["oracle", "pde"] + SEED_POINT,
+    MC + SEED_POINT + ["--seed", "7", "--paths", "2000", "--steps", "10"],
+    PDE + SEED_POINT,
     ["compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
      "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
     ["verify"],
+    MC + SEED_POINT + ["--seed", "3"],
 ], ids=["price", "price-discount-factor", "oracle-mc",
-        "oracle-pde-refine", "compare", "verify"])
+        "oracle-pde-refine", "compare", "verify", "mc-defaults"])
 def test_manifest_replays_the_run(tmp_path, argv):
     code, text = run(tmp_path, argv)
     document, manifest = recorded(text)
@@ -788,11 +851,17 @@ def test_manifest_replays_the_run(tmp_path, argv):
       "--nu", "0.04", "--seed", "1"], "--alphas"),
     (["price"] + SEED_POINT + ["--max-terms", "5"], "--max-terms"),
     (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
-    (["oracle", "pde"] + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
-    (["oracle", "pde"] + SEED_POINT + ["--refine", "-2"], "--refine"),
-    (["oracle", "pde"] + SEED_POINT + ["--n-y", "1000000000"], "--n-y"),
-    (["oracle", "pde"] + SEED_POINT + ["--n-t", "400"], "--n-t"),
-    (["oracle", "pde"] + SEED_POINT + ["--y-max", "20"], "--y-max"),
+    (PDE + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
+    (PDE + SEED_POINT + ["--refine", "-2"], "--refine"),
+    (PDE + SEED_POINT + ["--n-y", "1000000000"], "--n-y"),
+    (PDE + SEED_POINT + ["--n-t", "400"], "--n-t"),
+    (PDE + SEED_POINT + ["--y-max", "20"], "--y-max"),
+    (["oracle", "pde"] + SEED_POINT, "invalid choice: 'oracle'"),
+    (["oracle", "mc"] + SEED_POINT + ["--seed", "1"], "invalid choice: 'oracle'"),
+    (PDE + SEED_POINT + ["--paths", "1000"], "--paths"),
+    (["price"] + SEED_POINT + ["--seed", "1"], "--seed"),
+    (["price"] + SEED_POINT + ["--steps", "10"], "--steps"),
+    (MC + SEED_POINT + ["--paths", "1000"], "--seed"),
     (["verify", "--n-terms", "12"], "--n-terms"),
     (["verify", "--s-max", "60"], "--s-max"),
     (["price"] + SEED_POINT + ["--config", "x.cfg"], "--config"),
@@ -800,7 +869,8 @@ def test_manifest_replays_the_run(tmp_path, argv):
       "--nu", "0.04", "--t0", "0.3", "--seed", "1"], "--t0"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "n-y-1e9", "n-t", "y-max", "n-terms", "s-max", "config", "compare-t0"])
+        "n-y-1e9", "n-t", "y-max", "oracle-pde", "oracle-mc", "pde-paths",
+        "series-seed", "series-steps", "mc-without-seed", "n-terms", "s-max", "config", "compare-t0"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
@@ -834,7 +904,7 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, name):
 
 def test_mc_at_s_700(tmp_path, capsys):
     # s = alpha^2 tau = 700, near S_MAX, where e^(-v) nears the float minimum
-    argv = ["oracle", "mc"] + SEED_POINT + ["--paths", "2000", "--steps", "250",
+    argv = MC + SEED_POINT + ["--paths", "2000", "--steps", "250",
                                             "--seed", "1"]
     argv[argv.index("--alpha") + 1] = "37.416573867739416"
     with warnings.catch_warnings():
@@ -871,13 +941,18 @@ SIMULATION = st.fixed_dictionaries({
     "--steps": st.integers(1, 40).map(str)})
 #: each command's words and its flags, each drawn inside its domain: small
 #: sizes, and one flag of an exclusive pair
+#: an engine, with SIMULATION for mc and, half the time, for another engine,
+#: which refuses it
+ENGINE = st.sampled_from(["series", "pde", "mc"]).flatmap(
+    lambda engine: st.tuples(
+        st.just({"--engine": engine}),
+        SIMULATION if engine == "mc" else st.one_of(st.just({}), SIMULATION))
+).map(lambda pair: {**pair[0], **pair[1]})
 COMMAND_FLAGS = [
-    (["price"], MARKET + [st.fixed_dictionaries({
+    (["price"], MARKET + [ENGINE, st.fixed_dictionaries({
         "--strike": floats(0, 1), "--notional": floats(0, 10)}),
         st.sampled_from(["--rate", "--discount-factor"]).flatmap(
             lambda flag: st.fixed_dictionaries({flag: floats(0.5, 1)}))]),
-    (["oracle", "mc"], MARKET + [SIMULATION]),
-    (["oracle", "pde"], MARKET),
     (["compare"], [SIMULATION, st.fixed_dictionaries({
         "--alphas": float_list(1e-3, 2), "--taus": float_list(0, 1),
         "--zetas": float_list(1e-3, 50), "--nu": floats(1e-4, 0.1)})]),
@@ -924,12 +999,16 @@ def test_no_argv_ends_in_a_traceback(argv):
                 return
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DIVERGING,
                     cli.EXIT_COMPARE_FAILED)
+    # no WILD value is "mc", and a WILD --engine ends in SystemExit above
+    mc_flag = any(word.split("=")[0] in ("--seed", "--paths", "--steps")
+                  for word in argv)
+    if argv[0] == "price" and mc_flag and not {"mc", "--engine=mc"} & set(argv):
+        assert code == cli.EXIT_USAGE
     # compare says on stderr which engine gave a row no value
     lines = [line for line in err.getvalue().splitlines()
              if not line.startswith("volswap: no kappa_")]
     if out.getvalue():
-        words = argv[:2] if argv[0] == "oracle" else argv[:1]
-        checked(out.getvalue(), "_".join(words) + ".schema.json")
+        checked(out.getvalue(), argv[0] + ".schema.json")
         assert lines == []
     else:
         assert code in (cli.EXIT_USAGE, cli.EXIT_DIVERGING)

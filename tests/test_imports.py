@@ -38,6 +38,16 @@ print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
+PRICE_SCRIPT = """
+import json, os, sys
+from volswap import cli
+code = cli.main(["price", "--alpha", "0.316227766", "--sigma", "0.0894427191",
+                 "--nu", "0.04", "--t", "0.5", "--tenor", "1", "--output", os.devnull])
+loaded = {name: name in sys.modules for name in ("numpy", "scipy")}
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
 PDE_SCRIPT = """
 import json, sys
 from volswap import pde_engine
@@ -55,7 +65,7 @@ print(json.dumps({"kappa": kappa, "loaded": loaded}))
 ORACLE_PDE_SCRIPT = """
 import json, os, sys
 from volswap import cli
-code = cli.main(["oracle", "pde", "--alpha", "0.4", "--sigma", "0.25",
+code = cli.main(["price", "--engine", "pde", "--alpha", "0.4", "--sigma", "0.25",
                  "--nu", "0.03", "--t", "0.5", "--tenor", "1",
                  "--output", os.devnull])
 loaded = [name for name in ("scipy.interpolate", "scipy.special", "scipy.linalg",
@@ -77,7 +87,7 @@ print(json.dumps({name: getattr(pde_engine, name) is getattr(lapack, name)
 ORACLE_MC_SCRIPT = """
 import json, os, sys
 from volswap import cli
-code = cli.main(["oracle", "mc", "--alpha", "0.4", "--sigma", "0.25",
+code = cli.main(["price", "--engine", "mc", "--alpha", "0.4", "--sigma", "0.25",
                  "--nu", "0.03", "--t", "0.5", "--tenor", "1", "--paths", "1000",
                  "--steps", "10", "--seed", "1", "--output", os.devnull])
 loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
@@ -137,6 +147,12 @@ def test_series_pricing_loads_neither_numpy_nor_scipy():
 def test_verify_loads_neither_numpy_nor_scipy():
     assert _run(VERIFY_SCRIPT) == {"code": 0,
                                    "loaded": {"numpy": False, "scipy": False}}
+
+
+def test_price_command_loads_neither_numpy_nor_scipy():
+    # the series is price's default engine, dispatched in the CLI
+    assert _run(PRICE_SCRIPT) == {"code": 0,
+                                  "loaded": {"numpy": False, "scipy": False}}
 
 
 @functools.lru_cache(maxsize=None)
