@@ -30,8 +30,8 @@ no flag of its own and runs every check family at ``verify.N_TERMS``,
 :func:`~volswap.model.compose_price`, ``discount_factor`` and ``warnings``,
 then the engine's own fields: the series'
 :class:`~volswap.series_pricer.SeriesDiagnostics`; the PDE's
-``grid_report``, :func:`~volswap.pde_engine.grid_refinement_report` on 400,
-800 and 1600 cells, whose first level is ``kappa``; or MC's
+``grid_report``, :func:`~volswap.pde_engine.grid_refinement_report` on 100,
+200 and 400 cells, whose first level is ``kappa``; or MC's
 :class:`~volswap.mc_engine.McEstimate` but its mean.  Only MC reads
 ``--seed``, which it requires, ``--paths`` and ``--steps``, its step cap.
 

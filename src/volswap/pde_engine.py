@@ -24,17 +24,26 @@ resolves every s.  Solving for v, not psi, avoids the cancellation in
 1 - psi at small y.  The grid's seven choices were each checked against
 ``perfbench/reference.json`` (40 x 40 F(s, zeta) and 40 G(s) on 0.0005 <=
 s <= 0.8) and against this solver on 3200 to 6400 cells; the x_min and
-Robin figures in 2 and 3 and the x_max move in 4 come from a probe of the
-same solver at h = 0.0085, the rest from this module as it stands:
+Robin figures in 2 and 3 and the x_max move in 4 come from a probe of an
+earlier second-order form of this solver at h = 0.0085, the rest from
+this module as it stands:
 
-1. Interior rows: second differences of chi, with c_h = (cosh(h/2) - 1) /
-   h^2 = 2 sinh(h/4)^2 / h^2 in place of 1/8, so that v = 1 stays a steady
-   state of the discrete operator where the potential vanishes.  The sinh
-   form has no cancellation on fine grids.
+1. Interior rows: Numerov's Mehrstellen stencil (Collatz, The Numerical
+   Treatment of Differential Equations, 1960).  The equation has no
+   first-derivative term, so the three-point relation D_2 chi = M chi'',
+   with D_2 the second difference and M = tridiag(1, 10, 1) / 12, holds to
+   O(h^4), and the rows read M d chi/ds = -K chi + b with K = -D_2 / 2 +
+   M diag(V), V = c + e^(2x) / 2, and b = M g, g = e^(3x/2) / 2: fourth
+   order, in the same tridiagonal shape as plain second differences.  c =
+   (2 sinh(h/4)^2 / h^2) / (1 + sinh(h/4)^2 / 3) in place of 1/8 makes K
+   e^(-x/2) = M g, so v = 1 is an exact steady state of every interior
+   row.  The sinh form has no cancellation on fine grids.
 2. Boundary rows: at x_min, v ~ q(0) y^2 with q(0) = (e^s - 1) / 2, so a
-   Robin row chi_0 = e^(-3h/2) chi_1, constant in s; at x_max, Dirichlet
-   v = 1.  With v = 0 at x_min = -12 the lattice error stalled near 1.1e-6
-   from 1600 cells on; with the Robin row it falls as h^2.
+   Robin row chi_0 = e^(-3h/2) chi_1, constant in s, folded into the first
+   row of both M and K; at x_max, Dirichlet v = 1, whose column of K moves
+   into b (its column of M meets d chi_n/ds = 0).  With v = 0 at x_min =
+   -12 the lattice error of the second-order form stalled near 1.1e-6 from
+   1600 cells on; with the Robin row it falls with the grid's order.
 3. x_min = -max(10, 8 + 1.5 s).  At zeta = 1 and h = 0.0085, F(8, 1) reads
    6.2347 at x_min = -10, 6.24916 at -14 and 6.249244 from -18 to -32.
 4. x_max = max(7, ln(80 / s) / 2), where s y^2 / 2 = 40: at small s,
@@ -48,41 +57,63 @@ same solver at h = 0.0085, the rest from this module as it stands:
 5. The mass below y_min = e^(x_min): q is q(x_min) there, so its part of
    the kappa integral below is q(x_min) sqrt(pi zeta) erf(y_min / (2
    sqrt(zeta))), v(x_min) / y_min at zeta = inf.  At zeta = 3e-10 and
-   s = 0.08 it puts F - 1 at 2.4989e-11, where a y grid reads 2.4986e-11;
-   without its weight the same part gave 3.85e-11.
+   s = 0.08 it puts F - 1 at 2.4986e-11, as a y grid reads; without its
+   weight the same part gave 3.85e-11.
 6. The tail past y_max in closed form with psi = 0 there, and the
-   trapezoid's Euler-Maclaurin end term -(h^2 / 12) f'(x_max) on the
-   integrand f below: (h^2 / 12) f(x_max) at zeta = inf.
-7. ``S_PDE_MAX`` = 8.  Against 6400 cells, 400 cells err by 8.1e-6, 1.1e-5,
-   1.6e-5 and 2.4e-5 at s = 4, 8, 16 and 32; at s = 200 the rules above
-   priced F = -552.  Past 8 the solver refuses with :class:`AccuracyError`.
+   trapezoid's Euler-Maclaurin end terms on the integrand f below.  At
+   x_max, v = 1 and f = w / y; with u = y_max^2 / (2 zeta), f' = -(1 + u)
+   f, f''' = -(1 + u - 3u^2 + u^3) f and f^(5) = -(1 + u - 30u^2 + 50u^3 -
+   15u^4 + u^5) f, the terms -(h^2 / 12) f' + (h^4 / 720) f''' - (h^6 /
+   30240) f^(5) are (h^2 / 12 - h^4 / 720 + h^6 / 30240) / y_max at zeta =
+   inf.  At x_min, f = q_min y w, and the term is (h^2 / 12) f'(x_min) =
+   (h^2 / 12) q_min y_min w(y_min) (1 - y_min^2 / (2 zeta)).  On 100 cells,
+   against this solver's Richardson value on 3200 and 6400 cells, G at s
+   = 2^-24 errs by 2.2e-7 without the h^4 term and F at s = 2^-24, zeta =
+   1e8 by 2.4e-8 without the h^6 term (1.1e-9 with it); without the x_min
+   term an O(h^2) part remains, and the ratios on 400, 800 and 1600 cells
+   fall from 16 to 4.7-5.1.
+7. ``S_PDE_MAX`` = 8.  Against that Richardson value, 100 cells err by
+   1.1e-6, 3.1e-6 and 1.4e-5 at s = 4, 8 and 16 (worst over zeta = 0.1, 1,
+   10 and inf), and at s = 32 they overshoot v = 1 by more than
+   ``MAX_PRINCIPLE_EPS``; at s = 200 the second-order form's rules priced F
+   = -552.  Past 8 the solver refuses with :class:`AccuracyError`.
 
-On 400 cells the worst error over the whole reference lattice is 3.8e-6
-in F (at s = 0.8) and 3.0e-6 in G, and the refinement ratios are 4.00.
+On the default 100 cells the worst error over the whole reference lattice
+is 2.9e-7 in F and in G against the table, whose own bounds reach 7.6e-7,
+and 3.4e-7 in F and 2.4e-7 in G against this solver's Richardson value on
+3200 and 6400 cells (2.1e-8 and 1.5e-8 on 200 cells).  Worst over zeta =
+1e-10, 1e-9, ..., 1e9 and inf, 100 cells err by 1.1e-9, 7.2e-11, 7.8e-8,
+3.2e-7 and 3.1e-6 at s = 2^-24, 1e-5, 0.08, 0.8 and 8, where the
+second-order form on 400 cells erred by 5.0e-9, 1.3e-9, 6.7e-7, 3.7e-6 and
+1.1e-5.  The refinement ratios are 16.0 to 16.3.
 
-The interior nodes 1 .. n - 1 give d chi/ds = -A chi + g with A symmetric
-tridiagonal and constant in s: diagonal 1/h^2 + c_h + e^(2x_i) / 2, less
-e^(-3h/2) / (2 h^2) in the Robin row, off-diagonal -1 / (2 h^2), and g_i =
-e^(3x_i/2) / 2 plus e^(-x_max/2) / (2 h^2) in the last row.  Each row is
-diagonally dominant, so A is positive definite.  A Laplace transform in s
-and z = p s give
+The interior nodes 1 .. n - 1 give M d chi/ds = -K chi + b, with M and K
+tridiagonal and constant in s.  M is symmetric, and M and D_2 are both
+polynomials in one symmetric tridiagonal matrix, the Robin row included,
+so they commute and A = M^-1 K = -M^-1 D_2 / 2 + diag(V) is symmetric.
+M^-1 (-D_2 / 2) is a product of commuting positive definite matrices, so
+it is positive definite, and so is A, with V > 0: its spectrum is real and
+positive (its least eigenvalue 0.17 on 80 cells at s = 0.08).
+K itself is not symmetric: its sub-diagonal holds V_(i-1) / 12 - 1 /
+(2 h^2) and its super-diagonal V_(i+1) / 12 - 1 / (2 h^2).  A Laplace
+transform in s and z = p s give
 
-    chi(s) = (1 / 2 pi i) int_Gamma e^z (z I + s A)^-1 (s g / z) dz
+    chi(s) = (1 / 2 pi i) int_Gamma e^z (z M + s K)^-1 (s b / z) dz
 
 on a contour Gamma around z = 0 and the spectrum of -sA, on the negative
 real axis.  With e^z replaced by a rational r(z) = r_inf + sum_k a_k /
 (z - p_k), its poles off (-inf, 0], the integral is minus the residues
-outside Gamma, chi(s) = sum_k c_k (p_k I + s A)^-1 (s g / p_k) with c_k =
+outside Gamma, chi(s) = sum_k c_k (p_k M + s K)^-1 (s b / p_k) with c_k =
 -a_k: exact, with r for e^z on the spectrum, and no r_inf term since
 chi(0) = 0.  Trefethen, Weideman and Schmelzer (BIT 46, 2006) show that
 the trapezoid rule on Talbot's contour errs by 3.89^-N on N nodes and the
 best r of type (N, N) by 9.28^-N.  r here is the type (14, 14)
 Caratheodory-Fejer approximation, close to that best one (the CRAM of
-Pusa, Nucl. Sci. Eng. 169, 2011): |r - e^x| <= 1.92e-14 on (-inf, 0].  A is
-real and r's poles pair with their conjugates, so with w_j the seven in
-the upper half-plane
+Pusa, Nucl. Sci. Eng. 169, 2011): |r - e^x| <= 1.92e-14 on (-inf, 0], and
+so on the spectrum of the symmetric -sA.  M and K are real and r's poles
+pair with their conjugates, so with w_j the seven in the upper half-plane
 
-    chi(s) = 2 Re sum_{j < 7} c_j (w_j I + s A)^-1 (s g / w_j).
+    chi(s) = 2 Re sum_{j < 7} c_j (w_j M + s K)^-1 (s b / w_j).
 
 ``CF_POLES`` and ``CF_WEIGHTS`` hold w_j and c_j (r_inf = 1.83e-14), from
 that paper's recipe in mpmath at 40 digits, in ~30 s: the Chebyshev
@@ -93,7 +124,7 @@ as a polynomial, mapped to the poles by z = 9 (q - 1)^2 / (q + 1)^2; r_inf
 and the residues by least squares against e^x at 600 Chebyshev points of
 t.  So v at any s is seven complex tridiagonal solves, and there is no
 time step: v matches a dense eigendecomposition of the same A within
-6e-14 on 60 cells up to s = 4.
+5e-14 on 60 cells up to s = 4.
 
 :func:`solve_psi` hands the seven to LAPACK ``zgtsv`` (Gaussian elimination
 with partial pivoting) through :func:`solve_banded` in one call, as one
@@ -102,30 +133,37 @@ six joins.  At a join the entry below the pivot is 0, so ``zgtsv``
 neither eliminates nor swaps across it, and every term that crosses it
 in the back substitution is an exact 0: each block gets the bits of its
 own call.  The four arrays of that system are views of one allocation,
-which the solve fills in place; as four fresh arrays they cost up to
-0.25 ms more at 1600 cells, in page faults.
+which the solve fills in place: two broadcast adds, w_j / 12 + s K's
+two off-diagonals and w_j 10 / 12 + s K's diagonal, and one divide, s b /
+w_j, then 0 at the joins and M's Robin entry in each block's first row;
+as four fresh arrays they cost up to 0.25 ms more at 1600 cells, in page
+faults.
 
-A, g and the nodes depend on the grid, not on s.  :func:`_grid_parts`
+K, b and the nodes depend on the grid, not on s.  :func:`_grid_parts`
 keeps them, read-only, for the last ``GRID_CACHE_SIZE`` grids (n_y, x_min,
 x_max): y = e^x at the nodes, by libm's exp, as numpy's SIMD exp differs by
-an ulp between hosts; y^2; sqrt(y) and y^(3/2) at the interior nodes; A's
-diagonal before it is scaled by s; and the scalars of the boundary rows.
+an ulp between hosts; y^2; sqrt(y) at the interior nodes; K's three
+diagonals and b before they are scaled by s; the poles times M's Robin
+entry e^(-3h/2) / 12; the scalars of the boundary rows; and the x_max end
+terms of choice 6 at weight 1.
 :func:`x_bounds` is (-10, 7) for 80 e^-14 <= s <= 4/3, so every s of the
 reference lattice shares one entry per grid size.  On a 2-core x86 machine
-(best of 400 calls, s over the lattice) a solve takes 0.15, 0.27 and 0.51
-ms at 400, 800 and 1600 cells, against 0.21, 0.37 and 0.79 ms when it
-built its grid each time and made seven calls.  At 400 cells that is
-1 us for the grid's lookup (40 us to build it), 25 us to assemble the
-system, 96 us in ``zgtsv``, 14 us for the pole sum and 12 us for the
-checks and the :class:`PsiSolution`.
+(best of 400 calls, s over the lattice) a solve takes 65-75 us at 100
+cells, 0.11 ms at 200 and 0.18 ms at 400, against 0.15-0.19 ms for the
+second-order form at 400 cells.  At 100 cells that is ~16 us to assemble
+the system, ~25 us in ``zgtsv``, ~8 us for the pole sum and ~18 us for
+the checks, the weights and the :class:`PsiSolution`.
 
--A has non-negative off-diagonals, the Robin row's included, so e^(-sA)
-is entrywise non-negative and chi(s) >= 0.  e^(-x/2) - chi, which is psi
-e^(-x/2), solves the same system with non-negative data and forcing A
-e^(-x/2) - g: zero in the interior rows, by choice 1, and positive in the
-Robin row.  So it is >= 0 too, and v lies in [0, 1] at every s, exactly.  The check that v at s stays within
-``MAX_PRINCIPLE_EPS`` of [0, 1] therefore guards the pole sum's rounding
-alone.
+The true v lies in [0, 1] at every s: psi is a Laplace transform of a
+non-negative variable.  The second-order form kept that exactly, as its
+-A had non-negative off-diagonals.  Here M's off-diagonals are positive
+and -K's turn negative where V > 6 / h^2, so the scheme may overshoot, and
+it does, at the far edge where v meets 1: over 400 s from 2^-24 to 8, max v
+- 1 reads 3.7e-9 on 100 cells and 1e-14 on 200 and 400, and min v >= 0.
+The check that v at s stays within ``MAX_PRINCIPLE_EPS`` of [0, 1]
+therefore guards the pole sum's rounding, which would move v by O(1)
+where it failed, and grids too coarse for the scheme: 64 cells overshoot
+by up to 5.8e-7 and 32 cells by 5.4e-5, which it refuses.
 
 ``zgtsv`` is scipy's f2py wrapper, the same object ``scipy.linalg.lapack``
 exports, taken from the compiled extension ``scipy/linalg/_flapack`` that
@@ -222,7 +260,8 @@ _flapack = _load_flapack()
 zgtsv = _flapack.zgtsv
 
 #: v = 1 - psi outside [-eps, 1 + eps] at s is the contour sum's rounding
-#: gone wrong: exactly, v lies in [0, 1] (module notes).
+#: gone wrong or a grid too coarse for the scheme, whose overshoot past 1
+#: is at most 3.7e-9 on the default grid (module notes).
 MAX_PRINCIPLE_EPS = 1e-6
 #: psi = 1 - v at the penultimate node of the row at s may reach at most this.
 BOUNDARY_TOL = 1e-8
@@ -231,13 +270,14 @@ BOUNDARY_TOL = 1e-8
 #: and Jensen's sqrt(E[B]), B = nu + int sigma^2, which differ by at most
 #: ~(2/3) s < 4e-8 relative.
 S_CLOSED_FORM = 2.0 ** -24
-#: largest s solved: 400 cells err by 1.1e-5 here, and the grid's rules
-#: fail by s = 200 (module notes).
+#: largest s solved: the default grid errs by 3.1e-6 here, and the grid's
+#: rules fail by s = 200 (module notes).
 S_PDE_MAX = 8.0
-#: most cells n_y of a grid that is solved, refinements included: the
-#: reference table's finest grid, 3200 nodes, with its cells halved five
-#: more times, which solves in about 0.1 s on a 2-core x86 machine.
-#: n_y = 1e9 would allocate 16 GB for each complex vector of the solve.
+#: most cells n_y of a grid that is solved, refinements included: 6400
+#: cells, the finest grid the module notes' Richardson values use, with its
+#: cells halved four more times, which solves in about 0.06 s on a 2-core
+#: x86 machine (0.08 s with its grid parts built).  n_y = 1e9 would
+#: allocate 16 GB for each complex vector of the solve.
 MAX_GRID_NODES = 3200 * 2 ** 5
 #: the module notes' r(z) = r_inf + sum_k a_k / (z - p_k) ~ e^z: its poles
 #: w_j in the upper half-plane and their c_j = -a_j.
@@ -257,8 +297,12 @@ CF_WEIGHTS = np.array([
     23.498232091086198 + 5.8083591297130965j,
     -46.93327448883162 - 45.6436497688305j,
     27.87516194014428 + 102.14733999057796j])
-#: grids whose s-free parts :func:`_grid_parts` keeps: five float vectors of
-#: about n_y each, 4.1 MB a grid at ``MAX_GRID_NODES`` and 33 MB in all.
+#: each pole w_j times M's off-diagonal 1/12 and times its diagonal 10/12,
+#: as columns
+POLE_OFF = (CF_POLES / 12.0)[:, None]
+POLE_DIAG = (CF_POLES * (10.0 / 12.0))[:, None]
+#: grids whose s-free parts :func:`_grid_parts` keeps: seven float vectors
+#: of about n_y each, 5.7 MB a grid at ``MAX_GRID_NODES`` and 46 MB in all.
 GRID_CACHE_SIZE = 8
 #: psi solutions kept by :func:`psi_memo`.
 PSI_MEMO_SIZE = 64
@@ -277,7 +321,7 @@ class GridSpec:
     """n_y cells of the uniform x = ln y grid, at most ``MAX_GRID_NODES``;
     the solver picks its ends from s (:func:`x_bounds`)."""
 
-    n_y: int = 400
+    n_y: int = 100
 
     def __post_init__(self):
         if self.n_y < 16:
@@ -296,8 +340,10 @@ class PsiSolution:
     trapezoid's end-halved weights times v e^-x, so that the body of the
     kappa integral is one ``exp`` and one dot product.  ``h`` is the cell
     width, ``y_min`` and ``y_max`` the ends in y, ``q_min`` = v / y^2 at
-    ``y_min`` and ``end`` = (h^2 / 12) / y_max the Euler-Maclaurin end term
-    at weight 1.  ``boundary_max`` is psi at the penultimate node.
+    ``y_min``; ``start`` = (h^2 / 12) q_min y_min is the Euler-Maclaurin
+    term at x_min and ``end`` = (h^2 / 12, h^4 / 720, h^6 / 30240) / y_max
+    the coefficients of those at x_max, each at weight 1 (module notes,
+    choice 6).  ``boundary_max`` is psi at the penultimate node.
     ``g_integral``, the whole integral at zeta = inf, where the weight
     e^(-y^2 / (4 zeta)) is 1, is sqrt(pi / 2) G(s).
     """
@@ -310,7 +356,8 @@ class PsiSolution:
     y_min: float
     y_max: float
     q_min: float
-    end: float
+    start: float
+    end: tuple
     boundary_max: float
     g_integral: float
 
@@ -330,27 +377,28 @@ def x_bounds(s: float) -> tuple:
 class _GridParts:
     """The parts of a solve on the n cells of [x_min, x_max] that do not
     depend on s, for :func:`_grid_parts`: the nodes' y = e^x and y^2, sqrt(y)
-    and y^(3/2) at the interior nodes, A's diagonal before it is scaled by
-    s, and the scalars of the boundary rows, v_0 and the kappa integral."""
+    at the interior nodes, K's off-diagonals (sub, super) and diagonal and
+    b (module notes), the poles times M's Robin entry e^(-3h/2) / 12, the
+    scalars of the boundary rows, and the x_max end terms of the kappa
+    integral at weight 1 (:class:`PsiSolution`)."""
 
     y: np.ndarray
     squares: np.ndarray
     root_y: np.ndarray
-    y_three_halves: np.ndarray
-    diag: np.ndarray
+    k_off: np.ndarray
+    k_diag: np.ndarray
+    b: np.ndarray
+    robin_poles: np.ndarray
     h: float
-    k: float
-    robin: float
-    root_y_max: float
     v_min_ratio: float
     y_min: float
     y_max: float
-    end: float
+    end: tuple
 
     def __post_init__(self):
         # _grid_parts hands one instance to every solve on its grid
-        for array in (self.y, self.squares, self.root_y, self.y_three_halves,
-                      self.diag):
+        for array in (self.y, self.squares, self.root_y, self.k_off, self.k_diag,
+                      self.b, self.robin_poles):
             array.flags.writeable = False
 
 
@@ -362,15 +410,32 @@ def _grid_parts(n: int, x_min: float, x_max: float) -> _GridParts:
     # libm's exp, not numpy's, whose SIMD kernels differ by an ulp by host
     y = np.array([math.exp(node) for node in x.tolist()])
     squares = y * y
-    root_y = np.sqrt(y[1:n])
+    root_y = np.sqrt(y)
+    quarter = math.sinh(0.25 * h) ** 2
+    # V = c + y^2 / 2, with c such that v = 1 is a steady state (note 1)
+    potential = 2.0 * quarter / (h * h) / (1.0 + quarter / 3.0) + 0.5 * squares
     k = 0.5 / (h * h)
+    robin = math.exp(-1.5 * h)
+    # K = -D_2 / 2 + M diag(V) on the interior nodes: row i holds
+    # -k + V_(i-1) / 12, 2 k + 10 V_i / 12 and -k + V_(i+1) / 12.  k_off
+    # is (sub, super), one entry per row, as the stacked system lays them out
+    k_off = np.zeros((2, 1, n - 1))
+    k_off[0, 0, :-1] = potential[1:n - 1] / 12.0 - k
+    k_off[1, 0, :-1] = potential[2:n] / 12.0 - k
+    k_diag = 2.0 * k + potential[1:n] * (10.0 / 12.0)
+    k_diag[0] += robin * (potential[0] / 12.0 - k)    # Robin: chi_0 = e^(-3h/2) chi_1
+    # b = M g, g = y^(3/2) / 2, plus the Dirichlet row's constant -K chi_n
+    g = 0.5 * y * root_y
+    b = (g[:n - 1] + 10.0 * g[1:n] + g[2:]) / 12.0
+    b[-1] += (k - potential[n] / 12.0) / root_y[n]
     y_max = float(y[n])
+    h2 = h * h
     return _GridParts(
-        y=y, squares=squares, root_y=root_y, y_three_halves=y[1:n] * root_y,
-        diag=2.0 * k + 2.0 * (math.sinh(0.25 * h) / h) ** 2 + 0.5 * squares[1:n],
-        h=h, k=k, robin=math.exp(-1.5 * h), root_y_max=math.sqrt(y_max),
-        v_min_ratio=math.exp(-2.0 * h), y_min=float(y[0]), y_max=y_max,
-        end=h * h / (12.0 * y_max))
+        y=y, squares=squares, root_y=root_y[1:n], k_off=k_off, k_diag=k_diag, b=b,
+        robin_poles=CF_POLES * (robin / 12.0), h=h, v_min_ratio=math.exp(-2.0 * h),
+        y_min=float(y[0]), y_max=y_max,
+        end=(h2 / (12.0 * y_max), h2 * h2 / (720.0 * y_max),
+             h2 * h2 * h2 / (30240.0 * y_max)))
 
 
 def solve_banded(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -401,7 +466,7 @@ def solve_psi(alpha: float, tau: float,
     (below it kappa is its closed form), :class:`AccuracyError` past
     ``S_PDE_MAX`` or if psi has not decayed to ``BOUNDARY_TOL`` at the far
     edge, and :class:`InstabilityError` if v leaves [0, 1] by more than
-    ``MAX_PRINCIPLE_EPS`` (rounding; exactly, it cannot).
+    ``MAX_PRINCIPLE_EPS`` (rounding, or a grid too coarse for the scheme).
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -414,23 +479,18 @@ def solve_psi(alpha: float, tau: float,
                             f"{S_PDE_MAX:g}, where the PDE grid is not validated")
     n = grid.n_y
     parts = _grid_parts(n, *x_bounds(s))
-    # s A on chi at the interior nodes and s g, as the module notes derive
-    # them, and chi(s) = 2 Re sum_j c_j (w_j I + s A)^-1 (s g / w_j)
-    sk = s * parts.k
-    diag = s * parts.diag
-    diag[0] -= sk * parts.robin                     # Robin row: v ~ y^2
-    sg = (0.5 * s) * parts.y_three_halves
-    sg[-1] += sk / parts.root_y_max                 # Dirichlet v = 1
-    # the seven shifted systems as one block-diagonal system, 0 off the
-    # diagonal at the six joins, in one allocation (module notes)
-    poles = CF_POLES[:, None]
-    lower, shifted, upper, rows = np.empty((4, len(CF_POLES), n - 1), dtype=complex)
-    lower.fill(-sk)
-    lower[:, -1] = 0.0
-    upper[...] = lower
-    np.add(diag, poles, out=shifted)
-    np.divide(sg, poles, out=rows)
-    solve_banded(lower.ravel()[:-1], shifted.ravel(), upper.ravel()[:-1], rows.ravel())
+    # chi(s) = 2 Re sum_j c_j (w_j M + s K)^-1 (s b / w_j), the seven
+    # systems as one block-diagonal system, 0 off the diagonal at the six
+    # joins, in one allocation (module notes)
+    buffer = np.empty((4, len(CF_POLES), n - 1), dtype=complex)
+    off, shifted, rows = buffer[:2], buffer[2], buffer[3]
+    np.add(s * parts.k_off, POLE_OFF, out=off)
+    off[:, :, -1] = 0.0
+    np.add(s * parts.k_diag, POLE_DIAG, out=shifted)
+    shifted[:, 0] += parts.robin_poles              # M's Robin row
+    np.divide(s * parts.b, CF_POLES[:, None], out=rows)
+    solve_banded(off[0].ravel()[:-1], shifted.ravel(), off[1].ravel()[:-1],
+                 rows.ravel())
     # Re(c x) in real ufuncs, not BLAS, summed in pole order: the same
     # bits on every host
     terms = CF_WEIGHTS.real[:, None] * rows.real
@@ -444,20 +504,24 @@ def solve_psi(alpha: float, tau: float,
     if not (lo >= -MAX_PRINCIPLE_EPS and hi <= 1.0 + MAX_PRINCIPLE_EPS):
         raise InstabilityError(
             f"1 - psi left [0,1] by more than {MAX_PRINCIPLE_EPS} (range "
-            f"[{lo:.3e}, {hi:.3e}]): the contour sum lost its accuracy")
+            f"[{lo:.3e}, {hi:.3e}]): the contour sum lost its accuracy, or the "
+            "grid is too coarse")
     boundary_max = float(1.0 - v[n - 1])
-    y_min, y_max, end = parts.y_min, parts.y_max, parts.end
+    h, y_min, y_max = parts.h, parts.y_min, parts.y_max
     if boundary_max > BOUNDARY_TOL:
         raise AccuracyError(
             f"psi at the far edge reaches {boundary_max:.3e} > boundary_tol "
             f"{BOUNDARY_TOL:.1e} at y_max {y_max:.3g}")
-    weights = parts.h * v / parts.y
+    weights = h * v / parts.y
     weights[[0, n]] *= 0.5
-    return PsiSolution(v=v, squares=parts.squares, weights=weights, s=s, h=parts.h,
-                       y_min=y_min, y_max=y_max, q_min=float(v[0]) / (y_min * y_min),
-                       end=end, boundary_max=boundary_max,
-                       g_integral=float(weights.sum()) + float(v[0]) / y_min
-                       + 1.0 / y_max + end)
+    q_min = float(v[0]) / (y_min * y_min)
+    start = h * h / 12.0 * q_min * y_min
+    end = parts.end
+    return PsiSolution(v=v, squares=parts.squares, weights=weights, s=s, h=h,
+                       y_min=y_min, y_max=y_max, q_min=q_min, start=start, end=end,
+                       boundary_max=boundary_max,
+                       g_integral=float(weights.sum()) + q_min * y_min + start
+                       + 1.0 / y_max + end[0] - end[1] + end[2])
 
 
 @functools.lru_cache(maxsize=PSI_MEMO_SIZE)
@@ -524,8 +588,16 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
                     * math.erf(y_min / (2.0 * root_zeta))
                     + weight / y_max - 0.5 * math.sqrt(math.pi) / root_zeta
                     * math.erfc(y_max / (2.0 * root_zeta)))
-        if weight:      # the end term -(h^2 / 12) f'(x_max)
-            integral += solution.end * weight * (1.0 + y_max * y_max / (2.0 * zeta))
+        if weight:      # the Euler-Maclaurin terms at x_max (module notes, 6)
+            u = y_max * y_max / (2.0 * zeta)
+            e2, e4, e6 = solution.end
+            integral += weight * (e2 * (1.0 + u)
+                                  - e4 * (1.0 + u - 3.0 * u ** 2 + u ** 3)
+                                  + e6 * (1.0 + u - 30.0 * u ** 2 + 50.0 * u ** 3
+                                          - 15.0 * u ** 4 + u ** 5))
+        weight_min = math.exp(y_min * y_min / (-4.0 * zeta))
+        if weight_min:  # and at x_min
+            integral += solution.start * weight_min * (1.0 - y_min * y_min / (2.0 * zeta))
 
         def integrand(squares: np.ndarray) -> np.ndarray:
             """The weight at the nodes whose y^2 are ``squares``."""
@@ -543,9 +615,10 @@ def grid_refinement_report(state: MarketState, params: SabrParams,
                            refinements: int = 2) -> dict:
     """kappa on successively halved cells h plus the observed convergence ratios.
 
-    psi is exact in s, so h is the only discretization: second-order
-    convergence shows up as ratios of successive differences near 4, and
-    as inf where two levels agree, as they do below ``S_CLOSED_FORM``.
+    psi is exact in s, so h is the only discretization: fourth-order
+    convergence shows up as ratios of successive differences near 16 (100,
+    200 and 400 cells by default), and as inf where two levels agree, as
+    they do below ``S_CLOSED_FORM``.
     Every level's grid is built first, so a level past ``MAX_GRID_NODES``
     is a :class:`DomainError` before any solve; :func:`kappa_quadrature`
     raises what else it raises, outside the accrual window among them.

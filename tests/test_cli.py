@@ -322,15 +322,15 @@ class TestOracle:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, expected", [
-        ("kappa", 0.24914167793325936),
-        ("grid_report", {"grids": [400, 800, 1600],
-                         "kappas": [0.24914167793325936, 0.2491417716848749,
-                                    0.24914179512811985],
-                         "ratios": [3.9990886799477483]}),
+        ("kappa", 0.2491417908208552),
+        ("grid_report", {"grids": [100, 200, 400],
+                         "kappas": [0.2491417908208552, 0.24914180218967788,
+                                    0.2491418028959935],
+                         "ratios": [16.095952593283275]}),
     ], ids=["single", "refine"])
     def test_pde(self, tmp_path, key, expected):
-        # one run reports the single 400-cell price as kappa and, always, its
-        # refinement on 400, 800 and 1600 cells, whose first level is kappa
+        # one run reports the single 100-cell price as kappa and, always, its
+        # refinement on 100, 200 and 400 cells, whose first level is kappa
         code, doc = run(tmp_path, PDE + SEED_POINT,
                         "price.schema.json")
         assert code == cli.EXIT_OK
@@ -338,13 +338,13 @@ class TestOracle:
         assert doc[key] == expected
 
     @pytest.mark.parametrize("point, kappa", [
-        (SEED_POINT, "0.24914167793325936"),
+        (SEED_POINT, "0.2491417908208552"),
         (["--alpha", "0.4", "--sigma", "0.25", "--nu", "0", "--t", "0.5",
-          "--tenor", "1"], "0.1779482010780432"),
+          "--tenor", "1"], "0.17794827756423567"),
         (["--alpha", "0.1", "--sigma", "0.0173", "--nu", "0.03", "--t", "0.95",
-          "--tenor", "1"], "0.17324828496070935"),
+          "--tenor", "1"], "0.1732482849566812"),
         (["--alpha", "2", "--sigma", "2.8284271247", "--nu", "1", "--t", "0",
-          "--tenor", "1"], "3.878336990301073"),
+          "--tenor", "1"], "3.8783642354043417"),
         (["--alpha", "1e-200", "--sigma", "0.25", "--nu", "0.03", "--t", "0.5",
           "--tenor", "1"], "0.24748737341529164"),
     ], ids=["seed", "nu-zero", "s-5e-4", "s-4", "s-underflows"])
@@ -411,7 +411,9 @@ class TestOracle:
     @pytest.mark.parametrize("level", [0, 1], ids=["400", "800"])
     def test_pde_at_s_4_prices_the_spectral_value(self, tmp_path, level):
         # s = 4, zeta = 1: a y grid to 23.3 priced 4.1367 and 3.9722 on
-        # 400 and 800 cells, or refused them; the spectral form read 3.87837
+        # 400 and 800 cells, or refused them; the spectral form read 3.87837.
+        # The ids name those grids; the levels are the x grid's 100 and 200
+        # cells, 1.5e-6 and 4.8e-7 from it
         argv = PDE + ["--alpha", "2", "--sigma", "2.8284271247",
                 "--nu", "1", "--t", "0", "--tenor", "1"]
         code, doc = run(tmp_path, argv, "price.schema.json")
@@ -503,8 +505,8 @@ class TestOracle:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("nu, t, series_code, kappa", [
-        ("6.25e-5", "0.001", cli.EXIT_DIVERGING, "0.2532947317842834"),
-        ("0", "0", cli.EXIT_USAGE, "0.25329474217255027")],
+        ("6.25e-5", "0.001", cli.EXIT_DIVERGING, "0.2532949370900119"),
+        ("0", "0", cli.EXIT_USAGE, "0.25329494747247877")],
         ids=["known-defect-4", "inception"])
     def test_pde_prices_what_the_series_refuses(self, tmp_path, nu, t,
                                                 series_code, kappa):
@@ -600,7 +602,7 @@ class TestCompare:
         assert first["kappa_series"] is not None and first["regime"] is not None
         assert (second["kappa_series"], second["regime"],
                 second["abs_diff_mc_sigmas"]) == (None, None, None)
-        assert second["kappa_pde"] == 0.2532947317842834
+        assert second["kappa_pde"] == 0.2532949370900119
         assert abs(second["kappa_mc"] - second["kappa_pde"]) <= 3.0 * second["mc_se"]
         assert capsys.readouterr().err == (
             "volswap: no kappa_series at alpha 0.4, tau 0.999, zeta 3125.0: "

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh as scipy_eigh
 from scipy.linalg import solve_banded as scipy_solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -31,41 +32,71 @@ from volswap.verify import psi_series_optimal
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 
 
-def gttrs_march(s, grid, n_t):
-    """v = 1 - psi at s by a Crank-Nicolson march of n_t steps on v itself:
-    the explicit half (I + (ds/2) B) v, then a ``gttrs`` solve with the LU
-    factors of I - (ds/2) B, after two Rannacher steps (each two
-    implicit-Euler half-steps) and with no checks.  B is the x grid's
-    operator in v, unsymmetric: (e^(h/2) v_(i-1) - 2 v_i + e^(-h/2) v_(i+1))
-    / (2 h^2) - (c_h + y_i^2 / 2) v_i, forced by y_i^2 / 2, with v_0 =
-    e^(-2h) v_1 and v_n = 1.  Its time error is O(ds^2); :func:`solve_psi`
-    has none."""
+def numerov_system(s, grid):
+    """M, K and b of the module notes on the interior nodes of the grid at
+    s, built densely on all n + 1 nodes and then cut to the interior:
+    M = tridiag(1, 10, 1) / 12 and K = -D_2 / 2 + M diag(V), V = c + y^2 / 2
+    with c = (2 sinh^2(h/4) / h^2) / (1 + sinh^2(h/4) / 3), and b = M g, g =
+    y^(3/2) / 2.  The Robin relation chi_0 = e^(-3h/2) chi_1 folds node 0's
+    column into the first row of M and K, and the Dirichlet value chi_n =
+    e^(-x_max/2) moves -K chi_n into b.  Also the interior nodes x."""
     x_min, x_max = pde_engine.x_bounds(s)
     n = grid.n_y
     h = (x_max - x_min) / n
-    y2 = np.exp(2.0 * np.linspace(x_min, x_max, n + 1)[1:n])
-    lower, upper = math.exp(0.5 * h) / (2 * h * h), math.exp(-0.5 * h) / (2 * h * h)
-    diag = -1.0 / (h * h) - (math.cosh(0.5 * h) - 1.0) / (h * h) - 0.5 * y2
-    diag[0] += lower * math.exp(-2.0 * h)
-    force = 0.5 * y2
-    force[-1] += upper
+    x = np.linspace(x_min, x_max, n + 1)
+    quarter = math.sinh(0.25 * h) ** 2
+    potential = 2.0 * quarter / (h * h) / (1.0 + quarter / 3.0) + 0.5 * np.exp(2.0 * x)
+    m_full = (np.diag(np.full(n + 1, 10.0)) + np.diag(np.ones(n), 1)
+              + np.diag(np.ones(n), -1)) / 12.0
+    d2 = (np.diag(np.full(n + 1, -2.0)) + np.diag(np.ones(n), 1)
+          + np.diag(np.ones(n), -1)) / (h * h)
+    k_full = -0.5 * d2 + m_full * potential          # M diag(V)
+    inner = slice(1, n)
+    m, k = m_full[inner, inner].copy(), k_full[inner, inner].copy()
+    m[:, 0] += math.exp(-1.5 * h) * m_full[inner, 0]
+    k[:, 0] += math.exp(-1.5 * h) * k_full[inner, 0]
+    b = (m_full @ (0.5 * np.exp(1.5 * x)))[inner] - k_full[inner, n] * math.exp(-0.5 * x_max)
+    return m, k, b, x[inner]
+
+
+def with_ends(chi, x, h):
+    """v = e^(x/2) chi on the interior nodes x, with the Robin node v_0 =
+    e^(-2h) v_1 and the Dirichlet node v_n = 1 added."""
+    v = np.exp(0.5 * x) * chi
+    return np.concatenate(([math.exp(-2.0 * h) * v[0]], v, [1.0]))
+
+
+def gttrs_march(s, grid, n_t):
+    """v = 1 - psi at s by a Crank-Nicolson march of n_t steps on M chi' =
+    -K chi + b from :func:`numerov_system`: the explicit half (M - (ds/2) K)
+    chi + ds b, then a ``gttrs`` solve with the LU factors of M + (ds/2) K,
+    after two Rannacher steps (each two implicit-Euler half-steps) and with
+    no checks.  Its time error is O(ds^2); :func:`solve_psi` has none."""
+    m, k, b, x = numerov_system(s, grid)
     ds = s / n_t
     half_ds = 0.5 * ds
-    *factors, _ = dgttrf(np.full(n - 2, -half_ds * lower), 1.0 - half_ds * diag,
-                         np.full(n - 2, -half_ds * upper))
-    v = np.zeros(n - 1)
-    for k in range(n_t):
-        if k < 2:
+    implicit = m + half_ds * k
+    *factors, _ = dgttrf(np.diag(implicit, -1).copy(), np.diag(implicit).copy(),
+                         np.diag(implicit, 1).copy())
+
+    def times(a, chi):
+        """The tridiagonal a times chi."""
+        out = np.diag(a) * chi
+        out[1:] += np.diag(a, -1) * chi[:-1]
+        out[:-1] += np.diag(a, 1) * chi[1:]
+        return out
+
+    explicit = m - half_ds * k
+    chi = np.zeros(len(b))
+    for step in range(n_t):
+        if step < 2:
             for _ in range(2):
-                v += half_ds * force
-                dgttrs(*factors, v, overwrite_b=1)
+                chi = times(m, chi) + half_ds * b
+                dgttrs(*factors, chi, overwrite_b=1)
         else:
-            bv = diag * v
-            bv[1:] += lower * v[:-1]
-            bv[:-1] += upper * v[1:]
-            v += half_ds * bv + ds * force
-            dgttrs(*factors, v, overwrite_b=1)
-    return np.concatenate(([math.exp(-2.0 * h) * v[0]], v, [1.0]))
+            chi = times(explicit, chi) + ds * b
+            dgttrs(*factors, chi, overwrite_b=1)
+    return with_ends(chi, x, x[1] - x[0])
 
 
 def nodes(solution):
@@ -74,20 +105,16 @@ def nodes(solution):
 
 
 def dense_v(s, grid):
-    """v = 1 - psi at s from a dense ``eigh`` of the module notes' symmetric
-    A in chi = v e^(-x/2): chi(s) = A^-1 (I - e^(-sA)) g."""
-    x_min, x_max = pde_engine.x_bounds(s)
-    n = grid.n_y
-    h = (x_max - x_min) / n
-    x = np.linspace(x_min, x_max, n + 1)[1:n]
-    diag = 1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * np.exp(2.0 * x)
-    diag[0] -= math.exp(-1.5 * h) / (2 * h * h)
-    off = np.full(n - 2, -1.0 / (2 * h * h))
-    g = 0.5 * np.exp(1.5 * x)
-    g[-1] += math.exp(-0.5 * x_max) / (2 * h * h)
-    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    v = np.exp(0.5 * x) * (vec @ (-np.expm1(-s * lam) / lam * (vec.T @ g)))
-    return np.concatenate(([math.exp(-2.0 * h) * v[0]], v, [1.0]))
+    """v = 1 - psi at s from a dense eigendecomposition of the module notes'
+    symmetric A = M^-1 K: chi(s) = A^-1 (I - e^(-sA)) M^-1 b.  A is graded,
+    its diagonal V from 0.13 to 6e5; LAPACK's ``dsyev`` on its upper
+    triangle agrees with mpmath's ``eigsy`` at 24 digits within 2.4e-15 at
+    s = 0.8, where on the lower triangle it errs by 1.7e-13."""
+    m, k, b, x = numerov_system(s, grid)
+    a = np.linalg.solve(m, k)
+    lam, vec = scipy_eigh(0.5 * (a + a.T), driver="ev", lower=False)
+    chi = vec @ (-np.expm1(-s * lam) / lam * (vec.T @ np.linalg.solve(m, b)))
+    return with_ends(chi, x, x[1] - x[0])
 
 
 class TestGridSpec:
@@ -158,36 +185,37 @@ class TestSolvePsi:
         assert len(solves) == 1
         assert re.fullmatch(r"1 - psi left \[0,1\] by more than 1e-06 \(range "
                             r"\[\S+, 2\.\d{3}e\+00\]\): the contour sum lost its "
-                            r"accuracy", str(info.value))
+                            r"accuracy, or the grid is too coarse", str(info.value))
 
     @pytest.mark.parametrize("s", [1e-5, 0.08, 2.0])
     def test_one_stacked_solve_with_uncoupled_blocks(self, s, monkeypatch):
-        # the seven shifted systems w_j I + s A go to LAPACK as one
-        # block-diagonal system: -s / (2 h^2) off the diagonal within a
-        # block, 0 at the six joins, and w_j plus s A's diagonal on it
+        # the seven shifted systems w_j M + s K go to LAPACK as one
+        # block-diagonal system, 0 off the diagonal at the six joins, with
+        # right-hand sides s b / w_j
         calls, solve = [], pde_engine.solve_banded
 
         def spy(lower, diag, upper, rhs):
-            calls.append((lower.copy(), diag.copy(), upper.copy()))
+            calls.append((lower.copy(), diag.copy(), upper.copy(), rhs.copy()))
             solve(lower, diag, upper, rhs)
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
         grid = GridSpec(n_y=64)
-        sol = solve_psi(1.0, s, grid)
+        solve_psi(1.0, s, grid)
         assert len(calls) == 1
         m = grid.n_y - 1
-        lower, diag, upper = calls[0]
+        lower, diag, upper, rhs = calls[0]
         assert lower.shape == upper.shape == (7 * m - 1,)
-        assert lower.tobytes() == upper.tobytes()
         joins = np.arange(m - 1, 7 * m - 1, m)
         assert len(joins) == 6
-        assert np.all(lower[joins] == 0.0)
-        assert np.all(np.delete(lower, joins) == -s / (2.0 * sol.h * sol.h))
-        h, y2 = sol.h, sol.squares[1:grid.n_y]
-        a_diag = 1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * y2
-        a_diag[0] -= math.exp(-1.5 * h) / (2 * h * h)
-        expected = pde_engine.CF_POLES[:, None] + s * a_diag
-        assert np.allclose(diag.reshape(7, m), expected, rtol=1e-13, atol=0.0)
+        assert np.all(lower[joins] == 0.0) and np.all(upper[joins] == 0.0)
+        mass, stiffness, b, _ = numerov_system(s, grid)
+        poles = pde_engine.CF_POLES[:, None]
+        for found, k in ((lower, -1), (diag, 0), (upper, 1)):
+            expected = poles * np.diag(mass, k) + s * np.diag(stiffness, k)
+            if k:
+                found = np.append(found, 0.0).reshape(7, m)[:, :-1]
+            assert np.allclose(found.reshape(7, -1), expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(rhs.reshape(7, m), s * b / poles, rtol=1e-13, atol=0.0)
 
     def test_small_domain_raises_accuracy(self, monkeypatch):
         # the far-edge check: an x range that ends at y = e^2, where psi is
@@ -199,11 +227,12 @@ class TestSolvePsi:
     @pytest.mark.parametrize("s", [5e-4, 0.08, 0.66])
     def test_default_grid_resolves_the_decay(self, s):
         # the grid spans all of psi's decay: at x_min, v is q(0) y^2 within
-        # the grid's O(h^2) (1.4e-4 at s = 0.66), and at the far edge psi is
-        # below BOUNDARY_TOL
+        # the grid's error (1.4e-4 at s = 0.66), and at the far edge psi is
+        # below BOUNDARY_TOL.  It may be below 0 by the scheme's overshoot
+        # (module notes), -2e-15 at s = 5e-4
         sol = solve_psi(1.0, s)
         assert sol.q_min == pytest.approx(0.5 * math.expm1(s), rel=5e-4)
-        assert 0.0 <= sol.boundary_max <= pde_engine.BOUNDARY_TOL
+        assert -1e-8 <= sol.boundary_max <= pde_engine.BOUNDARY_TOL
 
     def test_coarse_grid_is_refused(self):
         # 16 cells at s = 2^-24: the penultimate node, x = 9.2, lies where
@@ -254,16 +283,30 @@ class TestSolvePsi:
 
     @pytest.mark.parametrize("s", [2.0 ** -24, 1e-3, 0.8, 8.0])
     def test_v_lies_in_zero_one_at_every_s(self, s):
-        # -A is Metzler with the Robin row too, so exactly 0 <= v <= 1; the
-        # pole sum's rounding leaves v above 1 by at most 2e-14 on 3200 cells
+        # the true v lies in [0, 1]; the fourth-order scheme overshoots 1 at
+        # the far edge by at most 3.7e-9 on the default grid (module notes)
         v = solve_psi(1.0, s).v
         assert v.min() > 0.0
-        assert v.max() <= 1.0 + 1e-13
+        assert v.max() <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_overshoot_stays_far_below_the_range_check(self, n):
+        # 400 s from 2^-24 to 8: max v - 1 reads 3.7e-9 at 100 cells and
+        # 1e-14 at 200 and 400, 270 times and more below MAX_PRINCIPLE_EPS
+        grid = GridSpec(n_y=n)
+        for s in np.geomspace(pde_engine.S_CLOSED_FORM, pde_engine.S_PDE_MAX, 400):
+            v = solve_psi(1.0, float(s), grid).v
+            assert -1e-8 <= v.min() and v.max() <= 1.0 + 1e-8
+
+    def test_coarse_grid_overshoot_is_refused(self):
+        # 32 cells overshoot by 5.4e-5 at s = 0.048, past MAX_PRINCIPLE_EPS
+        with pytest.raises(InstabilityError, match="or the grid is too coarse"):
+            solve_psi(1.0, 0.04816270228114439, GridSpec(n_y=32))
 
     def test_x_min_falls_with_s(self):
         # F(8, 1) = 6.249244 from x_min = -18 to -32 at h = 0.0085; an x grid
         # from x_min = -10 reads 6.2347, 2.3e-3 low, and the rule's -20 on
-        # 400 cells is within PDE_TOL = 2e-5
+        # the default grid is within PDE_TOL = 2e-5 (3.0e-6)
         alpha = 4.0
         state = MarketState(t=0.5, sigma=alpha * math.sqrt(2.0), nu=1.0)
         kappa = kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT)
@@ -281,14 +324,15 @@ class TestSolvePsi:
 
 
 class TestSymmetricMarch:
-    """The symmetric system in chi = v e^(-x/2), solved exactly in s, against
-    independent solutions of the same spatial problem."""
+    """The module notes' system M chi' = -K chi + b in chi = v e^(-x/2),
+    solved exactly in s, against independent solutions of the same spatial
+    problem."""
 
     @pytest.mark.parametrize("n", [400, 800, 1600])
     @pytest.mark.parametrize("s, y_max", [(1e-4, None), (0.08, None),
                                           (0.45, None), (2.0, 20.0)])
     def test_matches_the_march_on_psi(self, n, s, y_max, monkeypatch):
-        # a Crank-Nicolson march on v = 1 - psi converges to the exact row
+        # a Crank-Nicolson march of the same system converges to the exact row
         # at second order in ds: its error quarters as its steps double.
         # y_max, if set, moves the far edge to e^(x_max) = y_max
         if y_max is not None:
@@ -302,13 +346,12 @@ class TestSymmetricMarch:
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.01)
 
     def test_one_step_is_a_dense_solve_of_the_unsymmetric_system(self, monkeypatch):
-        # block j of the stacked solve is (w_j I + s A) x = b; with A =
-        # D^-1 B D, D = diag(e^(x/2)), it is (w_j I + s B)(D x) = D b in v's
-        # own unsymmetric B, and v is D times 2 Re sum_j c_j x_j, summed in
-        # pole order
+        # block j of the stacked solve is (w_j M + s K) x = s b / w_j, K not
+        # symmetric; v is e^(x/2) times 2 Re sum_j c_j x_j, summed in pole
+        # order
         solves = []
         solve = pde_engine.solve_banded
-        s, grid = 0.1, GridSpec(n_y=32)
+        s, grid = 0.1, GridSpec(n_y=64)
         n = grid.n_y
 
         def spy(lower, diag, upper, rhs):
@@ -318,28 +361,34 @@ class TestSymmetricMarch:
 
         monkeypatch.setattr(pde_engine, "solve_banded", spy)
         sol = solve_psi(1.0, s, grid)
-        h = sol.h
-        y2 = sol.squares[1:n]
-        d = np.sqrt(np.sqrt(y2))         # sqrt(y^2) is y exactly
-        b = (np.diag(1.0 / (h * h) + (math.cosh(0.5 * h) - 1.0) / (h * h) + 0.5 * y2)
-             - np.diag(np.full(n - 2, math.exp(0.5 * h) / (2 * h * h)), -1)
-             - np.diag(np.full(n - 2, math.exp(-0.5 * h) / (2 * h * h)), 1))
-        b[0, 0] -= math.exp(-1.5 * h) / (2 * h * h)
+        mass, stiffness, _, _ = numerov_system(s, grid)
+        assert np.abs(stiffness - stiffness.T).max() > 1.0
+        d = np.sqrt(np.sqrt(sol.squares[1:n]))       # sqrt(y^2) is y exactly
         for w, (before, after) in zip(pde_engine.CF_POLES, solves, strict=True):
-            expected = np.linalg.solve(w * np.eye(n - 1) + s * b, d * before)
-            assert np.abs(d * after - expected).max() <= 1e-13 * np.abs(expected).max()
+            expected = np.linalg.solve(w * mass + s * stiffness, before)
+            assert np.abs(after - expected).max() <= 1e-13 * np.abs(expected).max()
         u = np.zeros(n - 1)
         for c, (_, after) in zip(pde_engine.CF_WEIGHTS, solves):
             u += c.real * after.real - c.imag * after.imag
         assert sol.v[1:n].tobytes() == (2.0 * u * d).tobytes()
 
+    @pytest.mark.parametrize("s", [2.0 ** -24, 0.08, 2.0, 8.0])
+    def test_m_inverse_k_is_symmetric_positive_definite(self, s):
+        # M and D_2 are polynomials in one tridiagonal matrix, the Robin row
+        # included, so they commute and M^-1 K = -M^-1 D_2 / 2 + diag(V) is
+        # symmetric: the rational approximation's bound holds on its
+        # spectrum, which is positive
+        mass, stiffness, _, _ = numerov_system(s, GridSpec(n_y=80))
+        a = np.linalg.solve(mass, stiffness)
+        assert np.abs(a - a.T).max() <= 1e-15 * np.abs(a).max()
+        assert np.linalg.eigvalsh(0.5 * (a + a.T)).min() > 0.1
+
     @pytest.mark.parametrize("s, y_max", [(2.0 ** -24, None), (5e-4, None),
                                           (0.08, None), (0.8, None), (4.0, 23.3)])
     def test_matches_a_dense_exponential(self, s, y_max, monkeypatch):
         # y_max, if set, moves the far edge to e^(x_max) = y_max, and only
-        # the row is checked.  At s = 8 numpy's eigh itself errs by 1.5e-12
-        # against mpmath's eigsy at 30 digits, where the pole sum errs by
-        # 4.4e-14
+        # the row is checked.  Against mpmath's eigsy at 24 digits the pole
+        # sum errs by 4.1e-14 at s = 0.8
         if y_max is not None:
             x_min = pde_engine.x_bounds(s)[0]
             monkeypatch.setattr(pde_engine, "x_bounds",
@@ -436,7 +485,7 @@ class TestGridParts:
         parts = pde_engine._grid_parts(64, *pde_engine.x_bounds(0.08))
         arrays = [value for value in vars(parts).values()
                   if isinstance(value, np.ndarray)]
-        assert len(arrays) == 5
+        assert len(arrays) == 7
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -628,7 +677,9 @@ class TestKappaQuadrature:
         # J = sqrt(E[B]) and Var B = sigma^4 tau^2 (4 s / 3) + O(s^2); the
         # Crank-Nicolson march priced 1.9e-7 to 6.0e-7 under J here, and an
         # x grid ending at x_max = 7 puts G 1.5, 0.13 and 5.1e-5 off at
-        # s = 1e-7, 1e-6 and 1e-5, where psi has not decayed by y = e^7
+        # s = 1e-7, 1e-6 and 1e-5, where psi has not decayed by y = e^7.
+        # The default grid reads within 2.6e-11; the second-order grid on
+        # 400 cells read 8.5e-10 at nu = 0, short of the h^4 end term
         tau, sigma = 0.5, 0.25
         kappa = kappa_quadrature(
             MarketState(t=CONTRACT.maturity - tau, sigma=sigma, nu=nu),
@@ -636,7 +687,21 @@ class TestKappaQuadrature:
         mean_b = nu + sigma ** 2 * tau * math.expm1(s) / s
         var_b = sigma ** 4 * tau ** 2 * (4.0 * s / 3.0)
         expected = math.sqrt(mean_b) * (1.0 - var_b / (8.0 * mean_b ** 2))
-        assert kappa == pytest.approx(expected / CONTRACT.tenor, rel=2e-8, abs=0.0)
+        assert kappa == pytest.approx(expected / CONTRACT.tenor, rel=5e-10, abs=0.0)
+
+    @pytest.mark.parametrize("s, zeta", [(1e-5, 1e6), (2.0 ** -24, 1e8)])
+    def test_end_terms_at_finite_zeta(self, s, zeta):
+        # the weight e^(-y^2 / (4 zeta)) falls to e^-2 and e^-3.35 at y_max:
+        # the default grid lies within 5e-9 of the 3200/6400 Richardson
+        # value, at 7.2e-11 and 1.1e-9.  Without the h^4 end term the first
+        # read 3.6e-7, without the h^6 term the second 2.4e-8
+        alpha = 4.0
+        state = MarketState(t=CONTRACT.maturity - s / alpha ** 2,
+                            sigma=alpha * math.sqrt(2.0 * zeta), nu=1.0)
+        kappas = [kappa_quadrature(state, SabrParams(alpha=alpha), CONTRACT,
+                                   GridSpec(n_y=n)) for n in (100, 3200, 6400)]
+        richardson = (16.0 * kappas[2] - kappas[1]) / 15.0
+        assert abs(kappas[0] - richardson) <= 5e-9 * richardson
 
     @pytest.mark.parametrize("nu", [0.03, 0.0])
     def test_closed_form_meets_the_solve_at_2_24(self, nu):
@@ -677,7 +742,7 @@ class TestKappaQuadrature:
 
 
     @pytest.mark.parametrize("zeta, expected", [
-        (3e-10, ["1.000000000024989", "1.000000000024987", "1.0000000000249862"]),
+        (3e-10, ["1.000000000024986"] * 3),
         (1e-300, ["1.0"] * 3), (sys.float_info.min, ["1.0"] * 3)])
     def test_vanishing_zeta_writes_no_warning(self, zeta, expected):
         # at float_info.min, y^2 / (4 zeta) overflows at the far nodes; below
@@ -752,22 +817,26 @@ class TestPsiMemo:
 
 class TestGridConvergence:
     def test_second_order_ratio(self):
+        # the name predates the fourth-order grid: the ratio is 16.03 on
+        # 400, 800 and 1600 cells, and was 4.00 on the second-order grid
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
         report = grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
                                         GridSpec(n_y=400), refinements=2)
         assert len(report["kappas"]) == 3
         assert all(type(k) is float for k in report["kappas"])
-        assert 3.5 <= report["ratios"][0] <= 4.5
+        assert 15.0 <= report["ratios"][0] <= 17.0
 
     @pytest.mark.parametrize("s", [0.08, 0.8, 4.0, 8.0])
     @pytest.mark.parametrize("nu", [0.04, 0.0])
     def test_second_order_at_every_s(self, s, nu):
-        # one uniform x grid: the error falls as h^2 from s = 0.08 to 8
+        # one uniform x grid: the error falls as h^4 from s = 0.08 to 8, the
+        # ratios on 100, 200 and 400 cells 16.05 to 16.12 (4.00 +- 0.01 on
+        # the second-order grid, which the name predates)
         alpha, tau = 4.0, s / 16.0
         state = MarketState(t=CONTRACT.maturity - tau, nu=nu,
                             sigma=alpha * math.sqrt(2.0 * nu) if nu else 0.3)
         report = grid_refinement_report(state, SabrParams(alpha=alpha), CONTRACT)
-        assert report["ratios"][0] == pytest.approx(4.0, abs=0.01)
+        assert report["ratios"][0] == pytest.approx(16.0, abs=0.15)
 
     @pytest.mark.parametrize("t", [1.0, 1.25])
     def test_nothing_to_refine_at_or_past_maturity(self, t, marches):
@@ -822,14 +891,15 @@ class TestGridConvergence:
         assert len(marches) == 2
 
     def test_refinement_past_the_grid_cap_marches_nothing(self, monkeypatch):
-        # level k solves on 400 * 2^k nodes: 40 levels would not end
+        # level k solves on 100 * 2^k nodes: 40 levels would not end, and
+        # 11 pass MAX_GRID_NODES
         def march(*args):
             raise AssertionError("a grid past MAX_GRID_NODES was marched")
 
         monkeypatch.setattr(pde_engine, "solve_psi", march)
         pde_engine.psi_memo.cache_clear()
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        for refinements in (9, 40, 10 ** 9):
+        for refinements in (11, 40, 10 ** 9):
             with pytest.raises(DomainError, match="MAX_GRID_NODES"):
                 grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
                                        refinements=refinements)
@@ -846,18 +916,18 @@ class TestGolden:
     """PDE results frozen by repr: kappas, a refinement report, v bytes."""
 
     KAPPAS = {
-        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475920843198"),
-        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.24914167793325936"),
-        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503129667395912"),
-        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503311526670496"),
-        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.1779482010780432"),
-        # zeta = 9.8e5: the weight at y_max = e^7 is 0.74, so the end term
-        # at finite zeta counts (4.6e-7 of kappa)
-        "huge_zeta": ((0.4, 0.5, 0.25, 2e-7), GridSpec(), "0.1779487779645609"),
+        "small_s": ((0.1, 0.05, 0.25, 0.03), GridSpec(), "0.18200475874346642"),
+        "mid_s": ((0.4, 0.5, 0.25, 0.03), GridSpec(), "0.2491417908208552"),
+        "large_s": ((0.8, 1.0, 0.3, 0.02), GridSpec(), "0.3503140548547048"),
+        "high_zeta": ((0.5, 0.8, 0.6, 0.005), GridSpec(), "0.5503317056948933"),
+        "nu_zero": ((0.4, 0.5, 0.25, 0.0), GridSpec(), "0.17794827756423567"),
+        # zeta = 9.8e5: the weight at y_max = e^7 is 0.74, so the end terms
+        # at finite zeta count (h^2: 7.3e-6 of kappa, h^4: 1.6e-9)
+        "huge_zeta": ((0.4, 0.5, 0.25, 2e-7), GridSpec(), "0.17794885445245792"),
         "explicit_grid": ((0.4, 0.5, 0.25, 0.03), GridSpec(n_y=256),
-                          "0.24914149785025042"),
+                          "0.249141802662585"),
         # s = 5e-4, zeta = 0.499, where the y grid split each cell in six
-        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.17324828496070935"),
+        "sub_cells": ((0.1, 0.05, 0.0173, 0.03), GridSpec(), "0.1732482849566812"),
     }
 
     @staticmethod
@@ -883,7 +953,7 @@ class TestGolden:
                 kappa = kappa_quadrature(state, SabrParams(alpha=1.0), CONTRACT)
                 digest.update(repr(kappa).encode())
         assert digest.hexdigest() == (
-            "415b1764be7152cb306b32b5a4806699733c6fbc198037ccb429a33829d6ade6")
+            "9ebcaca24217b9cf639d399053c4e065289ea3591cc549e53ce21eb4cce9e248")
 
     def test_default_grid_prices_s_0_8(self, marches):
         # the y grid refused every s from 0.734 on, with "psi at the far
@@ -896,24 +966,24 @@ class TestGolden:
         assert abs(kappa / math.sqrt(0.0125) - f) <= 2e-5 * f
 
     def test_refinement_report(self, marches):
-        # the 400-node level is the mid_s default-grid golden
+        # the 100-cell level is the mid_s default-grid golden
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
-                                        CONTRACT, GridSpec(n_y=200))
+                                        CONTRACT, GridSpec(n_y=50))
         assert repr(report) == (
-            "{'kappas': [0.2491413032681712, 0.24914167793325936, "
-            "0.2491417716848749], 'grids': [200, 400, 800], "
-            "'ratios': [3.996358740836539]}")
+            "{'kappas': [0.24914160573628769, 0.2491417908208552, "
+            "0.24914180218967788], 'grids': [50, 100, 200], "
+            "'ratios': [16.28001179819568]}")
 
     FINAL_ROWS = {
-        (1e-4, 400): "3172610d6f70ed7f4d512f09a4028a3c30aa69ff16bd892a4bec86b1c8bedc8f",
-        (1e-4, 800): "ba20cbd236bda3b9ecccfc6bfc1fc01a44c7eea51a721d863ddf47b57a232645",
-        (1e-4, 1600): "91c6288e4741c59a5a8617cf22db44c12f8ad46e400bd6029375ce2b0fb8a152",
-        (0.45, 400): "54fcf54c3c50a0b5a677ef0aa35699bebcc3457ca2651b3a03e290d84b5b5b71",
-        (0.45, 800): "582f6466f8c9aa87f020b9e3d917cadf34105f7ca45be8cc5238a113d5690e57",
-        (0.45, 1600): "c60a95bee6cda59fb8ff6b34d0b9078c3c8100a86eb5ac6489b5052e1592ce2f",
-        (2.0, 400): "108a45caecb54484e0fcbd14ee88d9c326950ebdc627d2a4a231af23c7f0f167",
-        (2.0, 800): "24590cfd574948a405104bab61422febfe58033fd4e2b5e152ee6b564f783c77",
-        (2.0, 1600): "64eee8130b8100eaf71e3519aca3b49e91066f1ba8260d1852d16e03acde5069",
+        (1e-4, 400): "ac3f555adf67fa04deb2af3481a965c3685a86c6070f9c70e35444824c6d23b7",
+        (1e-4, 800): "329a310781183c23e939fefaf8d0d2fcece2344de6e2eabf9718ac7930ca0eb0",
+        (1e-4, 1600): "1371b1fe0dfc13690ae2f7f1d791f2bde785a78b90a1ccb2bdbec6c44bdcdc5e",
+        (0.45, 400): "d29d78599052b040129f4bf3dca6899b1b38cb7c8164b587348f5e36795220b7",
+        (0.45, 800): "4790566feb64249e665c21d2091ae623639019490099a36dfe2a412da025f483",
+        (0.45, 1600): "9e79992fcdd7d69407d9689fe07e45946abedf628e2fd6243378ecf9bd7862b1",
+        (2.0, 400): "c2f258ab7fd1d46d8b3b64f60d7c7f84cb00dbf5a93407a4708a838eea3c2da4",
+        (2.0, 800): "878665b66e74fd4100d38469d26ce400513b5844db64826005170231218c39e5",
+        (2.0, 1600): "dcc1796d6eb505173f4bacf11183b239f500e508bbcb3a9d3b2dfbb10b715848",
     }
 
     @pytest.mark.parametrize("case", FINAL_ROWS, ids=lambda c: f"s{c[0]}-n{c[1]}")
@@ -927,10 +997,10 @@ class TestGolden:
     def test_psi_bytes(self):
         sol = solve_psi(0.5, 0.6, GridSpec(n_y=300))
         assert hashlib.sha256(sol.v.tobytes()).hexdigest() == (
-            "f61d7ba58c0d0121471cb5bd4d256e7910345d2d8b9d76fbcb6dd1c9914e438c")
+            "cea759435dad7e16743f71ce20878f0510cb164a5edeb9adabb8c0b7c83fbcf5")
         assert hashlib.sha256(sol.weights.tobytes()).hexdigest() == (
-            "4a3a94986419b268084ce9933116ed4966af1e80485109ad9cf35f2151d4e05c")
-        assert repr(sol.boundary_max) == "3.907985046680551e-14"
+            "0474fea02a72a4eb761411ce543d745bbc3a8b08ed1cef3e628ddf1585564e50")
+        assert repr(sol.boundary_max) == "4.629630012686903e-14"
 
 
 #: perfbench's reference table: F(s, zeta) = kappa T / sqrt(nu) on a 40 x 40
@@ -941,9 +1011,9 @@ with open(Path(__file__).parents[1] / "perfbench" / "reference.json") as fh:
 
 class TestLattice:
     def test_default_grid_prices_the_reference_lattice(self, marches):
-        # all 1600 F and 40 G entries, each s solved once, within the 6.9e-6
-        # that the y grid reached where it priced at all; it refused the
-        # s = 0.8 row
+        # all 1600 F and 40 G entries, each s solved once: 2.9e-7 in F and
+        # in G, where the table's own bounds reach 7.6e-7 and the
+        # second-order grid on 400 cells read 3.8e-6 and 3.0e-6
         worst_f = worst_g = 0.0
         # at alpha 1, tau = s, T 1, kappa is F at nu = 1 and G at sigma 1
         for i, s in enumerate(REFERENCE["s"]):
@@ -955,16 +1025,18 @@ class TestLattice:
             kappa = kappa_quadrature(*_point(1.0, s, 1.0, nu=0.0), CONTRACT)
             worst_g = max(worst_g, abs(kappa - g) / g)
         assert len(marches) == 40
-        assert worst_f <= 6.9e-6
-        assert worst_g <= 6.9e-6
+        assert worst_f <= 1e-6
+        assert worst_g <= 1e-6
 
 
 def _mpmath_kappa(solution, state, params, contract):
     """kappa by the module notes' rule, term by term in mpmath at 30 digits:
     the end-halved trapezoid sum of h w v e^(-x) on the solve's nodes, with
     the weight w = e^(-e^(2x) / (4 zeta)); ``mpmath.quad`` of q_min w on [0,
-    y_min] and of w / y^2 on [y_max, inf); and the Euler-Maclaurin end term
-    -(h^2 / 12) f'(x_max) of f = w e^(-x), v = 1 there, by ``mpmath.diff``."""
+    y_min] and of w / y^2 on [y_max, inf); and the Euler-Maclaurin end terms
+    -(h^2 / 12) f'(x_max) + (h^4 / 720) f'''(x_max) - (h^6 / 30240)
+    f^(5)(x_max) of f = w e^(-x), v = 1 there, and (h^2 / 12) f'(x_min) of
+    f = q_min w e^x, by ``mpmath.diff``."""
     c = math.sqrt(2.0) * state.sigma / params.alpha
     with mpmath.workdps(30):
         rate = mpmath.mpf(state.nu) / mpmath.mpf(c) ** 2       # 1 / (4 zeta)
@@ -981,8 +1053,10 @@ def _mpmath_kappa(solution, state, params, contract):
         below = mpmath.quad(lambda y: q_min * mpmath.exp(-rate * y * y), [0, y_min])
         tail = mpmath.quad(lambda y: mpmath.exp(-rate * y * y) / (y * y),
                            [y_max, mpmath.inf])
-        end = -h * h / 12 * mpmath.diff(f, x[-1])
-        integral = body + below + tail + end
+        end = (-h ** 2 / 12 * mpmath.diff(f, x[-1]) + h ** 4 / 720 * mpmath.diff(f, x[-1], 3)
+               - h ** 6 / 30240 * mpmath.diff(f, x[-1], 5))
+        start = h ** 2 / 12 * mpmath.diff(lambda node: f(node, q_min * mpmath.exp(2 * node)), x[0])
+        integral = body + below + tail + end + start
         kappa = mpmath.sqrt(state.nu) + c * integral / mpmath.sqrt(mpmath.pi)
         return float(kappa / contract.tenor)
 
@@ -1016,7 +1090,7 @@ class TestFixedNodeRule:
         # the trapezoid, the closed forms below y_min and past y_max and the
         # end term, each as its own integral in mpmath, agree to rounding.
         # huge_zeta is the one finite zeta whose weight at y_max, 0.74,
-        # leaves the end term (1.3e-7 of kappa) anything to correct
+        # leaves the x_max end terms anything to correct
         (alpha, tau, sigma, nu), grid, _ = TestGolden.KAPPAS[case]
         state, params = TestGolden._inputs(alpha, tau, sigma, nu)
         solution = solve_psi(alpha, tau, grid)
@@ -1028,12 +1102,13 @@ class TestFixedNodeRule:
                                       "huge_zeta", "nu_zero", "sub_cells"])
     def test_matches_the_spline_integral_within_the_grid_error(self, case):
         # the trapezoid with its end terms against the integral of a
-        # fourth-order interpolant of the same v: they differ by the grid's
-        # O(h^2), at most 1.4e-8.  Without the end term (h^2 / 12) f(x_max)
-        # nu_zero differs by 3.8e-7
-        (alpha, tau, sigma, nu), grid, _ = TestGolden.KAPPAS[case]
+        # fourth-order interpolant of the same v on 400 cells, where the
+        # spline's own error is small: at most 4.5e-9 apart.  Without the end
+        # term (h^2 / 12) f(x_max) nu_zero differs by 3.8e-7.  On the default
+        # grid the spline itself errs by up to 1.2e-6
+        (alpha, tau, sigma, nu), _, _ = TestGolden.KAPPAS[case]
         state, params = TestGolden._inputs(alpha, tau, sigma, nu)
-        solution = solve_psi(alpha, tau, grid)
+        solution = solve_psi(alpha, tau, GridSpec(n_y=400))
         kappa = pde_engine.kappa_from_solution(solution, state, params, CONTRACT)
         reference = _spline_kappa(solution, state, params, CONTRACT)
         assert abs(kappa - reference) <= 3e-8 * reference
@@ -1065,19 +1140,22 @@ class TestFixedNodeRule:
         kappa = kappa_quadrature(MarketState(t=0.5, sigma=0.25, nu=nu),
                                  SabrParams(alpha=0.4), CONTRACT)
         assert quads == []
-        assert kappa == pytest.approx(0.1779482010780432, rel=1e-12, abs=0.0)
+        assert kappa == pytest.approx(0.17794827756423567, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case", TestGolden.KAPPAS)
     def test_g_integral_is_the_quadrature_at_infinite_zeta(self, case):
-        # the weight e^(y^2 / (-4 zeta)) is exp(-0.0) = 1 at zeta = inf, and
-        # the parts below y_min and past y_max are q_min y_min and 1 / y_max
+        # the weight e^(y^2 / (-4 zeta)) is exp(-0.0) = 1 at zeta = inf, the
+        # parts below y_min and past y_max are q_min y_min and 1 / y_max,
+        # and the end terms (h^2 / 12) q_min y_min at x_min and (h^2 / 12 -
+        # h^4 / 720 + h^6 / 30240) / y_max at x_max
         (alpha, tau, _, _), grid, _ = TestGolden.KAPPAS[case]
         sol = solve_psi(alpha, tau, grid)
         integral = pde_engine.quad(lambda y2: np.exp(y2 / -math.inf),
                                    sol.squares, sol.weights)
         assert type(sol.g_integral) is float
         assert sol.g_integral == pytest.approx(
-            integral + sol.q_min * sol.y_min + 1.0 / sol.y_max + sol.end,
+            integral + sol.q_min * sol.y_min + 1.0 / sol.y_max + sol.start
+            + sol.end[0] - sol.end[1] + sol.end[2],
             rel=1e-15, abs=0.0)
 
     def test_tables_are_read_only(self):
