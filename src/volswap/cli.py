@@ -132,8 +132,8 @@ def cmd_price(args) -> tuple:
                 "fair_value": result.fair_value,
                 "discount_factor": result.discount_factor,
                 **fields, "warnings": list(result.warnings)}
-    return document, (EXIT_DIVERGING if "SERIES_DIVERGING" in result.warnings
-                      else EXIT_OK)
+    diverging = series_pricer.SERIES_DIVERGING in result.warnings
+    return document, EXIT_DIVERGING if diverging else EXIT_OK
 
 
 def float_list(raw: str) -> list:
@@ -222,7 +222,7 @@ def _verify_reports() -> list:
                         "point": f"s={s}" if s else "s=0 leading coefficient",
                         "value": str(value), "passed": value == int(s == 0)})
     for y in (0.1, 0.5, 1.0, 2.0, 5.0):
-        add("bessel", verify.check_bessel_sqrt_expansion(y, verify.BESSEL_TERMS))
+        add("bessel", verify.check_bessel_sqrt_expansion(y))
     for i in range(50):
         z = 10.0 ** (-2.0 + (i + 1) * (math.log10(50.0) + 2.0) / 50.0)
         add("j0", verify.check_j0(z))
@@ -230,12 +230,12 @@ def _verify_reports() -> list:
                     (-0.5, 0.5, 20.0), (9.5, 20.5, 2.0)):
         add("kummer", verify.check_kummer_ode(a, b, z))
     for s, y in ((0.0225, 1.0), (0.0225, 3.0), (0.0, 1.0), (0.025, 0.5)):
-        add("psi-pde", verify.check_psi_pde_residual(s, y, verify.N_TERMS))
+        add("psi-pde", verify.check_psi_pde_residual(s, y))
     for zeta, n in itertools.product((0.5, 2.0, 8.0), range(verify.N_TERMS + 1)):
         add("functional", verify.functional_term_residual(n, zeta))
     summed, *finite_differences = verify.check_functional(
         MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4),
-        SwapContract(t0=0.0, tenor=1.0), verify.N_TERMS)
+        SwapContract(t0=0.0, tenor=1.0))
     add("functional", summed)
     for rep in finite_differences:
         add("functional-fd", rep)

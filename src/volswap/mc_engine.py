@@ -40,11 +40,13 @@ blocks of up to ``BATCH_FLOATS`` normals are one batch, priced by one
 call of each numpy kernel; the batches are spread over W =
 :func:`resolve_workers` threads, at most one per batch, batch w + kW on
 worker w and worker 0 the calling thread: numpy's draws and ufuncs release
-the GIL, so the workers run on as many cores.  A batch's running sums and
-their exps are formed a row per draw and copied a row per step, so each
-trapezoid sum adds the terms of one step of every draw at a time, in step
-order: one add per step, where a sum per draw took thousands.  Each block
-reduces both payoffs, kappa's and the variance swap's, to a sum and a
+the GIL, so the workers run on as many cores, which pays at scale alone: a
+second worker cut a 250-step level of 100 000 paths from 334 to 237 ms on
+2 x86 cores, and cost 3-8 % at 16 384 paths or 16 steps.  A batch's running
+sums and their exps are formed a row per draw and copied a row per step, so
+each trapezoid sum adds the terms of one step of every draw at a time, in
+step order: one add per step, where a sum per draw took thousands.  Each
+block reduces both payoffs, kappa's and the variance swap's, to a sum and a
 centred sum of squares in a fixed order, and kappa's step-halving
 differences to a sum; the calling thread merges them in block order by the
 Chan-Golub-LeVeque update, which keeps the standard error's spread far
@@ -198,7 +200,8 @@ def _rewind(stream: np.random.Generator, start: dict, block: int) -> None:
     """Put ``stream`` where :func:`block_stream` of its key starts block
     ``block``, by ``start``, the state of its fresh bit generator, whose
     counter's block word this sets.  A fresh Philox also reads entropy from
-    the OS that its key then replaces, and costs ten times as much."""
+    the OS that its key then replaces: 9.8 us against 1.2 us for a rewind
+    on a 2-core x86 machine (best of 7 x 2000)."""
     start["state"]["counter"][2] = block
     stream.bit_generator.state = start
 

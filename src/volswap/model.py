@@ -86,12 +86,11 @@ class MarketState:
 
 @dataclass(frozen=True)
 class PricingResult:
-    """kappa, the fair value notional * discount_factor * (kappa - strike)
-    that :func:`compose_price` composes, and the engine's diagnostics."""
+    """kappa, the discount factor df, the fair value notional * df * (kappa -
+    strike) that :func:`compose_price` composes from the contract's terms,
+    and the engine's diagnostics and warnings."""
 
     kappa: float
-    strike: float
-    notional: float
     discount_factor: float
     fair_value: float
     diagnostics: object
@@ -155,5 +154,4 @@ def compose_price(contract: SwapContract, df: float, engine) -> PricingResult:
     value = contract.notional * df * (kappa - contract.strike)
     if not math.isfinite(value):
         raise DomainError(f"notional * df * (kappa - strike) = {value} is not finite")
-    return PricingResult(kappa, contract.strike, contract.notional, df, value,
-                         diagnostics, warnings)
+    return PricingResult(kappa, df, value, diagnostics, warnings)

@@ -83,9 +83,8 @@ is 2.9e-7 in F and in G against the table, whose own bounds reach 7.6e-7,
 and 3.4e-7 in F and 2.4e-7 in G against this solver's Richardson value on
 3200 and 6400 cells (2.1e-8 and 1.5e-8 on 200 cells).  Worst over zeta =
 1e-10, 1e-9, ..., 1e9 and inf, 100 cells err by 1.1e-9, 7.2e-11, 7.8e-8,
-3.2e-7 and 3.1e-6 at s = 2^-24, 1e-5, 0.08, 0.8 and 8, where the
-second-order form on 400 cells erred by 5.0e-9, 1.3e-9, 6.7e-7, 3.7e-6 and
-1.1e-5.  The refinement ratios are 16.0 to 16.3.
+3.2e-7 and 3.1e-6 at s = 2^-24, 1e-5, 0.08, 0.8 and 8.  The refinement
+ratios are 16.0 to 16.3.
 
 The interior nodes 1 .. n - 1 give M d chi/ds = -K chi + b, with M and K
 tridiagonal and constant in s.  M is symmetric, and M and D_2 are both
@@ -139,31 +138,26 @@ w_j, then 0 at the joins and M's Robin entry in each block's first row;
 as four fresh arrays they cost up to 0.25 ms more at 1600 cells, in page
 faults.
 
-K, b and the nodes depend on the grid, not on s.  :func:`_grid_parts`
-keeps them, read-only, for the last ``GRID_CACHE_SIZE`` grids (n_y, x_min,
-x_max): y = e^x at the nodes, by libm's exp, as numpy's SIMD exp differs by
-an ulp between hosts; y^2; sqrt(y) at the interior nodes; K's three
-diagonals and b before they are scaled by s; the poles times M's Robin
-entry e^(-3h/2) / 12; the scalars of the boundary rows; and the x_max end
-terms of choice 6 at weight 1.
+K, b and the nodes depend on the grid, not on s: :func:`_grid_parts`
+keeps them and the rest of a solve's s-free parts, a :class:`_GridParts`,
+for the last ``GRID_CACHE_SIZE`` grids (n_y, x_min, x_max).
 :func:`x_bounds` is (-10, 7) for 80 e^-14 <= s <= 4/3, so every s of the
 reference lattice shares one entry per grid size.  On a 2-core x86 machine
 (best of 400 calls, s over the lattice) a solve takes 65-75 us at 100
-cells, 0.11 ms at 200 and 0.18 ms at 400, against 0.15-0.19 ms for the
-second-order form at 400 cells.  At 100 cells that is ~16 us to assemble
-the system, ~25 us in ``zgtsv``, ~8 us for the pole sum and ~18 us for
-the checks, the weights and the :class:`PsiSolution`.
+cells, 0.11 ms at 200 and 0.18 ms at 400.  At 100 cells that is ~16 us to
+assemble the system, ~25 us in ``zgtsv``, ~8 us for the pole sum and ~18
+us for the checks, the weights and the :class:`PsiSolution`.
 
 The true v lies in [0, 1] at every s: psi is a Laplace transform of a
-non-negative variable.  The second-order form kept that exactly, as its
--A had non-negative off-diagonals.  Here M's off-diagonals are positive
-and -K's turn negative where V > 6 / h^2, so the scheme may overshoot, and
-it does, at the far edge where v meets 1: over 400 s from 2^-24 to 8, max v
-- 1 reads 3.7e-9 on 100 cells and 1e-14 on 200 and 400, and min v >= 0.
-The check that v at s stays within ``MAX_PRINCIPLE_EPS`` of [0, 1]
-therefore guards the pole sum's rounding, which would move v by O(1)
-where it failed, and grids too coarse for the scheme: 64 cells overshoot
-by up to 5.8e-7 and 32 cells by 5.4e-5, which it refuses.
+non-negative variable.  Here M's off-diagonals are positive and -K's turn
+negative where V > 6 / h^2, so the scheme may overshoot, and it does, at
+the far edge where v meets 1.  Over 2000 s from 2^-24 to 8, max v - 1
+reads 5.8e-7 on 64 cells and 3.7e-9 on 100, and min v >= 0; 60 cells
+overshoot by more than ``MAX_PRINCIPLE_EPS`` at 13 of those s and 48
+cells fail the far-edge check at 720.  So :class:`GridSpec` refuses fewer
+than 64 cells, and the check that v at s stays within
+``MAX_PRINCIPLE_EPS`` of [0, 1] guards the pole sum's rounding, which
+would move v by O(1) where it failed.
 
 ``zgtsv`` is scipy's f2py wrapper, the same object ``scipy.linalg.lapack``
 exports, taken from the compiled extension ``scipy/linalg/_flapack`` that
@@ -214,10 +208,10 @@ holds solutions only: a solve refused with :class:`AccuracyError` or
 :class:`InstabilityError` is not kept and raises again on every lookup.
 
 :func:`grid_refinement_report` prices level k by :func:`kappa_quadrature`
-on the grid with its cells halved k times, so its first level is the
-default price bit for bit, and below ``S_CLOSED_FORM`` every level is the
-closed form.  It builds every level's :class:`GridSpec` before it solves
-anything, so a level of more than ``MAX_GRID_NODES`` cells n_y is a
+on the default grid with its cells halved k times, so its first level is
+the default price bit for bit, and below ``S_CLOSED_FORM`` every level is
+the closed form.  It builds every level's :class:`GridSpec` before it
+solves anything, so a level of more than ``MAX_GRID_NODES`` cells n_y is a
 :class:`DomainError` before anything is allocated.
 """
 
@@ -227,7 +221,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 
@@ -260,8 +254,8 @@ _flapack = _load_flapack()
 zgtsv = _flapack.zgtsv
 
 #: v = 1 - psi outside [-eps, 1 + eps] at s is the contour sum's rounding
-#: gone wrong or a grid too coarse for the scheme, whose overshoot past 1
-#: is at most 3.7e-9 on the default grid (module notes).
+#: gone wrong: the scheme's overshoot past 1 is at most 3.7e-9 on the
+#: default grid and 5.8e-7 on 64 cells, ``GridSpec``'s floor (module notes).
 MAX_PRINCIPLE_EPS = 1e-6
 #: psi = 1 - v at the penultimate node of the row at s may reach at most this.
 BOUNDARY_TOL = 1e-8
@@ -318,14 +312,16 @@ ZETA_WEIGHTLESS = 1e-200
 
 @dataclass(frozen=True)
 class GridSpec:
-    """n_y cells of the uniform x = ln y grid, at most ``MAX_GRID_NODES``;
-    the solver picks its ends from s (:func:`x_bounds`)."""
+    """n_y cells of the uniform x = ln y grid, from the scheme's floor of
+    64 (module notes) to ``MAX_GRID_NODES``; the solver picks its ends
+    from s (:func:`x_bounds`)."""
 
     n_y: int = 100
 
     def __post_init__(self):
-        if self.n_y < 16:
-            raise DomainError("grid needs n_y >= 16")
+        if self.n_y < 64:
+            raise DomainError(f"a grid of {self.n_y} cells is below the "
+                              "fourth-order scheme's floor of 64 cells n_y")
         if self.n_y > MAX_GRID_NODES:
             raise DomainError(f"a grid of {self.n_y} nodes has more than "
                               f"MAX_GRID_NODES = {MAX_GRID_NODES} nodes n_y")
@@ -466,7 +462,7 @@ def solve_psi(alpha: float, tau: float,
     (below it kappa is its closed form), :class:`AccuracyError` past
     ``S_PDE_MAX`` or if psi has not decayed to ``BOUNDARY_TOL`` at the far
     edge, and :class:`InstabilityError` if v leaves [0, 1] by more than
-    ``MAX_PRINCIPLE_EPS`` (rounding, or a grid too coarse for the scheme).
+    ``MAX_PRINCIPLE_EPS`` (the pole sum's rounding).
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -504,8 +500,7 @@ def solve_psi(alpha: float, tau: float,
     if not (lo >= -MAX_PRINCIPLE_EPS and hi <= 1.0 + MAX_PRINCIPLE_EPS):
         raise InstabilityError(
             f"1 - psi left [0,1] by more than {MAX_PRINCIPLE_EPS} (range "
-            f"[{lo:.3e}, {hi:.3e}]): the contour sum lost its accuracy, or the "
-            "grid is too coarse")
+            f"[{lo:.3e}, {hi:.3e}]): the contour sum lost its accuracy")
     boundary_max = float(1.0 - v[n - 1])
     h, y_min, y_max = parts.h, parts.y_min, parts.y_max
     if boundary_max > BOUNDARY_TOL:
@@ -611,19 +606,19 @@ def kappa_from_solution(solution: PsiSolution, state: MarketState,
 
 
 def grid_refinement_report(state: MarketState, params: SabrParams,
-                           contract: SwapContract, grid: GridSpec = GridSpec(),
-                           refinements: int = 2) -> dict:
-    """kappa on successively halved cells h plus the observed convergence ratios.
+                           contract: SwapContract, refinements: int = 2) -> dict:
+    """kappa on the default grid and on its cells h halved ``refinements``
+    times, plus the observed convergence ratios.
 
     psi is exact in s, so h is the only discretization: fourth-order
     convergence shows up as ratios of successive differences near 16 (100,
-    200 and 400 cells by default), and as inf where two levels agree, as
+    200 and 400 cells at two refinements), and as inf where two levels agree, as
     they do below ``S_CLOSED_FORM``.
     Every level's grid is built first, so a level past ``MAX_GRID_NODES``
     is a :class:`DomainError` before any solve; :func:`kappa_quadrature`
     raises what else it raises, outside the accrual window among them.
     """
-    levels = [replace(grid, n_y=grid.n_y * 2 ** k) for k in range(refinements + 1)]
+    levels = [GridSpec(n_y=GridSpec().n_y * 2 ** k) for k in range(refinements + 1)]
     kappas = [kappa_quadrature(state, params, contract, level) for level in levels]
     ratios = [math.inf if k1 == k2 else (k0 - k1) / (k1 - k2)
               for k0, k1, k2 in zip(kappas, kappas[1:], kappas[2:])]

@@ -48,6 +48,9 @@ from .model import (MarketState, PricingResult, SabrParams, SwapContract,
 REGIME_CONVERGENT = "convergent_like"
 REGIME_ASYMPTOTIC = "asymptotic_truncated"
 REGIME_DIVERGING = "diverging"
+#: the warnings of :func:`price_volatility_swap`
+SERIES_DIVERGING = "SERIES_DIVERGING"
+SERIES_ASYMPTOTIC_TRUNCATED = "SERIES_ASYMPTOTIC_TRUNCATED"
 
 #: a truncation whose smallest term still exceeds this fraction of the sum
 #: carries no usable accuracy and is flagged as diverging.
@@ -206,9 +209,9 @@ def price_volatility_swap(state: MarketState, params: SabrParams,
         kappa, diag = kappa_series(state, params, contract)
         warnings = ()
         if diag.regime == REGIME_DIVERGING:
-            warnings = ("SERIES_DIVERGING",)
+            warnings = (SERIES_DIVERGING,)
         elif diag.regime == REGIME_ASYMPTOTIC and not diag.converged:
-            warnings = ("SERIES_ASYMPTOTIC_TRUNCATED",)
+            warnings = (SERIES_ASYMPTOTIC_TRUNCATED,)
         return kappa, diag, warnings
 
     return compose_price(contract, df, series)

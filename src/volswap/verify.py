@@ -27,12 +27,11 @@ harmonicity equation are :func:`functional_term_pieces`, summed by
 :func:`check_functional` in one pass; and :func:`_kummer_derivatives`
 gives the 1F1 derivatives of both.  Every 1F1 here, as in the pricer, is
 evaluated to ``specfun.KUMMER_REL_TOL``.  Tolerances, the
-finite-difference steps and the psi mode cap are module constants, and so
-is the one depth ``volswap verify`` runs at: ``N_TERMS`` modes of the
-psi-PDE and harmonicity checks, ``BESSEL_TERMS`` terms of the Bessel-mode
-expansion and the terminal identity for every integer s up to
-``TERMINAL_S_MAX``.  The checks themselves take their depth as a
-parameter.
+finite-difference steps, the psi mode cap and the one depth ``volswap
+verify`` runs at are module constants, read when a check is called:
+``N_TERMS`` modes of the psi-PDE and harmonicity checks, ``BESSEL_TERMS``
+terms of the Bessel-mode expansion and the terminal identity for every
+integer s up to ``TERMINAL_S_MAX``.
 
 Every floating-point check returns a :class:`ResidualReport`; the exact
 check returns the normalised rational coefficient itself (1 at s = 0, zero
@@ -65,9 +64,9 @@ FD_STEP_S = 2e-5
 FD_STEP_LOG_ZETA = 1e-3
 #: modes :func:`psi_series_optimal` sums at most
 PSI_MAX_TERMS = 64
-#: modes of the truncated series that ``volswap verify`` checks
+#: modes of the truncated series the psi-PDE and harmonicity checks sum
 N_TERMS = 20
-#: terms of the Bessel-mode expansion of y^(-1/2) in ``volswap verify``
+#: terms of the Bessel-mode expansion of y^(-1/2) that its check sums
 BESSEL_TERMS = 60
 #: largest s of the exact terminal identity in ``volswap verify``
 TERMINAL_S_MAX = 60
@@ -123,16 +122,16 @@ def check_terminal_identity(s: int) -> Fraction:
     return total
 
 
-def check_bessel_sqrt_expansion(y: float, n_terms: int) -> ResidualReport:
-    """Partial sum of 1/sqrt(y) = (1/sqrt(2)) sum_n a_n I_(2n-1/2)(y)."""
+def check_bessel_sqrt_expansion(y: float) -> ResidualReport:
+    """1/sqrt(y) = (1/sqrt(2)) sum_n a_n I_(2n-1/2)(y) to ``BESSEL_TERMS`` terms."""
     if y <= 0:
         raise DomainError(f"y must be positive, got {y}")
     total = 0.0
-    for n in range(n_terms):
+    for n in range(BESSEL_TERMS):
         total += _coeff_a(n) * specfun.bessel_i(2 * n - 0.5, y)
     total /= SQRT2
     target = 1.0 / math.sqrt(y)
-    return ResidualReport(point=f"y={y}, n_terms={n_terms}",
+    return ResidualReport(point=f"y={y}, n_terms={BESSEL_TERMS}",
                           residual=total - target, scale=target,
                           tolerance=TOL_BESSEL_EXPANSION)
 
@@ -159,18 +158,18 @@ def psi_series_optimal(s: float, y: float) -> tuple:
     return value, estimate
 
 
-def _mode_blowup_guard(s: float, y: float, n_terms: int):
-    mags = [abs(psi_series_term(n, s, y)) for n in range(n_terms)]
+def _mode_blowup_guard(s: float, y: float):
+    mags = [abs(psi_series_term(n, s, y)) for n in range(N_TERMS)]
     m = mags.index(min(mags))
-    if m < n_terms - 1 and mags[-1] > 10.0 * mags[m]:
+    if m < N_TERMS - 1 and mags[-1] > 10.0 * mags[m]:
         raise InconclusiveError(
-            f"n_terms={n_terms} extends past the blow-up index {m} at "
+            f"n_terms={N_TERMS} extends past the blow-up index {m} at "
             f"s={s:.3g}, y={y}: the truncated series no longer approximates "
             "psi there")
 
 
-def check_psi_pde_residual(s: float, y: float, n_terms: int) -> ResidualReport:
-    """Residual of 2 d_s psi = y^2 psi'' - y^2 psi, term-wise.
+def check_psi_pde_residual(s: float, y: float) -> ResidualReport:
+    """Residual of 2 d_s psi = y^2 psi'' - y^2 psi on ``N_TERMS`` modes.
 
     The y-derivatives of each mode come from the Bessel derivative
     recurrences I_k' = (I_(k-1) + I_(k+1))/2 and
@@ -182,7 +181,7 @@ def check_psi_pde_residual(s: float, y: float, n_terms: int) -> ResidualReport:
         raise DomainError(f"y must be positive, got {y}")
     if s < 0:
         raise DomainError(f"s must be non-negative, got {s}")
-    _mode_blowup_guard(s, y, n_terms)
+    _mode_blowup_guard(s, y)
 
     sqrt_y2 = math.sqrt(0.5 * y)
     root_y = math.sqrt(y)
@@ -190,8 +189,8 @@ def check_psi_pde_residual(s: float, y: float, n_terms: int) -> ResidualReport:
     psi = 0.0
     psi_dd = 0.0
     # I at the orders k - 2 .. k + 2 of every mode k = 2n - 1/2: one ladder
-    ladder = [specfun.bessel_i(m - 2.5, y) for m in range(2 * n_terms + 3)]
-    for n in range(n_terms):
+    ladder = [specfun.bessel_i(m - 2.5, y) for m in range(2 * N_TERMS + 3)]
+    for n in range(N_TERMS):
         k = 2 * n - 0.5
         i_km2, i_km1, i_k, i_kp1, i_kp2 = ladder[2 * n:2 * n + 5]
         i_p = 0.5 * (i_km1 + i_kp1)
@@ -206,7 +205,7 @@ def check_psi_pde_residual(s: float, y: float, n_terms: int) -> ResidualReport:
 
     rhs = y * y * psi_dd - y * y * psi
     scale = abs(y * y * psi_dd) + abs(y * y * psi) + 1e-300
-    return ResidualReport(point=f"s={s}, y={y}, n_terms={n_terms}",
+    return ResidualReport(point=f"s={s}, y={y}, n_terms={N_TERMS}",
                           residual=lhs - rhs, scale=scale,
                           tolerance=TOL_PSI_RESIDUAL)
 
@@ -250,9 +249,9 @@ def functional_term_residual(n: int, zeta: float) -> ResidualReport:
 
 
 def check_functional(state: MarketState, params: SabrParams,
-                     contract: SwapContract, n_terms: int) -> list:
+                     contract: SwapContract) -> list:
     """[summed, D_t, vertical] reports of the harmonicity condition on the
-    kappa series truncated to ``n_terms`` modes, in F units over alpha^2.
+    kappa series truncated to ``N_TERMS`` modes, in F units over alpha^2.
 
     By the chain rule, for kappa = (sqrt(nu)/T) F(s, zeta) the raw D_t kappa
     and (alpha^2 sigma^2 / 2)(vertical grad)^2 kappa are alpha^2 sqrt(nu)/T
@@ -264,12 +263,13 @@ def check_functional(state: MarketState, params: SabrParams,
     (h = ``FD_STEP_LOG_ZETA``), Richardson-extrapolated over the steps and
     their halves, cross-check each side through zeta F_zeta = F_u and
     zeta^2 F_zetazeta = F_uu - F_u.  Raises
-    :class:`DomainError` unless ``n_terms >= 1`` (with no term, 0 = 0
+    :class:`DomainError` unless ``N_TERMS >= 1`` (with no term, 0 = 0
     would pass) and :class:`InconclusiveError` where a growth factor
     overflows.
     """
+    n_terms = N_TERMS
     if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
+        raise DomainError(f"N_TERMS must be >= 1, got {n_terms}")
     tau, s, zeta, _ = reduced_variables(state, params, contract)
     alpha = params.alpha
     d_sum = v_sum = 0.0

@@ -149,8 +149,8 @@ class TestPricingResult:
     def test_composition_identity_bitwise(self):
         contract = SwapContract(t0=0.0, tenor=1.0, strike=0.18, notional=10_000.0)
         result = price_volatility_swap(*CONVERGENT, contract, math.exp(-0.05))
-        assert result.fair_value == result.notional * result.discount_factor * (
-            result.kappa - result.strike)
+        assert result.fair_value == contract.notional * result.discount_factor * (
+            result.kappa - contract.strike)
 
     def test_at_the_money_is_zero(self):
         kappa, _ = kappa_series(*CONVERGENT, SwapContract(t0=0.0, tenor=1.0))

@@ -119,12 +119,25 @@ def dense_v(s, grid):
 
 class TestGridSpec:
     def test_minimum_sizes(self):
-        with pytest.raises(DomainError, match="n_y >= 16"):
+        with pytest.raises(DomainError, match="floor of 64 cells n_y"):
             GridSpec(n_y=8)
 
+    def test_floor_is_the_fewest_cells_the_scheme_holds_on(self):
+        # 63 cells are refused before any solve.  On 64 every check of the
+        # solve passes at 2000 s from 2^-24 to 8, and v overshoots 1 by at
+        # most 5.8e-7, below MAX_PRINCIPLE_EPS (module notes)
+        with pytest.raises(DomainError, match="a grid of 63 cells is below the "
+                           "fourth-order scheme's floor of 64 cells n_y"):
+            GridSpec(n_y=63)
+        grid = GridSpec(n_y=64)
+        s_values = np.geomspace(pde_engine.S_CLOSED_FORM, pde_engine.S_PDE_MAX, 2000)
+        highest = max(solve_psi(1.0, float(s), grid).v.max() for s in s_values)
+        assert highest - 1.0 <= 6e-7
+
     def test_node_cap_admits_the_reference_grid(self):
-        # make_reference.py solves on 3200 nodes, the finest grid in use;
-        # the cap is that grid with its cells halved five more times
+        # the finest grid the tests solve has 6400 cells, for the module
+        # notes' Richardson values; the cap is 3200 cells halved five more
+        # times, that grid halved four more
         assert GridSpec(n_y=3200 * 2 ** 5).n_y == pde_engine.MAX_GRID_NODES
         for n_y in (3200 * 2 ** 5 + 1, 10 ** 9):
             with pytest.raises(DomainError, match=f"grid of {n_y} nodes has more "
@@ -138,7 +151,7 @@ class TestSolvePsi:
         # kappa_quadrature prices it in closed form.  tau < 0 has no psi
         for alpha, tau in ((0.5, 0.0), (1e-200, 0.5), (0.5, -0.1)):
             with pytest.raises(DomainError, match="needs s >= 2\\^-24"):
-                solve_psi(alpha, tau, GridSpec(n_y=32))
+                solve_psi(alpha, tau, GridSpec(n_y=64))
 
     def test_degenerate_boundary_stays_one(self):
         # psi -> 1 as y -> 0: at x_min the Robin row keeps v = 1 - psi
@@ -185,7 +198,7 @@ class TestSolvePsi:
         assert len(solves) == 1
         assert re.fullmatch(r"1 - psi left \[0,1\] by more than 1e-06 \(range "
                             r"\[\S+, 2\.\d{3}e\+00\]\): the contour sum lost its "
-                            r"accuracy, or the grid is too coarse", str(info.value))
+                            r"accuracy", str(info.value))
 
     @pytest.mark.parametrize("s", [1e-5, 0.08, 2.0])
     def test_one_stacked_solve_with_uncoupled_blocks(self, s, monkeypatch):
@@ -235,12 +248,12 @@ class TestSolvePsi:
         assert -1e-8 <= sol.boundary_max <= pde_engine.BOUNDARY_TOL
 
     def test_coarse_grid_is_refused(self):
-        # 16 cells at s = 2^-24: the penultimate node, x = 9.2, lies where
-        # psi has not decayed, and the far-edge check refuses the grid
-        with pytest.raises(AccuracyError) as info:
-            solve_psi(1.0, 2.0 ** -24, GridSpec(n_y=16))
-        assert str(info.value) == ("psi at the far edge reaches 4.591e-02 > "
-                                   "boundary_tol 1.0e-08 at y_max 3.66e+04")
+        # a solve fails its checks on 16 cells at s = 2^-24, where psi at the
+        # far edge is 4.6e-2, and on 48, 56 and 60 cells at 720, 109 and 13
+        # of 2000 s from 2^-24 to 8: GridSpec refuses each before any solve
+        for n_y in (16, 48, 56, 60):
+            with pytest.raises(DomainError, match=f"a grid of {n_y} cells is below"):
+                GridSpec(n_y=n_y)
 
     def test_default_y_max_reasonable(self):
         # y_max = e^(x_max) puts s y^2 / 2 at 40 at small s and stays at
@@ -299,9 +312,13 @@ class TestSolvePsi:
             assert -1e-8 <= v.min() and v.max() <= 1.0 + 1e-8
 
     def test_coarse_grid_overshoot_is_refused(self):
-        # 32 cells overshoot by 5.4e-5 at s = 0.048, past MAX_PRINCIPLE_EPS
-        with pytest.raises(InstabilityError, match="or the grid is too coarse"):
-            solve_psi(1.0, 0.04816270228114439, GridSpec(n_y=32))
+        # 32 cells overshoot v = 1 by 5.4e-5 at s = 0.048, past
+        # MAX_PRINCIPLE_EPS: GridSpec refuses them, and 64 cells, its floor,
+        # overshoot by 1.6e-9 there
+        with pytest.raises(DomainError, match="floor of 64 cells n_y"):
+            GridSpec(n_y=32)
+        v = solve_psi(1.0, 0.04816270228114439, GridSpec(n_y=64)).v
+        assert v.max() - 1.0 <= 1e-8
 
     def test_x_min_falls_with_s(self):
         # F(8, 1) = 6.249244 from x_min = -18 to -32 at h = 0.0085; an x grid
@@ -394,7 +411,7 @@ class TestSymmetricMarch:
             monkeypatch.setattr(pde_engine, "x_bounds",
                                 lambda s: (x_min, math.log(y_max)))
             monkeypatch.setattr(pde_engine, "BOUNDARY_TOL", math.inf)
-        grid = GridSpec(n_y=60)
+        grid = GridSpec(n_y=64)
         v = solve_psi(1.0, s, grid).v
         assert np.abs(v - dense_v(s, grid)).max() <= 1e-13
 
@@ -820,11 +837,10 @@ class TestGridConvergence:
         # the name predates the fourth-order grid: the ratio is 16.03 on
         # 400, 800 and 1600 cells, and was 4.00 on the second-order grid
         state = MarketState(t=0.5, sigma=0.25, nu=0.03)
-        report = grid_refinement_report(state, SabrParams(alpha=0.4), CONTRACT,
-                                        GridSpec(n_y=400), refinements=2)
-        assert len(report["kappas"]) == 3
-        assert all(type(k) is float for k in report["kappas"])
-        assert 15.0 <= report["ratios"][0] <= 17.0
+        k0, k1, k2 = [kappa_quadrature(state, SabrParams(alpha=0.4), CONTRACT,
+                                       GridSpec(n_y=n)) for n in (400, 800, 1600)]
+        assert all(type(k) is float for k in (k0, k1, k2))
+        assert 15.0 <= (k0 - k1) / (k1 - k2) <= 17.0
 
     @pytest.mark.parametrize("s", [0.08, 0.8, 4.0, 8.0])
     @pytest.mark.parametrize("nu", [0.04, 0.0])
@@ -968,11 +984,11 @@ class TestGolden:
     def test_refinement_report(self, marches):
         # the 100-cell level is the mid_s default-grid golden
         report = grid_refinement_report(*self._inputs(0.4, 0.5, 0.25, 0.03),
-                                        CONTRACT, GridSpec(n_y=50))
+                                        CONTRACT)
         assert repr(report) == (
-            "{'kappas': [0.24914160573628769, 0.2491417908208552, "
-            "0.24914180218967788], 'grids': [50, 100, 200], "
-            "'ratios': [16.28001179819568]}")
+            "{'kappas': [0.2491417908208552, 0.24914180218967788, "
+            "0.2491418028959935], 'grids': [100, 200, 400], "
+            "'ratios': [16.095952593283275]}")
 
     FINAL_ROWS = {
         (1e-4, 400): "ac3f555adf67fa04deb2af3481a965c3685a86c6070f9c70e35444824c6d23b7",

@@ -17,14 +17,14 @@ CONTRACT = SwapContract(t0=0.0, tenor=1.0)
 RAW_STEP = 1e-4
 
 
-def check_functional_residual(state, params, contract, n_terms):
+def check_functional_residual(state, params, contract):
     """The summed harmonicity residual of one ``check_functional`` pass."""
-    return verify.check_functional(state, params, contract, n_terms)[0]
+    return verify.check_functional(state, params, contract)[0]
 
 
-def check_functional_fd(state, params, contract, n_terms):
+def check_functional_fd(state, params, contract):
     """The D_t and vertical finite-difference reports of the same pass."""
-    return verify.check_functional(state, params, contract, n_terms)[1:]
+    return verify.check_functional(state, params, contract)[1:]
 
 
 def reduced_sums(state, params, contract, n_terms):
@@ -57,23 +57,28 @@ class TestTerminalIdentity:
 class TestBesselExpansion:
     @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_sixty_terms_hit_tolerance(self, y):
-        report = verify.check_bessel_sqrt_expansion(y, 60)
+        assert verify.BESSEL_TERMS == 60
+        report = verify.check_bessel_sqrt_expansion(y)
         assert report.passed
         assert report.relative <= 1e-6
 
-    def test_forty_terms_at_unit_argument(self):
-        report = verify.check_bessel_sqrt_expansion(1.0, 40)
+    def test_forty_terms_at_unit_argument(self, monkeypatch):
+        monkeypatch.setattr(verify, "BESSEL_TERMS", 40)
+        report = verify.check_bessel_sqrt_expansion(1.0)
         assert report.relative <= 1e-6
 
-    def test_single_term_is_not_exact(self):
-        report = verify.check_bessel_sqrt_expansion(1.0, 1)
+    def test_single_term_is_not_exact(self, monkeypatch):
+        monkeypatch.setattr(verify, "BESSEL_TERMS", 1)
+        report = verify.check_bessel_sqrt_expansion(1.0)
         assert report.relative > 0.0
         assert not report.passed
 
-    def test_residual_monotone_under_pairing(self):
+    def test_residual_monotone_under_pairing(self, monkeypatch):
         for y in (0.1, 1.0, 5.0):
-            residuals = [verify.check_bessel_sqrt_expansion(y, n).relative
-                         for n in range(10, 61, 2)]
+            residuals = []
+            for n in range(10, 61, 2):
+                monkeypatch.setattr(verify, "BESSEL_TERMS", n)
+                residuals.append(verify.check_bessel_sqrt_expansion(y).relative)
             floor = 1e-14
             for earlier, later in zip(residuals, residuals[1:]):
                 assert later <= earlier + floor
@@ -81,18 +86,20 @@ class TestBesselExpansion:
 
 class TestPsiPdeResidual:
     def test_reference_points(self):
+        assert verify.N_TERMS == 20
         for s, y in ((0.0225, 1.0), (0.0225, 3.0)):
-            report = verify.check_psi_pde_residual(s, y, 20)
+            report = verify.check_psi_pde_residual(s, y)
             assert report.passed
             assert report.relative <= 1e-6
 
     def test_terminal_truncation_only(self):
-        report = verify.check_psi_pde_residual(0.0, 1.0, 20)
+        report = verify.check_psi_pde_residual(0.0, 1.0)
         assert report.passed
 
-    def test_blowup_guard(self):
+    def test_blowup_guard(self, monkeypatch):
+        monkeypatch.setattr(verify, "N_TERMS", 30)
         with pytest.raises(InconclusiveError):
-            verify.check_psi_pde_residual(0.5, 1.0, 30)
+            verify.check_psi_pde_residual(0.5, 1.0)
 
 
 class TestFunctionalCalculus:
@@ -115,16 +122,18 @@ class TestFunctionalCalculus:
             for n in range(8):
                 assert not verify.functional_term_residual(n, zeta).passed, (n, zeta)
 
-    def test_summed_residual(self):
-        summed = check_functional_residual(STATE, PARAMS, CONTRACT, 10)
+    def test_summed_residual(self, monkeypatch):
+        monkeypatch.setattr(verify, "N_TERMS", 10)
+        summed = check_functional_residual(STATE, PARAMS, CONTRACT)
         assert summed.passed
         assert summed.point.endswith("n_terms=10")
 
     @pytest.mark.parametrize("n_terms", [10, 12, 20])
-    def test_finite_difference_cross_check(self, n_terms):
+    def test_finite_difference_cross_check(self, n_terms, monkeypatch):
         # plain central differences at step 1e-4 miss 1e-5 from 12 terms on;
         # with one step of 1e-4 in s and in zeta these read up to 3.7e-8
-        reports = check_functional_fd(STATE, PARAMS, CONTRACT, n_terms)
+        monkeypatch.setattr(verify, "N_TERMS", n_terms)
+        reports = check_functional_fd(STATE, PARAMS, CONTRACT)
         assert len(reports) == 2
         for report in reports:
             assert report.relative <= 1e-9, report.point
@@ -164,19 +173,21 @@ class TestFunctionalCalculus:
     @pytest.mark.parametrize("n_terms", [0, -3])
     @pytest.mark.parametrize("check", [check_functional_residual,
                                        check_functional_fd])
-    def test_no_term_is_a_domain_error(self, check, n_terms):
+    def test_no_term_is_a_domain_error(self, check, n_terms, monkeypatch):
         # with no term both sides sum to 0 and every check would pass
-        with pytest.raises(DomainError, match="n_terms must be >= 1"):
-            check(STATE, PARAMS, CONTRACT, n_terms)
+        monkeypatch.setattr(verify, "N_TERMS", n_terms)
+        with pytest.raises(DomainError, match=f"N_TERMS must be >= 1, got {n_terms}"):
+            check(STATE, PARAMS, CONTRACT)
 
     def test_coefficients_match_the_terminal_identity_sum(self):
         # the n = 0 term of the s = 0 sum is a_0 / (0! Gamma(1/2)/sqrt(pi))
         assert verify.coeff_a_exact(0) == Fraction(-2) * Fraction(-1, 2)
         assert verify.check_terminal_identity(0) == verify.coeff_a_exact(0)
 
-    def test_deterministic(self):
-        a = verify.check_functional(STATE, PARAMS, CONTRACT, 8)
-        b = verify.check_functional(STATE, PARAMS, CONTRACT, 8)
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(verify, "N_TERMS", 8)
+        a = verify.check_functional(STATE, PARAMS, CONTRACT)
+        b = verify.check_functional(STATE, PARAMS, CONTRACT)
         assert a == b
 
 
@@ -184,9 +195,10 @@ class TestGrowthOverflow:
     """At s = 200 (alpha = 20, tau = 0.5) the n = 2 growth factor e^(6 s)
     overflows."""
 
-    def test_summed_residual(self):
+    def test_summed_residual(self, monkeypatch):
+        monkeypatch.setattr(verify, "N_TERMS", 10)
         with pytest.raises(InconclusiveError):
-            verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT, 10)
+            verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT)
 
     def test_finite_difference(self, monkeypatch):
         # the harmonicity pass refuses before a bumped kappa sums the
@@ -194,8 +206,9 @@ class TestGrowthOverflow:
         def bumped_term(*point):
             raise AssertionError(f"finite difference at {point}")
         monkeypatch.setattr(verify, "series_term", bumped_term)
+        monkeypatch.setattr(verify, "N_TERMS", 10)
         with pytest.raises(InconclusiveError):
-            verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT, 10)
+            verify.check_functional(STATE, SabrParams(alpha=20.0), CONTRACT)
 
     def test_psi_mode_is_signed_infinity(self):
         assert verify.psi_series_term(2, 200.0, 1.0) == math.inf
@@ -203,9 +216,10 @@ class TestGrowthOverflow:
         # I_(2n-1/2)(0.01) underflows to 0 at n = 45: still an infinite mode
         assert verify.psi_series_term(45, 200.0, 0.01) == -math.inf
 
-    def test_psi_residual(self):
+    def test_psi_residual(self, monkeypatch):
+        monkeypatch.setattr(verify, "N_TERMS", 60)
         with pytest.raises(InconclusiveError):
-            verify.check_psi_pde_residual(200.0, 0.01, 60)
+            verify.check_psi_pde_residual(200.0, 0.01)
 
 
 class TestOneKummerTolerance:
