@@ -122,12 +122,15 @@ def direct_means(xi, s, sign=1.0):
 
 
 class TestWorkers:
-    # 8 200 draws: 32 full blocks and one of 8 pairs; and one block of 20
-    CONFIGS = [McConfig(16_400, 10, seed=2), McConfig(40, 10, seed=2)]
+    # 32 800 draws: 3 batches of 128 full blocks and one of 32 pairs; and
+    # one block of 20
+    CONFIGS = [McConfig(65_600, 10, seed=2), McConfig(40, 10, seed=2)]
 
     @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
     def test_estimate_does_not_depend_on_the_worker_count(self, fields,
                                                           monkeypatch):
+        # every level spreads over the workers, however small
+        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         threads = []
 
         def recorded(stream, out):
@@ -169,6 +172,7 @@ class TestWorkers:
             return path_normals(stream, out)
 
         monkeypatch.setattr(mc_engine, "path_normals", recorded)
+        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         config = McConfig(16_400, 250, seed=2)
         estimates = set()
         for workers in (1, 2, 3):
@@ -179,6 +183,26 @@ class TestWorkers:
             assert sorted(set(steps)) == levels
         assert len(estimates) == 1
 
+    @pytest.mark.parametrize("n_paths, n_steps, pooled", [
+        (16_400, 10, False), (32_766, 16, False), (32_768, 16, True)],
+        ids=["16400x10", "below", "at"])
+    def test_only_a_level_of_pool_path_steps_uses_the_workers(
+            self, monkeypatch, n_paths, n_steps, pooled):
+        # one level each: 16 400 x 10 of one batch, the others of two;
+        # 32 768 x 16 is 2^19 path steps
+        threads = []
+
+        def recorded(stream, out):
+            threads.append(threading.current_thread())
+            return path_normals(stream, out)
+
+        monkeypatch.setattr(mc_engine, "path_normals", recorded)
+        monkeypatch.setattr(mc_engine, "resolve_workers", lambda: 2)
+        assert (n_paths * n_steps >= mc_engine.POOL_PATH_STEPS) == pooled
+        kappa_mc(STATE, PARAMS, CONTRACT, McConfig(n_paths, n_steps, seed=2))
+        assert threading.main_thread() in threads
+        assert len(set(threads)) == (2 if pooled else 1)
+
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         def failing(stream, out):
             # a fresh block stream's counter is (0, 0, block, 0)
@@ -188,6 +212,7 @@ class TestWorkers:
 
         monkeypatch.setattr(mc_engine, "path_normals", failing)
         monkeypatch.setattr(mc_engine, "resolve_workers", lambda: 2)
+        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="block 5"):
             kappa_mc(STATE, PARAMS, CONTRACT, self.CONFIGS[0])
@@ -383,6 +408,7 @@ class TestKappaMc:
         # numpy warned of the overflow (or of inf - inf) above the refusal;
         # errstate is per thread, so each worker must silence its own
         state = MarketState(t=0.5, sigma=sigma, nu=0.03)
+        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         for workers in (1, 2):
             monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
             with warnings.catch_warnings():
@@ -461,6 +487,37 @@ class TestPairs:
                 assert halves is None
             else:
                 assert np.array_equal(halves[row], (half + 0.5) / (n_steps // 2))
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10, 16, 17, 250])
+    def test_running_sum_by_step_rows_keeps_every_bit(self, n_steps):
+        # the running sums formed a step row at a time equal np.cumsum along
+        # each draw's row, bit for bit, with e^(2 B) past the float range
+        # (inf, and its mirror's w/E at 0) among them
+        def cumsum_means(xi, s, weights):
+            grown = np.cumsum(xi, axis=1) * (2.0 * math.sqrt(s / n_steps))
+            np.exp(grown, out=grown)
+            steps = np.ascontiguousarray(grown.T)
+            sums = [np.add.reduce(steps * weights[:, None], axis=0),
+                    np.add.reduce(weights[:, None] / steps, axis=0)]
+            halves = [np.add.reduce((steps * weights[:, None])[1::2], axis=0),
+                      np.add.reduce((weights[:, None] / steps)[1::2], axis=0)]
+            return ((np.array(sums) + 0.5) / n_steps,
+                    (np.array(halves) + 0.5) / (n_steps // 2)
+                    if n_steps % 2 == 0 else None)
+
+        s = 0.3
+        xi = reference_normals(7, 0, 600, n_steps)
+        xi[::3] *= 1e4            # 2 B of those draws reaches +-1e4 or so
+        weights = mc_engine._trapezoid_weights(s, n_steps)
+        with np.errstate(over="ignore", divide="ignore"):
+            expected = cumsum_means(xi, s, weights)
+            got = path_means(xi, s)
+        assert np.isinf(expected[0]).any()
+        assert got[0].tobytes() == expected[0].tobytes()
+        if n_steps % 2:
+            assert got[1] is None
+        else:
+            assert got[1].tobytes() == expected[1].tobytes()
 
     def test_std_error_is_over_pairs(self):
         # n_paths counts paths; the standard error is over n_paths // 2 draws
