@@ -5,12 +5,11 @@ Three independent routes to the fair strike kappa:
 * :mod:`volswap.series_pricer` — the analytic hypergeometric series,
 * :mod:`volswap.mc_engine` — exact-increment Monte Carlo on antithetic
   pairs (bit-reproducible at any thread count: one counter-based stream
-  per fixed block of 256 pairs, merged in block order; the blocks of a
-  level of 2^19 path steps or more are drawn on worker threads, a smaller
-  level's on the calling thread), whose every estimate carries the
-  variance swap of its own draws beside kappa, on a step count below a cap
-  chosen by a same-draw step-halving test and the variance swap's tail
-  test,
+  per fixed block of 256 pairs, merged in block order; a level's batches
+  of up to 2^17 normals are drawn on worker threads, one batch on the
+  calling thread alone), whose every estimate carries the variance swap of
+  its own draws beside kappa, on a step count below a cap chosen by a
+  same-draw step-halving test and the variance swap's tail test,
 * :mod:`volswap.pde_engine` — the reduced Feynman-Kac problem for 1 - psi
   on a uniform grid in x = ln y, solved exactly in s on the seven poles of
   a rational approximation of e^z, as one block-diagonal complex

@@ -37,31 +37,29 @@ al., SC 2011) keyed by the seed with the block index in its counter.
 numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000) draws a
 block's normals, no inverse CDF, one row of n steps per draw.  Consecutive
 blocks of up to ``BATCH_FLOATS`` normals are one batch, priced by one
-call of each numpy kernel.  A level of at least ``POOL_PATH_STEPS`` path
-steps n_paths * n_steps spreads its batches over W = :func:`resolve_workers`
-threads, at most one per batch, batch w + kW on worker w and worker 0 the
-calling thread; a smaller level runs on the calling thread alone.  numpy's
+call of each numpy kernel; the batches are spread over W =
+:func:`resolve_workers` threads, at most one per batch, batch w + kW on
+worker w and worker 0 the calling thread, so a level of one batch (16 384
+paths on 16 steps among them) runs on the calling thread alone.  numpy's
 draws and ufuncs release the GIL, yet whether two threads run on two cores
 is the host's choice: on a shared 2-vCPU x86 host, two threads, each
 drawing Philox normals or taking exp, took from 0.5 to 1.2 times as long
 as one thread doing both in turn, from minute to minute.  One level, 1
-against 2 workers, medians of 20-50 interleaved rounds: where the host
-ran them on two cores, the second worker saved 17 % at 2^18 path steps
-(16 384 paths on 16 steps), 34 % at 2^19 and about 40 % from 2^20 to
-25 M; on one core it cost 6-20 % at 2^18, 4-9 % at 2^19 and 0-11 %
-above.  So it pays in expectation from 2^19 on, not below.  A batch's
-increments are copied a row per step before their running sums are
-formed, one add per step, and their exps taken, so each running sum and
-each trapezoid sum adds one step of every draw at a time, in step order,
-where a sum per draw took thousands of numpy's inner loops.  Each block
-reduces both payoffs, kappa's and the variance swap's, to a sum and a
-centred sum of squares in a fixed order, and kappa's step-halving
-differences to a sum; the calling thread merges them in block order by the
-Chan-Golub-LeVeque update, which keeps the standard error's spread far
-below the mean.  The ladder's tests read these merged values alone, so an
-estimate, its level included, depends on its config and s alone, bit for
-bit, at any worker count; the estimate at a level equals that of a cap at
-that level.
+against 2 workers, medians of 20-50 interleaved rounds: where the host ran
+them on two cores, the second worker saved 34 % at 2^19 path steps (16 384
+paths on 32 steps) and about 40 % from 2^20 to 25 M; on one core it cost
+4-9 % at 2^19 and 0-11 % above.  A batch's increments are copied a row
+per step before their running sums are formed, one add per step, and
+their exps taken, so each running sum and each trapezoid sum adds one step
+of every draw at a time, in step order, where a sum per draw took
+thousands of numpy's inner loops.  Each block reduces both payoffs,
+kappa's and the variance swap's, to a sum and a centred sum of squares in
+a fixed order, and kappa's step-halving differences to a sum; the calling
+thread merges them in block order by the Chan-Golub-LeVeque update, which
+keeps the standard error's spread far below the mean.  The ladder's tests
+read these merged values alone, so an estimate, its level included,
+depends on its config and s alone, bit for bit, at any worker count; the
+estimate at a level equals that of a cap at that level.
 
 Work is bounded from the inputs: :class:`McConfig` refuses more than
 ``MAX_PATH_STEPS`` path steps n_paths * n_steps at the cap, and a block
@@ -91,17 +89,12 @@ with idle_threads_asleep():     # numpy's OpenBLAS loads with it
 #: streams; fixed, so an estimate never depends on the worker count.
 BLOCK_PATHS = 256
 #: most normals of one batch, the unit of work of a worker thread: whole
-#: blocks, at least one, so a worker's two buffers, the normals and their
-#: e^(2 B), stay in cache, while few steps still make few numpy calls.
-#: 2^17, 512 draws at 250 steps: at 2^16 a 250-step level of 16 384 or
-#: 100 000 paths on two workers took 10-12 % longer than a running sum by
-#: np.cumsum along each draw's row, and at 2^17 up to 12 % less.
+#: blocks, at least one, so few steps still make few numpy calls.  2^17,
+#: 512 draws at 250 steps, a worker's two buffers (the normals and their
+#: e^(2 B)) 2 MiB: at 2^16 a 250-step level of 16 384 or 100 000 paths on
+#: two workers took 10-12 % longer than a running sum by np.cumsum along
+#: each draw's row, and at 2^17 up to 12 % less.
 BATCH_FLOATS = 2 ** 17
-#: fewest path steps n_paths * n_steps of a level that spreads its batches
-#: over :func:`resolve_workers` threads, 2^19: a smaller level runs on the
-#: calling thread alone, where a second worker saves no more on two free
-#: cores than it costs on one (module notes).
-POOL_PATH_STEPS = 2 ** 19
 #: most path steps n_paths * n_steps of one estimate, 2^30: about 18 s on
 #: one core of a 2-core x86 machine, four times the largest size in use
 #: (2^19 paths on 512 steps; the CLI default is 100 000 paths on 250).
@@ -195,8 +188,7 @@ def step_ladder(cap: int) -> list:
 def resolve_workers() -> int:
     """Threads an estimate may draw its blocks on: the CPUs this process may
     run on, lowered to the positive integer in ``VOLSWAP_THREADS`` if set.
-    A level starts no more workers than it has batches, and a level of
-    fewer than ``POOL_PATH_STEPS`` path steps runs on one.  Raises
+    An estimate starts no more workers than it has batches.  Raises
     :class:`DomainError` on a ``VOLSWAP_THREADS`` that is no positive
     integer."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -406,8 +398,7 @@ def _level(state: MarketState, contract: SwapContract, config: McConfig,
                 moments[4, blocks] = np.concatenate(
                     [row.sum(axis=1) for row in _blocks(differences)])
 
-    pooled = config.n_paths * n_steps >= POOL_PATH_STEPS
-    _run(-(-n_draws // batch), workers if pooled else 1, work)
+    _run(-(-n_draws // batch), workers, work)
     sums, squares, swap_sums, swap_squares, differences = moments.tolist()
     mean, std_error = _merge(sums, squares, n_draws)
     _finite(variance, mean, std_error)

@@ -129,8 +129,6 @@ class TestWorkers:
     @pytest.mark.parametrize("fields", PAYOFFS, ids=PAYOFF_IDS)
     def test_estimate_does_not_depend_on_the_worker_count(self, fields,
                                                           monkeypatch):
-        # every level spreads over the workers, however small
-        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         threads = []
 
         def recorded(stream, out):
@@ -172,7 +170,6 @@ class TestWorkers:
             return path_normals(stream, out)
 
         monkeypatch.setattr(mc_engine, "path_normals", recorded)
-        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         config = McConfig(16_400, 250, seed=2)
         estimates = set()
         for workers in (1, 2, 3):
@@ -183,13 +180,11 @@ class TestWorkers:
             assert sorted(set(steps)) == levels
         assert len(estimates) == 1
 
-    @pytest.mark.parametrize("n_paths, n_steps, pooled", [
-        (16_400, 10, False), (32_766, 16, False), (32_768, 16, True)],
-        ids=["16400x10", "below", "at"])
-    def test_only_a_level_of_pool_path_steps_uses_the_workers(
-            self, monkeypatch, n_paths, n_steps, pooled):
-        # one level each: 16 400 x 10 of one batch, the others of two;
-        # 32 768 x 16 is 2^19 path steps
+    @pytest.mark.parametrize("n_paths, n_steps", [(16_400, 10), (16_384, 16)],
+                             ids=["16400x10", "16384x16"])
+    def test_a_level_of_one_batch_runs_on_the_calling_thread(
+            self, monkeypatch, n_paths, n_steps):
+        # at most BATCH_FLOATS normals: 16 384 x 16 is 8 192 draws of 16, 2^17
         threads = []
 
         def recorded(stream, out):
@@ -198,10 +193,8 @@ class TestWorkers:
 
         monkeypatch.setattr(mc_engine, "path_normals", recorded)
         monkeypatch.setattr(mc_engine, "resolve_workers", lambda: 2)
-        assert (n_paths * n_steps >= mc_engine.POOL_PATH_STEPS) == pooled
         kappa_mc(STATE, PARAMS, CONTRACT, McConfig(n_paths, n_steps, seed=2))
-        assert threading.main_thread() in threads
-        assert len(set(threads)) == (2 if pooled else 1)
+        assert set(threads) == {threading.main_thread()}
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch):
         def failing(stream, out):
@@ -212,7 +205,6 @@ class TestWorkers:
 
         monkeypatch.setattr(mc_engine, "path_normals", failing)
         monkeypatch.setattr(mc_engine, "resolve_workers", lambda: 2)
-        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="block 5"):
             kappa_mc(STATE, PARAMS, CONTRACT, self.CONFIGS[0])
@@ -379,10 +371,11 @@ class TestKappaMc:
 
     #: (alpha, sigma, n_paths, sigma^2 tau) of valid contracts beyond the
     #: float range: sigma^2 tau = inf gave kappa inf with a nan standard
-    #: error; at 2.45e307 and 20 000 pairs kappa is finite, but the sum of
-    #: squares about it overflows, so its standard error is inf; at 5e307
-    #: and alpha 1 a pair's payoff overflows, so the mean is inf
-    BEYOND = [(0.4, 1e200, 200, "inf"), (0.4, 7e153, 40_000, "2.45e+307"),
+    #: error; at 2.45e307 and 30 000 pairs (two batches on 5 steps, so two
+    #: workers start) kappa is finite, but the sum of squares about it
+    #: overflows, so its standard error is inf; at 5e307 and alpha 1 a
+    #: pair's payoff overflows, so the mean is inf
+    BEYOND = [(0.4, 1e200, 200, "inf"), (0.4, 7e153, 60_000, "2.45e+307"),
               (1.0, 1e154, 200, "5e+307")]
     BEYOND_IDS = ["mean", "std_error", "finite_sigma2_tau"]
 
@@ -408,7 +401,6 @@ class TestKappaMc:
         # numpy warned of the overflow (or of inf - inf) above the refusal;
         # errstate is per thread, so each worker must silence its own
         state = MarketState(t=0.5, sigma=sigma, nu=0.03)
-        monkeypatch.setattr(mc_engine, "POOL_PATH_STEPS", 0)
         for workers in (1, 2):
             monkeypatch.setattr(mc_engine, "resolve_workers", lambda: workers)
             with warnings.catch_warnings():
