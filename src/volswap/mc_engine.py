@@ -188,8 +188,7 @@ def step_ladder(cap: int) -> list:
 def resolve_workers() -> int:
     """Threads an estimate may draw its blocks on: the CPUs this process may
     run on, lowered to the positive integer in ``VOLSWAP_THREADS`` if set.
-    An estimate starts no more workers than it has batches.  Raises
-    :class:`DomainError` on a ``VOLSWAP_THREADS`` that is no positive
+    Raises :class:`DomainError` on a ``VOLSWAP_THREADS`` that is no positive
     integer."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)

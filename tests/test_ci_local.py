@@ -54,3 +54,18 @@ jobs:
         "exit 0   Starts with an empty RUNNER_TEMP",
         "exit 1   A failing pipe"]
     assert err == "before\n"
+
+
+def test_workflow_runs_only_what_tier1_cannot():
+    # tier-1 holds every CLI contract; the one other step pins the Monte
+    # Carlo estimate of a process the OS holds to one core, and the
+    # benchmark's self-checks are the benchmark's own
+    names = [step["name"] for job in yaml.safe_load(
+        ci_local.WORKFLOW.read_text(encoding="utf-8"))["jobs"].values()
+        for step in job["steps"] if "run" in step]
+    assert names == [
+        "Install",
+        "Tier-1 tests",
+        "Monte Carlo engine at s = 8, its 250-step cap level over 33 blocks, "
+        "the last partial, equal on one core and on every core",
+        "Benchmark self-checks"]

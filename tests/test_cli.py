@@ -15,7 +15,6 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +26,7 @@ from volswap.model import MarketState, SabrParams, SwapContract
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 SCHEMAS = {path.name: json.loads(path.read_text(encoding="utf-8"))
            for path in SCHEMA_DIR.glob("*.schema.json")}
 REGISTRY = Registry().with_resources(
@@ -71,10 +71,12 @@ def checked(text, schema):
 
 class TestPrice:
     def test_convergent_point(self, tmp_path):
+        # the README's series example
         code, doc = run(tmp_path, ["price"] + CONVERGENT_POINT,
                         "price.schema.json")
         assert code == cli.EXIT_OK
-        assert doc["regime"] == "convergent_like"
+        assert (repr(doc["kappa"]), doc["terms_used"], doc["regime"]) == (
+            "0.20998807218078805", 14, "convergent_like")
 
     def test_seed_point_diverges(self, tmp_path):
         code, doc = run(tmp_path, ["price"] + SEED_POINT, "price.schema.json")
@@ -138,7 +140,7 @@ class TestPrice:
         argv[argv.index("--t") + 1] = t
         argv[argv.index("--nu") + 1] = nu
         assert cli.main(argv + ["--output", str(tmp_path / "out")]) == cli.EXIT_DIVERGING
-        assert "volswap: series produced no finite terms" in capsys.readouterr().err
+        assert capsys.readouterr().err == "volswap: series produced no finite terms\n"
 
     @pytest.mark.parametrize("sigma", ["0.5796550698", "0.6118823416"],
                              ids=["zeta-35", "zeta-39"])
@@ -170,13 +172,15 @@ class TestPrice:
         assert message in err
 
     def test_fair_value_overflow_is_usage_error(self, tmp_path, capsys):
-        # this wrote "fair_value": -Infinity: a ValueError traceback and exit 1
-        argv = ["price"] + CONVERGENT_POINT + ["--notional", "1e308", "--strike", "5",
-                                               "--output", str(tmp_path / "out")]
-        code, err = exit_code(argv, capsys)
+        # this wrote "fair_value": -Infinity: a ValueError traceback and exit 1.
+        # Neither --output nor stdout gets a document
+        argv = ["price"] + CONVERGENT_POINT + ["--notional", "1e308", "--strike", "5"]
+        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
         assert code == cli.EXIT_USAGE
         assert err == "volswap: notional * df * (kappa - strike) = -inf is not finite\n"
         assert not (tmp_path / "out").exists()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", err)
 
     def test_nu_zero_names_the_engines_that_price_it(self, tmp_path, capsys):
         # the advice named an "oracle" command that no longer exists
@@ -257,11 +261,14 @@ class TestOracle:
 
     def test_mc_variance_swap_of_its_own_draws(self, tmp_path):
         # the draws that value kappa also value nu + sigma^2 tau M_s, whose
-        # exact mean nu + sigma^2 tau expm1(s)/s checks them
+        # exact mean nu + sigma^2 tau expm1(s)/s checks them.  This is the
+        # README's Monte Carlo example
         code, doc = run(tmp_path, MC + SEED_POINT
                         + ["--seed", "1", "--paths", "2000", "--steps", "50"],
                         "price.schema.json")
         assert code == cli.EXIT_OK
+        assert (repr(doc["kappa"]), repr(doc["std_error"]), doc["n_steps"]) == (
+            "0.2491689391105336", "0.00015681652019539842", 16)
         estimate = mc_engine.kappa_mc(
             MarketState(t=0.5, sigma=0.25, nu=0.03), SabrParams(alpha=0.4),
             SwapContract(t0=0.0, tenor=1.0), mc_engine.McConfig(2000, 50, seed=1))
@@ -321,18 +328,25 @@ class TestOracle:
         assert err == "volswap: VOLSWAP_THREADS must be a positive integer, got '0'\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, expected", [
-        ("kappa", 0.2491417908208552),
-        ("grid_report", {"grids": [100, 200, 400],
-                         "kappas": [0.2491417908208552, 0.24914180218967788,
-                                    0.2491418028959935],
-                         "ratios": [16.095952593283275]}),
-    ], ids=["single", "refine"])
-    def test_pde(self, tmp_path, key, expected):
+    @pytest.mark.parametrize("point, key, expected", [
+        (SEED_POINT, "kappa", 0.2491417908208552),
+        (SEED_POINT, "grid_report", {"grids": [100, 200, 400],
+                                     "kappas": [0.2491417908208552,
+                                                0.24914180218967788,
+                                                0.2491418028959935],
+                                     "ratios": [16.095952593283275]}),
+        (["--alpha", "4", "--sigma", "1.2", "--nu", "0.04", "--t", "0.5",
+          "--tenor", "1"], "grid_report", {"grids": [100, 200, 400],
+                                           "kappas": [1.3204254148434318,
+                                                      1.3204292608413957,
+                                                      1.320429499480496],
+                                           "ratios": [16.11637807767123]}),
+    ], ids=["single", "refine", "refine-s-8"])
+    def test_pde(self, tmp_path, point, key, expected):
         # one run reports the single 100-cell price as kappa and, always, its
-        # refinement on 100, 200 and 400 cells, whose first level is kappa
-        code, doc = run(tmp_path, PDE + SEED_POINT,
-                        "price.schema.json")
+        # refinement on 100, 200 and 400 cells, whose first level is kappa.
+        # At s = 8, S_PDE_MAX, the ratio is still near fourth order's 16
+        code, doc = run(tmp_path, PDE + point, "price.schema.json")
         assert code == cli.EXIT_OK
         assert doc["kappa"] == doc["grid_report"]["kappas"][0]
         assert doc[key] == expected
@@ -347,13 +361,25 @@ class TestOracle:
           "--tenor", "1"], "3.8783642354043417"),
         (["--alpha", "1e-200", "--sigma", "0.25", "--nu", "0.03", "--t", "0.5",
           "--tenor", "1"], "0.24748737341529164"),
-    ], ids=["seed", "nu-zero", "s-5e-4", "s-4", "s-underflows"])
-    def test_pde_kappa_is_the_default_grid_price(self, tmp_path, point, kappa):
+        (["--alpha", "1e-80", "--sigma", "0.25", "--nu", "0.03", "--t", "0.5",
+          "--tenor", "1"], "0.24748737341529164"),
+        (["--alpha", "1.4142135623730951e-4", "--sigma", "0.25", "--nu", "0.03",
+          "--t", "0.5", "--tenor", "1"], "0.24748737341529164"),
+        (["--alpha", "0.4", "--sigma", "1e-153", "--nu", "0.03", "--t", "0.5",
+          "--tenor", "1"], repr(math.sqrt(0.03))),
+    ], ids=["seed", "nu-zero", "s-5e-4", "s-4", "s-underflows", "s-5e-161",
+            "s-1e-8", "zeta-1e-304"])
+    def test_pde_kappa_is_the_default_grid_price(self, tmp_path, capsys, point,
+                                                 kappa):
         # the bits of kappa_quadrature on the default grid, which compare
-        # reports as kappa_pde
+        # reports as kappa_pde, with no warning.  Below s = 2^-24 it is the
+        # closed form sqrt(nu + sigma^2 tau) / T; at zeta = 1e-304 it is
+        # sqrt(nu) / T
         argv = PDE + point
-        code, doc = run(tmp_path, argv, "price.schema.json")
-        assert code == cli.EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run(tmp_path, argv, "price.schema.json")
+        assert (code, capsys.readouterr().err) == (cli.EXIT_OK, "")
         assert repr(doc["kappa"]) == kappa
         args = cli.build_parser().parse_args(argv)
         assert repr(pde_engine.kappa_quadrature(
@@ -398,15 +424,18 @@ class TestOracle:
                              ids=["single", "refine"])
     def test_pde_default_grid_prices_s_0_8(self, tmp_path, read):
         # the y grid refused every s from 0.734 on, exit 3.  This contract
-        # is the reference lattice's (s, zeta) = (0.8, 40): F 8.579934851750563
-        # times sqrt(nu) / T; kappa and every level of the refinement lie
-        # within PDE_TOL = 2e-5 of it
+        # is the reference lattice's last (s, zeta) = (0.8, 40): F times
+        # sqrt(nu) / T; kappa and every level of the refinement lie within
+        # PDE_TOL = 2e-5 of it
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        assert (reference["s"][-1], reference["zeta"][-1]) == (0.8, 40.0)
+        f = reference["F"][-1][-1] * math.sqrt(0.0125)
         argv = PDE + ["--alpha", "1", "--sigma", "1", "--nu", "0.0125",
                 "--t", "0.2", "--tenor", "1"]
         code, doc = run(tmp_path, argv, "price.schema.json")
         assert code == cli.EXIT_OK
         for kappa in read(doc):
-            assert abs(kappa - 0.959265878551692) <= 2e-5 * 0.959265878551692
+            assert abs(kappa - f) <= 2e-5 * f
 
     @pytest.mark.parametrize("level", [0, 1], ids=["400", "800"])
     def test_pde_at_s_4_prices_the_spectral_value(self, tmp_path, level):
@@ -440,23 +469,26 @@ class TestOracle:
         assert code == cli.EXIT_USAGE
         assert "s = alpha^2 tau = 800.0: e^s - 1 is not finite" in err
 
-    @pytest.mark.parametrize("alpha, sigma, paths",
-                             [("0.4", "1e200", "200"), ("0.4", "7e153", "40000"),
-                              ("1", "1e154", "200")],
+    @pytest.mark.parametrize("alpha, sigma, paths, sigma2_tau",
+                             [("0.4", "1e200", "200", "inf"),
+                              ("0.4", "7e153", "40000", "2.45e+307"),
+                              ("1", "1e154", "200", "5e+307")],
                              ids=["mean", "std_error", "finite_sigma2_tau"])
     def test_mc_estimate_beyond_float_range_is_usage_error(self, capsys, alpha,
-                                                           sigma, paths):
+                                                           sigma, paths,
+                                                           sigma2_tau):
         # these wrote "kappa": Infinity or "std_error": Infinity, exit 0;
-        # at alpha 1 and sigma^2 tau = 5e307 a pair's payoff overflows
+        # at alpha 1 and sigma^2 tau = 5e307 a pair's payoff overflows.  No
+        # document, and one stderr line with no warning before it
         argv = MC + SEED_POINT + ["--paths", paths, "--steps", "5",
                                                 "--seed", "3"]
         argv[argv.index("--alpha") + 1] = alpha
         argv[argv.index("--sigma") + 1] = sigma
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli.main(argv) == cli.EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines()[-1].startswith("volswap: sigma^2 tau = ")
+        assert capsys.readouterr() == (
+            "", f"volswap: sigma^2 tau = {sigma2_tau}: the estimate is not finite\n")
 
     def test_pde_ratio_of_equal_levels_is_null(self, tmp_path):
         # the three levels agree bit for bit: this wrote "ratios": [Infinity].
@@ -504,15 +536,17 @@ class TestOracle:
                        "float64\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("nu, t, series_code, kappa", [
-        ("6.25e-5", "0.001", cli.EXIT_DIVERGING, "0.2532949370900119"),
-        ("0", "0", cli.EXIT_USAGE, "0.25329494747247877")],
-        ids=["known-defect-4", "inception"])
-    def test_pde_prices_what_the_series_refuses(self, tmp_path, nu, t,
+    @pytest.mark.parametrize("sigma, nu, t, series_code, kappa", [
+        ("0.25", "6.25e-5", "0.001", cli.EXIT_DIVERGING, "0.2532949370900119"),
+        ("0.25", "0", "0", cli.EXIT_USAGE, "0.25329494747247877"),
+        ("0.9798", "0.03", "0.5", cli.EXIT_DIVERGING, "0.719121507361381")],
+        ids=["known-defect-4", "inception", "zeta-100"])
+    def test_pde_prices_what_the_series_refuses(self, tmp_path, sigma, nu, t,
                                                 series_code, kappa):
-        # the series finds no finite term at zeta = 3125 and has no zeta at
-        # nu = 0; the PDE engine of the same command prices both
-        point = ["--alpha", "0.4", "--sigma", "0.25", "--nu", nu, "--t", t,
+        # the series finds no finite term at zeta = 3125, has no zeta at
+        # nu = 0 and diverges past ZETA_MAX = 40, here at zeta = 100; the PDE
+        # engine of the same command prices all three
+        point = ["--alpha", "0.4", "--sigma", sigma, "--nu", nu, "--t", t,
                  "--tenor", "1"]
         assert cli.main(["price"] + point + ["--output", str(tmp_path / "s")]) == series_code
         code, doc = run(tmp_path, PDE + point, "price.schema.json")
@@ -607,6 +641,20 @@ class TestCompare:
         assert capsys.readouterr().err == (
             "volswap: no kappa_series at alpha 0.4, tau 0.999, zeta 3125.0: "
             "series produced no finite terms\n")
+
+    def test_sweep_to_s_0_8_prices_every_cell(self, tmp_path, capsys):
+        # the README's example: s from 0.08 to 0.8, inside the PDE grid's
+        # range; the alpha 1 series diverge, which the verdict does not judge
+        code, doc = run(tmp_path, [
+            "compare", "--alphas", "0.4,1", "--taus", "0.5,0.8", "--zetas", "1",
+            "--nu", "0.03", "--paths", "1000", "--steps", "10", "--seed", "1"],
+            "compare.schema.json")
+        assert (code, capsys.readouterr().err) == (cli.EXIT_OK, "")
+        assert doc["all_passed"] is True
+        assert [row["regime"] for row in doc["rows"]] == [
+            "asymptotic_truncated", "asymptotic_truncated", "diverging", "diverging"]
+        assert None not in [row[name] for row in doc["rows"]
+                            for name in ("kappa_series", "kappa_pde", "kappa_mc")]
 
     def test_at_maturity_every_engine_agrees(self, tmp_path):
         # the series was 1 ulp off sqrt(nu)/T where the MC standard error is 0
@@ -714,6 +762,16 @@ class TestCompare:
         assert calls == []
 
 
+#: reports_digest of verify's 191 reports
+GOLDEN_REPORTS = "3957070ca58743efe6f218280ea8fdc4fbf3beff5d09573c9c306f48011b69a6"
+
+
+def reports_digest(doc):
+    """sha256 of a verify document's reports, written as canonical JSON."""
+    canonical = json.dumps(doc["reports"], sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 class TestVerify:
     def test_terminal_passes(self, tmp_path):
         code, doc = run(tmp_path, ["verify"], "verify.schema.json")
@@ -739,9 +797,17 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert len(doc["reports"]) == 191
         assert doc["manifest"]["parameters"] == {}
-        canonical = json.dumps(doc["reports"], sort_keys=True)
-        assert hashlib.sha256(canonical.encode()).hexdigest() == (
-            "3957070ca58743efe6f218280ea8fdc4fbf3beff5d09573c9c306f48011b69a6")
+        assert reports_digest(doc) == GOLDEN_REPORTS
+
+    def test_fresh_process_writes_its_document_to_stdout(self):
+        # python -m volswap with no --output, as a shell runs it
+        proc = subprocess.run([sys.executable, "-m", "volswap", "verify"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        doc = checked(proc.stdout, "verify.schema.json")
+        assert doc["all_passed"] is True
+        assert reports_digest(doc) == GOLDEN_REPORTS
 
     def test_harmonicity_pass_runs_once(self, tmp_path, monkeypatch):
         # 3 per-mode grids of n + 1 modes each, one per zeta, then one
@@ -855,15 +921,17 @@ def test_manifest_replays_the_run(tmp_path, argv):
     (["price"] + SEED_POINT + ["--rel-tol", "1e-8"], "--rel-tol"),
     (PDE + SEED_POINT + ["--quad-tol", "1e-4"], "--quad-tol"),
     (PDE + SEED_POINT + ["--refine", "-2"], "--refine"),
+    (PDE + SEED_POINT + ["--refine", "2"], "unrecognized arguments: --refine 2"),
     (PDE + SEED_POINT + ["--n-y", "1000000000"], "--n-y"),
+    (PDE + SEED_POINT + ["--n-y", "800"], "unrecognized arguments: --n-y 800"),
     (PDE + SEED_POINT + ["--n-t", "400"], "--n-t"),
-    (PDE + SEED_POINT + ["--y-max", "20"], "--y-max"),
+    (PDE + SEED_POINT + ["--y-max", "20"], "unrecognized arguments: --y-max 20"),
     (["oracle", "pde"] + SEED_POINT, "invalid choice: 'oracle'"),
     (["oracle", "mc"] + SEED_POINT + ["--seed", "1"], "invalid choice: 'oracle'"),
-    (PDE + SEED_POINT + ["--paths", "1000"], "--paths"),
-    (["price"] + SEED_POINT + ["--seed", "1"], "--seed"),
-    (["price"] + SEED_POINT + ["--steps", "10"], "--steps"),
-    (MC + SEED_POINT + ["--paths", "1000"], "--seed"),
+    (PDE + SEED_POINT + ["--paths", "1000"], "--paths is read by --engine mc alone"),
+    (["price"] + SEED_POINT + ["--seed", "1"], "--seed is read by --engine mc alone"),
+    (["price"] + SEED_POINT + ["--steps", "10"], "--steps is read by --engine mc alone"),
+    (MC + SEED_POINT + ["--paths", "1000"], "--engine mc requires --seed"),
     (["verify", "--n-terms", "12"], "--n-terms"),
     (["verify", "--s-max", "60"], "--s-max"),
     (["price"] + SEED_POINT + ["--config", "x.cfg"], "--config"),
@@ -871,12 +939,18 @@ def test_manifest_replays_the_run(tmp_path, argv):
       "--nu", "0.04", "--t0", "0.3", "--seed", "1"], "--t0"),
 ], ids=["missing", "exclusive", "annualization", "check", "float-list",
         "empty-list", "max-terms", "rel-tol", "quad-tol", "negative-refine",
-        "n-y-1e9", "n-t", "y-max", "oracle-pde", "oracle-mc", "pde-paths",
-        "series-seed", "series-steps", "mc-without-seed", "n-terms", "s-max", "config", "compare-t0"])
+        "refine", "n-y-1e9", "n-y", "n-t", "y-max", "oracle-pde", "oracle-mc",
+        "pde-paths", "series-seed", "series-steps", "mc-without-seed", "n-terms",
+        "s-max", "config", "compare-t0"])
 def test_flag_errors_are_usage_errors(tmp_path, capsys, argv, flag):
+    # argparse's refusal is its usage, then an error line naming the flag;
+    # the CLI's own is one volswap: line
     code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
     assert code == cli.EXIT_USAGE
-    assert flag in err
+    if err.startswith("usage: "):
+        assert flag in err.splitlines()[-1]
+    else:
+        assert err == f"volswap: {flag}\n"
     assert not (tmp_path / "out").exists()
 
 
