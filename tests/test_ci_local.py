@@ -1,6 +1,7 @@
 """tools/ci_local.py: the CI workflow's steps, run on this checkout."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import yaml
@@ -57,15 +58,10 @@ jobs:
 
 
 def test_workflow_runs_only_what_tier1_cannot():
-    # tier-1 holds every CLI contract; the one other step pins the Monte
-    # Carlo estimate of a process the OS holds to one core, and the
-    # benchmark's self-checks are the benchmark's own
-    names = [step["name"] for job in yaml.safe_load(
+    # tier-1 holds every CLI contract: each step installs the package or
+    # runs pytest, and none runs volswap itself
+    commands = [step["run"] for job in yaml.safe_load(
         ci_local.WORKFLOW.read_text(encoding="utf-8"))["jobs"].values()
         for step in job["steps"] if "run" in step]
-    assert names == [
-        "Install",
-        "Tier-1 tests",
-        "Monte Carlo engine at s = 8, its 250-step cap level over 33 blocks, "
-        "the last partial, equal on one core and on every core",
-        "Benchmark self-checks"]
+    assert all(re.search(r"-m (pip install|pytest) ", command)
+               and "volswap" not in command for command in commands), commands

@@ -166,7 +166,9 @@ class TestPrice:
         # these died with a traceback (exit 1), and s = 800 summed as diverging
         argv = ["price", "--alpha", alpha, "--sigma", sigma, "--nu", "0.03",
                 "--t", "0.5", "--tenor", "1", "--output", str(tmp_path / "out")]
-        code, err = exit_code(argv, capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = exit_code(argv, capsys)
         assert code == cli.EXIT_USAGE
         assert err.startswith("volswap: ")
         assert message in err
@@ -246,10 +248,34 @@ class TestOracle:
         argv = MC + SEED_POINT + ["--seed", "1", "--paths", "10000",
                                                 "--steps", "250"]
         argv[argv.index("--alpha") + 1] = "4"
-        code, doc = run(tmp_path, argv, "price.schema.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run(tmp_path, argv, "price.schema.json")
         assert (code, doc["n_steps"], doc["warnings"]) == (cli.EXIT_OK, 250,
                                                            ["MC_TAIL"])
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_mc_on_one_core_equals_every_core(self):
+        # s = 8 at its 250-step cap: 16 400 paths are 33 blocks, the last
+        # partial, drawn by a fresh python -m volswap held to one core, as
+        # taskset -c 0 holds it, and by one free to use every core
+        pin = ("import os, runpy; "
+               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "runpy.run_module('volswap', run_name='__main__', alter_sys=True)")
+        argv = MC + SEED_POINT + ["--paths", "16400", "--steps", "250",
+                                  "--seed", "2"]
+        argv[argv.index("--alpha") + 1] = "4"
+        estimates = []
+        for python in (["-c", pin], ["-m", "volswap"]):
+            proc = subprocess.run([sys.executable] + python + argv,
+                                  env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+            doc = checked(proc.stdout, "price.schema.json")
+            estimates.append((doc["kappa"], doc["std_error"], doc["n_steps"]))
+        assert estimates[0] == estimates[1] and estimates[0][2] == 250
 
     def test_mc_odd_steps_have_no_discretization(self, tmp_path):
         code, doc = run(tmp_path, MC + SEED_POINT
@@ -293,12 +319,14 @@ class TestOracle:
         assert capsys.readouterr().err == ""
 
     def test_mc_nu_zero(self, tmp_path):
-        argv = MC + ["--alpha", "0.4", "--sigma", "0.25",
-                "--nu", "0", "--t", "0", "--tenor", "0.5",
-                "--paths", "1000", "--steps", "10", "--seed", "1"]
-        code, doc = run(tmp_path, argv, "price.schema.json")
-        assert code == cli.EXIT_OK
-        assert doc["kappa"] > 0 and doc["std_error"] > 0
+        # at inception, and mid-accrual at the seed point's s = 0.08
+        for contract, size in ((["--t", "0", "--tenor", "0.5"], ["1000", "10"]),
+                               (["--t", "0.5", "--tenor", "1"], ["2000", "50"])):
+            argv = MC + ["--alpha", "0.4", "--sigma", "0.25", "--nu", "0"] + contract + [
+                "--paths", size[0], "--steps", size[1], "--seed", "1"]
+            code, doc = run(tmp_path, argv, "price.schema.json")
+            assert code == cli.EXIT_OK
+            assert doc["kappa"] > 0 and doc["std_error"] > 0
 
     def test_mc_single_antithetic_pair_is_usage_error(self, tmp_path):
         argv = MC + SEED_POINT + ["--seed", "7", "--paths", "2"]
@@ -454,7 +482,10 @@ class TestOracle:
         # s = 200: the x grid's rules priced F(200, 1) at -552
         argv = PDE + SEED_POINT
         argv[argv.index("--alpha") + 1] = "20"
-        code, err = exit_code(argv + ["--output", str(tmp_path / "out")], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = exit_code(argv + ["--output", str(tmp_path / "out")],
+                                  capsys)
         assert code == cli.EXIT_DIVERGING
         assert err == ("volswap: s = alpha^2 tau = 200 is past S_PDE_MAX = 8, "
                        "where the PDE grid is not validated\n")
