@@ -25,12 +25,14 @@ one truncation rule of the paper's series (this one and the Bessel-mode
 series of psi in :mod:`volswap.verify`), sums to the smallest-magnitude
 term and reports that term as the error estimate; :func:`kappa_series`
 classifies the outcome as convergent-like, asymptotically truncated, or
-diverging.  Ground truth outside the trustworthy region comes from the
-Monte Carlo and PDE oracles in the sibling modules.
+diverging.  The sum is F = E[sqrt(1 + 2 zeta A_s)] for the exponential
+functional A_s, and :func:`moment_envelope` brackets F by the first two
+moments of A_s; a value outside that bracket by more than its estimate is
+diverging, whatever its terms did.  Ground truth outside the trustworthy
+region comes from the Monte Carlo and PDE oracles in the sibling modules.
 
-The evaluation policy is the module constants ``MAX_TERMS``, ``REL_TOL``
-and ``ZETA_MAX`` here and ``specfun.KUMMER_REL_TOL`` for 1F1, read at call
-time.
+The evaluation policy is the module constants ``MAX_TERMS`` and
+``REL_TOL`` here and ``specfun.KUMMER_REL_TOL`` for 1F1, read at call time.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ DIVERGENCE_FRACTION = 0.1
 MAX_TERMS = 64
 #: a term within this fraction of the partial sum is small; two end the sum.
 REL_TOL = 1e-10
-#: zeta above which every price is diverging: the terms cancel to F ~ 1, and
-#: the n = 0 term -3.1e15 at zeta = 40 alone has an ulp of 0.5.
-ZETA_MAX = 40.0
+#: ulps of the upper end that bound the rounding of either end of
+#: :func:`moment_envelope`: each is a handful of correctly rounded
+#: operations on positive values no larger than that end (under 2 ulps
+#: against 50-digit arithmetic at every point tried).
+ENVELOPE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -163,22 +167,48 @@ def truncated_sum(terms) -> tuple:
     return partials[max(m - 1, 0)], m, mags[m], stop, len(mags)
 
 
+def moment_envelope(s: float, zeta: float) -> tuple:
+    """(lo, hi) bracketing F = E[sqrt(1 + 2 zeta A_s)] for s, zeta >= 0.
+
+    sqrt(1 + 2 zeta a) is concave in a >= 0, so Jensen's bound
+    hi = sqrt(1 + 2 zeta m) on the mean m = E[A_s] = e^s - 1 lies above F,
+    and the two-point law with mass 1 - p at 0 and p at E[A_s^2]/m,
+    p = m^2/E[A_s^2], which shares the first two moments, lies below
+    (the Radau rule; Golub & Meurant 2010).  With u = expm1(s),
+    E[A_s^2] = (e^{6s} - 6e^s + 5)/15 = u^2 (1 + 4u/3 + u^2 + 2u^3/5 + u^4/15),
+    a sum of positive terms that cannot cancel at small s, and
+    lo - 1 = 2 zeta m / (1 + sqrt(1 + 2 zeta E[A_s^2]/m)).  Once
+    2 zeta m leaves the float range the bracket is [1, inf], and at 0 it is
+    [1, 1].
+    """
+    u = math.expm1(s)
+    w = 2.0 * zeta * u
+    hi = math.sqrt(1.0 + w)
+    if not 0.0 < w < math.inf:   # F = 1 at w = 0; past the float range lo = 1
+        return 1.0, hi
+    q = 1.0 + u * (4.0 / 3.0 + u * (1.0 + u * (0.4 + u / 15.0)))
+    return 1.0 + w / (1.0 + math.sqrt(1.0 + w * q)), hi
+
+
 def kappa_series(state: MarketState, params: SabrParams,
                  contract: SwapContract) -> tuple:
     """Expected annualized volatility from the hypergeometric series.
 
-    Sums at most ``MAX_TERMS`` terms by :func:`truncated_sum`.  A zeta
-    above ``ZETA_MAX``, a negative value, a non-finite term, a smallest term
-    at n = 0, or an estimate above ``DIVERGENCE_FRACTION`` of the sum yields
-    the diverging verdict; the best truncation is still returned, flagged
-    not converged.  tau = 0 gives the exact sqrt(nu)/T as one converged term
-    of estimate 0.  Raises :class:`SingularityError` where zeta is not finite.
+    Sums at most ``MAX_TERMS`` terms by :func:`truncated_sum`.  A
+    non-finite term, an estimate above ``DIVERGENCE_FRACTION`` of the sum,
+    or a sum outside :func:`moment_envelope` by more than the estimate plus
+    ``ENVELOPE_ULPS`` ulps of its upper end yields the diverging verdict
+    (this covers a smallest term at n = 0, a negative sum and every sum at
+    large zeta, whose terms cancel to F ~ 1); the best truncation is still
+    returned, flagged not converged.  tau = 0 gives the exact sqrt(nu)/T as
+    one converged term of estimate 0.  Raises :class:`SingularityError`
+    where zeta is not finite.
 
     Returns
     -------
     (kappa, SeriesDiagnostics)
     """
-    tau, _, zeta, root_nu = reduced_variables(state, params, contract)
+    tau, s, zeta, root_nu = reduced_variables(state, params, contract)
     if zeta == math.inf:
         raise SingularityError(
             "zeta = sigma^2 / (2 alpha^2 nu) is not finite (nu = 0 or beyond the "
@@ -189,8 +219,10 @@ def kappa_series(state: MarketState, params: SabrParams,
     value, m, estimate, stop, terms_used = truncated_sum(
         series_term(n, zeta, tau, params.alpha) for n in range(MAX_TERMS))
     kappa = root_nu * value
-    if (zeta > ZETA_MAX or m == 0 or stop == "overflow" or kappa < 0
-            or estimate > DIVERGENCE_FRACTION * abs(value)):
+    lo, hi = moment_envelope(s, zeta)
+    slack = estimate + ENVELOPE_ULPS * math.ulp(hi)
+    if (stop == "overflow" or estimate > DIVERGENCE_FRACTION * abs(value)
+            or not lo - slack <= value <= hi + slack):
         converged, regime = False, REGIME_DIVERGING
     elif stop == "tolerance":
         converged, regime = True, REGIME_CONVERGENT

@@ -83,6 +83,16 @@ class TestPrice:
         assert code == cli.EXIT_DIVERGING
         assert doc["warnings"] == ["SERIES_DIVERGING"]
 
+    def test_value_above_jensens_bound_is_refused(self, tmp_path):
+        # s = 5e-5, zeta ~ 37: the terms stop on the tolerance at F = 1.2997
+        # with an estimate of 5e-12, but the moment envelope is
+        # [1.0018473, 1.0018473]; the PDE reads kappa = 0.2003695
+        argv = ["price", "--alpha", "0.01", "--sigma", "0.0172", "--nu", "0.04",
+                "--t", "0.5", "--tenor", "1"]
+        code, doc = run(tmp_path, argv, "price.schema.json")
+        assert code == cli.EXIT_DIVERGING
+        assert (doc["regime"], doc["warnings"]) == ("diverging", ["SERIES_DIVERGING"])
+
     def test_growth_overflow_is_diverging(self, tmp_path):
         # s = alpha^2 tau = 200: the n = 2 growth factor e^(6 s) overflows
         argv = ["price"] + SEED_POINT
@@ -575,8 +585,8 @@ class TestOracle:
     def test_pde_prices_what_the_series_refuses(self, tmp_path, sigma, nu, t,
                                                 series_code, kappa):
         # the series finds no finite term at zeta = 3125, has no zeta at
-        # nu = 0 and diverges past ZETA_MAX = 40, here at zeta = 100; the PDE
-        # engine of the same command prices all three
+        # nu = 0 and at zeta = 100 sums to a value outside the moment
+        # envelope; the PDE engine of the same command prices all three
         point = ["--alpha", "0.4", "--sigma", sigma, "--nu", nu, "--t", t,
                  "--tenor", "1"]
         assert cli.main(["price"] + point + ["--output", str(tmp_path / "s")]) == series_code

@@ -2,9 +2,12 @@
 
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,16 +15,19 @@ from hypothesis import strategies as st
 from volswap import series_pricer, specfun
 from volswap.exceptions import (AccuracyError, DomainError, SingularityError,
                                 VolswapError)
-from volswap.model import (MarketState, SabrParams, SwapContract,
+from volswap.model import (S_MAX, MarketState, SabrParams, SwapContract,
                            reduced_variables)
 from volswap.series_pricer import (REGIME_CONVERGENT, REGIME_DIVERGING,
-                                   REL_TOL, ZETA_MAX, coeff_b, coeff_b_exact,
+                                   REL_TOL, coeff_b, coeff_b_exact,
                                    growth_factor, kappa_series,
-                                   price_volatility_swap, series_term,
-                                   truncated_sum)
+                                   moment_envelope, price_volatility_swap,
+                                   series_term, truncated_sum)
 from volswap.verify import j0_closed_form, j0_hypergeometric_form
 
 CONTRACT = SwapContract(t0=0.0, tenor=1.0)
+#: the zeta above which every price was refused before the moment envelope
+#: refused by value; the n = 0 term -3.1e15 at zeta = 40 has an ulp of 0.5
+ZETA_MAX = 40.0
 
 
 def make_point(a2t, zeta, nu=0.04, tau=0.5, tenor=1.0):
@@ -228,7 +234,9 @@ class TestGrowthOverflow:
 
 
 class TestLargeZeta:
-    """Above ``ZETA_MAX`` the terms reach ~e^zeta and cancel down to F ~ 1."""
+    """Above ``ZETA_MAX`` the terms reach ~e^zeta and cancel down to F ~ 1,
+    and every sum lies outside the moment envelope by more than its
+    estimate."""
 
     @pytest.mark.parametrize("zeta", [40.5, 45.0, 60.0, 100.0, 200.0, 400.0,
                                       700.0, 800.0])
@@ -255,6 +263,86 @@ class TestLargeZeta:
             assert diag.regime == REGIME_DIVERGING, zeta
 
 
+def exact_moments(s: float) -> tuple:
+    """(E[A_s], E[A_s^2]) = (e^s - 1, (e^{6s} - 6e^s + 5)/15) as Fractions
+    of the float s, by their Taylor series, whose terms are positive,
+    summed until a term of the second falls below 1e-45 of its sum."""
+    s = Fraction(s)
+    mean = second = Fraction(0)
+    power = Fraction(1)
+    for k in itertools.count(1):
+        power = power * s / k                       # s^k / k!
+        mean += power
+        term = (6 ** k - 6) * power / 15
+        second += term
+        if k > 2 and term < Fraction(1, 10 ** 45) * second:
+            return mean, second
+
+
+def mpf(x: Fraction):
+    """x as an mpmath number at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+#: perfbench's reference table: F(s, zeta) on a 40 x 40 (s, zeta) lattice
+with open(Path(__file__).parents[1] / "perfbench" / "reference.json") as fh:
+    REFERENCE = json.load(fh)
+
+
+class TestMomentEnvelope:
+    """[lo, hi] from the first two moments of A_s, and the refusals it drives."""
+
+    @pytest.mark.parametrize("s", [5e-121, 1e-12, 1e-8, 5e-5, 5e-4, 0.01,
+                                   0.3, 0.8, 2.0])
+    @pytest.mark.parametrize("zeta", [1e-3, 0.5, 22.3, 36.98, 40.0, 700.0])
+    def test_agrees_with_exact_moments(self, s, zeta):
+        mean, second = exact_moments(s)
+        with mpmath.workdps(50):
+            w = 2 * mpmath.mpf(zeta) * mpf(mean)
+            hi = mpmath.sqrt(1 + w)
+            lo = 1 + w / (1 + mpmath.sqrt(1 + w * mpf(second / mean ** 2)))
+        got_lo, got_hi = moment_envelope(s, zeta)
+        ulp = math.ulp(got_hi)
+        assert abs(got_lo - lo) <= series_pricer.ENVELOPE_ULPS * ulp
+        assert abs(got_hi - hi) <= series_pricer.ENVELOPE_ULPS * ulp
+
+    def test_second_moment_is_a_sum_of_positive_terms(self):
+        # e^{6s} - 6e^s + 5 = 15 u^2 q(u) with u = e^s - 1, exactly
+        for u in (Fraction(1, 10 ** 9), Fraction(3, 7), Fraction(5),
+                  Fraction(10 ** 6)):
+            q = 1 + Fraction(4, 3) * u + u ** 2 + Fraction(2, 5) * u ** 3 + u ** 4 / 15
+            assert (1 + u) ** 6 - 6 * (1 + u) + 5 == 15 * u ** 2 * q
+
+    @pytest.mark.parametrize("s", [0.0, 5e-121, 118.0, 200.0, S_MAX])
+    @pytest.mark.parametrize("zeta", [0.0, 1e-3, 40.0, 717.0, 1e300])
+    def test_raises_nothing_on_the_range_of_s(self, s, zeta):
+        # past the float range 2 zeta e^s is inf and the bracket [1, inf]
+        lo, hi = moment_envelope(s, zeta)
+        assert 1.0 <= lo <= hi + series_pricer.ENVELOPE_ULPS * math.ulp(hi)
+        if s == 0.0 or zeta == 0.0:
+            assert (lo, hi) == (1.0, 1.0)
+
+    def test_contains_every_reference_value(self):
+        for s, row, bounds in zip(REFERENCE["s"], REFERENCE["F"],
+                                  REFERENCE["F_bound"]):
+            for zeta, f, bound in zip(REFERENCE["zeta"], row, bounds):
+                lo, hi = moment_envelope(s, zeta)
+                assert lo - bound <= f <= hi + bound, (s, zeta)
+
+    def test_no_trusted_lattice_value_misses_the_reference(self):
+        # series_book's rule, max(10 estimate, 1e-5) relative, at one
+        # contract per lattice point: nu 0.04, tau 0.5, T 1
+        for s, row in zip(REFERENCE["s"], REFERENCE["F"]):
+            for zeta, f in zip(REFERENCE["zeta"], row):
+                state, params, contract = make_point(s, zeta)
+                kappa, diag = kappa_series(state, params, contract)
+                if diag.regime == REGIME_DIVERGING:
+                    continue
+                value = kappa / math.sqrt(state.nu) * contract.tenor
+                tol = max(10.0 * diag.min_term_abs / f, 1e-5)
+                assert abs(value - f) / f <= tol, (s, zeta, value, f)
+
+
 #: price_volatility_swap outputs frozen bit for bit, one case per way the
 #: summation can finish: (name, t, sigma, nu, alpha, tenor, max_terms,
 #: kappa, fair_value, terms_used, min_term_index, min_term_abs, converged,
@@ -275,9 +363,11 @@ GOLDEN = [
     ("growth_m0", 0.5, 0.28284271247461906, 0.04, 1.4142135623730951, 1.0, 64,
      0.09075272175798009, -10.596985989475932, 3, 0, 0.4537636087899004,
      False, "diverging", ("SERIES_DIVERGING",)),
+    # asymptotically truncated by its terms, but 1.8e-3 relative above
+    # Jensen's bound with an estimate of 2.3e-8
     ("exhausted_asymptotic", 0.5, 0.16, 0.04, 0.1, 1.0, 64,
      0.23026558536802788, 2.9357617806987033, 64, 63, 2.2567970261409063e-08,
-     False, "asymptotic_truncated", ("SERIES_ASYMPTOTIC_TRUNCATED",)),
+     False, "diverging", ("SERIES_DIVERGING",)),
     ("exhausted_m0", 0.5, 0.21908902300206645, 0.04, 0.7745966692414834, 1.0, 5,
      -0.041404332671063554, -23.416220269093166, 5, 0, 0.20702166335531774,
      False, "diverging", ("SERIES_DIVERGING",)),
@@ -294,7 +384,7 @@ GOLDEN = [
 
 
 #: :func:`sweep_digest`, frozen bit for bit.
-SWEEP_DIGEST = "6764a3b3010f1e142f37dad49d2f467df770498a0dc5ec89896f1b7d224bebf8"
+SWEEP_DIGEST = "8daff125f7fa2b79c1a55c4d34a91de420481c9946c5a826d7bf863ba096c49a"
 
 
 def sweep_digest() -> str:
@@ -335,9 +425,9 @@ class TestGolden:
 
     def test_sweep_is_bit_identical(self):
         # frozen from the int-counted 1F1 loop with abs; the sweep meets the
-        # tolerance, growth and exhausted stops, zeta > ZETA_MAX and the
-        # no-finite-term refusal above zeta ~ 717 (the overflow stop is
-        # GOLDEN's "overflow" case)
+        # tolerance, growth and exhausted stops, sums outside the moment
+        # envelope and the no-finite-term refusal above zeta ~ 717 (the
+        # overflow stop is GOLDEN's "overflow" case)
         assert sweep_digest() == SWEEP_DIGEST
 
 

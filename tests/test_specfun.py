@@ -176,7 +176,7 @@ class TestKummer1F1:
 
     def test_pricer_grid_digest(self):
         # every 1F1(n - 1/2; 2n + 1/2; z) a series term can ask for at the
-        # benchmark's 40 lattice zeta, and past ZETA_MAX to the overflow,
+        # benchmark's 40 lattice zeta, and past zeta = 40 to the overflow,
         # frozen by repr before the loop read its z-free factors from a table
         lattice = [float(f"{v:.6g}") for v in
                    (0.02 * 2000.0 ** (k / 39) for k in range(40))]
